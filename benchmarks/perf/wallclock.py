@@ -21,18 +21,19 @@ Times the host-side hot paths of the reproduction:
   concurrently through ``submit_many`` against one shared cluster,
   exercising the fair slot interleaving and the per-component
   completion timers end-to-end;
-* ``kmeans_500k_columnar`` / ``kmeans_500k_row`` — one full MapReduce
-  job over 500k 3-d points with the columnar data plane on vs off
-  (same simulated seconds and bytes; the wall-clock gap is the point);
-* ``kmeans_500k_pipelined`` — the columnar 500k job again, through the
+* ``kmeans_500k_columnar`` — one full MapReduce job over 500k 3-d
+  points: the data plane (vectorized assignment, batched
+  hashing/bucketing/sizing, vectorized combine) at scale;
+* ``kmeans_500k_pipelined`` — the same 500k job again, through the
   pipelined scheduler (per-split gates, eager reduce merges, the node
   cache): pins the host-side cost of that bookkeeping vs the barrier;
 * ``iterative_cache_hot`` — a three-iteration pipelined driver sharing
   one node-memory cache across repeats, timing the loop-aware warm
   path (cache lookups, skipped input flows, stripped overheads);
-* ``shuffle_columnar_vs_row`` / ``shuffle_row`` — the shuffle hot path
-  in isolation: hash-partition + bucket + size one big record batch,
-  columnar vs scalar;
+* ``shuffle_columnar_vs_row`` — the shuffle hot path in isolation:
+  hash-partition + bucket + size one big record batch (the name dates
+  from when a row-at-a-time twin ran beside it; kept because the
+  baseline and the perf ledger's probes are keyed on it);
 * ``solve_parallel_w{N}`` — the same solves through the process pool
   (reported for trajectory; multi-core hosts should see < serial).
 
@@ -176,9 +177,7 @@ def bench_shuffle_accounting_job(cfg) -> Callable[[], None]:
     records, _ = gaussian_mixture(cfg["job_records"], 4, dim=3,
                                   separation=6.0, seed=1)
     # Materialized once, outside the timed region, like the bulk k-means
-    # bench: drivers load input a single time and run jobs over it, and
-    # keeping the row->columnar conversion out of the loop measures the
-    # same job body in both PIC_COLUMNAR modes.
+    # bench: drivers load input a single time and run jobs over it.
     cluster = Cluster(num_nodes=4, nodes_per_rack=4)
     dfs = DistributedFileSystem(cluster, replication=2, seed=5)
     dataset = DistributedDataset.materialize(
@@ -390,13 +389,11 @@ def _make_concurrent_jobs(num_jobs: int):
     return bench
 
 
-def _make_kmeans_bulk(columnar: bool, pipeline: bool = False):
+def _make_kmeans_bulk(pipeline: bool):
     """One full MapReduce job over ``bulk_points`` k-means records.
 
-    Simulated seconds/bytes are identical in both columnar modes (that
-    is tested elsewhere); the bench times the host-side data plane —
-    vectorized assignment, batched hashing/bucketing/sizing, vectorized
-    combine — against the per-record loops of the row path.  The
+    The bench times the host-side data plane — vectorized assignment,
+    batched hashing/bucketing/sizing, vectorized combine.  The
     ``pipeline`` variant runs the same job through the pipelined
     scheduler (per-split gates, eager reduce merges, the node-memory
     cache), pinning the host-side cost of that bookkeeping against the
@@ -411,24 +408,14 @@ def _make_kmeans_bulk(columnar: bool, pipeline: bool = False):
         from repro.parallel import SerialExecutor
 
         program, records, model0 = _kmeans_fixture(cfg["bulk_points"], cfg["k"])
-        mode = "1" if columnar else "0"
         # The dataset is materialized once, outside the timed region:
         # iterative drivers load input a single time and then run a job
         # per iteration over it, which is the path being measured.
-        saved = os.environ.get("PIC_COLUMNAR")
-        os.environ["PIC_COLUMNAR"] = mode
-        try:
-            cluster = Cluster(num_nodes=4, nodes_per_rack=4)
-            dfs = DistributedFileSystem(cluster, replication=2, seed=5)
-            dataset = DistributedDataset.materialize(
-                dfs, "/perf/kmeans-bulk", records, num_splits=8
-            )
-        finally:
-            if saved is None:
-                os.environ.pop("PIC_COLUMNAR", None)
-            else:
-                os.environ["PIC_COLUMNAR"] = saved
-
+        cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+        dfs = DistributedFileSystem(cluster, replication=2, seed=5)
+        dataset = DistributedDataset.materialize(
+            dfs, "/perf/kmeans-bulk", records, num_splits=8
+        )
         waves = iter(range(1_000_000))
 
         def run() -> None:
@@ -500,48 +487,32 @@ def bench_iterative_cache_hot(cfg) -> Callable[[], None]:
     return run
 
 
-def _make_shuffle(columnar: bool):
+def bench_shuffle(cfg) -> Callable[[], None]:
     """The shuffle hot path in isolation: partition + bucket + size.
 
-    Records mirror k-means map output (int key, (vector, count) value);
-    both variants compute the same partition ids, the same bucket
-    membership, and the same wire bytes.
+    Records mirror k-means map output (int key, (vector, count) value).
     """
+    from repro.mapreduce.columnar import ColumnBatch
 
-    def bench(cfg) -> Callable[[], None]:
-        from repro.mapreduce.columnar import ColumnBatch
+    n = cfg["shuffle_records"]
+    rng = np.random.default_rng(9)
+    vectors = rng.standard_normal((n, 3))
+    batch = ColumnBatch.from_rows([(i % 1024, (vectors[i], 1)) for i in range(n)])
+    num_buckets = 8
 
-        n = cfg["shuffle_records"]
-        rng = np.random.default_rng(9)
-        vectors = rng.standard_normal((n, 3))
-        rows = [(i % 1024, (vectors[i], 1)) for i in range(n)]
-        batch = ColumnBatch.from_rows(rows)
-        num_buckets = 8
+    def run() -> None:
+        pids = batch.partition_ids(num_buckets)
+        order = np.argsort(pids, kind="stable")
+        in_order = batch.take(order)
+        counts = np.bincount(pids, minlength=num_buckets)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        total = sum(
+            in_order.slice(int(bounds[p]), int(bounds[p + 1])).nbytes_wire()
+            for p in range(num_buckets)
+        )
+        assert total > 0
 
-        def run() -> None:
-            from repro.mapreduce.records import hash_partitioner
-            from repro.util.sizing import sizeof_records
-
-            if columnar:
-                pids = batch.partition_ids(num_buckets)
-                order = np.argsort(pids, kind="stable")
-                in_order = batch.take(order)
-                counts = np.bincount(pids, minlength=num_buckets)
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                total = sum(
-                    in_order.slice(int(bounds[p]), int(bounds[p + 1])).nbytes_wire()
-                    for p in range(num_buckets)
-                )
-            else:
-                buckets: list[list] = [[] for _ in range(num_buckets)]
-                for record in rows:
-                    buckets[hash_partitioner(record[0], num_buckets)].append(record)
-                total = sum(sizeof_records(bucket) for bucket in buckets)
-            assert total > 0
-
-        return run
-
-    return bench
+    return run
 
 
 BENCHES: dict[str, Callable[[dict], Callable[[], None]]] = {
@@ -555,12 +526,10 @@ BENCHES: dict[str, Callable[[dict], Callable[[], None]]] = {
     "multijob_flows_16": _make_multijob_flows(16),
     "multijob_flows_64": _make_multijob_flows(64),
     "concurrent_pic_16": _make_concurrent_jobs(16),
-    "kmeans_500k_columnar": _make_kmeans_bulk(True),
-    "kmeans_500k_row": _make_kmeans_bulk(False),
-    "kmeans_500k_pipelined": _make_kmeans_bulk(True, pipeline=True),
+    "kmeans_500k_columnar": _make_kmeans_bulk(pipeline=False),
+    "kmeans_500k_pipelined": _make_kmeans_bulk(pipeline=True),
     "iterative_cache_hot": bench_iterative_cache_hot,
-    "shuffle_columnar_vs_row": _make_shuffle(True),
-    "shuffle_row": _make_shuffle(False),
+    "shuffle_columnar_vs_row": bench_shuffle,
 }
 
 # Pool benches are trajectory-only: their wall-clock depends on host

@@ -38,24 +38,16 @@ from repro.pic.convergence import kv_model_max_change
 from repro.util.rng import SeedLike, as_generator
 
 
-def _sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-group sums of ``(vector, count)`` values, or ``None`` when the
-    value layout is not the expected float-matrix + int-count columns.
+def _sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group sums of the ``(vector, count)`` values that
+    :meth:`KMeansProgram.batch_map` and :meth:`~KMeansProgram.combine`
+    produce: a float matrix column and an int count column.
 
     Each group's vector sum is ``np.add.reduce`` over a *contiguous*
-    slice of the sorted value matrix — bit-identical to the scalar
-    path's ``np.add.reduce(np.stack(values))`` over the same rows.
+    slice of the sorted value matrix — bit-identical to
+    ``np.add.reduce(np.stack(values))`` over the group's value list.
     """
-    values = grouped.sorted_values
-    if not isinstance(values, TupleColumn) or len(values.slots) != 2:
-        return None
-    vecs, cnts = values.slots
-    if not isinstance(vecs, ArrayColumn) or vecs.data.ndim != 2:
-        return None
-    if vecs.data.dtype != np.float64:
-        return None
-    if not isinstance(cnts, ScalarColumn) or cnts.kind != "int":
-        return None
+    vecs, cnts = grouped.sorted_values.slots
     data = vecs.data
     counts = cnts.values
     num_groups = len(grouped)
@@ -115,42 +107,27 @@ class KMeansProgram(PICProgram):
         idx = rng.choice(len(records), size=self.k, replace=False)
         return {int(c): np.array(records[int(i)][1], dtype=float) for c, i in enumerate(idx)}
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """Vectorized nearest-centroid assignment for a whole split."""
-        if not records:
+        if not len(records):
             return
         model: dict[int, np.ndarray] = ctx.model
         centroid_ids = sorted(model)
         centroids = np.stack([model[c] for c in centroid_ids])
-        columnar = isinstance(records, ColumnBatch)
-        points = None
-        if columnar:
-            values = records.values
-            if isinstance(values, ArrayColumn) and values.data.dtype == np.float64:
-                points = values.data  # input splits: one row per point
-            elif (
-                isinstance(values, TupleColumn)
-                and len(values.slots) == 2
-                and isinstance(values.slots[0], ArrayColumn)
-                and values.slots[0].data.dtype == np.float64
-            ):
-                points = values.slots[0].data
-        if points is None:
-            points = np.stack([np.asarray(v, dtype=float) for _k, v in records])
+        values = records.values
+        if isinstance(values, ArrayColumn) and values.data.dtype == np.float64:
+            points = values.data  # one row per point
+        else:
+            points = np.stack([np.asarray(v, dtype=float) for v in values.rows()])
         assignment = assign_points(points, centroids)
-        if columnar:
-            ids = np.asarray(centroid_ids, dtype=np.int64)[assignment]
-            ones = ScalarColumn("int", np.ones(len(points), dtype=np.int64))
-            ctx.emit_batch(
-                ColumnBatch(
-                    int_column(ids),
-                    TupleColumn((ArrayColumn(points), ones), len(points)),
-                )
+        ids = np.asarray(centroid_ids, dtype=np.int64)[assignment]
+        ones = ScalarColumn("int", np.ones(len(points), dtype=np.int64))
+        ctx.emit_batch(
+            ColumnBatch(
+                int_column(ids),
+                TupleColumn((ArrayColumn(points), ones), len(points)),
             )
-            return
-        emit = ctx.emit
-        for row, a in enumerate(assignment):
-            emit(centroid_ids[int(a)], (points[row], 1))
+        )
 
     def combine(self, key: Any, values: list[Any]) -> Any:
         """Sum (vector, count) pairs locally before the shuffle."""
@@ -158,37 +135,23 @@ class KMeansProgram(PICProgram):
         count = sum(n for _vec, n in values)
         return (total, count)
 
-    def combine_batch(self, grouped: Any) -> Any:
+    def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch:
         """Vectorized :meth:`combine` over a whole bucket's groups."""
-        sums = _sum_groups(grouped)
-        if sums is None:
-            return None
-        totals, csums = sums
-        ones_counts = ScalarColumn("int", csums)
+        totals, csums = _sum_groups(grouped)
         return ColumnBatch(
             grouped.unique_keys(),
-            TupleColumn((ArrayColumn(totals), ones_counts), len(csums)),
+            TupleColumn(
+                (ArrayColumn(totals), ScalarColumn("int", csums)), len(csums)
+            ),
         )
 
-    def reduce(self, ctx: TaskContext, key: Any, values: list[Any]) -> None:
-        """New centroid = summed vectors / summed counts (Figure 1(b))."""
-        total = np.add.reduce(np.stack([vec for vec, _n in values]), axis=0)
-        count = sum(n for _vec, n in values)
-        if count > 0:
-            ctx.emit(key, total / count)
-
-    def batch_reduce(
-        self, ctx: TaskContext, grouped: list[tuple[Any, list[Any]]]
-    ) -> None:
-        """Vectorized centroid recomputation for one reduce partition."""
-        sums = _sum_groups(grouped) if isinstance(grouped, GroupedBatch) else None
-        if sums is None:
-            for key, values in grouped:
-                self.reduce(ctx, key, values)
-            return
-        totals, csums = sums
+    def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """New centroid = summed vectors / summed counts (Figure 1(b)),
+        for all the centroids of one reduce partition at once."""
+        if not len(grouped):
+            return  # a partition no centroid id hashed to
+        totals, csums = _sum_groups(grouped)
         keep = np.nonzero(csums > 0)[0]
-        assert isinstance(grouped, GroupedBatch)
         ctx.emit_batch(
             ColumnBatch(
                 grouped.unique_keys().take(keep),

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.mapreduce.columnar import (
     ColumnBatch,
+    GroupedBatch,
     emit_first_values,
     float_column,
     int_column,
@@ -76,16 +77,15 @@ class LinearSolverProgram(PICProgram):
         """The customary all-zero starting vector."""
         return {int(i) : 0.0 for i, _row in records}
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """One Jacobi sweep over this split's rows.
 
         The sparse per-row accumulation stays a Python loop (row
-        supports are ragged), but a columnar split emits its updates as
-        typed int/float columns so the shuffle's hashing, grouping, and
+        supports are ragged), but the updates are emitted as typed
+        int/float columns so the shuffle's hashing, grouping, and
         sizing all run vectorized downstream.
         """
         model: dict[int, float] = ctx.model
-        columnar = isinstance(records, ColumnBatch)
         keys: list[Any] = []
         updates: list[float] = []
         for i, (cols, vals, b_i) in records:
@@ -100,25 +100,15 @@ class LinearSolverProgram(PICProgram):
                 raise ZeroDivisionError(f"row {i} has no diagonal entry")
             keys.append(i)
             updates.append((b_i - acc) / diag)
-        if columnar:
-            ctx.emit_batch(
-                ColumnBatch(
-                    int_column(np.asarray(keys, dtype=np.int64)),
-                    float_column(np.asarray(updates, dtype=np.float64)),
-                )
+        ctx.emit_batch(
+            ColumnBatch(
+                int_column(np.asarray(keys, dtype=np.int64)),
+                float_column(np.asarray(updates, dtype=np.float64)),
             )
-            return
-        for key, x_i in zip(keys, updates):
-            ctx.emit(key, x_i)
+        )
 
-    def reduce(self, ctx: TaskContext, key: Any, values: list[Any]) -> None:
-        """Identity: one updated unknown per row key."""
-        ctx.emit(key, values[0])
-
-    def batch_reduce(
-        self, ctx: TaskContext, grouped: list[tuple[Any, list[Any]]]
-    ) -> None:
-        """Identity reduce, vectorized when the groups are columnar."""
+    def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """Identity reduce: one updated unknown per row key."""
         emit_first_values(ctx, grouped)
 
     def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:

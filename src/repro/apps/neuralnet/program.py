@@ -119,33 +119,27 @@ class NeuralNetProgram(PICProgram):
                 params[key] -= lr * (grads[key] + self.l2 * params[key])
         return params
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """One SGD epoch over this split, emitting weighted weights."""
         if not len(records):
             return
-        columnar = isinstance(records, ColumnBatch)
-        X = None
-        if columnar:
-            values = records.values
-            if (
-                isinstance(values, TupleColumn)
-                and len(values.slots) == 2
-                and isinstance(values.slots[0], ArrayColumn)
-                and isinstance(values.slots[1], ScalarColumn)
-            ):
-                X = values.slots[0].data
-                y = values.slots[1].values
-        if X is None:
-            X = np.stack([x for _i, (x, _y) in records])
-            y = np.asarray([label for _i, (_x, label) in records])
+        values = records.values
+        if (
+            isinstance(values, TupleColumn)
+            and len(values.slots) == 2
+            and isinstance(values.slots[0], ArrayColumn)
+            and isinstance(values.slots[1], ScalarColumn)
+        ):
+            X = values.slots[0].data
+            y = values.slots[1].values
+        else:
+            X = np.stack([x for x, _y in values.rows()])
+            y = np.asarray([label for _x, label in values.rows()])
         trained = self.sgd_epoch(ctx.model, X, y)
         n = len(records)
         # Emit a weighted *sum* so partial weights combine exactly.
-        out = [(key, (trained[key] * n, n)) for key in PARAM_KEYS]
-        if columnar:
-            ctx.emit_batch(ColumnBatch.from_rows(out))
-        else:
-            ctx.emit_all(out)
+        for key in PARAM_KEYS:
+            ctx.emit(key, (trained[key] * n, n))
 
     def combine(self, key: Any, values: list[Any]) -> Any:
         """Sum weighted weights locally before the shuffle."""

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.mapreduce.columnar import ColumnBatch, emit_first_values
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, emit_first_values
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
@@ -106,7 +106,7 @@ class PageRankProgram(PICProgram):
             self.job_spec(suffix="-propagate"),
         ]
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """Unused: PageRank dispatches per-phase mappers via jobs()."""
         # The two phases share one mapper: the model tells it which
         # phase it is in via a marker the driver does not need to know
@@ -137,21 +137,11 @@ class PageRankProgram(PICProgram):
             )
         raise ValueError(f"unknown PageRank job suffix {suffix!r}")
 
-    def _map_aggregate(
-        self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]
-    ) -> None:
+    def _map_aggregate(self, ctx: TaskContext, records: ColumnBatch) -> None:
+        # The emission loop is scalar (it walks ragged adjacency lists
+        # through a dict); the context columnizes what it emitted, so
+        # the shuffle still hashes, groups, and sizes typed columns.
         model = ctx.model
-        if isinstance(records, ColumnBatch):
-            # The emission loop stays scalar (it walks ragged adjacency
-            # lists through a dict), but typed int/float columns let the
-            # shuffle hash, group, and size the output vectorized.
-            rows: list[tuple[Any, Any]] = []
-            for v, outs in records:
-                rows.append((v, 0.0))  # keep sink-only vertices alive
-                for t in outs:
-                    rows.append((t, model[(EDGE, v, t)]))
-            ctx.emit_batch(ColumnBatch.from_rows(rows))
-            return
         emit = ctx.emit
         for v, outs in records:
             emit(v, 0.0)  # keep sink-only vertices alive
@@ -165,20 +155,8 @@ class PageRankProgram(PICProgram):
         rank = (1.0 - self.damping) + self.damping * float(sum(values))
         ctx.emit((PR, key), rank)
 
-    def _map_propagate(
-        self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]
-    ) -> None:
+    def _map_propagate(self, ctx: TaskContext, records: ColumnBatch) -> None:
         model = ctx.model
-        if isinstance(records, ColumnBatch):
-            rows: list[tuple[Any, Any]] = []
-            for v, outs in records:
-                if not outs:
-                    continue
-                score = model[(PR, v)] / len(outs)
-                for t in outs:
-                    rows.append(((EDGE, v, t), score))
-            ctx.emit_batch(ColumnBatch.from_rows(rows))
-            return
         emit = ctx.emit
         for v, outs in records:
             if not outs:
@@ -187,9 +165,7 @@ class PageRankProgram(PICProgram):
             for t in outs:
                 emit((EDGE, v, t), score)
 
-    def _reduce_identity(
-        self, ctx: TaskContext, grouped: list[tuple[Any, list[Any]]]
-    ) -> None:
+    def _reduce_identity(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         emit_first_values(ctx, grouped)
 
     def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.mapreduce.columnar import (
     ArrayColumn,
     ColumnBatch,
+    GroupedBatch,
     emit_first_values,
     int_column,
 )
@@ -85,7 +86,7 @@ class ImageSmoothingProgram(PICProgram):
         """Start from the noisy input image itself."""
         return {int(i): np.asarray(row, dtype=float).copy() for i, row in records}
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """One 5-point stencil sweep over this split's rows.
 
         The sweep runs as whole-band matrix operations: every per-row
@@ -97,16 +98,13 @@ class ImageSmoothingProgram(PICProgram):
             return
         model: dict[int, np.ndarray] = ctx.model
         lam = self.lam
-        columnar = isinstance(records, ColumnBatch)
-        if columnar:
-            keys = records.keys.rows()
-        else:
-            keys = [key for key, _row in records]
-        ids = [int(key) for key in keys]
-        if columnar and isinstance(records.values, ArrayColumn):
+        ids = [int(key) for key in records.keys.rows()]
+        if isinstance(records.values, ArrayColumn):
             f = records.values.data
         else:
-            f = np.stack([np.asarray(row, dtype=float) for _key, row in records])
+            f = np.stack(
+                [np.asarray(row, dtype=float) for row in records.values.rows()]
+            )
         n = len(ids)
         u = np.stack([model[i] for i in ids])
         count = np.full((n, self.width), 2.0)  # E/W neighbours (minus edges)
@@ -126,25 +124,15 @@ class ImageSmoothingProgram(PICProgram):
             total[has_down] += np.stack([row for row in downs if row is not None])
             count[has_down] += 1.0
         new_rows = (f + lam * total) / (1.0 + lam * count)
-        if columnar:
-            ctx.emit_batch(
-                ColumnBatch(
-                    int_column(np.asarray(ids, dtype=np.int64)),
-                    ArrayColumn(new_rows),
-                )
+        ctx.emit_batch(
+            ColumnBatch(
+                int_column(np.asarray(ids, dtype=np.int64)),
+                ArrayColumn(new_rows),
             )
-            return
-        for row, key in enumerate(keys):
-            ctx.emit(key, new_rows[row])
+        )
 
-    def reduce(self, ctx: TaskContext, key: Any, values: list[Any]) -> None:
-        """Identity: one updated row per key."""
-        ctx.emit(key, values[0])
-
-    def batch_reduce(
-        self, ctx: TaskContext, grouped: list[tuple[Any, list[Any]]]
-    ) -> None:
-        """Identity reduce, vectorized when the groups are columnar."""
+    def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """Identity reduce: one updated row per key."""
         emit_first_values(ctx, grouped)
 
     def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:

@@ -52,12 +52,6 @@ def _add_common(parser: argparse.ArgumentParser, default_partitions: int) -> Non
              "results are identical for any worker count)",
     )
     parser.add_argument(
-        "--columnar", choices=("on", "off"), default=None,
-        help="columnar (numpy) record batches in the MapReduce data "
-             "plane (default: $PIC_COLUMNAR or on; wall-clock only — "
-             "simulated results are identical either way)",
-    )
-    parser.add_argument(
         "--pipeline", choices=("on", "off"), default=None,
         help="pipelined shuffle + loop-aware node-memory caching "
              "(default: $PIC_PIPELINE or off; changes simulated timing "
@@ -283,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "columnar", None) is not None:
-        from repro.mapreduce.columnar import COLUMNAR_ENV_VAR
-
-        os.environ[COLUMNAR_ENV_VAR] = "1" if args.columnar == "on" else "0"
     if getattr(args, "pipeline", None) is not None:
         from repro.mapreduce.pipeline import PIPELINE_ENV_VAR
 

@@ -10,6 +10,8 @@ The package mirrors Hadoop 0.20-era structure:
 
 * :mod:`repro.mapreduce.records` — key/value records, splits, and
   DFS-backed distributed datasets;
+* :mod:`repro.mapreduce.columnar` — the ``ColumnBatch`` every record
+  travels in between a split and a reducer's output;
 * :mod:`repro.mapreduce.costs` — calibrated per-record/per-byte compute
   cost hints;
 * :mod:`repro.mapreduce.job` — job specification (mapper / combiner /
@@ -32,9 +34,8 @@ from repro.mapreduce.columnar import (
     ColumnBatch,
     GroupedBatch,
     build_column,
-    columnar_enabled,
+    columnize,
     group_batch,
-    group_records,
 )
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, JobResult, Counters
@@ -49,9 +50,8 @@ __all__ = [
     "ColumnBatch",
     "GroupedBatch",
     "build_column",
-    "columnar_enabled",
+    "columnize",
     "group_batch",
-    "group_records",
     "CostHints",
     "JobSpec",
     "JobResult",

@@ -1,36 +1,37 @@
-"""Columnar record batches: numpy structure-of-arrays for the data plane.
+"""Columnar record batches: the record container of the data plane.
 
-A :class:`ColumnBatch` holds one typed key column and one typed value
-column instead of a Python list of ``(key, value)`` tuples.  The batch
-is **losslessly convertible** to and from the row representation —
-``ColumnBatch.from_rows(rows).to_rows() == rows`` — so every consumer
-that needs tuples still gets exactly the objects it would have seen,
-while the hot paths (hash partitioning, group-by, combiner application,
-wire sizing) run as whole-array numpy operations.
+A :class:`ColumnBatch` holds one key column and one value column, and
+every record between an input split and a reducer's output travels in
+one: splits, map output, shuffle buckets, and (as a
+:class:`GroupedBatch`) reduce input.  Row lists exist only at the ingest
+boundaries, which :func:`columnize` them once.  The batch is
+**losslessly convertible** to and from rows —
+``ColumnBatch.from_rows(rows).to_rows() == rows`` — so record-at-a-time
+mappers and reducers iterate it and see exactly the objects that were
+emitted, while the hot paths (hash partitioning, group-by, combiner
+application, wire sizing) run as whole-array numpy operations.
 
-Equivalence contract (enforced by tests):
+A column's *kind* is chosen from the data: typed kinds (scalar, string,
+array, flat tuple) where numpy represents the values exactly,
+:class:`ObjectColumn` for everything else (huge ints, numpy scalars,
+non-ASCII strings, mixed types, ...).  Every operation is total over
+every kind; the scalar functions of :mod:`repro.mapreduce.records` and
+:mod:`repro.util.sizing` define the semantics (enforced by tests):
 
-* **Partitioning** — :func:`stable_hash_column` is bit-identical to the
-  scalar :func:`repro.mapreduce.records.stable_hash` for every key the
-  typed columns accept; keys the vectorized packer cannot represent
-  exactly (huge ints, numpy scalars, non-ASCII strings, ...) land in
-  :class:`ObjectColumn` and are hashed with the scalar function itself.
-* **Grouping** — the stable argsort of a typed key column yields the
-  same group order and the same within-group value order as
-  ``group_by_key`` (dict-arrival grouping followed by ``sorted``);
-  key sets that would hit ``group_by_key``'s mixed-type fallback (or
-  float NaNs, which Python's comparison sort handles differently from
-  numpy) are detected and routed back to the row implementation.
+* **Partitioning** — ``stable_hashes`` is bit-identical to the scalar
+  :func:`repro.mapreduce.records.stable_hash`, vectorized for typed
+  columns and calling the scalar function itself for object ones.
+* **Grouping** — :func:`group_batch` yields the groups of
+  ``group_by_key(batch.to_rows())`` in the same order: one stable
+  argsort for typed key columns, ``group_by_key`` over the row indices
+  for key sets numpy would order differently (object or mixed-type
+  keys, nested tuples, float NaNs).
 * **Sizing** — ``nbytes_wire`` computes, per column, exactly the sum of
   :func:`repro.util.sizing.sizeof_record` over the materialized rows.
-
-The backend is enabled by default; set ``PIC_COLUMNAR=0`` (or pass
-``--columnar off`` on the CLI) to force the row path everywhere.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Any, Iterator, Sequence
 
@@ -43,15 +44,6 @@ from repro.util.sizing import (
     STR_HEADER,
     sizeof_value,
 )
-
-COLUMNAR_ENV_VAR = "PIC_COLUMNAR"
-
-
-def columnar_enabled() -> bool:
-    """True unless ``PIC_COLUMNAR`` is set to ``0``/``off``/``false``."""
-    raw = os.environ.get(COLUMNAR_ENV_VAR, "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
-
 
 # -- vectorized crc32 --------------------------------------------------------
 
@@ -139,7 +131,7 @@ class Column:
         raise NotImplementedError
 
     def row(self, i: int) -> Any:
-        """The ``i``-th value, as the exact Python object the row path sees."""
+        """The ``i``-th value, as the exact Python object that was emitted."""
         raise NotImplementedError
 
     def rows(self) -> list[Any]:
@@ -170,7 +162,8 @@ class Column:
 
     def sort_order(self) -> np.ndarray | None:
         """A stable permutation sorting the column the way ``sorted``
-        orders the keys, or ``None`` when numpy's order would differ."""
+        orders the keys, or ``None`` when numpy's order would differ
+        (:func:`group_batch` then orders the keys with ``sorted`` itself)."""
         return None
 
     def backing_arrays(self) -> list[np.ndarray]:
@@ -231,7 +224,7 @@ class ScalarColumn(Column):
     def sort_order(self) -> np.ndarray | None:
         if self.kind == "float" and bool(np.isnan(self.values).any()):
             # Python's comparison sort leaves NaNs wherever they fall;
-            # numpy sorts them to the end.  Not equivalent — fall back.
+            # numpy sorts them to the end.  Not equivalent.
             return None
         return np.argsort(self.values, kind="stable")
 
@@ -316,11 +309,7 @@ class ArrayColumn(Column):
         return ArrayColumn(self.data[start:stop])
 
     def nbytes_wire(self) -> int:
-        n = len(self.data)
-        row_nbytes = self.data.itemsize * int(
-            np.prod(self.data.shape[1:], dtype=np.int64)
-        )
-        return (row_nbytes + ARRAY_HEADER) * n
+        return int(self.data.nbytes) + ARRAY_HEADER * len(self.data)
 
     def stable_hashes(self) -> np.ndarray:
         raise TypeError("unhashable partition key type: ndarray")
@@ -410,7 +399,7 @@ class TupleColumn(Column):
 
 
 class ObjectColumn(Column):
-    """The lossless fallback: any Python objects, stored as-is."""
+    """Any Python objects, stored as-is: the kind every value fits."""
 
     __slots__ = ("values",)
 
@@ -557,74 +546,69 @@ class ColumnBatch:
         return self.keys.backing_arrays() + self.values.backing_arrays()
 
 
-def as_column_batch(records: Any) -> ColumnBatch | None:
-    """``records`` as a :class:`ColumnBatch`, or ``None`` if it is rows."""
-    return records if isinstance(records, ColumnBatch) else None
+def columnize(records: ColumnBatch | Sequence[tuple[Any, Any]]) -> ColumnBatch:
+    """``records`` as a :class:`ColumnBatch`: row lists are converted,
+    batches pass through.  Called once at each ingest boundary."""
+    if isinstance(records, ColumnBatch):
+        return records
+    return ColumnBatch.from_rows(records)
 
 
-def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch | None:
-    """Concatenate batches in order; ``None`` when column types disagree."""
+def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
+    """Concatenate batches in order.
+
+    Empty batches carry no kind and are skipped; columns whose kinds
+    (or scalar types, array shapes, tuple arities) disagree degrade to
+    :class:`ObjectColumn`, so ``to_rows()`` of the result is always the
+    concatenation of the inputs' rows.
+    """
+    batches = [b for b in batches if len(b)]
     if not batches:
-        return None
+        return ColumnBatch.from_rows([])
     if len(batches) == 1:
         return batches[0]
-    keys = _concat_columns([b.keys for b in batches])
-    values = _concat_columns([b.values for b in batches])
-    if keys is None or values is None:
-        return None
-    return ColumnBatch(keys, values)
+    return ColumnBatch(
+        _concat_columns([b.keys for b in batches]),
+        _concat_columns([b.values for b in batches]),
+    )
 
 
-def _concat_columns(cols: list[Column]) -> Column | None:
+def _concat_columns(cols: list[Column]) -> Column:
     kinds = {type(c) for c in cols}
     if kinds == {ScalarColumn}:
         scalars = [c for c in cols if isinstance(c, ScalarColumn)]
-        if len({c.kind for c in scalars}) != 1:
-            return None
-        return ScalarColumn(
-            scalars[0].kind, np.concatenate([c.values for c in scalars])
-        )
-    if kinds == {StringColumn}:
+        if len({c.kind for c in scalars}) == 1:
+            return ScalarColumn(
+                scalars[0].kind, np.concatenate([c.values for c in scalars])
+            )
+    elif kinds == {StringColumn}:
         return StringColumn(
             np.concatenate(
                 [c.values for c in cols if isinstance(c, StringColumn)]
             )
         )
-    if kinds == {ArrayColumn}:
+    elif kinds == {ArrayColumn}:
         arrays = [c.data for c in cols if isinstance(c, ArrayColumn)]
-        shapes = {a.shape[1:] for a in arrays}
-        dtypes = {a.dtype for a in arrays}
-        if len(shapes) != 1 or len(dtypes) != 1:
-            return None
-        return ArrayColumn(np.concatenate(arrays))
-    if kinds == {TupleColumn}:
+        if len({(a.dtype, a.shape[1:]) for a in arrays}) == 1:
+            return ArrayColumn(np.concatenate(arrays))
+    elif kinds == {TupleColumn}:
         tuples = [c for c in cols if isinstance(c, TupleColumn)]
-        arities = {len(c.slots) for c in tuples}
-        if len(arities) != 1:
-            return None
-        total = sum(c.length for c in tuples)
-        arity = arities.pop()
-        if arity == 0:
-            return TupleColumn((), length=total)
-        slots: list[Column] = []
-        for s in range(arity):
-            merged = _concat_columns([c.slots[s] for c in tuples])
-            if merged is None:
-                return None
-            slots.append(merged)
-        return TupleColumn(tuple(slots), length=total)
-    if kinds == {ObjectColumn}:
-        return ObjectColumn(
-            [v for c in cols if isinstance(c, ObjectColumn) for v in c.values]
-        )
-    return None
+        if len({len(c.slots) for c in tuples}) == 1:
+            return TupleColumn(
+                tuple(
+                    _concat_columns([c.slots[s] for c in tuples])
+                    for s in range(len(tuples[0].slots))
+                ),
+                length=sum(c.length for c in tuples),
+            )
+    return ObjectColumn([v for c in cols for v in c.rows()])
 
 
 # -- grouping ----------------------------------------------------------------
 
 
 class GroupedBatch:
-    """Grouped-by-key records, behaving like ``list[(key, list[values])]``.
+    """Grouped-by-key records, iterating like ``list[(key, list[values])]``.
 
     Built from a key-sorted batch plus group boundaries.  Scalar
     consumers iterate it exactly like ``group_by_key``'s output;
@@ -632,7 +616,7 @@ class GroupedBatch:
     and never materialize per-row Python objects.
     """
 
-    __slots__ = ("sorted_keys", "sorted_values", "starts", "ends", "_rows")
+    __slots__ = ("sorted_keys", "sorted_values", "starts", "ends")
 
     def __init__(
         self, sorted_keys: Column, sorted_values: Column, starts: np.ndarray
@@ -640,9 +624,7 @@ class GroupedBatch:
         self.sorted_keys = sorted_keys
         self.sorted_values = sorted_values
         self.starts = starts
-        n = len(sorted_keys)
-        self.ends = np.append(starts[1:], n)
-        self._rows: list[Any] | None = None
+        self.ends = np.append(starts[1:], len(sorted_keys))
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -651,61 +633,51 @@ class GroupedBatch:
         """One key per group, in group order."""
         return self.sorted_keys.take(self.starts)
 
-    def group_key(self, g: int) -> Any:
-        return self.sorted_keys.row(int(self.starts[g]))
-
-    def group_values(self, g: int) -> list[Any]:
-        if self._rows is None:
-            self._rows = self.sorted_values.rows()
-        return self._rows[int(self.starts[g]) : int(self.ends[g])]
-
-    def __getitem__(self, g: int) -> tuple[Any, list[Any]]:
-        return (self.group_key(g), self.group_values(g))
-
     def __iter__(self) -> Iterator[tuple[Any, list[Any]]]:
-        for g in range(len(self.starts)):
-            yield self[g]
+        # Rows are materialized per column, once, not per group.
+        values = self.sorted_values.rows()
+        bounds = zip(self.starts.tolist(), self.ends.tolist())
+        for key, (start, end) in zip(self.unique_keys().rows(), bounds):
+            yield key, values[start:end]
 
 
-def group_batch(batch: ColumnBatch) -> GroupedBatch | None:
-    """Vectorized ``group_by_key``; ``None`` when equivalence cannot be
-    guaranteed (object/NaN keys), in which case the caller must fall
-    back to the row implementation."""
+def group_batch(batch: ColumnBatch) -> GroupedBatch:
+    """Group a batch by key: the groups, group order and within-group
+    value order of ``group_by_key(batch.to_rows())``.
+
+    Typed key columns take one stable argsort; the rest (object and
+    mixed-type keys, nested tuples, float NaNs — each NaN record its own
+    group) are ordered by ``group_by_key`` itself, run over row indices.
+    """
     order = batch.keys.sort_order()
-    if order is None:
-        return None
-    sorted_batch = batch.take(order)
-    starts = _group_starts(sorted_batch.keys)
-    if starts is None:
-        return None
+    if order is not None:
+        sorted_batch = batch.take(order)
+        starts = _group_starts(sorted_batch.keys)
+    else:
+        groups = group_by_key(zip(batch.keys.rows(), range(len(batch))))
+        sizes = np.array([len(idx) for _key, idx in groups], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        order = np.array(
+            [i for _key, idx in groups for i in idx], dtype=np.int64
+        )
+        sorted_batch = batch.take(order)
     return GroupedBatch(sorted_batch.keys, sorted_batch.values, starts)
 
 
-def _group_starts(sorted_keys: Column) -> np.ndarray | None:
+def _group_starts(sorted_keys: Column) -> np.ndarray:
+    """Group boundaries of a key column in its own ``sort_order`` —
+    which only scalar, string and flat-tuple columns have."""
     n = len(sorted_keys)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if isinstance(sorted_keys, (ScalarColumn, StringColumn)):
-        changed = sorted_keys.values[1:] != sorted_keys.values[:-1]
-    elif isinstance(sorted_keys, TupleColumn):
-        if not sorted_keys.slots:
-            changed = np.zeros(n - 1, dtype=bool)
-        else:
-            changed = np.zeros(n - 1, dtype=bool)
-            for slot in sorted_keys.slots:
-                slot_starts = _group_starts_values(slot)
-                if slot_starts is None:
-                    return None
-                changed |= slot_starts
-    else:
-        return None
+    slots = (
+        sorted_keys.slots if isinstance(sorted_keys, TupleColumn) else (sorted_keys,)
+    )
+    changed = np.zeros(n - 1, dtype=bool)
+    for slot in slots:
+        assert isinstance(slot, (ScalarColumn, StringColumn))
+        changed |= slot.values[1:] != slot.values[:-1]
     return np.flatnonzero(np.concatenate(([True], changed))).astype(np.int64)
-
-
-def _group_starts_values(slot: Column) -> np.ndarray | None:
-    if isinstance(slot, (ScalarColumn, StringColumn)):
-        return np.asarray(slot.values[1:] != slot.values[:-1])
-    return None
 
 
 def singleton_groups(batch: ColumnBatch) -> GroupedBatch:
@@ -719,34 +691,12 @@ def singleton_groups(batch: ColumnBatch) -> GroupedBatch:
     )
 
 
-def group_records(
-    output: ColumnBatch | list[tuple[Any, Any]],
-) -> GroupedBatch | list[tuple[Any, list[Any]]]:
-    """Group map output by key: vectorized for batches, rows otherwise."""
-    batch = as_column_batch(output)
-    if batch is not None:
-        grouped = group_batch(batch)
-        if grouped is not None:
-            return grouped
-        output = batch.to_rows()
-    assert isinstance(output, list)
-    return group_by_key(output)
-
-
-def emit_first_values(ctx: Any, grouped: Sequence[tuple[Any, list[Any]]]) -> None:
-    """Identity reduce — emit each group's first value.
-
-    The vectorized path (one ``take`` per column) and the scalar loop
-    produce identical rows; shared by the smoothing, linear-solver, and
-    PageRank-propagate reducers.
-    """
-    if isinstance(grouped, GroupedBatch):
-        ctx.emit_batch(
-            ColumnBatch(
-                grouped.unique_keys(),
-                grouped.sorted_values.take(grouped.starts),
-            )
+def emit_first_values(ctx: Any, grouped: GroupedBatch) -> None:
+    """Identity reduce — emit each group's first value (one ``take``
+    per column); shared by the smoothing, linear-solver, and
+    PageRank-propagate reducers."""
+    ctx.emit_batch(
+        ColumnBatch(
+            grouped.unique_keys(), grouped.sorted_values.take(grouped.starts)
         )
-        return
-    for key, values in grouped:
-        ctx.emit(key, values[0])
+    )

@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.cluster.metrics import TrafficCategory
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, concat_batches
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.records import hash_partitioner
 
 # Signatures (all emission goes through the context):
 #   mapper(ctx, key, value)                 — record-at-a-time
-#   batch_mapper(ctx, records)              — whole split (vectorizable);
-#                                             records may be a ColumnBatch
+#   batch_mapper(ctx, records)              — whole split, a ColumnBatch
+#                                             (vectorizable)
 #   combiner(key, values) -> value          — associative local reduction
 #   batch_combiner(grouped) -> ColumnBatch  — whole-bucket combiner over a
 #                                             GroupedBatch (or None to
 #                                             defer to the scalar combiner)
 #   reducer(ctx, key, values)               — record-at-a-time
-#   batch_reducer(ctx, grouped)             — all groups of one partition
+#   batch_reducer(ctx, grouped)             — all groups of one partition,
+#                                             a GroupedBatch
 Mapper = Callable[["TaskContext", Any, Any], None]
-BatchMapper = Callable[["TaskContext", Sequence[tuple[Any, Any]]], None]
+BatchMapper = Callable[["TaskContext", ColumnBatch], None]
 Combiner = Callable[[Any, list[Any]], Any]
-BatchCombiner = Callable[[Any], Any]
+BatchCombiner = Callable[[GroupedBatch], ColumnBatch | None]
 Reducer = Callable[["TaskContext", Any, list[Any]], None]
-BatchReducer = Callable[["TaskContext", Sequence[tuple[Any, list[Any]]]], None]
+BatchReducer = Callable[["TaskContext", GroupedBatch], None]
 
 
 class TaskContext:
@@ -35,63 +37,48 @@ class TaskContext:
     with numeric facts (e.g. PIC's in-mapper local iteration counts);
     the runner surfaces them in :class:`JobResult`.
 
-    Output accumulates as ordered *segments*: scalar ``emit`` calls
-    append to a row segment, ``emit_batch`` appends a whole
-    :class:`~repro.mapreduce.columnar.ColumnBatch`.  ``collect``
-    preserves the batch form when the task emitted exactly one shape,
-    so the runner's vectorized shuffle sees columns, not tuples.
+    Output accumulates in emission order: scalar ``emit`` calls gather
+    into a pending row run that is columnized once (when a batch follows
+    it or the output is collected), ``emit_batch`` appends a whole
+    :class:`~repro.mapreduce.columnar.ColumnBatch`.
     """
 
     def __init__(self, model: Any = None, split_index: int | None = None) -> None:
         self.model = model
         self.split_index = split_index
         self.stats: dict[str, float] = {}
-        self._segments: list[Any] = []
+        self._batches: list[ColumnBatch] = []
+        self._pending: list[tuple[Any, Any]] = []
 
     def emit(self, key: Any, value: Any) -> None:
         """Emit one key/value record."""
-        if self._segments and isinstance(self._segments[-1], list):
-            self._segments[-1].append((key, value))
-        else:
-            self._segments.append([(key, value)])
+        self._pending.append((key, value))
 
-    def emit_all(self, records: Sequence[tuple[Any, Any]]) -> None:
-        """Emit a batch of records at once (precomputed task outputs)."""
-        from repro.mapreduce.columnar import ColumnBatch
-
-        if isinstance(records, ColumnBatch):
-            self.emit_batch(records)
-        elif self._segments and isinstance(self._segments[-1], list):
-            self._segments[-1].extend(records)
-        else:
-            self._segments.append(list(records))
-
-    def emit_batch(self, batch: Any) -> None:
+    def emit_batch(self, batch: ColumnBatch) -> None:
         """Emit a whole columnar batch (vectorized mappers/reducers)."""
-        self._segments.append(batch)
+        self._flush()
+        self._batches.append(batch)
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._batches.append(ColumnBatch.from_rows(self._pending))
+            self._pending = []
 
     @property
     def output_count(self) -> int:
         """Number of records emitted so far (no materialization)."""
-        return sum(len(seg) for seg in self._segments)
+        return len(self._pending) + sum(len(b) for b in self._batches)
 
-    def collect(self) -> Any:
-        """The emitted output: a single ``ColumnBatch`` when the task
-        emitted exactly one batch and nothing else, rows otherwise."""
-        if len(self._segments) == 1 and not isinstance(self._segments[0], list):
-            return self._segments[0]
-        return self.output
+    def collect(self) -> ColumnBatch:
+        """Everything emitted so far, in emission order, as one batch."""
+        self._flush()
+        return concat_batches(self._batches)
 
     @property
     def output(self) -> list[tuple[Any, Any]]:
         """Records emitted so far, in emission order, as rows."""
-        out: list[tuple[Any, Any]] = []
-        for seg in self._segments:
-            if isinstance(seg, list):
-                out.extend(seg)
-            else:
-                out.extend(seg.to_rows())
-        return out
+        rows = [row for batch in self._batches for row in batch.to_rows()]
+        return rows + self._pending
 
 
 class Counters:
@@ -133,8 +120,8 @@ class JobSpec:
     batch_reducer: BatchReducer | None = None
     combiner: Combiner | None = None
     # Optional vectorized form of ``combiner``: takes a GroupedBatch and
-    # returns a combined ColumnBatch, or None to fall back per-group.
-    # Must agree with ``combiner`` bit-for-bit (equivalence-tested).
+    # returns a combined ColumnBatch, or None to defer to ``combiner``
+    # per group.  Must agree with ``combiner`` bit-for-bit.
     batch_combiner: BatchCombiner | None = None
     num_reducers: int = 1
     partitioner: Callable[[Any, int], int] = hash_partitioner
@@ -159,7 +146,7 @@ class JobSpec:
         if self.batch_combiner is not None and self.combiner is None:
             raise ValueError(
                 f"job {self.name!r}: batch_combiner requires a scalar "
-                "combiner (the row path and fallbacks run it)"
+                "combiner (it runs whenever batch_combiner returns None)"
             )
         if self.num_reducers <= 0:
             raise ValueError(
@@ -170,7 +157,7 @@ class JobSpec:
                 f"job {self.name!r}: output_replication must be >= 1"
             )
 
-    def run_mapper(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def run_mapper(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """Invoke whichever mapper form the job defines."""
         if self.batch_mapper is not None:
             self.batch_mapper(ctx, records)
@@ -179,9 +166,24 @@ class JobSpec:
             for key, value in records:
                 self.mapper(ctx, key, value)
 
-    def run_reducer(
-        self, ctx: TaskContext, grouped: Sequence[tuple[Any, list[Any]]]
-    ) -> None:
+    def run_combiner(self, grouped: GroupedBatch) -> ColumnBatch:
+        """Combine one bucket's groups into one record per key: the
+        batch combiner when the job provides one (and it accepts the
+        layout), else the scalar combiner per group — identical results
+        either way.  No groups combine to no records, whatever the
+        column kinds, so a batch combiner only ever sees its own layout."""
+        if not len(grouped):
+            return ColumnBatch(grouped.sorted_keys, grouped.sorted_values)
+        if self.batch_combiner is not None:
+            combined = self.batch_combiner(grouped)
+            if combined is not None:
+                return combined
+        assert self.combiner is not None
+        return ColumnBatch.from_rows(
+            [(key, self.combiner(key, values)) for key, values in grouped]
+        )
+
+    def run_reducer(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         """Invoke whichever reducer form the job defines."""
         if self.batch_reducer is not None:
             self.batch_reducer(ctx, grouped)

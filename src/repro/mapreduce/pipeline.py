@@ -13,11 +13,11 @@ barrier execution to a pipelined schedule:
   re-read, and iterations after the first run on warm containers
   (no job/task launch overhead — the Spark/HaLoop executor model).
 
-Unlike ``PIC_COLUMNAR``/``PIC_WORKERS`` — wall-clock knobs that keep
-the simulation bit-identical — pipelining deliberately *changes*
-simulated timing: the invariants are same final model, same data-plane
-byte totals, completion time no worse than barrier mode.  Pipelined
-runs therefore carry their own frozen reference.
+Unlike ``PIC_WORKERS`` — a wall-clock knob that keeps the simulation
+bit-identical — pipelining deliberately *changes* simulated timing: the
+invariants are same final model, same data-plane byte totals,
+completion time no worse than barrier mode.  Pipelined runs therefore
+carry their own frozen reference.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.dfs.dfs import DistributedFileSystem
-from repro.util.sizing import sizeof_records
+
+if TYPE_CHECKING:
+    from repro.mapreduce.columnar import ColumnBatch
 
 
 def stable_hash(key: Any) -> int:
@@ -47,51 +49,40 @@ def hash_partitioner(key: Any, num_partitions: int) -> int:
 def group_by_key(records: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list[Any]]]:
     """Group values by key, in sorted key order when keys are sortable.
 
-    This mirrors Hadoop's sort phase.  Mixed-type key sets (unorderable
-    in Python 3) fall back to sorting by ``(type qualname, repr)``:
-    qualifying by type first keeps keys of different types from
-    interleaving on repr collisions (``1`` vs ``np.int64(1)`` both repr
-    as ``"1"``), so the order is deterministic and same-type keys stay
-    grouped together.
+    This mirrors Hadoop's sort phase, and is the scalar definition the
+    vectorized :func:`repro.mapreduce.columnar.group_batch` is tested
+    against (and calls, for key sets numpy cannot order).  Mixed-type
+    key sets (unorderable in Python 3) fall back to sorting by
+    ``(type qualname, repr)``: qualifying by type first keeps keys of
+    different types from interleaving on repr collisions (``1`` vs
+    ``np.int64(1)`` both repr as ``"1"``), so the order is deterministic
+    and same-type keys stay grouped together.  A NaN key equals nothing,
+    itself included, so every NaN record is its own group — whether or
+    not the records share one NaN object, which a dict lookup would
+    otherwise match by identity.
     """
-    grouped: dict[Any, list[Any]] = {}
+    slots: dict[Any, list[Any]] = {}
+    items: list[tuple[Any, list[Any]]] = []
     for key, value in records:
-        grouped.setdefault(key, []).append(value)
+        values = slots.get(key)
+        if values is None or key != key:
+            values = slots[key] = []
+            items.append((key, values))
+        values.append(value)
     try:
-        items = sorted(grouped.items(), key=lambda kv: kv[0])
+        return sorted(items, key=lambda kv: kv[0])
     except TypeError:
-        items = sorted(
-            grouped.items(),
-            key=lambda kv: (type(kv[0]).__qualname__, repr(kv[0])),
+        return sorted(
+            items, key=lambda kv: (type(kv[0]).__qualname__, repr(kv[0]))
         )
-    return items
-
-
-def _as_split_records(chunk: Sequence[tuple[Any, Any]], columnar: bool | None) -> Any:
-    """Rows or a ``ColumnBatch``, per the ``columnar`` flag / environment.
-
-    The import is deferred: :mod:`repro.mapreduce.columnar` builds on the
-    scalar hash and grouping defined here.
-    """
-    from repro.mapreduce.columnar import ColumnBatch, columnar_enabled
-
-    if isinstance(chunk, ColumnBatch):
-        return chunk
-    if columnar is None:
-        columnar = columnar_enabled()
-    if columnar:
-        return ColumnBatch.from_rows(list(chunk))
-    return list(chunk)
 
 
 @dataclass
 class Split:
     """One input split: its records plus their serialized size.
 
-    ``records`` is either a plain list of ``(key, value)`` tuples or a
-    :class:`~repro.mapreduce.columnar.ColumnBatch` — both iterate as
-    rows, report ``len``, and size identically, so consumers that do not
-    opt into the columnar fast paths never notice the difference.
+    ``records`` is a :class:`~repro.mapreduce.columnar.ColumnBatch`; it
+    iterates as ``(key, value)`` rows for record-at-a-time mappers.
 
     ``nbytes`` defaults to the measured serialized size of the records
     but can be overridden when the dataset models a larger on-disk
@@ -99,12 +90,12 @@ class Split:
     """
 
     index: int
-    records: Any
+    records: ColumnBatch
     nbytes: int = field(default=-1)
 
     def __post_init__(self) -> None:
         if self.nbytes < 0:
-            self.nbytes = sizeof_records(self.records)
+            self.nbytes = self.records.nbytes_wire()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -135,14 +126,13 @@ class DistributedDataset:
         writer_node: int = 0,
         split_fn: Callable[[Sequence[tuple[Any, Any]], int], list[list[tuple[Any, Any]]]]
         | None = None,
-        columnar: bool | None = None,
     ) -> "DistributedDataset":
-        """Split ``records`` evenly and register them with the DFS.
+        """Split ``records`` evenly, columnize each split (losslessly),
+        and register them with the DFS."""
+        # Deferred: repro.mapreduce.columnar builds on this module's
+        # scalar hash and grouping.
+        from repro.mapreduce.columnar import columnize
 
-        ``columnar`` converts each split to a ``ColumnBatch`` (default:
-        the ``PIC_COLUMNAR`` environment setting); conversion is
-        lossless, so simulated results are identical either way.
-        """
         if num_splits <= 0:
             raise ValueError(f"num_splits must be positive, got {num_splits}")
         num_splits = min(num_splits, max(1, len(records)))
@@ -151,7 +141,7 @@ class DistributedDataset:
         else:
             chunks = split_fn(records, num_splits)
         splits = [
-            Split(index=i, records=_as_split_records(chunk, columnar))
+            Split(index=i, records=columnize(chunk))
             for i, chunk in enumerate(chunks)
         ]
         dataset = cls(path, splits, dfs)
@@ -163,11 +153,10 @@ class DistributedDataset:
         cls,
         dfs: DistributedFileSystem,
         path: str,
-        partitions: Sequence[Sequence[tuple[Any, Any]]],
+        partitions: Sequence[ColumnBatch | Sequence[tuple[Any, Any]]],
         placements: Sequence[int],
         replication: int = 1,
         sizes: Sequence[int] | None = None,
-        columnar: bool | None = None,
     ) -> "DistributedDataset":
         """Build a dataset with one split per given partition, each
         pinned to a chosen node (PIC's co-located sub-problem data).
@@ -176,6 +165,8 @@ class DistributedDataset:
         caller that sized the partitions (e.g. for scatter accounting)
         does not pay for a second walk over every record.
         """
+        from repro.mapreduce.columnar import columnize
+
         if len(placements) != len(partitions):
             raise ValueError(
                 f"{len(partitions)} partitions but {len(placements)} placements"
@@ -187,7 +178,7 @@ class DistributedDataset:
         splits = [
             Split(
                 index=i,
-                records=_as_split_records(p, columnar),
+                records=columnize(p),
                 nbytes=sizes[i] if sizes is not None else -1,
             )
             for i, p in enumerate(partitions)

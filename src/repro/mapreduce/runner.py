@@ -31,25 +31,15 @@ from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
-from repro.mapreduce.columnar import (
-    ColumnBatch,
-    GroupedBatch,
-    concat_batches,
-    group_batch,
-)
+from repro.mapreduce.columnar import ColumnBatch, concat_batches, group_batch
 from repro.mapreduce.job import Counters, JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
-from repro.mapreduce.records import (
-    DistributedDataset,
-    group_by_key,
-    hash_partitioner,
-)
+from repro.mapreduce.records import DistributedDataset, hash_partitioner
 from repro.mapreduce.scheduler import SlotScheduler
 # Leaf-module import: repro.parallel's package __init__ pulls in
 # repro.parallel.tasks, which needs this package — importing the
 # executor module directly keeps the cycle open at one end.
 from repro.parallel.executor import TaskExecutor, get_executor
-from repro.util.sizing import sizeof_records
 
 
 class JobRunner:
@@ -354,13 +344,13 @@ class _JobState:
             p % self.cluster.num_nodes for p in range(self.num_reducers)
         ]
         self._model_on_node: set[int] = set(self.model_locations)
-        # partition -> (map index, record list) per arrived bucket.
+        # partition -> (map index, bucket) per arrived bucket.
         # Reduce input is consumed in map-index order regardless of
         # shuffle completion order, so the model — float for float —
         # never depends on network timing.  This is what lets barrier
         # and pipelined runs produce bit-identical results despite
         # their different flow schedules.
-        self._buckets: dict[int, list[tuple[int, Any]]] = {
+        self._buckets: dict[int, list[tuple[int, ColumnBatch]]] = {
             p: [] for p in range(self.num_reducers)
         }
         self._bucket_arrivals = {p: 0 for p in range(self.num_reducers)}
@@ -381,7 +371,7 @@ class _JobState:
         self.shuffle_bytes = 0
         self.output_bytes = 0
         self._job_map_stats: dict[int, dict[str, float]] = {}
-        self._premapped: list[tuple[Any, dict]] | None = None
+        self._premapped: list[tuple[ColumnBatch, dict]] | None = None
         self._done = False
 
     # -- launch ----------------------------------------------------------
@@ -392,7 +382,7 @@ class _JobState:
         overhead = self.spec.costs.job_overhead_seconds
         self.cluster.sim.schedule(overhead, self._start_maps)
 
-    def _precompute_maps(self) -> list[tuple[Any, dict]] | None:
+    def _precompute_maps(self) -> list[tuple[ColumnBatch, dict]] | None:
         """Run every map task's real computation through the executor.
 
         Map tasks of one job are independent, so with a parallel
@@ -560,7 +550,7 @@ class _JobState:
         ctx = TaskContext(model=self.model, split_index=split_index)
         if self._premapped is not None:
             output, stats = self._premapped[split_index]
-            ctx.emit_all(output)
+            ctx.emit_batch(output)
             ctx.stats.update(stats)
         else:
             self.spec.run_mapper(ctx, split.records)
@@ -580,99 +570,54 @@ class _JobState:
 
     def _map_execute(self, attempt: dict, ctx: TaskContext) -> None:
         output = ctx.collect()
-        partitioned = None
-        if isinstance(output, ColumnBatch):
-            partitioned = self._partition_columnar(output)
-            if partitioned is None:
-                output = output.to_rows()
-        if partitioned is not None:
-            buckets, bucket_bytes, raw_records, raw_bytes = partitioned
-        else:
-            assert isinstance(output, list)
-            buckets, bucket_bytes, raw_bytes = self._partition_rows(output)
-            raw_records = len(output)
-        post_bytes = sum(bucket_bytes.values())
+        buckets = self._partition(output)
+        bucket_bytes = [bucket.nbytes_wire() for bucket in buckets]
+        # Without a combiner the buckets are exactly the raw output
+        # re-partitioned, so one sizing pass covers both totals.
+        raw_bytes = (
+            sum(bucket_bytes) if self.spec.combiner is None else output.nbytes_wire()
+        )
         # Spill the (combined) map output to local disk before serving it.
         disk = self.cluster.nodes[attempt["node"]].spec.disk_bandwidth
         self._schedule_attempt(
             attempt,
-            post_bytes / disk,
+            sum(bucket_bytes) / disk,
             lambda: self._map_finish(
-                attempt, buckets, bucket_bytes, raw_records, raw_bytes
+                attempt, buckets, bucket_bytes, len(output), raw_bytes
             ),
         )
 
-    def _partition_rows(
-        self, raw_output: list[tuple[Any, Any]]
-    ) -> tuple[dict[int, Any], dict[int, int], int]:
-        """The reference tuple-at-a-time partition/combine path."""
-        buckets: dict[int, Any] = {}
-        for key, value in raw_output:
-            p = self.spec.partitioner(key, self.num_reducers)
-            buckets.setdefault(p, []).append((key, value))
-        if self.spec.combiner is not None:
-            raw_bytes = sizeof_records(raw_output)
-            for p, recs in buckets.items():
-                combined: list[tuple[Any, Any]] = []
-                for key, values in group_by_key(recs):
-                    combined.append((key, self.spec.combiner(key, values)))
-                buckets[p] = combined
-            bucket_bytes = {p: sizeof_records(r) for p, r in buckets.items()}
+    def _partition(self, batch: ColumnBatch) -> list[ColumnBatch]:
+        """Partition (and combine) one map task's output into one bucket
+        per reducer: one partition id per record — the batched
+        ``stable_hash``, or the job's own ``partitioner`` per key — then
+        a bucket scatter via one stable argsort, so emission order
+        survives inside each bucket."""
+        if self.spec.partitioner is hash_partitioner:
+            pids = batch.partition_ids(self.num_reducers)
         else:
-            # No combiner: the buckets are exactly the raw output
-            # re-partitioned, so one sizing pass covers both totals.
-            bucket_bytes = {p: sizeof_records(r) for p, r in buckets.items()}
-            raw_bytes = sum(bucket_bytes.values())
-        return buckets, bucket_bytes, raw_bytes
-
-    def _partition_columnar(
-        self, batch: ColumnBatch
-    ) -> tuple[dict[int, Any], dict[int, int], int, int] | None:
-        """Vectorized partition/combine: batched ``stable_hash``, bucket
-        scatter via one stable argsort, per-column sizing.
-
-        Returns ``None`` when the job uses a custom partitioner or the
-        key layout defeats vectorized grouping — the caller then takes
-        the row path, which is always available and byte-identical.
-        """
-        if self.spec.partitioner is not hash_partitioner:
-            return None
-        pids = batch.partition_ids(self.num_reducers)
-        order = np.argsort(pids, kind="stable")
-        sorted_batch = batch.take(order)
+            pids = np.empty(len(batch), dtype=np.int64)
+            for i, key in enumerate(batch.keys.rows()):
+                p = self.spec.partitioner(key, self.num_reducers)
+                # An id no reducer owns would silently drop the record.
+                if not isinstance(p, (int, np.integer)) or not 0 <= p < self.num_reducers:
+                    raise ValueError(
+                        f"job {self.spec.name!r}: partitioner returned {p!r} "
+                        f"for key {key!r}; expected an integer in "
+                        f"range({self.num_reducers})"
+                    )
+                pids[i] = p
+        sorted_batch = batch.take(np.argsort(pids, kind="stable"))
         counts = np.bincount(pids, minlength=self.num_reducers)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        raw_bytes = batch.nbytes_wire()
-        use_combiner = self.spec.combiner is not None
-        buckets: dict[int, Any] = {}
-        bucket_bytes: dict[int, int] = {}
-        for p in range(self.num_reducers):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            if lo == hi:
-                continue
-            sub = sorted_batch.slice(lo, hi)
-            if use_combiner:
-                grouped = group_batch(sub)
-                if grouped is None:
-                    return None
-                combined = self._apply_combiner(grouped)
-                buckets[p] = combined
-                bucket_bytes[p] = sizeof_records(combined)
-            else:
-                buckets[p] = sub
-                bucket_bytes[p] = sub.nbytes_wire()
-        return buckets, bucket_bytes, len(batch), raw_bytes
-
-    def _apply_combiner(self, grouped: GroupedBatch) -> Any:
-        """Combine one bucket's groups: the batch combiner when the job
-        provides one (and it accepts the layout), else the scalar
-        combiner per group — identical results either way."""
-        if self.spec.batch_combiner is not None:
-            combined = self.spec.batch_combiner(grouped)
-            if combined is not None:
-                return combined
-        assert self.spec.combiner is not None
-        return [(k, self.spec.combiner(k, vs)) for k, vs in grouped]
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        empty = sorted_batch.slice(0, 0)  # one object for every empty bucket
+        buckets = [empty] * self.num_reducers
+        for p in np.flatnonzero(counts).tolist():
+            bucket = sorted_batch.slice(bounds[p], bounds[p + 1])
+            if self.spec.combiner is not None:
+                bucket = self.spec.run_combiner(group_batch(bucket))
+            buckets[p] = bucket
+        return buckets
 
     def _map_attempt_failed(self, attempt: dict) -> None:
         split_index = attempt["split"]
@@ -689,8 +634,8 @@ class _JobState:
     def _map_finish(
         self,
         attempt: dict,
-        buckets: dict[int, list[tuple[Any, Any]]],
-        bucket_bytes: dict[int, int],
+        buckets: list[ColumnBatch],
+        bucket_bytes: list[int],
         raw_records: int,
         raw_bytes: int,
     ) -> None:
@@ -708,7 +653,7 @@ class _JobState:
         self.map_output_bytes_raw += raw_bytes
         self.counters.add("map_output_bytes", raw_bytes)
         self.counters.add(
-            "combine_output_records", sum(len(r) for r in buckets.values())
+            "combine_output_records", sum(len(bucket) for bucket in buckets)
         )
         self.runner.map_scheduler.release(node_id, app_id=self.job_index)
         self._maybe_speculate()
@@ -716,12 +661,11 @@ class _JobState:
         # triggers a single rate recompute instead of one per partition.
         requests = []
         for p in range(self.num_reducers):
-            recs = buckets.get(p, [])
-            nbytes = bucket_bytes.get(p, 0)
-            self.shuffle_bytes += nbytes
+            self.shuffle_bytes += bucket_bytes[p]
             requests.append((
-                node_id, self.reduce_node[p], nbytes, TrafficCategory.SHUFFLE,
-                self._make_bucket_arrival(p, split_index, recs),
+                node_id, self.reduce_node[p], bucket_bytes[p],
+                TrafficCategory.SHUFFLE,
+                self._make_bucket_arrival(p, split_index, buckets[p]),
             ))
         self.cluster.transfer_batch(requests)
 
@@ -758,7 +702,7 @@ class _JobState:
                 )
 
     def _make_bucket_arrival(
-        self, partition: int, split_index: int, recs: Any
+        self, partition: int, split_index: int, recs: ColumnBatch
     ) -> Callable[..., None]:
         def on_arrival(_flow: Any = None) -> None:
             self._buckets[partition].append((split_index, recs))
@@ -819,42 +763,19 @@ class _JobState:
             delay, lambda: self._reduce_execute(partition, node, pieces)
         )
 
-    def _group_reduce_input(
-        self, pieces: list[Any]
-    ) -> GroupedBatch | list[tuple[Any, list[Any]]]:
-        """Merge-sort of the arrived buckets: one concatenate plus one
-        stable argsort when every non-empty bucket is columnar, the
-        row-path ``group_by_key`` otherwise (same groups, same order)."""
-        row_pieces = [p for p in pieces if isinstance(p, list) and p]
-        batches = [p for p in pieces if isinstance(p, ColumnBatch)]
-        if batches and not row_pieces:
-            merged = concat_batches(batches)
-            if merged is not None:
-                grouped = group_batch(merged)
-                if grouped is not None:
-                    return grouped
-        rows: list[tuple[Any, Any]] = []
-        for piece in pieces:
-            rows.extend(piece.to_rows() if isinstance(piece, ColumnBatch) else piece)
-        return group_by_key(rows)
-
     def _reduce_execute(
-        self, partition: int, node_id: int, pieces: list[Any]
+        self, partition: int, node_id: int, pieces: list[ColumnBatch]
     ) -> None:
         ctx = TaskContext(model=self.model)
-        num_records = sum(len(piece) for piece in pieces)
-        grouped = self._group_reduce_input(pieces)
-        self.spec.run_reducer(ctx, grouped)
-        collected = ctx.collect()
-        output = (
-            collected.to_rows()
-            if isinstance(collected, ColumnBatch)
-            else collected
-        )
-        self._reduce_outputs[partition] = output
-        self.counters.add("reduce_input_records", num_records)
+        # Merge-sort of the arrived buckets: one concatenate plus one
+        # group-by over the partition's records.
+        merged = concat_batches(pieces)
+        self.spec.run_reducer(ctx, group_batch(merged))
+        output = ctx.collect()
+        self._reduce_outputs[partition] = output.to_rows()
+        self.counters.add("reduce_input_records", len(merged))
         self.counters.add("reduce_output_records", len(output))
-        nbytes = sizeof_records(collected)
+        nbytes = output.nbytes_wire()
         self.output_bytes += nbytes
         path = f"/job-{self.job_index}/{self.spec.name}/out-{partition:05d}"
         self.runner.dfs.write(

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from repro.mapreduce.columnar import ColumnBatch
 from repro.mapreduce.job import TaskContext
 
 
 def solve_subproblem(
-    payload: tuple[Any, Sequence[tuple[Any, Any]], Any, int | None],
+    payload: tuple[Any, ColumnBatch | Sequence[tuple[Any, Any]], Any, int | None],
 ) -> tuple[Any, int, float]:
     """Run one sub-problem's local IC iterations to convergence.
 
@@ -27,14 +28,13 @@ def solve_subproblem(
 
 
 def run_map_task(
-    payload: tuple[Any, Any, int, Sequence[tuple[Any, Any]]],
-) -> tuple[Any, dict[str, float]]:
+    payload: tuple[Any, Any, int, ColumnBatch],
+) -> tuple[ColumnBatch, dict[str, float]]:
     """Run one map task's real computation against a fresh context.
 
     Payload: ``(spec, model, split_index, records)``.  Returns the
-    emitted output (rows, or a ``ColumnBatch`` when the mapper emitted
-    exactly one) and the task's stats dict; the job runner replays both
-    into the simulated task at its scheduled compute time.
+    emitted output and the task's stats dict; the job runner replays
+    both into the simulated task at its scheduled compute time.
     """
     spec, model, split_index, records = payload
     ctx = TaskContext(model=model, split_index=split_index)

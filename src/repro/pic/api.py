@@ -13,8 +13,10 @@ import abc
 from typing import Any, Sequence
 
 from repro.mapreduce.columnar import (
+    ColumnBatch,
     GroupedBatch,
-    group_records,
+    columnize,
+    group_batch,
     singleton_groups,
 )
 from repro.mapreduce.costs import CostHints
@@ -23,26 +25,6 @@ from repro.pic.mergers import average_merge
 from repro.pic.model import model_nbytes, model_to_records, records_to_model
 from repro.pic.partitioners import random_partition, replicate_model
 from repro.util.rng import as_generator
-
-
-def _combine_grouped(
-    spec: JobSpec, grouped: GroupedBatch | list[tuple[Any, list[Any]]]
-) -> GroupedBatch | list[tuple[Any, list[Any]]]:
-    """Apply the job's combiner to grouped map output, preserving the
-    grouped shape (each key keeps a one-element value list).
-
-    The vectorized ``batch_combiner`` runs when the groups are columnar
-    and it accepts them; otherwise the scalar combiner runs per group.
-    Both produce the same keys in the same order with bit-identical
-    values (equivalence-tested), so downstream reducers cannot tell the
-    paths apart.
-    """
-    assert spec.combiner is not None
-    if spec.batch_combiner is not None and isinstance(grouped, GroupedBatch):
-        combined = spec.batch_combiner(grouped)
-        if combined is not None:
-            return singleton_groups(combined)
-    return [(k, [spec.combiner(k, vs)]) for k, vs in grouped]
 
 
 class PICProgram(abc.ABC):
@@ -75,7 +57,7 @@ class PICProgram(abc.ABC):
             f"{type(self).__name__} must implement map() or batch_map()"
         )
 
-    def batch_map(self, ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+    def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """Whole-split mapper (override for vectorized inner loops)."""
         for key, value in records:
             self.map(ctx, key, value)
@@ -86,9 +68,7 @@ class PICProgram(abc.ABC):
             f"{type(self).__name__} must implement reduce() or batch_reduce()"
         )
 
-    def batch_reduce(
-        self, ctx: TaskContext, grouped: list[tuple[Any, list[Any]]]
-    ) -> None:
+    def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         """All key groups of one partition (override to vectorize)."""
         for key, values in grouped:
             self.reduce(ctx, key, values)
@@ -102,7 +82,7 @@ class PICProgram(abc.ABC):
         """
         raise NotImplementedError("no combiner defined")
 
-    def combine_batch(self, grouped: Any) -> Any:
+    def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch | None:
         """Optional vectorized combiner over a whole bucket.
 
         Receives a :class:`~repro.mapreduce.columnar.GroupedBatch` and
@@ -110,7 +90,8 @@ class PICProgram(abc.ABC):
         (one row per key, in group order), or ``None`` to defer to the
         scalar :meth:`combine` for that bucket.  Must agree with
         :meth:`combine` bit for bit; only used when ``combine`` is also
-        overridden.
+        overridden, and never called with zero groups (an empty batch
+        does not carry the job's column kinds).
         """
         raise NotImplementedError("no batch combiner defined")
 
@@ -145,7 +126,7 @@ class PICProgram(abc.ABC):
     # In-memory execution (used by the best-effort phase's map tasks)
 
     def run_iteration_in_memory(
-        self, records: Sequence[tuple[Any, Any]], model: Any, iteration: int
+        self, records: ColumnBatch, model: Any, iteration: int
     ) -> tuple[Any, float]:
         """Run one IC iteration serially in memory.
 
@@ -159,13 +140,13 @@ class PICProgram(abc.ABC):
         for spec in self.jobs(current, iteration):
             ctx = TaskContext(model=current)
             spec.run_mapper(ctx, records)
-            out = ctx.collect()
             # In memory there is no record pipeline: no deserialization,
             # sort, spill, or shuffle — just the computation itself.
             compute += spec.costs.inmemory_compute(len(records))
-            grouped = group_records(out)
+            grouped = group_batch(ctx.collect())
             if spec.combiner is not None:
-                grouped = _combine_grouped(spec, grouped)
+                # A reducer sees combined values as one-element groups.
+                grouped = singleton_groups(spec.run_combiner(grouped))
             rctx = TaskContext(model=current)
             spec.run_reducer(rctx, grouped)
             current = self.build_model(current, rctx.output)
@@ -173,7 +154,7 @@ class PICProgram(abc.ABC):
 
     def solve_in_memory(
         self,
-        records: Sequence[tuple[Any, Any]],
+        records: ColumnBatch | Sequence[tuple[Any, Any]],
         model: Any,
         max_iterations: int | None = None,
     ) -> tuple[Any, int, float]:
@@ -181,10 +162,12 @@ class PICProgram(abc.ABC):
 
         Returns ``(model, iterations, compute_seconds)``.  The same
         convergence criterion as the conventional implementation is used
-        for every sub-problem (Section IV-A).
+        for every sub-problem (Section IV-A).  A row list is columnized
+        here, once for all the iterations.
         """
         if max_iterations is None:
             max_iterations = self.local_max_iterations()
+        records = columnize(records)
         current = model
         total_compute = 0.0
         iterations = 0

@@ -34,6 +34,7 @@ from repro.cluster.cache import CachePin, NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
 from repro.mapreduce.job import JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
 from repro.mapreduce.records import DistributedDataset
@@ -432,7 +433,7 @@ class BestEffortEngine:
     ) -> JobSpec:
         program = self.program
 
-        def solve(ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> Any:
+        def solve(ctx: TaskContext, records: ColumnBatch) -> Any:
             assert ctx.split_index is not None
             if solved_cache is not None and ctx.split_index in solved_cache:
                 solved, iterations, compute = solved_cache[ctx.split_index]
@@ -467,7 +468,7 @@ class BestEffortEngine:
             # Section III-C: the merge runs as a normal MapReduce job —
             # tasks emit their *owned* model entries per element and
             # reducers apply merge_element with full parallelism.
-            def be_mapper(ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+            def be_mapper(ctx: TaskContext, records: ColumnBatch) -> None:
                 solved = solve(ctx, records)
                 for key, value in program.owned_model_records(
                     solved, ctx.split_index
@@ -489,13 +490,11 @@ class BestEffortEngine:
 
         # Centralized merge: one reducer reconstructs every partial
         # model and applies the programmer's merge().
-        def be_mapper_central(ctx: TaskContext, records: Sequence[tuple[Any, Any]]) -> None:
+        def be_mapper_central(ctx: TaskContext, records: ColumnBatch) -> None:
             solved = solve(ctx, records)
             ctx.emit(0, (ctx.split_index, program.model_records(solved)))
 
-        def be_reducer_central(
-            ctx: TaskContext, grouped: Sequence[tuple[Any, list[Any]]]
-        ) -> None:
+        def be_reducer_central(ctx: TaskContext, grouped: GroupedBatch) -> None:
             partials: list[tuple[int, list[tuple[Any, Any]]]] = []
             for _key, values in grouped:
                 partials.extend(values)

@@ -30,11 +30,6 @@ ARRAY_HEADER = 8
 SEQ_HEADER = 4
 STR_HEADER = 2
 
-# Backwards-compatible aliases (older call sites use the underscored names).
-_ARRAY_HEADER = ARRAY_HEADER
-_SEQ_HEADER = SEQ_HEADER
-_STR_HEADER = STR_HEADER
-
 
 def sizeof_value(value: Any) -> int:
     """Return the estimated serialized size of one key or value, in bytes."""
@@ -45,15 +40,15 @@ def sizeof_value(value: Any) -> int:
     if isinstance(value, np.generic):
         return int(value.dtype.itemsize)
     if isinstance(value, np.ndarray):
-        return int(value.nbytes) + _ARRAY_HEADER
+        return int(value.nbytes) + ARRAY_HEADER
     if isinstance(value, bytes):
-        return len(value) + _STR_HEADER
+        return len(value) + STR_HEADER
     if isinstance(value, str):
-        return len(value.encode("utf-8")) + _STR_HEADER
+        return len(value.encode("utf-8")) + STR_HEADER
     if isinstance(value, (tuple, list, set, frozenset)):
-        return _SEQ_HEADER + sum(sizeof_value(v) for v in value)
+        return SEQ_HEADER + sum(sizeof_value(v) for v in value)
     if isinstance(value, dict):
-        return _SEQ_HEADER + sum(
+        return SEQ_HEADER + sum(
             sizeof_value(k) + sizeof_value(v) for k, v in value.items()
         )
     raise TypeError(
@@ -103,14 +98,14 @@ def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += v.nbytes
-            return int(total) + (8 + _ARRAY_HEADER) * n
+            return int(total) + (8 + ARRAY_HEADER) * n
         if vt is str:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(v.encode("utf-8"))
-            return total + (8 + _STR_HEADER) * n
+            return total + (8 + STR_HEADER) * n
         return None
 
     if kt is str:
@@ -120,14 +115,14 @@ def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(k.encode("utf-8"))
-            return total + (_STR_HEADER + 8) * n
+            return total + (STR_HEADER + 8) * n
         if vt is np.ndarray:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(k.encode("utf-8")) + v.nbytes
-            return int(total) + (_STR_HEADER + _ARRAY_HEADER) * n
+            return int(total) + (STR_HEADER + ARRAY_HEADER) * n
         return None
 
     return None

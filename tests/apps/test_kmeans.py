@@ -13,6 +13,7 @@ from repro.apps.kmeans import (
     match_centroids,
 )
 from repro.apps.kmeans.serial import assign_points, init_centroids, update_centroids
+from repro.mapreduce.columnar import columnize
 from repro.mapreduce.job import TaskContext
 
 
@@ -98,20 +99,35 @@ class TestProgram:
         prog = self.make(k=2)
         model = {0: np.array([0.0, 0.0]), 1: np.array([10.0, 10.0])}
         ctx = TaskContext(model=model)
-        prog.batch_map(ctx, [(0, np.array([1.0, 1.0])), (1, np.array([9.0, 9.0]))])
+        records = [(0, np.array([1.0, 1.0])), (1, np.array([9.0, 9.0]))]
+        prog.batch_map(ctx, columnize(records))
         assert [k for k, _v in ctx.output] == [0, 1]
 
     def test_map_reduce_roundtrip_is_lloyd_step(self):
         records, _ = gaussian_mixture(500, 3, dim=2, separation=8.0, seed=2)
         prog = self.make()
         model = prog.initial_model(records, seed=4)
-        new_model, _cost = prog.run_iteration_in_memory(records, model, 0)
+        new_model, _cost = prog.run_iteration_in_memory(columnize(records), model, 0)
         points = np.stack([v for _k, v in records])
         centroids = prog.centroid_array(model)
         expected = update_centroids(
             points, assign_points(points, centroids), 3, centroids
         )
         assert np.allclose(prog.centroid_array(new_model), expected)
+
+    def test_pic_with_more_partitions_than_records(self):
+        # random_partition leaves some sub-problems empty; their map
+        # output is an empty batch the vectorized combiner never typed.
+        from repro.cluster.cluster import Cluster
+        from repro.pic.runner import PICRunner
+
+        records, _ = gaussian_mixture(6, 2, dim=2, seed=0)
+        prog = self.make(k=2)
+        result = PICRunner(
+            Cluster(num_nodes=4, nodes_per_rack=4), prog, num_partitions=8, seed=1
+        ).run(records, initial_model=prog.initial_model(records, seed=1))
+        assert set(result.model) == {0, 1}
+        assert np.isfinite(prog.centroid_array(result.model)).all()
 
     def test_combiner_sums(self):
         prog = self.make(dim=2)

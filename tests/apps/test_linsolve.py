@@ -11,6 +11,7 @@ from repro.apps.linsolve import (
     jacobi_iteration_matrix,
 )
 from repro.apps.linsolve.datagen import system_records
+from repro.mapreduce.columnar import columnize
 from repro.mapreduce.job import TaskContext
 
 
@@ -109,7 +110,7 @@ class TestProgram:
     def test_one_iteration_is_jacobi_sweep(self):
         A, b, _x, records, prog = self.make_env()
         model = prog.initial_model(records)
-        new_model, _cost = prog.run_iteration_in_memory(records, model, 0)
+        new_model, _cost = prog.run_iteration_in_memory(columnize(records), model, 0)
         x0 = np.zeros(len(b))
         expected = (b - (A - np.diag(np.diag(A))) @ x0) / np.diag(A)
         ours = prog.solution_vector(new_model, len(b))
@@ -157,7 +158,7 @@ class TestProgram:
         records = [(0, (np.array([1]), np.array([2.0]), 1.0))]  # no diag
         ctx = TaskContext(model={0: 0.0, 1: 0.0})
         with pytest.raises(ZeroDivisionError):
-            prog.batch_map(ctx, records)
+            prog.batch_map(ctx, columnize(records))
 
     def test_model_mode_partitioned(self):
         assert LinearSolverProgram().model_mode == "partitioned"

@@ -12,6 +12,7 @@ from repro.apps.neuralnet import (
     ocr_dataset,
 )
 from repro.apps.neuralnet.mlp import PARAM_KEYS, misclassification
+from repro.mapreduce.columnar import columnize
 from repro.mapreduce.job import TaskContext
 
 
@@ -143,7 +144,7 @@ class TestProgram:
         prog = make_program()
         records, _X, _y = ocr_dataset(50, seed=1)
         ctx = TaskContext(model=prog.initial_model(records, seed=2))
-        prog.batch_map(ctx, records)
+        prog.batch_map(ctx, columnize(records))
         assert {k for k, _v in ctx.output} == set(PARAM_KEYS)
         for _k, (weighted, n) in ctx.output:
             assert n == 50

@@ -6,6 +6,7 @@ import pytest
 from repro.apps.pagerank import PageRankProgram, local_web_graph, nutch_pagerank
 from repro.apps.pagerank.datagen import cross_edge_fraction
 from repro.apps.pagerank.program import EDGE, PR
+from repro.mapreduce.columnar import columnize
 from repro.mapreduce.job import TaskContext
 
 
@@ -85,8 +86,9 @@ class TestProgramIC:
         records = local_web_graph(300, seed=2)
         prog = PageRankProgram()
         model = prog.initial_model(records)
+        batch = columnize(records)
         for it in range(prog.iteration_limit):
-            model, _cost = prog.run_iteration_in_memory(records, model, it)
+            model, _cost = prog.run_iteration_in_memory(batch, model, it)
         ours = prog.rank_vector(model, len(records))
         reference = nutch_pagerank(records)
         assert np.allclose(ours, reference, atol=1e-9)
@@ -107,7 +109,7 @@ class TestProgramIC:
         records = [(0, (1,))]
         model = {(PR, 0): 1.0, (EDGE, 0, 1): 0.5}
         ctx = TaskContext(model=model)
-        prog._map_aggregate(ctx, records)
+        prog._map_aggregate(ctx, columnize(records))
         assert (1, 0.5) in ctx.output
         assert (0, 0.0) in ctx.output
 
@@ -115,7 +117,7 @@ class TestProgramIC:
         prog = PageRankProgram()
         records = [(0, (1, 2))]
         ctx = TaskContext(model={(PR, 0): 1.0})
-        prog._map_propagate(ctx, records)
+        prog._map_propagate(ctx, columnize(records))
         assert ((EDGE, 0, 1), 0.5) in ctx.output
         assert ((EDGE, 0, 2), 0.5) in ctx.output
 

@@ -15,6 +15,7 @@ from repro.apps.linsolve.datagen import system_records
 from repro.apps.pagerank import PageRankProgram, local_web_graph
 from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
 from repro.apps.smoothing.datagen import image_records
+from repro.mapreduce.columnar import columnize
 
 
 class TestKMeansInvariants:
@@ -49,9 +50,10 @@ class TestKMeansInvariants:
             assignment = assign_points(points, centroids)
             return float(((points - centroids[assignment]) ** 2).sum())
 
+        batch = columnize(records)
         for it in range(6):
             previous = distortion(model)
-            model, _cost = prog.run_iteration_in_memory(records, model, it)
+            model, _cost = prog.run_iteration_in_memory(batch, model, it)
             assert distortion(model) <= previous + 1e-6
 
 
@@ -63,8 +65,9 @@ class TestPageRankInvariants:
         records = local_web_graph(300, seed=seed)
         prog = PageRankProgram()
         model = prog.initial_model(records)
+        batch = columnize(records)
         for it in range(prog.iteration_limit):
-            model, _cost = prog.run_iteration_in_memory(records, model, it)
+            model, _cost = prog.run_iteration_in_memory(batch, model, it)
         ranks = prog.rank_vector(model, len(records))
         assert np.all(ranks >= (1 - prog.damping) - 1e-12)
 
@@ -134,3 +137,23 @@ class TestSmoothingInvariants:
         model, _i, _c = prog.solve_in_memory(records, prog.initial_model(records))
         out = prog.image_array(model)
         assert out.sum() == pytest.approx(img.sum(), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "app", ["kmeans", "linsolve", "neuralnet", "pagerank", "smoothing"]
+)
+def test_empty_subproblem_leaves_the_model_unchanged(app):
+    """A sub-problem that drew no records (more partitions than
+    records) still runs its local iterations; with nothing to map, every
+    app hands its model back untouched."""
+    import copy
+
+    from tests.parallel.test_equivalence import APPS, _deep_equal
+
+    program, _records, model0 = APPS[app]()
+    model, iterations, compute = program.solve_in_memory(
+        [], copy.deepcopy(model0), max_iterations=2
+    )
+    assert _deep_equal(model, model0)
+    assert iterations >= 1
+    assert compute == 0.0

@@ -11,6 +11,7 @@ from repro.apps.smoothing import (
 )
 from repro.apps.smoothing.datagen import image_records
 from repro.apps.smoothing.serial import jacobi_smooth_step
+from repro.mapreduce.columnar import columnize
 
 
 class TestDatagen:
@@ -87,7 +88,7 @@ class TestProgram:
     def test_one_iteration_matches_serial_step(self):
         img, records, prog = self.make()
         model = prog.initial_model(records)
-        new_model, _cost = prog.run_iteration_in_memory(records, model, 0)
+        new_model, _cost = prog.run_iteration_in_memory(columnize(records), model, 0)
         expected = jacobi_smooth_step(img, img, prog.lam)
         assert np.allclose(prog.image_array(new_model), expected)
 

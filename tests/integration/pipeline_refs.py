@@ -1,14 +1,20 @@
 """Frozen-reference summaries for barrier vs pipelined execution.
 
 ``PIC_PIPELINE`` deliberately changes *simulated timing* (unlike
-``PIC_WORKERS`` / ``PIC_COLUMNAR`` / ``PIC_SHM``, which are wall-clock
-only), so pipelined runs cannot be checked against barrier runs for
-bit-identity.  Instead each mode gets its own frozen reference: a
-digest of the final model plus the exact simulated clock and traffic
-ledger, committed to ``data/pipeline_references.json``.  The
-equivalence suite replays every app in both modes and compares against
-these summaries bit for bit — a timing regression or an accidental
-semantic change in *either* mode fails loudly.
+``PIC_WORKERS`` / ``PIC_SHM``, which are wall-clock only), so pipelined
+runs cannot be checked against barrier runs for bit-identity.  Instead
+each mode gets its own frozen reference: a digest of the final model
+plus the exact simulated clock and traffic ledger, committed to
+``data/pipeline_references.json``.  The equivalence suite replays every
+app in both modes and compares against these summaries bit for bit — a
+timing regression or an accidental semantic change in *either* mode
+fails loudly.
+
+These references are also the oracle for the record data plane: they
+were frozen while a second, row-at-a-time implementation still ran
+beside the columnar one and agreed with it bit for bit, so any change
+to how records are hashed, grouped, combined or sized shows up here as
+a changed model digest, clock or byte ledger.
 
 Regenerate (after an intentional timing change) with::
 
@@ -71,7 +77,7 @@ def model_digest(model) -> str:
 
 
 def run_app(app: str, pipeline: bool):
-    """One full PIC run of ``app`` (same shape as the columnar suite).
+    """One full PIC run of ``app`` (4 nodes, 4 partitions, seed 7).
 
     Returns the :class:`~repro.pic.runner.PICResult` and the cluster's
     traffic snapshot.  ``pipeline`` is passed explicitly so the run is

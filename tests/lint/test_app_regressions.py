@@ -65,8 +65,9 @@ class TestSeededRegressions:
         # driver's model copy.
         source = mutated(
             REPO / "src/repro/apps/kmeans/program.py",
-            "        emit = ctx.emit",
-            "        ctx.model[0] = centroids[0]\n        emit = ctx.emit",
+            "        assignment = assign_points(points, centroids)",
+            "        ctx.model[0] = centroids[0]\n"
+            "        assignment = assign_points(points, centroids)",
         )
         assert "PIC303" in project_rules(source)
 

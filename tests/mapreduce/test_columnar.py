@@ -1,16 +1,22 @@
-"""Property tests for the columnar record-batch backend.
+"""Property tests for the columnar record batches.
 
-The columnar data plane is only allowed to exist because it is
-*observationally identical* to the row path: same partition ids, same
-groups in the same order, same wire bytes, same rows back.  These
-properties are the contract, checked over adversarial key/value mixes
-(bool-vs-int, float repr edge cases, >int64 integers, non-ASCII text).
+``ColumnBatch`` is the only record container of the data plane; what it
+computes is defined by the scalar functions ``stable_hash``,
+``group_by_key`` and ``sizeof_record``: same partition ids, same groups
+in the same order, same wire bytes, same rows back.  These properties
+are the contract, checked over adversarial key/value mixes (bool-vs-int,
+float repr edge cases and NaNs, >int64 integers, non-ASCII text, mixed
+types, nested tuples) so that every column kind — the object kind
+included — is held to it.
 """
 
+import math
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.cluster import Cluster
+from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.columnar import (
     ArrayColumn,
     ColumnBatch,
@@ -20,15 +26,20 @@ from repro.mapreduce.columnar import (
     StringColumn,
     TupleColumn,
     build_column,
-    columnar_enabled,
+    columnize,
     concat_batches,
     emit_first_values,
     group_batch,
-    group_records,
     singleton_groups,
 )
-from repro.mapreduce.job import TaskContext
-from repro.mapreduce.records import group_by_key, hash_partitioner, stable_hash
+from repro.mapreduce.job import JobSpec, TaskContext
+from repro.mapreduce.records import (
+    DistributedDataset,
+    group_by_key,
+    hash_partitioner,
+    stable_hash,
+)
+from repro.mapreduce.runner import JobRunner, _JobState
 from repro.util.sizing import sizeof_record, sizeof_records
 
 # -- strategies --------------------------------------------------------------
@@ -52,17 +63,29 @@ hashable_keys = st.one_of(
 plain_values = st.one_of(
     st.booleans(), int64_ints, finite_floats, ascii_text, st.none()
 )
+# Keys the typed columns cannot order the way ``sorted`` does: float
+# NaNs, tuples nesting tuples, and (drawn from the union) mixed types.
+nan_floats = st.one_of(finite_floats, st.just(math.nan), st.just(float("nan")))
+nested_tuples = st.tuples(st.tuples(int64_ints, ascii_text), nan_floats)
+any_keys = st.one_of(hashable_keys, nan_floats, nested_tuples, st.none())
+any_rows = st.lists(st.tuples(any_keys, plain_values), min_size=0, max_size=24)
+
+
+def _same(a, b):
+    """Same type and value, NaN matching NaN, tuples slot for slot."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b or (a != a and b != b)
 
 
 def _assert_same_rows(actual, expected):
     assert len(actual) == len(expected)
     for (ka, va), (ke, ve) in zip(actual, expected):
-        assert type(ka) is type(ke) and ka == ke
-        if isinstance(ve, np.ndarray):
-            assert isinstance(va, np.ndarray)
-            assert np.array_equal(va, ve)
-        else:
-            assert type(va) is type(ve) and va == ve
+        assert _same(ka, ke) and _same(va, ve)
 
 
 # -- partitioner equivalence -------------------------------------------------
@@ -130,13 +153,15 @@ class TestHashEquivalence:
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(hashable_keys, plain_values), min_size=0, max_size=24
-        )
-    )
+    @given(any_rows)
     def test_to_rows_inverts_from_rows(self, rows):
         _assert_same_rows(ColumnBatch.from_rows(rows).to_rows(), rows)
+
+    def test_columnize_converts_rows_and_keeps_batches(self):
+        rows = [(i, float(i)) for i in range(4)]
+        batch = columnize(rows)
+        assert type(batch) is ColumnBatch and batch.to_rows() == rows
+        assert columnize(batch) is batch
 
     def test_ndarray_values_round_trip(self):
         rows = [(i, np.arange(3, dtype=float) + i) for i in range(5)]
@@ -171,27 +196,35 @@ class TestRoundTrip:
 # -- grouping ----------------------------------------------------------------
 
 
-class TestGrouping:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(hashable_keys, plain_values), min_size=0, max_size=24
-        )
-    )
-    def test_group_records_matches_group_by_key(self, rows):
-        grouped = group_records(ColumnBatch.from_rows(rows))
-        expected = group_by_key(rows)
-        assert len(grouped) == len(expected)
-        for (gk, gvs), (ek, evs) in zip(grouped, expected):
-            assert gk == ek
-            assert gvs == evs
+def _assert_same_groups(grouped, expected):
+    assert isinstance(grouped, GroupedBatch)
+    assert len(grouped) == len(expected)
+    for (gk, gvs), (ek, evs) in zip(grouped, expected):
+        assert _same(gk, ek)
+        assert gvs == evs
 
-    def test_nan_keys_fall_back_to_row_grouping(self):
-        rows = [(float("nan"), 1), (2.0, 2), (float("nan"), 3)]
+
+class TestGrouping:
+    @settings(max_examples=120, deadline=None)
+    @given(any_rows)
+    def test_group_records_matches_group_by_key(self, rows):
+        # Total over every key kind: typed, object, mixed-type,
+        # nested-tuple and NaN keys all group like the scalar definition.
         batch = ColumnBatch.from_rows(rows)
-        assert group_batch(batch) is None
-        # NaN != NaN, so compare structure via repr.
-        assert repr(group_records(batch)) == repr(group_by_key(rows))
+        _assert_same_groups(group_batch(batch), group_by_key(batch.to_rows()))
+
+    def test_nan_keys_group_one_record_each(self):
+        # One answer whatever the NaN's object identity: two distinct
+        # NaN objects, or the same ``math.nan`` passed twice (which a
+        # dict-based grouping would merge by identity) — in a float
+        # column and, next to a string key, in an object column.
+        for nan_a, nan_b in [(float("nan"), float("nan")), (math.nan, math.nan)]:
+            for other in (2.0, "s"):
+                rows = [(nan_a, 1), (other, 2), (nan_b, 3)]
+                grouped = group_batch(ColumnBatch.from_rows(rows))
+                assert sorted(values for _k, values in grouped) == [[1], [2], [3]]
+                # NaN != NaN, so compare structure via repr.
+                assert repr(list(grouped)) == repr(group_by_key(rows))
 
     def test_grouped_batch_behaves_like_group_by_key(self):
         rows = [(i % 3, i * 1.0) for i in range(9)]
@@ -207,12 +240,9 @@ class TestGrouping:
 
     def test_emit_first_values_parity(self):
         rows = [(i % 4, float(i)) for i in range(12)]
-        grouped = group_batch(ColumnBatch.from_rows(rows))
-        ctx_batch, ctx_rows = TaskContext(), TaskContext()
-        emit_first_values(ctx_batch, grouped)
-        emit_first_values(ctx_rows, group_by_key(rows))
-        assert ctx_batch.output == ctx_rows.output
-        assert isinstance(ctx_batch.collect(), ColumnBatch)
+        ctx = TaskContext()
+        emit_first_values(ctx, group_batch(ColumnBatch.from_rows(rows)))
+        assert ctx.output == [(k, vs[0]) for k, vs in group_by_key(rows)]
 
 
 # -- wire sizing -------------------------------------------------------------
@@ -220,11 +250,7 @@ class TestGrouping:
 
 class TestSizing:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(hashable_keys, plain_values), min_size=0, max_size=24
-        )
-    )
+    @given(any_rows)
     def test_batch_wire_size_matches_row_sum(self, rows):
         batch = ColumnBatch.from_rows(rows)
         assert batch.nbytes_wire() == sum(sizeof_record(k, v) for k, v in rows)
@@ -258,15 +284,45 @@ class TestBatchAlgebra:
         a = ColumnBatch.from_rows([(1, 1.0), (2, 2.0)])
         b = ColumnBatch.from_rows([(1, 3.0), (3, 4.0)])
         merged = concat_batches([a, b])
-        assert merged is not None
+        assert isinstance(merged.keys, ScalarColumn)
         assert list(group_batch(merged)) == group_by_key(
             a.to_rows() + b.to_rows()
         )
 
-    def test_concat_mismatched_types_returns_none(self):
+    def test_concat_mismatched_types_degrades_to_object_column(self):
         a = ColumnBatch.from_rows([(1, 1.0)])
         b = ColumnBatch.from_rows([("s", 1.0)])
-        assert concat_batches([a, b]) is None
+        merged = concat_batches([a, b])
+        assert isinstance(merged.keys, ObjectColumn)
+        assert isinstance(merged.values, ScalarColumn)  # kinds agree: kept
+        _assert_same_rows(merged.to_rows(), [(1, 1.0), ("s", 1.0)])
+
+    def test_concat_skips_empty_batches_and_of_nothing_is_empty(self):
+        typed = ColumnBatch.from_rows([(1, 1.0), (2, 2.0)])
+        empty = ColumnBatch.from_rows([])
+        assert concat_batches([empty, typed, empty]) is typed
+        assert len(concat_batches([])) == 0
+        assert len(concat_batches([empty, empty])) == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(any_rows, min_size=0, max_size=4))
+    def test_concat_of_disagreeing_kinds_round_trips(self, pieces):
+        # Each piece picks its own column kinds (int vs str keys, tuple
+        # arities, ...); whatever they are, no row is lost or altered,
+        # and the merged batch sizes and groups like its rows.
+        merged = concat_batches([ColumnBatch.from_rows(p) for p in pieces])
+        rows = [row for piece in pieces for row in piece]
+        _assert_same_rows(merged.to_rows(), rows)
+        assert merged.nbytes_wire() == sizeof_records(rows)
+        _assert_same_groups(group_batch(merged), group_by_key(merged.to_rows()))
+
+    def test_concat_array_shapes_that_disagree(self):
+        a = ColumnBatch.from_rows([("w", np.ones((2, 2)))])
+        b = ColumnBatch.from_rows([("b", np.ones(3))])
+        merged = concat_batches([a, b])
+        assert isinstance(merged.keys, StringColumn)
+        assert isinstance(merged.values, ObjectColumn)
+        _assert_same_rows(merged.to_rows(), a.to_rows() + b.to_rows())
 
     def test_take_and_slice_match_row_indexing(self):
         rows = [(i, float(i) * 2) for i in range(10)]
@@ -276,30 +332,75 @@ class TestBatchAlgebra:
         assert batch.slice(2, 6).to_rows() == rows[2:6]
 
 
-# -- environment gate --------------------------------------------------------
+# -- the runner's partition step ---------------------------------------------
 
 
-class TestEnvironmentGate:
-    @pytest.mark.parametrize("raw,expected", [
-        ("", True), ("1", True), ("on", True), ("yes", True),
-        ("0", False), ("off", False), ("false", False), ("no", False),
-        ("OFF", False),
-    ])
-    def test_columnar_enabled_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("PIC_COLUMNAR", raw)
-        assert columnar_enabled() is expected
+def _unused_mapper(ctx, key, value):
+    raise AssertionError("the partition step runs no mapper")
 
-    def test_materialize_respects_gate(self, monkeypatch):
-        from repro.cluster.presets import small_cluster
-        from repro.dfs.dfs import DistributedFileSystem
-        from repro.mapreduce.records import DistributedDataset
 
-        records = [(i, float(i)) for i in range(10)]
-        monkeypatch.setenv("PIC_COLUMNAR", "0")
-        dfs = DistributedFileSystem(small_cluster())
-        ds = DistributedDataset.materialize(dfs, "/rows", records, 2)
-        assert isinstance(ds.splits[0].records, list)
-        monkeypatch.setenv("PIC_COLUMNAR", "1")
-        ds = DistributedDataset.materialize(dfs, "/cols", records, 2)
-        assert isinstance(ds.splits[0].records, ColumnBatch)
-        assert ds.all_records() == records
+def _unused_reducer(ctx, key, values):
+    raise AssertionError("the partition step runs no reducer")
+
+
+def _sum_combiner(_key, values):
+    return sum(values)  # may leave int64: an object column
+
+
+def _job_state(**spec_kw) -> _JobState:
+    """A job's state object, for driving its partition step directly."""
+    cluster = Cluster(num_nodes=2, nodes_per_rack=2)
+    dfs = DistributedFileSystem(cluster)
+    dataset = DistributedDataset.materialize(dfs, "/in", [(0, 0)], 1)
+    spec = JobSpec(
+        name="partition-step",
+        mapper=_unused_mapper,
+        reducer=_unused_reducer,
+        **spec_kw,
+    )
+    return _JobState(JobRunner(cluster, dfs), spec, dataset, None, 0, (0,), False, 0)
+
+
+def _reversed_hash_partitioner(key, n):
+    """A custom partitioner over every hashable key: by stable hash,
+    reversed — never the default's bucket layout."""
+    return n - 1 - stable_hash(key) % n
+
+
+class TestPartitionStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(hashable_keys, plain_values), min_size=0, max_size=24),
+        st.integers(1, 5),
+    )
+    def test_custom_partitioner_buckets_match_per_row_calls(self, rows, n):
+        state = _job_state(num_reducers=n, partitioner=_reversed_hash_partitioner)
+        buckets = state._partition(ColumnBatch.from_rows(rows))
+        assert len(buckets) == n
+        for p, bucket in enumerate(buckets):
+            assert type(bucket) is ColumnBatch
+            # Emission order survives inside each bucket.
+            expected = [r for r in rows if _reversed_hash_partitioner(r[0], n) == p]
+            _assert_same_rows(bucket.to_rows(), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(hashable_keys, int64_ints), min_size=0, max_size=24),
+        st.integers(1, 5),
+    )
+    def test_scalar_combined_buckets_size_like_their_rows(self, rows, n):
+        state = _job_state(num_reducers=n, combiner=_sum_combiner)
+        buckets = state._partition(ColumnBatch.from_rows(rows))
+        combined = 0
+        for p, bucket in enumerate(buckets):
+            assert type(bucket) is ColumnBatch
+            expected = [
+                (k, _sum_combiner(k, vs))
+                for k, vs in group_by_key(
+                    r for r in rows if hash_partitioner(r[0], n) == p
+                )
+            ]
+            _assert_same_rows(bucket.to_rows(), expected)
+            assert bucket.nbytes_wire() == sizeof_records(expected)
+            combined += len(expected)
+        assert sum(len(b) for b in buckets) == combined

@@ -1,10 +1,13 @@
 """Tests for records, partitioning helpers and datasets."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import ColumnBatch
 from repro.mapreduce.records import (
     DistributedDataset,
     Split,
@@ -119,18 +122,29 @@ class TestGroupByKey:
     def test_empty(self):
         assert group_by_key([]) == []
 
+    def test_every_nan_record_is_its_own_group(self):
+        # NaN equals nothing, itself included; a dict lookup would match
+        # one shared NaN object by identity and merge its records.
+        shared = group_by_key([(math.nan, 1), (2.0, 2), (math.nan, 3)])
+        fresh = group_by_key([(float("nan"), 1), (2.0, 2), (float("nan"), 3)])
+        assert [values for _k, values in shared] == [[1], [2], [3]]
+        assert repr(shared) == repr(fresh)
+
 
 class TestSplit:
     def test_nbytes_auto_measured(self):
-        split = Split(index=0, records=[(1, 2.0)])
+        split = Split(index=0, records=ColumnBatch.from_rows([(1, 2.0)]))
         assert split.nbytes == 16
 
     def test_nbytes_override(self):
-        split = Split(index=0, records=[(1, 2.0)], nbytes=1000)
+        split = Split(
+            index=0, records=ColumnBatch.from_rows([(1, 2.0)]), nbytes=1000
+        )
         assert split.nbytes == 1000
 
     def test_len(self):
-        assert len(Split(index=0, records=[(1, 1), (2, 2)])) == 2
+        split = Split(index=0, records=ColumnBatch.from_rows([(1, 1), (2, 2)]))
+        assert len(split) == 2
 
 
 def make_dfs(num_nodes=6):
@@ -172,6 +186,21 @@ class TestDistributedDataset:
         records = [(i, i * 2) for i in range(7)]
         ds = DistributedDataset.materialize(dfs, "/d", records, num_splits=3)
         assert ds.all_records() == records
+
+    def test_ingest_columnizes_row_lists(self):
+        # Row lists stop at the ingest boundary: every split holds a
+        # ColumnBatch, and a batch handed in is kept as it is.
+        _c, dfs = make_dfs()
+        records = [(i, float(i)) for i in range(10)]
+        ds = DistributedDataset.materialize(dfs, "/d", records, num_splits=2)
+        assert all(type(s.records) is ColumnBatch for s in ds.splits)
+        batch = ColumnBatch.from_rows(records[:4])
+        parts = DistributedDataset.from_partitions(
+            dfs, "/p", [batch, records[4:]], placements=[0, 1]
+        )
+        assert parts.splits[0].records is batch
+        assert type(parts.splits[1].records) is ColumnBatch
+        assert parts.all_records() == records
 
     def test_materialize_charges_no_traffic(self):
         cluster, dfs = make_dfs()

@@ -5,8 +5,9 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import NodeSpec
 from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
 from repro.mapreduce.costs import CostHints
-from repro.mapreduce.job import JobSpec
+from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 
@@ -17,6 +18,14 @@ def word_mapper(ctx, key, value):
 
 def sum_reducer(ctx, key, values):
     ctx.emit(key, sum(values))
+
+
+def identity_mapper(ctx, key, value):
+    ctx.emit(key, value)
+
+
+def sum_combiner(key, values):
+    return sum(values)
 
 
 def make_env(num_nodes=6, num_splits=6, num_words=10, num_records=300):
@@ -79,6 +88,76 @@ class TestCorrectness:
             dataset,
         )
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
+
+
+class TestOneDataPlane:
+    """Records travel in ``ColumnBatch``/``GroupedBatch`` from split to
+    reduce output, whatever shape the job's functions emit."""
+
+    @pytest.mark.parametrize("combiner", [None, sum_combiner])
+    def test_every_stage_holds_batches(self, combiner, monkeypatch):
+        # The job's own functions are all record-at-a-time and emit
+        # scalars; what the runner moves between them is spied on.
+        seen = {"reduce_in": [], "collected": []}
+
+        def spy(cls, method, key, pick):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args):
+                out = original(self, *args)
+                seen[key].append(type(pick(args, out)))
+                return out
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        spy(JobSpec, "run_reducer", "reduce_in", lambda args, out: args[1])
+        spy(TaskContext, "collect", "collected", lambda args, out: out)
+        _c, runner, dataset = make_env()
+        handle = runner.submit(word_spec(combiner=combiner), dataset)
+        runner.cluster.run()
+        buckets = [
+            type(bucket)
+            for pieces in handle._state._buckets.values()
+            for _split, bucket in pieces
+        ]
+        assert len(buckets) == 4 * len(dataset.splits)  # the empty ones too
+        assert {type(s.records) for s in dataset.splits} == {ColumnBatch}
+        assert set(seen["collected"]) == set(buckets) == {ColumnBatch}
+        assert seen["reduce_in"] == [GroupedBatch] * 4
+        assert sorted(handle.result().output) == [
+            (f"word{i}", 30) for i in range(10)
+        ]
+
+
+class TestCustomPartitioner:
+    @pytest.mark.parametrize(
+        "partitioner, offender",
+        [
+            (lambda key, n: key % 4, 2),  # 2 and 3 are outside range(2)
+            (lambda key, n: -1, 0),
+            (lambda key, n: 0.0, 0),  # in range, but not an integer
+            (lambda key, n: None, 0),
+        ],
+    )
+    def test_out_of_range_partition_id_raises(self, partitioner, offender):
+        # Used to drop the records silently: 10 mapped, 6 reduced.
+        cluster = Cluster(num_nodes=2, nodes_per_rack=2)
+        dfs = DistributedFileSystem(cluster)
+        dataset = DistributedDataset.materialize(
+            dfs, "/in", [(i, i) for i in range(10)], 1
+        )
+        spec = JobSpec(
+            name="lossy",
+            mapper=identity_mapper,
+            reducer=sum_reducer,
+            num_reducers=2,
+            partitioner=partitioner,
+        )
+        with pytest.raises(ValueError) as err:
+            JobRunner(cluster, dfs).run(spec, dataset)
+        assert "'lossy'" in str(err.value)
+        assert f"key {offender!r}" in str(err.value)
+        assert "range(2)" in str(err.value)
 
 
 class TestAccounting:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mapreduce.columnar import columnize
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.pic.api import PICProgram
 from tests.pic.toy import MeanProgram
@@ -87,7 +88,7 @@ class TestInMemoryExecution:
     def test_one_iteration_matches_closed_form(self):
         prog = MeanProgram()
         records = [(i, float(i)) for i in range(11)]  # mean 5.0
-        model, compute = prog.run_iteration_in_memory(records, {"mean": 0.0}, 0)
+        model, compute = prog.run_iteration_in_memory(columnize(records), {"mean": 0.0}, 0)
         assert model["mean"] == pytest.approx(2.5)
         assert compute > 0
 
@@ -110,6 +111,6 @@ class TestInMemoryExecution:
     def test_inmemory_cost_below_pipeline_cost(self):
         prog = MeanProgram()
         records = [(i, float(i)) for i in range(100)]
-        _m, compute = prog.run_iteration_in_memory(records, {"mean": 0.0}, 0)
+        _m, compute = prog.run_iteration_in_memory(columnize(records), {"mean": 0.0}, 0)
         pipeline = prog.costs.map_compute(len(records), 0)
         assert compute < pipeline
