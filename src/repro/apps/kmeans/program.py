@@ -136,7 +136,7 @@ class KMeansProgram(PICProgram):
         return (total, count)
 
     def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch:
-        """Vectorized :meth:`combine` over a whole bucket's groups."""
+        """Vectorized :meth:`combine` over all the groups of a map output."""
         totals, csums = _sum_groups(grouped)
         return ColumnBatch(
             grouped.unique_keys(),

@@ -25,7 +25,9 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
   ``group_by_key(batch.to_rows())`` in the same order: one stable
   argsort for typed key columns, ``group_by_key`` over the row indices
   for key sets numpy would order differently (object or mixed-type
-  keys, nested tuples, float NaNs).
+  keys, nested tuples, float NaNs).  It is the one-bucket case of
+  :func:`group_buckets`, which groups a map output by (reduce
+  partition, key) — ``group_by_key`` bucket by bucket, in one pass.
 * **Sizing** — ``nbytes_wire`` computes, per column, exactly the sum of
   :func:`repro.util.sizing.sizeof_record` over the materialized rows.
 """
@@ -163,7 +165,7 @@ class Column:
     def sort_order(self) -> np.ndarray | None:
         """A stable permutation sorting the column the way ``sorted``
         orders the keys, or ``None`` when numpy's order would differ
-        (:func:`group_batch` then orders the keys with ``sorted`` itself)."""
+        (:func:`group_buckets` then orders the keys with ``sorted`` itself)."""
         return None
 
     def backing_arrays(self) -> list[np.ndarray]:
@@ -643,30 +645,80 @@ class GroupedBatch:
 
 def group_batch(batch: ColumnBatch) -> GroupedBatch:
     """Group a batch by key: the groups, group order and within-group
-    value order of ``group_by_key(batch.to_rows())``.
+    value order of ``group_by_key(batch.to_rows())`` — the one-bucket
+    case of :func:`group_buckets`."""
+    return group_buckets(batch)[0]
 
-    Typed key columns take one stable argsort; the rest (object and
-    mixed-type keys, nested tuples, float NaNs — each NaN record its own
-    group) are ordered by ``group_by_key`` itself, run over row indices.
+
+def group_buckets(
+    batch: ColumnBatch, bucket_ids: np.ndarray | None = None, num_buckets: int = 1
+) -> tuple[GroupedBatch, np.ndarray]:
+    """Group a batch by (bucket id, key), and count each bucket's groups.
+
+    ``bucket_ids`` assigns every record one of ``num_buckets`` buckets
+    (by default all of them the one bucket 0).  The groups come bucket by bucket;
+    inside a bucket they are the groups, group order and within-group
+    value order of ``group_by_key`` over the bucket's rows in batch
+    order — what scattering the batch into buckets and grouping each on
+    its own yields, in one pass.  Equal keys in different buckets stay
+    different groups.
+
+    Typed key columns take one stable argsort by key and one by bucket
+    over it; the rest (object and mixed-type keys, nested tuples, float
+    NaNs — each NaN record its own group) are ordered by ``group_by_key``
+    itself, run over each bucket's row indices.
     """
+    groups_per_bucket: np.ndarray
     order = batch.keys.sort_order()
     if order is not None:
-        sorted_batch = batch.take(order)
-        starts = _group_starts(sorted_batch.keys)
+        sorted_ids: np.ndarray | None = None
+        if bucket_ids is not None:
+            order = order[np.argsort(bucket_ids[order], kind="stable")]
+            sorted_ids = bucket_ids[order]
+        sorted_keys = batch.keys.take(order)
+        starts = _group_starts(sorted_keys, sorted_ids)
+        if sorted_ids is None:
+            groups_per_bucket = np.array([len(starts)], dtype=np.int64)
+        else:
+            groups_per_bucket = np.bincount(
+                sorted_ids[starts], minlength=num_buckets
+            )
     else:
-        groups = group_by_key(zip(batch.keys.rows(), range(len(batch))))
-        sizes = np.array([len(idx) for _key, idx in groups], dtype=np.int64)
+        keys = batch.keys.rows()
+        if bucket_ids is None:
+            buckets: list[Sequence[int]] = [range(len(keys))]
+        else:
+            scatter = np.argsort(bucket_ids, kind="stable").tolist()
+            counts = np.bincount(bucket_ids, minlength=num_buckets)
+            bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+            buckets = [
+                scatter[bounds[p] : bounds[p + 1]] for p in range(num_buckets)
+            ]
+        grouped_rows: list[list[int]] = []
+        group_counts: list[int] = []
+        for members in buckets:
+            groups = group_by_key((keys[i], i) for i in members)
+            grouped_rows.extend(idx for _key, idx in groups)
+            group_counts.append(len(groups))
+        sizes = np.array([len(idx) for idx in grouped_rows], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         order = np.array(
-            [i for _key, idx in groups for i in idx], dtype=np.int64
+            [i for idx in grouped_rows for i in idx], dtype=np.int64
         )
-        sorted_batch = batch.take(order)
-    return GroupedBatch(sorted_batch.keys, sorted_batch.values, starts)
+        sorted_keys = batch.keys.take(order)
+        groups_per_bucket = np.array(group_counts, dtype=np.int64)
+    return (
+        GroupedBatch(sorted_keys, batch.values.take(order), starts),
+        groups_per_bucket,
+    )
 
 
-def _group_starts(sorted_keys: Column) -> np.ndarray:
+def _group_starts(
+    sorted_keys: Column, sorted_bucket_ids: np.ndarray | None
+) -> np.ndarray:
     """Group boundaries of a key column in its own ``sort_order`` —
-    which only scalar, string and flat-tuple columns have."""
+    which only scalar, string and flat-tuple columns have — cut again
+    wherever the bucket id changes."""
     n = len(sorted_keys)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -677,6 +729,8 @@ def _group_starts(sorted_keys: Column) -> np.ndarray:
     for slot in slots:
         assert isinstance(slot, (ScalarColumn, StringColumn))
         changed |= slot.values[1:] != slot.values[:-1]
+    if sorted_bucket_ids is not None:
+        changed |= sorted_bucket_ids[1:] != sorted_bucket_ids[:-1]
     return np.flatnonzero(np.concatenate(([True], changed))).astype(np.int64)
 
 

@@ -15,9 +15,10 @@ from repro.mapreduce.records import hash_partitioner
 #   batch_mapper(ctx, records)              — whole split, a ColumnBatch
 #                                             (vectorizable)
 #   combiner(key, values) -> value          — associative local reduction
-#   batch_combiner(grouped) -> ColumnBatch  — whole-bucket combiner over a
-#                                             GroupedBatch (or None to
-#                                             defer to the scalar combiner)
+#   batch_combiner(grouped) -> ColumnBatch  — combiner over a whole
+#                                             GroupedBatch: one record per
+#                                             group, in group order (or None
+#                                             to defer to the scalar combiner)
 #   reducer(ctx, key, values)               — record-at-a-time
 #   batch_reducer(ctx, grouped)             — all groups of one partition,
 #                                             a GroupedBatch
@@ -167,16 +168,26 @@ class JobSpec:
                 self.mapper(ctx, key, value)
 
     def run_combiner(self, grouped: GroupedBatch) -> ColumnBatch:
-        """Combine one bucket's groups into one record per key: the
-        batch combiner when the job provides one (and it accepts the
-        layout), else the scalar combiner per group — identical results
-        either way.  No groups combine to no records, whatever the
-        column kinds, so a batch combiner only ever sees its own layout."""
+        """Combine groups into exactly one record per group, in group
+        order: the batch combiner when the job provides one (and it
+        accepts the layout), else the scalar combiner per group —
+        identical results either way.  ``grouped`` may span several
+        reduce partitions (a whole map output grouped by (partition,
+        key)): the caller cuts the result by group counts, so a batch
+        combiner that drops or adds records is an error, not a smaller
+        job.  No groups combine to no records, whatever the column
+        kinds, so a batch combiner only ever sees its own layout."""
         if not len(grouped):
             return ColumnBatch(grouped.sorted_keys, grouped.sorted_values)
         if self.batch_combiner is not None:
             combined = self.batch_combiner(grouped)
             if combined is not None:
+                if len(combined) != len(grouped):
+                    raise ValueError(
+                        f"job {self.name!r}: batch_combiner returned "
+                        f"{len(combined)} records for {len(grouped)} groups; "
+                        "expected exactly one per group"
+                    )
                 return combined
         assert self.combiner is not None
         return ColumnBatch.from_rows(

@@ -6,8 +6,9 @@ Task lifecycle (all on the simulated clock):
   once per node per job (``model_read`` traffic); read the input split
   from the closest replica (``input`` traffic, free when the driver has
   cached invariant input à la Twister/HaLoop); charge mapper compute;
-  run the *real* mapper; apply the combiner per reduce-partition; charge
-  the local spill; release the slot; start the shuffle flows.
+  run the *real* mapper; partition the output, applying the combiner
+  once over its (reduce-partition, key) groups; charge the local
+  spill; release the slot; start the shuffle flows.
 * **shuffle** — one flow per (map task, reduce partition) from the map
   node to the partition's reduce node, overlapped with remaining maps,
   exactly the all-to-all pattern that stresses the bisection.
@@ -31,7 +32,12 @@ from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
-from repro.mapreduce.columnar import ColumnBatch, concat_batches, group_batch
+from repro.mapreduce.columnar import (
+    ColumnBatch,
+    concat_batches,
+    group_batch,
+    group_buckets,
+)
 from repro.mapreduce.job import Counters, JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
 from repro.mapreduce.records import DistributedDataset, hash_partitioner
@@ -591,8 +597,10 @@ class _JobState:
         """Partition (and combine) one map task's output into one bucket
         per reducer: one partition id per record — the batched
         ``stable_hash``, or the job's own ``partitioner`` per key — then
-        a bucket scatter via one stable argsort, so emission order
-        survives inside each bucket."""
+        either a bucket scatter via one stable argsort, so emission
+        order survives inside each bucket, or, with a combiner, one
+        grouping by (partition id, key) and one combiner call over all
+        the buckets' groups."""
         if self.spec.partitioner is hash_partitioner:
             pids = batch.partition_ids(self.num_reducers)
         else:
@@ -607,16 +615,19 @@ class _JobState:
                         f"range({self.num_reducers})"
                     )
                 pids[i] = p
-        sorted_batch = batch.take(np.argsort(pids, kind="stable"))
-        counts = np.bincount(pids, minlength=self.num_reducers)
+        if self.spec.combiner is None:
+            sorted_batch = batch.take(np.argsort(pids, kind="stable"))
+            counts = np.bincount(pids, minlength=self.num_reducers)
+        else:
+            # One record per group, bucket after bucket: a bucket's
+            # share of the combined batch is its number of groups.
+            grouped, counts = group_buckets(batch, pids, self.num_reducers)
+            sorted_batch = self.spec.run_combiner(grouped)
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         empty = sorted_batch.slice(0, 0)  # one object for every empty bucket
         buckets = [empty] * self.num_reducers
         for p in np.flatnonzero(counts).tolist():
-            bucket = sorted_batch.slice(bounds[p], bounds[p + 1])
-            if self.spec.combiner is not None:
-                bucket = self.spec.run_combiner(group_batch(bucket))
-            buckets[p] = bucket
+            buckets[p] = sorted_batch.slice(bounds[p], bounds[p + 1])
         return buckets
 
     def _map_attempt_failed(self, attempt: dict) -> None:

@@ -83,12 +83,13 @@ class PICProgram(abc.ABC):
         raise NotImplementedError("no combiner defined")
 
     def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch | None:
-        """Optional vectorized combiner over a whole bucket.
+        """Optional vectorized combiner over a whole map output.
 
-        Receives a :class:`~repro.mapreduce.columnar.GroupedBatch` and
-        returns a combined :class:`~repro.mapreduce.columnar.ColumnBatch`
-        (one row per key, in group order), or ``None`` to defer to the
-        scalar :meth:`combine` for that bucket.  Must agree with
+        Receives a :class:`~repro.mapreduce.columnar.GroupedBatch` — the
+        groups of every reduce partition, so one key may head several —
+        and returns a combined :class:`~repro.mapreduce.columnar.ColumnBatch`
+        (exactly one row per group, in group order), or ``None`` to
+        defer to the scalar :meth:`combine` for that batch.  Must agree with
         :meth:`combine` bit for bit; only used when ``combine`` is also
         overridden, and never called with zero groups (an empty batch
         does not carry the job's column kinds).

@@ -11,9 +11,11 @@ included — is held to it.
 """
 
 import math
+import zlib
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
@@ -30,6 +32,7 @@ from repro.mapreduce.columnar import (
     concat_batches,
     emit_first_values,
     group_batch,
+    group_buckets,
     singleton_groups,
 )
 from repro.mapreduce.job import JobSpec, TaskContext
@@ -41,6 +44,7 @@ from repro.mapreduce.records import (
 )
 from repro.mapreduce.runner import JobRunner, _JobState
 from repro.util.sizing import sizeof_record, sizeof_records
+from tests.mapreduce.reference_partition import reference_partition
 
 # -- strategies --------------------------------------------------------------
 
@@ -367,6 +371,41 @@ def _reversed_hash_partitioner(key, n):
     return n - 1 - stable_hash(key) % n
 
 
+def _repr_partitioner(key, n):
+    """A custom partitioner over every key at all (``None`` included):
+    by type and repr, so ``False``/``0`` and ``1``/``1.0``/``True`` —
+    equal, yet different keys — mostly land in different buckets."""
+    return zlib.crc32(f"{type(key).__qualname__}:{key!r}".encode()) % n
+
+
+def _tuple_combiner(_key, values):
+    return tuple(values)  # nothing a reordered or regrouped value hides in
+
+
+def _tuple_batch_combiner(grouped):
+    return ColumnBatch(
+        grouped.unique_keys(), build_column([tuple(vs) for _key, vs in grouped])
+    )
+
+
+def _declining_batch_combiner(_grouped):
+    return None
+
+
+_SHARED_NAN = float("nan")
+# {no combiner, scalar, batch, batch declining} x {default, custom}.
+_PARTITION_MATRIX = [
+    dict(partitioner=partitioner, **combiners)
+    for partitioner in (hash_partitioner, _repr_partitioner)
+    for combiners in (
+        {},
+        {"combiner": _tuple_combiner},
+        {"combiner": _tuple_combiner, "batch_combiner": _tuple_batch_combiner},
+        {"combiner": _tuple_combiner, "batch_combiner": _declining_batch_combiner},
+    )
+]
+
+
 class TestPartitionStep:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -404,3 +443,46 @@ class TestPartitionStep:
             assert bucket.nbytes_wire() == sizeof_records(expected)
             combined += len(expected)
         assert sum(len(b) for b in buckets) == combined
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_rows, st.integers(1, 6))
+    # Equal keys that hash apart stay apart, each with its own reducer.
+    @example([(False, 0), (0, 1)], 3)
+    @example([(1, 1), (1.0, 2), (True, 3)], 3)  # 1 and True share bucket 1
+    @example([(1, 1), (1.0, 2), (True, 3)], 5)  # three buckets
+    @example([(0.0, 1), (-0.0, 2)], 3)
+    @example([(_SHARED_NAN, 1), (_SHARED_NAN, 2), (0.5, 3)], 2)
+    @example([(3, 1), ("a", 2), (3, 3), (None, 4)], 1)  # all one bucket
+    @example([(7, 1), (7, 2), (7, 3)], 6)  # all empty but one
+    def test_buckets_match_the_per_bucket_reference(self, rows, n):
+        batch = ColumnBatch.from_rows(rows)
+        for spec_kw in _PARTITION_MATRIX:
+            state = _job_state(num_reducers=n, **spec_kw)
+            try:
+                expected = reference_partition(state.spec, batch)
+            except TypeError:  # a key stable_hash refuses (None)
+                with pytest.raises(TypeError):
+                    state._partition(batch)
+                continue
+            buckets = state._partition(batch)
+            assert len(buckets) == n
+            for bucket, reference in zip(buckets, expected):
+                assert type(bucket) is ColumnBatch
+                _assert_same_rows(bucket.to_rows(), reference.to_rows())
+                assert bucket.nbytes_wire() == reference.nbytes_wire()
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_rows, st.integers(1, 6))
+    @example([(False, 0), (0, 1), (False, 2)], 3)
+    @example([(_SHARED_NAN, 1), (_SHARED_NAN, 2)], 2)
+    def test_group_buckets_is_group_by_key_bucket_by_bucket(self, rows, n):
+        batch = ColumnBatch.from_rows(rows)
+        rows = batch.to_rows()  # what the columns hold (fresh NaN objects)
+        pids = np.array([_repr_partitioner(k, n) for k, _v in rows], dtype=np.int64)
+        grouped, groups_per_bucket = group_buckets(batch, pids, n)
+        per_bucket = [
+            group_by_key(r for r, p in zip(rows, pids.tolist()) if p == bucket)
+            for bucket in range(n)
+        ]
+        assert groups_per_bucket.tolist() == [len(groups) for groups in per_bucket]
+        _assert_same_groups(grouped, [g for groups in per_bucket for g in groups])

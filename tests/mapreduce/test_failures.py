@@ -8,6 +8,7 @@ from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.pic.engine import BestEffortEngine
+from tests.mapreduce.kmeans_job import assert_same_records_and_bytes, run_kmeans_job
 from tests.pic.toy import MeanProgram
 
 
@@ -62,6 +63,24 @@ class TestTaskRetry:
             mean_spec(), dataset, failures={i: 5 for i in range(4)}
         )
         assert result.output[0][1] == pytest.approx(19.5)
+
+
+class TestCombinerJobRetry:
+    """A retried map task's combined buckets are counted and shuffled
+    once, in barrier and pipelined mode alike."""
+
+    @pytest.mark.parametrize("batch_combiner", [True, False])
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_combined_buckets_counted_once(self, pipeline, batch_combiner):
+        def run(**run_kw):
+            cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+            return run_kmeans_job(cluster, pipeline, batch_combiner, **run_kw)
+
+        clean = run()
+        flaky = run(failures={0: 1})
+        assert flaky.counters.get("failed_map_attempts") == 1
+        assert flaky.duration > clean.duration
+        assert_same_records_and_bytes(flaky, clean)
 
 
 class TestBestEffortUnderFailures:

@@ -23,7 +23,12 @@ def declining_batch_combiner(grouped):
 
 
 def fixed_batch_combiner(grouped):
-    return ColumnBatch.from_rows([("z", 0)])
+    # Recognisably not the scalar combiner's output: one ("z", 0) per group.
+    return ColumnBatch.from_rows([("z", 0)] * len(grouped))
+
+
+def short_batch_combiner(grouped):
+    return ColumnBatch.from_rows([(0, 99)])
 
 
 def layout_bound_batch_combiner(grouped):
@@ -158,7 +163,18 @@ class TestRunHelpers:
             name="j", mapper=noop_mapper, reducer=noop_reducer,
             combiner=sum_combiner, batch_combiner=fixed_batch_combiner,
         )
-        assert vectorized.run_combiner(grouped).to_rows() == [("z", 0)]
+        assert vectorized.run_combiner(grouped).to_rows() == [("z", 0), ("z", 0)]
+
+    def test_run_combiner_rejects_a_batch_combiner_that_drops_groups(self):
+        # The runner cuts the combined batch by groups per bucket; one
+        # record for three groups used to reduce 1 record, silently.
+        spec = JobSpec(
+            name="short", mapper=noop_mapper, reducer=noop_reducer,
+            combiner=sum_combiner, batch_combiner=short_batch_combiner,
+        )
+        grouped = group_batch(ColumnBatch.from_rows([(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match=r"'short'.*1 records for 3 groups"):
+            spec.run_combiner(grouped)
 
     def test_run_combiner_of_no_groups_skips_the_batch_combiner(self):
         # An empty batch has object columns whatever the job emits, so a

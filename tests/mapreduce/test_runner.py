@@ -8,7 +8,7 @@ from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, TaskContext
-from repro.mapreduce.records import DistributedDataset
+from repro.mapreduce.records import DistributedDataset, stable_hash
 from repro.mapreduce.runner import JobRunner
 
 
@@ -127,6 +127,37 @@ class TestOneDataPlane:
         assert sorted(handle.result().output) == [
             (f"word{i}", 30) for i in range(10)
         ]
+
+
+class TestOneCombinerCallPerMapAttempt:
+    def test_sixteen_reducers_one_map_task_one_call(self):
+        # The map output is grouped by (partition, key) once and the
+        # combiner sees all sixteen buckets' groups together — it used
+        # to run once per non-empty bucket.
+        calls = []
+
+        def counting_batch_combiner(grouped):
+            calls.append(len(grouped))
+            return ColumnBatch.from_rows(
+                [(key, sum(values)) for key, values in grouped]
+            )
+
+        _c, runner, dataset = make_env(num_splits=1, num_words=40)
+        result = runner.run(
+            word_spec(
+                num_reducers=16,
+                combiner=sum_combiner,
+                batch_combiner=counting_batch_combiner,
+            ),
+            dataset,
+        )
+        assert calls == [40]
+        assert result.counters.get("combine_output_records") == 40
+        # 40 words over 16 reducers: the one call did span buckets.
+        assert len({stable_hash(f"word{i}") % 16 for i in range(40)}) > 1
+        assert dict(result.output) == {
+            f"word{i}": 300 // 40 + (i < 300 % 40) for i in range(40)
+        }
 
 
 class TestCustomPartitioner:

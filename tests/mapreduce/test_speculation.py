@@ -8,6 +8,7 @@ from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
+from tests.mapreduce.kmeans_job import assert_same_records_and_bytes, run_kmeans_job
 
 
 def heterogeneous_cluster(num_nodes=4, slow_node=2, slowdown=8.0):
@@ -115,3 +116,20 @@ class TestSpeculativeExecution:
             sum_spec(), dataset, speculative=True, failures={1: 1}
         )
         assert result.output[0][1] == pytest.approx(sum(range(4000)))
+
+
+class TestSpeculativeCombinerJob:
+    """A killed twin's combined buckets are neither counted nor
+    shuffled, in barrier and pipelined mode alike."""
+
+    @pytest.mark.parametrize("batch_combiner", [True, False])
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_combined_buckets_counted_once(self, pipeline, batch_combiner):
+        plain = run_kmeans_job(heterogeneous_cluster(), pipeline, batch_combiner)
+        backed_up = run_kmeans_job(
+            heterogeneous_cluster(), pipeline, batch_combiner, speculative=True
+        )
+        assert backed_up.counters.get("speculative_attempts") >= 1
+        assert backed_up.counters.get("speculative_losses") >= 1
+        assert backed_up.duration < plain.duration
+        assert_same_records_and_bytes(backed_up, plain)
