@@ -35,7 +35,9 @@ Times the host-side hot paths of the reproduction:
   from when a row-at-a-time twin ran beside it; kept because the
   baseline and the perf ledger's probes are keyed on it);
 * ``solve_parallel_w{N}`` — the same solves through the process pool
-  (reported for trajectory; multi-core hosts should see < serial).
+  (reported for trajectory; multi-core hosts should see < serial);
+* ``solve_parallel_w2_small`` — 64 millisecond-sized solves through
+  two workers: the pool's dispatch cost per wave, under the gate.
 
 Usage::
 
@@ -166,6 +168,27 @@ def _make_solve_parallel(workers: int):
         return run
 
     return bench
+
+
+def bench_solve_parallel_w2_small(cfg) -> Callable[[], None]:
+    """64 millisecond-sized solves over ``ColumnBatch`` records sharing
+    one program, through two workers: the dispatch-bound regime (every
+    best-effort round after the first), where ``solve_parallel_w4``'s
+    few fat solves hide what a pool map costs per task."""
+    from repro.mapreduce.columnar import ColumnBatch
+    from repro.parallel import get_executor, solve_subproblem
+
+    program, records, model0 = _kmeans_fixture(cfg["points"], cfg["k"])
+    payloads = [
+        (program, ColumnBatch.from_rows(recs), model, None)
+        for recs, model in program.partition(records, model0, 64, seed=3)
+    ]
+    executor = get_executor(2)
+
+    def run() -> None:
+        executor.map(solve_subproblem, payloads)
+
+    return run
 
 
 def bench_shuffle_accounting_job(cfg) -> Callable[[], None]:
@@ -536,6 +559,9 @@ BENCHES: dict[str, Callable[[dict], Callable[[], None]]] = {
 # core count, so the regression gate skips them (see check_against).
 TRAJECTORY_ONLY = {"solve_parallel_w4"}
 BENCHES["solve_parallel_w4"] = _make_solve_parallel(4)
+# Gated, unlike the bench above: two workers fit every host that runs
+# the gate, and the pool's per-wave dispatch cost is what it measures.
+BENCHES["solve_parallel_w2_small"] = bench_solve_parallel_w2_small
 
 # Slow tier: heavyweight benches that only run in ``--mode full``.
 # Smoke mode — the CI regression gate — skips them, so they never

@@ -173,6 +173,11 @@ class Column:
         memory export); object storage has none."""
         return []
 
+    def holds_objects(self) -> bool:
+        """True when values live as Python objects outside
+        :meth:`backing_arrays` (they may hold ndarrays of their own)."""
+        return False
+
 
 class ScalarColumn(Column):
     """int, float, or bool values with exact Python types.
@@ -399,6 +404,9 @@ class TupleColumn(Column):
     def backing_arrays(self) -> list[np.ndarray]:
         return [a for slot in self.slots for a in slot.backing_arrays()]
 
+    def holds_objects(self) -> bool:
+        return any(slot.holds_objects() for slot in self.slots)
+
 
 class ObjectColumn(Column):
     """Any Python objects, stored as-is: the kind every value fits."""
@@ -425,6 +433,9 @@ class ObjectColumn(Column):
 
     def nbytes_wire(self) -> int:
         return sum(sizeof_value(v) for v in self.values)
+
+    def holds_objects(self) -> bool:
+        return True
 
 
 # -- column construction -----------------------------------------------------
@@ -546,6 +557,10 @@ class ColumnBatch:
     def backing_arrays(self) -> list[np.ndarray]:
         """All numpy arrays backing both columns (shared-memory export)."""
         return self.keys.backing_arrays() + self.values.backing_arrays()
+
+    def holds_objects(self) -> bool:
+        """True when either column stores values as Python objects."""
+        return self.keys.holds_objects() or self.values.holds_objects()
 
 
 def columnize(records: ColumnBatch | Sequence[tuple[Any, Any]]) -> ColumnBatch:

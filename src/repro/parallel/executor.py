@@ -39,6 +39,10 @@ _FALLBACK_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 # Picklability verdicts per function identity (see ``_picklable``).
 _PROBE_CACHE: dict[tuple[int, str, str], bool] = {}
 
+# Contiguous chunks per worker in one pool map (``multiprocessing.Pool.map``'s
+# rule): a wave costs O(workers) round trips, yet uneven tasks still balance.
+_CHUNKS_PER_WORKER = 4
+
 
 def resolve_workers(workers: int | None = None) -> int:
     """Resolve a worker count: explicit value, else ``PIC_WORKERS``, else 1."""
@@ -93,6 +97,11 @@ class SerialExecutor(TaskExecutor):
 class ProcessPoolTaskExecutor(TaskExecutor):
     """Fans payloads out to a shared ``ProcessPoolExecutor``.
 
+    The pool gets one work item per contiguous chunk of payloads: a
+    chunk is one pickle, so what its payloads share (program, job spec,
+    shm handle) crosses once, and a worker's tasks share those objects
+    exactly as in-process tasks do — ``fn`` must not mutate them.
+
     Results come back in payload order.  If the function, a payload, or
     a result cannot cross the process boundary — or the pool dies — the
     whole batch is (re)computed in-process; ``fn`` being pure makes the
@@ -106,9 +115,7 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any]:
         results = self.map_or_none(fn, payloads)
-        if results is None:
-            results = [fn(p) for p in payloads]
-        return results
+        return super().map(fn, payloads) if results is None else results
 
     def map_or_none(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
@@ -128,7 +135,8 @@ class ProcessPoolTaskExecutor(TaskExecutor):
                 return None
             try:
                 pool = _shared_pool(self.workers)
-                return list(pool.map(fn, payloads))
+                chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
+                return list(pool.map(fn, payloads, chunksize=chunksize))
             except _FALLBACK_ERRORS:
                 return None
             except BrokenExecutor:

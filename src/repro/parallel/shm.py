@@ -21,21 +21,17 @@ Lifecycle: the submitting side owns the block and unlinks it after the
 pool map completes (success or not); workers attach, copy, and close
 inside the unpickle, so they never hold a mapping afterwards and the
 copy makes the rebuilt batch's lifetime independent of the block's.
-Export is gated by ``PIC_SHM`` (default on) and silently falls back to
-plain pickling when shared memory is unavailable (``OSError``) or the
-batch is too small to be worth a block.
+Export silently falls back to plain pickling when shared memory is
+unavailable (``OSError``) or the batch is too small to be worth a block.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import weakref
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
-
-SHM_ENV_VAR = "PIC_SHM"
 
 # Below this many payload bytes the two pipe copies are cheaper than a
 # shared-memory block's create/attach/unlink syscalls.
@@ -45,12 +41,6 @@ MIN_SHM_BYTES = 64 * 1024
 # maps (pipelined mode).  Loop-invariant datasets re-submitted every
 # iteration stay well under this; the LRU trim handles the rest.
 DEFAULT_EXPORT_CACHE_BYTES = 1 << 30
-
-
-def shm_enabled() -> bool:
-    """Shared-memory hand-off toggle (``PIC_SHM``, default on)."""
-    raw = os.environ.get(SHM_ENV_VAR, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 def _release_block(shm: shared_memory.SharedMemory) -> None:
@@ -142,6 +132,10 @@ def export_batch(batch: Any) -> ShmBatch | None:
     ``None`` means "pickle it normally": the batch is small, carries
     non-buffer columns only, or the system refused a block.
     """
+    # No object storage: the arrays bound the out-of-band total, so skip the sizing pickle.
+    arrays = batch.backing_arrays()
+    if not batch.holds_objects() and sum(a.nbytes for a in arrays) < MIN_SHM_BYTES:
+        return None
     buffers: list[pickle.PickleBuffer] = []
     try:
         skeleton = pickle.dumps(batch, protocol=5, buffer_callback=buffers.append)
@@ -319,15 +313,12 @@ def swap_out_batches(
     Returns the rewritten payloads plus the handles to release once the
     pool map has consumed them.  Payloads are scanned one tuple level
     deep — exactly where the task functions carry their record batches.
-    When ``PIC_SHM`` is off (or nothing qualifies) the originals come
-    back untouched.
+    When nothing qualifies the originals come back untouched.
 
     With ``cache`` set, handles are leased from it instead of exported
     fresh: they stay alive across calls and are **not** added to the
     returned release list — the cache owns their lifetime.
     """
-    if not shm_enabled():
-        return list(payloads), []
     from repro.mapreduce.columnar import ColumnBatch
 
     if cache is not None:

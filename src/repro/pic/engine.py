@@ -39,7 +39,7 @@ from repro.mapreduce.job import JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
-from repro.parallel import TaskExecutor, get_executor, solve_subproblem
+from repro.parallel import SerialExecutor, TaskExecutor, get_executor, solve_subproblem
 from repro.pic.api import PICProgram
 from repro.util.rng import SeedLike
 from repro.util.sizing import sizeof_records
@@ -161,8 +161,12 @@ class BestEffortEngine:
             if self.pipeline and cache is None:
                 cache = NodeMemoryCache.from_cluster(cluster)
             self.cache = cache if self.pipeline else None
+            # Serial on purpose: a round's real work already went through
+            # self.executor in _solve_subproblems(), and the job's mappers
+            # are closures that replay those results — a pool could only
+            # export every split to shm and then fail on the closure.
             self.runner = JobRunner(
-                cluster, self.dfs, executor=self.executor,
+                cluster, self.dfs, executor=SerialExecutor(),
                 pipeline=self.pipeline, cache=self.cache,
             )
         self._dataset_seq = 0
@@ -479,8 +483,9 @@ class BestEffortEngine:
                 ctx.emit(key, program.merge_element(key, values))
 
             # The closures capture `program`/`solved_cache`, so the job
-            # runner's pool skips them; that is intended — the real solves
-            # already ran through the executor in _solve_subproblems().
+            # cannot go to a pool; that is intended (the engine's own
+            # runner is serial) — the real solves already ran through
+            # the executor in _solve_subproblems().
             return JobSpec(
                 batch_mapper=be_mapper,  # pic: noqa: PIC101
                 reducer=be_reducer,  # pic: noqa: PIC101

@@ -1,7 +1,7 @@
 """Frozen-reference summaries for barrier vs pipelined execution.
 
 ``PIC_PIPELINE`` deliberately changes *simulated timing* (unlike
-``PIC_WORKERS`` / ``PIC_SHM``, which are wall-clock only), so pipelined
+``PIC_WORKERS``, which is wall-clock only), so pipelined
 runs cannot be checked against barrier runs for bit-identity.  Instead
 each mode gets its own frozen reference: a digest of the final model
 plus the exact simulated clock and traffic ledger, committed to

@@ -3,9 +3,10 @@
 The contract of ``repro.parallel``: any ``PIC_WORKERS`` value changes
 host wall-clock only.  Running each app's full PIC pipeline (partition,
 co-locate, best-effort solves, merge, top-off) under ``PIC_WORKERS=1``
-and ``PIC_WORKERS=4`` must produce the same merged model, the same
-per-round ``BEIterationStats``, and the same traffic-meter snapshot —
-bit for bit, not approximately.
+and ``PIC_WORKERS=4`` (one task per pool work item) or ``PIC_WORKERS=3``
+(chunks of two tasks sharing one unpickled program/spec/model) must
+produce the same merged model, the same per-round ``BEIterationStats``,
+and the same traffic-meter snapshot — bit for bit, not approximately.
 """
 
 import numpy as np
@@ -85,7 +86,7 @@ APPS = {
 }
 
 
-def _run_app(factory, monkeypatch, workers_env: str):
+def _run_app(factory, monkeypatch, workers_env: str, num_partitions: int = 4):
     import copy
 
     monkeypatch.setenv("PIC_WORKERS", workers_env)
@@ -94,7 +95,7 @@ def _run_app(factory, monkeypatch, workers_env: str):
     runner = PICRunner(
         cluster,
         program,
-        num_partitions=4,
+        num_partitions=num_partitions,
         seed=7,
         be_max_iterations=3,
         max_iterations=3,
@@ -105,8 +106,25 @@ def _run_app(factory, monkeypatch, workers_env: str):
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_parallel_matches_serial_bit_for_bit(app, monkeypatch):
-    serial, serial_meter = _run_app(APPS[app], monkeypatch, "1")
-    parallel, parallel_meter = _run_app(APPS[app], monkeypatch, "4")
+    _assert_same_run(
+        _run_app(APPS[app], monkeypatch, "1"), _run_app(APPS[app], monkeypatch, "4")
+    )
+
+
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_chunk_mates_match_serial_bit_for_bit(app, monkeypatch):
+    """Three workers x 16 solves and 16 top-off map tasks: every pool
+    work item is a chunk of two payloads, which share one unpickled
+    ``program``/``spec``/``model`` inside the worker as serial tasks do."""
+    _assert_same_run(
+        _run_app(APPS[app], monkeypatch, "1", num_partitions=16),
+        _run_app(APPS[app], monkeypatch, "3", num_partitions=16),
+    )
+
+
+def _assert_same_run(serial_run, parallel_run):
+    serial, serial_meter = serial_run
+    parallel, parallel_meter = parallel_run
 
     assert _deep_equal(serial.model, parallel.model)
     assert serial.total_time == parallel.total_time

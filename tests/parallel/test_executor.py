@@ -1,5 +1,6 @@
 """Unit tests for the host-side task executors."""
 
+import os
 import pickle
 
 import pytest
@@ -20,6 +21,30 @@ def _square(x):
 
 def _first_element(payload):
     return payload[0]
+
+
+def _lambda_at_five(x):
+    return (lambda: x) if x == 5 else x
+
+
+def _raise_at_five(x):
+    if x == 5:
+        raise ValueError("task five failed")
+    return x
+
+
+def _die(x):
+    os._exit(1)
+
+
+# Parent-side: ``__reduce__`` runs in the process that pickles.
+_SHARED_PICKLES = []
+
+
+class _Shared:
+    def __reduce__(self):
+        _SHARED_PICKLES.append(1)
+        return (_Shared, ())
 
 
 class TestResolveWorkers:
@@ -112,6 +137,66 @@ class TestProcessPoolExecutor:
 
     def test_base_class_contract(self):
         assert isinstance(ProcessPoolTaskExecutor(2), TaskExecutor)
+
+
+class TestChunkedDispatch:
+    """One pool work item — one pickle, one round trip — per chunk."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 33, 64])
+    def test_equals_serial_in_payload_order(self, n, workers):
+        # Covers n < 4*workers (one task per item) and uneven last chunks.
+        payloads = [(i, "x") for i in range(n)]
+        expected = SerialExecutor().map(_first_element, payloads)
+        ex = ProcessPoolTaskExecutor(workers)
+        assert ex.map_or_none(_first_element, payloads) == expected
+        assert ex.map(_first_element, payloads) == expected
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_shared_state_pickled_once_per_chunk(self, workers, monkeypatch):
+        # A count, not a timing: 64 payloads sharing one object cost at
+        # most 4*workers pickles of it and 4*workers pool submissions.
+        ex = ProcessPoolTaskExecutor(workers)
+        ex.map(_first_element, [(0,), (1,)])  # warm the probe cache
+        pool = executor_mod._shared_pool(workers)
+        submitted = []
+        real_submit = pool.submit
+
+        def counting_submit(*args, **kwargs):
+            submitted.append(args)
+            return real_submit(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        shared = _Shared()
+        del _SHARED_PICKLES[:]
+        payloads = [(i, shared) for i in range(64)]
+        assert ex.map_or_none(_first_element, payloads) == list(range(64))
+        assert 1 <= len(submitted) <= 4 * workers
+        assert len(_SHARED_PICKLES) == len(submitted)
+
+    def test_unpicklable_payload_mid_chunk_falls_back(self):
+        payloads = [(i,) for i in range(16)]
+        payloads[5] = (lambda: 5,)  # second item of the third chunk
+        ex = ProcessPoolTaskExecutor(2)
+        assert ex.map_or_none(len, payloads) is None
+        assert ex.map(len, payloads) == [1] * 16
+
+    def test_unpicklable_result_mid_chunk_falls_back(self):
+        ex = ProcessPoolTaskExecutor(2)
+        assert ex.map_or_none(_lambda_at_five, list(range(16))) is None
+        results = ex.map(_lambda_at_five, list(range(16)))
+        assert results[5]() == 5
+        assert results[:5] + results[6:] == [0, 1, 2, 3, 4] + list(range(6, 16))
+
+    def test_task_exception_still_propagates(self):
+        with pytest.raises(ValueError, match="task five failed"):
+            ProcessPoolTaskExecutor(2).map_or_none(_raise_at_five, list(range(16)))
+
+    def test_broken_pool_is_discarded(self):
+        ex = ProcessPoolTaskExecutor(2)
+        assert ex.map_or_none(_die, list(range(16))) is None
+        assert 2 not in executor_mod._POOLS
+        assert ex.map_or_none(_square, [1, 2, 3]) == [1, 4, 9]  # fresh pool
 
 
 class TestProbeCache:

@@ -33,6 +33,11 @@ def _big_batch(rows: int = 200, width: int = 80) -> ColumnBatch:
     return batch
 
 
+def _batch_checksum(payload):
+    index, batch = payload
+    return index, float(batch.values.data.sum())
+
+
 def _same_batch(a: ColumnBatch, b: ColumnBatch) -> bool:
     if len(a) != len(b):
         return False
@@ -99,22 +104,58 @@ class TestSwapOutBatches:
         assert exported == []
         assert swapped[0][1] is batch
 
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("PIC_SHM", "0")
-        batch = _big_batch()
-        swapped, exported = swap_out_batches([("spec", batch)])
-        assert exported == []
-        assert swapped[0][1] is batch
+    def test_refused_block_rides_the_pipe(self, monkeypatch):
+        # The fallback that exists: the system refuses a block, the
+        # batches are pickled through the pipe, the map equals serial.
+        from repro.parallel import ProcessPoolTaskExecutor, SerialExecutor
+        from repro.parallel import shm as shm_mod
 
-    @pytest.mark.parametrize("raw,swaps", [
-        ("", True), ("1", True), ("on", True),
-        ("0", False), ("off", False), ("no", False), ("FALSE", False),
-    ])
-    def test_env_parsing(self, monkeypatch, raw, swaps):
-        monkeypatch.setenv("PIC_SHM", raw)
-        swapped, exported = swap_out_batches([("s", _big_batch())])
+        real = shm_mod.shared_memory.SharedMemory
+
+        def refuse_create(*args, create=False, **kwargs):
+            # Attaching still works: workers forked from here inherit
+            # this patch and outlive the test in the shared pool.
+            if create:
+                raise OSError("injected: no shared memory")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shm_mod.shared_memory, "SharedMemory", refuse_create)
+        batch = _big_batch()
+        payloads = [(i, batch) for i in range(4)]
+        swapped, exported = swap_out_batches(payloads)
+        assert exported == []
+        assert all(p[1] is batch for p in swapped)
+        assert ProcessPoolTaskExecutor(2).map_or_none(
+            _batch_checksum, payloads
+        ) == SerialExecutor().map(_batch_checksum, payloads)
+
+    def test_only_batches_that_can_reach_the_threshold_are_pickled(
+        self, monkeypatch
+    ):
+        pickled = []
+        real_dumps = pickle.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            pickled.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        small = ColumnBatch.from_rows([(i, float(i)) for i in range(12)])
+        big = _big_batch()
+        # Ragged arrays live in an ObjectColumn: no backing array counts
+        # them, yet protocol 5 hands their buffers out-of-band.
+        ragged = ColumnBatch.from_rows(
+            [(i, np.zeros(4096 + i)) for i in range(3)]
+        )
+        assert ragged.holds_objects() and ragged.backing_arrays()[0].nbytes < 100
+        swapped, exported = swap_out_batches([(small, big, ragged)])
         try:
-            assert bool(exported) is swaps
+            assert pickled == [big, ragged]  # the small one never sized
+            assert swapped[0][0] is small
+            assert [swapped[0][1], swapped[0][2]] == exported
+            assert _same_batch(pickle.loads(real_dumps(exported[0])), big)
+            assert exported[1].nbytes >= MIN_SHM_BYTES
+            assert _same_batch(pickle.loads(real_dumps(exported[1])), ragged)
         finally:
             release_batches(exported)
 

@@ -160,3 +160,36 @@ class TestDeterminism:
         assert r1.model == r2.model
         assert r1.total_time == pytest.approx(r2.total_time)
         assert r1.local_iterations_by_round == r2.local_iterations_by_round
+
+    def test_pool_sees_the_solves_but_never_the_replay_job(self):
+        """A best-effort job's mappers are closures replaying the solves
+        the engine already sent through its executor, so the engine's own
+        job runner must not offer them to the pool (it would export every
+        split to shared memory only to fail on the closure)."""
+        from repro.parallel import (
+            ProcessPoolTaskExecutor,
+            SerialExecutor,
+            run_map_task,
+            solve_subproblem,
+        )
+
+        class SpyPool(ProcessPoolTaskExecutor):
+            def __init__(self):
+                super().__init__(2)
+                self.calls = []
+
+            def map_or_none(self, fn, payloads):
+                self.calls.append(fn)
+                return super().map_or_none(fn, payloads)
+
+        spy = SpyPool()
+        c_serial, _p, serial = make_engine(executor=SerialExecutor())
+        c_pool, _p, pooled = make_engine(executor=spy)
+        r_serial = serial.run(RECORDS, {"mean": 0.0})
+        r_pool = pooled.run(RECORDS, {"mean": 0.0})
+        assert run_map_task not in spy.calls
+        assert spy.calls == [solve_subproblem] * r_pool.be_iterations
+        assert r_pool.model == r_serial.model
+        assert r_pool.stats == r_serial.stats
+        assert r_pool.total_time == r_serial.total_time
+        assert c_pool.meter.snapshot() == c_serial.meter.snapshot()
