@@ -396,7 +396,7 @@ _EXAMPLES = [
                 sim.schedule(1.0, lambda: self.on_done(3))
 
             def on_done(self, node: int) -> None:
-                self.sched._free[node] = 1
+                self.sched._held[node, 0] = []
         """,
         """
         from repro.mapreduce.scheduler import SlotScheduler

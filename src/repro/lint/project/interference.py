@@ -54,7 +54,7 @@ if TYPE_CHECKING:
 
 #: Bump when this pass's logic changes what it reports from unchanged
 #: IR (see the cache-salt note in repro.lint.cache).
-INTERFERENCE_PASS_VERSION = 1
+INTERFERENCE_PASS_VERSION = 2
 
 #: Class-name shapes that denote per-job state even without an
 #: ``app_id`` attribute (fixtures and ports included).
@@ -71,7 +71,7 @@ AGGREGATE_LEAVES = frozenset(
         "_reduce_waiters",
         "_reduce_capacity",
         "_outstanding",
-        "_free",
+        "_held",
         "_capacity",
         "_queue",
         "_available",

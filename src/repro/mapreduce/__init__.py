@@ -16,7 +16,8 @@ The package mirrors Hadoop 0.20-era structure:
   cost hints;
 * :mod:`repro.mapreduce.job` — job specification (mapper / combiner /
   reducer / partitioner), contexts, counters, and results;
-* :mod:`repro.mapreduce.scheduler` — locality-aware slot scheduling;
+* :mod:`repro.mapreduce.scheduler` — the locality-aware container
+  allocator and the slot view of it the runner schedules maps through;
 * :mod:`repro.mapreduce.runner` — the engine that executes one job on
   the DES cluster;
 * :mod:`repro.mapreduce.driver` — the do-until-converged template of the

@@ -90,7 +90,10 @@ class JobRunner:
             int, list[tuple[tuple[int, int], Callable[[], None]]]
         ] = {}
         # Serialization point for reduce-slot matching (cf.
-        # SlotScheduler._flush): one pending resolve per timestamp.
+        # ResourceManager._flush): one pending resolve per timestamp.
+        # The only flush/serve trio outside the allocator; folding it
+        # in moves events_processed in every frozen reference, so it
+        # waits for a re-freeze (DESIGN.md §15).
         self._reduce_resolve_pending = False
         self._reduce_resolving = False
         self._job_seq = itertools.count()

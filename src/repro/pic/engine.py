@@ -200,23 +200,24 @@ class BestEffortEngine:
                 subs = self._partition(records, model)
                 sub_models = [s.model for s in subs]
 
-                # Pipelined mode: a per-split latch replaces the
-                # cluster.run() barriers — each map task starts as soon
-                # as *its* co-location and sub-model flows landed.
-                gate = SplitGate(self.num_partitions) if self.pipeline else None
+                # Each map task waits on the latch of *its* co-location
+                # and sub-model flows.  Hadoop's barrier is the
+                # degenerate policy: drain the flows before submitting,
+                # so every latch is already open when the job starts.
+                gate = SplitGate(self.num_partitions)
 
                 if dataset is None:
                     dataset = self._colocate(subs, gate)
                     if self.cache is not None:
                         pins.extend(self._pin_splits(dataset, subs))
-                    if gate is None:
+                    if not self.pipeline:
                         cluster.run()
 
                 # PIC partitions the model: each best-effort map task receives
                 # only its sub-model, so distribution is a scatter of the
                 # partial models, not a full-model broadcast per node.
                 self._scatter_sub_models(subs, model_locations, gate)
-                if gate is None:
+                if not self.pipeline:
                     cluster.run()
 
                 spec = self._be_job_spec(
@@ -305,16 +306,15 @@ class BestEffortEngine:
         self,
         subs: list[SubProblem],
         model_locations: tuple[int, ...],
-        gate: SplitGate | None = None,
+        gate: SplitGate,
     ) -> None:
         """Ship each sub-problem's model share from the merged model's
         closest replica to the sub-problem's home node.
 
         Remote shares go out as one bulk batch — one rate recompute for
-        the whole scatter instead of one per sub-problem.  With a
-        ``gate`` (pipelined mode) each remote share registers a
-        dependency for its sub-problem's split, so the map task waits
-        exactly for its own share instead of a global barrier."""
+        the whole scatter instead of one per sub-problem.  Each remote
+        share registers a ``gate`` dependency for its sub-problem's
+        split, so the map task waits exactly for its own share."""
         requests: list[Any] = []
         for sub in subs:
             nbytes = self.program.model_bytes(sub.model)
@@ -331,19 +331,15 @@ class BestEffortEngine:
                     TrafficCategory.MODEL_READ, nbytes,
                     crosses_core=False, on_fabric=False,
                 )
-            elif gate is not None:
+            else:
                 requests.append((
                     src, sub.home_node, nbytes, TrafficCategory.MODEL_READ,
                     gate.add_dependency(sub.index),
                 ))
-            else:
-                requests.append(
-                    (src, sub.home_node, nbytes, TrafficCategory.MODEL_READ)
-                )
         self.cluster.transfer_batch(requests)
 
     def _colocate(
-        self, subs: list[SubProblem], gate: SplitGate | None = None
+        self, subs: list[SubProblem], gate: SplitGate
     ) -> DistributedDataset:
         """Pin each partition's data to its home node, charging the
         one-time scatter from the (uniformly spread) original input.
@@ -352,9 +348,9 @@ class BestEffortEngine:
         node pair: partitions homed on the same node pull from each
         source together, as one bulk read, instead of issuing
         ``num_partitions × num_nodes`` per-partition flows.  Byte totals
-        are identical either way.  With a ``gate`` (pipelined mode)
-        each aggregated flow registers one dependency covering every
-        sub-problem homed at its destination.
+        are identical either way.  Each aggregated flow registers one
+        ``gate`` dependency covering every sub-problem homed at its
+        destination.
         """
         cluster = self.cluster
         n = cluster.num_nodes
@@ -371,17 +367,11 @@ class BestEffortEngine:
                     continue
                 pair = (src, sub.home_node)
                 pair_bytes[pair] = pair_bytes.get(pair, 0.0) + per_node
-        if gate is not None:
-            cluster.transfer_batch([
-                (src, dst, nbytes, TrafficCategory.REPARTITION,
-                 gate.add_dependency(*homed_at.get(dst, [])))
-                for (src, dst), nbytes in pair_bytes.items()
-            ])
-        else:
-            cluster.transfer_batch([
-                (src, dst, nbytes, TrafficCategory.REPARTITION)
-                for (src, dst), nbytes in pair_bytes.items()
-            ])
+        cluster.transfer_batch([
+            (src, dst, nbytes, TrafficCategory.REPARTITION,
+             gate.add_dependency(*homed_at.get(dst, [])))
+            for (src, dst), nbytes in pair_bytes.items()
+        ])
         self._dataset_seq += 1
         return DistributedDataset.from_partitions(
             self.dfs,

@@ -1,267 +1,19 @@
-"""The ResourceManager: containers against per-node capacities.
+"""The YARN ResourceManager: the cluster allocator with NodeSpec capacities.
 
-Replaces Hadoop 0.20's fixed map/reduce slots with YARN's model: each
-node advertises a capacity vector (memory, vcores) derived from its
-:class:`~repro.cluster.topology.NodeSpec`; tasks ask for containers of a
-given profile; grants are locality-aware (node-local > rack-local >
-any), and unsatisfiable requests queue FIFO until releases free room.
-
-Concurrent applications share one RM: every request carries an
-``app_id``, and when several queued requests fit a freed node, the one
-belonging to the application holding the fewest containers wins
-(within each locality tier, ties broken FIFO).  With a single
-application the least-granted rule is vacuous and the schedule is
-exactly the historical FIFO-with-locality order.
-
-Like :class:`~repro.mapreduce.scheduler.SlotScheduler`, grant matching
-runs at a per-timestamp serialization point when requests/releases come
-from inside simulation events, so container placement is independent of
-same-instant event tie order; root-context calls are served
-synchronously.
+Hadoop 0.20's fixed map/reduce slots and YARN's containers are one
+allocator under two capacity models (see
+:mod:`repro.mapreduce.scheduler`, where it lives so the slot runner can
+use it without importing this package).  ``ResourceManager(cluster)``
+is the YARN model: each node advertises ``MEMORY_FRACTION`` of its RAM
+and all of its cores, tasks ask for containers of a given profile, and
+one RM arbitrates every application on the cluster.
 """
 
-from __future__ import annotations
+from repro.mapreduce.scheduler import (
+    Container,
+    ContainerRequest,
+    Resource,
+    ResourceManager,
+)
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-from repro.cluster.cluster import Cluster
-from repro.yarn.resources import Resource
-
-
-@dataclass(frozen=True)
-class Container:
-    """A granted allocation on one node."""
-
-    container_id: int
-    node_id: int
-    resource: Resource
-    app_id: int = 0
-
-
-@dataclass
-class ContainerRequest:
-    """A pending container ask with its locality preferences."""
-
-    req_id: int
-    resource: Resource
-    preferred: tuple[int, ...]
-    preferred_racks: frozenset[int]
-    callback: Callable[[Container], None] = field(compare=False)
-    app_id: int = 0
-
-
-class ResourceManager:
-    """Allocates containers on a simulated cluster."""
-
-    #: Default fraction of a node's RAM usable for containers (YARN's
-    #: ``yarn.nodemanager.resource.memory-mb`` convention: leave head-room
-    #: for the OS and the DataNode/NodeManager daemons).
-    MEMORY_FRACTION = 0.75
-
-    def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self._capacity: dict[int, Resource] = {}
-        self._available: dict[int, Resource] = {}
-        for node in cluster.nodes:
-            capacity = Resource(
-                memory_mb=int(node.spec.ram_bytes / 2**20 * self.MEMORY_FRACTION),
-                vcores=node.spec.cores,
-            )
-            self._capacity[node.node_id] = capacity
-            self._available[node.node_id] = capacity
-        self._queue: list[ContainerRequest] = []
-        self._ids = itertools.count()
-        self.containers_granted = 0
-        # Outstanding container count per application, for least-granted
-        # interleaving of concurrent apps.
-        self._outstanding: dict[int, int] = {}
-        # Serialization point: one pending serve event per timestamp;
-        # _serving suppresses reentrant flushes from grant callbacks.
-        self._serve_pending = False
-        self._serving = False
-
-    # -- queries ----------------------------------------------------------
-
-    def capacity(self, node_id: int) -> Resource:
-        """Total container capacity of ``node_id``."""
-        return self._capacity[node_id]
-
-    def available(self, node_id: int) -> Resource:
-        """Currently unallocated resources on ``node_id``."""
-        return self._available[node_id]
-
-    def cluster_available(self) -> Resource:
-        """Unallocated resources summed over the cluster."""
-        total = Resource.zero()
-        for r in self._available.values():
-            total = total + r
-        return total
-
-    def can_fit_somewhere(self, resource: Resource) -> bool:
-        """True when some node could grant ``resource`` right now."""
-        return any(resource.fits_in(avail) for avail in self._available.values())
-
-    # -- allocation ---------------------------------------------------------
-
-    def request(
-        self,
-        resource: Resource,
-        callback: Callable[[Container], None],
-        preferred: Sequence[int] = (),
-        app_id: int = 0,
-    ) -> None:
-        """Ask for one container; ``callback(container)`` on grant."""
-        if not any(resource.fits_in(cap) for cap in self._capacity.values()):
-            raise ValueError(
-                f"request {resource} exceeds every node's capacity"
-            )
-        racks = frozenset(
-            self.cluster.topology.nodes[n].rack_id for n in preferred
-        )
-        req = ContainerRequest(
-            req_id=next(self._ids),
-            resource=resource,
-            preferred=tuple(preferred),
-            preferred_racks=racks,
-            callback=callback,
-            app_id=app_id,
-        )
-        self._queue.append(req)
-        self._flush()
-
-    def try_allocate_on(
-        self, node_id: int, resource: Resource, app_id: int = 0
-    ) -> Container | None:
-        """Non-queuing allocation pinned to one node (reduce placement)."""
-        if resource.fits_in(self._available[node_id]):
-            container = Container(
-                container_id=next(self._ids),
-                node_id=node_id,
-                resource=resource,
-                app_id=app_id,
-            )
-            self._available[node_id] = self._available[node_id] - resource
-            self.containers_granted += 1
-            self._outstanding[app_id] = self._outstanding.get(app_id, 0) + 1
-            return container
-        return None
-
-    def release(self, container: Container) -> None:
-        """Return a container's resources and serve the queue."""
-        new_avail = self._available[container.node_id] + container.resource
-        if not new_avail.fits_in(self._capacity[container.node_id]):
-            raise RuntimeError(
-                f"container over-release on node {container.node_id}"
-            )
-        self._available[container.node_id] = new_avail
-        self._outstanding[container.app_id] -= 1
-        self._flush()
-
-    def outstanding(self, app_id: int) -> int:
-        """Containers currently held by ``app_id``."""
-        return self._outstanding.get(app_id, 0)
-
-    # -- internals -----------------------------------------------------------
-
-    def _pick_node(self, req: ContainerRequest) -> int | None:
-        fitting = [
-            n for n, avail in self._available.items() if req.resource.fits_in(avail)
-        ]
-        if not fitting:
-            return None
-        local = [n for n in fitting if n in req.preferred]
-        if local:
-            return self._roomiest(local)
-        topo = self.cluster.topology
-        rack_local = [
-            n for n in fitting if topo.nodes[n].rack_id in req.preferred_racks
-        ]
-        if rack_local:
-            return self._roomiest(rack_local)
-        return self._roomiest(fitting)
-
-    def _roomiest(self, nodes: list[int]) -> int:
-        """Most available memory first; node id breaks ties."""
-        return min(nodes, key=lambda n: (-self._available[n].memory_mb, n))
-
-    def _flush(self) -> None:
-        """Serve now (root context) or at the serialization point."""
-        if self._serving:
-            return  # the active serve pass loops until quiescent
-        sim = self.cluster.sim
-        if sim.in_callback:
-            if not self._serve_pending:
-                self._serve_pending = True
-                sim.schedule_serialized(self._serve_point)
-        else:
-            self._serve()
-
-    def _serve_point(self) -> None:
-        self._serve_pending = False
-        self._serve()
-
-    def _serve(self) -> None:
-        # Canonical greedy matching over the complete queue/capacity
-        # state: locality tier first, least-granted app within the
-        # tier, FIFO ties, roomiest node.  Runs once per timestamp, so
-        # placement never depends on same-instant event tie order.
-        self._serving = True
-        try:
-            while self._queue:
-                req = self._next_grant()
-                if req is None:
-                    return
-                node = self._pick_node(req)
-                assert node is not None  # _next_grant saw a fitting node
-                self._queue.remove(req)
-                self._grant(req, node)
-        finally:
-            self._serving = False
-
-    def _next_grant(self) -> ContainerRequest | None:
-        """The queued request to serve next, or None when nothing fits."""
-
-        def fits_on(req: ContainerRequest, node_id: int) -> bool:
-            return req.resource.fits_in(self._available[node_id])
-
-        fitting = [
-            r for r in self._queue
-            if any(fits_on(r, n) for n in self._available)
-        ]
-        if not fitting:
-            return None
-        topo = self.cluster.topology
-        pool = [r for r in fitting if any(fits_on(r, n) for n in r.preferred)]
-        if not pool:
-            pool = [
-                r for r in fitting
-                if any(
-                    fits_on(r, n)
-                    for n in self._available
-                    if topo.nodes[n].rack_id in r.preferred_racks
-                )
-            ]
-        if not pool:
-            pool = fitting
-        best: ContainerRequest | None = None
-        best_held = 0
-        for req in pool:
-            held = self._outstanding.get(req.app_id, 0)
-            if best is None or held < best_held:
-                best = req
-                best_held = held
-        return best
-
-    def _grant(self, req: ContainerRequest, node_id: int) -> None:
-        container = Container(
-            container_id=next(self._ids),
-            node_id=node_id,
-            resource=req.resource,
-            app_id=req.app_id,
-        )
-        self._available[node_id] = self._available[node_id] - req.resource
-        self.containers_granted += 1
-        self._outstanding[req.app_id] = self._outstanding.get(req.app_id, 0) + 1
-        req.callback(container)
+__all__ = ["Container", "ContainerRequest", "Resource", "ResourceManager"]

@@ -2,102 +2,25 @@
 
 :class:`YarnJobRunner` subclasses the slot-based
 :class:`~repro.mapreduce.runner.JobRunner` and swaps its scheduling
-substrate: map tasks acquire containers from a
-:class:`~repro.yarn.rm.ResourceManager` through a slot-compatible
-adapter, and reduce tasks pin containers on their assigned node.  The
-MapReduce engine, the iterative driver and the whole PIC layer run on it
-unchanged — the porting effort the paper predicted to be small is, above
-this line, zero.
+substrate: its :class:`~repro.mapreduce.scheduler.SlotScheduler` view
+hands out map containers of a :class:`~repro.yarn.rm.ResourceManager`
+instead of unit slots, and reduce tasks pin containers on their
+assigned node.  The MapReduce engine, the iterative driver and the
+whole PIC layer run on it unchanged — the porting effort the paper
+predicted to be small is, above this line, zero.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.runner import JobRunner
-from repro.yarn.resources import Resource
-from repro.yarn.rm import Container, ResourceManager
+from repro.mapreduce.scheduler import SlotScheduler
+from repro.yarn.rm import Container, Resource, ResourceManager
 
 #: Hadoop 2's default container profiles.
 MAP_PROFILE = Resource(memory_mb=1024, vcores=1)
 REDUCE_PROFILE = Resource(memory_mb=2048, vcores=1)
-
-
-class _ContainerSlotAdapter:
-    """Presents the RM through the SlotScheduler interface the job
-    engine expects (request/release/free_slots/total_slots)."""
-
-    def __init__(self, rm: ResourceManager, profile: Resource) -> None:
-        self.rm = rm
-        self.profile = profile
-        self._held: dict[int, list[Container]] = {}
-        # Locality statistics mirroring SlotScheduler's.
-        self.assignments_local = 0
-        self.assignments_rack = 0
-        self.assignments_remote = 0
-
-    def request(
-        self,
-        callback: Callable[[int], None],
-        preferred: Sequence[int] = (),
-        app_id: int = 0,
-    ) -> None:
-        """Ask for one map container; callback(node_id) on grant."""
-        preferred = tuple(preferred)
-
-        def on_container(container: Container) -> None:
-            self._held.setdefault(container.node_id, []).append(container)
-            if container.node_id in preferred:
-                self.assignments_local += 1
-            else:
-                topo = self.rm.cluster.topology
-                racks = {topo.nodes[n].rack_id for n in preferred}
-                if topo.nodes[container.node_id].rack_id in racks:
-                    self.assignments_rack += 1
-                else:
-                    self.assignments_remote += 1
-            callback(container.node_id)
-
-        self.rm.request(
-            self.profile, on_container, preferred=preferred, app_id=app_id
-        )
-
-    def release(self, node_id: int, app_id: int = 0) -> None:
-        """Return one held map container of ``app_id`` on ``node_id``."""
-        held = self._held.get(node_id)
-        if not held:
-            raise RuntimeError(f"no held container to release on node {node_id}")
-        for i, container in enumerate(held):
-            if container.app_id == app_id:
-                self.rm.release(held.pop(i))
-                return
-        raise RuntimeError(
-            f"no held container of app {app_id} to release on node {node_id}"
-        )
-
-    def free_slots(self, node_id: int | None = None) -> int:
-        """How many more map containers fit (node or cluster-wide)."""
-        if node_id is not None:
-            avail = self.rm.available(node_id)
-            return min(
-                avail.memory_mb // max(self.profile.memory_mb, 1),
-                avail.vcores // max(self.profile.vcores, 1),
-            )
-        return sum(self.free_slots(n.node_id) for n in self.rm.cluster.nodes)
-
-    @property
-    def total_slots(self) -> int:
-        """Cluster-wide map-container capacity."""
-        total = 0
-        for node in self.rm.cluster.nodes:
-            cap = self.rm.capacity(node.node_id)
-            total += min(
-                cap.memory_mb // max(self.profile.memory_mb, 1),
-                cap.vcores // max(self.profile.vcores, 1),
-            )
-        return total
 
 
 class YarnJobRunner(JobRunner):
@@ -125,8 +48,8 @@ class YarnJobRunner(JobRunner):
         self.map_profile = map_profile
         self.reduce_profile = reduce_profile
         # Swap the scheduling substrate; everything above is unchanged.
-        self.map_scheduler = _ContainerSlotAdapter(self.rm, map_profile)
-        self._reduce_containers: dict[int, list[Container]] = {}
+        self.map_scheduler = SlotScheduler(cluster, "map", self.rm, map_profile)
+        self._reduce_containers: dict[tuple[int, int], list[Container]] = {}
 
     def _claim_reduce_slot(self, node_id: int, app_id: int) -> bool:
         """Pin a reduce container on ``node_id`` if it fits now."""
@@ -135,19 +58,15 @@ class YarnJobRunner(JobRunner):
         )
         if container is None:
             return False
-        self._reduce_containers.setdefault(node_id, []).append(container)
+        self._reduce_containers.setdefault((node_id, app_id), []).append(container)
         return True
 
     def release_reduce(self, node_id: int, app_id: int = 0) -> None:
-        """Return one held reduce container of ``app_id`` on ``node_id``."""
-        held = self._reduce_containers.get(node_id)
+        """Return one reduce container ``app_id`` holds on ``node_id``."""
+        held = self._reduce_containers.get((node_id, app_id))
         if not held:
-            raise RuntimeError(f"no reduce container held on node {node_id}")
-        for i, container in enumerate(held):
-            if container.app_id == app_id:
-                self.rm.release(held.pop(i))
-                self._flush_reduce()
-                return
-        raise RuntimeError(
-            f"no reduce container of app {app_id} held on node {node_id}"
-        )
+            raise RuntimeError(
+                f"no reduce container of app {app_id} held on node {node_id}"
+            )
+        self.rm.release(held.pop())
+        self._flush_reduce()

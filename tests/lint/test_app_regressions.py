@@ -217,14 +217,16 @@ class TestSeededRegressions:
         assert "PIC702" in project_rules(source)
 
     def test_runner_poking_scheduler_free_list_is_caught(self):
-        # Handing a map slot back by writing the scheduler's free table
-        # directly skips its serialization point — queued requests on
-        # that node never get served.
+        # Handing a map slot back by emptying the scheduler's table of
+        # held containers skips the allocator's release and its
+        # serialization point — the slot is never free again and queued
+        # requests on that node never get served.
         source = mutated(
             REPO / "src/repro/mapreduce/runner.py",
             "                self.runner.map_scheduler.release(node_id, "
             "app_id=self.job_index)",
-            "                self.runner.map_scheduler._free[node_id] = 1",
+            "                self.runner.map_scheduler._held[node_id, "
+            "self.job_index] = []",
         )
         assert "PIC703" in project_rules(source)
 

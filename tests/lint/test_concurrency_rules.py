@@ -277,7 +277,7 @@ class TestAggregateBypass:
             class SlotScheduler:
                 def __init__(self) -> None:
                     self._queue: list = []
-                    self._free: dict = {}
+                    self._held: dict = {}
 
                 def request(self, callback) -> None:
                     self._queue.append(callback)
@@ -293,13 +293,14 @@ class TestAggregateBypass:
                     sim.schedule(1.0, lambda: self.on_done(3))
 
                 def on_done(self, node: int) -> None:
-                    self.sched._free[node] = 1
+                    self.sched._held[node] = []
             """,
     }
 
     def test_callback_pokes_scheduler_free_map(self):
         # Seeded bug: an app callback hands a slot back by editing the
-        # scheduler's free map, skipping the canonical matching pass.
+        # scheduler's held-container map, skipping the canonical
+        # matching pass.
         assert rules_in_tree(self.BUGGY) == ["PIC703"]
 
     def test_callback_appends_to_waiter_queue(self):
@@ -345,7 +346,7 @@ class TestAggregateBypass:
             class SlotScheduler:
                 def __init__(self, sim) -> None:
                     self._queue: list = []
-                    self._free: dict = {}
+                    self._held: dict = {}
                     sim.schedule(1.0, self._serve)
 
                 def _serve(self) -> None:
@@ -366,7 +367,7 @@ class TestAggregateBypass:
                     self.sched = sched
 
                 def prime(self, node: int) -> None:
-                    self.sched._free[node] = 1
+                    self.sched._held[node] = []
             """
         assert rules_in_tree(sources) == []
 

@@ -8,16 +8,17 @@ from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.pic.engine import BestEffortEngine
+from repro.yarn import YarnJobRunner
 from tests.mapreduce.kmeans_job import assert_same_records_and_bytes, run_kmeans_job
 from tests.pic.toy import MeanProgram
 
 
-def make_env(num_nodes=4, num_splits=4):
+def make_env(runner_cls=JobRunner, num_nodes=4, num_splits=4):
     cluster = Cluster(num_nodes=num_nodes, nodes_per_rack=num_nodes)
     dfs = DistributedFileSystem(cluster)
     records = [(i, float(i)) for i in range(40)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
-    return cluster, JobRunner(cluster, dfs), dataset
+    return cluster, runner_cls(cluster, dfs), dataset
 
 
 def mean_spec() -> JobSpec:
@@ -33,36 +34,47 @@ def mean_spec() -> JobSpec:
 
 
 class TestTaskRetry:
+    #: The substrate under test; the YARN subclass below re-runs every
+    #: test here on containers.
+    runner_cls = JobRunner
+
     def test_result_unchanged_by_failures(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(self.runner_cls)
         clean = runner.run(mean_spec(), dataset)
-        _c2, runner2, dataset2 = make_env()
+        _c2, runner2, dataset2 = make_env(self.runner_cls)
         flaky = runner2.run(mean_spec(), dataset2, failures={0: 1, 2: 2})
         assert clean.output == flaky.output
 
     def test_failures_counted(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(self.runner_cls)
         result = runner.run(mean_spec(), dataset, failures={0: 1, 2: 2})
         assert result.counters.get("failed_map_attempts") == 3
 
     def test_failures_cost_time(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(self.runner_cls)
         clean = runner.run(mean_spec(), dataset)
-        _c2, runner2, dataset2 = make_env()
+        _c2, runner2, dataset2 = make_env(self.runner_cls)
         flaky = runner2.run(mean_spec(), dataset2, failures={0: 3})
         assert flaky.duration > clean.duration
 
     def test_slots_recovered_after_failures(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(self.runner_cls)
         runner.run(mean_spec(), dataset, failures={0: 2, 1: 2, 2: 2, 3: 2})
         assert runner.map_scheduler.free_slots() == runner.map_scheduler.total_slots
 
     def test_many_failures_still_complete(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(self.runner_cls)
         result = runner.run(
             mean_spec(), dataset, failures={i: 5 for i in range(4)}
         )
         assert result.output[0][1] == pytest.approx(19.5)
+
+
+class TestTaskRetryOnYarn(TestTaskRetry):
+    """The same failure paths on the container substrate: a failed
+    attempt's container goes back to the RM under its app."""
+
+    runner_cls = YarnJobRunner
 
 
 class TestCombinerJobRetry:

@@ -313,6 +313,17 @@ class TestSlotReuse:
         result = runner.run(word_spec(num_reducers=8), dataset)
         assert sorted(result.output) == sorted((f"w{i}", 5) for i in range(20))
 
+    def test_cluster_without_map_slots_rejected_at_submission(self):
+        """No node can ever host a map task: the job fails on its first
+        slot request, not in finish() with "0/N maps"."""
+        cluster = Cluster(
+            num_nodes=2, nodes_per_rack=2, node_spec=NodeSpec(map_slots=0)
+        )
+        dfs = DistributedFileSystem(cluster)
+        dataset = DistributedDataset.materialize(dfs, "/in", [(0, "w")], 1)
+        with pytest.raises(ValueError, match="exceeds every node's capacity"):
+            JobRunner(cluster, dfs).run(word_spec(), dataset)
+
 
 class TestConcurrentSubmission:
     def test_submit_many_runs_jobs_concurrently(self):

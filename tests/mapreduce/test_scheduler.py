@@ -1,10 +1,11 @@
-"""Tests for locality-aware slot scheduling."""
+"""Tests for locality-aware slot scheduling and the allocator under it."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import NodeSpec
-from repro.mapreduce.scheduler import SlotScheduler
+from repro.mapreduce.scheduler import Resource, ResourceManager, SlotScheduler
 
 
 def make_scheduler(num_nodes=4, nodes_per_rack=2, map_slots=2, kind="map"):
@@ -50,6 +51,12 @@ class TestBasics:
         _c, sched = make_scheduler()
         sched.request(lambda n: None)
         assert sched.free_slots() == 7
+
+    def test_request_no_node_can_ever_serve_rejected(self):
+        # Used to queue forever; the job died later in finish().
+        _c, sched = make_scheduler(map_slots=0)
+        with pytest.raises(ValueError, match="exceeds every node's capacity"):
+            sched.request(lambda n: None)
 
 
 class TestLocality:
@@ -160,3 +167,68 @@ class TestConcurrentApps:
         sched.request(lambda n: grants.append(("starved", n)), app_id=2)
         sched.release(0)
         assert grants[-1] == ("greedy", 0)
+
+
+# -- allocator invariants over arbitrary profiles and sequences -------------
+
+_PROFILES = st.builds(
+    Resource, st.sampled_from([512, 1024, 3072]), st.integers(1, 2)
+)
+_PREFERRED = st.sampled_from([(), (0,), (2,), (0, 1)])
+_REQUEST = st.tuples(
+    st.just("request"), _PROFILES, _PREFERRED, st.integers(0, 1),
+)
+_RELEASE = st.tuples(st.just("release"), st.integers(0, 10**6))
+# Long lists where requests outnumber releases, so queues actually form.
+_OPS = st.lists(
+    st.one_of(_REQUEST, _REQUEST, _REQUEST, _RELEASE), min_size=20, max_size=60
+)
+
+
+@given(cores=st.integers(1, 2), ram_gb=st.sampled_from([2, 4]), ops=_OPS)
+@settings(max_examples=150, deadline=None)
+def test_allocator_invariants(cores, ram_gb, ops):
+    """Capacity is conserved per node, ``outstanding`` counts what each
+    app holds, locality beats every other rule, and identical asks of
+    one app are FIFO — after every request and release."""
+    cluster = Cluster(
+        num_nodes=3, nodes_per_rack=2,
+        node_spec=NodeSpec(cores=cores, ram_bytes=ram_gb * 2**30),
+    )
+    rm = ResourceManager(cluster)
+    held = []
+    # (app, resource, preferred) -> sequence numbers still queued.
+    waiting = {}
+
+    def ask(seq, resource, preferred, app):
+        queued = waiting.setdefault((app, resource, preferred), [])
+        queued.append(seq)
+
+        def on_grant(container):
+            assert container.resource == resource and container.app_id == app
+            if container.node_id not in preferred:
+                # Locality first: no preferred node had room for it.
+                assert not any(resource.fits_in(rm.available(n)) for n in preferred)
+            # Identical asks of one app are served in the order made.
+            assert queued.pop(0) == seq
+            held.append(container)
+
+        rm.request(resource, on_grant, preferred=preferred, app_id=app)
+
+    for seq, op in enumerate(ops):
+        if op[0] == "request":
+            _, resource, preferred, app = op
+            if resource.fits_in(rm.capacity(0)):  # nodes are homogeneous
+                ask(seq, resource, preferred, app)
+            else:
+                with pytest.raises(ValueError, match="capacity"):
+                    rm.request(resource, held.append)
+        elif held:
+            rm.release(held.pop(op[1] % len(held)))
+
+        for node in cluster.nodes:
+            used = sum((c.resource for c in held if c.node_id == node.node_id),
+                       Resource(0, 0))
+            assert rm.available(node.node_id) + used == rm.capacity(node.node_id)
+        for app in range(2):
+            assert rm.outstanding(app) == sum(c.app_id == app for c in held)

@@ -8,6 +8,7 @@ from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
+from repro.yarn import YarnJobRunner
 from tests.mapreduce.kmeans_job import assert_same_records_and_bytes, run_kmeans_job
 
 
@@ -23,11 +24,11 @@ def heterogeneous_cluster(num_nodes=4, slow_node=2, slowdown=8.0):
     )
 
 
-def make_env(cluster, num_splits=4):
+def make_env(cluster, runner_cls=JobRunner, num_splits=4):
     dfs = DistributedFileSystem(cluster)
     records = [(i, float(i)) for i in range(4000)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
-    return JobRunner(cluster, dfs), dataset
+    return runner_cls(cluster, dfs), dataset
 
 
 def sum_spec() -> JobSpec:
@@ -69,53 +70,64 @@ class TestHeterogeneousNodes:
 
 
 class TestSpeculativeExecution:
+    #: The substrate under test; the YARN subclass below re-runs every
+    #: test here on containers.
+    runner_cls = JobRunner
+
     def test_same_result_with_and_without(self):
-        runner_a, dataset_a = make_env(heterogeneous_cluster())
+        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls)
         plain = runner_a.run(sum_spec(), dataset_a)
-        runner_b, dataset_b = make_env(heterogeneous_cluster())
+        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls)
         spec = runner_b.run(sum_spec(), dataset_b, speculative=True)
         assert plain.output == spec.output
 
     def test_backup_beats_straggler(self):
         """With one node 8x slower, a backup on a fast node should cut
         the job's makespan substantially."""
-        runner_a, dataset_a = make_env(heterogeneous_cluster())
+        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls)
         plain = runner_a.run(sum_spec(), dataset_a)
-        runner_b, dataset_b = make_env(heterogeneous_cluster())
+        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls)
         spec = runner_b.run(sum_spec(), dataset_b, speculative=True)
         assert spec.duration < plain.duration * 0.6
         assert spec.counters.get("speculative_attempts") >= 1
 
     def test_no_speculation_on_homogeneous_cluster_harmless(self):
         cluster = Cluster(num_nodes=4, nodes_per_rack=4)
-        runner, dataset = make_env(cluster)
+        runner, dataset = make_env(cluster, self.runner_cls)
         result = runner.run(sum_spec(), dataset, speculative=True)
         assert result.output[0][1] == pytest.approx(sum(range(4000)))
 
     def test_counters_track_losses(self):
-        runner, dataset = make_env(heterogeneous_cluster())
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
         result = runner.run(sum_spec(), dataset, speculative=True)
         attempts = result.counters.get("speculative_attempts")
         losses = result.counters.get("speculative_losses")
         assert losses <= attempts
 
     def test_slots_fully_recovered(self):
-        runner, dataset = make_env(heterogeneous_cluster())
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
         runner.run(sum_spec(), dataset, speculative=True)
         assert runner.map_scheduler.free_slots() == runner.map_scheduler.total_slots
 
     def test_accounting_not_double_counted(self):
-        runner, dataset = make_env(heterogeneous_cluster())
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
         result = runner.run(sum_spec(), dataset, speculative=True)
         assert result.counters.get("map_input_records") == 4000
         assert result.counters.get("map_output_records") == 4000
 
     def test_speculation_with_failures(self):
-        runner, dataset = make_env(heterogeneous_cluster())
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
         result = runner.run(
             sum_spec(), dataset, speculative=True, failures={1: 1}
         )
         assert result.output[0][1] == pytest.approx(sum(range(4000)))
+
+
+class TestSpeculativeExecutionOnYarn(TestSpeculativeExecution):
+    """The same backup/kill paths on the container substrate: a killed
+    twin's container goes back to the RM under its app."""
+
+    runner_cls = YarnJobRunner
 
 
 class TestSpeculativeCombinerJob:
