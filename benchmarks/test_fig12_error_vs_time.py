@@ -19,6 +19,7 @@ from repro.harness.workloads import (
     linsolve_small,
     neuralnet_medium,
 )
+from repro.mapreduce.columnar import columnize
 from repro.util.formatting import render_table
 
 
@@ -51,11 +52,12 @@ def fig12a():
         w = neuralnet_medium(num_samples=21_000, num_partitions=18)
         Xv, yv = w.extras["Xv"], w.extras["yv"]
         error_fn = lambda model: w.program.validation_error(model, Xv, yv)
+        records = columnize(w.records)  # one ingest for both runs
         ic, ic_curve = trace_ic(
-            small_cluster(), w.program, w.records, w.initial_model, error_fn
+            small_cluster(), w.program, records, w.initial_model, error_fn
         )
         pic, be_curve, topoff_curve = trace_pic(
-            small_cluster(), w.program, w.records, w.initial_model, error_fn,
+            small_cluster(), w.program, records, w.initial_model, error_fn,
             w.num_partitions,
         )
         return ic, ic_curve, pic, be_curve, topoff_curve
@@ -97,13 +99,14 @@ def fig12b():
                 w.program.centroid_array(model), reference
             )
 
+        records = columnize(w.records)  # one ingest for both runs
         ic_cluster = w.cluster_factory()
         ic, ic_curve = trace_ic(
-            ic_cluster, w.program, w.records, w.initial_model, error_fn
+            ic_cluster, w.program, records, w.initial_model, error_fn
         )
         pic_cluster = w.cluster_factory()
         pic, be_curve, topoff_curve = trace_pic(
-            pic_cluster, w.program, w.records, w.initial_model, error_fn,
+            pic_cluster, w.program, records, w.initial_model, error_fn,
             w.num_partitions,
         )
         return ic, ic_curve, pic, be_curve, topoff_curve
@@ -141,14 +144,15 @@ def fig12c():
                 np.linalg.norm(w.program.solution_vector(model, n) - x_star)
             )
 
+        records = columnize(w.records)  # one ingest for both runs
         ic_cluster = w.cluster_factory()
         ic, ic_curve = trace_ic(
-            ic_cluster, w.program, w.records, w.initial_model, error_fn,
+            ic_cluster, w.program, records, w.initial_model, error_fn,
             max_iterations=1000,
         )
         pic_cluster = w.cluster_factory()
         pic, be_curve, topoff_curve = trace_pic(
-            pic_cluster, w.program, w.records, w.initial_model, error_fn,
+            pic_cluster, w.program, records, w.initial_model, error_fn,
             w.num_partitions, be_max_iterations=100,
         )
         return ic, ic_curve, pic, be_curve, topoff_curve

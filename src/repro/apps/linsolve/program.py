@@ -131,7 +131,7 @@ class LinearSolverProgram(PICProgram):
 
     def partition(
         self,
-        records: Sequence[tuple[Any, Any]],
+        records: ColumnBatch,
         model: Any,
         num_partitions: int,
         seed: SeedLike = 0,

@@ -183,7 +183,7 @@ class PageRankProgram(PICProgram):
 
     def partition(
         self,
-        records: Sequence[tuple[Any, Any]],
+        records: ColumnBatch,
         model: Any,
         num_partitions: int,
         seed: SeedLike = 0,
@@ -193,7 +193,10 @@ class PageRankProgram(PICProgram):
         Also records the cross-partition edges and original out-degrees
         that the merge function needs.
         """
-        vertices = [v for v, _outs in records]
+        # The sub-graphs rewrite every adjacency list, so this partition
+        # walks the batch as rows (once: each iteration materializes them).
+        rows = list(records)
+        vertices = [v for v, _outs in rows]
         if self.partition_mode == "random":
             rng = as_generator(seed)
             order = rng.permutation(len(vertices))
@@ -204,7 +207,7 @@ class PageRankProgram(PICProgram):
         elif self.partition_mode == "mincut":
             from repro.pic.graphcut import mincut_partition
 
-            edges = [(v, t) for v, outs in records for t in outs]
+            edges = [(v, t) for v, outs in rows for t in outs]
             assignment = mincut_partition(
                 max(vertices) + 1, edges, num_partitions, seed=seed
             )
@@ -215,12 +218,12 @@ class PageRankProgram(PICProgram):
                 for pos, v in enumerate(sorted(vertices))
             }
         self._assignment = assignment
-        self._full_outdeg = {v: len(outs) for v, outs in records}
+        self._full_outdeg = {v: len(outs) for v, outs in rows}
         self._cross_edges = []
 
         sub_records: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
         sub_models: list[dict] = [{} for _ in range(num_partitions)]
-        for v, outs in records:
+        for v, outs in rows:
             p = assignment[v]
             internal = tuple(t for t in outs if assignment[t] == p)
             for t in outs:

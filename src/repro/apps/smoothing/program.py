@@ -158,7 +158,7 @@ class ImageSmoothingProgram(PICProgram):
 
     def partition(
         self,
-        records: Sequence[tuple[Any, Any]],
+        records: ColumnBatch,
         model: Any,
         num_partitions: int,
         seed: SeedLike = 0,

@@ -85,11 +85,13 @@ def _report(result: ComparisonResult, quality_rows: list[list[str]] | None = Non
 def _run(workload, speculative: bool, workers: int | None = None) -> ComparisonResult:
     import copy
 
+    from repro.mapreduce.columnar import columnize
     from repro.pic.runner import PICRunner, run_ic_baseline
 
+    records = columnize(workload.records)  # one ingest for both runs
     ic_cluster = workload.cluster_factory()
     ic = run_ic_baseline(
-        ic_cluster, workload.program, workload.records,
+        ic_cluster, workload.program, records,
         initial_model=copy.deepcopy(workload.initial_model),
         max_iterations=1000, speculative=speculative, workers=workers,
     )
@@ -98,7 +100,7 @@ def _run(workload, speculative: bool, workers: int | None = None) -> ComparisonR
         pic_cluster, workload.program, num_partitions=workload.num_partitions,
         seed=3, be_max_iterations=100, max_iterations=1000,
         speculative=speculative, workers=workers,
-    ).run(workload.records, initial_model=copy.deepcopy(workload.initial_model))
+    ).run(records, initial_model=copy.deepcopy(workload.initial_model))
     return ComparisonResult(ic=ic, ic_traffic=ic_cluster.meter.snapshot(), pic=pic)
 
 

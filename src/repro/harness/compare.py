@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
+from repro.mapreduce.columnar import Records, columnize
 from repro.mapreduce.driver import DriverResult
 from repro.pic.api import PICProgram
 from repro.pic.runner import PICResult, PICRunner, run_ic_baseline
@@ -46,7 +47,7 @@ class ComparisonResult:
 def compare_ic_pic(
     cluster_factory: Callable[[], Cluster],
     program: PICProgram,
-    records: Sequence[tuple[Any, Any]],
+    records: Records,
     initial_model: Any,
     num_partitions: int,
     seed: Any = 3,
@@ -58,13 +59,15 @@ def compare_ic_pic(
 
     ``workers`` sets host-side execution parallelism (``PIC_WORKERS``
     when None); it changes wall-clock only — simulated results are
-    bit-identical for any worker count.
+    bit-identical for any worker count.  ``records`` is columnized
+    once; both runs read the same batch.
     """
+    batch = columnize(records)
     ic_cluster = cluster_factory()
     ic = run_ic_baseline(
         ic_cluster,
         program,
-        records,
+        batch,
         initial_model=copy.deepcopy(initial_model),
         max_iterations=max_iterations,
         workers=workers,
@@ -79,7 +82,7 @@ def compare_ic_pic(
         max_iterations=max_iterations,
         workers=workers,
     )
-    pic = runner.run(records, initial_model=copy.deepcopy(initial_model))
+    pic = runner.run(batch, initial_model=copy.deepcopy(initial_model))
     return ComparisonResult(
         ic=ic, ic_traffic=ic_cluster.meter.snapshot(), pic=pic
     )

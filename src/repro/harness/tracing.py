@@ -3,14 +3,19 @@
 Wraps a program's convergence checks so that every iteration of the IC
 baseline — and every best-effort round / top-off iteration of PIC —
 records ``(simulated_time, error(model))`` without perturbing behaviour.
+
+``records`` may be a row list or a ``ColumnBatch``; a caller tracing
+both runs columnizes once and hands the same batch to ``trace_ic`` and
+``trace_pic``, so the comparison ingests its input once.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
+from repro.mapreduce.columnar import Records
 from repro.pic.api import PICProgram
 from repro.pic.runner import PICRunner, run_ic_baseline
 
@@ -51,7 +56,7 @@ class _Tracer:
 def trace_ic(
     cluster: Cluster,
     program: PICProgram,
-    records: Sequence[tuple[Any, Any]],
+    records: Records,
     initial_model: Any,
     error_fn: ErrorFn,
     max_iterations: int = 500,
@@ -70,7 +75,7 @@ def trace_ic(
 def trace_pic(
     cluster: Cluster,
     program: PICProgram,
-    records: Sequence[tuple[Any, Any]],
+    records: Records,
     initial_model: Any,
     error_fn: ErrorFn,
     num_partitions: int,

@@ -35,6 +35,7 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
 from __future__ import annotations
 
 import zlib
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -80,10 +81,6 @@ def crc32_rows(matrix: np.ndarray) -> np.ndarray:
     for col in range(matrix.shape[1]):
         crc = (crc >> 8) ^ table[(crc ^ matrix[:, col]) & 0xFF]
     return crc ^ np.uint32(0xFFFFFFFF)
-
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 def _hash_int64(values: np.ndarray) -> np.ndarray:
@@ -441,50 +438,49 @@ class ObjectColumn(Column):
 # -- column construction -----------------------------------------------------
 
 
-def _is_clean_ascii(s: str) -> bool:
-    # numpy "<U" arrays silently trim trailing NULs; non-ASCII strings
-    # break the bytes==chars sizing identity and numpy-vs-Python sort order.
-    return s.isascii() and not s.endswith("\x00")
+def build_column(values: Sequence[Any]) -> Column:
+    """Build the most specific column that represents ``values`` losslessly.
 
-
-def build_column(values: list[Any]) -> Column:
-    """Build the most specific column that represents ``values`` losslessly."""
+    Every check is one C-level pass (a ``set`` over ``map``, a join, the
+    array constructor itself): this runs over whole inputs at ingest.
+    """
     if not values:
         return ObjectColumn([])
-    first = values[0]
-    t = type(first)
-    if t is bool:
-        if all(type(v) is bool for v in values):
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (t,) = kinds
+        if t is bool:
             return ScalarColumn("bool", np.array(values, dtype=bool))
-    elif t is int:
-        if all(
-            type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in values
-        ):
-            return ScalarColumn(
-                "int", np.array(values, dtype=np.int64)
-            )
-    elif t is float:
-        if all(type(v) is float for v in values):
+        if t is float:
             return ScalarColumn("float", np.array(values, dtype=np.float64))
-    elif t is str:
-        if all(type(v) is str and _is_clean_ascii(v) for v in values):
-            return StringColumn(np.array(values))
-    elif t is np.ndarray:
-        dtype, shape = first.dtype, first.shape
-        if shape and all(
-            type(v) is np.ndarray and v.dtype == dtype and v.shape == shape
-            for v in values
-        ):
-            return ArrayColumn(np.stack(values))
-    elif t is tuple:
-        arity = len(first)
-        if all(type(v) is tuple and len(v) == arity for v in values):
-            if arity == 0:
-                return TupleColumn((), length=len(values))
-            slots = tuple(
-                build_column([v[s] for v in values]) for s in range(arity)
+        if t is int:
+            try:
+                return ScalarColumn("int", np.array(values, dtype=np.int64))
+            except OverflowError:
+                pass  # beyond int64: kept as Python ints
+        elif t is str:
+            # numpy "<U" arrays silently trim trailing NULs; non-ASCII
+            # strings break the bytes==chars sizing identity and the
+            # numpy-vs-Python sort order.
+            joined = "".join(values)
+            if joined.isascii() and not (
+                "\x00" in joined and any(v.endswith("\x00") for v in values)
+            ):
+                return StringColumn(np.array(values))
+        elif t is np.ndarray:
+            shape = values[0].shape
+            if shape and all(
+                len(set(map(attrgetter(layout), values))) == 1
+                for layout in ("dtype", "shape")
+            ):
+                return ArrayColumn(
+                    np.concatenate(values).reshape(len(values), *shape)
+                )
+        elif t is tuple and len(set(map(len, values))) == 1:
+            return TupleColumn(
+                tuple(build_column(slot) for slot in zip(*values)),
+                length=len(values),
             )
-            return TupleColumn(slots, length=len(values))
     return ObjectColumn(list(values))
 
 
@@ -518,10 +514,21 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[Any, Any]]) -> "ColumnBatch":
-        """Columnize a row list; every value round-trips exactly."""
-        keys = build_column([k for k, _v in rows])
-        values = build_column([v for _k, v in rows])
-        return cls(keys, values)
+        """Columnize a row list; every value round-trips exactly.  A row
+        that is not a ``(key, value)`` pair is a ``ValueError`` naming it."""
+        try:
+            keys = [k for k, _v in rows]
+            values = [v for _k, v in rows]
+        except (TypeError, ValueError):
+            for i, row in enumerate(rows):
+                try:
+                    _k, _v = row
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"record {i} is not a (key, value) pair: {row!r}"
+                    ) from None
+            raise
+        return cls(build_column(keys), build_column(values))
 
     def to_rows(self) -> list[tuple[Any, Any]]:
         """Materialize the row representation."""
@@ -540,6 +547,12 @@ class ColumnBatch:
         return ColumnBatch(
             self.keys.slice(start, stop), self.values.slice(start, stop)
         )
+
+    def even_slices(self, parts: int) -> list["ColumnBatch"]:
+        """``parts`` contiguous near-equal views covering the batch in order."""
+        n = len(self)
+        bounds = [round(i * n / parts) for i in range(parts + 1)]
+        return [self.slice(bounds[i], bounds[i + 1]) for i in range(parts)]
 
     def nbytes_wire(self) -> int:
         """Total wire size; equals ``sizeof_records(self.to_rows())``."""
@@ -563,7 +576,11 @@ class ColumnBatch:
         return self.keys.holds_objects() or self.values.holds_objects()
 
 
-def columnize(records: ColumnBatch | Sequence[tuple[Any, Any]]) -> ColumnBatch:
+#: What an ingest boundary accepts: a batch, or the rows to make one of.
+Records = ColumnBatch | Sequence[tuple[Any, Any]]
+
+
+def columnize(records: Records) -> ColumnBatch:
     """``records`` as a :class:`ColumnBatch`: row lists are converted,
     batches pass through.  Called once at each ingest boundary."""
     if isinstance(records, ColumnBatch):
@@ -670,8 +687,9 @@ def group_buckets(
 ) -> tuple[GroupedBatch, np.ndarray]:
     """Group a batch by (bucket id, key), and count each bucket's groups.
 
-    ``bucket_ids`` assigns every record one of ``num_buckets`` buckets
-    (by default all of them the one bucket 0).  The groups come bucket by bucket;
+    ``bucket_ids`` assigns every record one of ``num_buckets`` buckets;
+    ``None`` hash-partitions, ``stable_hash(key) % num_buckets`` (with
+    one bucket, nothing is hashed).  The groups come bucket by bucket;
     inside a bucket they are the groups, group order and within-group
     value order of ``group_by_key`` over the bucket's rows in batch
     order — what scattering the batch into buckets and grouping each on
@@ -679,13 +697,36 @@ def group_buckets(
     different groups.
 
     Typed key columns take one stable argsort by key and one by bucket
-    over it; the rest (object and mixed-type keys, nested tuples, float
-    NaNs — each NaN record its own group) are ordered by ``group_by_key``
-    itself, run over each bucket's row indices.
+    over it; when the grouping hashes and equal keys hash alike, it
+    hashes and orders the runs of equal keys, not the records.  The
+    rest (object and mixed-type keys, nested tuples, float NaNs — each
+    NaN record its own group) are ordered by ``group_by_key`` itself,
+    run over each bucket's row indices.
     """
     groups_per_bucket: np.ndarray
+    n = len(batch)
     order = batch.keys.sort_order()
-    if order is not None:
+    if bucket_ids is None and num_buckets > 1 and (
+        order is None
+        # Floats hash over repr(): 0.0 == -0.0, but the two hash apart.
+        or any(
+            isinstance(slot, ScalarColumn) and slot.kind == "float"
+            for slot in _flat_slots(batch.keys)
+        )
+    ):
+        bucket_ids = batch.partition_ids(num_buckets)
+    if order is not None and bucket_ids is None and num_buckets > 1:
+        by_key = batch.keys.take(order)
+        runs = _group_starts(by_key, None)
+        run_ids = by_key.take(runs).stable_hashes().astype(np.int64) % num_buckets
+        run_order = np.argsort(run_ids, kind="stable")
+        lengths = np.diff(np.append(runs, n))[run_order]
+        starts = np.cumsum(lengths) - lengths
+        # Each run moves as a block: its records' offset is the same.
+        order = order[np.repeat(runs[run_order] - starts, lengths) + np.arange(n)]
+        sorted_keys = batch.keys.take(order)
+        groups_per_bucket = np.bincount(run_ids, minlength=num_buckets)
+    elif order is not None:
         sorted_ids: np.ndarray | None = None
         if bucket_ids is not None:
             order = order[np.argsort(bucket_ids[order], kind="stable")]
@@ -728,21 +769,25 @@ def group_buckets(
     )
 
 
+def _flat_slots(keys: Column) -> list[ScalarColumn | StringColumn]:
+    """The columns holding the keys of a key column that has a
+    ``sort_order``: itself if scalar or string, its slots if a flat tuple."""
+    slots = keys.slots if isinstance(keys, TupleColumn) else (keys,)
+    flat = [s for s in slots if isinstance(s, (ScalarColumn, StringColumn))]
+    assert len(flat) == len(slots)
+    return flat
+
+
 def _group_starts(
     sorted_keys: Column, sorted_bucket_ids: np.ndarray | None
 ) -> np.ndarray:
-    """Group boundaries of a key column in its own ``sort_order`` —
-    which only scalar, string and flat-tuple columns have — cut again
-    wherever the bucket id changes."""
+    """Group boundaries of a key column in its own ``sort_order``, cut
+    again wherever the bucket id changes."""
     n = len(sorted_keys)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    slots = (
-        sorted_keys.slots if isinstance(sorted_keys, TupleColumn) else (sorted_keys,)
-    )
     changed = np.zeros(n - 1, dtype=bool)
-    for slot in slots:
-        assert isinstance(slot, (ScalarColumn, StringColumn))
+    for slot in _flat_slots(sorted_keys):
         changed |= slot.values[1:] != slot.values[:-1]
     if sorted_bucket_ids is not None:
         changed |= sorted_bucket_ids[1:] != sorted_bucket_ids[:-1]

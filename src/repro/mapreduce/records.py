@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.dfs.dfs import DistributedFileSystem
 
 if TYPE_CHECKING:
-    from repro.mapreduce.columnar import ColumnBatch
+    from repro.mapreduce.columnar import ColumnBatch, Records
 
 
 def stable_hash(key: Any) -> int:
@@ -114,6 +114,9 @@ class DistributedDataset:
         self.path = path
         self.splits = splits
         self.dfs = dfs
+        #: Total record count and serialized size over all splits.
+        self.num_records = sum(len(s) for s in splits)
+        self.nbytes = sum(s.nbytes for s in splits)
         self._block_locations: list[tuple[int, ...]] = []
 
     @classmethod
@@ -121,31 +124,23 @@ class DistributedDataset:
         cls,
         dfs: DistributedFileSystem,
         path: str,
-        records: Sequence[tuple[Any, Any]],
+        records: Records,
         num_splits: int,
-        writer_node: int = 0,
-        split_fn: Callable[[Sequence[tuple[Any, Any]], int], list[list[tuple[Any, Any]]]]
-        | None = None,
     ) -> "DistributedDataset":
-        """Split ``records`` evenly, columnize each split (losslessly),
-        and register them with the DFS."""
+        """Columnize ``records`` (a batch passes through), cut the batch
+        into near-equal contiguous splits — zero-copy views of it — and
+        register them with the DFS."""
         # Deferred: repro.mapreduce.columnar builds on this module's
         # scalar hash and grouping.
         from repro.mapreduce.columnar import columnize
 
         if num_splits <= 0:
             raise ValueError(f"num_splits must be positive, got {num_splits}")
-        num_splits = min(num_splits, max(1, len(records)))
-        if split_fn is None:
-            chunks = cls._even_chunks(records, num_splits)
-        else:
-            chunks = split_fn(records, num_splits)
-        splits = [
-            Split(index=i, records=columnize(chunk))
-            for i, chunk in enumerate(chunks)
-        ]
+        batch = columnize(records)
+        chunks = batch.even_slices(min(num_splits, max(1, len(batch))))
+        splits = [Split(index=i, records=chunk) for i, chunk in enumerate(chunks)]
         dataset = cls(path, splits, dfs)
-        dataset._register_blocks(writer_node)
+        dataset._register_blocks()
         return dataset
 
     @classmethod
@@ -153,58 +148,32 @@ class DistributedDataset:
         cls,
         dfs: DistributedFileSystem,
         path: str,
-        partitions: Sequence[ColumnBatch | Sequence[tuple[Any, Any]]],
+        partitions: Sequence[Records],
         placements: Sequence[int],
-        replication: int = 1,
-        sizes: Sequence[int] | None = None,
     ) -> "DistributedDataset":
         """Build a dataset with one split per given partition, each
-        pinned to a chosen node (PIC's co-located sub-problem data).
-
-        ``sizes`` passes along already-measured serialized sizes so a
-        caller that sized the partitions (e.g. for scatter accounting)
-        does not pay for a second walk over every record.
-        """
+        pinned (unreplicated) to a chosen node — PIC's co-located
+        sub-problem data.  Batches pass through; row lists are columnized."""
         from repro.mapreduce.columnar import columnize
 
         if len(placements) != len(partitions):
             raise ValueError(
                 f"{len(partitions)} partitions but {len(placements)} placements"
             )
-        if sizes is not None and len(sizes) != len(partitions):
-            raise ValueError(
-                f"{len(partitions)} partitions but {len(sizes)} sizes"
-            )
         splits = [
-            Split(
-                index=i,
-                records=columnize(p),
-                nbytes=sizes[i] if sizes is not None else -1,
-            )
-            for i, p in enumerate(partitions)
+            Split(index=i, records=columnize(p)) for i, p in enumerate(partitions)
         ]
         dataset = cls(path, splits, dfs)
         for split, node in zip(splits, placements):
             meta = dfs.namenode.create(
-                f"{path}/part-{split.index:05d}",
-                split.nbytes,
-                writer_node=node,
-                replication=replication,
+                f"{path}/part-{split.index:05d}", split.nbytes, node, replication=1
             )
             dataset._block_locations.append(
                 meta.blocks[0].replicas if meta.blocks else (node,)
             )
         return dataset
 
-    @staticmethod
-    def _even_chunks(
-        records: Sequence[tuple[Any, Any]], num_splits: int
-    ) -> list[list[tuple[Any, Any]]]:
-        n = len(records)
-        bounds = [round(i * n / num_splits) for i in range(num_splits + 1)]
-        return [list(records[bounds[i] : bounds[i + 1]]) for i in range(num_splits)]
-
-    def _register_blocks(self, writer_node: int) -> None:
+    def _register_blocks(self) -> None:
         """Create one DFS file per split (block-per-split placement)."""
         namenode = self.dfs.namenode
         num_nodes = self.dfs.cluster.num_nodes
@@ -214,7 +183,7 @@ class DistributedDataset:
             # HDFS. Metadata-only create still decides replica placement;
             # rotating the "writer" spreads first replicas like a real
             # parallel ingest would.
-            writer = (writer_node + split.index) % num_nodes
+            writer = split.index % num_nodes
             meta = namenode.create(
                 f"{self.path}/part-{split.index:05d}", split.nbytes, writer
             )
@@ -223,16 +192,6 @@ class DistributedDataset:
     def locations(self, split_index: int) -> tuple[int, ...]:
         """Nodes holding the block backing ``split_index``."""
         return self._block_locations[split_index]
-
-    @property
-    def num_records(self) -> int:
-        """Total record count over all splits."""
-        return sum(len(s) for s in self.splits)
-
-    @property
-    def nbytes(self) -> int:
-        """Total serialized size over all splits."""
-        return sum(s.nbytes for s in self.splits)
 
     def all_records(self) -> list[tuple[Any, Any]]:
         """All records, concatenated in split order."""

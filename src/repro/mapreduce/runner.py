@@ -579,7 +579,7 @@ class _JobState:
 
     def _map_execute(self, attempt: dict, ctx: TaskContext) -> None:
         output = ctx.collect()
-        buckets = self._partition(output)
+        buckets, counts = self._partition(output)
         bucket_bytes = [bucket.nbytes_wire() for bucket in buckets]
         # Without a combiner the buckets are exactly the raw output
         # re-partitioned, so one sizing pass covers both totals.
@@ -592,20 +592,28 @@ class _JobState:
             attempt,
             sum(bucket_bytes) / disk,
             lambda: self._map_finish(
-                attempt, buckets, bucket_bytes, len(output), raw_bytes
+                attempt, buckets, bucket_bytes, len(output), raw_bytes,
+                int(counts.sum()),
             ),
         )
 
-    def _partition(self, batch: ColumnBatch) -> list[ColumnBatch]:
+    def _partition(self, batch: ColumnBatch) -> tuple[list[ColumnBatch], np.ndarray]:
         """Partition (and combine) one map task's output into one bucket
-        per reducer: one partition id per record — the batched
+        per reducer, returned with the buckets' record counts: one
+        partition id per record — the batched
         ``stable_hash``, or the job's own ``partitioner`` per key — then
         either a bucket scatter via one stable argsort, so emission
         order survives inside each bucket, or, with a combiner, one
         grouping by (partition id, key) and one combiner call over all
         the buckets' groups."""
         if self.spec.partitioner is hash_partitioner:
-            pids = batch.partition_ids(self.num_reducers)
+            # With a combiner and several reducers the grouping hashes
+            # the keys itself, once per distinct key where it can.
+            pids = (
+                batch.partition_ids(self.num_reducers)
+                if self.spec.combiner is None or self.num_reducers == 1
+                else None
+            )
         else:
             pids = np.empty(len(batch), dtype=np.int64)
             for i, key in enumerate(batch.keys.rows()):
@@ -619,6 +627,7 @@ class _JobState:
                     )
                 pids[i] = p
         if self.spec.combiner is None:
+            assert pids is not None
             sorted_batch = batch.take(np.argsort(pids, kind="stable"))
             counts = np.bincount(pids, minlength=self.num_reducers)
         else:
@@ -631,7 +640,7 @@ class _JobState:
         buckets = [empty] * self.num_reducers
         for p in np.flatnonzero(counts).tolist():
             buckets[p] = sorted_batch.slice(bounds[p], bounds[p + 1])
-        return buckets
+        return buckets, counts
 
     def _map_attempt_failed(self, attempt: dict) -> None:
         split_index = attempt["split"]
@@ -652,6 +661,7 @@ class _JobState:
         bucket_bytes: list[int],
         raw_records: int,
         raw_bytes: int,
+        combined_records: int,
     ) -> None:
         split_index = attempt["split"]
         node_id = attempt["node"]
@@ -666,9 +676,7 @@ class _JobState:
         self.counters.add("map_output_records", raw_records)
         self.map_output_bytes_raw += raw_bytes
         self.counters.add("map_output_bytes", raw_bytes)
-        self.counters.add(
-            "combine_output_records", sum(len(bucket) for bucket in buckets)
-        )
+        self.counters.add("combine_output_records", combined_records)
         self.runner.map_scheduler.release(node_id, app_id=self.job_index)
         self._maybe_speculate()
         # One bulk call for the whole fan-out: the map wave's shuffle

@@ -10,11 +10,12 @@ existing IC program to PIC is the small effort the paper advertises.
 from __future__ import annotations
 
 import abc
-from typing import Any, Sequence
+from typing import Any
 
 from repro.mapreduce.columnar import (
     ColumnBatch,
     GroupedBatch,
+    Records,
     columnize,
     group_batch,
     singleton_groups,
@@ -24,7 +25,6 @@ from repro.mapreduce.job import JobSpec, TaskContext
 from repro.pic.mergers import average_merge
 from repro.pic.model import model_nbytes, model_to_records, records_to_model
 from repro.pic.partitioners import random_partition, replicate_model
-from repro.util.rng import as_generator
 
 
 class PICProgram(abc.ABC):
@@ -104,8 +104,9 @@ class PICProgram(abc.ABC):
     def converged(self, previous: Any, current: Any, iteration: int) -> bool:
         """The application's convergence criterion (Figure 1(a))."""
 
-    def initial_model(self, records: Sequence[tuple[Any, Any]], seed: Any = 0) -> Any:
-        """Produce a starting model from the input data."""
+    def initial_model(self, records: Records, seed: Any = 0) -> Any:
+        """Produce a starting model from the input data (handed over as
+        the caller passed it to the runner)."""
         raise NotImplementedError(
             f"{type(self).__name__} does not provide initial_model(); "
             "pass a model explicitly"
@@ -155,7 +156,7 @@ class PICProgram(abc.ABC):
 
     def solve_in_memory(
         self,
-        records: ColumnBatch | Sequence[tuple[Any, Any]],
+        records: Records,
         model: Any,
         max_iterations: int | None = None,
     ) -> tuple[Any, int, float]:
@@ -163,8 +164,9 @@ class PICProgram(abc.ABC):
 
         Returns ``(model, iterations, compute_seconds)``.  The same
         convergence criterion as the conventional implementation is used
-        for every sub-problem (Section IV-A).  A row list is columnized
-        here, once for all the iterations.
+        for every sub-problem (Section IV-A).  The engine hands over a
+        sub-problem's batch; a row list is columnized here, once for all
+        the iterations.
         """
         if max_iterations is None:
             max_iterations = self.local_max_iterations()
@@ -217,20 +219,23 @@ class PICProgram(abc.ABC):
 
     def partition(
         self,
-        records: Sequence[tuple[Any, Any]],
+        records: ColumnBatch,
         model: Any,
         num_partitions: int,
         seed: Any = 0,
-    ) -> list[tuple[list[tuple[Any, Any]], Any]]:
+    ) -> list[tuple[Records, Any]]:
         """Split the problem into ``num_partitions`` (data, model) pairs.
+
+        ``records`` is the run's input batch — read-only: the input
+        splits are views of it.  A partition's data may come back as a
+        batch (``take``/``slice`` it) or as a row list (a program that
+        rewrites its records iterates the batch); the engine columnizes it.
 
         Default (suits K-means-like algorithms): randomly partition the
         input data and give every sub-problem a copy of the model.
         """
-        rng = as_generator(seed)
-        parts = random_partition(records, num_partitions, rng)
-        models = replicate_model(model, num_partitions)
-        return list(zip(parts, models))
+        parts = random_partition(records, num_partitions, seed)
+        return list(zip(parts, replicate_model(model, num_partitions)))
 
     def merge(self, models: list[Any]) -> Any:
         """Combine sub-problem models into one (default: average)."""

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
 from repro.cluster.cache import CachePin, NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem
-from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, Records, columnize
 from repro.mapreduce.job import JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
 from repro.mapreduce.records import DistributedDataset
@@ -42,24 +42,23 @@ from repro.mapreduce.runner import JobRunner
 from repro.parallel import SerialExecutor, TaskExecutor, get_executor, solve_subproblem
 from repro.pic.api import PICProgram
 from repro.util.rng import SeedLike
-from repro.util.sizing import sizeof_records
 
 
 @dataclass
 class SubProblem:
-    """One partition of the problem, bound to a home node."""
+    """One partition of the problem, bound to a home node: ``records`` is
+    a ``take`` of the run's input batch (a copy: sub-problems alias neither
+    each other nor the input) or the rows a program's ``partition`` wrote."""
 
     index: int
-    records: list[tuple[Any, Any]]
+    records: ColumnBatch
     model: Any
     home_node: int
 
     @cached_property
     def nbytes(self) -> int:
-        """Serialized size of this partition's input records (computed
-        once; sizing re-walks every record, so repeated access is the
-        hot path this cache removes)."""
-        return sizeof_records(self.records)
+        """Serialized size of this partition's input records."""
+        return self.records.nbytes_wire()
 
 
 @dataclass
@@ -177,10 +176,9 @@ class BestEffortEngine:
 
     # ------------------------------------------------------------------
 
-    def run(
-        self, records: Sequence[tuple[Any, Any]], initial_model: Any
-    ) -> BestEffortResult:
+    def run(self, records: Records, initial_model: Any) -> BestEffortResult:
         """Execute best-effort iterations until ``be_converged``."""
+        records = columnize(records)
         cluster = self.cluster
         program = self.program
         model = initial_model
@@ -284,9 +282,7 @@ class BestEffortEngine:
 
     # -- phase steps -----------------------------------------------------
 
-    def _partition(
-        self, records: Sequence[tuple[Any, Any]], model: Any
-    ) -> list[SubProblem]:
+    def _partition(self, records: ColumnBatch, model: Any) -> list[SubProblem]:
         pairs = self.program.partition(
             records, model, self.num_partitions, seed=self.seed
         )
@@ -296,9 +292,7 @@ class BestEffortEngine:
                 f"expected {self.num_partitions}"
             )
         return [
-            SubProblem(
-                index=i, records=list(recs), model=m, home_node=self.home_node(i)
-            )
+            SubProblem(i, columnize(recs), m, self.home_node(i))
             for i, (recs, m) in enumerate(pairs)
         ]
 
@@ -378,8 +372,6 @@ class BestEffortEngine:
             f"/pic/{self.program.name}/partitions-{self._dataset_seq}",
             [sub.records for sub in subs],
             placements=[sub.home_node for sub in subs],
-            replication=1,
-            sizes=[sub.nbytes for sub in subs],
         )
 
     def _pin_splits(

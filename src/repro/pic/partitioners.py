@@ -3,17 +3,20 @@
 The paper's experiments use simple random partitioning for K-means and
 random vertex grouping for PageRank, and note that "sophisticated
 partitioning schemes such as min-cut graph partitioning" are possible.
-All strategies here return plain lists of record lists; model handling
-(replicate vs split) is a separate concern — see :func:`replicate_model`
-and the graph partitioner in :mod:`repro.apps.pagerank`.
+All strategies here take a :class:`ColumnBatch` (a row list is columnized
+on entry) and return one ``take``/``slice`` batch per partition — no
+per-record Python work.  Model handling (replicate vs split) is separate:
+see :func:`replicate_model` and the graph partitioner in :mod:`repro.apps.pagerank`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Sequence
+from typing import Any
 
-from repro.mapreduce.records import stable_hash
+import numpy as np
+
+from repro.mapreduce.columnar import ColumnBatch, Records, columnize
 from repro.util.rng import SeedLike, as_generator
 
 
@@ -23,39 +26,27 @@ def _check_num_partitions(num_partitions: int) -> None:
 
 
 def random_partition(
-    records: Sequence[tuple[Any, Any]],
-    num_partitions: int,
-    seed: SeedLike = 0,
-) -> list[list[tuple[Any, Any]]]:
+    records: Records, num_partitions: int, seed: SeedLike = 0
+) -> list[ColumnBatch]:
     """Shuffle records and deal them into near-equal partitions."""
     _check_num_partitions(num_partitions)
-    rng = as_generator(seed)
-    order = rng.permutation(len(records))
-    parts: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
-    for position, record_index in enumerate(order):
-        parts[position % num_partitions].append(records[record_index])
-    return parts
+    batch = columnize(records)
+    order = as_generator(seed).permutation(len(batch))
+    return [batch.take(order[p::num_partitions]) for p in range(num_partitions)]
 
 
-def chunk_partition(
-    records: Sequence[tuple[Any, Any]], num_partitions: int
-) -> list[list[tuple[Any, Any]]]:
+def chunk_partition(records: Records, num_partitions: int) -> list[ColumnBatch]:
     """Contiguous near-equal chunks (preserves input order/locality)."""
     _check_num_partitions(num_partitions)
-    n = len(records)
-    bounds = [round(i * n / num_partitions) for i in range(num_partitions + 1)]
-    return [list(records[bounds[i] : bounds[i + 1]]) for i in range(num_partitions)]
+    return columnize(records).even_slices(num_partitions)
 
 
-def hash_partition(
-    records: Sequence[tuple[Any, Any]], num_partitions: int
-) -> list[list[tuple[Any, Any]]]:
+def hash_partition(records: Records, num_partitions: int) -> list[ColumnBatch]:
     """Partition by stable key hash (co-locates equal keys)."""
     _check_num_partitions(num_partitions)
-    parts: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
-    for key, value in records:
-        parts[stable_hash(key) % num_partitions].append((key, value))
-    return parts
+    batch = columnize(records)
+    pids = batch.partition_ids(num_partitions)
+    return [batch.take(np.flatnonzero(pids == p)) for p in range(num_partitions)]
 
 
 def replicate_model(model: Any, num_partitions: int) -> list[Any]:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import Records, columnize
 from repro.mapreduce.driver import DriverResult, IterativeDriver
 from repro.mapreduce.pipeline import pipeline_enabled
 from repro.mapreduce.records import DistributedDataset
@@ -107,26 +108,16 @@ class PICRunner:
         # changes simulated timing — see repro.mapreduce.pipeline.
         self.pipeline = pipeline_enabled() if pipeline is None else pipeline
 
-    def run(
-        self,
-        records: Sequence[tuple[Any, Any]],
-        initial_model: Any = None,
-    ) -> PICResult:
-        """Best-effort phase, then top-off phase, from ``records``."""
+    def run(self, records: Records, initial_model: Any = None) -> PICResult:
+        """Best-effort phase, then top-off phase, from ``records`` —
+        columnized here, once: the top-off splits are views of that
+        batch and the best-effort partitions are cut from it."""
         program = self.program
         cluster = self.cluster
         if initial_model is None:
             initial_model = program.initial_model(records, seed=self.seed)
-
-        dfs = DistributedFileSystem(
-            cluster, replication=min(3, cluster.num_nodes), seed=11
-        )
-        dataset = DistributedDataset.materialize(
-            dfs,
-            f"/{program.name}/input",
-            records,
-            num_splits=max(1, cluster.topology.total_map_slots()),
-        )
+        records = columnize(records)
+        dfs, dataset = _ingest(cluster, program, records)
 
         # One cache spans both phases: splits the best-effort phase
         # left resident stay warm for top-off reads of the same data.
@@ -201,10 +192,25 @@ class PICRunner:
         )
 
 
+def _ingest(
+    cluster: Cluster, program: PICProgram, records: Records
+) -> tuple[DistributedFileSystem, DistributedDataset]:
+    """The run's ingest boundary: ``records`` becomes one batch (here,
+    unless the caller holds one already) cut into one split per map slot."""
+    dfs = DistributedFileSystem(
+        cluster, replication=min(3, cluster.num_nodes), seed=11
+    )
+    dataset = DistributedDataset.materialize(
+        dfs, f"/{program.name}/input", records,
+        num_splits=max(1, cluster.topology.total_map_slots()),
+    )
+    return dfs, dataset
+
+
 def run_ic_baseline(
     cluster: Cluster,
     program: PICProgram,
-    records: Sequence[tuple[Any, Any]],
+    records: Records,
     initial_model: Any = None,
     max_iterations: int = 100,
     optimized_baseline: bool = True,
@@ -221,15 +227,7 @@ def run_ic_baseline(
     """
     if initial_model is None:
         initial_model = program.initial_model(records, seed=seed)
-    dfs = DistributedFileSystem(
-        cluster, replication=min(3, cluster.num_nodes), seed=11
-    )
-    dataset = DistributedDataset.materialize(
-        dfs,
-        f"/{program.name}/input",
-        records,
-        num_splits=max(1, cluster.topology.total_map_slots()),
-    )
+    dfs, dataset = _ingest(cluster, program, records)
     runner = JobRunner(
         cluster, dfs, executor=get_executor(workers), pipeline=pipeline
     )

@@ -44,6 +44,7 @@ from repro.mapreduce.records import (
 )
 from repro.mapreduce.runner import JobRunner, _JobState
 from repro.util.sizing import sizeof_record, sizeof_records
+from tests.mapreduce.reference_columns import reference_build_column
 from tests.mapreduce.reference_partition import reference_partition
 
 # -- strategies --------------------------------------------------------------
@@ -195,6 +196,125 @@ class TestRoundTrip:
         batch = ColumnBatch.from_rows(rows)
         assert list(batch) == rows
         assert len(batch) == 8
+
+
+# -- kind selection ----------------------------------------------------------
+
+
+def _kind(col):
+    """A column's kind, down to scalar types, dtypes and tuple slots."""
+    if isinstance(col, ScalarColumn):
+        return ("scalar", col.kind)
+    if isinstance(col, StringColumn):
+        return ("string",)
+    if isinstance(col, ArrayColumn):
+        return ("array", col.data.dtype, col.data.shape[1:])
+    if isinstance(col, TupleColumn):
+        return ("tuple", tuple(_kind(slot) for slot in col.slots))
+    assert type(col) is ObjectColumn
+    return ("object",)
+
+
+class _Subclassed(np.ndarray):
+    pass
+
+
+_KIND_EDGES = {
+    "empty": [],
+    "bools": [True, False],
+    "bool-then-int": [True, 1],  # bool is not int
+    "int-then-bool": [1, True],
+    "int64-extremes": [0, 2**63 - 1, -(2**63)],
+    "one-past-int64": [0, 2**63],
+    "one-below-int64": [-(2**63) - 1, 0],
+    "huge-ints": [2**80, 2**90],
+    "int-and-float": [1, 2.0],
+    "floats-nan-negzero": [1.0, float("nan"), -0.0],
+    "numpy-int-scalars": [np.int64(1), np.int64(2)],  # stay objects
+    "numpy-float-and-float": [np.float64(1.0), 2.0],
+    "ascii": ["a", "", "bc"],
+    "trailing-nul": ["a", "b\x00"],  # numpy would trim it
+    "only-nul": ["\x00"],
+    "interior-nul": ["a\x00b", "c"],  # survives a "<U" array
+    "non-ascii": ["a", "\u00e9"],
+    "str-and-bytes": ["a", b"a"],
+    "vectors": [np.zeros(3), np.ones(3)],
+    "matrices": [np.zeros((2, 3)), np.ones((2, 3))],
+    "shape-mismatch": [np.zeros(3), np.ones(4)],
+    "shape-transposed": [np.zeros((2, 3)), np.ones((3, 2))],
+    "dtype-mismatch": [np.zeros(3), np.ones(3, dtype=np.float32)],
+    "int-vectors": [np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64)],
+    "0-d-arrays": [np.array(1.0), np.array(2.0)],
+    "zero-length-vectors": [np.zeros(0), np.zeros(0)],
+    "strided-views": [np.zeros(3)[::2], np.ones(4)[::2]],
+    "ndarray-subclass": [
+        np.zeros(3).view(_Subclassed), np.ones(3).view(_Subclassed)
+    ],
+    "ndarray-and-subclass": [np.zeros(3), np.ones(3).view(_Subclassed)],
+    "object-arrays": [
+        np.array(["a", "b"], dtype=object), np.array([1, None], dtype=object)
+    ],
+    "empty-tuples": [(), ()],
+    "flat-tuples": [(1, "a"), (2, "b")],
+    "arity-mismatch": [(1, "a"), (2, "b", 3)],
+    "tuple-and-list": [(1, "a"), [2, "b"]],
+    "slot-degrades": [(1, 2.0), (True, 3.0)],
+    "nested-with-array-slot": [((1, 2), np.zeros(2)), ((3, 4), np.ones(2))],
+    "array-and-count": [(np.zeros(2), 1), (np.ones(2), 2)],
+    "nones": [None, None],
+    "none-and-int": [None, 1],
+}
+
+
+class TestKindSelection:
+    """``build_column``'s whole-list checks pick the kind the
+    element-at-a-time reference picks, and hold the same values."""
+
+    @staticmethod
+    def _assert_matches_reference(values):
+        col, reference = build_column(values), reference_build_column(values)
+        assert _kind(col) == _kind(reference)
+        assert len(col) == len(values)
+        for got, expected in zip(col.rows(), values):
+            assert _same(got, expected)
+        assert col.nbytes_wire() == reference.nbytes_wire()
+        # Slots arrive as tuples (zip) when a tuple column is built.
+        assert _kind(build_column(tuple(values))) == _kind(col)
+
+    @pytest.mark.parametrize("values", _KIND_EDGES.values(), ids=_KIND_EDGES)
+    def test_edge_kinds_match_the_reference(self, values):
+        self._assert_matches_reference(values)
+
+    @settings(max_examples=120, deadline=None)
+    @given(any_rows)
+    def test_drawn_columns_match_the_reference(self, rows):
+        self._assert_matches_reference([k for k, _v in rows])
+        self._assert_matches_reference([v for _k, v in rows])
+
+    def test_array_rows_do_not_alias_their_sources(self):
+        sources = [np.zeros(3), np.ones(3)]
+        col = build_column(sources)
+        col.data[0, 0] = 7.0
+        assert sources[0][0] == 0.0
+
+
+# -- ingest boundary ---------------------------------------------------------
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize(
+        "bad", [(1, 2, 3), (1,), 7], ids=["3-tuple", "1-tuple", "bare-int"]
+    )
+    def test_from_rows_names_the_offending_record(self, bad):
+        rows = [(0, 0.0), (1, 1.0), bad, (3, 3.0)]
+        with pytest.raises(ValueError, match="record 2 is not a") as err:
+            ColumnBatch.from_rows(rows)
+        assert repr(bad) in str(err.value)
+
+    def test_the_run_boundary_reports_it(self):
+        dfs = DistributedFileSystem(Cluster(num_nodes=2, nodes_per_rack=2))
+        with pytest.raises(ValueError, match=r"record 1 .*\(5, 6, 7\)"):
+            DistributedDataset.materialize(dfs, "/d", [(0, 1), (5, 6, 7)], 2)
 
 
 # -- grouping ----------------------------------------------------------------
@@ -414,8 +534,9 @@ class TestPartitionStep:
     )
     def test_custom_partitioner_buckets_match_per_row_calls(self, rows, n):
         state = _job_state(num_reducers=n, partitioner=_reversed_hash_partitioner)
-        buckets = state._partition(ColumnBatch.from_rows(rows))
+        buckets, counts = state._partition(ColumnBatch.from_rows(rows))
         assert len(buckets) == n
+        assert counts.tolist() == [len(b) for b in buckets]
         for p, bucket in enumerate(buckets):
             assert type(bucket) is ColumnBatch
             # Emission order survives inside each bucket.
@@ -429,7 +550,7 @@ class TestPartitionStep:
     )
     def test_scalar_combined_buckets_size_like_their_rows(self, rows, n):
         state = _job_state(num_reducers=n, combiner=_sum_combiner)
-        buckets = state._partition(ColumnBatch.from_rows(rows))
+        buckets, counts = state._partition(ColumnBatch.from_rows(rows))
         combined = 0
         for p, bucket in enumerate(buckets):
             assert type(bucket) is ColumnBatch
@@ -442,7 +563,7 @@ class TestPartitionStep:
             _assert_same_rows(bucket.to_rows(), expected)
             assert bucket.nbytes_wire() == sizeof_records(expected)
             combined += len(expected)
-        assert sum(len(b) for b in buckets) == combined
+        assert sum(len(b) for b in buckets) == combined == int(counts.sum())
 
     @settings(max_examples=60, deadline=None)
     @given(any_rows, st.integers(1, 6))
@@ -464,8 +585,9 @@ class TestPartitionStep:
                 with pytest.raises(TypeError):
                     state._partition(batch)
                 continue
-            buckets = state._partition(batch)
+            buckets, counts = state._partition(batch)
             assert len(buckets) == n
+            assert counts.tolist() == [len(b) for b in expected]
             for bucket, reference in zip(buckets, expected):
                 assert type(bucket) is ColumnBatch
                 _assert_same_rows(bucket.to_rows(), reference.to_rows())
@@ -486,3 +608,38 @@ class TestPartitionStep:
         ]
         assert groups_per_bucket.tolist() == [len(groups) for groups in per_bucket]
         _assert_same_groups(grouped, [g for groups in per_bucket for g in groups])
+
+    # Few distinct keys per column kind, so runs of equal keys form:
+    # the kinds whose equal keys hash alike (int, bool, ASCII text, flat
+    # tuples of those) and the ones that must hash per record (floats,
+    # where 0.0 == -0.0 hash apart, and tuples holding a float).
+    _repeated_keys = st.one_of(
+        st.lists(st.sampled_from([0, 1, -7, 2**40, 2**63 - 1]), max_size=30),
+        st.lists(st.booleans(), max_size=30),
+        st.lists(st.sampled_from(["", "a", "ab", "b\x01"]), max_size=30),
+        st.lists(
+            st.tuples(st.sampled_from([0, 1, 2]), st.sampled_from(["x", "y"])),
+            max_size=30,
+        ),
+        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), max_size=30),
+        st.lists(
+            st.tuples(st.sampled_from([0, 1]), st.sampled_from([0.0, -0.0])),
+            max_size=30,
+        ),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_repeated_keys, st.integers(2, 7))
+    @example([0.0, -0.0, 0.0], 3)
+    def test_hashing_inside_the_grouping_matches_per_record_ids(self, keys, n):
+        # ``bucket_ids=None`` hash-partitions inside group_buckets — one
+        # hash per run of equal keys where that is sound; the oracle is
+        # the same grouping handed one scalar-defined id per record.
+        batch = ColumnBatch.from_rows([(k, i) for i, k in enumerate(keys)])
+        pids = np.array([hash_partitioner(k, n) for k in keys], dtype=np.int64)
+        hashed, hashed_counts = group_buckets(batch, None, n)
+        explicit, explicit_counts = group_buckets(batch, pids, n)
+        assert hashed_counts.tolist() == explicit_counts.tolist()
+        assert hashed.starts.tolist() == explicit.starts.tolist()
+        _assert_same_groups(hashed, list(explicit))
+

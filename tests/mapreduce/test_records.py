@@ -224,8 +224,11 @@ class TestDistributedDataset:
 
     @given(st.integers(1, 50), st.integers(1, 10))
     def test_even_chunks_partition_everything(self, n, k):
+        _c, dfs = make_dfs()
         records = [(i, i) for i in range(n)]
-        chunks = DistributedDataset._even_chunks(records, min(k, n))
-        assert [r for c in chunks for r in c] == records
-        sizes = [len(c) for c in chunks]
+        ds = DistributedDataset.materialize(dfs, "/d", records, num_splits=k)
+        assert len(ds.splits) == min(k, n)
+        assert ds.all_records() == records
+        sizes = [len(s) for s in ds.splits]
         assert max(sizes) - min(sizes) <= 1
+        assert (ds.num_records, ds.nbytes) == (n, sum(s.nbytes for s in ds.splits))

@@ -17,22 +17,27 @@ records_strategy = st.lists(
 )
 
 
+def rows_of(parts):
+    """The partitions (batches cut from the ingested input) as row lists."""
+    return [part.to_rows() for part in parts]
+
+
 class TestRandomPartition:
     def test_near_even_sizes(self):
         records = [(i, i) for i in range(100)]
-        parts = random_partition(records, 7, seed=1)
+        parts = rows_of(random_partition(records, 7, seed=1))
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic_for_seed(self):
         records = [(i, i) for i in range(50)]
-        a = random_partition(records, 5, seed=9)
-        b = random_partition(records, 5, seed=9)
+        a = rows_of(random_partition(records, 5, seed=9))
+        b = rows_of(random_partition(records, 5, seed=9))
         assert a == b
 
     def test_shuffles(self):
         records = [(i, i) for i in range(100)]
-        parts = random_partition(records, 2, seed=1)
+        parts = rows_of(random_partition(records, 2, seed=1))
         assert parts[0] != records[:50]
 
     def test_zero_partitions_rejected(self):
@@ -42,7 +47,7 @@ class TestRandomPartition:
     @settings(max_examples=40)
     @given(records_strategy, st.integers(1, 10), st.integers(0, 99))
     def test_partition_is_exact_cover(self, records, p, seed):
-        parts = random_partition(records, p, seed=seed)
+        parts = rows_of(random_partition(records, p, seed=seed))
         assert len(parts) == p
         flattened = sorted(r for part in parts for r in part)
         assert flattened == sorted(records)
@@ -51,12 +56,12 @@ class TestRandomPartition:
 class TestChunkPartition:
     def test_preserves_order(self):
         records = [(i, i) for i in range(10)]
-        parts = chunk_partition(records, 3)
+        parts = rows_of(chunk_partition(records, 3))
         assert [r for p in parts for r in p] == records
 
     @given(records_strategy, st.integers(1, 10))
     def test_exact_cover_in_order(self, records, p):
-        parts = chunk_partition(records, p)
+        parts = rows_of(chunk_partition(records, p))
         assert [r for part in parts for r in part] == list(records)
         sizes = [len(part) for part in parts]
         assert max(sizes) - min(sizes) <= 1 if records else True
@@ -65,7 +70,7 @@ class TestChunkPartition:
 class TestHashPartition:
     def test_equal_keys_colocated(self):
         records = [(i % 5, i) for i in range(50)]
-        parts = hash_partition(records, 4)
+        parts = rows_of(hash_partition(records, 4))
         for part in parts:
             keys = {k for k, _v in part}
             for key in keys:
@@ -77,7 +82,7 @@ class TestHashPartition:
 
     @given(records_strategy, st.integers(1, 8))
     def test_exact_cover(self, records, p):
-        parts = hash_partition(records, p)
+        parts = rows_of(hash_partition(records, p))
         assert sorted(r for part in parts for r in part) == sorted(records)
 
 

@@ -1,0 +1,190 @@
+"""Import hygiene over ``src/repro``, with the standard library only.
+
+CI runs ruff's pyflakes subset (F401 unused import, F811 redefinition);
+ruff is not installed in every environment the suite runs in, so the two
+checks that bit-rot fastest during refactors are scripted here with
+``ast``:
+
+* **unused imports** — a name bound by ``import``/``from ... import``
+  that the module never reads.  A name listed in ``__all__`` is a
+  re-export; ``__init__.py`` files re-export by design (the same
+  exemption pyproject.toml gives ruff); a name imported under
+  ``if TYPE_CHECKING:`` counts as read when an annotation mentions it,
+  as a name or inside a string annotation.
+* **duplicate imports** — the same name bound twice by imports in one
+  scope.  ``if TYPE_CHECKING: ... else: ...`` arms and ``try``/``except``
+  fallbacks are alternative bindings, not duplicates.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+MODULES = sorted(SRC.rglob("*.py"))
+
+Scope = ast.Module | ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The local names an import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """String entries of a module-level ``__all__`` list or tuple."""
+    names: set[str] = set()
+    for node in tree.body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+            else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            value = node.value
+            if isinstance(value, (ast.List, ast.Tuple)):
+                names |= {
+                    e.value for e in value.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                }
+    return names
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, including those inside string
+    annotations (``-> "ColumnBatch"``)."""
+    read: set[str] = set()
+    annotations: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return read
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every import binding the module never reads."""
+    used = _names_read(tree) | _exported(tree)
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _bound_names(node)
+        if name not in used
+    ]
+
+
+def _imports_in_scope(body: list[ast.stmt]) -> list[list[tuple[int, str]]]:
+    """Import bindings of one scope, grouped into alternatives: the
+    statements of an ``if``/``try`` arm form their own group per arm,
+    nested scopes are skipped (they are checked on their own)."""
+    here: list[tuple[int, str]] = []
+    groups = [here]
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            here.extend((stmt.lineno, name) for name in _bound_names(stmt))
+        elif isinstance(stmt, ast.If):
+            groups += _imports_in_scope(stmt.body) + _imports_in_scope(stmt.orelse)
+        elif isinstance(stmt, ast.Try):
+            groups += _imports_in_scope(stmt.body + stmt.orelse + stmt.finalbody)
+            for handler in stmt.handlers:
+                groups += _imports_in_scope(handler.body)
+        elif isinstance(stmt, (ast.With, ast.For, ast.While)):
+            here.extend(
+                binding
+                for group in _imports_in_scope(stmt.body)
+                for binding in group
+            )
+    return groups
+
+
+def duplicate_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every import that re-binds a name an earlier
+    import of the same scope (and the same branch) already bound."""
+    found: list[tuple[int, str]] = []
+    scopes: list[Scope] = [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, _SCOPES)
+    ]
+    for scope in scopes:
+        groups = _imports_in_scope(scope.body)
+        unconditional = {name for _line, name in groups[0]}
+        for index, group in enumerate(groups):
+            seen: set[str] = set()
+            for line, name in group:
+                if name in seen or (index > 0 and name in unconditional):
+                    found.append((line, name))
+                seen.add(name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
+)
+def test_module_imports_are_used_and_unique(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = [f"duplicate import of {n!r} (line {ln})" for ln, n in duplicate_imports(tree)]
+    if path.name != "__init__.py":
+        problems += [f"unused import {n!r} (line {ln})" for ln, n in unused_imports(tree)]
+    assert not problems, f"{path.relative_to(SRC)}: " + "; ".join(problems)
+
+
+class TestTheCheckItself:
+    @staticmethod
+    def _check(source: str) -> tuple[list[str], list[str]]:
+        tree = ast.parse(source)
+        return (
+            [name for _line, name in unused_imports(tree)],
+            [name for _line, name in duplicate_imports(tree)],
+        )
+
+    def test_flags_unused_and_duplicate(self) -> None:
+        unused, duplicate = self._check(
+            "import os\nimport sys\nimport sys\nfrom a import b as c\nprint(sys.argv)\n"
+        )
+        assert unused == ["os", "c"]
+        assert duplicate == ["sys"]
+
+    def test_all_and_annotations_count_as_uses(self) -> None:
+        unused, duplicate = self._check(
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING\n"
+            "from m import exported, Quoted\n"
+            "if TYPE_CHECKING:\n"
+            "    from n import Hinted, Idle\n"
+            "__all__ = ['exported']\n"
+            "def f(x: Hinted) -> 'list[Quoted]': ...\n"
+        )
+        assert unused == ["Idle"]
+        assert duplicate == []
+
+    def test_branches_are_alternatives_scopes_are_separate(self) -> None:
+        _unused, duplicate = self._check(
+            "try:\n    import fast as impl\nexcept ImportError:\n    import slow as impl\n"
+            "def f():\n    import impl\n    import impl\n"
+            "import json\nif impl:\n    import json\n"
+        )
+        assert duplicate == ["json", "impl"]
