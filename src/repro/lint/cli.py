@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print files-parsed/cache-hit/timing statistics to stderr",
+        help="print files-parsed/cache-hit/fixpoint-evaluation/timing "
+        "statistics to stderr",
     )
     parser.add_argument(
         "--list-rules",
@@ -227,6 +228,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"files={run.files_checked} "
             f"parsed={run.stats.get('files_parsed', 0)} "
             f"cache_hits={run.stats.get('cache_hits', 0)} "
+            f"evaluated={run.stats.get('functions_evaluated', 0)} "
+            f"project={'replayed' if run.stats.get('project_replayed') else 'analysed'} "
             f"elapsed={run.stats.get('elapsed_s', 0.0):.3f}s",
             file=sys.stderr,
         )

@@ -2,9 +2,11 @@
 
 The engine reads each file's bytes exactly once.  Per-file work (AST
 parse, per-file rules, noqa tokenization, IR lowering) is skipped for
-files whose content hash matches the on-disk cache; whole-program
-analysis always re-runs, but from the cached IRs — never the ASTs —
-so a warm re-lint of an unchanged tree does no parsing at all.
+files whose content hash matches the on-disk cache.  Whole-program
+analysis runs from the IRs — never the ASTs — and is skipped too when
+the cache holds the findings of a run over exactly these files with
+exactly these contents: a warm re-lint of an unchanged tree replays
+them, and only ``# pic: noqa`` filtering and sorting are redone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.lint.cache import (
     content_hash,
     findings_from_entry,
     suppressions_from_entry,
+    tree_key,
 )
 from repro.lint.model import Finding, LintParseError
 from repro.lint.module import LintModule
@@ -79,14 +82,16 @@ def _check_module(module: LintModule, file_rules: Sequence[Rule]) -> list[Findin
 
 def _project_findings(
     irs: Sequence[dict], project_rules: Sequence[ProjectRule]
-) -> list[Finding]:
+) -> tuple[list[Finding], int]:
+    """Whole-program findings (pre-noqa) and the fixpoint evaluations
+    they cost."""
     if not project_rules or not irs:
-        return []
+        return [], 0
     analysis = ProjectAnalysis(irs)
     findings: list[Finding] = []
     for rule in project_rules:
         findings.extend(rule.check_project(analysis))
-    return findings
+    return findings, analysis.functions_evaluated()
 
 
 def run_lint(
@@ -103,15 +108,15 @@ def run_lint(
 
     cache: LintCache | None = None
     if cache_path is not None:
-        # Project rules never cache findings, but their ids still salt
-        # the cache: adding a whole-program rule must not replay entries
-        # whose noqa suppressions were computed without it.
+        # Every active rule id salts the cache: a ``rules=`` subset must
+        # never replay the per-file or project findings of a full run.
         salt = cache_salt(
             [r.rule_id for r in file_rules] + [r.rule_id for r in project_rules]
         )
         cache = LintCache(Path(cache_path), salt)
 
     irs: list[dict] = []
+    digests: list[tuple[str, str]] = []
     suppressions_by_path: dict[str, Mapping[int, frozenset[str] | None]] = {}
     raw_findings: list[Finding] = []
     parsed = 0
@@ -125,6 +130,7 @@ def run_lint(
             run.errors.append(f"{key}: cannot read: {exc}")
             continue
         digest = content_hash(data)
+        digests.append((key, digest))
 
         entry = cache.lookup(key, digest) if cache is not None else None
         if entry is not None:
@@ -147,7 +153,7 @@ def run_lint(
             continue
         parsed += 1
         module_name, is_package = module_name_for_path(file)
-        ir = build_module_ir(module.tree, key, module_name, is_package)
+        ir = build_module_ir(module, module_name, is_package)
         file_findings = _check_module(module, file_rules)
         raw_findings.extend(file_findings)
         suppressions_by_path[key] = suppressions
@@ -155,7 +161,15 @@ def run_lint(
         if cache is not None:
             cache.store_ok(key, digest, file_findings, suppressions, ir)
 
-    raw_findings.extend(_project_findings(irs, project_rules))
+    tree = tree_key(digests)
+    project = cache.project_findings(tree) if cache is not None else None
+    replayed = project is not None
+    evaluated = 0
+    if project is None:
+        project, evaluated = _project_findings(irs, project_rules)
+        if cache is not None:
+            cache.store_project(tree, project)
+    raw_findings.extend(project)
 
     kept: list[Finding] = []
     for finding in raw_findings:
@@ -170,6 +184,8 @@ def run_lint(
     run.stats = {
         "files_parsed": parsed,
         "cache_hits": cache_hits,
+        "functions_evaluated": evaluated,
+        "project_replayed": replayed,
         "elapsed_s": time.perf_counter() - started,  # pic: noqa: PIC001
     }
     return run
@@ -197,10 +213,10 @@ def lint_sources(
             errors.append(str(exc))
             continue
         module_name, is_package = module_name_for_virtual_path(path)
-        irs.append(build_module_ir(module.tree, path, module_name, is_package))
+        irs.append(build_module_ir(module, module_name, is_package))
         suppressions_by_path[path] = suppressions
         findings.extend(_check_module(module, file_rules))
-    findings.extend(_project_findings(irs, project_rules))
+    findings.extend(_project_findings(irs, project_rules)[0])
     kept: list[Finding] = []
     for finding in findings:
         kept.extend(
@@ -229,9 +245,9 @@ def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Fin
     module = LintModule.from_bytes(str(p), data)
     file_rules, project_rules = _split_rules(rules)
     module_name, is_package = module_name_for_path(p)
-    ir = build_module_ir(module.tree, str(p), module_name, is_package)
+    ir = build_module_ir(module, module_name, is_package)
     findings = _check_module(module, file_rules)
-    findings.extend(_project_findings([ir], project_rules))
+    findings.extend(_project_findings([ir], project_rules)[0])
     return sorted(filter_findings(findings, module.suppressions))
 
 

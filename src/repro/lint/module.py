@@ -1,10 +1,12 @@
 """Parsed-module wrapper shared by every rule.
 
 A :class:`LintModule` owns the AST plus the derived maps rules need:
-parent links (``ast`` has none), an import-alias table for resolving
-dotted call names back to canonical module paths, and scope-restricted
-walking (so per-function name analysis does not leak across nested
-functions).
+the node list and parent/child links (``ast`` keeps none), an
+import-alias table for resolving dotted call names back to canonical
+module paths, and scope-restricted walking (so per-function name
+analysis does not leak across nested functions).  The tree is walked
+once, at construction; rules, the alias tables and the IR lowering
+iterate :attr:`LintModule.nodes` instead of calling ``ast.walk`` again.
 
 The file's bytes are loaded exactly once: :meth:`LintModule.from_bytes`
 decodes them (tolerating a UTF-8 BOM, which ``ast.parse`` would reject
@@ -17,7 +19,7 @@ the file.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.lint.model import Finding, LintParseError
 
@@ -46,11 +48,16 @@ class LintModule:
             self.tree = ast.parse(source)
         except SyntaxError as exc:
             raise LintParseError(path, f"syntax error: {exc.msg} (line {exc.lineno})")
-        self.aliases = _import_aliases(self.tree)
+        #: Every node, in ``ast.walk`` (breadth-first) order.
+        self.nodes: list[ast.AST] = [self.tree]
+        self.children: dict[ast.AST, list[ast.AST]] = {}
         self.parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
+        for parent in self.nodes:  # grows as it is read: that is the BFS
+            kids = self.children[parent] = list(ast.iter_child_nodes(parent))
+            for child in kids:
                 self.parents[child] = parent
+            self.nodes.extend(kids)
+        self.aliases = import_aliases(self.nodes)
         self._suppressions: dict[int, frozenset[str] | None] | None = None
 
     @classmethod
@@ -91,6 +98,31 @@ class LintModule:
         parts.append(base)
         return ".".join(reversed(parts))
 
+    def walk_scope(self, scope: ast.AST) -> Iterator[ast.AST]:
+        """Walk ``scope`` without descending into nested scope bodies.
+
+        Comprehensions are *not* treated as separate scopes: their
+        iterable expressions belong, for our ordering analysis, to the
+        enclosing function.
+        """
+        if isinstance(scope, _SCOPE_NODES):
+            stack: list[ast.AST] = list(scope.body)
+        else:
+            stack = list(self.children[scope])
+        while stack:
+            node = stack.pop()
+            yield node
+            # A nested scope node is yielded itself, but not its body.
+            if not isinstance(node, _SCOPE_NODES):
+                stack.extend(self.children[node])
+
+    def iter_scopes(self) -> Iterator[ast.AST]:
+        """Yield the module and every (possibly nested) function scope."""
+        yield self.tree
+        for node in self.nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
     def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``."""
         return Finding(
@@ -102,22 +134,50 @@ class LintModule:
         )
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the canonical dotted names they import."""
+def import_aliases(
+    nodes: Iterable[ast.AST], module_name: str | None = None, is_package: bool = False
+) -> dict[str, str]:
+    """Map local names to the canonical dotted names they import.
+
+    Relative imports resolve against ``module_name`` (the IR's alias
+    table); without one (rule checks) they bind nothing.
+    """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for a in node.names:
                 if a.asname is not None:
                     aliases[a.asname] = a.name
                 else:
                     aliases[a.name.split(".")[0]] = a.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+        elif isinstance(node, ast.ImportFrom):
+            base = _from_base(node, module_name, is_package)
+            if base is None:
+                continue
             for a in node.names:
                 if a.name == "*":
                     continue
-                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                aliases[a.asname or a.name] = f"{base}.{a.name}" if base else a.name
     return aliases
+
+
+def _from_base(
+    node: ast.ImportFrom, module_name: str | None, is_package: bool
+) -> str | None:
+    """The dotted package a ``from X import`` pulls names out of."""
+    if node.level == 0:
+        return node.module
+    if module_name is None:
+        return None
+    parts = module_name.split(".")
+    # level=1 in a package __init__ refers to the package itself.
+    up = node.level - 1 if is_package else node.level
+    if up > len(parts):
+        return None
+    base = parts[: len(parts) - up]
+    if node.module:
+        base.append(node.module)
+    return ".".join(base)
 
 
 def bare_name(node: ast.expr) -> str | None:
@@ -130,32 +190,3 @@ def tail_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return bare_name(node)
-
-
-def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested scope bodies.
-
-    Comprehensions are *not* treated as separate scopes: their iterable
-    expressions belong, for our ordering analysis, to the enclosing
-    function.
-    """
-    if isinstance(scope, _SCOPE_NODES):
-        roots: list[ast.AST] = list(scope.body)
-    else:
-        roots = list(ast.iter_child_nodes(scope))
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, _SCOPE_NODES):
-            # Yield the nested scope node itself (above) but not its body.
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def iter_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """Yield the module and every (possibly nested) function scope."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -8,7 +8,9 @@ the finding is reported at):
   suppress only the listed rule IDs.
 
 Comments are located with :mod:`tokenize`, so ``pic: noqa`` inside a
-string literal never suppresses anything.
+string literal never suppresses anything.  A source whose text does
+not contain the marker at all is not tokenized: a comment cannot
+contain what the text does not.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ def suppressions(path: str, source: str) -> dict[int, frozenset[str] | None]:
     rule.
     """
     out: dict[int, frozenset[str] | None] = {}
+    if _NOQA_RE.search(source) is None:
+        return out
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:

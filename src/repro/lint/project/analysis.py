@@ -37,11 +37,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import (
     SUBSTRATE_NAMES,
     SUBSTRATE_PRIVATE_LEAVES,
     ProjectGraph,
 )
+from repro.lint.project.ir import callee_dotted
 
 Atom = tuple  # ("p", name, depth) | ("pa", name, attr) | ("fn", fid)
 
@@ -191,12 +193,7 @@ class _Evaluator:
         self.summary = Summary()
         self.env: dict[str, AVal] = {}
         self.tenv: dict[str, str] = {}
-        # Modules that *define* a substrate class own its internals:
-        # their helper functions are the implementation, not intruders.
-        self._owns_substrate = any(
-            self.graph.is_substrate_class(f"{self.modkey}.{c}")
-            for c in self.ir.get("classes", {})
-        )
+        self._owns_substrate = self.modkey in self.graph.substrate_modules
 
     def run(self) -> Summary:
         for p in self.fn["params"]:
@@ -295,7 +292,7 @@ class _Evaluator:
                 return self.graph.attr_type(base_t, desc[2])
             return None
         if kind == "call":
-            dotted = self.callee_dotted(desc[1])
+            dotted = callee_dotted(desc[1], self.aliases)
             return self.graph.resolve_class(dotted) if dotted else None
         return None
 
@@ -445,26 +442,6 @@ class _Evaluator:
 
     # -- calls ---------------------------------------------------------
 
-    def callee_dotted(self, func: list) -> str | None:
-        """Canonical dotted name of the callee, via import aliases."""
-        parts: list[str] = []
-        node = func
-        if node[0] == "meth":
-            parts.append(node[2])
-            node = node[1]
-            while node[0] == "attr":
-                parts.append(node[2])
-                node = node[1]
-        elif node[0] == "ref":
-            return self.aliases.get(node[1], node[1])
-        if node[0] != "name":
-            return None
-        head = self.aliases.get(node[1])
-        if head is None:
-            return None
-        parts.append(head)
-        return ".".join(reversed(parts))
-
     def eval_call(self, desc: list) -> AVal:
         _, func, arg_descs, kw_descs, line, col = desc
         args: list[AVal] = []
@@ -488,7 +465,7 @@ class _Evaluator:
             return result
 
         # Class constructor?
-        dotted = self.callee_dotted(func)
+        dotted = callee_dotted(func, self.aliases)
         cfq = self.graph.resolve_class(dotted) if dotted else None
         if cfq is None and func[0] == "ref":
             local = f"{self.modkey}.{func[1]}"
@@ -522,7 +499,7 @@ class _Evaluator:
                     out.append(fid)
         elif func[0] == "meth":
             base_desc, attr = func[1], func[2]
-            dotted = self.callee_dotted(func)
+            dotted = callee_dotted(func, self.aliases)
             fid = self.graph.resolve_function(dotted) if dotted else None
             if fid is not None:
                 return [fid]
@@ -550,7 +527,7 @@ class _Evaluator:
         col: int,
     ) -> AVal:
         callee = self.graph.function_ir.get(fid)
-        summary = self.an.summaries.get(fid)
+        summary = self.an.fix.read(fid)
         if callee is None or summary is None:
             return FRESH
         params = callee["params"]
@@ -758,12 +735,29 @@ class ProjectAnalysis:
 
     def __init__(self, modules: Iterable[dict[str, Any]]) -> None:
         self.graph = ProjectGraph(modules)
-        self.summaries: dict[str, Summary] = {}
-        self._bound: dict[str, dict[str, set]] = {}
+        self.fix = Fixpoint()
+        self.summaries: dict[str, Summary] = self.fix.summaries
+        #: (class, ctor keyword) -> functions bound there, as of last round.
+        self._bound: dict[tuple[str, str], set] = {}
         self._typestate: Any = None
         self._units: Any = None
         self._interference: Any = None
-        self._converge()
+        self.fix.run(
+            sorted(self.graph.function_ir),
+            lambda fid: _Evaluator(self, fid).run(),
+            self.MAX_ROUNDS,
+            self._rebind,
+        )
+        #: (caller fid, line, col) -> callee fids, for the later passes.
+        self.callsites: dict[tuple[str, int, int], list[str]] = {}
+        for fid in sorted(self.summaries):
+            for callee, line, col in self.summaries[fid].direct_calls:
+                self.callsites.setdefault((fid, line, col), []).append(callee)
+
+    def functions_evaluated(self) -> int:
+        """Fixpoint evaluations so far, over every family that has run."""
+        ran = (self, self._typestate, self._units, self._interference)
+        return sum(an.fix.evaluations for an in ran if an is not None)
 
     def typestate(self) -> Any:
         """Lazily-run resource-lifecycle analysis (PIC5xx rules)."""
@@ -793,29 +787,21 @@ class ProjectAnalysis:
         """Functions bound to ``cfq(attr=...)`` at any constructor site."""
         out: set = set()
         for cls in self.graph.ancestors(cfq) or [cfq]:
-            out.update(self._bound.get(cls, {}).get(attr, set()))
+            self.fix.note((cls, attr))
+            out.update(self._bound.get((cls, attr), ()))
         return sorted(out)
 
-    def _converge(self) -> None:
-        fids = sorted(self.graph.function_ir)
-        keys = {fid: "" for fid in fids}
-        for _round in range(self.MAX_ROUNDS):
-            changed = False
-            for fid in fids:
-                summary = _Evaluator(self, fid).run()
-                self.summaries[fid] = summary
-                new_key = summary.key()
-                if new_key != keys[fid]:
-                    keys[fid] = new_key
-                    changed = True
-            self._bound = {}
-            for summary in self.summaries.values():
-                for cfq, kws in summary.bound.items():
-                    dest = self._bound.setdefault(cfq, {})
-                    for kw, fids_set in kws.items():
-                        dest.setdefault(kw, set()).update(fids_set)
-            if not changed:
-                break
+    def _rebind(self) -> None:
+        """End of a round: rebuild the bound-callback table from every
+        summary and touch each entry that moved."""
+        old, self._bound = self._bound, {}
+        for summary in self.summaries.values():
+            for cfq, kws in summary.bound.items():
+                for kw, fids in kws.items():
+                    self._bound.setdefault((cfq, kw), set()).update(fids)
+        for cell in old.keys() | self._bound.keys():
+            if old.get(cell) != self._bound.get(cell):
+                self.fix.touch(cell)
 
     # -- derived facts for rules ---------------------------------------
 

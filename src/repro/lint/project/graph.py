@@ -125,6 +125,13 @@ class ProjectGraph:
         for cfq, bases in self._resolved_bases.items():
             for base in bases:
                 self._subclasses.setdefault(base, set()).add(cfq)
+        #: Modules that *define* a substrate class own its internals:
+        #: their helper functions are the implementation, not intruders.
+        self.substrate_modules = frozenset(
+            modkey
+            for modkey, ir in self.modules.items()
+            if any(self.is_substrate_class(f"{modkey}.{c}") for c in ir["classes"])
+        )
 
     # -- dotted-name resolution ---------------------------------------
 

@@ -48,13 +48,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.lint.project.analysis import MUTATOR_METHODS
+from repro.lint.project.fixpoint import Fixpoint
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
-
-#: Bump when this pass's logic changes what it reports from unchanged
-#: IR (see the cache-salt note in repro.lint.cache).
-INTERFERENCE_PASS_VERSION = 2
 
 #: Class-name shapes that denote per-job state even without an
 #: ``app_id`` attribute (fixtures and ports included).
@@ -150,14 +147,16 @@ class InterferenceAnalysis:
     def __init__(self, project: "ProjectAnalysis") -> None:
         self.project = project
         self.graph = project.graph
-        self.callsites: dict[tuple[str, int, int], list[str]] = {}
-        for fid in sorted(project.summaries):
-            for callee, line, col in project.summaries[fid].direct_calls:
-                self.callsites.setdefault((fid, line, col), []).append(callee)
+        self.callsites = project.callsites
         self.job_classes = self._find_job_classes()
-        self.effects: dict[str, FnEffects] = {}
+        self.fix = Fixpoint()
+        self.effects: dict[str, FnEffects] = self.fix.summaries
         self.findings: list[tuple[str, str, int, int, str]] = []
-        self._converge()
+        self.fix.run(
+            sorted(self.graph.function_ir),
+            lambda fid: _InterferenceWalker(self, fid, report=False).run(),
+            self.MAX_ROUNDS,
+        )
         self._collect()
 
     # -- job-scope detection -------------------------------------------
@@ -276,22 +275,7 @@ class InterferenceAnalysis:
                     return True
         return False
 
-    # -- fixpoint -------------------------------------------------------
-
-    def _converge(self) -> None:
-        fids = sorted(self.graph.function_ir)
-        keys: dict[str, tuple] = {fid: () for fid in fids}
-        for _round in range(self.MAX_ROUNDS):
-            changed = False
-            for fid in fids:
-                effects = _InterferenceWalker(self, fid, report=False).run()
-                self.effects[fid] = effects
-                key = effects.key()
-                if key != keys[fid]:
-                    keys[fid] = key
-                    changed = True
-            if not changed:
-                break
+    # -- reporting ------------------------------------------------------
 
     def _collect(self) -> None:
         reachable = self.project.handler_reachable()
@@ -857,7 +841,7 @@ class _InterferenceWalker:
         col: int,
     ) -> set:
         callee = self.graph.function_ir.get(fid)
-        effects = self.an.effects.get(fid)
+        effects = self.an.fix.read(fid)
         if callee is None or effects is None:
             return set()
         params = callee["params"]

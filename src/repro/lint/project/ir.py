@@ -49,6 +49,8 @@ from __future__ import annotations
 import ast
 from typing import Any, Sequence
 
+from repro.lint.module import LintModule, import_aliases
+
 #: Bump when the IR shape changes: invalidates every cache entry.
 #: v2: exception-edge block ops (try/with/if), raise ops, operator
 #: names on bin/cmp descriptors (typestate + unit-taint analyses).
@@ -59,17 +61,14 @@ Op = list
 
 
 def build_module_ir(
-    tree: ast.Module,
-    path: str,
-    module_name: str | None,
-    is_package: bool = False,
+    module: LintModule, module_name: str | None, is_package: bool = False
 ) -> dict[str, Any]:
-    """Lower ``tree`` to the module IR dict (see module docstring)."""
-    builder = _ModuleLowering(path, module_name, is_package)
-    builder.run(tree)
+    """Lower ``module`` to the module IR dict (see module docstring)."""
+    builder = _ModuleLowering(module.path, module_name, is_package)
+    builder.run(module)
     return {
         "version": IR_SCHEMA_VERSION,
-        "path": path,
+        "path": module.path,
         "module": module_name,
         "is_package": is_package,
         "aliases": builder.aliases,
@@ -78,49 +77,27 @@ def build_module_ir(
     }
 
 
-# ----------------------------------------------------------------------
-# Alias table (absolute *and* relative imports, unlike LintModule's)
-
-
-def _module_aliases(
-    tree: ast.Module, module_name: str | None, is_package: bool
-) -> dict[str, str]:
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.asname is not None:
-                    aliases[a.asname] = a.name
-                else:
-                    aliases[a.name.split(".")[0]] = a.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = _from_base(node, module_name, is_package)
-            if base is None:
-                continue
-            for a in node.names:
-                if a.name == "*":
-                    continue
-                aliases[a.asname or a.name] = f"{base}.{a.name}" if base else a.name
-    return aliases
-
-
-def _from_base(
-    node: ast.ImportFrom, module_name: str | None, is_package: bool
-) -> str | None:
-    """The dotted package a ``from X import`` pulls names out of."""
-    if node.level == 0:
-        return node.module
-    if module_name is None:
+def callee_dotted(func: Desc, aliases: dict[str, str]) -> str | None:
+    """Canonical dotted name of a call's ``f`` descriptor through the
+    module's import ``aliases``: a bare ``ref`` falls back to its own
+    name, a method chain not rooted at an import gives None."""
+    parts: list[str] = []
+    node = func
+    if node[0] == "meth":
+        parts.append(node[2])
+        node = node[1]
+        while node[0] == "attr":
+            parts.append(node[2])
+            node = node[1]
+    elif node[0] == "ref":
+        return aliases.get(node[1], node[1])
+    if node[0] != "name":
         return None
-    parts = module_name.split(".")
-    # level=1 in a package __init__ refers to the package itself.
-    up = node.level - 1 if is_package else node.level
-    if up > len(parts):
+    head = aliases.get(node[1])
+    if head is None:
         return None
-    base = parts[: len(parts) - up]
-    if node.module:
-        base.append(node.module)
-    return ".".join(base)
+    parts.append(head)
+    return ".".join(reversed(parts))
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +114,11 @@ class _ModuleLowering:
         self.classes: dict[str, dict[str, Any]] = {}
         self.functions: dict[str, dict[str, Any]] = {}
 
-    def run(self, tree: ast.Module) -> None:
-        self.aliases = _module_aliases(tree, self.module_name, self.is_package)
-        for node in tree.body:
+    def run(self, module: LintModule) -> None:
+        self.aliases = import_aliases(
+            module.nodes, self.module_name, self.is_package
+        )
+        for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._lower_function(node, qual=node.name, class_name=None)
             elif isinstance(node, ast.ClassDef):

@@ -50,13 +50,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.lint.project.fixpoint import Fixpoint
+from repro.lint.project.ir import callee_dotted
+
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
-
-#: Bump when this pass's logic changes what it reports from unchanged
-#: IR — folded into the incremental-cache salt so warm runs never mix
-#: old pass output with new pass code.
-TYPESTATE_PASS_VERSION = 1
 
 # ----------------------------------------------------------------------
 # Protocol knowledge
@@ -191,29 +189,16 @@ class TypestateAnalysis:
         self.project = project
         self.graph = project.graph
         #: (caller fid, line, col) -> callee fids, from the alias pass.
-        self.callsites: dict[tuple[str, int, int], list[str]] = {}
-        for fid in sorted(project.summaries):
-            for callee, line, col in project.summaries[fid].direct_calls:
-                self.callsites.setdefault((fid, line, col), []).append(callee)
-        self.summaries: dict[str, ResourceSummary] = {}
+        self.callsites = project.callsites
+        self.fix = Fixpoint()
+        self.summaries: dict[str, ResourceSummary] = self.fix.summaries
         self.findings: list[tuple[str, str, int, int, str]] = []
-        self._converge()
+        self.fix.run(
+            sorted(self.graph.function_ir),
+            lambda fid: _Walker(self, fid, report=False).run(),
+            self.MAX_ROUNDS,
+        )
         self._collect()
-
-    def _converge(self) -> None:
-        fids = sorted(self.graph.function_ir)
-        keys: dict[str, tuple] = {fid: () for fid in fids}
-        for _round in range(self.MAX_ROUNDS):
-            changed = False
-            for fid in fids:
-                summary = _Walker(self, fid, report=False).run()
-                self.summaries[fid] = summary
-                key = summary.key()
-                if key != keys[fid]:
-                    keys[fid] = key
-                    changed = True
-            if not changed:
-                break
 
     def _collect(self) -> None:
         for fid in sorted(self.graph.function_ir):
@@ -452,8 +437,8 @@ class _Walker:
                     if res is not None:
                         frame.setdefault(id(res), set()).add(func[2])
                 for callee, pname, res in self._project_call_args(desc, env):
-                    methods = self.an.summaries.get(callee, ResourceSummary())
-                    released = methods.releases_params.get(pname)
+                    methods = self.an.fix.read(callee)
+                    released = methods.releases_params.get(pname) if methods else None
                     if released:
                         frame.setdefault(id(res), set()).update(released)
             elif desc[0] == "seq":
@@ -622,7 +607,7 @@ class _Walker:
         callees = self.an.callsites.get((self.fid, cline, col), [])
         handled: set[int] = set()
         for callee, pname, res in self._project_call_args(desc, env):
-            summary = self.an.summaries.get(callee)
+            summary = self.an.fix.read(callee)
             if summary is None:
                 continue
             released = summary.releases_params.get(pname)
@@ -639,7 +624,7 @@ class _Walker:
         acquired = self._acquisition(func, kwargs, cline, col)
         if acquired is None and callees:
             for callee in callees:
-                summary = self.an.summaries.get(callee)
+                summary = self.an.fix.read(callee)
                 if summary is not None and summary.returns_resource is not None:
                     rkind, required = summary.returns_resource
                     acquired = Res(rkind, cline, col, frozenset(required))
@@ -694,7 +679,7 @@ class _Walker:
     def _acquisition(
         self, func: list, kwargs: list, line: int, col: int
     ) -> Res | None:
-        dotted = self._dotted(func)
+        dotted = callee_dotted(func, self.aliases)
         kind: str | None = None
         if dotted is not None:
             kind = _ACQUIRER_DOTTED.get(dotted)
@@ -710,25 +695,6 @@ class _Walker:
         if kind == "shm" and any(kw == "create" for kw, _d in kwargs):
             required.add("unlink")
         return Res(kind, line, col, frozenset(required))
-
-    def _dotted(self, func: list) -> str | None:
-        parts: list[str] = []
-        node = func
-        if node[0] == "meth":
-            parts.append(node[2])
-            node = node[1]
-            while node[0] == "attr":
-                parts.append(node[2])
-                node = node[1]
-        elif node[0] == "ref":
-            return self.aliases.get(node[1], node[1])
-        if node[0] != "name":
-            return None
-        head = self.aliases.get(node[1])
-        if head is None:
-            return None
-        parts.append(head)
-        return ".".join(reversed(parts))
 
     # -- state transitions ---------------------------------------------
 

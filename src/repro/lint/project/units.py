@@ -42,14 +42,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import SUBSTRATE_NAMES
+from repro.lint.project.ir import callee_dotted
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
-
-#: Bump when this pass's logic changes what it reports from unchanged
-#: IR (see the cache-salt note in repro.lint.cache).
-UNITS_PASS_VERSION = 1
 
 WALL_S = "wall_s"
 SIM_S = "sim_s"
@@ -140,29 +138,16 @@ class UnitAnalysis:
     def __init__(self, project: "ProjectAnalysis") -> None:
         self.project = project
         self.graph = project.graph
-        self.callsites: dict[tuple[str, int, int], list[str]] = {}
-        for fid in sorted(project.summaries):
-            for callee, line, col in project.summaries[fid].direct_calls:
-                self.callsites.setdefault((fid, line, col), []).append(callee)
-        self.summaries: dict[str, UnitSummary] = {}
+        self.callsites = project.callsites
+        self.fix = Fixpoint()
+        self.summaries: dict[str, UnitSummary] = self.fix.summaries
         self.findings: list[tuple[str, str, int, int, str]] = []
-        self._converge()
+        self.fix.run(
+            sorted(self.graph.function_ir),
+            lambda fid: _UnitWalker(self, fid, report=False).run(),
+            self.MAX_ROUNDS,
+        )
         self._collect()
-
-    def _converge(self) -> None:
-        fids = sorted(self.graph.function_ir)
-        keys: dict[str, tuple] = {fid: () for fid in fids}
-        for _round in range(self.MAX_ROUNDS):
-            changed = False
-            for fid in fids:
-                summary = _UnitWalker(self, fid, report=False).run()
-                self.summaries[fid] = summary
-                key = summary.key()
-                if key != keys[fid]:
-                    keys[fid] = key
-                    changed = True
-            if not changed:
-                break
 
     def _collect(self) -> None:
         for fid in sorted(self.graph.function_ir):
@@ -346,7 +331,7 @@ class _UnitWalker:
         kw_units = {kw: self.eval(d, line) for kw, d in kwargs}
 
         tail = func[2] if func[0] == "meth" else (func[1] if func[0] == "ref" else None)
-        dotted = self._dotted(func)
+        dotted = callee_dotted(func, self.aliases)
 
         self._check_sinks(func, tail, arg_units, kw_units, line, col)
 
@@ -391,7 +376,7 @@ class _UnitWalker:
         col: int,
     ) -> set:
         callee = self.graph.function_ir.get(fid)
-        summary = self.an.summaries.get(fid)
+        summary = self.an.fix.read(fid)
         if callee is None or summary is None:
             return set()
         params = callee["params"]
@@ -530,25 +515,6 @@ class _UnitWalker:
         if node[0] == "call":
             return False
         return False
-
-    def _dotted(self, func: list) -> str | None:
-        parts: list[str] = []
-        node = func
-        if node[0] == "meth":
-            parts.append(node[2])
-            node = node[1]
-            while node[0] == "attr":
-                parts.append(node[2])
-                node = node[1]
-        elif node[0] == "ref":
-            return self.aliases.get(node[1], node[1])
-        if node[0] != "name":
-            return None
-        head = self.aliases.get(node[1])
-        if head is None:
-            return None
-        parts.append(head)
-        return ".".join(reversed(parts))
 
 
 def _concrete_params(units: Units | None) -> list[str]:

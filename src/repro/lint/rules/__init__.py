@@ -19,7 +19,7 @@ the converged :class:`~repro.lint.project.analysis.ProjectAnalysis`.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.lint.model import Finding
 
@@ -54,6 +54,24 @@ class ProjectRule(Rule):
     @abc.abstractmethod
     def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
         """Yield findings over the converged project summaries."""
+
+
+def project_finding(
+    project: "ProjectAnalysis", rule_id: str, fid: str, line: int, col: int, message: str
+) -> Finding:
+    """Anchor a whole-program finding in ``fid``'s file (IR columns
+    count from 0, findings from 1)."""
+    return Finding(project.graph.fid_path[fid], line, col + 1, rule_id, message)
+
+
+def family_findings(
+    project: "ProjectAnalysis", findings: Iterable[tuple], rule_id: str
+) -> Iterator[Finding]:
+    """``rule_id``'s share of the ``(rule, fid, line, col, message)``
+    tuples one family analysis (typestate, units, interference) found."""
+    for rule, fid, line, col, message in findings:
+        if rule == rule_id:
+            yield project_finding(project, rule_id, fid, line, col, message)
 
 
 def all_rules() -> list[Rule]:

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.lint.model import Finding
 from repro.lint.project.analysis import ProjectAnalysis, Summary
-from repro.lint.rules import ProjectRule
+from repro.lint.rules import ProjectRule, project_finding
 
 
 def _method(
@@ -42,18 +42,6 @@ def _data_params(fn: dict, indices: tuple[int, ...]) -> list[str]:
     return [params[i] for i in indices if i < len(params)]
 
 
-def _finding(
-    project: ProjectAnalysis, rule_id: str, fid: str, line: int, col: int, message: str
-) -> Finding:
-    return Finding(
-        path=project.graph.fid_path[fid],
-        line=line,
-        col=col + 1,
-        rule=rule_id,
-        message=message,
-    )
-
-
 class PartitionAliasingRule(ProjectRule):
     """PIC301: ``partition()`` leaks references to shared input/model."""
 
@@ -71,7 +59,7 @@ class PartitionAliasingRule(ProjectRule):
                 atom = ("p", param, 0)
                 if atom in escaped:
                     line, col = summary.ret_sites.get(atom, [fn["line"], 0])
-                    yield _finding(
+                    yield project_finding(
                         project,
                         self.rule_id,
                         fid,
@@ -113,7 +101,7 @@ class MergeMutationRule(ProjectRule):
                             if atom == ("p", param, 0)
                             else f"a partial model inside '{param}'"
                         )
-                        yield _finding(
+                        yield project_finding(
                             project,
                             self.rule_id,
                             fid,
@@ -165,7 +153,7 @@ class CallbackRecordMutationRule(ProjectRule):
                         continue  # column writes are PIC304's, with a better message
                     if atom[1] in data and atom[1] not in seen:
                         seen.add(atom[1])
-                        yield _finding(
+                        yield project_finding(
                             project,
                             self.rule_id,
                             fid,
@@ -182,7 +170,7 @@ class CallbackRecordMutationRule(ProjectRule):
                         and "model" not in seen
                     ):
                         seen.add("model")
-                        yield _finding(
+                        yield project_finding(
                             project,
                             self.rule_id,
                             fid,
@@ -245,7 +233,7 @@ class ColumnViewRule(ProjectRule):
                 if atom[1] != param or atom[2] not in self._COLUMN_ATTRS:
                     continue
                 line, col = summary.ret_sites.get(atom, [fn["line"], 0])
-                yield _finding(
+                yield project_finding(
                     project,
                     self.rule_id,
                     fid,
@@ -274,7 +262,7 @@ class ColumnViewRule(ProjectRule):
                     and atom[1] in data
                     and atom[2] in self._COLUMN_ATTRS
                 ):
-                    yield _finding(
+                    yield project_finding(
                         project,
                         self.rule_id,
                         fid,

@@ -23,20 +23,7 @@ from typing import Iterator
 
 from repro.lint.model import Finding
 from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule
-
-
-def _findings(project: ProjectAnalysis, rule_id: str) -> Iterator[Finding]:
-    for rule, fid, line, col, message in project.interference().findings:
-        if rule != rule_id:
-            continue
-        yield Finding(
-            path=project.graph.fid_path[fid],
-            line=line,
-            col=col + 1,
-            rule=rule_id,
-            message=message,
-        )
+from repro.lint.rules import ProjectRule, family_findings
 
 
 class CrossJobWriteRule(ProjectRule):
@@ -46,7 +33,7 @@ class CrossJobWriteRule(ProjectRule):
     summary = "event handler writes another job's state"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.interference().findings, self.rule_id)
 
 
 class TieOrderConflictRule(ProjectRule):
@@ -56,7 +43,7 @@ class TieOrderConflictRule(ProjectRule):
     summary = "co-schedulable handlers overlap on shared state with no tiebreak"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.interference().findings, self.rule_id)
 
 
 class AggregateBypassRule(ProjectRule):
@@ -66,7 +53,7 @@ class AggregateBypassRule(ProjectRule):
     summary = "scheduler aggregate mutated from a callback, not its owner API"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.interference().findings, self.rule_id)
 
 
 class UnorderedScheduleRule(ProjectRule):
@@ -76,4 +63,4 @@ class UnorderedScheduleRule(ProjectRule):
     summary = "set/id()-ordered iterable flows into a scheduling order"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.interference().findings, self.rule_id)

@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.model import Finding
-from repro.lint.module import LintModule, bare_name, iter_scopes, walk_scope
+from repro.lint.module import LintModule, bare_name
 from repro.lint.rules import Rule
 
 #: Canonical names of host-clock reads.  Simulated components take time
@@ -64,7 +64,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = module.resolve(node.func)
@@ -89,7 +89,7 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = module.resolve(node.func)
@@ -129,9 +129,9 @@ class SetIterationOrderRule(Rule):
     summary = "iteration over a set/frozenset feeds nondeterministic order; sort first"
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        for scope in iter_scopes(module.tree):
-            set_names = _set_typed_names(scope)
-            for node in walk_scope(scope):
+        for scope in module.iter_scopes():
+            set_names = _set_typed_names(module, scope)
+            for node in module.walk_scope(scope):
                 if not _is_set_expr(node, set_names):
                     continue
                 parent = module.parent(node)
@@ -180,7 +180,7 @@ def _is_set_annotation(annotation: ast.expr | None) -> bool:
     )
 
 
-def _set_typed_names(scope: ast.AST) -> frozenset[str]:
+def _set_typed_names(module: LintModule, scope: ast.AST) -> frozenset[str]:
     """Names that are only ever bound to sets within ``scope``.
 
     Conservative: any rebinding to a non-set value (or any binding whose
@@ -197,7 +197,7 @@ def _set_typed_names(scope: ast.AST) -> frozenset[str]:
             if arg.annotation is not None:
                 note(arg.arg, _is_set_annotation(arg.annotation))
 
-    for node in walk_scope(scope):
+    for node in module.walk_scope(scope):
         if isinstance(node, ast.Assign):
             is_set = _is_set_expr(node.value, frozenset())
             for target in node.targets:

@@ -28,22 +28,7 @@ from typing import Iterator
 
 from repro.lint.model import Finding
 from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule
-
-
-def _findings(
-    project: "ProjectAnalysis", rule_id: str
-) -> Iterator[Finding]:
-    for rule, fid, line, col, message in project.typestate().findings:
-        if rule != rule_id:
-            continue
-        yield Finding(
-            path=project.graph.fid_path[fid],
-            line=line,
-            col=col + 1,
-            rule=rule_id,
-            message=message,
-        )
+from repro.lint.rules import ProjectRule, family_findings
 
 
 class ResourceLeakRule(ProjectRule):
@@ -53,7 +38,7 @@ class ResourceLeakRule(ProjectRule):
     summary = "resource (shm block, pool, file, mmap) can leak on an exception path"
 
     def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.typestate().findings, self.rule_id)
 
 
 class DoubleReleaseRule(ProjectRule):
@@ -63,7 +48,7 @@ class DoubleReleaseRule(ProjectRule):
     summary = "release method called again on an already-released resource"
 
     def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.typestate().findings, self.rule_id)
 
 
 class UseAfterReleaseRule(ProjectRule):
@@ -73,4 +58,4 @@ class UseAfterReleaseRule(ProjectRule):
     summary = "resource used after it was released on every path"
 
     def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.typestate().findings, self.rule_id)

@@ -34,7 +34,7 @@ class TaskSpecPicklabilityRule(Rule):
 
     def check(self, module: LintModule) -> Iterator[Finding]:
         nested = _nested_function_names(module)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             for value in self._task_spec_args(module, node):
@@ -78,7 +78,7 @@ class TaskSpecPicklabilityRule(Rule):
 def _nested_function_names(module: LintModule) -> frozenset[str]:
     """Names of functions defined inside another function."""
     names = set()
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         parent = module.parent(node)
@@ -213,7 +213,7 @@ def _program_classes(module: LintModule) -> list[ast.ClassDef]:
     """Classes that (transitively, within this module) extend PICProgram."""
     classes = {
         node.name: node
-        for node in ast.walk(module.tree)
+        for node in module.nodes
         if isinstance(node, ast.ClassDef)
     }
     cache: dict[str, bool] = {}

@@ -25,7 +25,7 @@ class GetsizeofRule(Rule):
     summary = "sys.getsizeof measures CPython headers, not wire bytes; use util.sizing"
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call) and module.resolve(node.func) == "sys.getsizeof":
                 yield self.finding(
                     module,
@@ -51,7 +51,7 @@ class RawLenByteCountRule(Rule):
     summary = "len()/getsizeof passed as a flow byte count; use sizeof_records/.nbytes"
 
     def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             fname = tail_name(node.func)

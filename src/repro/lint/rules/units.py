@@ -22,20 +22,7 @@ from typing import Iterator
 
 from repro.lint.model import Finding
 from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule
-
-
-def _findings(project: ProjectAnalysis, rule_id: str) -> Iterator[Finding]:
-    for rule, fid, line, col, message in project.unit_taint().findings:
-        if rule != rule_id:
-            continue
-        yield Finding(
-            path=project.graph.fid_path[fid],
-            line=line,
-            col=col + 1,
-            rule=rule_id,
-            message=message,
-        )
+from repro.lint.rules import ProjectRule, family_findings
 
 
 class UnitMixRule(ProjectRule):
@@ -45,7 +32,7 @@ class UnitMixRule(ProjectRule):
     summary = "adds/subtracts/compares quantities with conflicting units"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.unit_taint().findings, self.rule_id)
 
 
 class SimSinkTaintRule(ProjectRule):
@@ -55,4 +42,4 @@ class SimSinkTaintRule(ProjectRule):
     summary = "wall-clock or mis-united quantity flows into a simulated metric"
 
     def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from _findings(project, self.rule_id)
+        yield from family_findings(project, project.unit_taint().findings, self.rule_id)

@@ -194,6 +194,9 @@ class TestModuleEntryPoint:
         cache = tmp_path / "cache.json"
         cold = self._run("src", "--cache-file", str(cache), "--stats")
         assert cold.returncode == 0, cold.stdout + cold.stderr
+        assert "project=analysed" in cold.stderr
+        assert "evaluated=0 " not in cold.stderr
         warm = self._run("src", "--cache-file", str(cache), "--stats")
         assert warm.returncode == 0, warm.stdout + warm.stderr
         assert "parsed=0" in warm.stderr
+        assert "evaluated=0 project=replayed" in warm.stderr

@@ -34,7 +34,7 @@ def analysis():
     for path in iter_python_files([SRC]):
         module = LintModule.from_bytes(str(path), path.read_bytes())
         name, is_pkg = module_name_for_path(path)
-        irs.append(build_module_ir(module.tree, str(path), name, is_pkg))
+        irs.append(build_module_ir(module, name, is_pkg))
     return ProjectAnalysis(irs)
 
 
