@@ -146,13 +146,15 @@ class ImageSmoothingProgram(PICProgram):
         """max pixel change below the threshold (or the iteration cap)."""
         if iteration + 1 >= self.max_iterations:
             return True
-        worst = 0.0
-        for key, row in current.items():
-            prev_row = previous.get(key)
-            if prev_row is None:
-                return False
-            worst = max(worst, float(np.max(np.abs(row - prev_row))))
-        return worst < self.threshold
+        prev_rows = [previous.get(key) for key in current]
+        if any(row is None for row in prev_rows):
+            return False
+        if not current:
+            return True
+        # One stacked pass gives every row's largest change; the fold
+        # over them is Python's max, which a NaN row does not raise.
+        changes = np.abs(np.array(list(current.values())) - np.array(prev_rows))
+        return max([0.0, *changes.max(axis=1).tolist()]) < self.threshold
 
     # -- PIC extras --------------------------------------------------------
 

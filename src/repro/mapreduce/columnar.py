@@ -20,10 +20,12 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
 
 * **Partitioning** — ``stable_hashes`` is bit-identical to the scalar
   :func:`repro.mapreduce.records.stable_hash`, vectorized for typed
-  columns and calling the scalar function itself for object ones.
+  columns (crc32 is affine over GF(2): one table gather per byte that
+  *varies* across the column) and the scalar function for object ones.
 * **Grouping** — :func:`group_batch` yields the groups of
   ``group_by_key(batch.to_rows())`` in the same order: one stable
-  argsort for typed key columns, ``group_by_key`` over the row indices
+  argsort for typed key columns (a linear-time radix sort for narrow
+  int keys), ``group_by_key`` over the row indices
   for key sets numpy would order differently (object or mixed-type
   keys, nested tuples, float NaNs).  It is the one-bucket case of
   :func:`group_buckets`, which groups a map output by (reduce
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import zlib
 from operator import attrgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,60 +51,78 @@ from repro.util.sizing import (
 )
 
 # -- vectorized crc32 --------------------------------------------------------
+#
+# CRC-32's byte table is linear over GF(2), so the register update splits
+# into ``s' = Z(s) ^ T[b]`` with ``Z(s) = (s >> 8) ^ T[s & 0xFF]`` linear
+# too, and a ``w``-byte row unrolls to ``K[w] ^ XOR_j Q[w-1-j][b_j]`` with
+# ``Q[d][b] = Z^d(T[b])``: a byte counts through its *distance from the
+# row's end* alone.  ``Q[d][0] == 0``, so rows that differ only at some
+# positions hash to the crc of one template row holding zero there (one
+# ``zlib.crc32`` call) XOR one gather per varying position (DESIGN.md §10).
 
-_CRC_TABLE: np.ndarray | None = None
+_CRC_Q: np.ndarray | None = None
 
 
-def _crc_table() -> np.ndarray:
-    """The standard reflected CRC-32 table (polynomial 0xEDB88320)."""
-    global _CRC_TABLE
-    if _CRC_TABLE is None:
-        table = np.empty(256, dtype=np.uint32)
-        for i in range(256):
-            c = i
-            for _ in range(8):
-                c = (c >> 1) ^ 0xEDB88320 if c & 1 else c >> 1
-            table[i] = c
-        _CRC_TABLE = table
-    return _CRC_TABLE
+def _crc_distance_table(depth: int) -> np.ndarray:
+    """``Q[d][b]`` for ``d < depth``: one table for every row width, 1 KB
+    per byte of the widest row seen.  Built on first use — nothing at
+    import — and rebuilt at least twice as deep when a wider row comes."""
+    global _CRC_Q
+    q = _CRC_Q
+    if q is None or len(q) < depth:
+        byte = np.arange(256, dtype=np.uint32)
+        for _ in range(8):  # Q[0]: the reflected CRC-32 byte table (0xEDB88320)
+            byte = np.where(byte & 1, (byte >> 1) ^ np.uint32(0xEDB88320), byte >> 1)
+        rows = [byte]
+        while len(rows) < max(depth, 1 if q is None else 2 * len(q)):
+            rows.append((rows[-1] >> 8) ^ byte[rows[-1] & 0xFF])
+        q = _CRC_Q = np.array(rows)
+    return q
+
+
+def _crc32_template(
+    template: bytes, varying: Iterable[tuple[int, np.ndarray]], n: int
+) -> np.ndarray:
+    """crc32 of ``n`` rows equal to ``template`` except at the positions
+    in ``varying`` — ``(position, uint8 column)`` pairs, zero in the
+    template.  Two array operations per varying byte."""
+    width = len(template)
+    table = _crc_distance_table(width)
+    acc = np.full(n, zlib.crc32(template), dtype=np.uint32)
+    for position, column in varying:
+        acc ^= table[width - 1 - position].take(column)
+    return acc
 
 
 def crc32_rows(matrix: np.ndarray) -> np.ndarray:
-    """crc32 of each row of a ``(n, width)`` uint8 matrix.
-
-    Bit-identical to ``zlib.crc32(row.tobytes())`` for every row: the
-    table-driven update is the same algorithm, iterated over byte
-    *columns* so the per-row state updates run vectorized.
-    """
+    """crc32 of each row of a ``(n, width)`` uint8 matrix, bit-identical
+    to ``zlib.crc32(row.tobytes())``: the all-zero template with every
+    byte column varying."""
     if matrix.ndim != 2 or matrix.dtype != np.uint8:
         raise ValueError("crc32_rows needs a (n, width) uint8 matrix")
-    table = _crc_table()
-    crc = np.full(matrix.shape[0], 0xFFFFFFFF, dtype=np.uint32)
-    for col in range(matrix.shape[1]):
-        crc = (crc >> 8) ^ table[(crc ^ matrix[:, col]) & 0xFF]
-    return crc ^ np.uint32(0xFFFFFFFF)
+    n, width = matrix.shape
+    return _crc32_template(bytes(width), enumerate(matrix.T), n)
 
 
 def _hash_int64(values: np.ndarray) -> np.ndarray:
-    """Vectorized ``stable_hash`` for an int64 array.
-
-    The scalar hash packs ``b"i" + key.to_bytes(16, "little", signed=True)``;
-    for int64-range keys the upper 8 bytes are pure sign extension.
-    """
-    mat = np.empty((len(values), 17), dtype=np.uint8)
-    mat[:, 0] = ord("i")
-    le = values.astype("<i8").view(np.uint8).reshape(-1, 8)
-    mat[:, 1:9] = le
-    mat[:, 9:] = np.where(values < 0, 0xFF, 0)[:, None].astype(np.uint8)
-    return crc32_rows(mat)
-
-
-def _hash_bool(values: np.ndarray) -> np.ndarray:
-    """Vectorized ``stable_hash`` for a bool array (``b"b1"``/``b"b0"``)."""
-    mat = np.empty((len(values), 2), dtype=np.uint8)
-    mat[:, 0] = ord("b")
-    mat[:, 1] = np.where(values, ord("1"), ord("0"))
-    return crc32_rows(mat)
+    """Vectorized ``stable_hash`` for an int64 array: the crc32 of
+    ``b"i" + key.to_bytes(16, "little", signed=True)``.  When every key
+    fits ``k`` signed bytes, bytes ``k..15`` are sign extension — zero, or
+    one constant for all the negative keys — so only the low ``k`` bytes
+    are gathered: one or two for the apps' ids."""
+    n = len(values)
+    if n == 0:
+        return np.empty(0, dtype=np.uint32)
+    lo, hi = int(values.min()), int(values.max())
+    k = (max(hi, ~lo).bit_length() + 7) // 8
+    le = np.ascontiguousarray(values, dtype="<i8").view(np.uint8).reshape(n, 8)
+    zeros = b"i" + bytes(16)
+    acc = _crc32_template(zeros, [(1 + j, le[:, j]) for j in range(k)], n)
+    if lo < 0:
+        ones = b"i" + bytes(k) + b"\xff" * (16 - k)
+        flip = np.uint32(zlib.crc32(ones) ^ zlib.crc32(zeros))
+        acc ^= np.where(values < 0, flip, np.uint32(0))
+    return acc
 
 
 def _hash_str_rows(data: Sequence[bytes], prefix: bytes) -> np.ndarray:
@@ -121,6 +141,23 @@ def _hash_str_rows(data: Sequence[bytes], prefix: bytes) -> np.ndarray:
 
 
 # -- columns -----------------------------------------------------------------
+
+# Below this length the min/max/cast passes cost what the radix sort
+# saves (measured: even at 512 rows, 2x at 1 024, 6-9x at 4 166).
+_RADIX_MIN = 512
+
+
+def _radix_key(values: np.ndarray) -> np.ndarray:
+    """``values``, or — for an int column spanning less than 2**16 — the
+    same order recoded as ``values - min`` in uint8/uint16, which numpy's
+    stable argsort radix-sorts in linear time (int64 gets a merge sort).
+    A stable sort's permutation is unique: the order is the same array."""
+    if values.dtype.kind == "i" and len(values) >= _RADIX_MIN:
+        lo = values.min()
+        span = int(values.max()) - int(lo)  # Python ints: cannot overflow
+        if span < 1 << 16:
+            return (values - lo).astype(np.uint8 if span < 1 << 8 else np.uint16)
+    return values
 
 
 class Column:
@@ -219,8 +256,9 @@ class ScalarColumn(Column):
     def stable_hashes(self) -> np.ndarray:
         if self.kind == "int":
             return _hash_int64(self.values)
-        if self.kind == "bool":
-            return _hash_bool(self.values)
+        if self.kind == "bool":  # the scalar hash packs b"b1" / b"b0"
+            one, zero = zlib.crc32(b"b1"), zlib.crc32(b"b0")
+            return np.where(self.values, np.uint32(one), np.uint32(zero))
         # Floats hash over repr(), which has no fixed-width encoding.
         data = [b"f" + repr(v).encode() for v in self.values.tolist()]
         return _hash_str_rows(data, b"")
@@ -230,7 +268,7 @@ class ScalarColumn(Column):
             # Python's comparison sort leaves NaNs wherever they fall;
             # numpy sorts them to the end.  Not equivalent.
             return None
-        return np.argsort(self.values, kind="stable")
+        return np.argsort(_radix_key(self.values), kind="stable")
 
     def backing_arrays(self) -> list[np.ndarray]:
         return [self.values]
@@ -366,22 +404,13 @@ class TupleColumn(Column):
 
     def stable_hashes(self) -> np.ndarray:
         # Scalar packing: b"t" + b"|".join(item_hash.to_bytes(8, "little")).
-        n = self.length
-        arity = len(self.slots)
-        if arity == 0:
-            return np.full(n, zlib.crc32(b"t"), dtype=np.uint32)
-        width = 1 + 9 * arity - 1  # "t", then 8-byte hashes joined by "|"
-        mat = np.empty((n, width), dtype=np.uint8)
-        mat[:, 0] = ord("t")
+        # An item hash is 32 bits, so only its low four bytes ever vary.
+        template = b"t" + b"|".join([bytes(8)] * len(self.slots))
+        varying: list[tuple[int, np.ndarray]] = []
         for s, slot in enumerate(self.slots):
-            base = 1 + 9 * s
-            if s > 0:
-                mat[:, base - 1] = ord("|")
-            hashes = slot.stable_hashes().astype(np.uint64)
-            mat[:, base : base + 8] = (
-                hashes.astype("<u8").view(np.uint8).reshape(-1, 8)
-            )
-        return crc32_rows(mat)
+            le = slot.stable_hashes().astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+            varying += [(1 + 9 * s + j, le[:, j]) for j in range(4)]
+        return _crc32_template(template, varying, self.length)
 
     def sort_order(self) -> np.ndarray | None:
         if not self.slots:
@@ -391,7 +420,7 @@ class TupleColumn(Column):
             if isinstance(slot, ScalarColumn):
                 if slot.kind == "float" and bool(np.isnan(slot.values).any()):
                     return None
-                sort_keys.append(slot.values)
+                sort_keys.append(_radix_key(slot.values))
             elif isinstance(slot, StringColumn):
                 sort_keys.append(slot.values)
             else:

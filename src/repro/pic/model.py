@@ -37,5 +37,5 @@ def records_to_model(records: Iterable[tuple[Any, Any]]) -> dict[Any, Any]:
 
 
 def model_nbytes(model: dict[Any, Any]) -> int:
-    """Serialized size of the model — the per-iteration update volume."""
-    return sizeof_records(model_to_records(model))
+    """Serialized size of the model (the per-iteration update volume): a sum, so unordered."""
+    return sizeof_records(model.items())

@@ -14,13 +14,18 @@ Sizing rules (close to Hadoop's wire formats):
 * ``str``/``bytes`` → UTF-8 length + 2-byte length prefix (``Text``)
 * ``numpy`` scalar → its itemsize
 * ``numpy.ndarray`` → ``nbytes`` + a small shape header
-* tuples/lists → sum of elements + 4-byte count
+* tuples/lists/sets → sum of elements + 4-byte count
 * dicts → sum of key+value sizes + 4-byte count
+
+Each rule is written once, in ``_RULES``, keyed by ``type(value)``; a
+subclass (``IntEnum``, ``np.float64``, a ``namedtuple``, ...) takes the
+rule of the first class along its ``__mro__`` that has one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from operator import attrgetter
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -30,31 +35,49 @@ ARRAY_HEADER = 8
 SEQ_HEADER = 4
 STR_HEADER = 2
 
+_sizeof_scalar = attrgetter("itemsize")
+
+
+def _sizeof_sequence(value: Iterable[Any]) -> int:
+    return SEQ_HEADER + sum(map(sizeof_value, value))
+
+
+# A fixed-size type maps to its size, any other to the function of the
+# value that sizes it.
+_RULES: dict[type, int | Callable[[Any], int]] = {
+    type(None): 1,
+    bool: 1,
+    int: 8,
+    float: 8,
+    np.generic: _sizeof_scalar,
+    # numpy strings are scalars first (itemsize, no prefix), though their
+    # MRO lists str/bytes ahead of np.generic.
+    np.str_: _sizeof_scalar,
+    np.bytes_: _sizeof_scalar,
+    np.ndarray: lambda value: value.nbytes + ARRAY_HEADER,
+    bytes: lambda value: len(value) + STR_HEADER,
+    str: lambda value: len(value.encode("utf-8")) + STR_HEADER,
+    tuple: _sizeof_sequence,
+    list: _sizeof_sequence,
+    set: _sizeof_sequence,
+    frozenset: _sizeof_sequence,
+    dict: lambda value: SEQ_HEADER + sizeof_records(value.items()),
+}
+
 
 def sizeof_value(value: Any) -> int:
     """Return the estimated serialized size of one key or value, in bytes."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, np.generic):
-        return int(value.dtype.itemsize)
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes) + ARRAY_HEADER
-    if isinstance(value, bytes):
-        return len(value) + STR_HEADER
-    if isinstance(value, str):
-        return len(value.encode("utf-8")) + STR_HEADER
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return SEQ_HEADER + sum(sizeof_value(v) for v in value)
-    if isinstance(value, dict):
-        return SEQ_HEADER + sum(
-            sizeof_value(k) + sizeof_value(v) for k, v in value.items()
-        )
-    raise TypeError(
-        f"cannot size value of type {type(value).__name__}; "
-        "emit ints, floats, strings, numpy arrays, or nested tuples/lists/dicts"
-    )
+    kind = type(value)
+    rule = _RULES.get(kind)
+    if rule is None:
+        # A subclass: the first class along its MRO that has a rule.
+        rule = next((_RULES[base] for base in kind.__mro__ if base in _RULES), None)
+        if rule is None:
+            raise TypeError(
+                f"cannot size value of type {kind.__name__}; emit ints, floats, "
+                "strings, numpy arrays, or nested tuples/lists/dicts"
+            )
+    return rule if type(rule) is int else rule(value)
 
 
 def sizeof_record(key: Any, value: Any) -> int:
@@ -66,56 +89,53 @@ def sizeof_record(key: Any, value: Any) -> int:
 # batch homogeneity costs more than it saves.
 _FAST_PATH_MIN = 16
 
-# Exact-type size rules for the fast path.  ``type(x) is int`` rather
-# than isinstance deliberately excludes bool (a subclass of int that
-# sizes to 1 byte, not 8) and numpy scalars.
-_FIXED_SCALAR_TYPES = (int, float)
-
 
 def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
     """Batched sizing for homogeneous record lists, or ``None``.
 
     Every app's hot shuffle/partition batches are homogeneous —
-    int/str keys paired with scalar or ndarray values — so one
-    type-dispatch for the whole batch plus a tight accumulation loop
-    replaces a recursive ``sizeof_value`` call per element.  Any record
+    int/str keys paired with scalar or ndarray values — so one table
+    lookup for the whole batch plus a tight accumulation loop replaces
+    a recursive ``sizeof_value`` call per element.  Types match exactly:
+    a bool among ints (1 byte, not 8), a numpy scalar, any record
     deviating from the probe types bails out to the reference path;
     the result is always equal to the per-record sum.
     """
     k0, v0 = records[0]
     kt, vt = type(k0), type(v0)
+    ksize, vsize = _RULES.get(kt), _RULES.get(vt)
     n = len(records)
 
-    if kt in _FIXED_SCALAR_TYPES:
-        if vt in _FIXED_SCALAR_TYPES:
+    if type(ksize) is int:
+        if type(vsize) is int:
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
-            return 16 * n
+            return (ksize + vsize) * n
         if vt is np.ndarray:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += v.nbytes
-            return int(total) + (8 + ARRAY_HEADER) * n
+            return int(total) + (ksize + ARRAY_HEADER) * n
         if vt is str:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(v.encode("utf-8"))
-            return total + (8 + STR_HEADER) * n
+            return total + (ksize + STR_HEADER) * n
         return None
 
     if kt is str:
-        if vt in _FIXED_SCALAR_TYPES:
+        if type(vsize) is int:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(k.encode("utf-8"))
-            return total + (STR_HEADER + 8) * n
+            return total + (STR_HEADER + vsize) * n
         if vt is np.ndarray:
             total = 0
             for k, v in records:
@@ -145,4 +165,4 @@ def sizeof_records(records: Iterable[tuple[Any, Any]]) -> int:
         fast = _sizeof_records_fast(records)
         if fast is not None:
             return fast
-    return sum(sizeof_record(k, v) for k, v in records)
+    return sum(sizeof_value(k) + sizeof_value(v) for k, v in records)

@@ -139,6 +139,38 @@ class TestProgram:
         b[3] = np.full(16, prog.threshold * 2)
         assert not prog.converged(a, b, 0)
 
+    def test_converged_is_the_row_by_row_fold(self):
+        # The stacked pass must decide what the loop it replaced decided:
+        # one max(|row - prev|) per row, folded with Python's max.
+        def by_rows(prog, previous, current):
+            worst = 0.0
+            for key, row in current.items():
+                prev_row = previous.get(key)
+                if prev_row is None:
+                    return False
+                worst = max(worst, float(np.max(np.abs(row - prev_row))))
+            return worst < prog.threshold
+
+        _img, _records, prog = self.make()
+        rng = np.random.default_rng(4)
+        base = {i: rng.normal(size=16) for i in range(16)}
+        still = {i: row + prog.threshold * 0.4 for i, row in base.items()}
+        moved = {**still, 9: base[9] + prog.threshold * 1.5}
+        nan_first = {**still, 0: np.full(16, np.nan)}
+        nan_and_moved = {**moved, 12: np.full(16, np.nan)}
+        missing = {i: row for i, row in base.items() if i != 5}
+        reordered = dict(reversed(list(base.items())))
+        cases = [
+            (base, still), (base, moved), (base, nan_first), (base, nan_and_moved),
+            (missing, still), (missing, nan_first), (reordered, moved), ({}, {}),
+            (base, {}),
+        ]
+        for previous, current in cases:
+            assert prog.converged(previous, current, 0) == by_rows(prog, previous, current)
+        # A NaN row does not raise the worst change; a missing row is "not yet".
+        assert prog.converged(base, nan_first, 0)
+        assert not prog.converged(missing, still, 0)
+
     def test_model_mode_partitioned(self):
         _img, _records, prog = self.make()
         assert prog.model_mode == "partitioned"

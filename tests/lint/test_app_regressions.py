@@ -11,12 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_source
-from repro.lint.engine import iter_python_files, run_lint
-
-REPO = Path(__file__).resolve().parents[2]
-#: Git-ignored scratch of the perf ledger: an interrupted ``lint_corpus``
-#: run leaves a corpus copy with six seeded defects behind.
-LEDGER_OUT = REPO / "benchmarks" / "perf" / "ledger" / "out"
+from repro.lint.engine import run_lint
+from tests.lint.real_tree import REPO, real_tree_files
 
 
 def mutated(path: Path, old: str, new: str) -> str:
@@ -37,12 +33,7 @@ def project_rules(source: str) -> list[str]:
 class TestRealTreeIsClean:
     @pytest.mark.parametrize("subtree", ["src", "benchmarks", "examples"])
     def test_no_whole_program_findings(self, subtree):
-        files = [
-            path
-            for path in iter_python_files([REPO / subtree])
-            if LEDGER_OUT not in path.parents
-        ]
-        run = run_lint(files)
+        run = run_lint(real_tree_files(subtree))
         offenders = [f for f in run.findings if f.rule[3] in "34567"]
         assert offenders == []
         assert run.errors == []
