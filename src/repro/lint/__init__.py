@@ -22,7 +22,7 @@ editable install).  Findings carry rule IDs (``PIC001``...); suppress a
 line with ``# pic: noqa`` or ``# pic: noqa: PIC001``.
 """
 
-from repro.lint.engine import lint_file, lint_paths, lint_source
+from repro.lint.engine import lint_file, lint_source
 from repro.lint.model import Finding, LintParseError
 from repro.lint.rules import all_rules, rules_by_id
 
@@ -31,7 +31,6 @@ __all__ = [
     "LintParseError",
     "all_rules",
     "lint_file",
-    "lint_paths",
     "lint_source",
     "rules_by_id",
 ]

@@ -39,20 +39,31 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv", ".eggs", "build"
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Every ``.py`` file under ``paths``, deterministically ordered."""
+    """Every ``.py`` file under ``paths``, deterministically ordered.
+
+    A file that several arguments cover (a directory and a file inside
+    it, the same path spelled twice) is listed once, under its first
+    spelling and at its first position.
+    """
     files: list[Path] = []
+    seen: set[Path] = set()
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(
+            found = [
                 p
                 for p in sorted(path.rglob("*.py"))
                 if not any(part in _SKIP_DIRS for part in p.parts)
-            )
+            ]
         elif path.suffix == ".py" or path.is_file():
-            files.append(path)
+            found = [path]
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
+        for p in found:
+            resolved = p.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                files.append(p)
     return files
 
 
@@ -66,32 +77,62 @@ class LintRun:
     stats: dict[str, float] = field(default_factory=dict)
 
 
-def _split_rules(rules: Sequence[Rule] | None) -> tuple[list[Rule], list[ProjectRule]]:
-    active = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in active if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
-    return file_rules, project_rules
+Suppressions = dict[int, frozenset[str] | None]
 
 
-def _check_module(module: LintModule, file_rules: Sequence[Rule]) -> list[Finding]:
-    findings: list[Finding] = []
-    for rule in file_rules:
-        findings.extend(rule.check(module))
-    return findings
+class _Lint:
+    """One lint of a set of files: :meth:`add` takes what :meth:`check`
+    (or the cache) has for each file, :meth:`finish` closes the set."""
 
+    def __init__(self, rules: Sequence[Rule] | None) -> None:
+        active = list(rules) if rules is not None else all_rules()
+        self.file_rules = [r for r in active if not isinstance(r, ProjectRule)]
+        self.project_rules = [r for r in active if isinstance(r, ProjectRule)]
+        self.irs: list[dict] = []
+        #: Per-file findings so far, before ``# pic: noqa`` filtering.
+        self.findings: list[Finding] = []
+        self.suppressions: dict[str, Suppressions] = {}
 
-def _project_findings(
-    irs: Sequence[dict], project_rules: Sequence[ProjectRule]
-) -> tuple[list[Finding], int]:
-    """Whole-program findings (pre-noqa) and the fixpoint evaluations
-    they cost."""
-    if not project_rules or not irs:
-        return [], 0
-    analysis = ProjectAnalysis(irs)
-    findings: list[Finding] = []
-    for rule in project_rules:
-        findings.extend(rule.check_project(analysis))
-    return findings, analysis.functions_evaluated()
+    def add(
+        self, path: str, ir: dict, findings: Sequence[Finding], suppressions: Suppressions
+    ) -> None:
+        self.irs.append(ir)
+        self.findings.extend(findings)
+        self.suppressions[path] = suppressions
+
+    def check(
+        self, path: str, source: bytes | str, named: tuple[str | None, bool]
+    ) -> tuple[dict, list[Finding], Suppressions]:
+        """The per-file step — parse, noqa map, IR, per-file rules — as
+        :meth:`add` takes it; raises :class:`LintParseError`."""
+        if isinstance(source, bytes):
+            module = LintModule.from_bytes(path, source)
+        else:
+            module = LintModule(path, source)
+        suppressions = module.suppressions
+        ir = build_module_ir(module, *named)
+        findings = [f for rule in self.file_rules for f in rule.check(module)]
+        return ir, findings, suppressions
+
+    def project(self) -> tuple[list[Finding], int]:
+        """Whole-program findings (pre-noqa) and the fixpoint evaluations
+        they cost."""
+        if not self.project_rules or not self.irs:
+            return [], 0
+        analysis = ProjectAnalysis(self.irs)
+        findings: list[Finding] = []
+        for rule in self.project_rules:
+            findings.extend(rule.check_project(analysis))
+        return findings, analysis.functions_evaluated()
+
+    def finish(self, project: Sequence[Finding]) -> list[Finding]:
+        """Per-file plus ``project`` findings, noqa-filtered and sorted."""
+        kept: list[Finding] = []
+        for finding in [*self.findings, *project]:
+            kept.extend(
+                filter_findings([finding], self.suppressions.get(finding.path, {}))
+            )
+        return sorted(kept)
 
 
 def run_lint(
@@ -101,7 +142,7 @@ def run_lint(
 ) -> LintRun:
     """Lint files/directories with optional incremental caching."""
     started = time.perf_counter()  # pic: noqa: PIC001 — host-side lint timing
-    file_rules, project_rules = _split_rules(rules)
+    lint = _Lint(rules)
     run = LintRun()
     files = iter_python_files(paths)
     run.files_checked = len(files)
@@ -110,15 +151,10 @@ def run_lint(
     if cache_path is not None:
         # Every active rule id salts the cache: a ``rules=`` subset must
         # never replay the per-file or project findings of a full run.
-        salt = cache_salt(
-            [r.rule_id for r in file_rules] + [r.rule_id for r in project_rules]
-        )
+        salt = cache_salt([r.rule_id for r in lint.file_rules + lint.project_rules])
         cache = LintCache(Path(cache_path), salt)
 
-    irs: list[dict] = []
     digests: list[tuple[str, str]] = []
-    suppressions_by_path: dict[str, Mapping[int, frozenset[str] | None]] = {}
-    raw_findings: list[Finding] = []
     parsed = 0
     cache_hits = 0
 
@@ -138,26 +174,22 @@ def run_lint(
             if "error" in entry:
                 run.errors.append(entry["error"])
                 continue
-            raw_findings.extend(findings_from_entry(entry))
-            suppressions_by_path[key] = suppressions_from_entry(entry)
-            irs.append(entry["ir"])
+            lint.add(
+                key, entry["ir"], findings_from_entry(entry), suppressions_from_entry(entry)
+            )
             continue
 
         try:
-            module = LintModule.from_bytes(key, data)
-            suppressions = module.suppressions
+            ir, file_findings, suppressions = lint.check(
+                key, data, module_name_for_path(file)
+            )
         except LintParseError as exc:
             run.errors.append(str(exc))
             if cache is not None:
                 cache.store_error(key, digest, str(exc))
             continue
         parsed += 1
-        module_name, is_package = module_name_for_path(file)
-        ir = build_module_ir(module, module_name, is_package)
-        file_findings = _check_module(module, file_rules)
-        raw_findings.extend(file_findings)
-        suppressions_by_path[key] = suppressions
-        irs.append(ir)
+        lint.add(key, ir, file_findings, suppressions)
         if cache is not None:
             cache.store_ok(key, digest, file_findings, suppressions, ir)
 
@@ -166,16 +198,10 @@ def run_lint(
     replayed = project is not None
     evaluated = 0
     if project is None:
-        project, evaluated = _project_findings(irs, project_rules)
+        project, evaluated = lint.project()
         if cache is not None:
             cache.store_project(tree, project)
-    raw_findings.extend(project)
-
-    kept: list[Finding] = []
-    for finding in raw_findings:
-        suppressed = suppressions_by_path.get(finding.path, {})
-        kept.extend(filter_findings([finding], suppressed))
-    run.findings = sorted(kept)
+    run.findings = lint.finish(project)
 
     if cache is not None:
         cache.prune({str(f) for f in files})
@@ -200,29 +226,16 @@ def lint_sources(
     package for module naming, so multi-file call-graph fixtures do not
     need ``__init__.py`` stubs.
     """
-    file_rules, project_rules = _split_rules(rules)
-    findings: list[Finding] = []
+    lint = _Lint(rules)
     errors: list[str] = []
-    irs: list[dict] = []
-    suppressions_by_path: dict[str, Mapping[int, frozenset[str] | None]] = {}
     for path in sorted(sources):
         try:
-            module = LintModule(path, sources[path])
-            suppressions = module.suppressions
+            lint.add(
+                path, *lint.check(path, sources[path], module_name_for_virtual_path(path))
+            )
         except LintParseError as exc:
             errors.append(str(exc))
-            continue
-        module_name, is_package = module_name_for_virtual_path(path)
-        irs.append(build_module_ir(module, module_name, is_package))
-        suppressions_by_path[path] = suppressions
-        findings.extend(_check_module(module, file_rules))
-    findings.extend(_project_findings(irs, project_rules)[0])
-    kept: list[Finding] = []
-    for finding in findings:
-        kept.extend(
-            filter_findings([finding], suppressions_by_path.get(finding.path, {}))
-        )
-    return sorted(kept), errors
+    return lint.finish(lint.project()[0]), errors
 
 
 def lint_source(
@@ -242,23 +255,6 @@ def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Fin
         data = p.read_bytes()
     except OSError as exc:
         raise LintParseError(str(p), f"cannot read: {exc}")
-    module = LintModule.from_bytes(str(p), data)
-    file_rules, project_rules = _split_rules(rules)
-    module_name, is_package = module_name_for_path(p)
-    ir = build_module_ir(module, module_name, is_package)
-    findings = _check_module(module, file_rules)
-    findings.extend(_project_findings([ir], project_rules)[0])
-    return sorted(filter_findings(findings, module.suppressions))
-
-
-def lint_paths(
-    paths: Iterable[str | Path], rules: Sequence[Rule] | None = None
-) -> tuple[list[Finding], list[str], int]:
-    """Lint files/directories.
-
-    Returns ``(findings, errors, files_checked)`` where ``errors`` are
-    human-readable messages for files that could not be read or parsed.
-    Thin compatibility wrapper over :func:`run_lint`.
-    """
-    run = run_lint(paths, rules=rules)
-    return run.findings, run.errors, run.files_checked
+    lint = _Lint(rules)
+    lint.add(str(p), *lint.check(str(p), data, module_name_for_path(p)))
+    return lint.finish(lint.project()[0])

@@ -18,7 +18,7 @@ the resulting summaries over the call graph to a fixpoint.  Project
 rules (PIC3xx/PIC4xx) read only the converged summaries.
 """
 
-from repro.lint.project.analysis import ProjectAnalysis, analyze_project
+from repro.lint.project.analysis import ProjectAnalysis
 from repro.lint.project.graph import ProjectGraph
 from repro.lint.project.ir import IR_SCHEMA_VERSION, build_module_ir
 
@@ -26,6 +26,5 @@ __all__ = [
     "IR_SCHEMA_VERSION",
     "ProjectAnalysis",
     "ProjectGraph",
-    "analyze_project",
     "build_module_ir",
 ]

@@ -43,7 +43,8 @@ from repro.lint.project.graph import (
     SUBSTRATE_PRIVATE_LEAVES,
     ProjectGraph,
 )
-from repro.lint.project.ir import callee_dotted
+from repro.lint.project.ir import attr_chain, callee_dotted, root_name
+from repro.lint.project.walker import Walker, call_tail
 
 Atom = tuple  # ("p", name, depth) | ("pa", name, attr) | ("fn", fid)
 
@@ -78,6 +79,20 @@ def _collapse1(atoms: Iterable[Atom]) -> frozenset:
 def _elements(av: AVal) -> frozenset:
     """Atoms an element of ``av`` may be."""
     return av.contents | _collapse1(av.ids)
+
+
+def _element(av: AVal) -> AVal:
+    """An element of ``av`` (index, iteration, unpacking, ``*av``)."""
+    elems = _elements(av)
+    return AVal(elems, _collapse1(elems))
+
+
+def _holding(values: Iterable[AVal]) -> AVal:
+    """A fresh object whose contents reach every one of ``values``."""
+    contents: set = set()
+    for av in values:
+        contents.update(av.ids | av.contents)
+    return AVal(_EMPTY, frozenset(contents))
 
 
 # ----------------------------------------------------------------------
@@ -179,108 +194,49 @@ class Summary:
         )
 
 
-class _Evaluator:
-    """One pass of abstract interpretation over a function's ops."""
+class _Evaluator(Walker):
+    """The alias/escape/mutation domain over one function's walk."""
+
+    bottom = FRESH
 
     def __init__(self, analysis: "ProjectAnalysis", fid: str) -> None:
-        self.an = analysis
-        self.graph = analysis.graph
-        self.fid = fid
-        self.fn = analysis.graph.function_ir[fid]
-        self.modkey = fid.split("::", 1)[0]
-        self.ir = analysis.graph.modules.get(self.modkey) or {"aliases": {}}
-        self.aliases: dict[str, str] = self.ir.get("aliases", {})
+        super().__init__(analysis, fid)
         self.summary = Summary()
-        self.env: dict[str, AVal] = {}
-        self.tenv: dict[str, str] = {}
         self._owns_substrate = self.modkey in self.graph.substrate_modules
-
-    def run(self) -> Summary:
-        for p in self.fn["params"]:
-            self.env[p] = AVal(
-                frozenset({("p", p, 0)}), frozenset({("p", p, 1)})
-            )
-            ann = self.fn["param_types"].get(p)
-            cfq = self.graph.resolve_class(ann)
+        params = self.fn["params"]
+        for p in params:
+            self.env[p] = AVal(frozenset({("p", p, 0)}), frozenset({("p", p, 1)}))
+            cfq = self.graph.resolve_class(self.fn["param_types"].get(p))
             if cfq:
                 self.tenv[p] = cfq
-        if self.fn["class"] is not None and self.fn["params"][:1] == ["self"]:
-            self.tenv["self"] = f"{self.modkey}.{self.fn['class']}"
-        elif self.fn["class"] is not None and "self" not in self.env:
-            # nested def / lambda inside a method: treat the free `self`
-            # as the enclosing instance so method refs resolve.
-            self.tenv["self"] = f"{self.modkey}.{self.fn['class']}"
-        for op in self.fn["ops"]:
-            self.op(op)
-        return self.summary
+        if self.cls is not None and (params[:1] == ["self"] or "self" not in params):
+            # A method's own ``self``, or the free ``self`` of a def or
+            # lambda nested in one: method refs resolve through it.
+            self.tenv["self"] = self.cls
 
-    # -- ops -----------------------------------------------------------
+    # -- op hooks ------------------------------------------------------
 
-    def op(self, op: list) -> None:
-        kind = op[0]
-        if kind == "bind":
-            _, name, desc, _line = op
-            value = self.eval(desc)
-            self.env[name] = value
-            self._track_type(name, desc)
-        elif kind == "unpack":
-            _, names, desc, _line = op
-            value = self.eval(desc)
-            element = AVal(_elements(value), _collapse1(_elements(value)))
-            for name in names:
-                self.env[name] = element
-        elif kind == "eval":
-            self.eval(op[1])
-        elif kind == "mutate":
-            _, target, value, how, line, col = op
-            value_av = self.eval(value) if value is not None else FRESH
-            self.mutate(target, value_av, line, col, via="direct")
-        elif kind == "ret":
-            _, desc, line, col = op
-            value = self.eval(desc)
-            self.summary.ret = self.summary.ret | value
-            for atom in value.ids | value.contents:
-                self.summary.ret_sites.setdefault(atom, [line, col])
-        elif kind == "defl":
-            _, name, fid, _line = op
-            self.env[name] = AVal(frozenset({("fn", fid)}))
-        elif kind == "kill":
-            self.env.pop(op[1], None)
-        elif kind == "raise":
-            if op[1] is not None:
-                self.eval(op[1])
-        elif kind == "if":
-            # May-analysis: evaluate the test, then both branches.
-            self.eval(op[1])
-            for sub in op[2]:
-                self.op(sub)
-            for sub in op[3]:
-                self.op(sub)
-        elif kind == "with":
-            for ctx, var in op[1]:
-                self.eval(ctx)
-                if var is not None:
-                    self.env[var] = FRESH
-                    self.tenv.pop(var, None)
-            for sub in op[2]:
-                self.op(sub)
-        elif kind == "try":
-            for sub in op[1]:
-                self.op(sub)
-            for _name, handler_ops in op[2]:
-                for sub in handler_ops:
-                    self.op(sub)
-            for sub in op[3]:
-                self.op(sub)
-            for sub in op[4]:
-                self.op(sub)
-
-    def _track_type(self, name: str, desc: list) -> None:
+    def bind(self, name: str, desc: list, value: AVal) -> None:
+        self.env[name] = value
         cfq = self.static_type(desc)
         if cfq is not None:
             self.tenv[name] = cfq
         else:
             self.tenv.pop(name, None)
+
+    def mutate(
+        self, target: list, value: list | None, stored: AVal, how: str, line: int, col: int
+    ) -> None:
+        self._mutated(target, stored, line, col, via="direct")
+
+    def ret(self, value: AVal, line: int, col: int) -> None:
+        self.summary.ret = self.summary.ret | value
+        for atom in value.ids | value.contents:
+            self.summary.ret_sites.setdefault(atom, [line, col])
+
+    def with_item(self, var: str, value: AVal) -> None:
+        self.env[var] = FRESH
+        self.tenv.pop(var, None)
 
     def static_type(self, desc: list) -> str | None:
         kind = desc[0]
@@ -298,7 +254,7 @@ class _Evaluator:
 
     # -- mutation recording --------------------------------------------
 
-    def mutate(self, target: list, value: AVal, line: int, col: int, via: str) -> None:
+    def _mutated(self, target: list, value: AVal, line: int, col: int, via: str) -> None:
         """Record a store/del/aug/mutator-method hit on ``target``."""
         if target[0] == "attr":
             base = self.eval(target[1])
@@ -315,7 +271,7 @@ class _Evaluator:
                 if atom[0] in ("p", "pa"):
                     self._add_mutation(atom, line, col, via)
         self._check_substrate_write(target, line, col)
-        root = _root_name(target)
+        root = root_name(target)
         if root is not None and root in self.env:
             # Stored values keep their depth: appending a tuple that
             # holds a level-0 parameter makes the receiver's contents
@@ -330,14 +286,13 @@ class _Evaluator:
 
     def _check_substrate_write(self, target: list, line: int, col: int) -> None:
         """Flag ``<substrate>._private`` writes outside the owning class."""
-        chain = _attr_chain(target)
+        chain = attr_chain(target)
         if chain is None:
             return
         names, leaf = chain
         if not leaf.startswith("_") or leaf.startswith("__"):
             return
-        own = self.graph.class_of_method(self.fid)
-        if self._owns_substrate or self.graph.is_substrate_class(own):
+        if self._owns_substrate or self.graph.is_substrate_class(self.cls):
             return
         # Type-based: the receiver's static class is a substrate class.
         recv_desc = target[1] if target[0] in ("elem", "slice") else target
@@ -356,103 +311,51 @@ class _Evaluator:
                 [line, col, ".".join(names + [leaf])]
             )
 
-    # -- expression evaluation -----------------------------------------
+    # -- descriptor hooks ----------------------------------------------
 
-    def eval(self, desc: list) -> AVal:
-        kind = desc[0]
-        if kind == "const":
-            return FRESH
-        if kind == "name":
-            return self.env.get(desc[1], FRESH)
-        if kind == "attr":
-            base = self.eval(desc[1])
-            ids = set()
-            for atom in base.ids:
-                if atom[0] == "p" and atom[2] == 0:
-                    ids.add(("pa", atom[1], desc[2]))
-                elif atom[0] in ("p", "pa"):
-                    ids.update(_collapse1({atom}))
-            # A method reference on a known class is a function ref.
-            base_t = self.static_type(desc[1])
-            if base_t is not None:
-                for fid in self.graph.method_candidates(base_t, desc[2]):
-                    ids.add(("fn", fid))
-                for fid in self.an.bound_callbacks(base_t, desc[2]):
-                    ids.add(("fn", fid))
-            return AVal(frozenset(ids), _collapse1(ids))
-        if kind == "elem":
-            base = self.eval(desc[1])
-            elems = _elements(base)
-            return AVal(elems, _collapse1(elems))
+    def attr(self, desc: list, base: AVal) -> AVal:
+        ids = set()
+        for atom in base.ids:
+            if atom[0] == "p" and atom[2] == 0:
+                ids.add(("pa", atom[1], desc[2]))
+            elif atom[0] in ("p", "pa"):
+                ids.update(_collapse1({atom}))
+        # A method reference on a known class is a function ref.
+        base_t = self.static_type(desc[1])
+        if base_t is not None:
+            for fid in self.graph.method_candidates(base_t, desc[2]):
+                ids.add(("fn", fid))
+            for fid in self.an.bound_callbacks(base_t, desc[2]):
+                ids.add(("fn", fid))
+        return AVal(frozenset(ids), _collapse1(ids))
+
+    def sub(self, kind: str, base: AVal) -> AVal:
         if kind == "slice":
-            base = self.eval(desc[1])
             return AVal(frozenset(a for a in base.ids if a[0] == "fn"), _elements(base))
-        if kind == "make":
-            contents = set()
-            for item in desc[1]:
-                if item[0] == "spread":
-                    contents.update(_elements(self.eval(item[1])))
-                else:
-                    av = self.eval(item)
-                    contents.update(av.ids | av.contents)
-            return AVal(_EMPTY, frozenset(contents))
-        if kind == "comp":
-            saved_env, saved_tenv = dict(self.env), dict(self.tenv)
-            try:
-                for names, it in desc[1]:
-                    it_av = self.eval(it)
-                    element = AVal(_elements(it_av), _collapse1(_elements(it_av)))
-                    for name in names:
-                        self.env[name] = element
-                        self.tenv.pop(name, None)
-                contents = set()
-                for elt in desc[2]:
-                    av = self.eval(elt)
-                    contents.update(av.ids | av.contents)
-            finally:
-                self.env, self.tenv = saved_env, saved_tenv
-            return AVal(_EMPTY, frozenset(contents))
-        if kind == "union":
-            out = FRESH
-            for item in desc[1]:
-                out = out | self.eval(item)
-            return out
-        if kind == "bin":
-            l, r = self.eval(desc[2]), self.eval(desc[3])
-            return AVal(_EMPTY, l.contents | r.contents)
-        if kind == "cmp":
-            for item in desc[2]:
-                self.eval(item)
-            return FRESH
-        if kind == "seq":
-            for item in desc[1]:
-                self.eval(item)
-            return FRESH
-        if kind == "walrus":
-            value = self.eval(desc[2])
-            self.env[desc[1]] = value
-            return value
-        if kind == "spread":
-            return self.eval(desc[1])
-        if kind == "fnref":
-            return AVal(frozenset({("fn", desc[1])}))
-        if kind == "call":
-            return self.eval_call(desc)
-        return FRESH
+        return _element(base)  # elem; a spread yields elements too
+
+    def item(self, desc: list, value: AVal) -> AVal:
+        # A display holds its items, and through them what they hold; a
+        # spread item contributes the elements themselves.
+        held = value.ids if desc[0] == "spread" else value.ids | value.contents
+        return AVal(_EMPTY, held)
+
+    def comp_bind(self, names: list[str], value: AVal) -> AVal:
+        for name in names:
+            self.tenv.pop(name, None)
+        return super().comp_bind(names, _element(value))
+
+    def bin(self, desc: list, left: AVal, right: AVal) -> AVal:
+        return AVal(_EMPTY, left.contents | right.contents)
+
+    def fnref(self, fid: str) -> AVal:
+        return AVal(frozenset({("fn", fid)}))
 
     # -- calls ---------------------------------------------------------
 
-    def eval_call(self, desc: list) -> AVal:
-        _, func, arg_descs, kw_descs, line, col = desc
-        args: list[AVal] = []
-        for a in arg_descs:
-            if a[0] == "spread":
-                av = self.eval(a[1])
-                args.append(AVal(_elements(av), _collapse1(_elements(av))))
-            else:
-                args.append(self.eval(a))
-        kwargs = {kw: self.eval(d) for kw, d in kw_descs}
-        tail = func[2] if func[0] == "meth" else (func[1] if func[0] == "ref" else None)
+    def call(self, desc: list, args: list[AVal], kwargs: dict[str, AVal]) -> AVal:
+        _, func, _args, _kwargs, line, col = desc
+        tail = call_tail(func)
 
         self._scan_registrations(func, tail, args, kwargs)
 
@@ -475,10 +378,7 @@ class _Evaluator:
             ctor = self.graph.inherited_method(cfq, "__init__")
             if ctor is not None:
                 self._apply_summary(ctor, ["ref", "__init__"], [FRESH] + args, kwargs, line, col)
-            contents = set()
-            for av in list(args) + list(kwargs.values()):
-                contents.update(av.ids | av.contents)
-            return AVal(_EMPTY, frozenset(contents))
+            return _holding(args + list(kwargs.values()))
 
         return self._external_call(func, tail, dotted, args, line, col)
 
@@ -517,6 +417,9 @@ class _Evaluator:
             out.extend(a[1] for a in sorted(av.ids) if a[0] == "fn")
         return out
 
+    def receiver(self, func: list) -> AVal:
+        return self.eval(func[1]) if func[0] == "meth" else FRESH
+
     def _apply_summary(
         self,
         fid: str,
@@ -530,26 +433,7 @@ class _Evaluator:
         summary = self.an.fix.read(fid)
         if callee is None or summary is None:
             return FRESH
-        params = callee["params"]
-        argmap: dict[str, AVal] = {}
-        positional = list(args)
-        if (
-            callee["class"] is not None
-            and params[:1] == ["self"]
-            and func[0] in ("meth", "desc", "ref")
-        ):
-            if func[0] == "meth":
-                argmap["self"] = self.eval(func[1])
-            else:
-                argmap["self"] = FRESH
-            rest = params[1:]
-        else:
-            rest = params
-        for pname, av in zip(rest, positional):
-            argmap[pname] = av
-        for kw, av in kwargs.items():
-            if kw in params:
-                argmap[kw] = av
+        argmap = self.bind_args(callee, func, args, kwargs)
 
         def subst(atoms: Iterable[Atom]) -> frozenset:
             out = set()
@@ -598,10 +482,7 @@ class _Evaluator:
     ) -> AVal:
         key = dotted or tail
         if key is not None and key.rsplit(".", 1)[-1] in COLUMN_CTORS:
-            contents = set()
-            for av in args:
-                contents.update(av.ids | av.contents)
-            return AVal(_EMPTY, frozenset(contents))
+            return _holding(args)
         if key in DEEP_BREAKERS:
             return FRESH
         if key in SHALLOW_COPIES or tail in SHALLOW_COPIES and func[0] == "ref":
@@ -614,8 +495,7 @@ class _Evaluator:
                 contents.update(_elements(av))
             return AVal(_EMPTY, frozenset(contents))
         if key in ELEMENT_PICKS and args:
-            elems = _elements(args[0])
-            return AVal(elems, _collapse1(elems))
+            return _element(args[0])
         if func[0] == "meth":
             base = self.eval(func[1])
             attr = func[2]
@@ -624,14 +504,12 @@ class _Evaluator:
                 if attr in STORING_MUTATORS:
                     for av in args:
                         value = value | av
-                self.mutate(func[1], value, line, col, via=f".{attr}()")
+                self._mutated(func[1], value, line, col, via=f".{attr}()")
                 if attr in ("pop", "popitem"):
-                    elems = _elements(base)
-                    return AVal(elems, _collapse1(elems))
+                    return _element(base)
                 return FRESH
             if attr in _METH_ELEMENT:
-                elems = _elements(base)
-                return AVal(elems, _collapse1(elems))
+                return _element(base)
             if attr in _METH_VIEW:
                 return AVal(_EMPTY, _elements(base))
             if attr in _METH_SHALLOW:
@@ -649,35 +527,36 @@ class _Evaluator:
     ) -> None:
         if tail is None or func[0] != "meth":
             return
-        if tail in _FLOW_POSITIONAL:
-            idx = _FLOW_POSITIONAL[tail]
-            if len(args) > idx:
+        if tail in _FLOW_POSITIONAL or tail in _FLOW_KW_ONLY:
+            idx = _FLOW_POSITIONAL.get(tail)
+            if idx is not None and len(args) > idx:
                 self._register_flow(args[idx])
             if "on_complete" in kwargs:
                 self._register_flow(kwargs["on_complete"])
         elif tail in _FLOW_BATCH:
             for av in list(args) + list(kwargs.values()):
                 self._register_flow(av)
-        elif tail in _FLOW_KW_ONLY:
-            if "on_complete" in kwargs:
-                self._register_flow(kwargs["on_complete"])
         elif tail in _HANDLER_REGISTRARS:
             for av in list(args) + list(kwargs.values()):
                 self._register_handler(av)
 
     def _register_flow(self, av: AVal) -> None:
-        for atom in av.ids | av.contents:
-            if atom[0] == "fn":
-                self.summary.flow_fns.add(atom[1])
-            elif atom[0] in ("p", "pa"):
-                self.summary.registers_flow_params.add(atom[1])
+        self._register(av, self.summary.flow_fns, self.summary.registers_flow_params)
 
     def _register_handler(self, av: AVal) -> None:
+        self._register(
+            av, self.summary.handler_fns, self.summary.registers_handler_params
+        )
+
+    @staticmethod
+    def _register(av: AVal, fns: set, params: set) -> None:
+        """A registrar takes ``av``: the functions it may be, and the
+        parameters whose callers hand the function in."""
         for atom in av.ids | av.contents:
             if atom[0] == "fn":
-                self.summary.handler_fns.add(atom[1])
+                fns.add(atom[1])
             elif atom[0] in ("p", "pa"):
-                self.summary.registers_handler_params.add(atom[1])
+                params.add(atom[1])
 
     def _record_ctor_bindings(self, cfq: str, kwargs: dict[str, AVal]) -> None:
         for kw, av in kwargs.items():
@@ -686,42 +565,6 @@ class _Evaluator:
                 self.summary.bound.setdefault(cfq, {}).setdefault(kw, set()).update(
                     fids
                 )
-
-
-def _root_name(desc: list) -> str | None:
-    """The local name a store chain is rooted at, if any."""
-    while desc[0] in ("elem", "slice", "attr"):
-        desc = desc[1]
-    return desc[1] if desc[0] == "name" else None
-
-
-def _attr_chain(desc: list) -> tuple[list[str], str] | None:
-    """``(["self", "cluster"], "_flows")`` for ``self.cluster._flows[...]``.
-
-    Returns None when the target is not an attribute store/chain.
-    """
-    # Walk down to the innermost attribute link in the *target* chain.
-    names: list[str] = []
-    node = desc
-    while node[0] in ("elem", "slice"):
-        node = node[1]
-    if node[0] != "attr":
-        return None
-    leaf = node[2]
-    node = node[1]
-    while True:
-        if node[0] == "attr":
-            names.append(node[2])
-            node = node[1]
-        elif node[0] in ("elem", "slice"):
-            node = node[1]
-        elif node[0] == "name":
-            names.append(node[1])
-            break
-        else:
-            break
-    names.reverse()
-    return names, leaf
 
 
 def _one(atoms: frozenset) -> Atom:
@@ -819,7 +662,11 @@ class ProjectAnalysis:
 
     def handler_reachable(self) -> set:
         """Functions that may execute during simulated event dispatch."""
-        reached = set(self.handler_seeds())
+        return self.reachable_from(self.handler_seeds())
+
+    def reachable_from(self, seeds: Iterable[str]) -> set:
+        """``seeds`` and everything they reach over resolved calls."""
+        reached = set(seeds)
         frontier = sorted(reached)
         while frontier:
             fid = frontier.pop()
@@ -831,7 +678,3 @@ class ProjectAnalysis:
                     reached.add(callee)
                     frontier.append(callee)
         return reached
-
-
-def analyze_project(modules: Iterable[dict[str, Any]]) -> ProjectAnalysis:
-    return ProjectAnalysis(modules)

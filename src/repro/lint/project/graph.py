@@ -271,13 +271,6 @@ class ProjectGraph:
                 return self.resolve_class(raw) or raw
         return None
 
-    def class_of_method(self, fid: str) -> str | None:
-        fn = self.function_ir.get(fid)
-        if fn is None or fn["class"] is None:
-            return None
-        modkey = fid.split("::", 1)[0]
-        return f"{modkey}.{fn['class']}"
-
     def is_substrate_class(self, cfq: str | None) -> bool:
         if cfq is None:
             return False

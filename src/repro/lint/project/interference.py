@@ -45,10 +45,12 @@ the per-file PIC003 still owns the literal-iteration case.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.lint.project.analysis import MUTATOR_METHODS
 from repro.lint.project.fixpoint import Fixpoint
+from repro.lint.project.ir import base_tail_name, root_name, strip_subscripts
+from repro.lint.project.walker import TaintWalker, call_tail
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -151,13 +153,14 @@ class InterferenceAnalysis:
         self.job_classes = self._find_job_classes()
         self.fix = Fixpoint()
         self.effects: dict[str, FnEffects] = self.fix.summaries
-        self.findings: list[tuple[str, str, int, int, str]] = []
-        self.fix.run(
+        #: PIC704 sink hits first, as the walks found them.
+        self.findings: list[tuple[str, str, int, int, str]] = self.fix.solve(
             sorted(self.graph.function_ir),
-            lambda fid: _InterferenceWalker(self, fid, report=False).run(),
+            lambda fid: _InterferenceWalker(self, fid).run(),
             self.MAX_ROUNDS,
         )
-        self._collect()
+        self._collect_local(self.project.handler_reachable())
+        self._collect_shared_conflicts()
 
     # -- job-scope detection -------------------------------------------
 
@@ -174,36 +177,18 @@ class InterferenceAnalysis:
             if JOB_KEY_NAMES & set(info["attr_types"]):
                 out.add(cfq)
                 continue
-            init_fid = info["methods"].get("__init__")
-            init_fn = (
-                self.graph.function_ir.get(init_fid) if init_fid else None
-            )
-            if init_fn is not None:
-                if JOB_KEY_NAMES & set(init_fn["params"]):
-                    out.add(cfq)
-                    continue
-                if self._init_stores_job_key(init_fn["ops"]):
-                    out.add(cfq)
+            init_fn = self._own_init(cfq)
+            if init_fn is not None and (
+                JOB_KEY_NAMES & set(init_fn["params"])
+                or _init_stores(
+                    init_fn["ops"],
+                    lambda op: op[3] == "store" and _self_attr(op[1]) in JOB_KEY_NAMES,
+                )
+            ):
+                out.add(cfq)
         for cfq in sorted(out):
             out |= self.graph.descendants(cfq)
         return frozenset(out)
-
-    def _init_stores_job_key(self, ops: Iterable[list]) -> bool:
-        for op in ops:
-            if op[0] == "mutate" and op[3] == "store":
-                target = op[1]
-                if (
-                    target[0] == "attr"
-                    and target[1] == ["name", "self"]
-                    and target[2] in JOB_KEY_NAMES
-                ):
-                    return True
-            elif op[0] == "if":
-                if self._init_stores_job_key(op[2]) or self._init_stores_job_key(
-                    op[3]
-                ):
-                    return True
-        return False
 
     def resolve_type(self, raw: str | None, modkey: str | None) -> str | None:
         """Resolve an annotation string seen in ``modkey`` to a class
@@ -246,51 +231,29 @@ class InterferenceAnalysis:
         for cls in self.graph.ancestors(cfq):
             if leaf in self.graph.classes[cls][2]["attr_types"]:
                 return cls
-            init_fid = self.graph.classes[cls][2]["methods"].get("__init__")
-            init_fn = (
-                self.graph.function_ir.get(init_fid) if init_fid else None
-            )
-            if init_fn is not None and self._init_stores_leaf(
-                init_fn["ops"], leaf
+            init_fn = self._own_init(cls)
+            if init_fn is not None and _init_stores(
+                init_fn["ops"],
+                lambda op: _self_attr(strip_subscripts(op[1])) == leaf,
             ):
                 return cls
         return None
 
-    def _init_stores_leaf(self, ops: Iterable[list], leaf: str) -> bool:
-        for op in ops:
-            if op[0] == "mutate":
-                target = op[1]
-                while target[0] in ("elem", "slice"):
-                    target = target[1]
-                if (
-                    target[0] == "attr"
-                    and target[1] == ["name", "self"]
-                    and target[2] == leaf
-                ):
-                    return True
-            elif op[0] == "if":
-                if self._init_stores_leaf(op[2], leaf) or self._init_stores_leaf(
-                    op[3], leaf
-                ):
-                    return True
-        return False
+    def _own_init(self, cfq: str) -> dict | None:
+        """The IR of the ``__init__`` that ``cfq`` itself defines."""
+        fid = self.graph.own_method(cfq, "__init__")
+        return self.graph.function_ir[fid] if fid else None
 
     # -- reporting ------------------------------------------------------
 
-    def _collect(self) -> None:
-        reachable = self.project.handler_reachable()
-        self._collect_local(reachable)
-        self._collect_shared_conflicts()
-
     def _collect_local(self, reachable: set) -> None:
-        """PIC701/PIC703/PIC704: per-function candidates, gated on
-        handler reachability where the rule demands it."""
-        for fid in sorted(self.graph.function_ir):
-            walker = _InterferenceWalker(self, fid, report=True)
-            effects = walker.run()
-            self.findings.extend(walker.findings)  # PIC704 sink hits
+        """PIC701/PIC703: per-function candidates in handler-reachable
+        code (the effects recording them read no callee summary, so any
+        evaluation's are the converged ones)."""
+        for fid in sorted(self.effects):
             if fid not in reachable:
                 continue
+            effects = self.effects[fid]
             fn = self.graph.function_ir[fid]
             for line, col, recv in effects.cross_job:
                 self.findings.append(
@@ -329,13 +292,10 @@ class InterferenceAnalysis:
     def _collect_shared_conflicts(self) -> None:
         """PIC702: overlapping effect sets across handler seeds."""
         seeds = sorted(self.project.handler_seeds())
-        closures: dict[str, frozenset] = {
-            seed: self._closure(seed) for seed in seeds
-        }
         writers: dict[tuple[str, str], dict[tuple, set]] = {}
         readers: dict[tuple[str, str], set] = {}
         for seed in seeds:
-            for fid in sorted(closures[seed]):
+            for fid in sorted(self.project.reachable_from([seed])):
                 effects = self.effects.get(fid)
                 if effects is None:
                     continue
@@ -379,174 +339,79 @@ class InterferenceAnalysis:
                     )
                 )
 
-    def _closure(self, seed: str) -> frozenset:
-        reached = {seed}
-        frontier = [seed]
-        while frontier:
-            fid = frontier.pop()
-            summary = self.project.summaries.get(fid)
-            if summary is None:
-                continue
-            for callee, _line, _col in summary.direct_calls:
-                if callee not in reached:
-                    reached.add(callee)
-                    frontier.append(callee)
-        return frozenset(reached)
-
     def _fn_name(self, fid: str) -> str:
         fn = self.graph.function_ir.get(fid)
         return fn["qual"] if fn is not None else fid
 
 
-class _InterferenceWalker:
-    """One pass over a function's ops (cf. units._UnitWalker)."""
+class _InterferenceWalker(TaintWalker):
+    """Order taint (PIC704) plus write/read effect recording."""
 
-    def __init__(
-        self, an: InterferenceAnalysis, fid: str, report: bool
-    ) -> None:
-        self.an = an
-        self.graph = an.graph
-        self.fid = fid
-        self.fn = self.graph.function_ir[fid]
-        self.modkey = fid.split("::", 1)[0]
-        self.report = report
-        self.effects = FnEffects()
-        self.findings: list[tuple[str, str, int, int, str]] = []
-        self._seen: set[tuple] = set()
-        #: order-taint environment (PIC704).
-        self.env: dict[str, Taint] = {}
-        #: name -> resolved class (params, self, tracked ctor binds).
-        self.tenv: dict[str, str] = {}
+    RET = "ret_taint"
+
+    def __init__(self, an: InterferenceAnalysis, fid: str) -> None:
+        super().__init__(an, fid, FnEffects())
         #: locals freshly constructed here — their writes are private.
         self.fresh: set[str] = set()
-        self.cls = (
-            f"{self.modkey}.{self.fn['class']}"
-            if self.fn["class"] is not None
-            else None
-        )
         #: modules that define a class own its aggregates (helper
         #: functions are the implementation, not intruders).
-        ir = self.graph.modules.get(self.modkey) or {"classes": {}}
         self._module_classes = {
-            f"{self.modkey}.{c}" for c in ir.get("classes", {})
+            f"{self.modkey}.{c}" for c in self.graph.modules[self.modkey]["classes"]
         }
-
-    def run(self) -> FnEffects:
+        #: ``tenv``: params, self, tracked ctor binds.
         for p in self.fn["params"]:
-            self.env[p] = frozenset({("param", p)})
-            cfq = self.an.resolve_type(
-                self.fn["param_types"].get(p), self.modkey
-            )
+            cfq = an.resolve_type(self.fn["param_types"].get(p), self.modkey)
             if cfq:
                 self.tenv[p] = cfq
         if self.cls is not None:
             self.tenv.setdefault("self", self.cls)
-        self.walk(self.fn["ops"])
-        return self.effects
 
-    # -- ops -----------------------------------------------------------
+    # -- op hooks ------------------------------------------------------
 
-    def walk(self, ops: Iterable[list]) -> None:
-        for op in ops:
-            self.op(op)
+    def bind(self, name: str, desc: list, value: Taint) -> None:
+        self.env[name] = value
+        cfq = self._ctor_class(desc)
+        if cfq is not None:
+            self.tenv[name] = cfq
+            self.fresh.add(name)
+        else:
+            self._forget_type(name)
 
-    def op(self, op: list) -> None:
-        kind = op[0]
-        if kind == "bind":
-            _, name, desc, line = op
-            self.env[name] = self.eval(desc, line)
-            cfq = self._ctor_class(desc)
-            if cfq is not None:
-                self.tenv[name] = cfq
-                self.fresh.add(name)
-            else:
-                self.tenv.pop(name, None)
-                self.fresh.discard(name)
-        elif kind == "unpack":
-            _, names, desc, line = op
-            self.eval(desc, line)
-            for name in names:
-                self.env[name] = _EMPTY
-                self.tenv.pop(name, None)
-                self.fresh.discard(name)
-        elif kind == "eval":
-            self.eval(op[1], op[2])
-        elif kind == "mutate":
-            _, target, value, how, line, col = op
-            taint = self.eval(value, line) if value is not None else _EMPTY
-            self.mutate(target, value, how, taint, line, col)
-        elif kind == "ret":
-            _, desc, line, _col = op
-            self.effects.ret_taint = self.effects.ret_taint | self.eval(
-                desc, line
-            )
-        elif kind == "raise":
-            if op[1] is not None:
-                self.eval(op[1], op[2])
-        elif kind == "defl":
-            self.env[op[1]] = _EMPTY
-        elif kind == "kill":
-            self.env.pop(op[1], None)
-            self.tenv.pop(op[1], None)
-            self.fresh.discard(op[1])
-        elif kind == "if":
-            self.eval(op[1], op[4])
-            self.walk(op[2])
-            self.walk(op[3])
-        elif kind == "with":
-            for ctx, var in op[1]:
-                taint = self.eval(ctx, op[3])
-                if var is not None:
-                    self.env[var] = taint
-            self.walk(op[2])
-        elif kind == "try":
-            self.walk(op[1])
-            for _name, handler_ops in op[2]:
-                self.walk(handler_ops)
-            self.walk(op[3])
-            self.walk(op[4])
+    def kill(self, name: str) -> None:
+        self.env.pop(name, None)
+        self._forget_type(name)
+
+    def _forget_type(self, name: str) -> None:
+        self.tenv.pop(name, None)
+        self.fresh.discard(name)
 
     # -- writes ---------------------------------------------------------
 
     def mutate(
-        self,
-        target: list,
-        value: Any,
-        how: str,
-        taint: Taint,
-        line: int,
-        col: int,
+        self, target: list, value: list | None, stored: Taint, how: str, line: int, col: int
     ) -> None:
-        site = self._write_site(target)
-        if site is None:
-            if target[0] == "name":
-                self.env[target[1]] = self.env.get(target[1], _EMPTY) | taint
-            return
-        keyed, leaf, base, recv_type, root = site
         if how.startswith("aug:"):
             kind = "aug"
-        elif keyed:
-            kind = "keyed"
-        elif how == "store" and _is_const(value):
+        elif how == "store" and value is not None and value[0] == "const":
             kind = "const"
         else:
             kind = "store"
-        self._record_write(
-            leaf, base, recv_type, root, kind, taint, line, col
-        )
+        written = self._write(target, kind, stored, line, col)
+        if not written and target[0] == "name":
+            self.env[target[1]] = self.env.get(target[1], _EMPTY) | stored
 
-    def _record_write(
-        self,
-        leaf: str,
-        base: list,
-        recv_type: str | None,
-        root: str | None,
-        kind: str,
-        taint: Taint,
-        line: int,
-        col: int,
-    ) -> None:
-        own = self._is_own_write(recv_type, root)
+    def _write(self, target: list, kind: str, taint: Taint, line: int, col: int) -> bool:
+        """Record a write of ``kind`` through an attribute chain (False:
+        ``target`` is none); under a subscript all but ``aug`` are keyed."""
+        node = strip_subscripts(target)
+        if node[0] != "attr":
+            return False
+        if node is not target and kind != "aug":
+            kind = "keyed"
+        leaf, base = node[2], node[1]
+        recv_type = self.type_of(base)
+        own = self._is_own_write(recv_type, root_name(target))
+        aggregate = leaf in AGGREGATE_LEAVES and not own
         if recv_type is not None and not own:
             owner = self.an._attr_owner(recv_type, leaf)
             # The module defining a class owns its instances' state the
@@ -555,15 +420,21 @@ class _InterferenceWalker:
             # cross-handler interference — PIC702 tracks only locations
             # shared *across* module boundaries.
             if owner not in self._module_classes:
-                self.effects.writes.append(((owner, leaf), kind, line, col))
+                self.summary.writes.append(((owner, leaf), kind, line, col))
+                if aggregate and not self.an._same_family(recv_type, self.cls):
+                    self.summary.aggregate.append((line, col, owner, leaf))
             if recv_type in self.an.job_classes:
-                self.effects.cross_job.append((line, col, recv_type))
-        if leaf in AGGREGATE_LEAVES:
-            self._record_aggregate(leaf, base, recv_type, own, line, col)
-        if (
-            leaf in WAITER_LEAVES or "waiters" in leaf
-        ) and _U in taint:
-            self._report(
+                self.summary.cross_job.append((line, col, recv_type))
+        elif aggregate and recv_type is None:
+            # Untyped receiver: name-based fallback (``runner._queue``),
+            # unless the enclosing class declares the leaf itself.
+            named = base_tail_name(base) in AGGREGATE_OWNER_NAMES
+            if named and (
+                self.cls is None or self.an._declared_by(self.cls, leaf) is None
+            ):
+                self.summary.aggregate.append((line, col, None, leaf))
+        if (leaf in WAITER_LEAVES or "waiters" in leaf) and _U in taint:
+            self.report(
                 "PIC704",
                 line,
                 col,
@@ -571,6 +442,7 @@ class _InterferenceWalker:
                 f"waiter queue {leaf}; waiter order is a scheduling order — "
                 "sort the source or use an ordered container.",
             )
+        return True
 
     def _is_own_write(self, recv_type: str | None, root: str | None) -> bool:
         """Writes to our own instance or a fresh local are private."""
@@ -580,59 +452,9 @@ class _InterferenceWalker:
             return True
         return False
 
-    def _record_aggregate(
-        self,
-        leaf: str,
-        base: list,
-        recv_type: str | None,
-        own: bool,
-        line: int,
-        col: int,
-    ) -> None:
-        if own:
-            return
-        if recv_type is not None:
-            owner = self.an._attr_owner(recv_type, leaf)
-            if self._same_module_owner(owner):
-                return
-            if self.an._same_family(recv_type, self.cls):
-                return
-            self.effects.aggregate.append((line, col, owner, leaf))
-            return
-        # Untyped receiver: name-based fallback (``runner._queue``).
-        name = _base_tail_name(base)
-        if name in AGGREGATE_OWNER_NAMES and not self._defines_leaf(leaf):
-            self.effects.aggregate.append((line, col, None, leaf))
-
-    def _same_module_owner(self, owner: str) -> bool:
-        return owner in self._module_classes
-
-    def _defines_leaf(self, leaf: str) -> bool:
-        if self.cls is None:
-            return False
-        return self.an._declared_by(self.cls, leaf) is not None
-
-    def _write_site(
-        self, target: list
-    ) -> tuple[bool, str, list, str | None, str | None] | None:
-        keyed = False
-        node = target
-        while node[0] in ("elem", "slice"):
-            keyed = True
-            node = node[1]
-        if node[0] != "attr":
-            return None
-        leaf = node[2]
-        base = node[1]
-        recv_type = self.type_of(base)
-        root = _root_of(target)
-        return keyed, leaf, base, recv_type, root
-
     # -- static types ----------------------------------------------------
 
-    def type_of(self, desc: Any) -> str | None:
-        if not isinstance(desc, list) or not desc:
-            return None
+    def type_of(self, desc: list) -> str | None:
         kind = desc[0]
         if kind == "name":
             return self.tenv.get(desc[1])
@@ -647,8 +469,8 @@ class _InterferenceWalker:
             return self.type_of(desc[2])
         return None
 
-    def _ctor_class(self, desc: Any) -> str | None:
-        if not isinstance(desc, list) or not desc or desc[0] != "call":
+    def _ctor_class(self, desc: list) -> str | None:
+        if desc[0] != "call":
             return None
         func = desc[1]
         dotted: str | None = None
@@ -670,140 +492,63 @@ class _InterferenceWalker:
             dotted
         ) or self.graph.resolve_class(f"{self.modkey}.{dotted}")
 
-    # -- expressions (order taint + reads) -------------------------------
+    # -- descriptor hooks (order taint + reads) --------------------------
 
-    def eval(self, desc: Any, line: int) -> Taint:
-        if not isinstance(desc, list) or not desc:
-            return _EMPTY
-        kind = desc[0]
-        if kind == "const":
-            return _EMPTY
-        if kind == "name":
-            return self.env.get(desc[1], _EMPTY)
-        if kind == "attr":
-            self.eval(desc[1], line)
-            recv_type = self.type_of(desc[1])
-            if recv_type is not None and not self._is_own_write(
-                recv_type, _root_of(desc)
-            ):
-                owner = self.an._attr_owner(recv_type, desc[2])
-                if owner not in self._module_classes:
-                    self.effects.reads.add((owner, desc[2]))
-            return _EMPTY
-        if kind in ("elem", "slice", "spread"):
-            self.eval(desc[1], line)
-            return _EMPTY
-        if kind == "make":
-            taint = _EMPTY
-            for item in desc[1]:
-                taint = taint | self.eval(item, line)
-                if _is_id_call(item):
-                    taint = taint | frozenset({_U})
-            return taint
-        if kind == "comp":
-            saved = dict(self.env)
-            try:
-                taint = _EMPTY
-                for names, it in desc[1]:
-                    it_taint = self.eval(it, line)
-                    taint = taint | it_taint
-                    for name in names:
-                        self.env[name] = _EMPTY
-                for elt in desc[2]:
-                    taint = taint | self.eval(elt, line)
-                    if _is_id_call(elt):
-                        taint = taint | frozenset({_U})
-            finally:
-                self.env = saved
-            return taint
-        if kind == "union":
-            taint = _EMPTY
-            for item in desc[1]:
-                taint = taint | self.eval(item, line)
-            return taint
-        if kind == "bin":
-            return self.eval(desc[2], desc[4]) | self.eval(desc[3], desc[4])
-        if kind == "cmp":
-            for item in desc[2]:
-                self.eval(item, desc[3])
-            return _EMPTY
-        if kind == "seq":
-            for item in desc[1]:
-                self.eval(item, line)
-            return _EMPTY
-        if kind == "walrus":
-            taint = self.eval(desc[2], line)
-            self.env[desc[1]] = taint
-            return taint
-        if kind == "fnref":
-            return _EMPTY
-        if kind == "call":
-            return self.eval_call(desc)
+    def attr(self, desc: list, base: Taint) -> Taint:
+        recv_type = self.type_of(desc[1])
+        if recv_type is not None and not self._is_own_write(
+            recv_type, root_name(desc)
+        ):
+            owner = self.an._attr_owner(recv_type, desc[2])
+            if owner not in self._module_classes:
+                self.summary.reads.add((owner, desc[2]))
         return _EMPTY
 
-    def eval_call(self, desc: list) -> Taint:
-        _, func, args, kwargs, line, col = desc
-        arg_taints = [self.eval(a, line) for a in args]
-        kw_taints = {kw: self.eval(d, line) for kw, d in kwargs}
-        tail = (
-            func[2]
-            if func[0] == "meth"
-            else (func[1] if func[0] == "ref" else None)
-        )
-        if func[0] == "meth":
-            self.eval(func[1], line)
-            arg_union: Taint = _EMPTY
-            for t in arg_taints:
-                arg_union = arg_union | t
-            self._check_mutator_call(func, tail, arg_union, line, col)
-        elif func[0] == "desc":
-            self.eval(func[1], line)
+    def sub(self, kind: str, base: Taint) -> Taint:
+        return _EMPTY
 
-        self._check_order_sinks(tail, args, arg_taints, kw_taints, line, col)
+    def item(self, desc: list, value: Taint) -> Taint:
+        return value | frozenset({_U}) if _is_id_call(desc) else value
+
+    def comp_bind(self, names: list[str], value: Taint) -> Taint:
+        super().comp_bind(names, _EMPTY)
+        return value
+
+    def call(self, desc: list, args: list[Taint], kwargs: dict[str, Taint]) -> Taint:
+        _, func, _args, _kwargs, line, col = desc
+        tail = call_tail(func)
+        if func[0] == "meth":
+            self.eval(func[1])
+            if tail in MUTATOR_METHODS:  # ``x.attr.append(...)`` writes x.attr
+                self._write(func[1], "mutcall", _EMPTY.union(*args), line, col)
+        elif func[0] == "desc":
+            self.eval(func[1])
+
+        self._check_order_sinks(tail, args, kwargs, line, col)
 
         if func[0] == "ref" and tail in _UNORDERED_CTORS:
             return frozenset({_U})
         if func[0] == "ref" and tail in _SANITIZERS:
             return _EMPTY
 
-        callees = self.an.callsites.get((self.fid, line, col), [])
-        if callees:
-            out: set = set()
-            for callee in callees:
-                out |= self._apply_summary(
-                    callee, func, arg_taints, kw_taints, line, col
-                )
-            return frozenset(out)
+        returned = self.through_callees(desc, args, kwargs)
+        if returned is not None:
+            return returned
 
-        if func[0] == "ref" and tail in _ORDER_PROPAGATORS and arg_taints:
+        if func[0] == "ref" and tail in _ORDER_PROPAGATORS and args:
             taint = _EMPTY
-            for t in arg_taints:
+            for t in args:
                 taint = taint | t
             return taint
         if func[0] == "meth" and tail in ("items", "keys", "values", "copy"):
-            return self.eval(func[1], line)
+            return self.eval(func[1])
         return _EMPTY
-
-    def _check_mutator_call(
-        self, func: list, tail: str | None, taint: Taint, line: int, col: int
-    ) -> None:
-        """``x.append(...)``-style mutation of an attribute chain."""
-        if tail not in MUTATOR_METHODS:
-            return
-        recv = func[1]
-        site = self._write_site(recv) if isinstance(recv, list) else None
-        if site is None:
-            return
-        keyed, leaf, base, recv_type, root = site
-        kind = "keyed" if keyed else "mutcall"
-        self._record_write(leaf, base, recv_type, root, kind, taint, line, col)
 
     def _check_order_sinks(
         self,
         tail: str | None,
-        args: list,
-        arg_taints: list[Taint],
-        kw_taints: dict[str, Taint],
+        args: list[Taint],
+        kwargs: dict[str, Taint],
         line: int,
         col: int,
     ) -> None:
@@ -811,12 +556,12 @@ class _InterferenceWalker:
             return
         index = ORDER_SINKS[tail]
         taint: Taint = _EMPTY
-        if len(arg_taints) > index:
-            taint = arg_taints[index]
-        elif tail == "schedule_batch" and "callbacks" in kw_taints:
-            taint = kw_taints["callbacks"]
+        if len(args) > index:
+            taint = args[index]
+        elif tail == "schedule_batch" and "callbacks" in kwargs:
+            taint = kwargs["callbacks"]
         if _U in taint:
-            self._report(
+            self.report(
                 "PIC704",
                 line,
                 col,
@@ -825,115 +570,43 @@ class _InterferenceWalker:
                 "its order becomes the execution/submission order — "
                 "sorted(...) it first.",
             )
-        for marker in sorted(
-            m[1] for m in taint if isinstance(m, tuple) and m[0] == "param"
-        ):
-            done = self.effects.param_sinks.get(marker, frozenset())
-            self.effects.param_sinks[marker] = done | {tail}
+        self.reach(taint, {tail})
 
-    def _apply_summary(
-        self,
-        fid: str,
-        func: list,
-        arg_taints: list[Taint],
-        kw_taints: dict[str, Taint],
-        line: int,
-        col: int,
-    ) -> set:
-        callee = self.graph.function_ir.get(fid)
-        effects = self.an.fix.read(fid)
-        if callee is None or effects is None:
-            return set()
-        params = callee["params"]
-        rest = (
-            params[1:]
-            if (
-                callee["class"] is not None
-                and params[:1] == ["self"]
-                and func[0] in ("meth", "desc", "ref")
+    def passed_to_sinks(
+        self, callee: dict, value: Taint, sinks: frozenset, line: int, col: int
+    ) -> None:
+        if _U in value:
+            self.report(
+                "PIC704",
+                line,
+                col,
+                f"unordered iterable flows through {callee['qual']}() "
+                f"into an order-sensitive sink "
+                f"({', '.join(sorted(sinks))}); its iteration order "
+                "becomes a schedule — sorted(...) it first.",
             )
-            else params
-        )
-        argmap: dict[str, Taint] = {}
-        for pname, taint in zip(rest, arg_taints):
-            argmap[pname] = taint
-        for kw, taint in kw_taints.items():
-            if kw in params:
-                argmap[kw] = taint
-
-        for pname, sinks in sorted(effects.param_sinks.items()):
-            taint = argmap.get(pname, _EMPTY)
-            if _U in taint:
-                self._report(
-                    "PIC704",
-                    line,
-                    col,
-                    f"unordered iterable flows through {callee['qual']}() "
-                    f"into an order-sensitive sink "
-                    f"({', '.join(sorted(sinks))}); its iteration order "
-                    "becomes a schedule — sorted(...) it first.",
-                )
-            for marker in sorted(
-                m[1] for m in taint if isinstance(m, tuple) and m[0] == "param"
-            ):
-                done = self.effects.param_sinks.get(marker, frozenset())
-                self.effects.param_sinks[marker] = done | set(sinks)
-
-        out: set = set()
-        for marker in effects.ret_taint:
-            if marker == _U:
-                out.add(_U)
-            elif isinstance(marker, tuple) and marker[0] == "param":
-                out |= argmap.get(marker[1], _EMPTY)
-        return out
-
-    def _report(self, rule: str, line: int, col: int, message: str) -> None:
-        if not self.report:
-            return
-        key = (rule, line, col, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append((rule, self.fid, line, col, message))
+        self.reach(value, sinks)
 
 
-def _root_of(desc: list) -> str | None:
-    node = desc
-    while isinstance(node, list) and node and node[0] in (
-        "elem",
-        "slice",
-        "attr",
-    ):
-        node = node[1]
-    if isinstance(node, list) and node and node[0] == "name":
-        return node[1]
+def _self_attr(target: list) -> str | None:
+    """``x`` when ``target`` is exactly ``self.x``."""
+    if target[0] == "attr" and target[1] == ["name", "self"]:
+        return target[2]
     return None
 
 
-def _base_tail_name(base: list) -> str | None:
-    """The nearest name in a receiver chain (``runner`` in
-    ``self.runner._queue``)."""
-    node = base
-    while isinstance(node, list) and node and node[0] in ("elem", "slice"):
-        node = node[1]
-    if not isinstance(node, list) or not node:
-        return None
-    if node[0] == "attr":
-        return node[2]
-    if node[0] == "name":
-        return node[1]
-    return None
+def _init_stores(ops: Iterable[list], matches: Callable[[list], bool]) -> bool:
+    """Does an ``__init__`` body — ``if`` arms included — hold a
+    ``mutate`` op that ``matches``?"""
+    for op in ops:
+        if op[0] == "mutate":
+            if matches(op):
+                return True
+        elif op[0] == "if":
+            if _init_stores(op[2], matches) or _init_stores(op[3], matches):
+                return True
+    return False
 
 
-def _is_const(value: Any) -> bool:
-    return isinstance(value, list) and bool(value) and value[0] == "const"
-
-
-def _is_id_call(desc: Any) -> bool:
-    return (
-        isinstance(desc, list)
-        and bool(desc)
-        and desc[0] == "call"
-        and desc[1][0] == "ref"
-        and desc[1][1] == "id"
-    )
+def _is_id_call(desc: list) -> bool:
+    return desc[0] == "call" and desc[1][0] == "ref" and desc[1][1] == "id"

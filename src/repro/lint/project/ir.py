@@ -27,11 +27,11 @@ descriptor                meaning
                           ``["meth", base, attr]`` or ``["desc", d]``
 ========================  =============================================
 
-Linear ops: ``["bind", name, d, line]``, ``["unpack", [names], d,
-line]``, ``["eval", d, line]``, ``["mutate", target_d, value_d|None,
-kind, line, col]`` (kind ``store``/``del``/``aug:<Op>``), ``["ret",
-d, line, col]``, ``["defl", name, fid, line]``, ``["kill", name]``
-and ``["raise", d|None, line]``.
+Linear ops: ``["bind", name, d, line]`` (a tuple target is one bind
+per name, each of an ``elem`` of the value), ``["eval", d, line]``,
+``["mutate", target_d, value_d|None, kind, line, col]`` (kind
+``store``/``del``/``aug:<Op>``), ``["ret", d, line, col]``, ``["defl",
+name, fid, line]``, ``["kill", name]`` and ``["raise", d|None, line]``.
 
 Block ops carry nested op lists so path-sensitive analyses see
 control structure and exception edges (schema v2):
@@ -98,6 +98,50 @@ def callee_dotted(func: Desc, aliases: dict[str, str]) -> str | None:
         return None
     parts.append(head)
     return ".".join(reversed(parts))
+
+
+def strip_subscripts(desc: Desc) -> Desc:
+    """``desc`` without its enclosing ``elem``/``slice`` links: the
+    container an ``x[i][j:k]`` chain indexes into."""
+    while desc[0] in ("elem", "slice"):
+        desc = desc[1]
+    return desc
+
+
+def root_name(desc: Desc) -> str | None:
+    """The local name a load/store chain is rooted at, if any."""
+    while desc[0] in ("elem", "slice", "attr"):
+        desc = desc[1]
+    return desc[1] if desc[0] == "name" else None
+
+
+def base_tail_name(base: Desc) -> str | None:
+    """The nearest name in a receiver chain (``runner`` in
+    ``self.runner._queue``)."""
+    node = strip_subscripts(base)
+    if node[0] == "attr":
+        return node[2]
+    return node[1] if node[0] == "name" else None
+
+
+def attr_chain(desc: Desc) -> tuple[list[str], str] | None:
+    """``(["self", "cluster"], "_flows")`` for ``self.cluster._flows[...]``.
+
+    Returns None when the target is not an attribute store/chain.
+    """
+    node = strip_subscripts(desc)
+    if node[0] != "attr":
+        return None
+    leaf = node[2]
+    names: list[str] = []
+    node = strip_subscripts(node[1])
+    while node[0] == "attr":
+        names.append(node[2])
+        node = strip_subscripts(node[1])
+    if node[0] == "name":
+        names.append(node[1])
+    names.reverse()
+    return names, leaf
 
 
 # ----------------------------------------------------------------------

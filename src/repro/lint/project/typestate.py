@@ -48,10 +48,11 @@ transfers ownership; the analysis prefers silence to false positives.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.ir import callee_dotted
+from repro.lint.project.walker import Evaluation
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -81,15 +82,6 @@ _ACQUIRER_TAILS = {
     "BatchExportCache": "batchcache",
 }
 
-#: kind -> methods that release (any subset order).
-RELEASE_METHODS = {
-    "shm": frozenset({"close", "unlink"}),
-    "file": frozenset({"close"}),
-    "mmap": frozenset({"close"}),
-    "pool": frozenset({"shutdown"}),
-    "cachepin": frozenset({"release"}),
-    "batchcache": frozenset({"release"}),
-}
 #: kind -> the release every instance must see before it goes dead.
 _REQUIRED_RELEASE = {
     "pool": frozenset({"shutdown"}),
@@ -192,35 +184,22 @@ class TypestateAnalysis:
         self.callsites = project.callsites
         self.fix = Fixpoint()
         self.summaries: dict[str, ResourceSummary] = self.fix.summaries
-        self.findings: list[tuple[str, str, int, int, str]] = []
-        self.fix.run(
+        self.findings: list[tuple[str, str, int, int, str]] = self.fix.solve(
             sorted(self.graph.function_ir),
-            lambda fid: _Walker(self, fid, report=False).run(),
+            lambda fid: _Walker(self, fid).run(),
             self.MAX_ROUNDS,
         )
-        self._collect()
-
-    def _collect(self) -> None:
-        for fid in sorted(self.graph.function_ir):
-            walker = _Walker(self, fid, report=True)
-            walker.run()
-            self.findings.extend(walker.findings)
 
 
-class _Walker:
-    """One path-sensitive pass over a function's block-structured ops."""
+class _Walker(Evaluation):
+    """One path-sensitive pass over a function's block-structured ops:
+    environments fork at branches and join after them, so it walks by
+    itself and shares only the per-function prologue, the argument
+    binder and ``report`` with the other passes."""
 
-    def __init__(self, an: TypestateAnalysis, fid: str, report: bool) -> None:
-        self.an = an
-        self.graph = an.graph
-        self.fid = fid
-        self.fn = self.graph.function_ir[fid]
-        self.modkey = fid.split("::", 1)[0]
-        ir = self.graph.modules.get(self.modkey) or {"aliases": {}}
-        self.aliases: dict[str, str] = ir.get("aliases", {})
-        self.report = report
+    def __init__(self, an: TypestateAnalysis, fid: str) -> None:
+        super().__init__(an, fid)
         self.summary = ResourceSummary()
-        self.findings: list[tuple[str, str, int, int, str]] = []
         #: Stack of (res-id -> protected methods) from enclosing
         #: finally blocks and with bodies.
         self._protection: list[dict[int, set[str]]] = []
@@ -273,13 +252,6 @@ class _Walker:
             if res is not None:
                 env[name] = res
             else:
-                env.pop(name, None)
-        elif kind == "unpack":
-            _, names, desc, line = op
-            self._risky_calls = 0
-            self.scan(desc, env, line)
-            self._raise_check(env, line)
-            for name in names:
                 env.pop(name, None)
         elif kind == "eval":
             self._risky_calls = 0
@@ -424,8 +396,6 @@ class _Walker:
                     continue
 
         def scan_desc(desc: list) -> None:
-            if not isinstance(desc, list) or not desc:
-                return
             if desc[0] == "call":
                 func = desc[1]
                 if (
@@ -508,22 +478,20 @@ class _Walker:
     def _report(
         self, rule: str, res: Res, line: int, col: int, message: str
     ) -> None:
-        if not self.report or rule in res.reported:
-            return
-        res.reported.add(rule)
-        self.findings.append((rule, self.fid, line, col, message))
+        """One report per rule per resource, however many paths hit it."""
+        if rule not in res.reported:
+            res.reported.add(rule)
+            self.report(rule, line, col, message)
 
     # -- descriptor scanning -------------------------------------------
 
     def scan(
-        self, desc: Any, env: dict[str, Res], line: int, escape: bool = False
+        self, desc: list, env: dict[str, Res], line: int, escape: bool = False
     ) -> Res | None:
         """Process ``desc``: acquisitions, releases, uses, escapes.
 
         Returns the resource the descriptor's *value* is, if any.
         """
-        if not isinstance(desc, list) or not desc:
-            return None
         kind = desc[0]
         if kind == "name":
             res = env.get(desc[1])
@@ -598,9 +566,7 @@ class _Walker:
                 self._risky_calls += 1
                 self._use_check(res, cline, f".{attr}()")
                 return None
-        if func[0] == "meth":
-            self.scan(func[1], env, line)
-        elif func[0] == "desc":
+        if func[0] in ("meth", "desc"):
             self.scan(func[1], env, line)
 
         # Arguments: releases through project callees, else escape.
@@ -636,10 +602,8 @@ class _Walker:
         return acquired
 
     def _scan_arg(
-        self, desc: Any, env: dict[str, Res], line: int, handled: set[int]
+        self, desc: list, env: dict[str, Res], line: int, handled: set[int]
     ) -> None:
-        if not isinstance(desc, list) or not desc:
-            return
         if desc[0] == "name":
             res = env.get(desc[1])
             if res is not None and id(res) not in handled:
@@ -660,20 +624,11 @@ class _Walker:
             fn = self.graph.function_ir.get(callee)
             if fn is None:
                 continue
-            params = fn["params"]
-            rest = params[1:] if (
-                fn["class"] is not None and params[:1] == ["self"]
-            ) else params
-            for pname, a in zip(rest, args):
-                if isinstance(a, list) and a and a[0] == "name":
+            for pname, a in self.bind_args(fn, func, args, dict(kwargs)).items():
+                if a is not None and a[0] == "name":
                     res = env.get(a[1])
                     if res is not None:
                         out.append((callee, pname, res))
-            for kw, d in kwargs:
-                if kw in params and isinstance(d, list) and d and d[0] == "name":
-                    res = env.get(d[1])
-                    if res is not None:
-                        out.append((callee, kw, res))
         return out
 
     def _acquisition(

@@ -40,11 +40,12 @@ simulated sinks, iterated to a fixpoint over the call graph.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING
 
 from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import SUBSTRATE_NAMES
-from repro.lint.project.ir import callee_dotted
+from repro.lint.project.ir import callee_dotted, strip_subscripts
+from repro.lint.project.walker import TaintWalker, call_tail
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -141,19 +142,11 @@ class UnitAnalysis:
         self.callsites = project.callsites
         self.fix = Fixpoint()
         self.summaries: dict[str, UnitSummary] = self.fix.summaries
-        self.findings: list[tuple[str, str, int, int, str]] = []
-        self.fix.run(
+        self.findings: list[tuple[str, str, int, int, str]] = self.fix.solve(
             sorted(self.graph.function_ir),
-            lambda fid: _UnitWalker(self, fid, report=False).run(),
+            lambda fid: _UnitWalker(self, fid).run(),
             self.MAX_ROUNDS,
         )
-        self._collect()
-
-    def _collect(self) -> None:
-        for fid in sorted(self.graph.function_ir):
-            walker = _UnitWalker(self, fid, report=True)
-            walker.run()
-            self.findings.extend(walker.findings)
 
 
 def _concrete(units: Units) -> frozenset:
@@ -168,172 +161,61 @@ def _conflict(a: Units, b: Units) -> tuple[str, str] | None:
     return None
 
 
-class _UnitWalker:
-    """One taint pass over a function's ops (blocks walked in order)."""
+class _UnitWalker(TaintWalker):
+    """The unit domain: seeds, arithmetic checks and simulated sinks."""
 
-    def __init__(self, an: UnitAnalysis, fid: str, report: bool) -> None:
-        self.an = an
-        self.graph = an.graph
-        self.fid = fid
-        self.fn = self.graph.function_ir[fid]
-        self.modkey = fid.split("::", 1)[0]
-        ir = self.graph.modules.get(self.modkey) or {"aliases": {}}
-        self.aliases: dict[str, str] = ir.get("aliases", {})
-        self.report = report
-        self.summary = UnitSummary()
-        self.findings: list[tuple[str, str, int, int, str]] = []
-        self.env: dict[str, Units] = {}
-        self._seen: set[tuple] = set()
+    def __init__(self, an: UnitAnalysis, fid: str) -> None:
+        super().__init__(an, fid, UnitSummary())
 
-    def run(self) -> UnitSummary:
-        for p in self.fn["params"]:
-            self.env[p] = frozenset({("param", p)})
-        self.walk(self.fn["ops"])
-        return self.summary
+    # -- hooks ---------------------------------------------------------
 
-    # -- ops -----------------------------------------------------------
+    def mutate(
+        self, target: list, value: list | None, stored: Units, how: str, line: int, col: int
+    ) -> None:
+        target_units = self.eval(target)
+        if how.startswith("aug:") and how[4:] in _ADDITIVE_OPS:
+            self._check_mix(target_units, stored, how[4:], line, col)
+        if target[0] == "name":
+            self.env[target[1]] = self.env.get(target[1], _EMPTY) | stored
 
-    def walk(self, ops: Iterable[list]) -> None:
-        for op in ops:
-            self.op(op)
-
-    def op(self, op: list) -> None:
-        kind = op[0]
-        if kind == "bind":
-            _, name, desc, line = op
-            self.env[name] = self.eval(desc, line)
-        elif kind == "unpack":
-            _, names, desc, line = op
-            units = self.eval(desc, line)
-            for name in names:
-                self.env[name] = units
-        elif kind == "eval":
-            self.eval(op[1], op[2])
-        elif kind == "mutate":
-            _, target, value, how, line, col = op
-            value_units = self.eval(value, line) if value is not None else _EMPTY
-            target_units = self.eval(target, line) if target is not None else _EMPTY
-            if how.startswith("aug:") and how[4:] in _ADDITIVE_OPS:
-                self._check_mix(target_units, value_units, how[4:], line, col)
-            if target[0] == "name":
-                self.env[target[1]] = self.env.get(target[1], _EMPTY) | value_units
-        elif kind == "ret":
-            _, desc, line, col = op
-            self.summary.ret = self.summary.ret | self.eval(desc, line)
-        elif kind == "raise":
-            if op[1] is not None:
-                self.eval(op[1], op[2])
-        elif kind == "defl":
-            self.env[op[1]] = _EMPTY
-        elif kind == "kill":
-            self.env.pop(op[1], None)
-        elif kind == "if":
-            self.eval(op[1], op[4])
-            self.walk(op[2])
-            self.walk(op[3])
-        elif kind == "with":
-            for ctx, var in op[1]:
-                units = self.eval(ctx, op[3])
-                if var is not None:
-                    self.env[var] = units
-            self.walk(op[2])
-        elif kind == "try":
-            self.walk(op[1])
-            for _name, handler_ops in op[2]:
-                self.walk(handler_ops)
-            self.walk(op[3])
-            self.walk(op[4])
-
-    # -- expressions ---------------------------------------------------
-
-    def eval(self, desc: Any, line: int) -> Units:
-        if not isinstance(desc, list) or not desc:
-            return _EMPTY
-        kind = desc[0]
-        if kind == "const":
-            return _EMPTY
-        if kind == "name":
-            return self.env.get(desc[1], _EMPTY)
-        if kind == "attr":
-            base = self.eval(desc[1], line)
-            attr = desc[2]
-            if attr in _SIM_B_ATTRS:
-                return frozenset({SIM_B})
-            if attr in _SIM_CLOCK_ATTRS and self._sim_receiver(desc[1]):
-                return frozenset({SIM_S})
-            if attr in ("sim_seconds", "sim_time"):
-                return frozenset({SIM_S})
-            return _EMPTY if base is _EMPTY else _EMPTY
-        if kind in ("elem", "slice", "spread"):
-            # Elements of a tainted container carry the container's units.
-            return self.eval(desc[1], line)
-        if kind == "make":
-            units = _EMPTY
-            for item in desc[1]:
-                units = units | self.eval(item, line)
-            return units
-        if kind == "comp":
-            saved = dict(self.env)
-            try:
-                for names, it in desc[1]:
-                    it_units = self.eval(it, line)
-                    for name in names:
-                        self.env[name] = it_units
-                units = _EMPTY
-                for elt in desc[2]:
-                    units = units | self.eval(elt, line)
-            finally:
-                self.env = saved
-            return units
-        if kind == "union":
-            units = _EMPTY
-            for item in desc[1]:
-                units = units | self.eval(item, line)
-            return units
-        if kind == "bin":
-            _, op_name, left, right, bline, bcol = desc
-            lu = self.eval(left, bline)
-            ru = self.eval(right, bline)
-            if op_name in _ADDITIVE_OPS:
-                self._check_mix(lu, ru, op_name, bline, bcol)
-                return lu | ru
-            if op_name in ("Mult", "Div", "FloorDiv", "Mod", "Pow", "MatMult"):
-                # Rates/scalings: result keeps no committed unit.
-                return _EMPTY
-            return lu | ru
-        if kind == "cmp":
-            _, op_names, items, cline, ccol = desc
-            item_units = [self.eval(item, cline) for item in items]
-            for i, op_name in enumerate(op_names):
-                if op_name in _ORDERING_OPS and i + 1 < len(item_units):
-                    self._check_mix(
-                        item_units[i], item_units[i + 1], op_name, cline, ccol,
-                        comparison=True,
-                    )
-            return _EMPTY
-        if kind == "seq":
-            for item in desc[1]:
-                self.eval(item, line)
-            return _EMPTY
-        if kind == "walrus":
-            units = self.eval(desc[2], line)
-            self.env[desc[1]] = units
-            return units
-        if kind == "fnref":
-            return _EMPTY
-        if kind == "call":
-            return self.eval_call(desc)
+    def attr(self, desc: list, base: Units) -> Units:
+        attr = desc[2]
+        if attr in _SIM_B_ATTRS:
+            return frozenset({SIM_B})
+        if attr in _SIM_CLOCK_ATTRS and self._sim_receiver(desc[1]):
+            return frozenset({SIM_S})
+        if attr in ("sim_seconds", "sim_time"):
+            return frozenset({SIM_S})
         return _EMPTY
 
-    def eval_call(self, desc: list) -> Units:
-        _, func, args, kwargs, line, col = desc
-        arg_units = [self.eval(a, line) for a in args]
-        kw_units = {kw: self.eval(d, line) for kw, d in kwargs}
+    # ``sub`` and ``item`` keep the walker's defaults: elements of a
+    # tainted container carry the container's units.
 
-        tail = func[2] if func[0] == "meth" else (func[1] if func[0] == "ref" else None)
+    def bin(self, desc: list, left: Units, right: Units) -> Units:
+        _, op_name, _left, _right, line, col = desc
+        if op_name in _ADDITIVE_OPS:
+            self._check_mix(left, right, op_name, line, col)
+            return left | right
+        if op_name in ("Mult", "Div", "FloorDiv", "Mod", "Pow", "MatMult"):
+            # Rates/scalings: result keeps no committed unit.
+            return _EMPTY
+        return left | right
+
+    def cmp(self, desc: list, values: list[Units]) -> Units:
+        _, op_names, _items, line, col = desc
+        for i, op_name in enumerate(op_names):
+            if op_name in _ORDERING_OPS and i + 1 < len(values):
+                self._check_mix(
+                    values[i], values[i + 1], op_name, line, col, comparison=True
+                )
+        return _EMPTY
+
+    def call(self, desc: list, args: list[Units], kwargs: dict[str, Units]) -> Units:
+        _, func, _args, _kwargs, line, col = desc
+        tail = call_tail(func)
         dotted = callee_dotted(func, self.aliases)
 
-        self._check_sinks(func, tail, arg_units, kw_units, line, col)
+        self._check_sinks(func, tail, args, kwargs, line, col)
 
         # Seeds.
         if dotted in _WALL_CALLS:
@@ -348,66 +230,24 @@ class _UnitWalker:
             return frozenset({COUNT})
 
         # Project callees: substitute the return summary.
-        callees = self.an.callsites.get((self.fid, line, col), [])
-        if callees:
-            out: set = set()
-            for callee in callees:
-                out |= self._apply_summary(
-                    callee, func, arg_units, kw_units, line, col
-                )
-            return frozenset(out)
+        returned = self.through_callees(desc, args, kwargs)
+        if returned is not None:
+            return returned
 
         # Unit-preserving builtins.
-        if func[0] == "ref" and tail in _PROPAGATORS and arg_units:
-            units = arg_units[0]
+        if func[0] == "ref" and tail in _PROPAGATORS and args:
+            units = args[0]
             if tail in ("min", "max"):
-                for u in arg_units[1:]:
+                for u in args[1:]:
                     units = units | u
             return units
         return _EMPTY
 
-    def _apply_summary(
-        self,
-        fid: str,
-        func: list,
-        arg_units: list[Units],
-        kw_units: dict[str, Units],
-        line: int,
-        col: int,
-    ) -> set:
-        callee = self.graph.function_ir.get(fid)
-        summary = self.an.fix.read(fid)
-        if callee is None or summary is None:
-            return set()
-        params = callee["params"]
-        rest = params[1:] if (
-            callee["class"] is not None
-            and params[:1] == ["self"]
-            and func[0] in ("meth", "desc", "ref")
-        ) else params
-        argmap: dict[str, Units] = {}
-        for pname, units in zip(rest, arg_units):
-            argmap[pname] = units
-        for kw, units in kw_units.items():
-            if kw in params:
-                argmap[kw] = units
-
-        # Parameters that reach a simulated sink inside the callee.
-        for pname, expected in sorted(summary.param_sinks.items()):
-            units = argmap.get(pname)
-            if units:
-                for unit in sorted(expected):
-                    self._check_sink_value(
-                        units, unit, callee["name"], line, col, via=True
-                    )
-
-        out: set = set()
-        for unit in summary.ret:
-            if isinstance(unit, str):
-                out.add(unit)
-            else:  # ("param", name) pass-through
-                out |= argmap.get(unit[1], _EMPTY)
-        return out
+    def passed_to_sinks(
+        self, callee: dict, value: Units, sinks: frozenset, line: int, col: int
+    ) -> None:
+        for unit in sorted(sinks):
+            self._check_sink_value(value, unit, callee["name"], line, col, via=True)
 
     # -- checks --------------------------------------------------------
 
@@ -425,7 +265,7 @@ class _UnitWalker:
             return
         ua, ub = hit
         verb = "compares" if comparison else "mixes"
-        self._report(
+        self.report(
             "PIC601",
             line,
             col,
@@ -439,25 +279,19 @@ class _UnitWalker:
         self,
         func: list,
         tail: str | None,
-        arg_units: list[Units],
-        kw_units: dict[str, Units],
+        args: list[Units],
+        kwargs: dict[str, Units],
         line: int,
         col: int,
     ) -> None:
         if func[0] != "meth" or tail not in SINKS:
             return
         index, kw_name, expected = SINKS[tail]
-        units: Units | None = None
-        if len(arg_units) > index:
-            units = arg_units[index]
-        elif kw_name in kw_units:
-            units = kw_units[kw_name]
+        units = args[index] if len(args) > index else kwargs.get(kw_name, _EMPTY)
         if units:
             self._check_sink_value(units, expected, tail, line, col)
         # Record the sink for parameter-polymorphic callers.
-        for marker in _concrete_params(units):
-            done = self.summary.param_sinks.get(marker, frozenset())
-            self.summary.param_sinks[marker] = done | {expected}
+        self.reach(units, {expected})
 
     def _check_sink_value(
         self,
@@ -476,11 +310,9 @@ class _UnitWalker:
         if not wrong:
             return
         # Propagate param sinks transitively.
-        for marker in _concrete_params(units):
-            done = self.summary.param_sinks.get(marker, frozenset())
-            self.summary.param_sinks[marker] = done | {expected}
+        self.reach(units, {expected})
         through = f"via {sink}()" if via else f"passed to {sink}()"
-        self._report(
+        self.report(
             "PIC602",
             line,
             col,
@@ -490,34 +322,11 @@ class _UnitWalker:
             "from simulated sources.",
         )
 
-    def _report(self, rule: str, line: int, col: int, message: str) -> None:
-        if not self.report:
-            return
-        key = (rule, line, col, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append((rule, self.fid, line, col, message))
-
     # -- helpers -------------------------------------------------------
 
-    def _sim_receiver(self, base: Any) -> bool:
+    def _sim_receiver(self, base: list) -> bool:
         """Is ``base`` a simulation/cluster-ish receiver (``sim.now``)?"""
-        node = base
-        while isinstance(node, list) and node and node[0] in ("elem", "slice"):
-            node = node[1]
-        if not isinstance(node, list) or not node:
-            return False
+        node = strip_subscripts(base)
         if node[0] == "name":
             return node[1] in _SIM_RECEIVERS
-        if node[0] == "attr":
-            return node[2] in SUBSTRATE_NAMES
-        if node[0] == "call":
-            return False
-        return False
-
-
-def _concrete_params(units: Units | None) -> list[str]:
-    if not units:
-        return []
-    return sorted(u[1] for u in units if isinstance(u, tuple) and u[0] == "param")
+        return node[0] == "attr" and node[2] in SUBSTRATE_NAMES

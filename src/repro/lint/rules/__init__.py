@@ -19,7 +19,7 @@ the converged :class:`~repro.lint.project.analysis.ProjectAnalysis`.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.model import Finding
 
@@ -64,18 +64,28 @@ def project_finding(
     return Finding(project.graph.fid_path[fid], line, col + 1, rule_id, message)
 
 
-def family_findings(
-    project: "ProjectAnalysis", findings: Iterable[tuple], rule_id: str
-) -> Iterator[Finding]:
+class FamilyRule(ProjectRule):
     """``rule_id``'s share of the ``(rule, fid, line, col, message)``
-    tuples one family analysis (typestate, units, interference) found."""
-    for rule, fid, line, col, message in findings:
-        if rule == rule_id:
-            yield project_finding(project, rule_id, fid, line, col, message)
+    findings one family analysis (typestate, units, interference) holds."""
+
+    def __init__(self, rule_id: str, summary: str, doc: str, family: str) -> None:
+        self.rule_id = rule_id
+        self.summary = summary
+        #: First line of ``--explain``, as a rule class's docstring is.
+        self.__doc__ = doc
+        #: The :class:`ProjectAnalysis` method that runs the family's pass.
+        self.family = family
+
+    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
+        for rule, fid, line, col, message in getattr(project, self.family)().findings:
+            if rule == self.rule_id:
+                yield project_finding(project, rule, fid, line, col, message)
 
 
 def all_rules() -> list[Rule]:
-    """Fresh instances of every shipped rule, in ID order."""
+    """Every shipped rule, in ID order (the per-file and alias-reading
+    rules as fresh instances, the family rules as their table rows)."""
+    from repro.lint.rules import concurrency, lifecycle, units
     from repro.lint.rules.aliasing import (
         CallbackRecordMutationRule,
         ColumnViewRule,
@@ -87,24 +97,12 @@ def all_rules() -> list[Rule]:
         UnseededRandomRule,
         WallClockRule,
     )
-    from repro.lint.rules.lifecycle import (
-        DoubleReleaseRule,
-        ResourceLeakRule,
-        UseAfterReleaseRule,
-    )
-    from repro.lint.rules.concurrency import (
-        AggregateBypassRule,
-        CrossJobWriteRule,
-        TieOrderConflictRule,
-        UnorderedScheduleRule,
-    )
     from repro.lint.rules.purity import CallbackPurityRule, TaskSpecPicklabilityRule
     from repro.lint.rules.simulation import (
         ReentrantHandlerMutationRule,
         TrafficBypassRule,
     )
     from repro.lint.rules.sizing import GetsizeofRule, RawLenByteCountRule
-    from repro.lint.rules.units import SimSinkTaintRule, UnitMixRule
 
     rules: list[Rule] = [
         WallClockRule(),
@@ -120,15 +118,9 @@ def all_rules() -> list[Rule]:
         ColumnViewRule(),
         TrafficBypassRule(),
         ReentrantHandlerMutationRule(),
-        ResourceLeakRule(),
-        DoubleReleaseRule(),
-        UseAfterReleaseRule(),
-        UnitMixRule(),
-        SimSinkTaintRule(),
-        CrossJobWriteRule(),
-        TieOrderConflictRule(),
-        AggregateBypassRule(),
-        UnorderedScheduleRule(),
+        *lifecycle.RULES,
+        *units.RULES,
+        *concurrency.RULES,
     ]
     return sorted(rules, key=lambda r: r.rule_id)
 

@@ -19,48 +19,33 @@ runtime.
 
 from __future__ import annotations
 
-from typing import Iterator
+from repro.lint.rules import FamilyRule
 
-from repro.lint.model import Finding
-from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule, family_findings
-
-
-class CrossJobWriteRule(ProjectRule):
-    """PIC701: handler mutates job-scoped state of a foreign job."""
-
-    rule_id = "PIC701"
-    summary = "event handler writes another job's state"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.interference().findings, self.rule_id)
-
-
-class TieOrderConflictRule(ProjectRule):
-    """PIC702: same-timestamp handlers conflict on a shared location."""
-
-    rule_id = "PIC702"
-    summary = "co-schedulable handlers overlap on shared state with no tiebreak"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.interference().findings, self.rule_id)
-
-
-class AggregateBypassRule(ProjectRule):
-    """PIC703: shared aggregate mutated outside its serialization point."""
-
-    rule_id = "PIC703"
-    summary = "scheduler aggregate mutated from a callback, not its owner API"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.interference().findings, self.rule_id)
-
-
-class UnorderedScheduleRule(ProjectRule):
-    """PIC704: unordered iterable becomes a scheduling/submission order."""
-
-    rule_id = "PIC704"
-    summary = "set/id()-ordered iterable flows into a scheduling order"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.interference().findings, self.rule_id)
+#: One row per rule: id, ``--list-rules`` summary, ``--explain`` doc line,
+#: and the ``ProjectAnalysis`` method that runs the family's pass.
+RULES = (
+    FamilyRule(
+        "PIC701",
+        "event handler writes another job's state",
+        "PIC701: handler mutates job-scoped state of a foreign job.",
+        "interference",
+    ),
+    FamilyRule(
+        "PIC702",
+        "co-schedulable handlers overlap on shared state with no tiebreak",
+        "PIC702: same-timestamp handlers conflict on a shared location.",
+        "interference",
+    ),
+    FamilyRule(
+        "PIC703",
+        "scheduler aggregate mutated from a callback, not its owner API",
+        "PIC703: shared aggregate mutated outside its serialization point.",
+        "interference",
+    ),
+    FamilyRule(
+        "PIC704",
+        "set/id()-ordered iterable flows into a scheduling order",
+        "PIC704: unordered iterable becomes a scheduling/submission order.",
+        "interference",
+    ),
+)

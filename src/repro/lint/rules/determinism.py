@@ -114,10 +114,6 @@ class UnseededRandomRule(Rule):
                     )
 
 
-#: Consumers whose result does not depend on element order.
-_ORDER_INSENSITIVE = frozenset(
-    {"sorted", "sum", "min", "max", "len", "any", "all", "set", "frozenset", "bool"}
-)
 #: Wrappers that materialize the (nondeterministic) iteration order.
 _ORDER_SENSITIVE_WRAPPERS = frozenset({"list", "tuple", "enumerate", "iter", "reversed"})
 

@@ -24,38 +24,27 @@ and stay silent.
 
 from __future__ import annotations
 
-from typing import Iterator
+from repro.lint.rules import FamilyRule
 
-from repro.lint.model import Finding
-from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule, family_findings
-
-
-class ResourceLeakRule(ProjectRule):
-    """PIC501: acquired resource not released on every path."""
-
-    rule_id = "PIC501"
-    summary = "resource (shm block, pool, file, mmap) can leak on an exception path"
-
-    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from family_findings(project, project.typestate().findings, self.rule_id)
-
-
-class DoubleReleaseRule(ProjectRule):
-    """PIC502: resource released twice."""
-
-    rule_id = "PIC502"
-    summary = "release method called again on an already-released resource"
-
-    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from family_findings(project, project.typestate().findings, self.rule_id)
-
-
-class UseAfterReleaseRule(ProjectRule):
-    """PIC503: resource used after release."""
-
-    rule_id = "PIC503"
-    summary = "resource used after it was released on every path"
-
-    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        yield from family_findings(project, project.typestate().findings, self.rule_id)
+#: One row per rule: id, ``--list-rules`` summary, ``--explain`` doc line,
+#: and the ``ProjectAnalysis`` method that runs the family's pass.
+RULES = (
+    FamilyRule(
+        "PIC501",
+        "resource (shm block, pool, file, mmap) can leak on an exception path",
+        "PIC501: acquired resource not released on every path.",
+        "typestate",
+    ),
+    FamilyRule(
+        "PIC502",
+        "release method called again on an already-released resource",
+        "PIC502: resource released twice.",
+        "typestate",
+    ),
+    FamilyRule(
+        "PIC503",
+        "resource used after it was released on every path",
+        "PIC503: resource used after release.",
+        "typestate",
+    ),
+)

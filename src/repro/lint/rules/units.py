@@ -18,28 +18,21 @@ converged taint facts from :mod:`repro.lint.project.units`:
 
 from __future__ import annotations
 
-from typing import Iterator
+from repro.lint.rules import FamilyRule
 
-from repro.lint.model import Finding
-from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.rules import ProjectRule, family_findings
-
-
-class UnitMixRule(ProjectRule):
-    """PIC601: arithmetic/comparison across conflicting units."""
-
-    rule_id = "PIC601"
-    summary = "adds/subtracts/compares quantities with conflicting units"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.unit_taint().findings, self.rule_id)
-
-
-class SimSinkTaintRule(ProjectRule):
-    """PIC602: mis-united value reaches a simulated-time/bytes sink."""
-
-    rule_id = "PIC602"
-    summary = "wall-clock or mis-united quantity flows into a simulated metric"
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        yield from family_findings(project, project.unit_taint().findings, self.rule_id)
+#: One row per rule: id, ``--list-rules`` summary, ``--explain`` doc line,
+#: and the ``ProjectAnalysis`` method that runs the family's pass.
+RULES = (
+    FamilyRule(
+        "PIC601",
+        "adds/subtracts/compares quantities with conflicting units",
+        "PIC601: arithmetic/comparison across conflicting units.",
+        "unit_taint",
+    ),
+    FamilyRule(
+        "PIC602",
+        "wall-clock or mis-united quantity flows into a simulated metric",
+        "PIC602: mis-united value reaches a simulated-time/bytes sink.",
+        "unit_taint",
+    ),
+)

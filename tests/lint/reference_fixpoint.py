@@ -12,6 +12,10 @@ evaluations that costs without dependency tracking.
 ``sweep`` has the signature of ``Fixpoint.run`` so a test can put it in
 its place (``mock.patch.object(Fixpoint, "run", sweep)``); reads still
 go through ``Fixpoint.read``/``note``, whose bookkeeping it ignores.
+It returns no evaluation's reads either, so ``Fixpoint.solve`` takes
+no function's last evaluation on trust and evaluates each once more
+for its findings — the reporting walk every family pass used to end
+with, which makes this the oracle for findings as well.
 """
 
 from __future__ import annotations

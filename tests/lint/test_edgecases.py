@@ -1,6 +1,6 @@
 """Input edge cases: byte-order marks, CRLF, syntax errors, empty files."""
 
-from repro.lint.engine import lint_file, run_lint
+from repro.lint.engine import iter_python_files, lint_file, run_lint
 from repro.lint.model import LintParseError
 from repro.lint.module import LintModule, decode_source
 
@@ -106,3 +106,26 @@ class TestEmptyFiles:
         run = run_lint([tmp_path])
         assert run.findings == []
         assert run.errors == []
+
+
+class TestOverlappingArguments:
+    SOURCE = "import time\n\n\ndef stamp():\n    return time.time()\n"
+
+    def test_a_file_named_three_ways_is_linted_once(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "clock.py").write_text(self.SOURCE, encoding="utf-8")
+        run = run_lint([tmp_path, pkg, pkg / "clock.py"])
+        assert run.files_checked == 1
+        assert [f.rule for f in run.findings] == ["PIC001"]
+
+    def test_first_spelling_and_first_occurrence_order_are_kept(self, tmp_path):
+        for name in ("a.py", "b.py", "c.py"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        b, c = tmp_path / "b.py", tmp_path / "c.py"
+        detour = tmp_path / "sub" / ".." / "c.py"
+        assert detour != c and detour.resolve() == c.resolve()
+        # A shuffled file list (the perf ledger hands one over) keeps
+        # its order; the directory adds only what was not yet listed.
+        assert iter_python_files([detour, b, c, tmp_path]) == [detour, b, tmp_path / "a.py"]

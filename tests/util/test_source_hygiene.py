@@ -1,7 +1,7 @@
 """Import hygiene over ``src/repro``, with the standard library only.
 
 CI runs ruff's pyflakes subset (F401 unused import, F811 redefinition);
-ruff is not installed in every environment the suite runs in, so the two
+ruff is not installed in every environment the suite runs in, so the
 checks that bit-rot fastest during refactors are scripted here with
 ``ast``:
 
@@ -14,16 +14,24 @@ checks that bit-rot fastest during refactors are scripted here with
 * **duplicate imports** — the same name bound twice by imports in one
   scope.  ``if TYPE_CHECKING: ... else: ...`` arms and ``try``/``except``
   fallbacks are alternative bindings, not duplicates.
+* **unused private names** — a module-level ``_name`` (assignment, def
+  or class) bound once and mentioned nowhere else under ``src/``,
+  ``tests/``, ``benchmarks/`` or ``examples/``: what moving a helper
+  leaves behind.  Any mention of the word counts as a use, so a
+  monkeypatch target spelled in a string does too.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 
 Scope = ast.Module | ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
@@ -141,6 +149,37 @@ def duplicate_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return found
 
 
+def private_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every ``_name`` the module body binds exactly once."""
+    bound: list[tuple[int, str]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    times = Counter(name for _line, name in bound)
+    return [
+        (line, name)
+        for line, name in bound
+        if name.startswith("_") and not name.startswith("__") and times[name] == 1
+    ]
+
+
+def test_private_module_names_are_mentioned_somewhere_else() -> None:
+    mentions: Counter[str] = Counter()
+    for tree in ("src", "tests", "benchmarks", "examples"):
+        for path in (REPO / tree).rglob("*.py"):
+            mentions.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in MODULES
+        for line, name in private_names(ast.parse(path.read_text()))
+        if mentions[name] == 1
+    ]
+    assert not unused, "private names nothing refers to: " + "; ".join(unused)
+
+
 @pytest.mark.parametrize(
     "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
 )
@@ -188,3 +227,10 @@ class TestTheCheckItself:
             "import json\nif impl:\n    import json\n"
         )
         assert duplicate == ["json", "impl"]
+
+    def test_private_names_bound_once_at_module_level(self) -> None:
+        tree = ast.parse(
+            "_A = 1\n_B: int = 2\n_B = 3\nPUBLIC = 4\n__all__ = []\n"
+            "def _f():\n    _local = 1\nclass _C:\n    _attr = 1\n"
+        )
+        assert [name for _line, name in private_names(tree)] == ["_A", "_f", "_C"]
