@@ -32,10 +32,10 @@ components *incrementally*:
   zero-delay recompute then advances/refills *dirty components only*,
   carrying every untouched component's rates (and timer) over;
 * departures may split a component.  Splits are detected lazily from a
-  standing link-pair adjacency count (each flow contributes the
-  consecutive link pairs along its path; a pair dying is the only way
-  link connectivity can change), so the common no-split completion
-  costs no connectivity scan at all.  Each dead pair gets an
+  standing link-pair adjacency count (each active route class
+  contributes the consecutive link pairs along its path; a pair dying is
+  the only way link connectivity can change), so the common no-split
+  completion costs no connectivity scan at all.  Each dead pair gets an
   early-exit reachability probe, and only a genuine disconnection
   re-partitions that component's links by BFS.
 
@@ -45,18 +45,30 @@ owning component is next touched, which keeps the arithmetic identical
 whether or not unrelated jobs generated events in between.
 
 Internally the active set is **structure-of-arrays** state: ``remaining``
-bytes, current ``rate``, completion epsilon, advancement clock, flow id,
-and the padded link-id incidence matrix live in standing NumPy arrays
-indexed by a dense row number.  Rows are added at the end and removed by
-swapping the last row into the hole, so flow add/remove is O(1)
-amortized, and every per-event operation (progress advance, horizon
-planning, completion scan) is a vectorized pass over the touched
-component's rows with no per-flow Python loops.  A standing link → flow
-incidence (per-link row arrays, also maintained incrementally) lets each
-progressive-filling round touch only the links it saturates and the
-flows it freezes.  All completions landing at the same horizon in the
-same component drain in a single event.  The arithmetic is
-element-for-element the same IEEE operations the per-object
+bytes, current ``rate``, completion epsilon, advancement clock, flow id
+and route-class id live in standing NumPy arrays indexed by a dense row
+number.  Rows are added at the end and removed by swapping the last row
+into the hole, so flow add/remove is O(1) amortized, and every per-event
+operation (progress advance, horizon planning, completion scan) is a
+vectorized pass over the touched component's rows with no per-flow
+Python loops.
+
+**Route classes.**  Rates are allocated per *route class*, not per flow.
+A shuffle is M×R messages over at most N(N−1) node pairs, and flows that
+share a ``(src, dst)`` :class:`Route` cross the same links, so
+progressive filling freezes them in the same round at the same fill
+level.  The unit of allocation is therefore one route with a
+multiplicity: a standing class table holds each route's link tuple and
+active-flow count, and the link → class incidence, the link-pair
+adjacency and the union-find only change when a class's count crosses
+0↔1 — a flow joining an active class costs a counter per link.  A
+filling round moves a link's count by the multiplicity of each class it
+freezes; the per-link counts are the same integers and ``residual -=
+delta * count`` the same operands as filling flow by flow, so the rates
+— one per class, scattered to the rows in a single gather — are
+bit-identical (``DESIGN.md`` §8.1).  All completions landing at the same
+horizon in the same component drain in a single event.  The arithmetic
+is element-for-element the same IEEE operations the per-object
 implementation performs on the same component-local operands, so
 simulated seconds and byte accounting are bit-identical (see
 ``tests/cluster/reference_flows.py`` and
@@ -97,18 +109,20 @@ FlowRequest = Sequence
 # Initial row capacity of the structure-of-arrays state.
 _INITIAL_ROWS = 64
 
-# Components with at most this many rows are serviced by scalar
-# (pure-Python) loops; bigger ones take the vectorized path.  Both
-# perform the exact same IEEE operations element-for-element, so the
-# threshold is a pure performance knob with no observable effect — it
-# exists because a 12-flow component pays more in NumPy call overhead
-# than in arithmetic.
+# Components with at most this many active route classes are filled by
+# scalar (pure-Python) loops over the classes; bigger ones take the
+# vectorized path.  Both perform the exact same IEEE operations
+# link-for-link, so the threshold is a pure performance knob with no
+# observable effect — it exists because a 12-class component pays more
+# in NumPy call overhead than in arithmetic.  A component never has more
+# classes than rows, and a 6-node cluster never more than 30.
 _SMALL_ROWS = 32
 
-# Same idea for the incidence-entry count when collecting a component's
-# rows (entries bound rows from above, so this can be tested before the
-# row set is known).
-_SMALL_ENTRIES = 128
+# The same bound on the standing link → class incidence-entry count of a
+# component's links, which is known without enumerating its classes: a
+# class enters once per link of its path, so a component with at most
+# ``_SMALL_ROWS`` classes never has more entries than this.
+_SMALL_ENTRIES = MAX_PATH_LINKS * _SMALL_ROWS
 
 
 def completion_eps(size: float) -> float:
@@ -129,7 +143,7 @@ class Flow:
     __slots__ = (
         "flow_id", "src", "dst", "size", "links", "category",
         "on_complete", "started_at", "completed_at",
-        "_net", "_row", "_remaining", "_rate", "_ptuple",
+        "_net", "_row", "_remaining", "_rate",
     )
 
     def __init__(
@@ -157,7 +171,6 @@ class Flow:
         self._row = -1
         self._remaining = size
         self._rate = 0.0
-        self._ptuple: tuple[int, ...] = ()
 
     @property
     def remaining(self) -> float:
@@ -234,12 +247,11 @@ class FlowNetwork:
         # Saturation thresholds, fixed per link (multiplying before the
         # per-round gather is bit-identical to multiplying after it).
         self._thresholds = 1e-9 * self._capacities
+        # The same doubles as Python floats, for the scalar filling arm.
+        self._capacity_list: list[float] = self._capacities.tolist()
+        self._threshold_list: list[float] = self._thresholds.tolist()
         # Structure-of-arrays state for the active flow set: rows [0, _n)
-        # are live; removal swaps the last row into the hole.  Link-id
-        # rows shorter than MAX_PATH_LINKS are padded with the sentinel
-        # id ``num_links``: per-link arrays in the filling loop carry one
-        # extra never-saturated / never-read slot, so padded entries need
-        # no validity masking anywhere.
+        # are live; removal swaps the last row into the hole.
         self._remaining = np.zeros(_INITIAL_ROWS)
         self._rate = np.zeros(_INITIAL_ROWS)
         self._eps = np.zeros(_INITIAL_ROWS)
@@ -248,33 +260,39 @@ class FlowNetwork:
         # their component is next touched.
         self._advanced_at = np.zeros(_INITIAL_ROWS)
         self._flow_ids = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        self._link_ids = np.full(
-            (_INITIAL_ROWS, MAX_PATH_LINKS), self._num_links, dtype=np.int64
-        )
+        self._row_class = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._row_flows: list[Flow | None] = [None] * _INITIAL_ROWS
         self._n = 0
-        # Standing link -> flow incidence, maintained by _attach/_detach:
-        # for each link, a dense array of the active rows crossing it
-        # (amortized-doubling capacity, swap-remove within the segment).
-        # ``_link_cols[l][p]`` records which path slot of row
-        # ``_link_rows[l][p]`` refers to link ``l``, and ``_pos[row, k]``
-        # is that entry's position, so removals and row renumbering stay
-        # O(1) per slot.  Rate recomputation reads the segments directly
-        # instead of rebuilding any incidence structure.
-        self._link_rows: list[np.ndarray] = [
-            np.empty(4, dtype=np.int64) for _ in range(self._num_links + 1)
+        # Standing route-class table, maintained by _attach/_detach.  A
+        # class is one Route, numbered densely on first use and never
+        # retired; ``_class_count`` is its multiplicity (active flows).
+        # ``_class_paths`` rows shorter than MAX_PATH_LINKS are padded
+        # with the sentinel id ``num_links``: per-link arrays in the
+        # vectorized filling loop carry one extra never-saturated slot,
+        # so padded entries need no validity masking.  ``_class_rate`` is
+        # scratch: where a refill leaves each of the component's classes'
+        # rates for the row scatter that ends it.
+        self._class_ids: dict[Route, int] = {}
+        self._class_links: list[tuple[int, ...]] = []
+        self._class_count: list[int] = []
+        self._class_paths = np.full(
+            (_INITIAL_ROWS, MAX_PATH_LINKS), self._num_links, dtype=np.int64
+        )
+        self._class_rate = np.zeros(_INITIAL_ROWS)
+        # Standing link -> class incidence, touched only when a class's
+        # count crosses 0<->1: for each link, a dense array of the
+        # active classes crossing it (amortized-doubling capacity, the
+        # first ``_link_entries[l]`` slots live, swap-remove within
+        # them).  ``_class_pos[c][k]`` is the position of class ``c`` in
+        # the array of the ``k``-th link of its path, so removal is
+        # O(1) per link.  ``_link_sizes`` is the per-link *flow* count,
+        # the sum of those classes' multiplicities.
+        self._link_classes: list[np.ndarray] = [
+            np.empty(4, dtype=np.int64) for _ in range(self._num_links)
         ]
-        self._link_cols: list[np.ndarray] = [
-            np.empty(4, dtype=np.int8) for _ in range(self._num_links + 1)
-        ]
+        self._link_entries: list[int] = [0] * self._num_links
+        self._class_pos: list[list[int]] = []
         self._link_sizes: list[int] = [0] * (self._num_links + 1)
-        self._pos = np.zeros((_INITIAL_ROWS, MAX_PATH_LINKS), dtype=np.int64)
-        # Scratch freeze flags for progressive filling, indexed by row;
-        # reset only for the refilled component's rows on entry.
-        self._frozen = np.zeros(_INITIAL_ROWS, dtype=bool)
-        # Scratch membership mask for row collection; always False
-        # outside `_component_rows` (set and reset within the call).
-        self._member = np.zeros(_INITIAL_ROWS, dtype=bool)
         # -- component tracking (substrate-private) --------------------
         # Union-find parent per link id; roots key the component map.
         self._uf_parent: list[int] = list(range(self._num_links))
@@ -284,7 +302,7 @@ class FlowNetwork:
         # at the next batched recompute.
         self._dirty_links: set[int] = set()
         # Link-pair adjacency counts: ``_adj[a][b]`` is the number of
-        # active flows whose paths traverse ``a`` and ``b`` back to
+        # active classes whose paths traverse ``a`` and ``b`` back to
         # back (a chain per path, which preserves exactly link
         # connectivity).  A pair count reaching zero is the only way a
         # component can lose connectivity; each death is recorded in
@@ -352,6 +370,8 @@ class FlowNetwork:
     ) -> Flow:
         if nbytes < 0:
             raise ValueError(f"cannot transfer a negative byte count: {nbytes}")
+        if not math.isfinite(nbytes):
+            raise ValueError(f"cannot transfer a non-finite byte count: {nbytes}")
         route = self.topology.route(src, dst)
         links = route.links
         self.meter.record(
@@ -397,23 +417,19 @@ class FlowNetwork:
             self._dirty_links.clear()
         else:
             roots = set(self._comp.keys())
-        planned: list[tuple[int, _Component, list[int] | np.ndarray]] = []
+        planned: list[tuple[_Component, slice | np.ndarray]] = []
         for root in sorted(roots):
             comp = self._comp.get(root)
-            if comp is None:
-                continue
-            rows = self._component_rows(comp)
-            if len(rows) == 0:  # pragma: no cover - defensive
-                continue
-            planned.append((self._min_flow_id(rows), comp, rows))
-        # Canonical processing order — ascending min flow id — keeps the
-        # timer (re)arming sequence, and therefore same-instant event
-        # order, identical to the reference implementation.
-        planned.sort(key=lambda item: item[0])
-        for _, comp, rows in planned:
+            if comp is not None:
+                planned.append((comp, self._component_rows(comp)))
+        if len(planned) > 1:
+            # Canonical processing order — ascending min flow id — keeps
+            # the timer (re)arming sequence, and therefore same-instant
+            # event order, identical to the reference implementation.
+            planned.sort(key=lambda item: int(self._flow_ids[item[1]].min()))
+        for comp, rows in planned:
             self._advance_component(comp, rows)
-            self._refill_component(comp, rows)
-            self._plan_component(comp, rows)
+            self._plan_component(comp, self._refill_component(comp, rows))
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
         """Uncontended transfer time (for cost estimation, not simulation)."""
@@ -423,41 +439,48 @@ class FlowNetwork:
         return nbytes / route.bottleneck
 
     # ------------------------------------------------------------------
-    # structure-of-arrays row management
+    # structure-of-arrays row and route-class management
 
     def _attach(self, flow: Flow, route: Route) -> None:
         """Claim the next dense row for ``flow``; O(1) amortized."""
         i = self._n
         if i == len(self._row_flows):
             self._grow()
+        cls = self._class_ids.get(route)
+        if cls is None:
+            cls = self._new_class(route)
         self._remaining[i] = flow._remaining
         self._rate[i] = 0.0
         self._eps[i] = completion_eps(flow.size)
         self._advanced_at[i] = self.sim.now
         self._flow_ids[i] = flow.flow_id
-        self._link_ids[i] = route.padded_ids
-        ptuple = route.padded_tuple
-        flow._ptuple = ptuple
-        sentinel = self._num_links
-        link_rows = self._link_rows
-        link_sizes = self._link_sizes
-        pos = self._pos
-        for k in range(MAX_PATH_LINKS):
-            link = ptuple[k]
-            if link == sentinel:
-                break
-            size = link_sizes[link]
-            arr = link_rows[link]
-            if size == arr.size:
-                arr = self._grow_link(link)
-            arr[size] = i
-            self._link_cols[link][size] = k
-            pos[i, k] = size
-            link_sizes[link] = size + 1
+        self._row_class[i] = cls
         self._row_flows[i] = flow
         flow._row = i
         self._n = i + 1
-        self._join_components(ptuple)
+        links = self._class_links[cls]
+        link_sizes = self._link_sizes
+        for link in links:
+            link_sizes[link] += 1
+        count = self._class_count[cls]
+        self._class_count[cls] = count + 1
+        if count == 0:
+            # The class wakes up: only now do incidence, pair counts and
+            # components change (an active class's links are already
+            # welded into one component).
+            link_entries = self._link_entries
+            pos = self._class_pos[cls]
+            for k, link in enumerate(links):
+                size = link_entries[link]
+                members = self._link_classes[link]
+                if size == members.size:
+                    members = np.concatenate([members, members])
+                    self._link_classes[link] = members
+                members[size] = cls
+                pos[k] = size
+                link_entries[link] = size + 1
+            self._join_components(links)
+        self._dirty_links.add(links[0])
 
     def _detach(self, flow: Flow) -> None:
         """Release ``flow``'s row, compacting by swapping the last row in."""
@@ -465,82 +488,64 @@ class FlowNetwork:
         flow._remaining = float(self._remaining[i])
         flow._rate = float(self._rate[i])
         flow._row = -1
-        sentinel = self._num_links
-        link_rows = self._link_rows
-        link_cols = self._link_cols
+        cls = int(self._row_class[i])
+        links = self._class_links[cls]
         link_sizes = self._link_sizes
-        pos = self._pos
-        # Drop the flow's incidence entries, swap-removing within each
-        # link segment (same-rack pad slots were never inserted).
-        for k in range(MAX_PATH_LINKS):
-            link = flow._ptuple[k]
-            if link == sentinel:
-                break
-            p = pos[i, k]
-            size = link_sizes[link] - 1
-            arr = link_rows[link]
-            if p != size:
-                cols = link_cols[link]
-                moved_row = arr[size]
-                moved_col = cols[size]
-                arr[p] = moved_row
-                cols[p] = moved_col
-                pos[moved_row, moved_col] = p
-            link_sizes[link] = size
-        self._drop_pairs(flow._ptuple)
+        for link in links:
+            link_sizes[link] -= 1
+        count = self._class_count[cls] - 1
+        self._class_count[cls] = count
+        if count == 0:
+            # The class retires: swap-remove it from each link's array.
+            link_entries = self._link_entries
+            pos = self._class_pos[cls]
+            for k, link in enumerate(links):
+                size = link_entries[link] - 1
+                link_entries[link] = size
+                if pos[k] != size:
+                    members = self._link_classes[link]
+                    filler = int(members[size])
+                    members[pos[k]] = filler
+                    slot = self._class_links[filler].index(link)
+                    self._class_pos[filler][slot] = pos[k]
+            self._drop_pairs(links)
         last = self._n - 1
         if i != last:
-            self._remaining[i] = self._remaining[last]
-            self._rate[i] = self._rate[last]
-            self._eps[i] = self._eps[last]
-            self._advanced_at[i] = self._advanced_at[last]
-            self._flow_ids[i] = self._flow_ids[last]
-            self._link_ids[i] = self._link_ids[last]
-            self._pos[i] = self._pos[last]
+            for column in (
+                self._remaining, self._rate, self._eps,
+                self._advanced_at, self._flow_ids, self._row_class,
+            ):
+                column[i] = column[last]
             moved = self._row_flows[last]
             assert moved is not None
             self._row_flows[i] = moved
             moved._row = i
-            # The swapped-in flow changed row number; renumber its
-            # incidence entries.
-            for k in range(MAX_PATH_LINKS):
-                link = moved._ptuple[k]
-                if link == sentinel:
-                    break
-                link_rows[link][pos[i, k]] = i
         self._row_flows[last] = None
         self._n = last
 
     def _grow(self) -> None:
         old = len(self._row_flows)
-        new = 2 * old
-        for name in ("_remaining", "_rate", "_eps", "_advanced_at"):
-            grown = np.zeros(new)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        fids = np.zeros(new, dtype=np.int64)
-        fids[:old] = self._flow_ids
-        self._flow_ids = fids
-        lids = np.full((new, MAX_PATH_LINKS), self._num_links, dtype=np.int64)
-        lids[:old] = self._link_ids
-        self._link_ids = lids
-        grown_pos = np.zeros((new, MAX_PATH_LINKS), dtype=np.int64)
-        grown_pos[:old] = self._pos
-        self._pos = grown_pos
-        self._frozen = np.zeros(new, dtype=bool)
-        self._member = np.zeros(new, dtype=bool)
-        self._row_flows.extend([None] * (new - old))
+        for name in (
+            "_remaining", "_rate", "_eps", "_advanced_at", "_flow_ids", "_row_class"
+        ):
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate([column, np.zeros_like(column)]))
+        self._row_flows.extend([None] * old)
 
-    def _grow_link(self, link: int) -> np.ndarray:
-        old = self._link_rows[link]
-        grown = np.empty(2 * old.size, dtype=np.int64)
-        grown[: old.size] = old
-        self._link_rows[link] = grown
-        old_cols = self._link_cols[link]
-        grown_cols = np.empty(2 * old_cols.size, dtype=np.int8)
-        grown_cols[: old_cols.size] = old_cols
-        self._link_cols[link] = grown_cols
-        return grown
+    def _new_class(self, route: Route) -> int:
+        """Number ``route`` as the next route class (multiplicity 0)."""
+        cls = len(self._class_links)
+        if cls == len(self._class_rate):
+            self._class_paths = np.concatenate(
+                [self._class_paths, np.full_like(self._class_paths, self._num_links)]
+            )
+            self._class_rate = np.zeros(2 * cls)
+        self._class_ids[route] = cls
+        self._class_links.append(route.link_ids)
+        self._class_count.append(0)
+        self._class_pos.append([0] * len(route.link_ids))
+        self._class_paths[cls] = route.padded_ids
+        return cls
 
     # ------------------------------------------------------------------
     # component tracking
@@ -555,37 +560,28 @@ class FlowNetwork:
             parent[link], link = root, parent[link]
         return root
 
-    def _join_components(self, ptuple: tuple[int, ...]) -> None:
-        """Register a new flow's path: pair counts, unions, dirty mark.
+    def _join_components(self, links: tuple[int, ...]) -> None:
+        """Register a waking class's path: pair counts and unions.
 
         The path's links are welded into one component (merging records
         small-into-large; absorbed timers are cancelled — the merged
         component is refilled and re-armed by the pending recompute).
         """
-        sentinel = self._num_links
-        first = ptuple[0]
         adj = self._adj
-        prev = first
-        for k in range(1, MAX_PATH_LINKS):
-            link = ptuple[k]
-            if link == sentinel:
-                break
+        comps = self._comp
+        parent = self._uf_parent
+        prev = links[0]
+        root = self._find(prev)
+        comp = comps.get(root)
+        if comp is None:
+            comp = _Component(root, [root], next(self._comp_epochs))
+            comps[root] = comp
+        for link in links[1:]:
             adj_prev = adj[prev]
             adj_prev[link] = adj_prev.get(link, 0) + 1
             adj_link = adj[link]
             adj_link[prev] = adj_link.get(prev, 0) + 1
             prev = link
-        comps = self._comp
-        parent = self._uf_parent
-        root = self._find(first)
-        comp = comps.get(root)
-        if comp is None:
-            comp = _Component(root, [root], next(self._comp_epochs))
-            comps[root] = comp
-        for k in range(1, MAX_PATH_LINKS):
-            link = ptuple[k]
-            if link == sentinel:
-                break
             other_root = self._find(link)
             if other_root == root:
                 continue
@@ -607,17 +603,12 @@ class FlowNetwork:
                 other.timer.cancel()
                 other.timer = None
             del comps[other_root]
-        self._dirty_links.add(first)
 
-    def _drop_pairs(self, ptuple: tuple[int, ...]) -> None:
-        """Release a detaching flow's link-pair counts."""
-        sentinel = self._num_links
+    def _drop_pairs(self, links: tuple[int, ...]) -> None:
+        """Release a retiring class's link-pair counts."""
         adj = self._adj
-        prev = ptuple[0]
-        for k in range(1, MAX_PATH_LINKS):
-            link = ptuple[k]
-            if link == sentinel:
-                break
+        prev = links[0]
+        for link in links[1:]:
             adj_prev = adj[prev]
             count = adj_prev[link] - 1
             if count:
@@ -629,51 +620,19 @@ class FlowNetwork:
                 self._dead_pairs.append((prev, link))
             prev = link
 
-    def _component_rows(self, comp: _Component) -> list[int] | np.ndarray:
-        """Sorted active rows of ``comp`` (from the link segments).
+    def _component_rows(self, comp: _Component) -> slice | np.ndarray:
+        """Index of ``comp``'s active rows into the row arrays.
 
-        Small components come back as plain Python lists (their
-        consumers are the scalar code paths, which would only convert
-        an array right back); large ones as int64 arrays.
+        A slice when ``comp`` is the only component (every active fabric
+        flow belongs to some component, so it owns every row); otherwise
+        the ascending rows whose path starts on a member link.
         """
         if len(self._comp) == 1:
-            # Every active fabric flow belongs to some component, so a
-            # lone component owns every row.
-            return np.arange(self._n, dtype=np.int64)
-        link_rows = self._link_rows
-        link_sizes = self._link_sizes
-        entries = 0
-        for link in comp.links:
-            entries += link_sizes[link]
-        if entries <= _SMALL_ENTRIES:
-            seen: set[int] = set()
-            for link in comp.links:
-                size = link_sizes[link]
-                if size:
-                    seen.update(link_rows[link][:size].tolist())
-            if len(seen) <= _SMALL_ROWS:
-                return sorted(seen)
-            return np.array(sorted(seen), dtype=np.int64)
-        segments = [
-            link_rows[link][: link_sizes[link]]
-            for link in comp.links
-            if link_sizes[link] > 0
-        ]
-        flat = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        # Dedupe through the scratch mask: much cheaper than np.unique's
-        # hash/sort and yields the same sorted row order via nonzero.
-        member = self._member
-        member[flat] = True
-        rows = np.nonzero(member[: self._n])[0]
-        member[flat] = False
-        return rows
-
-    def _min_flow_id(self, rows: list[int] | np.ndarray) -> int:
-        """Smallest flow id among ``rows`` (the canonical-order key)."""
-        if isinstance(rows, list):
-            flow_ids = self._flow_ids
-            return int(min(flow_ids[row] for row in rows))
-        return int(self._flow_ids[rows].min())
+            return slice(0, self._n)
+        member = np.zeros(self._num_links, dtype=bool)
+        member[comp.links] = True
+        first_link = self._class_paths[:, 0][self._row_class[: self._n]]
+        return member[first_link].nonzero()[0]
 
     def _still_connected(self, a: int, b: int) -> bool:
         """Exact reachability of ``b`` from ``a`` in the link-pair graph.
@@ -739,185 +698,167 @@ class FlowNetwork:
     # internals
 
     def _advance_component(
-        self, comp: _Component, rows: list[int] | np.ndarray
+        self, comp: _Component, rows: slice | np.ndarray
     ) -> None:
-        """Advance ``comp``'s rows, skipping a same-instant re-advance.
+        """Apply each of ``comp``'s rows' rate since its last advancement:
+        ``max(0, remaining - rate*(now - advanced_at))``.
 
-        The skip is a pure shortcut: advancing over a zero-length
-        interval subtracts ``rate * 0.0`` and is bit-for-bit the
-        identity, so the reference implementation may advance
-        unconditionally and still agree.
+        A same-instant re-advance is skipped, a pure shortcut: advancing
+        over a zero-length interval subtracts ``rate * 0.0`` and is
+        bit-for-bit the identity, so the reference implementation may
+        advance unconditionally and still agree.
         """
         now = self.sim.now
         if comp.advanced == now:
             return
-        self._advance_rows(rows)
+        advanced_at = self._advanced_at
+        rem = self._remaining[rows]  # a view for a slice, else a copy
+        rem -= self._rate[rows] * (now - advanced_at[rows])
+        np.maximum(rem, 0.0, out=rem)
+        self._remaining[rows] = rem
+        advanced_at[rows] = now
         comp.advanced = now
 
-    def _advance_rows(self, rows: list[int] | np.ndarray) -> None:
-        """Apply each row's current rate since its last advancement.
-
-        Three equivalent code paths (scalar, full-slice, gather) — all
-        compute ``max(0, remaining - rate*(now - advanced_at))`` with
-        the same IEEE operations per row.
-        """
-        now = self.sim.now
-        remaining = self._remaining
-        rate = self._rate
-        advanced_at = self._advanced_at
-        if isinstance(rows, list):
-            for row in rows:
-                value = remaining[row] - rate[row] * (now - advanced_at[row])
-                remaining[row] = value if value > 0.0 else 0.0
-                advanced_at[row] = now
-            return
-        size = rows.size
-        if size == 0:  # pragma: no cover - defensive
-            return
-        if size == self._n:
-            rem = remaining[:size]
-            rem -= rate[:size] * (now - advanced_at[:size])
-            np.maximum(rem, 0.0, out=rem)
-            advanced_at[:size] = now
-            return
-        rem = remaining[rows]
-        rem -= rate[rows] * (now - advanced_at[rows])
-        np.maximum(rem, 0.0, out=rem)
-        remaining[rows] = rem
-        advanced_at[rows] = now
-
     def _refill_component(
-        self, comp: _Component, rows: list[int] | np.ndarray
-    ) -> None:
+        self, comp: _Component, rows: slice | np.ndarray
+    ) -> np.ndarray:
         """Progressive-filling max-min fair rates, scoped to one component.
 
-        Dispatches between a scalar and a vectorized path on component
-        size; both perform the same component-local IEEE operations.
-        The fill level is the same left-to-right sum of the same
-        component-local round deltas the textbook formulation
-        accumulates per flow, and the counts/residual updates are the
-        same integer/IEEE operations, so the resulting rates are
-        bit-identical to the reference implementation
-        (``tests/cluster/reference_flows.py``).
+        Fills over the component's route classes — scalar loops for a
+        few, vectorized for many, chosen from the standing link → class
+        entry counts — scatters each class's rate to its rows, and
+        returns the rows' time to completion at those rates.  A
+        link's count moves by a frozen class's multiplicity, which is
+        the same integer as freezing its flows one by one; the fill
+        level is the same left-to-right sum of the same component-local
+        round deltas the textbook formulation accumulates per flow, so
+        the resulting rates are bit-identical to the reference
+        implementation (``tests/cluster/reference_flows.py``).
 
         Every flow crossing a member link belongs to the component (that
-        is what a component *is*), so the global per-link segment sizes
-        double as the component-local counts.
+        is what a component *is*), so the global per-link flow counts and
+        class arrays double as the component-local ones.
         """
-        if isinstance(rows, list):
-            self._refill_small(comp, rows)
+        link_entries = self._link_entries
+        classes = self._row_class[rows]
+        if sum([link_entries[link] for link in comp.links]) <= _SMALL_ENTRIES:
+            self._refill_few(comp, classes.size)
         else:
-            self._refill_large(comp, rows)
+            self._refill_many(comp, classes)
+        rates = self._class_rate[classes]
+        self._rate[rows] = rates
+        # Every rate is a fill level, and the first round's delta is a
+        # positive share of a positive capacity: no division by zero.
+        return self._remaining[rows] / rates
 
-    def _refill_small(self, comp: _Component, rows: list[int]) -> None:
-        """Scalar progressive filling for small components.
+    def _refill_few(self, comp: _Component, unfrozen: int) -> None:
+        """Scalar progressive filling over a few route classes.
 
-        Same round structure as :meth:`_refill_large` — uniform fill
-        until a link saturates, freeze its flows at the cumulative fill
-        level, drop the link, repeat on the residual — with plain
-        Python loops, because a handful of rows costs more in NumPy
-        call overhead than in arithmetic.
+        Same round structure as :meth:`_refill_many` — uniform fill
+        until a link saturates, freeze its classes at the cumulative
+        fill level, drop the link, repeat on the residual — with plain
+        Python loops, because a handful of classes costs more in NumPy
+        call overhead than in arithmetic.  ``unfrozen`` counts the
+        component's flows not yet frozen.
         """
         link_sizes = self._link_sizes
-        link_rows = self._link_rows
-        occupied = sorted(link for link in comp.links if link_sizes[link] > 0)
-        capacities = self._capacities
-        all_thresholds = self._thresholds
-        residual = [float(capacities[link]) for link in occupied]
-        thresholds = [float(all_thresholds[link]) for link in occupied]
-        counts = [link_sizes[link] for link in occupied]
-        local_of = {link: j for j, link in enumerate(occupied)}
-        rate = self._rate
-        row_flows = self._row_flows
-        sentinel = self._num_links
-        total = len(rows)
+        link_entries = self._link_entries
+        link_classes = self._link_classes
+        capacities = self._capacity_list
+        thresholds = self._threshold_list
+        alive = [link for link in comp.links if link_sizes[link] > 0]
+        residual = {link: capacities[link] for link in alive}
+        counts = {link: link_sizes[link] for link in alive}
+        class_rate = self._class_rate
+        class_links = self._class_links
+        class_count = self._class_count
         frozen: set[int] = set()
-        alive = list(range(len(occupied)))
         fill = 0.0
         while alive:
             delta = math.inf
-            for j in alive:
-                count = counts[j]
+            for link in alive:
+                count = counts[link]
                 if count > 0:
-                    ratio = residual[j] / count
+                    ratio = residual[link] / count
                     if ratio < delta:
                         delta = ratio
             fill += delta
             saturated = []
-            for j in alive:
-                count = counts[j]
+            for link in alive:
+                count = counts[link]
                 if count:
-                    residual[j] -= delta * count
-                if residual[j] <= thresholds[j]:
-                    saturated.append(j)
+                    residual[link] -= delta * count
+                if residual[link] <= thresholds[link]:
+                    saturated.append(link)
             if not saturated:
                 break
             newly: list[int] = []
-            for j in saturated:
-                link = occupied[j]
-                for row in link_rows[link][: link_sizes[link]].tolist():
-                    if row not in frozen:
-                        frozen.add(row)
-                        newly.append(row)
+            for link in saturated:
+                for cls in link_classes[link][: link_entries[link]].tolist():
+                    if cls not in frozen:
+                        frozen.add(cls)
+                        newly.append(cls)
             if not newly:  # pragma: no cover - numeric corner
                 break
-            for row in newly:
-                rate[row] = fill
-            if len(frozen) == total:
+            for cls in newly:
+                class_rate[cls] = fill
+                unfrozen -= class_count[cls]
+            if unfrozen == 0:
+                # Everything froze; the remaining rounds would only
+                # drain counts that no class reads any more.
                 return
-            for row in newly:
-                flow = row_flows[row]
-                assert flow is not None
-                for link in flow._ptuple:
-                    if link == sentinel:
-                        break
-                    counts[local_of[link]] -= 1
+            for cls in newly:
+                multiplicity = class_count[cls]
+                for link in class_links[cls]:
+                    counts[link] -= multiplicity
             dropped = set(saturated)
-            alive = [j for j in alive if j not in dropped]
-        for row in rows:
-            if row not in frozen:
-                rate[row] = fill
+            alive = [link for link in alive if link not in dropped]
+        # Whatever never froze (it still counts on some link) runs at
+        # the final fill level.
+        for link, count in counts.items():
+            if count:
+                for cls in link_classes[link][: link_entries[link]].tolist():
+                    if cls not in frozen:
+                        class_rate[cls] = fill
 
-    def _refill_large(self, comp: _Component, rows: np.ndarray) -> None:
+    def _refill_many(self, comp: _Component, classes: np.ndarray) -> None:
         """Vectorized progressive filling (the compacting scheme).
 
         Each filling round works on a *compacted* view of the
         still-unfrozen links, per-link flow counts are maintained by
-        subtraction as flows freeze rather than recounted, and a flow's
-        rate is written exactly once — the cumulative fill level at the
-        round it froze.
+        subtraction as classes freeze rather than recounted, and a
+        class's rate is written exactly once — the cumulative fill level
+        at the round it froze.
 
         Saturation flags accumulate across rounds: once a link saturates
-        every unfrozen flow crossing it freezes in that same round, so no
-        surviving flow can ever touch a previously saturated link.
+        every unfrozen class crossing it freezes in that same round, so
+        no surviving class can ever touch a previously saturated link.
         """
-        link_sizes = self._link_sizes
+        link_entries = self._link_entries
+        link_classes = self._link_classes
         num_links = self._num_links
         # Global-width count array (one C call), with the active view
         # restricted to the component's occupied links.  Entries for
         # other components' links stay nonzero but are never read: the
         # freeze loop and the bincount decrement only ever touch member
-        # links (every flow on a member link belongs to the component).
+        # links (every class on a member link belongs to the component).
         # ``counts[num_links]`` is the sentinel slot absorbing padded
         # link ids; written, never read.
-        counts = np.array(link_sizes, dtype=np.int64)
+        counts = np.array(self._link_sizes, dtype=np.int64)
         members = np.array(comp.links, dtype=np.int64)
-        active = np.sort(members[counts[members] > 0])
+        active = members[counts[members] > 0]
         residual = self._capacities[active]
         thresholds = self._thresholds[active]
         active_counts = counts[active]
-        link_ids = self._link_ids
-        link_rows = self._link_rows
-        rate = self._rate
-        frozen = self._frozen
-        full = len(rows) == self._n
-        if full:
-            frozen[: self._n] = False
-        else:
-            frozen[rows] = False
-        unfrozen = len(rows)
+        # Multiplicity per class, counted from the component's rows in
+        # one C pass (equal to ``_class_count`` for its classes).
+        multiplicity = np.bincount(classes, minlength=len(self._class_count))
+        unfrozen = np.count_nonzero(multiplicity)
+        class_paths = self._class_paths
+        class_rate = self._class_rate
+        frozen = np.zeros(multiplicity.size, dtype=bool)
         fill = 0.0
-        # A link whose flows all froze through *other* links keeps a
+        # A link whose classes all froze through *other* links keeps a
         # zero count; its inf ratio never wins the min and it can never
         # saturate afterwards, so it may idle in the active arrays.
         with np.errstate(divide="ignore"):
@@ -932,16 +873,16 @@ class FlowNetwork:
                     # Numerically nothing saturated (a tiny residual
                     # limited delta); stop to guarantee progress.
                     break
-                # Freeze every still-active flow crossing a saturated
+                # Freeze every still-unfrozen class crossing a saturated
                 # link at the current fill level (the same left-to-right
                 # delta sum the per-flow accumulation would produce).
                 # Links are processed one at a time with ``frozen``
-                # updated in between, so a flow on two same-round
+                # updated in between, so a class on two same-round
                 # saturated links is collected exactly once and no
                 # dedupe pass is ever needed.
                 news = []
-                for lk in active[saturated]:
-                    seg = link_rows[lk][: link_sizes[lk]]
+                for lk in active[saturated].tolist():
+                    seg = link_classes[lk][: link_entries[lk]]
                     fresh = seg[~frozen[seg]]
                     if fresh.size:
                         frozen[fresh] = True
@@ -949,59 +890,34 @@ class FlowNetwork:
                 if not news:  # pragma: no cover - numeric corner
                     break
                 newly = news[0] if len(news) == 1 else np.concatenate(news)
-                rate[newly] = fill
+                class_rate[newly] = fill
                 unfrozen -= newly.size
                 if unfrozen == 0:
                     # Everything froze; the remaining rounds would only
-                    # drain counts that no flow reads any more.
+                    # drain counts that no class reads any more.
                     return
                 counts -= np.bincount(
-                    link_ids[newly].ravel(), minlength=num_links + 1
+                    class_paths[newly].repeat(multiplicity[newly], axis=0).ravel(),
+                    minlength=num_links + 1,
                 )
                 keep = ~saturated
                 active = active[keep]
                 residual = residual[keep]
                 thresholds = thresholds[keep]
                 active_counts = counts[active]
-        # Whatever never froze runs at the final fill level.
-        if full:
-            n = self._n
-            rate[:n][~frozen[:n]] = fill
-        else:
-            rate[rows[~frozen[rows]]] = fill
+        # Whatever never froze (it still counts on some link) runs at
+        # the final fill level.
+        for lk in active[active_counts > 0].tolist():
+            seg = link_classes[lk][: link_entries[lk]]
+            class_rate[seg[~frozen[seg]]] = fill
 
-    def _plan_component(
-        self, comp: _Component, rows: list[int] | np.ndarray
-    ) -> None:
-        """Arm ``comp``'s next-completion timer from its current rates."""
+    def _plan_component(self, comp: _Component, time_left: np.ndarray) -> None:
+        """Arm ``comp``'s next-completion timer, ``time_left`` being its
+        rows' remaining bytes over their current rates."""
         if comp.timer is not None:
             comp.timer.cancel()
             comp.timer = None
-        if isinstance(rows, list):
-            remaining = self._remaining
-            rate = self._rate
-            horizon = math.inf
-            for row in rows:
-                row_rate = rate[row]
-                if row_rate > 0:
-                    candidate = remaining[row] / row_rate
-                    if candidate < horizon:
-                        horizon = candidate
-            horizon = float(horizon)
-        else:
-            if rows.size == self._n:
-                rates = self._rate[: self._n]
-                remainings = self._remaining[: self._n]
-            else:
-                rates = self._rate[rows]
-                remainings = self._remaining[rows]
-            positive = rates > 0
-            if not positive.any():
-                raise RuntimeError(
-                    "active flows exist but none has a positive rate; "
-                    "the rate allocation is wedged"
-                )
-            horizon = float(np.min(remainings[positive] / rates[positive]))
+        horizon = float(time_left.min())
         if not math.isfinite(horizon):
             raise RuntimeError(
                 "active flows exist but none has a positive rate; "
@@ -1030,17 +946,12 @@ class FlowNetwork:
         # completion threshold at this horizon in one event
         # (same-horizon batching): one scan, one refill, one replan for
         # the whole batch — without touching any other component.
-        remaining = self._remaining
-        eps = self._eps
-        if isinstance(rows, list):
-            done_rows = [row for row in rows if remaining[row] <= eps[row]]
-        elif rows.size == self._n:
-            n = self._n
-            done_rows = np.nonzero(remaining[:n] <= eps[:n])[0].tolist()
-        else:
-            done_rows = rows[remaining[rows] <= eps[rows]].tolist()
+        done = self._remaining[rows] <= self._eps[rows]
+        done_rows = done.nonzero()[0]  # positions within ``rows``
+        if not isinstance(rows, slice):
+            done_rows = rows[done_rows]
         finished: list[Flow] = []
-        for i in done_rows:
+        for i in done_rows.tolist():
             flow = self._row_flows[i]
             assert flow is not None
             finished.append(flow)
@@ -1048,7 +959,7 @@ class FlowNetwork:
         self._dead_pairs.clear()
         for flow in finished:
             self._detach(flow)
-        if len(finished) == len(rows):
+        if done.all():
             # The whole component drained; release its links.
             parent = self._uf_parent
             for link in comp.links:

@@ -87,16 +87,14 @@ class Link:
 class Route:
     """Cached routing result for one ``(src, dst)`` pair.
 
-    The flow simulator resolves a route per transfer; caching the link
-    tuple, the padded link-id row (ready to drop into the simulator's
-    incidence matrix), the bottleneck capacity, and the bisection flag
-    means each is computed once per pair instead of once per flow.
+    The flow simulator resolves a route per transfer and allocates rates
+    per route; caching the link tuple, the padded link-id row (ready to
+    drop into the simulator's class-path table), the bottleneck capacity,
+    and the bisection flag means each is computed once per pair instead
+    of once per flow.
     """
 
-    __slots__ = (
-        "links", "link_ids", "padded_ids", "padded_tuple",
-        "crosses_core", "bottleneck",
-    )
+    __slots__ = ("links", "link_ids", "padded_ids", "crosses_core", "bottleneck")
 
     def __init__(self, links: tuple[Link, ...], crosses_core: bool, pad: int) -> None:
         self.links = links
@@ -105,10 +103,8 @@ class Route:
         # link id): the simulator's per-link count/saturation arrays carry
         # one extra sentinel slot, so padded entries index it harmlessly
         # and no validity mask is ever needed.
-        self.padded_tuple: tuple[int, ...] = self.link_ids + (pad,) * (
-            MAX_PATH_LINKS - len(self.link_ids)
-        )
-        padded = np.array(self.padded_tuple, dtype=np.int64)
+        padded = np.full(MAX_PATH_LINKS, pad, dtype=np.int64)
+        padded[: len(links)] = self.link_ids
         padded.setflags(write=False)
         self.padded_ids = padded
         self.crosses_core = crosses_core

@@ -40,14 +40,21 @@ SUBSTRATE_NAMES = frozenset(
 )
 
 #: Attribute names of the flow network's partition-maintenance state —
-#: the link union-find, component table, dirty-set and link adjacency.
-#: Writing any of these from outside the owning class corrupts the
-#: incremental-rebalancing invariants (a stale ``_uf_parent`` entry or
-#: an unmarked dirty link silently freezes a component's rates), so a
-#: write to one of these leaves is substrate-private *regardless* of
-#: what the receiver happens to be called (PIC402).
+#: the link union-find, component table, dirty-set and link adjacency —
+#: and of its standing route-class table (class ids, paths, counts and
+#: the link → class incidence).  Writing any of these from outside the
+#: owning class corrupts the incremental-rebalancing invariants (a stale
+#: ``_uf_parent`` entry or an unmarked dirty link silently freezes a
+#: component's rates; a class count that disagrees with the rows skews
+#: every rate on its links), so a write to one of these leaves is
+#: substrate-private *regardless* of what the receiver happens to be
+#: called (PIC402).
 SUBSTRATE_PRIVATE_LEAVES = frozenset(
-    {"_uf_parent", "_comp", "_dirty_links", "_adj", "_dead_pairs"}
+    {
+        "_uf_parent", "_comp", "_dirty_links", "_adj", "_dead_pairs",
+        "_class_ids", "_class_links", "_class_count", "_class_paths",
+        "_class_pos", "_link_classes", "_link_entries", "_link_sizes",
+    }
 )
 
 

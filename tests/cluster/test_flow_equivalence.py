@@ -15,7 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.events import Simulation
-from repro.cluster.flows import FlowNetwork
+from repro.cluster.flows import _SMALL_ENTRIES, _SMALL_ROWS, FlowNetwork
 from repro.cluster.metrics import TrafficMeter
 from repro.cluster.topology import NodeSpec, Topology
 from tests.cluster.reference_flows import ReferenceFlowNetwork
@@ -47,8 +47,12 @@ def _scenarios(draw):
     return num_nodes, nodes_per_rack, oversubscription, waves
 
 
-def _run(scenario, optimized: bool):
-    """Simulate one scenario; return everything observable."""
+def _run(scenario, optimized: bool, network=FlowNetwork):
+    """Simulate one scenario; return everything observable.
+
+    ``network`` substitutes an instrumented :class:`FlowNetwork` subclass
+    on the optimized side.
+    """
     num_nodes, nodes_per_rack, oversubscription, waves = scenario
     sim = Simulation()
     topology = Topology(
@@ -58,9 +62,7 @@ def _run(scenario, optimized: bool):
         oversubscription=oversubscription,
     )
     meter = TrafficMeter()
-    net = (FlowNetwork if optimized else ReferenceFlowNetwork)(
-        sim, topology, meter
-    )
+    net = (network if optimized else ReferenceFlowNetwork)(sim, topology, meter)
     log: list[tuple[int, float, float]] = []
 
     def on_done(flow) -> None:
@@ -207,3 +209,209 @@ def test_reference_and_optimized_agree_on_contended_fanout():
     ref = _run(scenario, optimized=False)
     opt = _run(scenario, optimized=True)
     assert opt == ref
+
+
+# -- route classes ------------------------------------------------------
+#
+# Rates are allocated per route class (one ``(src, dst)`` route with a
+# multiplicity).  The strategies above cap a wave at 10 flows, so a class
+# rarely has two members; the ones below pile many flows on few routes.
+
+
+@st.composite
+def _duplicated_route_scenarios(draw):
+    """2–4 nodes (at most 12 routes) under 40–150 flows per staggered
+    wave: components far beyond ``_SMALL_ROWS`` rows on a handful of
+    classes, which gain and lose members mid-flight and cross 0↔1 as
+    small flows drain between waves."""
+    num_nodes = draw(st.integers(min_value=2, max_value=4))
+    nodes_per_rack = draw(st.integers(min_value=1, max_value=num_nodes))
+    oversubscription = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    waves = []
+    start = 0.0
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        start += draw(st.floats(min_value=0.0, max_value=3.0,
+                                allow_nan=False, allow_infinity=False))
+        flows = draw(st.lists(st.tuples(node, node, _SIZES),
+                              min_size=40, max_size=150))
+        waves.append((start, flows))
+    return num_nodes, nodes_per_rack, oversubscription, waves
+
+
+class _CheckedNetwork(FlowNetwork):
+    """Counts the refills each arm serves and checks, at every recompute
+    and every refill, that the class table agrees with the rows."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.few = self.many = 0
+        self.most_rows_on_few = 0
+
+    def check_class_table(self) -> None:
+        members = [0] * len(self._class_count)
+        for cls in self._row_class[: self._n].tolist():
+            members[cls] += 1
+        assert members == self._class_count
+        for link in range(self._num_links):
+            classes = self._link_classes[link][: self._link_entries[link]].tolist()
+            assert len(set(classes)) == len(classes)
+            assert all(link in self._class_links[cls] for cls in classes)
+            assert all(self._class_count[cls] > 0 for cls in classes)
+            assert sum(self._class_count[cls] for cls in classes) == \
+                self._link_sizes[link]
+        for cls, links in enumerate(self._class_links):
+            if self._class_count[cls]:
+                for slot, link in enumerate(links):
+                    assert self._link_classes[link][self._class_pos[cls][slot]] == cls
+
+    def assert_drained(self) -> None:
+        assert self._n == 0 and not self._comp
+        assert not any(self._class_count)
+        assert not any(self._link_entries)
+        assert not any(self._link_sizes)
+        assert not any(self._adj)
+
+    def _do_recompute(self):
+        self.check_class_table()
+        super()._do_recompute()
+
+    def _refill_few(self, comp, unfrozen):
+        self.few += 1
+        self.most_rows_on_few = max(self.most_rows_on_few, unfrozen)
+        entries = sum(self._link_entries[link] for link in comp.links)
+        assert entries <= _SMALL_ENTRIES
+        super()._refill_few(comp, unfrozen)
+
+    def _refill_many(self, comp, classes):
+        self.many += 1
+        assert len(set(classes.tolist())) > _SMALL_ROWS
+        super()._refill_many(comp, classes)
+
+
+def _run_checked(scenario) -> _CheckedNetwork:
+    """Run ``scenario`` on a :class:`_CheckedNetwork`, require the
+    reference's observables bit for bit, and hand the network back."""
+    nets = []
+
+    def network(*args):
+        nets.append(_CheckedNetwork(*args))
+        return nets[-1]
+
+    assert _run(scenario, optimized=True, network=network) == \
+        _run(scenario, optimized=False)
+    (net,) = nets
+    return net
+
+
+@given(_duplicated_route_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_duplicated_routes_match_reference(scenario):
+    """Bit-identity when most flows share a route with many others, with
+    the class table checked against the rows at every recompute and
+    empty once the network drains."""
+    net = _run_checked(scenario)
+    # At most 12 routes: every refill is the scalar class arm, however
+    # many rows the component has.
+    assert net.many == 0
+    net.assert_drained()
+
+
+def test_many_rows_on_few_classes_take_the_scalar_arm():
+    """The regime the class table is for, pinned deterministically: 120
+    flows per wave over the six routes of three nodes are one component
+    of well over ``_SMALL_ROWS`` rows, filled by the scalar class arm."""
+    def wave(scale):
+        return [
+            (i % 3, (i + 1 + i % 2) % 3, scale * (1 + (5 * i) % 7))
+            for i in range(120)
+        ]
+    net = _run_checked((3, 3, 1.0, [(0.0, wave(1e6)), (0.05, wave(3e5))]))
+    assert net.many == 0 and net.few > 0
+    assert net.most_rows_on_few > 3 * _SMALL_ROWS
+    net.assert_drained()
+
+
+@st.composite
+def _alltoall_scenarios(draw):
+    """12–14 nodes all-to-all (132–182 routes, 1–3 flows each) with
+    sizes spread over two orders of magnitude, then a second wave on a
+    few of the routes: the one component starts far above the class
+    dispatch threshold and drains through it."""
+    num_nodes = draw(st.integers(min_value=12, max_value=14))
+    nodes_per_rack = draw(st.sampled_from([3, 4, 7, num_nodes]))
+    oversubscription = draw(st.sampled_from([1.0, 4.0]))
+    a, b, modulus = draw(st.tuples(
+        st.integers(1, 12), st.integers(1, 12), st.sampled_from([11, 17, 23])))
+    copies = draw(st.integers(min_value=1, max_value=3))
+    first = [
+        (src, dst, 1e6 * (1 + (a * src + b * dst + 5 * copy) % modulus) ** 2)
+        for src in range(num_nodes)
+        for dst in range(num_nodes)
+        if src != dst
+        for copy in range(copies)
+    ]
+    node = st.integers(min_value=0, max_value=3)
+    second = draw(st.lists(st.tuples(node, node, _SIZES), min_size=1, max_size=30))
+    later = draw(st.floats(min_value=0.0, max_value=2.0,
+                           allow_nan=False, allow_infinity=False))
+    return num_nodes, nodes_per_rack, oversubscription, [(0.0, first), (later, second)]
+
+
+@given(_alltoall_scenarios())
+@settings(max_examples=10, deadline=None)
+def test_class_count_straddling_the_dispatch_matches_reference(scenario):
+    """Both filling arms in one run, compared bit for bit: the vectorized
+    arm while more than ``_SMALL_ROWS`` classes are active (some with
+    multiplicity above one), the scalar arm once enough have drained."""
+    net = _run_checked(scenario)
+    assert net.many > 0 and net.few > 0
+    net.assert_drained()
+
+
+def test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch):
+    """Three waves of eight whole jobs co-scheduled through ``run_many``
+    on one cluster — classes waking and retiring under the DFS, shuffle
+    and model traffic of unrelated jobs — keep the class table equal to
+    the rows at every recompute and leave nothing behind."""
+    import copy
+
+    from repro.apps.kmeans import KMeansProgram, gaussian_mixture
+    from repro.cluster import cluster as cluster_module
+    from repro.dfs.dfs import DistributedFileSystem
+    from repro.mapreduce.records import DistributedDataset
+    from repro.mapreduce.runner import JobRunner
+    from repro.parallel import SerialExecutor
+
+    monkeypatch.setattr(cluster_module, "FlowNetwork", _CheckedNetwork)
+    records, _ = gaussian_mixture(1_500, 4, dim=3, separation=6.0, seed=1)
+    program = KMeansProgram(k=4, dim=3, threshold=0.1)
+    model0 = program.initial_model(records, seed=2)
+    cluster = cluster_module.Cluster(
+        num_nodes=16, nodes_per_rack=4, oversubscription=4.0
+    )
+    dfs = DistributedFileSystem(cluster, replication=2, seed=5)
+    runner = JobRunner(cluster, dfs, executor=SerialExecutor())
+    datasets = [
+        DistributedDataset.materialize(
+            dfs, f"/classes/concurrent-{j}", records, num_splits=8
+        )
+        for j in range(8)
+    ]
+    for wave in range(3):
+        results = runner.run_many([
+            (
+                program.job_spec(suffix=f"-{wave}-{j}"),
+                dataset,
+                {
+                    "model": copy.deepcopy(model0),
+                    "model_bytes": program.model_bytes(model0),
+                    "model_locations": ((j + wave) % cluster.num_nodes,),
+                },
+            )
+            for j, dataset in enumerate(datasets)
+        ])
+        assert len(results) == 8
+        cluster.network.assert_drained()
+    net = cluster.network
+    assert net.few + net.many > 100

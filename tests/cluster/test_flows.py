@@ -44,6 +44,26 @@ class TestSingleFlow:
         with pytest.raises(ValueError):
             make_cluster().transfer(0, 1, -5, "t")
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("batched", [False, True], ids=["start_flow", "start_flows"])
+    def test_non_finite_bytes_rejected_before_any_accounting(self, nbytes, batched):
+        """NaN used to poison the meter and die later as a "wedged"
+        allocation; inf used to complete at a finite time having carried
+        inf bytes.  Both stop at the boundary, nothing recorded."""
+        c = make_cluster()
+        c.transfer(0, 5, 1000.0, "t")
+        meter_before = c.meter.snapshot()
+        carried_before = [link.bytes_carried for link in c.topology.links]
+        with pytest.raises(ValueError, match="non-finite"):
+            if batched:
+                c.network.start_flows([(0, 3, nbytes, "t"), (1, 2, 10.0, "t")])
+            else:
+                c.network.start_flow(0, 3, nbytes, "t")
+        assert c.meter.snapshot() == meter_before
+        assert [link.bytes_carried for link in c.topology.links] == carried_before
+        c.run()
+        assert c.now == pytest.approx(1000.0 / GIGABIT)
+
     def test_flow_metadata(self):
         c = make_cluster()
         flow = c.transfer(0, 1, 100.0, "shuffle")
@@ -100,6 +120,43 @@ class TestFairSharing:
         assert finish["c"] == pytest.approx(1.0)
         assert finish["a"] == pytest.approx(2.0)
         assert finish["b"] == pytest.approx(2.0)
+
+
+class TestRouteClasses:
+    def test_max_min_with_multiplicities_by_hand(self):
+        """Three routes carry 5, 2 and 1 flows from rack 0 to rack 1 over
+        a 2 Gb/s rack uplink (edges 1 Gb/s).
+
+        Round 1: the uplink offers 2G/8 = G/4 per flow, but node 0's edge
+        carries all five flows of route A and offers only G/5 — it
+        saturates first and freezes A at G/5.  Round 2: the uplink has
+        2G - 8*(G/5) left for the three unfrozen flows, (2G/5)/3 more
+        each, and saturates: routes B and C run at G/5 + 2G/15 = G/3."""
+        c = make_cluster(num_nodes=8, nodes_per_rack=4, oversubscription=2.0)
+        assert c.topology.rack_uplink_bandwidth == 2 * GIGABIT
+        done = []
+        size = 1e8
+        routes = [(0, 4)] * 5 + [(1, 5)] * 2 + [(2, 6)]
+        flows = [
+            c.transfer(src, dst, size, "t", lambda f: done.append((f.flow_id, c.now)))
+            for src, dst in routes
+        ]
+        c.network._do_recompute()
+        slow = GIGABIT / 5
+        fast = slow + (2 * GIGABIT - slow * 8) / 3
+        assert fast == pytest.approx(GIGABIT / 3)
+        assert [f.rate for f in flows] == [slow] * 5 + [fast] * 3
+        # One class per route, counting its flows.
+        net = c.network
+        assert sorted(count for count in net._class_count if count) == [1, 2, 5]
+        assert len(net._class_count) == 3
+        c.run()
+        # B and C drain together first (flow-id order within the batch);
+        # A is edge-limited either way and keeps its rate to the end.
+        assert [fid for fid, _ in done] == [5, 6, 7, 0, 1, 2, 3, 4]
+        assert [t for _, t in done[:3]] == [size / fast] * 3
+        assert [t for _, t in done[3:]] == [pytest.approx(size / slow)] * 5
+        assert not any(net._class_count)
 
 
 class TestByteConservation:

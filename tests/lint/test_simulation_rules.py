@@ -278,6 +278,24 @@ class TestPartitionStateWrites:
         """
         assert rules(src) == ["PIC402"]
 
+    def test_handler_editing_route_class_count_flagged(self):
+        # The standing route-class table is private the same way: a
+        # multiplicity that disagrees with the rows skews every rate on
+        # the class's links.
+        src = """
+        class Driver:
+            def __init__(self, sim, flows):
+                self.sim = sim
+                self.flows = flows
+
+            def arm(self):
+                self.sim.schedule(1.0, self._tick)
+
+            def _tick(self):
+                self.flows._class_count[0] += 1
+        """
+        assert rules(src) == ["PIC402"]
+
     def test_near_miss_same_write_outside_handler_silent(self):
         # Only handler-reachable functions are PIC402 seeds; ordinary
         # setup code touching the same attribute is out of scope here.
