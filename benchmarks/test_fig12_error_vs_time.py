@@ -9,18 +9,45 @@ Paper results:
 * (c) PIC produces comparable quality in one-third the time.
 """
 
+import copy
+
 import numpy as np
 
 from benchmarks.conftest import cached, run_once
 from repro.apps.kmeans import centroid_displacement, lloyd
-from repro.harness.tracing import trace_ic, trace_pic
 from repro.harness.workloads import (
     kmeans_small,
     linsolve_small,
     neuralnet_medium,
 )
 from repro.mapreduce.columnar import columnize
+from repro.pic.runner import PICRunner, run_ic_baseline
 from repro.util.formatting import render_table
+
+
+def _traced(w, cluster_factory, error_fn, ic_max_iterations=500,
+            be_max_iterations=60):
+    """IC and PIC from one batch and the same initial model; the three
+    error-vs-time curves are read off the runs' per-iteration records
+    (each holds its simulated end time and the model it ended with)."""
+    def curve(traces):
+        return [(t.end, error_fn(t.model)) for t in traces]
+
+    records = columnize(w.records)  # one ingest for both runs
+    start = [(0.0, error_fn(w.initial_model))]
+    ic = run_ic_baseline(
+        cluster_factory(), w.program, records,
+        initial_model=copy.deepcopy(w.initial_model),
+        max_iterations=ic_max_iterations,
+    )
+    pic = PICRunner(
+        cluster_factory(), w.program, num_partitions=w.num_partitions, seed=3,
+        be_max_iterations=be_max_iterations, max_iterations=500,
+    ).run(records, initial_model=copy.deepcopy(w.initial_model))
+    return (
+        ic, start + curve(ic.traces),
+        pic, start + curve(pic.best_effort.stats), curve(pic.topoff.traces),
+    )
 
 
 def _series_table(title, ic_curve, pic_curves, value_name):
@@ -52,15 +79,7 @@ def fig12a():
         w = neuralnet_medium(num_samples=21_000, num_partitions=18)
         Xv, yv = w.extras["Xv"], w.extras["yv"]
         error_fn = lambda model: w.program.validation_error(model, Xv, yv)
-        records = columnize(w.records)  # one ingest for both runs
-        ic, ic_curve = trace_ic(
-            small_cluster(), w.program, records, w.initial_model, error_fn
-        )
-        pic, be_curve, topoff_curve = trace_pic(
-            small_cluster(), w.program, records, w.initial_model, error_fn,
-            w.num_partitions,
-        )
-        return ic, ic_curve, pic, be_curve, topoff_curve
+        return _traced(w, small_cluster, error_fn)
 
     return cached("fig12a", compute)
 
@@ -99,17 +118,7 @@ def fig12b():
                 w.program.centroid_array(model), reference
             )
 
-        records = columnize(w.records)  # one ingest for both runs
-        ic_cluster = w.cluster_factory()
-        ic, ic_curve = trace_ic(
-            ic_cluster, w.program, records, w.initial_model, error_fn
-        )
-        pic_cluster = w.cluster_factory()
-        pic, be_curve, topoff_curve = trace_pic(
-            pic_cluster, w.program, records, w.initial_model, error_fn,
-            w.num_partitions,
-        )
-        return ic, ic_curve, pic, be_curve, topoff_curve
+        return _traced(w, w.cluster_factory, error_fn)
 
     return cached("fig12b", compute)
 
@@ -144,18 +153,10 @@ def fig12c():
                 np.linalg.norm(w.program.solution_vector(model, n) - x_star)
             )
 
-        records = columnize(w.records)  # one ingest for both runs
-        ic_cluster = w.cluster_factory()
-        ic, ic_curve = trace_ic(
-            ic_cluster, w.program, records, w.initial_model, error_fn,
-            max_iterations=1000,
+        return _traced(
+            w, w.cluster_factory, error_fn,
+            ic_max_iterations=1000, be_max_iterations=100,
         )
-        pic_cluster = w.cluster_factory()
-        pic, be_curve, topoff_curve = trace_pic(
-            pic_cluster, w.program, records, w.initial_model, error_fn,
-            w.num_partitions, be_max_iterations=100,
-        )
-        return ic, ic_curve, pic, be_curve, topoff_curve
 
     return cached("fig12c", compute)
 

@@ -19,42 +19,18 @@ def main() -> None:
     program = NeuralNetProgram(MLP(64, 32, 10), validation=(Xv, yv))
     model0 = program.initial_model(train, seed=9)
 
-    # Instrument convergence checks to capture (time, error) points.
-    ic_curve: list[tuple[float, float]] = []
-    pic_curve: list[tuple[float, float]] = []
+    # Every iteration's record holds its simulated end time and the model
+    # it ended with: the (time, error) points are read off the runs.
+    def curve(traces) -> list[tuple[float, float]]:
+        return [(t.end, program.validation_error(t.model, Xv, yv)) for t in traces]
 
-    def tracer(cluster, curve):
-        base = program.converged
-
-        def traced(prev, cur, it):
-            curve.append((cluster.now, program.validation_error(cur, Xv, yv)))
-            return base(prev, cur, it)
-
-        return traced
-
-    ic_cluster = small_cluster()
-    program.converged = tracer(ic_cluster, ic_curve)  # type: ignore[method-assign]
-    ic = run_ic_baseline(ic_cluster, program, train,
+    ic = run_ic_baseline(small_cluster(), program, train,
                          initial_model={k: v.copy() for k, v in model0.items()})
-
-    program.converged = NeuralNetProgram.converged.__get__(program)  # restore
-    pic_cluster = small_cluster()
-    orig_be = program.be_converged
-    orig_topoff = program.topoff_converged
-
-    def traced_be(prev, cur, it):
-        pic_curve.append((pic_cluster.now, program.validation_error(cur, Xv, yv)))
-        return orig_be(prev, cur, it)
-
-    def traced_topoff(prev, cur, it):
-        pic_curve.append((pic_cluster.now, program.validation_error(cur, Xv, yv)))
-        return orig_topoff(prev, cur, it)
-
-    program.be_converged = traced_be      # type: ignore[method-assign]
-    program.topoff_converged = traced_topoff  # type: ignore[method-assign]
-    pic = PICRunner(pic_cluster, program, num_partitions=18, seed=3).run(
+    ic_curve = curve(ic.traces)
+    pic = PICRunner(small_cluster(), program, num_partitions=18, seed=3).run(
         train, initial_model={k: v.copy() for k, v in model0.items()}
     )
+    pic_curve = curve(pic.best_effort.stats) + curve(pic.topoff.traces)
 
     rows = []
     for label, curve in (("IC", ic_curve), ("PIC", pic_curve)):

@@ -34,7 +34,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
-from repro.pic.convergence import kv_model_max_change
+from repro.pic.convergence import Verdict, either, fixed_iterations, max_change_below
 from repro.util.rng import SeedLike, as_generator
 
 
@@ -168,11 +168,12 @@ class KMeansProgram(PICProgram):
             new_model[key] = np.asarray(centroid, dtype=float)
         return new_model
 
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """All centroids moved less than the threshold (Figure 1(b))."""
-        if iteration + 1 >= self.max_iterations:
-            return True
-        return kv_model_max_change(previous, current) < self.threshold
+        return either(
+            fixed_iterations(self.max_iterations),
+            max_change_below(self.threshold),
+        )(previous, current, iteration)
 
     # -- PIC extras -------------------------------------------------------
     # partition: library default (random data partition + model copies),

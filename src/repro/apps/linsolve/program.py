@@ -31,6 +31,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
+from repro.pic.convergence import Verdict, either, fixed_iterations, max_change_below
 from repro.util.rng import SeedLike
 
 
@@ -118,14 +119,12 @@ class LinearSolverProgram(PICProgram):
             new_model[key] = value
         return new_model
 
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """max |delta x| below the threshold (or the iteration cap)."""
-        if iteration + 1 >= self.max_iterations:
-            return True
-        worst = 0.0
-        for key, value in current.items():
-            worst = max(worst, abs(value - previous.get(key, 0.0)))
-        return worst < self.threshold
+        return either(
+            fixed_iterations(self.max_iterations),
+            max_change_below(self.threshold, _max_abs_change),
+        )(previous, current, iteration)
 
     # -- PIC extras --------------------------------------------------------
 
@@ -201,3 +200,11 @@ class LinearSolverProgram(PICProgram):
         for key, value in model.items():
             x[key] = value
         return x
+
+
+def _max_abs_change(previous: dict[int, float], current: dict[int, float]) -> float:
+    """Largest ``|delta x|``; an unknown new to ``current`` moved from 0."""
+    worst = 0.0
+    for key, value in current.items():
+        worst = max(worst, abs(value - previous.get(key, 0.0)))
+    return worst

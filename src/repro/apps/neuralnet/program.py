@@ -42,6 +42,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
+from repro.pic.convergence import Verdict, fixed_iterations, max_change_below
 from repro.util.rng import SeedLike
 
 
@@ -166,17 +167,20 @@ class NeuralNetProgram(PICProgram):
             new_model[key] = value
         return new_model
 
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Stop when validation error stops improving meaningfully."""
-        if iteration + 1 >= self.max_epochs:
-            return True
-        if iteration + 1 < self.min_epochs:
-            return False
+        capped = fixed_iterations(self.max_epochs)(previous, current, iteration)
+        if capped or iteration + 1 < self.min_epochs:
+            return capped
+        improved = max_change_below(self.min_improvement, self._improvement)
+        return improved(previous, current, iteration)
+
+    def _improvement(self, previous: Any, current: Any) -> float:
+        """Drop in validation error from ``previous`` to ``current``."""
         Xv, yv = self.validation
-        improvement = misclassification(previous, Xv, yv) - misclassification(
+        return misclassification(previous, Xv, yv) - misclassification(
             current, Xv, yv
         )
-        return improvement < self.min_improvement
 
     # -- PIC extras --------------------------------------------------------
     # partition: library default (random data + model copies).

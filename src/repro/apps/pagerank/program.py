@@ -30,6 +30,7 @@ from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, emit_first_value
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
+from repro.pic.convergence import Verdict, fixed_iterations
 from repro.pic.mergers import concat_merge
 from repro.util.rng import SeedLike, as_generator
 
@@ -175,9 +176,9 @@ class PageRankProgram(PICProgram):
             new_model[key] = value
         return new_model
 
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Nutch terminates after a fixed number of iterations."""
-        return iteration + 1 >= self.iteration_limit
+        return fixed_iterations(self.iteration_limit)(previous, current, iteration)
 
     # -- PIC extras (Figure 8) ---------------------------------------------
 
@@ -261,14 +262,16 @@ class PageRankProgram(PICProgram):
             merged[(PR, i)] = merged[(PR, i)] + self.damping * total
         return merged
 
-    def be_converged(self, previous: Any, current: Any, be_iteration: int) -> bool:
+    def be_converged(self, previous: Any, current: Any, be_iteration: int) -> Verdict:
         """Best-effort iterations stop at a pre-set limit (Section IV-B)."""
-        return be_iteration + 1 >= self.be_iteration_limit
+        limit = fixed_iterations(self.be_iteration_limit)
+        return limit(previous, current, be_iteration)
 
-    def topoff_converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def topoff_converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Top-off also uses a (small) pre-set limit: the best-effort
         phase has already propagated rank through the sub-graphs."""
-        return iteration + 1 >= self.topoff_iteration_limit
+        limit = fixed_iterations(self.topoff_iteration_limit)
+        return limit(previous, current, iteration)
 
     def local_max_iterations(self) -> int:
         """Pre-set local iteration limit (Section IV-B)."""

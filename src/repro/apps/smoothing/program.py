@@ -34,6 +34,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
+from repro.pic.convergence import Verdict, either, fixed_iterations, max_change_below
 from repro.util.rng import SeedLike
 
 
@@ -142,19 +143,12 @@ class ImageSmoothingProgram(PICProgram):
             new_model[key] = value
         return new_model
 
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """max pixel change below the threshold (or the iteration cap)."""
-        if iteration + 1 >= self.max_iterations:
-            return True
-        prev_rows = [previous.get(key) for key in current]
-        if any(row is None for row in prev_rows):
-            return False
-        if not current:
-            return True
-        # One stacked pass gives every row's largest change; the fold
-        # over them is Python's max, which a NaN row does not raise.
-        changes = np.abs(np.array(list(current.values())) - np.array(prev_rows))
-        return max([0.0, *changes.max(axis=1).tolist()]) < self.threshold
+        return either(
+            fixed_iterations(self.max_iterations),
+            max_change_below(self.threshold, _max_pixel_change),
+        )(previous, current, iteration)
 
     # -- PIC extras --------------------------------------------------------
 
@@ -227,3 +221,17 @@ class ImageSmoothingProgram(PICProgram):
     def image_array(self, model: dict[int, np.ndarray]) -> np.ndarray:
         """Model as a (height, width) array."""
         return np.stack([model[i] for i in range(self.height)])
+
+
+def _max_pixel_change(previous: dict[int, Any], current: dict[int, Any]) -> float:
+    """Largest pixel change; infinite while a row of ``current`` has no
+    predecessor yet."""
+    prev_rows = [previous.get(key) for key in current]
+    if any(row is None for row in prev_rows):
+        return float("inf")
+    if not current:
+        return 0.0
+    # One stacked pass gives every row's largest change; the fold
+    # over them is Python's max, which a NaN row does not raise.
+    changes = np.abs(np.array(list(current.values())) - np.array(prev_rows))
+    return max([0.0, *changes.max(axis=1).tolist()])

@@ -31,7 +31,7 @@ from repro.pic.partitioners import (
 from repro.pic.mergers import average_merge, sum_merge, concat_merge
 from repro.pic.convergence import max_change_below, fixed_iterations
 from repro.pic.engine import BestEffortEngine, BestEffortResult, SubProblem
-from repro.pic.runner import PICRunner, PICResult, PhaseStats
+from repro.pic.runner import PICRunner, PICResult
 
 __all__ = [
     "PICProgram",
@@ -52,5 +52,4 @@ __all__ = [
     "SubProblem",
     "PICRunner",
     "PICResult",
-    "PhaseStats",
 ]

@@ -21,6 +21,7 @@ from repro.mapreduce.columnar import (
     singleton_groups,
 )
 from repro.mapreduce.costs import CostHints
+from repro.mapreduce.driver import Verdict, iterate
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.pic.mergers import average_merge
 from repro.pic.model import model_nbytes, model_to_records, records_to_model
@@ -101,8 +102,10 @@ class PICProgram(abc.ABC):
         """Fold one iteration's reduce output into the next model."""
 
     @abc.abstractmethod
-    def converged(self, previous: Any, current: Any, iteration: int) -> bool:
-        """The application's convergence criterion (Figure 1(a))."""
+    def converged(self, previous: Any, current: Any, iteration: int) -> bool | Verdict:
+        """The application's convergence criterion (Figure 1(a)): a plain
+        ``bool``, or a :mod:`repro.pic.convergence` verdict that also says
+        what was measured."""
 
     def initial_model(self, records: Records, seed: Any = 0) -> Any:
         """Produce a starting model from the input data (handed over as
@@ -170,18 +173,16 @@ class PICProgram(abc.ABC):
         """
         if max_iterations is None:
             max_iterations = self.local_max_iterations()
-        records = columnize(records)
-        current = model
+        batch = columnize(records)
         total_compute = 0.0
         iterations = 0
-        for it in range(max_iterations):
-            previous = current
-            current, compute = self.run_iteration_in_memory(records, current, it)
+        for model, compute, _verdict in iterate(
+            lambda current, it: self.run_iteration_in_memory(batch, current, it),
+            self.converged, max_iterations, model,
+        ):
             total_compute += compute
             iterations += 1
-            if self.converged(previous, current, it):
-                break
-        return current, iterations, total_compute
+        return model, iterations, total_compute
 
     # ------------------------------------------------------------------
     # Job-chain plumbing (default: one MapReduce job per iteration)
@@ -272,11 +273,15 @@ class PICProgram(abc.ABC):
         """
         return self.model_records(model)
 
-    def be_converged(self, previous: Any, current: Any, be_iteration: int) -> bool:
+    def be_converged(
+        self, previous: Any, current: Any, be_iteration: int
+    ) -> bool | Verdict:
         """Best-effort termination (default: the IC criterion)."""
         return self.converged(previous, current, be_iteration)
 
-    def topoff_converged(self, previous: Any, current: Any, iteration: int) -> bool:
+    def topoff_converged(
+        self, previous: Any, current: Any, iteration: int
+    ) -> bool | Verdict:
         """Top-off termination (default: the IC criterion).
 
         Fixed-iteration algorithms like Nutch PageRank override this

@@ -1,10 +1,16 @@
-"""Reusable convergence criteria for IC and best-effort loops."""
+"""Reusable convergence criteria for IC and best-effort loops.  Each
+returns a :class:`~repro.mapreduce.driver.Verdict`: truthy when the loop
+should stop, and carrying what was measured against which threshold."""
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.mapreduce.driver import Verdict
+
+Criterion = Callable[[Any, Any, int], Verdict]
 
 
 def kv_model_max_change(previous: dict[Any, Any], current: dict[Any, Any]) -> float:
@@ -28,7 +34,7 @@ def kv_model_max_change(previous: dict[Any, Any], current: dict[Any, Any]) -> fl
 def max_change_below(
     threshold: float,
     distance: Callable[[Any, Any], float] = kv_model_max_change,
-) -> Callable[[Any, Any, int], bool]:
+) -> Criterion:
     """Converged when ``distance(previous, current) < threshold``.
 
     This is the paper's K-means criterion: "if the change in the value
@@ -37,29 +43,38 @@ def max_change_below(
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
 
-    def criterion(previous: Any, current: Any, iteration: int) -> bool:
-        return distance(previous, current) < threshold
+    def criterion(previous: Any, current: Any, iteration: int) -> Verdict:
+        measured = distance(previous, current)
+        return Verdict(
+            bool(measured < threshold), iteration, "threshold", measured, threshold
+        )
 
     return criterion
 
 
-def fixed_iterations(limit: int) -> Callable[[Any, Any, int], bool]:
+def fixed_iterations(limit: int) -> Criterion:
     """Converged after exactly ``limit`` iterations (Nutch PageRank)."""
     if limit < 1:
         raise ValueError(f"iteration limit must be >= 1, got {limit}")
 
-    def criterion(previous: Any, current: Any, iteration: int) -> bool:
-        return iteration + 1 >= limit
+    def criterion(previous: Any, current: Any, iteration: int) -> Verdict:
+        return Verdict(iteration + 1 >= limit, iteration, "cap")
 
     return criterion
 
 
-def either(*criteria: Callable[[Any, Any, int], bool]) -> Callable[[Any, Any, int], bool]:
-    """Converged when any of the criteria holds (threshold OR iteration cap)."""
+def either(*criteria: Criterion) -> Criterion:
+    """Converged when any of the criteria holds (threshold OR iteration
+    cap): the first that stops answers, so a cap listed first spares the
+    distance computation; when none stops, the last one's verdict does."""
     if not criteria:
         raise ValueError("either() needs at least one criterion")
 
-    def criterion(previous: Any, current: Any, iteration: int) -> bool:
-        return any(c(previous, current, iteration) for c in criteria)
+    def criterion(previous: Any, current: Any, iteration: int) -> Verdict:
+        for check in criteria:
+            verdict = check(previous, current, iteration)
+            if verdict:
+                break
+        return verdict
 
     return criterion

@@ -28,15 +28,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cluster.cache import CachePin, NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, Records, columnize
-from repro.mapreduce.job import JobResult, JobSpec, TaskContext
-from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
+from repro.mapreduce.driver import (
+    Bracket,
+    IterationTrace,
+    input_cached,
+    iterate,
+    strips_overheads,
+)
+from repro.mapreduce.job import JobSpec, TaskContext
+from repro.mapreduce.pipeline import SplitGate
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.parallel import SerialExecutor, TaskExecutor, get_executor, solve_subproblem
@@ -62,32 +69,12 @@ class SubProblem:
 
 
 @dataclass
-class BEIterationStats:
-    """Per-best-effort-iteration measurements (feeds Table I)."""
-
-    be_iteration: int
-    local_iterations: list[int]
-    duration: float
-    shuffle_bytes: int
-    model_update_bytes: int
-    # Node-memory cache activity (pipelined mode; zero otherwise).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-
-    @property
-    def max_local_iterations(self) -> int:
-        """The straggler sub-problem's local iteration count."""
-        return max(self.local_iterations) if self.local_iterations else 0
-
-
-@dataclass
 class BestEffortResult:
     """Merged model and the full best-effort trace."""
 
     model: Any
     be_iterations: int
-    stats: list[BEIterationStats]
+    stats: list[IterationTrace]
     total_time: float
     model_locations: tuple[int, ...]
 
@@ -151,23 +138,18 @@ class BestEffortEngine:
         # explicitly supplied runner wins — engine and runner must
         # agree on one mode and share one cache, or pinned splits
         # would never be the ones looked up.
-        if runner is not None:
-            self.runner = runner
-            self.pipeline = runner.pipeline
-            self.cache = runner.cache
-        else:
-            self.pipeline = pipeline_enabled() if pipeline is None else pipeline
-            if self.pipeline and cache is None:
-                cache = NodeMemoryCache.from_cluster(cluster)
-            self.cache = cache if self.pipeline else None
+        if runner is None:
             # Serial on purpose: a round's real work already went through
             # self.executor in _solve_subproblems(), and the job's mappers
             # are closures that replay those results — a pool could only
             # export every split to shm and then fail on the closure.
-            self.runner = JobRunner(
+            runner = JobRunner(
                 cluster, self.dfs, executor=SerialExecutor(),
-                pipeline=self.pipeline, cache=self.cache,
+                pipeline=pipeline, cache=cache,
             )
+        self.runner = runner
+        self.pipeline = runner.pipeline
+        self.cache = runner.cache
         self._dataset_seq = 0
 
     def home_node(self, subproblem_index: int) -> int:
@@ -180,91 +162,58 @@ class BestEffortEngine:
         """Execute best-effort iterations until ``be_converged``."""
         records = columnize(records)
         cluster = self.cluster
-        program = self.program
-        model = initial_model
+        optimized, pipeline = self.optimized_baseline, self.pipeline
         model_locations: tuple[int, ...] = (0,)
-        stats: list[BEIterationStats] = []
         started = cluster.now
         dataset: DistributedDataset | None = None
         pins: list[CachePin] = []
 
-        try:
-            for be_iter in range(self.be_max_iterations):
-                iter_start = cluster.now
-                meter_before = cluster.meter.snapshot()
-                cache_before = (
-                    self.cache.snapshot() if self.cache is not None else None
-                )
-                subs = self._partition(records, model)
-                sub_models = [s.model for s in subs]
+        def step(model: Any, be_iter: int) -> tuple[Any, dict[str, Any]]:
+            nonlocal dataset, model_locations
+            subs = self._partition(records, model)
+            sub_models = [s.model for s in subs]
 
-                # Each map task waits on the latch of *its* co-location
-                # and sub-model flows.  Hadoop's barrier is the
-                # degenerate policy: drain the flows before submitting,
-                # so every latch is already open when the job starts.
-                gate = SplitGate(self.num_partitions)
+            # Each map task waits on the latch of *its* co-location
+            # and sub-model flows.  Hadoop's barrier is the
+            # degenerate policy: drain the flows before submitting,
+            # so every latch is already open when the job starts.
+            gate = SplitGate(self.num_partitions)
 
-                if dataset is None:
-                    dataset = self._colocate(subs, gate)
-                    if self.cache is not None:
-                        pins.extend(self._pin_splits(dataset, subs))
-                    if not self.pipeline:
-                        cluster.run()
-
-                # PIC partitions the model: each best-effort map task receives
-                # only its sub-model, so distribution is a scatter of the
-                # partial models, not a full-model broadcast per node.
-                self._scatter_sub_models(subs, model_locations, gate)
-                if not self.pipeline:
+            if dataset is None:
+                dataset = self._colocate(subs, gate)
+                if self.cache is not None:
+                    pins.extend(self._pin_splits(dataset, subs))
+                if not pipeline:
                     cluster.run()
 
-                spec = self._be_job_spec(
-                    be_iter,
-                    solved_cache=self._solve_subproblems(dataset, sub_models),
-                )
-                result = self.runner.run(
-                    spec,
-                    dataset,
-                    model=_BEModel(sub_models),
-                    model_bytes=0,
-                    model_locations=model_locations,
-                    input_cached=(
-                        self.optimized_baseline and be_iter > 0
-                        and not self.pipeline
-                    ),
-                    speculative=self.speculative,
-                    model_gate=gate,
-                )
-                merged = program.model_from_records(result.output)
-                model_locations = result.output_locations
+            # PIC partitions the model: each best-effort map task receives
+            # only its sub-model, so distribution is a scatter of the
+            # partial models, not a full-model broadcast per node.
+            self._scatter_sub_models(subs, model_locations, gate)
+            if not pipeline:
+                cluster.run()
 
-                delta = cluster.meter.diff(meter_before)
-                cache_delta = (
-                    self.cache.snapshot() - cache_before
-                    if self.cache is not None and cache_before is not None
-                    else None
+            solved = self._solve_subproblems(dataset, sub_models)
+            result = self.runner.run(
+                self._be_job_spec(be_iter, solved),
+                dataset,
+                model_locations=model_locations,
+                input_cached=input_cached(optimized, pipeline, be_iter),
+                speculative=self.speculative,
+                model_gate=gate,
+            )
+            model_locations = result.output_locations
+            return self.program.model_from_records(result.output), {
+                "local_iterations": [iterations for _m, iterations, _c in solved],
+            }
+
+        try:
+            stats = [
+                trace for _model, trace, _verdict in iterate(
+                    step, self.program.be_converged, self.be_max_iterations,
+                    initial_model, lambda: Bracket(cluster, self.cache),
                 )
-                stats.append(
-                    BEIterationStats(
-                        be_iteration=be_iter,
-                        local_iterations=self._local_iteration_counts(result),
-                        duration=cluster.now - iter_start,
-                        shuffle_bytes=int(
-                            delta.get("shuffle", {}).get("total_bytes", 0)
-                        ),
-                        model_update_bytes=int(
-                            delta.get("model_update", {}).get("total_bytes", 0)
-                        ),
-                        cache_hits=cache_delta.hits if cache_delta else 0,
-                        cache_misses=cache_delta.misses if cache_delta else 0,
-                        cache_evictions=(
-                            cache_delta.evictions if cache_delta else 0
-                        ),
-                    )
-                )
-                previous, model = model, merged
-                if program.be_converged(previous, model, be_iter):
-                    break
+            ]
         finally:
             # The loop-invariant splits stay evictable once the phase
             # ends; the entries themselves may remain resident for the
@@ -273,7 +222,7 @@ class BestEffortEngine:
                 pin.release()
 
         return BestEffortResult(
-            model=model,
+            model=stats[-1].model,
             be_iterations=len(stats),
             stats=stats,
             total_time=cluster.now - started,
@@ -396,7 +345,7 @@ class BestEffortEngine:
 
     def _solve_subproblems(
         self, dataset: DistributedDataset, sub_models: list[Any]
-    ) -> dict[int, tuple[Any, int, float]]:
+    ) -> list[tuple[Any, int, float]]:
         """Solve every sub-problem's local IC loop for this round.
 
         The solves are independent (the paper's whole point), so they
@@ -409,38 +358,26 @@ class BestEffortEngine:
             (self.program, dataset.splits[i].records, sub_models[i], None)
             for i in range(self.num_partitions)
         ]
-        results = self.executor.map(solve_subproblem, payloads)
-        return dict(enumerate(results))
+        return self.executor.map(solve_subproblem, payloads)
 
     def _be_job_spec(
-        self,
-        be_iter: int,
-        solved_cache: dict[int, tuple[Any, int, float]] | None = None,
+        self, be_iter: int, solved: Sequence[tuple[Any, int, float]] = ()
     ) -> JobSpec:
+        """The round's job: map task ``i`` replays ``solved[i]``, the
+        sub-problem's ``(model, local iterations, compute seconds)``."""
         program = self.program
 
         def solve(ctx: TaskContext, records: ColumnBatch) -> Any:
             assert ctx.split_index is not None
-            if solved_cache is not None and ctx.split_index in solved_cache:
-                solved, iterations, compute = solved_cache[ctx.split_index]
-            else:
-                sub_model = ctx.model.sub_models[ctx.split_index]
-                solved, iterations, compute = program.solve_in_memory(
-                    records, sub_model
-                )
-            ctx.stats["local_iterations"] = iterations
-            ctx.stats["compute_seconds"] = compute
-            return solved
+            model, iterations, compute = solved[ctx.split_index]
+            ctx.stats.update(local_iterations=iterations, compute_seconds=compute)
+            return model
 
         def be_map_cost(num_records: int, nbytes: int, ctx: TaskContext) -> float:
             return ctx.stats.get("compute_seconds", 0.0)
 
         costs = program.costs
-        if self.optimized_baseline:
-            costs = costs.without_overheads()
-        elif self.pipeline and be_iter > 0:
-            # Warm executors: containers stay alive between pipelined
-            # best-effort rounds, so repeated launch costs disappear.
+        if strips_overheads(self.optimized_baseline, self.pipeline, be_iter):
             costs = costs.without_overheads()
         common = dict(
             name=f"{program.name}-be{be_iter}",
@@ -464,7 +401,7 @@ class BestEffortEngine:
             def be_reducer(ctx: TaskContext, key: Any, values: list[Any]) -> None:
                 ctx.emit(key, program.merge_element(key, values))
 
-            # The closures capture `program`/`solved_cache`, so the job
+            # The closures capture `program`/`solved`, so the job
             # cannot go to a pool; that is intended (the engine's own
             # runner is serial) — the real solves already ran through
             # the executor in _solve_subproblems().
@@ -500,16 +437,3 @@ class BestEffortEngine:
             partitioner=lambda key, n: 0,  # pic: noqa: PIC101
             **common,
         )
-
-    def _local_iteration_counts(self, result: JobResult) -> list[int]:
-        return [
-            int(result.map_stats.get(i, {}).get("local_iterations", 0))
-            for i in range(self.num_partitions)
-        ]
-
-
-class _BEModel:
-    """Wrapper handed to best-effort map tasks: per-partition sub-models."""
-
-    def __init__(self, sub_models: list[Any]) -> None:
-        self.sub_models = sub_models

@@ -5,12 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.columnar import Records, columnize
-from repro.mapreduce.driver import DriverResult, IterativeDriver
-from repro.mapreduce.pipeline import pipeline_enabled
+from repro.mapreduce.driver import (
+    Bracket,
+    Convergence,
+    DriverResult,
+    IterationTrace,
+    IterativeDriver,
+)
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.parallel import get_executor
@@ -20,23 +24,13 @@ from repro.util.rng import SeedLike
 
 
 @dataclass
-class PhaseStats:
-    """Time and headline traffic for one phase (for Figure 2 bars)."""
-
-    name: str
-    duration: float
-    shuffle_bytes: float
-    model_update_bytes: float
-
-
-@dataclass
 class PICResult:
     """Everything a PIC run produced."""
 
     model: Any
     best_effort: BestEffortResult
     topoff: DriverResult
-    phases: list[PhaseStats]
+    phases: list[IterationTrace]
     total_time: float
     traffic: dict[str, dict[str, float]]
 
@@ -106,7 +100,7 @@ class PICRunner:
         self.executor = get_executor(workers)
         # Pipelined simulated execution (``PIC_PIPELINE`` when None);
         # changes simulated timing — see repro.mapreduce.pipeline.
-        self.pipeline = pipeline_enabled() if pipeline is None else pipeline
+        self.pipeline = pipeline
 
     def run(self, records: Records, initial_model: Any = None) -> PICResult:
         """Best-effort phase, then top-off phase, from ``records`` —
@@ -119,15 +113,16 @@ class PICRunner:
         records = columnize(records)
         dfs, dataset = _ingest(cluster, program, records)
 
-        # One cache spans both phases: splits the best-effort phase
-        # left resident stay warm for top-off reads of the same data.
-        cache = (
-            NodeMemoryCache.from_cluster(cluster) if self.pipeline else None
+        # The top-off runner settles the mode, and its cache spans both
+        # phases: splits the best-effort phase left resident stay warm
+        # for top-off reads of the same data.
+        runner = JobRunner(
+            cluster, dfs, executor=self.executor, pipeline=self.pipeline
         )
+        cache = runner.cache
 
         # Phase 1: best-effort.
-        be_start = cluster.now
-        meter_before = cluster.meter.snapshot()
+        bracket = Bracket(cluster, cache)
         engine = BestEffortEngine(
             cluster,
             program,
@@ -138,48 +133,25 @@ class PICRunner:
             distributed_merge=self.distributed_merge,
             speculative=self.speculative,
             executor=self.executor,
-            pipeline=self.pipeline,
+            pipeline=runner.pipeline,
             cache=cache,
         )
         be = engine.run(records, initial_model)
-        be_delta = cluster.meter.diff(meter_before)
-        be_phase = PhaseStats(
-            name="best-effort",
-            duration=cluster.now - be_start,
-            shuffle_bytes=be_delta.get("shuffle", {}).get("total_bytes", 0.0),
-            model_update_bytes=be_delta.get("model_update", {}).get(
-                "total_bytes", 0.0
-            ),
+        be_phase = bracket.close(
+            name="best-effort", model=be.model, verdict=be.stats[-1].verdict
         )
 
         # Phase 2: top-off — the unmodified IC computation.
-        topoff_start = cluster.now
-        meter_before = cluster.meter.snapshot()
-        runner = JobRunner(
-            cluster, dfs, executor=self.executor,
-            pipeline=self.pipeline, cache=cache,
-        )
-        driver = IterativeDriver(
-            runner=runner,
-            dataset=dataset,
-            jobs=program.jobs,
-            build_model=program.build_model,
-            converged=program.topoff_converged,
-            model_sizer=program.model_bytes,
+        bracket = Bracket(cluster, cache)
+        topoff = _run_ic(
+            runner, dataset, program, program.topoff_converged,
+            be.model, be.model_locations,
             max_iterations=self.max_iterations,
             optimized_baseline=self.optimized_baseline,
-            model_mode=program.model_mode,
             speculative=self.speculative,
         )
-        topoff = driver.run(be.model, model_locations=be.model_locations)
-        topoff_delta = cluster.meter.diff(meter_before)
-        topoff_phase = PhaseStats(
-            name="top-off",
-            duration=cluster.now - topoff_start,
-            shuffle_bytes=topoff_delta.get("shuffle", {}).get("total_bytes", 0.0),
-            model_update_bytes=topoff_delta.get("model_update", {}).get(
-                "total_bytes", 0.0
-            ),
+        topoff_phase = bracket.close(
+            name="top-off", model=topoff.model, verdict=topoff.traces[-1].verdict
         )
 
         return PICResult(
@@ -207,6 +179,24 @@ def _ingest(
     return dfs, dataset
 
 
+def _run_ic(
+    runner: JobRunner,
+    dataset: DistributedDataset,
+    program: PICProgram,
+    converged: Convergence,
+    model: Any,
+    model_locations: tuple[int, ...] = (0,),
+    **options: Any,
+) -> DriverResult:
+    """The program's conventional IC loop until ``converged`` — its own
+    criterion for the baseline, ``topoff_converged`` for PIC's second phase."""
+    driver = IterativeDriver(
+        runner, dataset, program.jobs, program.build_model, converged,
+        program.model_bytes, model_mode=program.model_mode, **options,
+    )
+    return driver.run(model, model_locations)
+
+
 def run_ic_baseline(
     cluster: Cluster,
     program: PICProgram,
@@ -231,16 +221,8 @@ def run_ic_baseline(
     runner = JobRunner(
         cluster, dfs, executor=get_executor(workers), pipeline=pipeline
     )
-    driver = IterativeDriver(
-        runner=runner,
-        dataset=dataset,
-        jobs=program.jobs,
-        build_model=program.build_model,
-        converged=program.converged,
-        model_sizer=program.model_bytes,
-        max_iterations=max_iterations,
-        optimized_baseline=optimized_baseline,
-        model_mode=program.model_mode,
+    return _run_ic(
+        runner, dataset, program, program.converged, initial_model,
+        max_iterations=max_iterations, optimized_baseline=optimized_baseline,
         speculative=speculative,
     )
-    return driver.run(initial_model)

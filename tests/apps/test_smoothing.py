@@ -166,7 +166,7 @@ class TestProgram:
             (base, {}),
         ]
         for previous, current in cases:
-            assert prog.converged(previous, current, 0) == by_rows(prog, previous, current)
+            assert bool(prog.converged(previous, current, 0)) == by_rows(prog, previous, current)
         # A NaN row does not raise the worst change; a missing row is "not yet".
         assert prog.converged(base, nan_first, 0)
         assert not prog.converged(missing, still, 0)

@@ -152,13 +152,13 @@ class TestSeededRegressions:
         assert "PIC503" in project_rules(source)
 
     def test_wall_clock_iteration_timing_is_caught(self):
-        # Timing an iteration with the host clock but reporting it
-        # against the simulated clock mixes the two time bases.
+        # Timing a run with the host clock but reporting it against
+        # the simulated clock mixes the two time bases.
         source = mutated(
             REPO / "src/repro/mapreduce/driver.py",
-            "            iter_start = self.cluster.now",
-            "            import time\n"
-            "            iter_start = time.perf_counter()  # pic: noqa: PIC001",
+            "        started = cluster.now",
+            "        import time\n"
+            "        started = time.perf_counter()  # pic: noqa: PIC001",
         )
         assert "PIC601" in project_rules(source)
 

@@ -1,12 +1,21 @@
 """Tests for the iterative driver (Figure 1(a) template)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.costs import CostHints
-from repro.mapreduce.driver import IterativeDriver
+from repro.mapreduce.driver import (
+    Bracket,
+    IterativeDriver,
+    Verdict,
+    _strip_overheads,
+    iterate,
+)
 from repro.mapreduce.job import JobSpec
+from repro.mapreduce.records import hash_partitioner
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 
@@ -147,15 +156,128 @@ class TestOptimizedBaseline:
         result = fast.run({"mean": 0.0})
         assert result.total_time < 50.0
 
-    def test_input_already_cached_flag(self):
-        # The §V-A blanket credit only applies in barrier mode; the
-        # pipelined cache still faults splits in on first touch.
-        cluster, runner, dataset = make_env(pipeline=False)
-        driver = make_driver(
-            runner, dataset, max_iterations=3, input_already_cached=True
+
+    def test_strip_keeps_every_other_jobspec_field(self):
+        # One distinct non-default value per field, so a field the strip
+        # forgot would come back as its default.
+        def mapper(ctx, records): ...
+        def reducer(ctx, grouped): ...
+        def combiner(key, values): ...
+        def batch_combiner(grouped): ...
+        def partitioner(key, n): return hash_partitioner(key, n)
+        def map_cost(num_records, nbytes, ctx): return 1.0
+
+        spec = JobSpec(
+            name="every-field", batch_mapper=mapper, batch_reducer=reducer,
+            combiner=combiner, batch_combiner=batch_combiner, num_reducers=7,
+            partitioner=partitioner,
+            costs=CostHints(job_overhead_seconds=5.0, task_overhead_seconds=2.0),
+            output_category="merge", output_replication=2, map_cost=map_cost,
         )
-        driver.run({"mean": 0.0})
-        assert cluster.meter.total("input") == 0
+        record_at_a_time = JobSpec(name="rows", mapper=mapper, reducer=reducer)
+        for original in (spec, record_at_a_time):
+            stripped = _strip_overheads(original)
+            for field in dataclasses.fields(JobSpec):
+                if field.name == "costs":
+                    assert stripped.costs == original.costs.without_overheads()
+                else:
+                    assert getattr(stripped, field.name) is getattr(
+                        original, field.name
+                    ), field.name
+        set_somewhere = {
+            f.name for f in dataclasses.fields(JobSpec)
+            if any(
+                getattr(s, f.name) != f.default for s in (spec, record_at_a_time)
+            )
+        }
+        assert set_somewhere == {f.name for f in dataclasses.fields(JobSpec)}
+
+    def test_strip_returns_the_spec_itself_when_nothing_to_strip(self):
+        spec = JobSpec(
+            name="warm", mapper=print, reducer=print,
+            costs=CostHints().without_overheads(),
+        )
+        assert _strip_overheads(spec) is spec
+
+
+class TestIterate:
+    """The loop operator on its own: no cluster, no jobs."""
+
+    @staticmethod
+    def halve(model, iteration):
+        return model / 2, f"cost{iteration}"
+
+    def test_plain_bool_is_wrapped_as_criterion(self):
+        steps = list(iterate(self.halve, lambda p, c, i: c < 1, 10, 8.0))
+        assert [m for m, _c, _v in steps] == [4.0, 2.0, 1.0, 0.5]
+        assert [c for _m, c, _v in steps] == ["cost0", "cost1", "cost2", "cost3"]
+        verdicts = [v for _m, _c, v in steps]
+        assert [bool(v) for v in verdicts] == [False, False, False, True]
+        assert verdicts[-1] == Verdict(True, 3, "criterion")
+        assert verdicts[-1].measured is None
+
+    def test_running_out_of_iterations_is_marked_cap(self):
+        *_going, (model, _cost, verdict) = iterate(
+            self.halve, lambda p, c, i: False, 3, 8.0
+        )
+        assert model == 1.0
+        assert verdict == Verdict(True, 2, "cap")
+
+    def test_cap_keeps_what_the_criterion_measured(self):
+        measuring = lambda p, c, i: Verdict(False, i, "threshold", c, 0.1)  # noqa: E731
+        *_going, (_model, _cost, verdict) = iterate(self.halve, measuring, 2, 8.0)
+        assert verdict == Verdict(True, 1, "cap", measured=2.0, threshold=0.1)
+
+    def test_a_verdict_passes_through_untouched(self):
+        stop = Verdict(True, 0, "threshold", 0.01, 0.1)
+        ((_model, _cost, verdict),) = iterate(self.halve, lambda p, c, i: stop, 5, 8.0)
+        assert verdict is stop
+
+    def test_criterion_reached_on_the_last_iteration_is_not_a_cap(self):
+        *_going, (_m, _c, verdict) = iterate(
+            self.halve, lambda p, c, i: c < 1.5, 3, 8.0
+        )
+        assert verdict == Verdict(True, 2, "criterion")
+
+    def test_zero_cap_runs_nothing(self):
+        assert list(iterate(self.halve, lambda p, c, i: True, 0, 8.0)) == []
+
+    def test_criterion_sees_previous_and_current(self):
+        seen = []
+        list(iterate(self.halve, lambda p, c, i: seen.append((p, c, i)), 2, 8.0))
+        assert seen == [(8.0, 4.0, 0), (4.0, 2.0, 1)]
+
+
+class TestVerdictsOnTraces:
+    def test_each_trace_carries_its_verdict_end_time_and_model(self):
+        cluster, runner, dataset = make_env()
+        result = make_driver(runner, dataset).run({"mean": 0.0})
+        verdicts = [t.verdict for t in result.traces]
+        assert [v.iteration for v in verdicts] == list(range(result.iterations))
+        assert [bool(v) for v in verdicts] == [False] * (result.iterations - 1) + [True]
+        # close_enough returns a plain bool.
+        assert verdicts[-1].reason == "criterion"
+        assert verdicts[-1].measured is None
+        ends = [t.end for t in result.traces]
+        assert ends == sorted(ends) and ends[-1] == cluster.now
+        assert result.traces[-1].model is result.model
+        assert result.traces[0].model == {"mean": 9.75}
+
+    def test_driver_cap_is_reported_as_cap(self):
+        _c, runner, dataset = make_env()
+        result = make_driver(runner, dataset, max_iterations=3).run({"mean": 0.0})
+        assert result.traces[-1].verdict == Verdict(True, 2, "cap")
+
+    def test_bracket_around_a_whole_run_sums_its_iterations(self):
+        cluster, runner, dataset = make_env()
+        bracket = Bracket(cluster, runner.cache)
+        result = make_driver(runner, dataset, max_iterations=4).run({"mean": 0.0})
+        phase = bracket.close(name="ic")
+        assert phase.name == "ic"
+        assert phase.shuffle_bytes == result.total_shuffle_bytes
+        assert phase.model_update_bytes == result.total_model_update_bytes
+        assert phase.duration == pytest.approx(result.total_time)
+        assert phase.end == cluster.now
 
 
 class TestChainedJobs:

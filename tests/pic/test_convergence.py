@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pic.convergence import (
+    Verdict,
     either,
     fixed_iterations,
     kv_model_max_change,
@@ -74,3 +75,72 @@ class TestEither:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             either()
+
+
+class TestVerdicts:
+    """Criteria return a Verdict whose truth value is the old ``bool``."""
+
+    @staticmethod
+    def old_below(threshold, distance=kv_model_max_change):
+        return lambda prev, cur, it: distance(prev, cur) < threshold
+
+    @staticmethod
+    def old_fixed(limit):
+        return lambda prev, cur, it: it + 1 >= limit
+
+    def cases(self):
+        absdiff = lambda a, b: abs(a - b)  # noqa: E731
+        below, fixed = self.old_below, self.old_fixed
+        return [
+            (max_change_below(0.1), below(0.1),
+             [({0: 1.0}, {0: 1.05}, 3), ({0: 1.0}, {0: 1.2}, 3)]),
+            (max_change_below(1.0, distance=absdiff), below(1.0, absdiff),
+             [(0.0, 0.5, 0)]),
+            (fixed_iterations(10), fixed(10), [(None, None, 8), (None, None, 9)]),
+            (either(fixed_iterations(100), max_change_below(0.1)),
+             lambda *a: fixed(100)(*a) or below(0.1)(*a),
+             [({0: 1.0}, {0: 1.0}, 0), ({0: 0.0}, {0: 99.0}, 99),
+              ({0: 0.0}, {0: 99.0}, 0)]),
+        ]
+
+    def test_truth_value_is_the_old_return_value(self):
+        for criterion, old, triples in self.cases():
+            for triple in triples:
+                verdict = criterion(*triple)
+                assert isinstance(verdict, Verdict)
+                assert bool(verdict) is old(*triple)
+                assert verdict.iteration == triple[2]
+
+    def test_threshold_verdict_carries_the_measurement(self):
+        verdict = max_change_below(0.1)({0: 1.0}, {0: 1.05}, 3)
+        assert (verdict.stop, verdict.reason) == (True, "threshold")
+        assert verdict.measured == pytest.approx(0.05)
+        assert verdict.threshold == 0.1
+        still = max_change_below(0.1)({0: 1.0}, {0: 1.2}, 3)
+        assert not still and still.measured == pytest.approx(0.2)
+
+    def test_cap_verdict_measures_nothing(self):
+        verdict = fixed_iterations(10)(None, None, 9)
+        assert (verdict.stop, verdict.reason) == (True, "cap")
+        assert verdict.measured is None and verdict.threshold is None
+
+    def test_either_reports_who_stopped_else_the_measurement(self):
+        crit = either(fixed_iterations(100), max_change_below(0.1))
+        assert crit({0: 1.0}, {0: 1.0}, 0).reason == "threshold"
+        assert crit({0: 0.0}, {0: 99.0}, 99).reason == "cap"
+        going = crit({0: 0.0}, {0: 99.0}, 0)
+        assert not going and going.measured == 99.0
+
+    def test_cap_listed_first_spares_the_distance(self):
+        def distance(previous, current):
+            raise AssertionError("the cap already decided")
+
+        crit = either(fixed_iterations(3), max_change_below(0.1, distance))
+        assert crit(None, None, 2).reason == "cap"
+        with pytest.raises(AssertionError):
+            crit(None, None, 1)
+
+    def test_verdict_is_immutable(self):
+        verdict = fixed_iterations(1)(None, None, 0)
+        with pytest.raises(AttributeError):
+            verdict.stop = False
