@@ -70,12 +70,15 @@ def main(argv: list[str] | None = None) -> int:
     total = sum(self_n.values())
     print(f"{args.workload}: {total} samples over {args.repeats} repeats, "
           f"one per {1e3 * cpu_s / max(total, 1):.1f} ms of {cpu_s:.2f} s CPU")
-    print(f"{'self %':>7} {'cum %':>7}  function")
-    for (filename, function), n in self_n.most_common(args.top):
-        path = Path(filename)
-        where = f"{path.parent.name}/{path.name}:" if filename else ""
-        print(f"{100 * n / total:7.1f} {100 * cum_n[filename, function] / total:7.1f}  "
-              f"{where}{function}")
+    # By self share first, then by cumulative share: a caller whose time
+    # is spread over several callees' rows only shows in the second.
+    for title, ranked in (("self", self_n), ("cumulative", cum_n)):
+        print(f"\nby {title} share\n{'self %':>7} {'cum %':>7}  function")
+        for (filename, function), _n in ranked.most_common(args.top):
+            path = Path(filename)
+            where = f"{path.parent.name}/{path.name}:" if filename else ""
+            print(f"{100 * self_n[filename, function] / total:7.1f} "
+                  f"{100 * cum_n[filename, function] / total:7.1f}  {where}{function}")
     return 0
 
 

@@ -18,6 +18,7 @@ and top-off loops.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,14 +28,19 @@ from repro.mapreduce.columnar import (
     ArrayColumn,
     ColumnBatch,
     GroupedBatch,
+    Records,
     ScalarColumn,
     TupleColumn,
+    build_column,
+    columnize,
     int_column,
+    stack_rows,
 )
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
 from repro.pic.convergence import Verdict, either, fixed_iterations, max_change_below
+from repro.pic.model import KeyedModel, as_model
 from repro.util.rng import SeedLike, as_generator
 
 
@@ -111,16 +117,15 @@ class KMeansProgram(PICProgram):
         """Vectorized nearest-centroid assignment for a whole split."""
         if not len(records):
             return
-        model: dict[int, np.ndarray] = ctx.model
-        centroid_ids = sorted(model)
-        centroids = np.stack([model[c] for c in centroid_ids])
+        model = as_model(ctx.model)
+        centroids = stack_rows(model.value_column)  # one row per centroid id
         values = records.values
         if isinstance(values, ArrayColumn) and values.data.dtype == np.float64:
             points = values.data  # one row per point
         else:
             points = np.stack([np.asarray(v, dtype=float) for v in values.rows()])
         assignment = assign_points(points, centroids)
-        ids = np.asarray(centroid_ids, dtype=np.int64)[assignment]
+        ids = np.asarray(stack_rows(model.key_column), dtype=np.int64)[assignment]
         ones = ScalarColumn("int", np.ones(len(points), dtype=np.int64))
         ctx.emit_batch(
             ColumnBatch(
@@ -159,14 +164,16 @@ class KMeansProgram(PICProgram):
             )
         )
 
-    def build_model(
-        self, model: dict[int, np.ndarray], output: list[tuple[Any, Any]]
-    ) -> dict[int, np.ndarray]:
-        """New centroids; clusters that received no points keep theirs."""
-        new_model = dict(model)
-        for key, centroid in output:
-            new_model[key] = np.asarray(centroid, dtype=float)
-        return new_model
+    def build_model(self, model: Mapping[Any, Any], output: Records) -> KeyedModel:
+        """New centroids, as float vectors; clusters that received no
+        points keep theirs."""
+        output = columnize(output)
+        values = output.values
+        if not (isinstance(values, ArrayColumn) and values.data.dtype == np.float64):
+            values = build_column(
+                [np.asarray(centroid, dtype=float) for centroid in values.rows()]
+            )
+        return super().build_model(model, ColumnBatch(output.keys, values))
 
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """All centroids moved less than the threshold (Figure 1(b))."""
@@ -189,6 +196,6 @@ class KMeansProgram(PICProgram):
         """Local loops share the conventional iteration cap."""
         return self.max_iterations
 
-    def centroid_array(self, model: dict[int, np.ndarray]) -> np.ndarray:
+    def centroid_array(self, model: Mapping[int, np.ndarray]) -> np.ndarray:
         """Model as a (k, dim) array in centroid-id order (for metrics)."""
         return np.stack([model[c] for c in sorted(model)])

@@ -17,6 +17,7 @@ stitches the blocks' unknowns back together.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class LinearSolverProgram(PICProgram):
         int/float columns so the shuffle's hashing, grouping, and
         sizing all run vectorized downstream.
         """
-        model: dict[int, float] = ctx.model
+        model: Mapping[int, float] = ctx.model
         keys: list[Any] = []
         updates: list[float] = []
         for i, (cols, vals, b_i) in records:
@@ -111,13 +112,6 @@ class LinearSolverProgram(PICProgram):
     def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         """Identity reduce: one updated unknown per row key."""
         emit_first_values(ctx, grouped)
-
-    def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:
-        """Fold the sweep's updated unknowns into the solution vector."""
-        new_model = dict(model)
-        for key, value in output:
-            new_model[key] = value
-        return new_model
 
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """max |delta x| below the threshold (or the iteration cap)."""
@@ -194,7 +188,7 @@ class LinearSolverProgram(PICProgram):
 
     # -- metrics -------------------------------------------------------------
 
-    def solution_vector(self, model: dict[int, float], n: int) -> np.ndarray:
+    def solution_vector(self, model: Mapping[int, float], n: int) -> np.ndarray:
         """Model as a dense solution vector (for error metrics)."""
         x = np.zeros(n)
         for key, value in model.items():
@@ -202,7 +196,9 @@ class LinearSolverProgram(PICProgram):
         return x
 
 
-def _max_abs_change(previous: dict[int, float], current: dict[int, float]) -> float:
+def _max_abs_change(
+    previous: Mapping[int, float], current: Mapping[int, float]
+) -> float:
     """Largest ``|delta x|``; an unknown new to ``current`` moved from 0."""
     worst = 0.0
     for key, value in current.items():

@@ -22,6 +22,7 @@ the merge averages the sub-problems' weights (exactly the default
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 import numpy as np
@@ -105,7 +106,7 @@ class NeuralNetProgram(PICProgram):
         return init_params(self.shape, seed=seed)
 
     def sgd_epoch(
-        self, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray
+        self, params: Mapping[str, np.ndarray], X: np.ndarray, y: np.ndarray
     ) -> dict[str, np.ndarray]:
         """One deterministic pass of mini-batch SGD over (X, y)."""
         params = {k: v.copy() for k, v in params.items()}
@@ -160,13 +161,6 @@ class NeuralNetProgram(PICProgram):
             count += n
         ctx.emit(key, total / max(count, 1))
 
-    def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:
-        """Replace parameter tensors with the averaged epoch output."""
-        new_model = dict(model)
-        for key, value in output:
-            new_model[key] = value
-        return new_model
-
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Stop when validation error stops improving meaningfully."""
         capped = fixed_iterations(self.max_epochs)(previous, current, iteration)
@@ -198,7 +192,7 @@ class NeuralNetProgram(PICProgram):
     # -- metrics -------------------------------------------------------------
 
     def validation_error(
-        self, model: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray
+        self, model: Mapping[str, np.ndarray], X: np.ndarray, y: np.ndarray
     ) -> float:
         """Misclassified fraction on held-out data (Figure 12(a))."""
         return misclassification(model, X, y)

@@ -22,16 +22,28 @@ and folds those scores into the destination ranks.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, emit_first_values
+from repro.mapreduce.columnar import (
+    ColumnBatch,
+    GroupedBatch,
+    StringColumn,
+    TupleColumn,
+    emit_first_values,
+    float_column,
+    int_column,
+    stack_rows,
+)
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
 from repro.pic.convergence import Verdict, fixed_iterations
 from repro.pic.mergers import concat_merge
+from repro.pic.model import as_model
 from repro.util.rng import SeedLike, as_generator
 
 PR = "pr"
@@ -108,11 +120,7 @@ class PageRankProgram(PICProgram):
         ]
 
     def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
-        """Unused: PageRank dispatches per-phase mappers via jobs()."""
-        # The two phases share one mapper: the model tells it which
-        # phase it is in via a marker the driver does not need to know
-        # about — we instead dispatch on whether the job is aggregation
-        # or propagation using an internal toggle per chained call.
+        """Not a job's mapper: jobs() dispatches one mapper per phase."""
         raise RuntimeError("PageRankProgram uses per-phase mappers via jobs()")
 
     def job_spec(self, suffix: str = ""):
@@ -139,15 +147,25 @@ class PageRankProgram(PICProgram):
         raise ValueError(f"unknown PageRank job suffix {suffix!r}")
 
     def _map_aggregate(self, ctx: TaskContext, records: ColumnBatch) -> None:
-        # The emission loop is scalar (it walks ragged adjacency lists
-        # through a dict); the context columnizes what it emitted, so
-        # the shuffle still hashes, groups, and sizes typed columns.
-        model = ctx.model
-        emit = ctx.emit
-        for v, outs in records:
-            emit(v, 0.0)  # keep sink-only vertices alive
-            for t in outs:
-                emit(t, model[(EDGE, v, t)])
+        # One typed batch per split, in the order the scalar loop emits:
+        # (v, 0.0) — keeping sink-only vertices alive — then one
+        # (t, score of edge v→t) per out-link, vertex after vertex.
+        vertices, degrees, targets = _adjacency(records)
+        if not len(vertices):
+            return
+        sources = np.repeat(vertices, degrees)
+        scores = as_model(ctx.model).lookup(_edge_keys(sources, targets))
+        # Record r's own slot is r plus the out-links before it; its
+        # out-links fill the slots up to the next record's.
+        own = np.arange(len(vertices)) + np.cumsum(degrees) - degrees
+        keys = np.empty(len(vertices) + len(targets), dtype=np.int64)
+        values = np.zeros(len(keys))
+        is_link = np.ones(len(keys), dtype=bool)
+        is_link[own] = False
+        keys[own] = vertices
+        keys[is_link] = targets
+        values[is_link] = stack_rows(scores)
+        ctx.emit_batch(ColumnBatch(int_column(keys), float_column(values)))
 
     def _combine_sum(self, key: Any, values: list[float]) -> float:
         return float(sum(values))
@@ -157,24 +175,24 @@ class PageRankProgram(PICProgram):
         ctx.emit((PR, key), rank)
 
     def _map_propagate(self, ctx: TaskContext, records: ColumnBatch) -> None:
-        model = ctx.model
-        emit = ctx.emit
-        for v, outs in records:
-            if not outs:
-                continue
-            score = model[(PR, v)] / len(outs)
-            for t in outs:
-                emit((EDGE, v, t), score)
+        # ((EDGE, v, t), rank(v) / outdeg(v)) per out-link, as one batch:
+        # a float64 over an int64 is the division of a float by an int.
+        vertices, degrees, targets = _adjacency(records)
+        if not len(targets):
+            return
+        linked = degrees > 0
+        ranks = as_model(ctx.model).lookup(_rank_keys(vertices[linked]))
+        out_degrees = degrees[linked]
+        scores = np.repeat(stack_rows(ranks) / out_degrees, out_degrees)
+        ctx.emit_batch(
+            ColumnBatch(
+                _edge_keys(np.repeat(vertices, degrees), targets),
+                float_column(scores),
+            )
+        )
 
     def _reduce_identity(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         emit_first_values(ctx, grouped)
-
-    def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:
-        """Fold updated ranks/edge scores into the model."""
-        new_model = dict(model)
-        for key, value in output:
-            new_model[key] = value
-        return new_model
 
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Nutch terminates after a fixed number of iterations."""
@@ -279,10 +297,42 @@ class PageRankProgram(PICProgram):
 
     # -- metrics -----------------------------------------------------------
 
-    def rank_vector(self, model: dict, num_vertices: int) -> np.ndarray:
-        """Extract ranks as a dense vector for comparison metrics."""
-        pr = np.zeros(num_vertices)
-        for key, value in model.items():
-            if isinstance(key, tuple) and key[0] == PR:
-                pr[key[1]] = value
-        return pr
+    def rank_vector(self, model: Mapping[Any, float], num_vertices: int) -> np.ndarray:
+        """Extract ranks as a dense vector for comparison metrics (a
+        vertex the model has no rank for reads 0)."""
+        return np.array(
+            [model.get((PR, v), 0.0) for v in range(num_vertices)], dtype=float
+        )
+
+
+def _adjacency(records: ColumnBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A split's ``(vertex, out_links)`` records as flat int64 arrays:
+    the vertices, their out-degrees, and every out-link's target, vertex
+    after vertex in record order."""
+    out_links = records.values.rows()
+    degrees = np.fromiter(map(len, out_links), dtype=np.int64, count=len(out_links))
+    targets = np.fromiter(
+        chain.from_iterable(out_links), dtype=np.int64, count=int(degrees.sum())
+    )
+    return np.asarray(stack_rows(records.keys), dtype=np.int64), degrees, targets
+
+
+def _edge_keys(sources: np.ndarray, targets: np.ndarray) -> TupleColumn:
+    """The model keys ``(EDGE, j, i)`` of edges ``j → i``: the column
+    ``from_rows`` builds of those tuples."""
+    return TupleColumn(
+        (
+            StringColumn(np.full(len(sources), EDGE)),
+            int_column(sources),
+            int_column(targets),
+        ),
+        len(sources),
+    )
+
+
+def _rank_keys(vertices: np.ndarray) -> TupleColumn:
+    """The model keys ``(PR, v)`` of ``vertices``."""
+    return TupleColumn(
+        (StringColumn(np.full(len(vertices), PR)), int_column(vertices)),
+        len(vertices),
+    )

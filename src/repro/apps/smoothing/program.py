@@ -20,6 +20,7 @@ weakly-diagonally-dominant linear system).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 import numpy as np
@@ -30,11 +31,13 @@ from repro.mapreduce.columnar import (
     GroupedBatch,
     emit_first_values,
     int_column,
+    stack_rows,
 )
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
 from repro.pic.convergence import Verdict, either, fixed_iterations, max_change_below
+from repro.pic.model import as_model
 from repro.util.rng import SeedLike
 
 
@@ -97,7 +100,7 @@ class ImageSmoothingProgram(PICProgram):
         """
         if not len(records):
             return
-        model: dict[int, np.ndarray] = ctx.model
+        model = as_model(ctx.model)
         lam = self.lam
         ids = [int(key) for key in records.keys.rows()]
         if isinstance(records.values, ArrayColumn):
@@ -107,7 +110,7 @@ class ImageSmoothingProgram(PICProgram):
                 [np.asarray(row, dtype=float) for row in records.values.rows()]
             )
         n = len(ids)
-        u = np.stack([model[i] for i in ids])
+        u = stack_rows(model.lookup(records.keys))
         count = np.full((n, self.width), 2.0)  # E/W neighbours (minus edges)
         count[:, 0] -= 1.0
         count[:, -1] -= 1.0
@@ -135,13 +138,6 @@ class ImageSmoothingProgram(PICProgram):
     def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         """Identity reduce: one updated row per key."""
         emit_first_values(ctx, grouped)
-
-    def build_model(self, model: dict, output: list[tuple[Any, Any]]) -> dict:
-        """Fold the sweep's updated rows into the image model."""
-        new_model = dict(model)
-        for key, value in output:
-            new_model[key] = value
-        return new_model
 
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """max pixel change below the threshold (or the iteration cap)."""
@@ -218,20 +214,24 @@ class ImageSmoothingProgram(PICProgram):
 
     # -- metrics -------------------------------------------------------------
 
-    def image_array(self, model: dict[int, np.ndarray]) -> np.ndarray:
+    def image_array(self, model: Mapping[int, np.ndarray]) -> np.ndarray:
         """Model as a (height, width) array."""
-        return np.stack([model[i] for i in range(self.height)])
+        return stack_rows(as_model(model).lookup(int_column(np.arange(self.height))))
 
 
-def _max_pixel_change(previous: dict[int, Any], current: dict[int, Any]) -> float:
+def _max_pixel_change(
+    previous: Mapping[int, Any], current: Mapping[int, Any]
+) -> float:
     """Largest pixel change; infinite while a row of ``current`` has no
     predecessor yet."""
-    prev_rows = [previous.get(key) for key in current]
-    if any(row is None for row in prev_rows):
+    previous, current = as_model(previous), as_model(current)
+    try:
+        before = previous.lookup(current.key_column)
+    except KeyError:
         return float("inf")
-    if not current:
+    if not len(current):
         return 0.0
     # One stacked pass gives every row's largest change; the fold
     # over them is Python's max, which a NaN row does not raise.
-    changes = np.abs(np.array(list(current.values())) - np.array(prev_rows))
+    changes = np.abs(stack_rows(current.value_column) - stack_rows(before))
     return max([0.0, *changes.max(axis=1).tolist()])

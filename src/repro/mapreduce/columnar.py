@@ -523,6 +523,18 @@ def float_column(values: np.ndarray) -> ScalarColumn:
     return ScalarColumn("float", np.ascontiguousarray(values, dtype=np.float64))
 
 
+def stack_rows(column: Column) -> np.ndarray:
+    """``np.stack(column.rows())`` (no rows: an empty array): the
+    column's own array — no copy, so for reading only — when it is
+    stored as one."""
+    if isinstance(column, ArrayColumn):
+        return column.data
+    if isinstance(column, ScalarColumn):
+        return column.values
+    rows = column.rows()
+    return np.stack(rows) if rows else np.empty(0)
+
+
 # -- batches -----------------------------------------------------------------
 
 

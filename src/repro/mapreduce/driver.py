@@ -23,17 +23,19 @@ measured against a baseline that already has those fixes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 from repro.cluster.cache import CacheStats, NodeMemoryCache
 from repro.cluster.cluster import Cluster
+from repro.mapreduce.columnar import ColumnBatch
 from repro.mapreduce.job import JobResult, JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 
-# An iteration turns (model, job output records) into the next model.
-ModelBuilder = Callable[[Any, list[tuple[Any, Any]]], Any]
+# An iteration turns (model, job output batch) into the next model.
+ModelBuilder = Callable[[Any, ColumnBatch], Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +170,8 @@ def input_cached(optimized: bool, pipeline: bool, iteration: int) -> bool:
 
 @dataclass
 class DriverResult:
-    """Final model plus the full per-iteration trace."""
+    """Final model — a key/value model as a plain ``dict`` — plus the
+    full per-iteration trace."""
 
     model: Any
     iterations: int
@@ -192,8 +195,8 @@ class IterativeDriver:
 
     ``jobs(model, iteration)`` returns the MapReduce job chain for
     one iteration (usually a single job; PageRank returns two).
-    ``build_model(model, output)`` folds the final job's output
-    records into the next model.  ``model_sizer`` gives the
+    ``build_model(model, output)`` folds each job's output batch
+    into the next model.  ``model_sizer`` gives the
     serialized model size charged for distribution and DFS writes.
     """
 
@@ -252,8 +255,11 @@ class IterativeDriver:
                 lambda: Bracket(cluster, self.runner.cache),
             )
         ]
+        model = traces[-1].model
+        if isinstance(model, Mapping) and not isinstance(model, dict):
+            model = dict(model.items())
         return DriverResult(
-            model=traces[-1].model,
+            model=model,
             iterations=len(traces),
             traces=traces,
             total_time=cluster.now - started,

@@ -209,7 +209,10 @@ class JobResult:
     """Everything a job run produced, with measured volumes."""
 
     job_name: str
-    output: list[tuple[Any, Any]]
+    #: The reducers' records, partition after partition, as one batch:
+    #: ``len`` counts them, iteration yields ``(key, value)`` rows,
+    #: ``to_rows()`` is the row list (what ``dict()`` wants).
+    output: ColumnBatch
     counters: Counters
     started_at: float
     finished_at: float

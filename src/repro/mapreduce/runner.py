@@ -24,6 +24,7 @@ record them for the benchmark harness.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from typing import Any, Callable
 
 import numpy as np
@@ -119,8 +120,9 @@ class JobRunner:
         cluster concurrently.
 
         ``model``/``model_bytes``/``model_locations`` describe the
-        current model: the object handed to tasks, its serialized size,
-        and the nodes holding replicas of it.  ``input_cached`` marks
+        current model: the object handed to tasks (a mapping reaches
+        them as a :class:`~repro.pic.model.KeyedModel`), its serialized
+        size, and the nodes holding replicas of it.  ``input_cached`` marks
         invariant input already resident from a previous iteration
         (the paper's strengthened baseline).
 
@@ -181,6 +183,13 @@ class JobRunner:
             raise ValueError(
                 f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
             )
+        if isinstance(model, Mapping):
+            # Tasks read a key/value model as a table, columnized once per
+            # job.  Imported here: repro.pic's package __init__ imports
+            # the engine, which needs this module.
+            from repro.pic.model import as_model
+
+            model = as_model(model)
         state = _JobState(self, spec, dataset, model, model_bytes,
                           model_locations, input_cached, next(self._job_seq),
                           model_mode, failures or {}, speculative, model_gate)
@@ -371,7 +380,7 @@ class _JobState:
         self._reduces_done = 0
         self._reduce_started = [False] * self.num_reducers
         self._reduce_waiting: list[int] = []
-        self._reduce_outputs: dict[int, list[tuple[Any, Any]]] = {}
+        self._reduce_outputs: dict[int, ColumnBatch] = {}
         # Keyed by partition, not appended in completion order: which
         # reduce finishes first is same-timestamp tie order, and the
         # next iteration's model placement must not depend on it.
@@ -793,8 +802,7 @@ class _JobState:
         # group-by over the partition's records.
         merged = concat_batches(pieces)
         self.spec.run_reducer(ctx, group_batch(merged))
-        output = ctx.collect()
-        self._reduce_outputs[partition] = output.to_rows()
+        output = self._reduce_outputs[partition] = ctx.collect()
         self.counters.add("reduce_input_records", len(merged))
         self.counters.add("reduce_output_records", len(output))
         nbytes = output.nbytes_wire()
@@ -845,11 +853,9 @@ class _JobState:
                 f"{self._maps_done}/{self.num_maps} maps, "
                 f"{self._reduces_done}/{self.num_reducers} reduces done"
             )
-        output = [
-            record
-            for p in range(self.num_reducers)
-            for record in self._reduce_outputs.get(p, [])
-        ]
+        output = concat_batches(
+            [self._reduce_outputs[p] for p in range(self.num_reducers)]
+        )
         self.counters.add("shuffle_bytes", self.shuffle_bytes)
         self.counters.add("output_bytes", self.output_bytes)
         assert self.finished_at is not None

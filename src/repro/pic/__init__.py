@@ -18,6 +18,8 @@ Execution (Figure 3's template) is handled by :class:`PICRunner`:
 
 from repro.pic.api import PICProgram
 from repro.pic.model import (
+    KeyedModel,
+    as_model,
     model_to_records,
     records_to_model,
     model_nbytes,
@@ -35,6 +37,8 @@ from repro.pic.runner import PICRunner, PICResult
 
 __all__ = [
     "PICProgram",
+    "KeyedModel",
+    "as_model",
     "model_to_records",
     "records_to_model",
     "model_nbytes",

@@ -10,7 +10,8 @@ existing IC program to PIC is the small effort the paper advertises.
 from __future__ import annotations
 
 import abc
-from typing import Any
+from collections.abc import Mapping
+from typing import Any, Iterable
 
 from repro.mapreduce.columnar import (
     ColumnBatch,
@@ -24,7 +25,13 @@ from repro.mapreduce.costs import CostHints
 from repro.mapreduce.driver import Verdict, iterate
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.pic.mergers import average_merge
-from repro.pic.model import model_nbytes, model_to_records, records_to_model
+from repro.pic.model import (
+    KeyedModel,
+    as_model,
+    model_nbytes,
+    model_to_records,
+    records_to_model,
+)
 from repro.pic.partitioners import random_partition, replicate_model
 
 
@@ -32,10 +39,17 @@ class PICProgram(abc.ABC):
     """One iterative-convergence application, in both IC and PIC form.
 
     Subclasses implement the conventional MapReduce IC pieces
-    (``map``/``batch_map``, ``reduce``/``batch_reduce``, ``build_model``,
-    ``converged``) and may override the three best-effort functions
-    (``partition``, ``merge``, ``be_converged``) plus tuning knobs
-    (``costs``, ``num_reducers``).
+    (``map``/``batch_map``, ``reduce``/``batch_reduce``, ``converged``)
+    and may override the three best-effort functions (``partition``,
+    ``merge``, ``be_converged``) plus tuning knobs (``costs``,
+    ``num_reducers``).
+
+    The model is key/value pairs.  Wherever the program hands one over
+    — ``initial_model``, ``partition``, ``merge`` — a plain ``dict`` is
+    fine; wherever it is handed one — ``ctx.model``, ``converged``,
+    ``partition``, ``merge`` — it gets a read-only ``Mapping``
+    (:class:`~repro.pic.model.KeyedModel`, which also offers its two
+    columns to vectorized code).
     """
 
     #: Job-chain name used in DFS paths and reports.
@@ -97,9 +111,13 @@ class PICProgram(abc.ABC):
         """
         raise NotImplementedError("no batch combiner defined")
 
-    @abc.abstractmethod
-    def build_model(self, model: Any, output: list[tuple[Any, Any]]) -> Any:
-        """Fold one iteration's reduce output into the next model."""
+    def build_model(self, model: Mapping[Any, Any], output: Records) -> KeyedModel:
+        """Fold one job's reduce output — a :class:`ColumnBatch` (a row
+        list is columnized) — into the next model, itself a ``Mapping``.
+        Default: upsert, the output's records replace or extend the
+        model's (:meth:`KeyedModel.updated`); a model whose key set
+        stays put keeps one key column for the whole loop."""
+        return as_model(model).updated(columnize(output))
 
     @abc.abstractmethod
     def converged(self, previous: Any, current: Any, iteration: int) -> bool | Verdict:
@@ -115,15 +133,15 @@ class PICProgram(abc.ABC):
             "pass a model explicitly"
         )
 
-    def model_bytes(self, model: Any) -> int:
+    def model_bytes(self, model: Mapping[Any, Any]) -> int:
         """Serialized model size; drives model-update traffic accounting."""
         return model_nbytes(model)
 
-    def model_records(self, model: Any) -> list[tuple[Any, Any]]:
+    def model_records(self, model: Mapping[Any, Any]) -> list[tuple[Any, Any]]:
         """Flatten the model to key/value records (Section III-C)."""
         return model_to_records(model)
 
-    def model_from_records(self, records: list[tuple[Any, Any]]) -> Any:
+    def model_from_records(self, records: Iterable[tuple[Any, Any]]) -> KeyedModel:
         """Rebuild a model from its key/value records."""
         return records_to_model(records)
 
@@ -140,7 +158,7 @@ class PICProgram(abc.ABC):
         Returns ``(next_model, compute_seconds)`` where the compute cost
         is what the equivalent map+sort+reduce work would have charged.
         """
-        current = model
+        current = as_model(model)
         compute = 0.0
         for spec in self.jobs(current, iteration):
             ctx = TaskContext(model=current)
@@ -154,7 +172,7 @@ class PICProgram(abc.ABC):
                 grouped = singleton_groups(spec.run_combiner(grouped))
             rctx = TaskContext(model=current)
             spec.run_reducer(rctx, grouped)
-            current = self.build_model(current, rctx.output)
+            current = self.build_model(current, rctx.collect())
         return current, compute
 
     def solve_in_memory(

@@ -4,26 +4,35 @@ should stop, and carrying what was measured against which threshold."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.mapreduce.driver import Verdict
+from repro.pic.model import as_model
 
 Criterion = Callable[[Any, Any, int], Verdict]
 
 
-def kv_model_max_change(previous: dict[Any, Any], current: dict[Any, Any]) -> float:
+def kv_model_max_change(
+    previous: Mapping[Any, Any], current: Mapping[Any, Any]
+) -> float:
     """Max Euclidean displacement of any model element between iterations.
 
     Elements present on only one side count as infinite change (the
     model's support moved).
     """
-    if previous.keys() != current.keys():
+    previous, current = as_model(previous), as_model(current)
+    if len(previous) != len(current):
+        return float("inf")
+    try:
+        before = previous.lookup(current.key_column)
+    except KeyError:
         return float("inf")
     worst = 0.0
-    for key, new_value in current.items():
-        old = np.asarray(previous[key], dtype=float)
+    for old_value, new_value in zip(before.rows(), current.value_column.rows()):
+        old = np.asarray(old_value, dtype=float)
         new = np.asarray(new_value, dtype=float)
         if old.shape != new.shape:
             return float("inf")

@@ -26,6 +26,7 @@ and cached — the identical courtesy the strengthened IC baseline enjoys.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -48,18 +49,20 @@ from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.parallel import SerialExecutor, TaskExecutor, get_executor, solve_subproblem
 from repro.pic.api import PICProgram
+from repro.pic.model import KeyedModel, as_model
 from repro.util.rng import SeedLike
 
 
 @dataclass
 class SubProblem:
-    """One partition of the problem, bound to a home node: ``records`` is
-    a ``take`` of the run's input batch (a copy: sub-problems alias neither
-    each other nor the input) or the rows a program's ``partition`` wrote."""
+    """One partition of the problem as the first best-effort round
+    co-locates it on its home node: ``records`` is a ``take`` of the run's
+    input batch (a copy: sub-problems alias neither each other nor the
+    input) or the rows a program's ``partition`` wrote, columnized."""
 
     index: int
     records: ColumnBatch
-    model: Any
+    model: KeyedModel
     home_node: int
 
     @cached_property
@@ -70,7 +73,7 @@ class SubProblem:
 
 @dataclass
 class BestEffortResult:
-    """Merged model and the full best-effort trace."""
+    """Merged model (a plain ``dict``) and the full best-effort trace."""
 
     model: Any
     be_iterations: int
@@ -158,9 +161,12 @@ class BestEffortEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, records: Records, initial_model: Any) -> BestEffortResult:
+    def run(
+        self, records: Records, initial_model: Mapping[Any, Any]
+    ) -> BestEffortResult:
         """Execute best-effort iterations until ``be_converged``."""
         records = columnize(records)
+        initial_model = as_model(initial_model)
         cluster = self.cluster
         optimized, pipeline = self.optimized_baseline, self.pipeline
         model_locations: tuple[int, ...] = (0,)
@@ -170,8 +176,8 @@ class BestEffortEngine:
 
         def step(model: Any, be_iter: int) -> tuple[Any, dict[str, Any]]:
             nonlocal dataset, model_locations
-            subs = self._partition(records, model)
-            sub_models = [s.model for s in subs]
+            pairs = self._partition(records, model)
+            sub_models = [as_model(sub_model) for _records, sub_model in pairs]
 
             # Each map task waits on the latch of *its* co-location
             # and sub-model flows.  Hadoop's barrier is the
@@ -180,6 +186,13 @@ class BestEffortEngine:
             gate = SplitGate(self.num_partitions)
 
             if dataset is None:
+                # Only this round's partitions are solved (later rounds
+                # re-solve the dataset's splits), so only they are
+                # columnized.
+                subs = [
+                    SubProblem(i, columnize(recs), sub_models[i], self.home_node(i))
+                    for i, (recs, _sub_model) in enumerate(pairs)
+                ]
                 dataset = self._colocate(subs, gate)
                 if self.cache is not None:
                     pins.extend(self._pin_splits(dataset, subs))
@@ -189,7 +202,7 @@ class BestEffortEngine:
             # PIC partitions the model: each best-effort map task receives
             # only its sub-model, so distribution is a scatter of the
             # partial models, not a full-model broadcast per node.
-            self._scatter_sub_models(subs, model_locations, gate)
+            self._scatter_sub_models(sub_models, model_locations, gate)
             if not pipeline:
                 cluster.run()
 
@@ -222,7 +235,7 @@ class BestEffortEngine:
                 pin.release()
 
         return BestEffortResult(
-            model=stats[-1].model,
+            model=dict(stats[-1].model.items()),
             be_iterations=len(stats),
             stats=stats,
             total_time=cluster.now - started,
@@ -231,7 +244,9 @@ class BestEffortEngine:
 
     # -- phase steps -----------------------------------------------------
 
-    def _partition(self, records: ColumnBatch, model: Any) -> list[SubProblem]:
+    def _partition(
+        self, records: ColumnBatch, model: Any
+    ) -> list[tuple[Records, Mapping[Any, Any]]]:
         pairs = self.program.partition(
             records, model, self.num_partitions, seed=self.seed
         )
@@ -240,14 +255,11 @@ class BestEffortEngine:
                 f"partition() returned {len(pairs)} sub-problems, "
                 f"expected {self.num_partitions}"
             )
-        return [
-            SubProblem(i, columnize(recs), m, self.home_node(i))
-            for i, (recs, m) in enumerate(pairs)
-        ]
+        return pairs
 
     def _scatter_sub_models(
         self,
-        subs: list[SubProblem],
+        sub_models: list[KeyedModel],
         model_locations: tuple[int, ...],
         gate: SplitGate,
     ) -> None:
@@ -259,16 +271,13 @@ class BestEffortEngine:
         share registers a ``gate`` dependency for its sub-problem's
         split, so the map task waits exactly for its own share."""
         requests: list[Any] = []
-        for sub in subs:
-            nbytes = self.program.model_bytes(sub.model)
+        for index, sub_model in enumerate(sub_models):
+            nbytes = self.program.model_bytes(sub_model)
             if nbytes <= 0:
                 continue
-            src = (
-                sub.home_node
-                if sub.home_node in model_locations
-                else min(model_locations)
-            )
-            if src == sub.home_node:
+            home = self.home_node(index)
+            src = home if home in model_locations else min(model_locations)
+            if src == home:
                 # Local share: no fabric traffic, but it was read.
                 self.cluster.meter.record(
                     TrafficCategory.MODEL_READ, nbytes,
@@ -276,8 +285,8 @@ class BestEffortEngine:
                 )
             else:
                 requests.append((
-                    src, sub.home_node, nbytes, TrafficCategory.MODEL_READ,
-                    gate.add_dependency(sub.index),
+                    src, home, nbytes, TrafficCategory.MODEL_READ,
+                    gate.add_dependency(index),
                 ))
         self.cluster.transfer_batch(requests)
 

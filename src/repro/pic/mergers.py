@@ -8,23 +8,24 @@ PageRank sub-graphs).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 import numpy as np
 
 
-def _check_models(models: Sequence[dict[Any, Any]]) -> None:
+def _check_models(models: Sequence[Mapping[Any, Any]]) -> None:
     if not models:
         raise ValueError("merge needs at least one model")
     for i, m in enumerate(models):
-        if not isinstance(m, dict):
+        if not isinstance(m, Mapping):
             raise TypeError(
-                f"default mergers operate on KV models (dicts); model {i} "
+                f"default mergers operate on KV models (mappings); model {i} "
                 f"is {type(m).__name__}"
             )
 
 
-def average_merge(models: Sequence[dict[Any, Any]]) -> dict[Any, Any]:
+def average_merge(models: Sequence[Mapping[Any, Any]]) -> dict[Any, Any]:
     """Average corresponding entries across model copies.
 
     Keys missing from some copies are averaged over the copies that have
@@ -48,7 +49,7 @@ def average_merge(models: Sequence[dict[Any, Any]]) -> dict[Any, Any]:
     return merged
 
 
-def sum_merge(models: Sequence[dict[Any, Any]]) -> dict[Any, Any]:
+def sum_merge(models: Sequence[Mapping[Any, Any]]) -> dict[Any, Any]:
     """Sum corresponding entries across model copies."""
     _check_models(models)
     out: dict[Any, Any] = {}
@@ -63,7 +64,7 @@ def sum_merge(models: Sequence[dict[Any, Any]]) -> dict[Any, Any]:
     }
 
 
-def concat_merge(models: Sequence[dict[Any, Any]]) -> dict[Any, Any]:
+def concat_merge(models: Sequence[Mapping[Any, Any]]) -> dict[Any, Any]:
     """Disjoint union of model parts; overlapping keys are an error."""
     _check_models(models)
     merged: dict[Any, Any] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,12 +21,13 @@ from repro.mapreduce.runner import JobRunner
 from repro.parallel import get_executor
 from repro.pic.api import PICProgram
 from repro.pic.engine import BestEffortEngine, BestEffortResult
+from repro.pic.model import as_model
 from repro.util.rng import SeedLike
 
 
 @dataclass
 class PICResult:
-    """Everything a PIC run produced."""
+    """Everything a PIC run produced; ``model`` is a plain ``dict``."""
 
     model: Any
     best_effort: BestEffortResult
@@ -138,20 +140,21 @@ class PICRunner:
         )
         be = engine.run(records, initial_model)
         be_phase = bracket.close(
-            name="best-effort", model=be.model, verdict=be.stats[-1].verdict
+            name="best-effort", model=be.stats[-1].model, verdict=be.stats[-1].verdict
         )
 
         # Phase 2: top-off — the unmodified IC computation.
         bracket = Bracket(cluster, cache)
         topoff = _run_ic(
             runner, dataset, program, program.topoff_converged,
-            be.model, be.model_locations,
+            be.stats[-1].model, be.model_locations,
             max_iterations=self.max_iterations,
             optimized_baseline=self.optimized_baseline,
             speculative=self.speculative,
         )
         topoff_phase = bracket.close(
-            name="top-off", model=topoff.model, verdict=topoff.traces[-1].verdict
+            name="top-off", model=topoff.traces[-1].model,
+            verdict=topoff.traces[-1].verdict,
         )
 
         return PICResult(
@@ -184,7 +187,7 @@ def _run_ic(
     dataset: DistributedDataset,
     program: PICProgram,
     converged: Convergence,
-    model: Any,
+    model: Mapping[Any, Any],
     model_locations: tuple[int, ...] = (0,),
     **options: Any,
 ) -> DriverResult:
@@ -194,7 +197,7 @@ def _run_ic(
         runner, dataset, program.jobs, program.build_model, converged,
         program.model_bytes, model_mode=program.model_mode, **options,
     )
-    return driver.run(model, model_locations)
+    return driver.run(as_model(model), model_locations)
 
 
 def run_ic_baseline(

@@ -1,0 +1,38 @@
+"""PageRank's two mappers as scalar loops.
+
+These are ``PageRankProgram._map_aggregate`` and ``_map_propagate`` as
+they were while each walked its split's ragged adjacency lists through a
+dict model and emitted one record per call, leaving the columnization to
+the task context.  They define what the batch emitters must produce:
+the same records in the same order, in columns of the same kinds.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Mapping
+
+from repro.apps.pagerank.program import EDGE, PR
+from repro.mapreduce.columnar import ColumnBatch
+from repro.mapreduce.job import TaskContext
+
+
+def reference_map_aggregate(
+    ctx: TaskContext, model: Mapping[Any, float], records: ColumnBatch
+) -> None:
+    emit = ctx.emit
+    for v, outs in records:
+        emit(v, 0.0)  # keep sink-only vertices alive
+        for t in outs:
+            emit(t, model[(EDGE, v, t)])
+
+
+def reference_map_propagate(
+    ctx: TaskContext, model: Mapping[Any, float], records: ColumnBatch
+) -> None:
+    emit = ctx.emit
+    for v, outs in records:
+        if not outs:
+            continue
+        score = model[(PR, v)] / len(outs)
+        for t in outs:
+            emit((EDGE, v, t), score)

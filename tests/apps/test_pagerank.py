@@ -6,8 +6,20 @@ import pytest
 from repro.apps.pagerank import PageRankProgram, local_web_graph, nutch_pagerank
 from repro.apps.pagerank.datagen import cross_edge_fraction
 from repro.apps.pagerank.program import EDGE, PR
-from repro.mapreduce.columnar import columnize
+from repro.mapreduce.columnar import (
+    Column,
+    ColumnBatch,
+    ScalarColumn,
+    StringColumn,
+    TupleColumn,
+    columnize,
+)
 from repro.mapreduce.job import TaskContext
+from repro.pic.model import as_model
+from tests.apps.reference_pagerank import (
+    reference_map_aggregate,
+    reference_map_propagate,
+)
 
 
 class TestDatagen:
@@ -208,3 +220,82 @@ class TestProgramPIC:
         model = {(PR, 0): 1.5, (PR, 2): 0.5, (EDGE, 0, 2): 0.1}
         vec = prog.rank_vector(model, 3)
         assert np.allclose(vec, [1.5, 0.0, 0.5])
+
+
+def _kinds(column: Column):
+    """A column's kind, down to scalar kinds, string widths and slots."""
+    if isinstance(column, TupleColumn):
+        return ("tuple", tuple(_kinds(slot) for slot in column.slots))
+    if isinstance(column, ScalarColumn):
+        return (column.kind, column.values.dtype)
+    if isinstance(column, StringColumn):
+        return ("str", column.values.dtype)
+    return type(column).__name__
+
+
+def _assert_same_batch(got: ColumnBatch, expected: ColumnBatch) -> None:
+    assert got.to_rows() == expected.to_rows()
+    assert _kinds(got.keys) == _kinds(expected.keys)
+    assert _kinds(got.values) == _kinds(expected.values)
+    assert got.nbytes_wire() == expected.nbytes_wire()
+
+
+# Sinks (no out-links), self-loops, a duplicate out-link, ids out of order.
+_GRAPHS = {
+    "web": local_web_graph(60, avg_out_degree=4.0, seed=6),
+    "sinks_and_self_loops": [
+        (4, ()), (0, (0, 2)), (2, (2,)), (1, (0, 4, 0)), (3, ()), (7, (1,)),
+    ],
+    "only_sinks": [(0, ()), (1, ())],
+    "uniform_degree": [(0, (1, 2)), (1, (2, 0)), (2, (0, 1))],
+}
+
+
+class TestBatchEmittersAgainstScalarLoops:
+    """``_map_aggregate``/``_map_propagate`` emit, split by split, the
+    records the scalar loops emitted: same rows, same order, same column
+    kinds (so the shuffle hashes, groups and sizes them identically)."""
+
+    @pytest.mark.parametrize("name", sorted(_GRAPHS))
+    @pytest.mark.parametrize("as_table", [True, False])
+    def test_split_by_split(self, name, as_table):
+        records = _GRAPHS[name]
+        prog = PageRankProgram()
+        model = prog.initial_model(records)
+        # Uneven ranks, so a swapped vertex would show in the scores.
+        model = {k: v * (1.0 + 0.37 * k[1]) for k, v in model.items()}
+        batch = columnize(records)
+        splits = batch.even_slices(3) + [batch.slice(0, 0)]  # and an empty split
+        for split in splits:
+            for mapper, reference in (
+                (prog._map_aggregate, reference_map_aggregate),
+                (prog._map_propagate, reference_map_propagate),
+            ):
+                ctx = TaskContext(model=as_model(model) if as_table else model)
+                mapper(ctx, split)
+                expected = TaskContext()
+                reference(expected, model, split)
+                _assert_same_batch(ctx.collect(), expected.collect())
+
+    def test_scores_are_bit_identical(self):
+        # rank / outdeg, for ranks and degrees whose quotient rounds.
+        records = [(v, tuple(range(v % 7 + 1))) for v in range(40)]
+        prog = PageRankProgram()
+        model = {k: v / 3.0 for k, v in prog.initial_model(records).items()}
+        ctx, expected = TaskContext(model=model), TaskContext()
+        prog._map_propagate(ctx, columnize(records))
+        reference_map_propagate(expected, model, columnize(records))
+        got = [v.hex() for _k, v in ctx.output]
+        assert got == [v.hex() for _k, v in expected.output]
+
+    def test_missing_edge_score_is_a_key_error(self):
+        prog = PageRankProgram()
+        ctx = TaskContext(model={(PR, 0): 1.0})
+        with pytest.raises(KeyError):
+            prog._map_aggregate(ctx, columnize([(0, (1,))]))
+
+    def test_rank_vector_reads_ranks_only(self):
+        prog = PageRankProgram()
+        model = {(PR, 0): 0.5, (PR, 2): 1.5, (EDGE, 0, 2): 9.0}
+        for m in (model, as_model(model)):
+            assert prog.rank_vector(m, 3).tolist() == [0.5, 0.0, 1.5]

@@ -85,7 +85,11 @@ class TestTracePIC:
         be_phase, topoff_phase = result.phases
         assert be_phase.end == be_curve[-1][0]
         assert topoff_phase.end == topoff_curve[-1][0] == result.total_time
-        assert be_phase.model is result.best_effort.model
+        # ... and refers to the round's model table; the result hands
+        # back a plain dict of it.
+        assert be_phase.model is result.best_effort.stats[-1].model
+        assert be_phase.model == result.best_effort.model
+        assert type(result.best_effort.model) is type(result.model) is dict
         assert topoff_phase.verdict == result.topoff.traces[-1].verdict
 
     def test_tracing_does_not_change_outcome(self):

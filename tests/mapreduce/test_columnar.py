@@ -34,6 +34,7 @@ from repro.mapreduce.columnar import (
     group_batch,
     group_buckets,
     singleton_groups,
+    stack_rows,
 )
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import (
@@ -643,3 +644,19 @@ class TestPartitionStep:
         assert hashed.starts.tolist() == explicit.starts.tolist()
         _assert_same_groups(hashed, list(explicit))
 
+
+
+class TestStackRows:
+    def test_array_and_scalar_columns_hand_over_their_storage(self):
+        data = np.arange(6.0).reshape(3, 2)
+        assert stack_rows(ArrayColumn(data)) is data
+        ints = build_column([3, 1, 2])
+        assert stack_rows(ints) is ints.values
+
+    def test_object_rows_are_stacked(self):
+        column = build_column([[1.0, 2.0], [3.0, 4.0]])
+        assert isinstance(column, ObjectColumn)
+        assert np.array_equal(stack_rows(column), np.stack(column.rows()))
+
+    def test_no_rows_is_an_empty_array(self):
+        assert stack_rows(build_column([])).shape == (0,)

@@ -43,7 +43,7 @@ class TestTaskRetry:
         clean = runner.run(mean_spec(), dataset)
         _c2, runner2, dataset2 = make_env(self.runner_cls)
         flaky = runner2.run(mean_spec(), dataset2, failures={0: 1, 2: 2})
-        assert clean.output == flaky.output
+        assert clean.output.to_rows() == flaky.output.to_rows()
 
     def test_failures_counted(self):
         _c, runner, dataset = make_env(self.runner_cls)
@@ -67,7 +67,7 @@ class TestTaskRetry:
         result = runner.run(
             mean_spec(), dataset, failures={i: 5 for i in range(4)}
         )
-        assert result.output[0][1] == pytest.approx(19.5)
+        assert result.output.to_rows()[0][1] == pytest.approx(19.5)
 
 
 class TestTaskRetryOnYarn(TestTaskRetry):

@@ -74,7 +74,7 @@ class TestCorrectness:
         _c2, r2, d2 = make_env()
         a = r1.run(word_spec(), d1)
         b = r2.run(word_spec(), d2)
-        assert a.output == b.output
+        assert a.output.to_rows() == b.output.to_rows()
         assert a.duration == pytest.approx(b.duration)
 
     def test_batch_mapper_equivalent(self):
@@ -155,7 +155,7 @@ class TestOneCombinerCallPerMapAttempt:
         assert result.counters.get("combine_output_records") == 40
         # 40 words over 16 reducers: the one call did span buckets.
         assert len({stable_hash(f"word{i}") % 16 for i in range(40)}) > 1
-        assert dict(result.output) == {
+        assert dict(result.output.to_rows()) == {
             f"word{i}": 300 // 40 + (i < 300 % 40) for i in range(40)
         }
 
@@ -361,7 +361,7 @@ class TestConcurrentSubmission:
         handle = r2.submit(word_spec(), d2)
         r2.cluster.run()
         via_submit = handle.result()
-        assert via_run.output == via_submit.output
+        assert via_run.output.to_rows() == via_submit.output.to_rows()
         assert via_run.finished_at == via_submit.finished_at
         assert via_run.counters.as_dict() == via_submit.counters.as_dict()
 

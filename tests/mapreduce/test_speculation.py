@@ -79,7 +79,7 @@ class TestSpeculativeExecution:
         plain = runner_a.run(sum_spec(), dataset_a)
         runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls)
         spec = runner_b.run(sum_spec(), dataset_b, speculative=True)
-        assert plain.output == spec.output
+        assert plain.output.to_rows() == spec.output.to_rows()
 
     def test_backup_beats_straggler(self):
         """With one node 8x slower, a backup on a fast node should cut
@@ -95,7 +95,7 @@ class TestSpeculativeExecution:
         cluster = Cluster(num_nodes=4, nodes_per_rack=4)
         runner, dataset = make_env(cluster, self.runner_cls)
         result = runner.run(sum_spec(), dataset, speculative=True)
-        assert result.output[0][1] == pytest.approx(sum(range(4000)))
+        assert result.output.to_rows()[0][1] == pytest.approx(sum(range(4000)))
 
     def test_counters_track_losses(self):
         runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
@@ -120,7 +120,7 @@ class TestSpeculativeExecution:
         result = runner.run(
             sum_spec(), dataset, speculative=True, failures={1: 1}
         )
-        assert result.output[0][1] == pytest.approx(sum(range(4000)))
+        assert result.output.to_rows()[0][1] == pytest.approx(sum(range(4000)))
 
 
 class TestSpeculativeExecutionOnYarn(TestSpeculativeExecution):

@@ -9,6 +9,8 @@ produce the same merged model, the same per-round ``BEIterationStats``,
 and the same traffic-meter snapshot — bit for bit, not approximately.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from repro.pic.runner import PICRunner
 
 
 def _deep_equal(a, b) -> bool:
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        # A model is a dict at the edges and a table inside the loop.
+        return set(a) == set(b) and all(_deep_equal(a[k], b[k]) for k in a)
     if type(a) is not type(b):
         return False
     if isinstance(a, np.ndarray):
@@ -25,8 +30,6 @@ def _deep_equal(a, b) -> bool:
             and a.shape == b.shape
             and np.array_equal(a, b, equal_nan=True)
         )
-    if isinstance(a, dict):
-        return set(a) == set(b) and all(_deep_equal(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(_deep_equal(x, y) for x, y in zip(a, b))
     return a == b
