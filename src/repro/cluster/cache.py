@@ -16,7 +16,7 @@ Two operations reserve space:
   byte totals comparable to barrier-mode runs;
 * :meth:`NodeMemoryCache.pin` reserves the entry and protects it from
   eviction until the returned :class:`CachePin` is released.  Pins are
-  owned handles (``pic-lint`` tracks their lifecycle like shm blocks):
+  owned handles (``pic-lint`` tracks their lifecycle like open files):
   release exactly once, on every path.
 
 Counters (hits/misses/evictions) feed the per-iteration stats the

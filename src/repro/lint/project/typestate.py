@@ -39,8 +39,9 @@ Checks:
 
 Interprocedural facts come from a small fixpoint over the call graph
 (resolved call sites are reused from the alias analysis): a function
-may *return* a fresh resource (``_attach`` → the caller owns an shm
-mapping), *release* a parameter (``closer(f)`` counts as ``f.close()``)
+may *return* a fresh resource (a helper wrapping
+``SharedMemory(name=...)`` → the caller owns the mapping), *release* a
+parameter (``closer(f)`` counts as ``f.close()``)
 or *store* a parameter (ownership transfer — the caller stops
 tracking).  Passing a resource to any call without a release summary
 transfers ownership; the analysis prefers silence to false positives.
@@ -78,15 +79,12 @@ _ACQUIRER_TAILS = {
     # treat any .pin(...) as an acquisition.
     "CachePin": "cachepin",
     "pin": "cachepin",
-    # Host-side shm export cache: owns live blocks until released.
-    "BatchExportCache": "batchcache",
 }
 
 #: kind -> the release every instance must see before it goes dead.
 _REQUIRED_RELEASE = {
     "pool": frozenset({"shutdown"}),
     "cachepin": frozenset({"release"}),
-    "batchcache": frozenset({"release"}),
 }
 _DEFAULT_REQUIRED = frozenset({"close"})
 #: kind -> what a context manager's __exit__ performs.
@@ -96,7 +94,6 @@ _CM_RELEASE = {
     "mmap": "close",
     "pool": "shutdown",
     "cachepin": "release",
-    "batchcache": "release",
 }
 #: Every known release-method name (for parameter summaries).
 RELEASE_ANY = frozenset({"close", "unlink", "shutdown", "release"})
@@ -109,7 +106,6 @@ _KIND_NOUN = {
     "mmap": "mmap handle",
     "pool": "executor pool",
     "cachepin": "cache pin",
-    "batchcache": "batch export cache",
 }
 
 

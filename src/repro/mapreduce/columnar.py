@@ -202,16 +202,6 @@ class Column:
         (:func:`group_buckets` then orders the keys with ``sorted`` itself)."""
         return None
 
-    def backing_arrays(self) -> list[np.ndarray]:
-        """The numpy arrays holding this column's data (for shared
-        memory export); object storage has none."""
-        return []
-
-    def holds_objects(self) -> bool:
-        """True when values live as Python objects outside
-        :meth:`backing_arrays` (they may hold ndarrays of their own)."""
-        return False
-
 
 class ScalarColumn(Column):
     """int, float, or bool values with exact Python types.
@@ -270,9 +260,6 @@ class ScalarColumn(Column):
             return None
         return np.argsort(_radix_key(self.values), kind="stable")
 
-    def backing_arrays(self) -> list[np.ndarray]:
-        return [self.values]
-
 
 class StringColumn(Column):
     """ASCII strings in a numpy ``<U`` array.
@@ -316,9 +303,6 @@ class StringColumn(Column):
     def sort_order(self) -> np.ndarray | None:
         return np.argsort(self.values, kind="stable")
 
-    def backing_arrays(self) -> list[np.ndarray]:
-        return [self.values]
-
 
 class ArrayColumn(Column):
     """ndarray values of one dtype and shape, stacked into ``data``.
@@ -355,9 +339,6 @@ class ArrayColumn(Column):
 
     def stable_hashes(self) -> np.ndarray:
         raise TypeError("unhashable partition key type: ndarray")
-
-    def backing_arrays(self) -> list[np.ndarray]:
-        return [self.data]
 
 
 class TupleColumn(Column):
@@ -427,12 +408,6 @@ class TupleColumn(Column):
                 return None
         return np.lexsort(sort_keys)
 
-    def backing_arrays(self) -> list[np.ndarray]:
-        return [a for slot in self.slots for a in slot.backing_arrays()]
-
-    def holds_objects(self) -> bool:
-        return any(slot.holds_objects() for slot in self.slots)
-
 
 class ObjectColumn(Column):
     """Any Python objects, stored as-is: the kind every value fits."""
@@ -459,9 +434,6 @@ class ObjectColumn(Column):
 
     def nbytes_wire(self) -> int:
         return sum(sizeof_value(v) for v in self.values)
-
-    def holds_objects(self) -> bool:
-        return True
 
 
 # -- column construction -----------------------------------------------------
@@ -541,9 +513,7 @@ def stack_rows(column: Column) -> np.ndarray:
 class ColumnBatch:
     """A batch of ``(key, value)`` records in structure-of-arrays form."""
 
-    # __weakref__ lets the shm export cache key live handles to a batch
-    # without extending its lifetime (pickling ignores the slot).
-    __slots__ = ("keys", "values", "__weakref__")
+    __slots__ = ("keys", "values")
 
     def __init__(self, keys: Column, values: Column) -> None:
         if len(keys) != len(values):
@@ -607,14 +577,6 @@ class ColumnBatch:
             )
         hashes = self.keys.stable_hashes().astype(np.int64)
         return hashes % num_partitions
-
-    def backing_arrays(self) -> list[np.ndarray]:
-        """All numpy arrays backing both columns (shared-memory export)."""
-        return self.keys.backing_arrays() + self.values.backing_arrays()
-
-    def holds_objects(self) -> bool:
-        """True when either column stores values as Python objects."""
-        return self.keys.holds_objects() or self.values.holds_objects()
 
 
 #: What an ingest boundary accepts: a batch, or the rows to make one of.

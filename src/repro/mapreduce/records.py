@@ -108,7 +108,9 @@ class DistributedDataset:
     locality decisions see the same placement a Hadoop job would.
     """
 
-    def __init__(self, path: str, splits: list[Split], dfs: DistributedFileSystem):
+    def __init__(
+        self, path: str, splits: list[Split], dfs: DistributedFileSystem
+    ) -> None:
         if not splits:
             raise ValueError("a dataset needs at least one split")
         self.path = path

@@ -99,8 +99,8 @@ class ProcessPoolTaskExecutor(TaskExecutor):
 
     The pool gets one work item per contiguous chunk of payloads: a
     chunk is one pickle, so what its payloads share (program, job spec,
-    shm handle) crosses once, and a worker's tasks share those objects
-    exactly as in-process tasks do — ``fn`` must not mutate them.
+    a record batch) crosses once, and a worker's tasks share those
+    objects exactly as in-process tasks do — ``fn`` must not mutate them.
 
     Results come back in payload order.  If the function, a payload, or
     a result cannot cross the process boundary — or the pool dies — the
@@ -120,30 +120,18 @@ class ProcessPoolTaskExecutor(TaskExecutor):
     def map_or_none(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any] | None:
-        from repro.parallel.shm import release_batches, swap_out_batches
-
         payloads = list(payloads)
-        if len(payloads) < 2:
+        if len(payloads) < 2 or not self._picklable(fn, payloads[0]):
             return None
-        # Columnar record batches ride to the workers through shared
-        # memory, not the pool's pickle pipe; handles pickle in O(1).
-        # In pipelined mode loop-invariant batches keep their blocks
-        # alive across maps instead of re-exporting every iteration.
-        payloads, exported = swap_out_batches(payloads, cache=_export_cache())
         try:
-            if not self._picklable(fn, payloads[0]):
-                return None
-            try:
-                pool = _shared_pool(self.workers)
-                chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
-                return list(pool.map(fn, payloads, chunksize=chunksize))
-            except _FALLBACK_ERRORS:
-                return None
-            except BrokenExecutor:
-                _discard_pool(self.workers)
-                return None
-        finally:
-            release_batches(exported)
+            pool = _shared_pool(self.workers)
+            chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
+            return list(pool.map(fn, payloads, chunksize=chunksize))
+        except _FALLBACK_ERRORS:
+            return None
+        except BrokenExecutor:
+            _discard_pool(self.workers)
+            return None
 
     @staticmethod
     def _picklable(fn: Callable[[Any], Any], probe: Any) -> bool:
@@ -209,39 +197,3 @@ def shutdown_shared_pools() -> None:
 
 
 atexit.register(shutdown_shared_pools)
-
-
-# -- shared export cache -----------------------------------------------------
-
-_EXPORT_CACHE: Any | None = None
-
-
-def _export_cache() -> Any | None:
-    """Process-wide :class:`~repro.parallel.shm.BatchExportCache`, or
-    ``None`` when pipelined mode is off (``PIC_PIPELINE``)."""
-    from repro.mapreduce.pipeline import pipeline_enabled
-
-    if not pipeline_enabled():
-        return None
-    global _EXPORT_CACHE
-    if _EXPORT_CACHE is None:
-        from repro.parallel.shm import BatchExportCache
-
-        _EXPORT_CACHE = BatchExportCache()
-    return _EXPORT_CACHE
-
-
-def release_export_cache() -> None:
-    """Unlink every cached shm block (atexit hook; also handy in tests).
-
-    Resets the singleton so a later pipelined run starts a fresh cache
-    rather than hitting the released (terminal) one.
-    """
-    global _EXPORT_CACHE
-    cache = _EXPORT_CACHE
-    _EXPORT_CACHE = None
-    if cache is not None:
-        cache.release()
-
-
-atexit.register(release_export_cache)

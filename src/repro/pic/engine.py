@@ -105,7 +105,7 @@ class BestEffortEngine:
         optimized_baseline: bool = True,
         runner: JobRunner | None = None,
         dfs: DistributedFileSystem | None = None,
-        distributed_merge: bool | None = None,
+        distributed_merge: bool = False,
         speculative: bool = False,
         executor: TaskExecutor | None = None,
         pipeline: bool | None = None,
@@ -115,8 +115,6 @@ class BestEffortEngine:
             raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
         if be_max_iterations < 1:
             raise ValueError("be_max_iterations must be >= 1")
-        if distributed_merge is None:
-            distributed_merge = False  # opt-in; see the merge ablation bench
         if distributed_merge and not program.supports_distributed_merge:
             raise ValueError(
                 f"{type(program).__name__} does not define merge_element(); "
@@ -145,7 +143,7 @@ class BestEffortEngine:
             # Serial on purpose: a round's real work already went through
             # self.executor in _solve_subproblems(), and the job's mappers
             # are closures that replay those results — a pool could only
-            # export every split to shm and then fail on the closure.
+            # probe the closure, fail, and run the wave in-process anyway.
             runner = JobRunner(
                 cluster, self.dfs, executor=SerialExecutor(),
                 pipeline=pipeline, cache=cache,

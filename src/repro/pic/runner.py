@@ -83,7 +83,7 @@ class PICRunner:
         be_max_iterations: int = 20,
         max_iterations: int = 100,
         optimized_baseline: bool = True,
-        distributed_merge: bool | None = None,
+        distributed_merge: bool = False,
         speculative: bool = False,
         workers: int | None = None,
         pipeline: bool | None = None,

@@ -6,6 +6,7 @@ that, and then prove the rules would catch the most likely regressions
 by re-linting each real source file with a one-line seeded bug.
 """
 
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,16 @@ from repro.lint import lint_source
 from repro.lint.engine import run_lint
 from tests.lint.real_tree import REPO, real_tree_files
 
+CORPUS = REPO / "benchmarks/perf/ledger/corpus/src-repro-8464be0.tar.gz"
+
+
+def seeded(source: str, old: str, new: str) -> str:
+    assert old in source, f"mutation anchor vanished: {old!r}"
+    return source.replace(old, new, 1)
+
 
 def mutated(path: Path, old: str, new: str) -> str:
-    source = path.read_text(encoding="utf-8")
-    assert old in source, f"mutation anchor vanished from {path}: {old!r}"
-    return source.replace(old, new, 1)
+    return seeded(path.read_text(encoding="utf-8"), old, new)
 
 
 def project_rules(source: str) -> list[str]:
@@ -28,6 +34,40 @@ def project_rules(source: str) -> list[str]:
     return sorted(
         {f.rule for f in lint_source(source, path="app.py") if f.rule[3] in "34567"}
     )
+
+
+# The worker-side rebuild of the frozen shared-memory hand-off.
+_GUARDED_COPY = (
+    "    shm = _attach(name)\n"
+    "    try:\n"
+    "        buffers = [\n"
+    "            bytearray(shm.buf[offset : offset + size])\n"
+    "            for offset, size in segments\n"
+    "        ]\n"
+    "    finally:\n"
+    "        shm.close()"
+)
+_RELEASE_ONCE = "        _release_block(shm)\n        raise"
+_RELEASE_TWICE = "        _release_block(shm)\n" + _RELEASE_ONCE
+
+
+@pytest.fixture(scope="module")
+def frozen_shm() -> str:
+    """``repro/parallel/shm.py`` as the ledger's corpus froze it.
+
+    The live tree no longer holds a ``SharedMemory`` block anywhere (the
+    pool's one transport is pickle), so the lifecycle rules keep their
+    real-code regression on the last copy that did.  The corpus seeds a
+    doubled release into it; that is undone here, and each test below
+    seeds one defect into the clean text.
+    """
+    with tarfile.open(CORPUS) as tar:
+        member = tar.extractfile("repro/parallel/shm.py")
+        assert member is not None
+        source = member.read().decode("utf-8")
+    source = seeded(source, _RELEASE_TWICE, _RELEASE_ONCE)
+    assert not {"PIC501", "PIC502", "PIC503"} & set(project_rules(source))
+    return source
 
 
 class TestRealTreeIsClean:
@@ -96,19 +136,12 @@ class TestSeededRegressions:
         )
         assert "PIC402" in project_rules(source)
 
-    def test_shm_rebuild_without_close_guard_is_caught(self):
+    def test_shm_rebuild_without_close_guard_is_caught(self, frozen_shm):
         # Dropping the try/finally around the worker-side copy leaks
         # the mapping whenever a segment copy raises.
-        source = mutated(
-            REPO / "src/repro/parallel/shm.py",
-            "    shm = _attach(name)\n"
-            "    try:\n"
-            "        buffers = [\n"
-            "            bytearray(shm.buf[offset : offset + size])\n"
-            "            for offset, size in segments\n"
-            "        ]\n"
-            "    finally:\n"
-            "        shm.close()",
+        source = seeded(
+            frozen_shm,
+            _GUARDED_COPY,
             "    shm = _attach(name)\n"
             "    buffers = [\n"
             "        bytearray(shm.buf[offset : offset + size])\n"
@@ -118,30 +151,17 @@ class TestSeededRegressions:
         )
         assert "PIC501" in project_rules(source)
 
-    def test_double_cleanup_on_error_path_is_caught(self):
+    def test_double_cleanup_on_error_path_is_caught(self, frozen_shm):
         # Releasing the block twice in export_batch's error path: the
         # second close/unlink pair is certainly redundant.
-        source = mutated(
-            REPO / "src/repro/parallel/shm.py",
-            "        _release_block(shm)\n        raise",
-            "        _release_block(shm)\n"
-            "        _release_block(shm)\n"
-            "        raise",
-        )
+        source = seeded(frozen_shm, _RELEASE_ONCE, _RELEASE_TWICE)
         assert "PIC502" in project_rules(source)
 
-    def test_reading_the_mapping_after_close_is_caught(self):
+    def test_reading_the_mapping_after_close_is_caught(self, frozen_shm):
         # Closing before the copy reads freed shared memory.
-        source = mutated(
-            REPO / "src/repro/parallel/shm.py",
-            "    shm = _attach(name)\n"
-            "    try:\n"
-            "        buffers = [\n"
-            "            bytearray(shm.buf[offset : offset + size])\n"
-            "            for offset, size in segments\n"
-            "        ]\n"
-            "    finally:\n"
-            "        shm.close()",
+        source = seeded(
+            frozen_shm,
+            _GUARDED_COPY,
             "    shm = _attach(name)\n"
             "    shm.close()\n"
             "    buffers = [\n"

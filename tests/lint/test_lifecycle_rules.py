@@ -178,9 +178,8 @@ class TestResourceLeak:
 
 
 class TestCacheHandles:
-    """The loop-aware cache types follow the same protocol: ``pin``
-    hands back a CachePin and BatchExportCache() owns shm blocks —
-    both must see ``release()`` on every path."""
+    """The node-memory cache follows the same protocol: ``pin`` hands
+    back a CachePin, which must see ``release()`` on every path."""
 
     def test_cache_pin_never_released(self):
         assert rules_found(
@@ -224,31 +223,6 @@ class TestCacheHandles:
                     with self.cache.pin(split, nbytes):
                         fill(split)
                         self.cache.put(split, nbytes)
-            """
-        ) == []
-
-    def test_export_cache_never_released(self):
-        assert rules_found(
-            """
-            from repro.parallel.shm import BatchExportCache
-
-            def fan_out(batches):
-                cache = BatchExportCache()
-                return [cache.lease(batch) for batch in batches]
-            """
-        ) == ["PIC501"]
-
-    def test_export_cache_released_in_finally_is_clean(self):
-        assert rules_found(
-            """
-            from repro.parallel.shm import BatchExportCache
-
-            def fan_out(batches):
-                cache = BatchExportCache()
-                try:
-                    return [cache.lease(batch) for batch in batches]
-                finally:
-                    cache.release()
             """
         ) == []
 

@@ -3,8 +3,17 @@
 import os
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.mapreduce.columnar import (
+    ArrayColumn,
+    ColumnBatch,
+    ObjectColumn,
+    ScalarColumn,
+    StringColumn,
+    TupleColumn,
+)
 from repro.parallel import (
     ProcessPoolTaskExecutor,
     SerialExecutor,
@@ -35,6 +44,39 @@ def _raise_at_five(x):
 
 def _die(x):
     os._exit(1)
+
+
+def _rows_of(payload):
+    """What a task sees of its batch: column kind, then every row with
+    its type (ndarrays as dtype + nested list, so ``==`` compares them)."""
+    index, batch = payload
+    rows = [
+        (k, (v.dtype.str, v.tolist()) if isinstance(v, np.ndarray) else (type(v), v))
+        for k, v in batch.to_rows()
+    ]
+    return index, type(batch.values), rows
+
+
+def _raise_on_batch_two(payload):
+    index, batch = payload
+    if index == 2:
+        raise ValueError("batch task two failed")
+    return len(batch)
+
+
+# One value maker per column kind ``build_column`` can choose.
+_VALUE_OF = {
+    ScalarColumn: float,
+    StringColumn: "v{}".format,
+    ArrayColumn: lambda i: np.full(4, i, dtype=np.float64),
+    TupleColumn: lambda i: (i, float(i)),
+    ObjectColumn: lambda i: {"i": i},
+}
+_VIEW_OF = {
+    "whole": lambda batch: batch,
+    "slice": lambda batch: batch.slice(1, len(batch) - 1),
+    "take": lambda batch: batch.take(np.arange(len(batch) - 1, -1, -2)),
+}
 
 
 # Parent-side: ``__reduce__`` runs in the process that pickles.
@@ -197,6 +239,33 @@ class TestChunkedDispatch:
         assert ex.map_or_none(_die, list(range(16))) is None
         assert 2 not in executor_mod._POOLS
         assert ex.map_or_none(_square, [1, 2, 3]) == [1, 4, 9]  # fresh pool
+
+
+class TestBatchPayloads:
+    """Record batches cross to the workers inside the chunk's pickle."""
+
+    @pytest.mark.parametrize("rows", [4, 20_000], ids=["tiny", "big"])  # big: > 64 KiB
+    @pytest.mark.parametrize("view", list(_VIEW_OF))
+    @pytest.mark.parametrize(
+        "kind", list(_VALUE_OF), ids=lambda kind: kind.__name__[: -len("Column")].lower()
+    )
+    def test_batches_arrive_row_for_row(self, kind, view, rows):
+        payloads = []
+        for index in range(4):
+            batch = ColumnBatch.from_rows(
+                [(i, _VALUE_OF[kind](i)) for i in range(rows + index)]
+            )
+            assert type(batch.values) is kind
+            payloads.append((index, _VIEW_OF[view](batch)))
+        assert (len(pickle.dumps(payloads[0])) >= 64 * 1024) == (rows > 4)
+        results = get_executor(2).map_or_none(_rows_of, payloads)
+        assert results == SerialExecutor().map(_rows_of, payloads)
+
+    def test_task_exception_mid_map_propagates(self):
+        batch = ColumnBatch.from_rows([(i, float(i)) for i in range(20_000)])
+        payloads = [(i, batch.slice(i, len(batch))) for i in range(8)]
+        with pytest.raises(ValueError, match="batch task two failed"):
+            get_executor(2).map(_raise_on_batch_two, payloads)
 
 
 class TestProbeCache:

@@ -19,14 +19,26 @@ checks that bit-rot fastest during refactors are scripted here with
   ``tests/``, ``benchmarks/`` or ``examples/``: what moving a helper
   leaves behind.  Any mention of the word counts as a use, so a
   monkeypatch target spelled in a string does too.
+* **import order** (ruff I001 as ``[tool.ruff.lint.isort]`` sets it) —
+  within each run of import statements: ``__future__``, standard
+  library, third party, first party (``repro``/``benchmarks``/``tests``),
+  relative; a blank line between sections and none inside one; plain
+  ``import`` before ``from`` within a section, each sorted by module.
+  ``__init__.py`` files are exempt, as in pyproject.toml.
+* **complete annotations** (mypy's ``disallow_untyped_defs`` +
+  ``disallow_incomplete_defs``) — every ``def`` under the packages
+  pyproject.toml puts under strict mypy annotates each parameter but
+  ``self``/``cls``, and its return.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -36,6 +48,10 @@ MODULES = sorted(SRC.rglob("*.py"))
 
 Scope = ast.Module | ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: ``known-first-party`` of ``[tool.ruff.lint.isort]``.
+FIRST_PARTY = {"repro", "benchmarks", "tests"}
+#: Packages with ``disallow_untyped_defs`` in ``[[tool.mypy.overrides]]``.
+STRICT_PACKAGES = ("util", "parallel", "cluster", "pic", "mapreduce", "yarn")
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -166,6 +182,98 @@ def private_names(tree: ast.Module) -> list[tuple[int, str]]:
     ]
 
 
+def _import_key(node: ast.Import | ast.ImportFrom) -> tuple[int, bool, str]:
+    """(section, ``from`` after ``import``, module) — isort's order."""
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+    else:
+        module = node.names[0].name
+    top = module.split(".")[0]
+    section = (
+        0 if module == "__future__"
+        else 4 if not top
+        else 1 if top in sys.stdlib_module_names
+        else 3 if top in FIRST_PARTY
+        else 2
+    )
+    return section, isinstance(node, ast.ImportFrom), module.lower()
+
+
+def misordered_imports(source: str) -> list[tuple[int, str]]:
+    """(line, what) for every import statement out of isort's order
+    within its run of consecutive import statements."""
+    lines = source.splitlines()
+    found: list[tuple[int, str]] = []
+    for scope in ast.walk(ast.parse(source)):
+        for field in ("body", "orelse", "finalbody"):
+            body = getattr(scope, field, None)
+            if not isinstance(body, list):
+                continue
+            for prev, node in zip(body, body[1:]):
+                if not (
+                    isinstance(prev, (ast.Import, ast.ImportFrom))
+                    and isinstance(node, (ast.Import, ast.ImportFrom))
+                ):
+                    continue
+                before, after = _import_key(prev), _import_key(node)
+                # Comment lines between two imports belong to the second.
+                gap = not all(lines[prev.end_lineno or prev.lineno : node.lineno - 1])
+                if after < before:
+                    found.append((node.lineno, f"{after[2]!r} sorts before {before[2]!r}"))
+                elif gap != (after[0] != before[0]):
+                    found.append((node.lineno, "one blank line between sections, none inside"))
+    return found
+
+
+def incomplete_defs(source: str) -> list[tuple[int, str]]:
+    """(line, what) for every ``def`` with an unannotated parameter
+    (``self``/``cls`` of a method aside) or no return annotation."""
+    found: list[tuple[int, str]] = []
+    for owner in ast.walk(ast.parse(source)):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            spec = node.args
+            params = spec.posonlyargs + spec.args
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            )
+            if isinstance(owner, ast.ClassDef) and not static:
+                params = params[1:]
+            params += spec.kwonlyargs + [a for a in (spec.vararg, spec.kwarg) if a]
+            found += [
+                (node.lineno, f"{node.name}({p.arg}) has no annotation")
+                for p in params
+                if p.annotation is None
+            ]
+            if node.returns is None:
+                found.append((node.lineno, f"{node.name} has no return annotation"))
+    return found
+
+
+def _offenders(
+    check: Callable[[str], list[tuple[int, str]]], modules: list[Path]
+) -> list[str]:
+    return [
+        f"{path.relative_to(SRC)}:{line} {what}"
+        for path in modules
+        for line, what in check(path.read_text())
+    ]
+
+
+def test_import_blocks_follow_isort_sections() -> None:
+    modules = [path for path in MODULES if path.name != "__init__.py"]
+    assert not _offenders(misordered_imports, modules)
+
+
+def test_strict_packages_annotate_every_def() -> None:
+    modules = [
+        path for path in MODULES if path.relative_to(SRC).parts[0] in STRICT_PACKAGES
+    ]
+    assert not _offenders(incomplete_defs, modules)
+
+
 def test_private_module_names_are_mentioned_somewhere_else() -> None:
     mentions: Counter[str] = Counter()
     for tree in ("src", "tests", "benchmarks", "examples"):
@@ -234,3 +342,29 @@ class TestTheCheckItself:
             "def _f():\n    _local = 1\nclass _C:\n    _attr = 1\n"
         )
         assert [name for _line, name in private_names(tree)] == ["_A", "_f", "_C"]
+
+    def test_import_order_sections_gaps_and_modules(self) -> None:
+        clean = (
+            "from __future__ import annotations\n\nimport os\nfrom typing import Any\n\n"
+            "import numpy as np\n\n# why this one is a leaf import\nfrom repro.a import b\n"
+            "from repro.c import (\n    d,\n)\n\nfrom . import e\n"
+            "def f():\n    from repro.z import y\n    import os\n"
+        )
+        assert [line for line, _what in misordered_imports(clean)] == [17]
+        messy = "import numpy\nimport os\n\nimport ast\nfrom repro.b import x\nimport repro.a\n"
+        assert [line for line, _what in misordered_imports(messy)] == [2, 4, 5, 6]
+
+    def test_unannotated_parameters_and_returns(self) -> None:
+        found = incomplete_defs(
+            "def f(a, b: int = 0, *args, **kw: int) -> None: ...\n"
+            "class C:\n"
+            "    def __init__(self, x: int): ...\n"
+            "    @staticmethod\n"
+            "    def s(x) -> None:\n"
+            "        def inner(self) -> int: ...\n"
+            "    @classmethod\n"
+            "    def c(cls, *, k: int) -> None: ...\n"
+        )
+        assert [what.split(" has")[0] for _line, what in found] == [
+            "f(a)", "f(args)", "__init__", "s(x)", "inner(self)",
+        ]
