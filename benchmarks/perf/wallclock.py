@@ -511,7 +511,8 @@ def bench_iterative_cache_hot(cfg) -> Callable[[], None]:
 
 
 def bench_shuffle(cfg) -> Callable[[], None]:
-    """The shuffle hot path in isolation: partition + bucket + size.
+    """The map side of the shuffle in isolation: partition ids, counts
+    and the wire size of every bucket, as a map task sizes its output.
 
     Records mirror k-means map output (int key, (vector, count) value).
     """
@@ -524,15 +525,9 @@ def bench_shuffle(cfg) -> Callable[[], None]:
     num_buckets = 8
 
     def run() -> None:
-        pids = batch.partition_ids(num_buckets)
-        order = np.argsort(pids, kind="stable")
-        in_order = batch.take(order)
+        pids = batch.partition_ids(num_buckets).astype(np.uint8)
         counts = np.bincount(pids, minlength=num_buckets)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        total = sum(
-            in_order.slice(int(bounds[p]), int(bounds[p + 1])).nbytes_wire()
-            for p in range(num_buckets)
-        )
+        total = sum(batch.bucket_nbytes(pids, counts))
         assert total > 0
 
     return run

@@ -31,11 +31,14 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
   :func:`group_buckets`, which groups a map output by (reduce
   partition, key) — ``group_by_key`` bucket by bucket, in one pass.
 * **Sizing** — ``nbytes_wire`` computes, per column, exactly the sum of
-  :func:`repro.util.sizing.sizeof_record` over the materialized rows.
+  :func:`repro.util.sizing.sizeof_record` over the materialized rows;
+  ``row_nbytes`` is each row's share, so shuffle buckets are sized
+  without being cut out of their batch.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
@@ -186,6 +189,13 @@ class Column:
         """Serialized size under the rules of :mod:`repro.util.sizing`."""
         raise NotImplementedError
 
+    def row_nbytes(self) -> int | np.ndarray:
+        """Each row's share of :meth:`nbytes_wire`: one int when every
+        row has the same size (the fixed-width kinds, no per-row array),
+        else one int64 per row.  Over any range of rows it sums to that
+        range's ``slice(...).nbytes_wire()``."""
+        raise NotImplementedError
+
     def stable_hashes(self) -> np.ndarray:
         """``stable_hash`` of every value, vectorized where the layout
         allows and via the scalar function otherwise."""
@@ -240,8 +250,10 @@ class ScalarColumn(Column):
         return ScalarColumn(self.kind, self.values[start:stop])
 
     def nbytes_wire(self) -> int:
-        per = 1 if self.kind == "bool" else 8
-        return per * len(self.values)
+        return self.row_nbytes() * len(self.values)
+
+    def row_nbytes(self) -> int:
+        return 1 if self.kind == "bool" else 8
 
     def stable_hashes(self) -> np.ndarray:
         if self.kind == "int":
@@ -296,6 +308,9 @@ class StringColumn(Column):
         lengths = np.char.str_len(self.values)
         return int(lengths.sum()) + STR_HEADER * len(self.values)
 
+    def row_nbytes(self) -> np.ndarray:
+        return np.char.str_len(self.values).astype(np.int64) + STR_HEADER
+
     def stable_hashes(self) -> np.ndarray:
         data = [s.encode("utf-8") for s in self.values.tolist()]
         return _hash_str_rows(data, b"s")
@@ -336,6 +351,9 @@ class ArrayColumn(Column):
 
     def nbytes_wire(self) -> int:
         return int(self.data.nbytes) + ARRAY_HEADER * len(self.data)
+
+    def row_nbytes(self) -> int:
+        return self.data.itemsize * math.prod(self.data.shape[1:]) + ARRAY_HEADER
 
     def stable_hashes(self) -> np.ndarray:
         raise TypeError("unhashable partition key type: ndarray")
@@ -382,6 +400,9 @@ class TupleColumn(Column):
         return SEQ_HEADER * self.length + sum(
             slot.nbytes_wire() for slot in self.slots
         )
+
+    def row_nbytes(self) -> int | np.ndarray:
+        return sum((slot.row_nbytes() for slot in self.slots), SEQ_HEADER)
 
     def stable_hashes(self) -> np.ndarray:
         # Scalar packing: b"t" + b"|".join(item_hash.to_bytes(8, "little")).
@@ -434,6 +455,11 @@ class ObjectColumn(Column):
 
     def nbytes_wire(self) -> int:
         return sum(sizeof_value(v) for v in self.values)
+
+    def row_nbytes(self) -> np.ndarray:
+        return np.fromiter(
+            map(sizeof_value, self.values), dtype=np.int64, count=len(self.values)
+        )
 
 
 # -- column construction -----------------------------------------------------
@@ -569,6 +595,22 @@ class ColumnBatch:
         """Total wire size; equals ``sizeof_records(self.to_rows())``."""
         return self.keys.nbytes_wire() + self.values.nbytes_wire()
 
+    def row_nbytes(self) -> int | np.ndarray:
+        """Each record's wire size, as :meth:`Column.row_nbytes`."""
+        return self.keys.row_nbytes() + self.values.row_nbytes()
+
+    def bucket_nbytes(self, bucket_ids: np.ndarray, counts: np.ndarray) -> list[int]:
+        """``nbytes_wire`` of each bucket, bucket ``p`` holding the
+        ``counts[p]`` records whose id in ``bucket_ids`` is ``p``: count
+        × record size when that is fixed, else one weighted bincount of
+        :meth:`row_nbytes` (whole byte counts summed in float64, exact
+        below 2**53)."""
+        sizes = self.row_nbytes()
+        if isinstance(sizes, int):
+            return (counts * sizes).tolist()
+        sums = np.bincount(bucket_ids, weights=sizes, minlength=len(counts))
+        return sums.astype(np.int64).tolist()
+
     def partition_ids(self, num_partitions: int) -> np.ndarray:
         """``stable_hash(key) % num_partitions`` for every row, batched."""
         if num_partitions <= 0:
@@ -641,6 +683,73 @@ def _concat_columns(cols: list[Column]) -> Column:
     return ObjectColumn([v for c in cols for v in c.rows()])
 
 
+def _kind(column: Column) -> tuple[Any, ...]:
+    """What :func:`_concat_columns` needs equal across columns to keep
+    them typed: scalar type, array dtype and row shape, tuple arity and
+    slot kinds (a string column's width is promoted, not compared)."""
+    if isinstance(column, ScalarColumn):
+        return ("scalar", column.kind)
+    if isinstance(column, StringColumn):
+        return ("str",)
+    if isinstance(column, ArrayColumn):
+        return ("array", column.data.dtype, column.data.shape[1:])
+    if isinstance(column, TupleColumn):
+        return ("tuple", *map(_kind, column.slots))
+    return ("object",)
+
+
+def bucket_kinds(
+    batches: Sequence[ColumnBatch],
+    bucket_ids: Sequence[np.ndarray],
+    num_buckets: int,
+) -> list[ColumnBatch] | None:
+    """The column kinds of each bucket of a shuffle, when they can differ
+    from those of the batches' concatenation.
+
+    Bucket ``p`` gathers the records of every ``batches[m]`` whose id in
+    ``bucket_ids[m]`` is ``p``; its own pieces concatenate to the kinds
+    of the zero-row batch returned for it.  ``None`` when the non-empty
+    batches agree on their kinds: every non-empty bucket then has the
+    kinds their concatenation has.
+    """
+    kinds = {(_kind(b.keys), _kind(b.values)) for b in batches if len(b)}
+    if len(kinds) <= 1:
+        return None
+    empty = [b.slice(0, 0) for b in batches]
+    fed = [np.bincount(ids, minlength=num_buckets) > 0 for ids in bucket_ids]
+    likes = []
+    for p in range(num_buckets):
+        pieces = [e for e, feeds in zip(empty, fed) if feeds[p]]
+        likes.append(ColumnBatch(
+            _concat_columns([e.keys for e in pieces]),
+            _concat_columns([e.values for e in pieces]),
+        ))
+    return likes
+
+
+def _as_kind(column: Column, like: Column) -> Column:
+    """``column``'s rows in the kind of ``like``, a kind that holds them
+    (built from the rows only when the kinds differ)."""
+    if _kind(column) == _kind(like):
+        return column
+    return _column_of(column.rows(), like)
+
+
+def _column_of(rows: list[Any], like: Column) -> Column:
+    if isinstance(like, ScalarColumn):
+        return ScalarColumn(like.kind, np.array(rows, dtype=like.values.dtype))
+    if isinstance(like, StringColumn):
+        return StringColumn(np.array(rows, dtype=like.values.dtype))
+    if isinstance(like, ArrayColumn):
+        return ArrayColumn(np.stack(rows))
+    if isinstance(like, TupleColumn):
+        return TupleColumn(
+            tuple(_column_of(list(v), s) for v, s in zip(zip(*rows), like.slots)),
+            length=len(rows),
+        )
+    return ObjectColumn(rows)
+
+
 # -- grouping ----------------------------------------------------------------
 
 
@@ -669,6 +778,30 @@ class GroupedBatch:
     def unique_keys(self) -> Column:
         """One key per group, in group order."""
         return self.sorted_keys.take(self.starts)
+
+    def groups(self, first: int, stop: int) -> "GroupedBatch":
+        """Groups ``first`` up to ``stop`` as a grouping of their own,
+        over views of the sorted columns.  No groups hold no records,
+        and an empty batch carries no kind: the empty cut is what
+        grouping an empty batch gives, object columns."""
+        if first == stop:
+            return GroupedBatch(
+                ObjectColumn([]), ObjectColumn([]), np.empty(0, dtype=np.int64)
+            )
+        lo, hi = int(self.starts[first]), int(self.ends[stop - 1])
+        return GroupedBatch(
+            self.sorted_keys.slice(lo, hi),
+            self.sorted_values.slice(lo, hi),
+            self.starts[first:stop] - lo,
+        )
+
+    def as_kinds(self, like: ColumnBatch) -> "GroupedBatch":
+        """The same groups with columns of the kinds of ``like``'s."""
+        return GroupedBatch(
+            _as_kind(self.sorted_keys, like.keys),
+            _as_kind(self.sorted_values, like.values),
+            self.starts,
+        )
 
     def __iter__(self) -> Iterator[tuple[Any, list[Any]]]:
         # Rows are materialized per column, once, not per group.

@@ -14,8 +14,13 @@ Task lifecycle (all on the simulated clock):
   exactly the all-to-all pattern that stresses the bisection.
 * **reduce task** — wait until every map's bucket for this partition has
   arrived and a reduce slot on its node frees; charge merge-sort +
-  reduce compute; run the *real* reducer; write the output to the DFS
-  with the job's replication (``model_update`` traffic by default).
+  reduce compute; run the *real* reducer over the partition's groups;
+  write the output to the DFS with the job's replication
+  (``model_update`` traffic by default).
+
+On the host a map output stays one batch, each record tagged with its
+partition; the first reduce task groups every map output by (partition,
+key) in one pass and each reducer takes its partition's run of groups.
 
 Byte volumes are measured from the actual records; Hadoop-style counters
 record them for the benchmark harness.
@@ -35,8 +40,9 @@ from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
 from repro.mapreduce.columnar import (
     ColumnBatch,
+    GroupedBatch,
+    bucket_kinds,
     concat_batches,
-    group_batch,
     group_buckets,
 )
 from repro.mapreduce.job import Counters, JobResult, JobSpec, TaskContext
@@ -362,16 +368,17 @@ class _JobState:
             p % self.cluster.num_nodes for p in range(self.num_reducers)
         ]
         self._model_on_node: set[int] = set(self.model_locations)
-        # partition -> (map index, bucket) per arrived bucket.
-        # Reduce input is consumed in map-index order regardless of
-        # shuffle completion order, so the model — float for float —
-        # never depends on network timing.  This is what lets barrier
-        # and pipelined runs produce bit-identical results despite
-        # their different flow schedules.
-        self._buckets: dict[int, list[tuple[int, ColumnBatch]]] = {
-            p: [] for p in range(self.num_reducers)
-        }
+        # split index -> (output, partition id per record) of each
+        # finished map, until the first reduce task groups them all
+        # (:meth:`_reduce_input`).
+        self._map_outputs: dict[int, tuple[ColumnBatch, np.ndarray]] = {}
+        # That grouping, its group bounds per partition, and each
+        # partition's own column kinds where they can differ; dropped
+        # once every reducer has taken its groups.
+        self._shuffle: tuple[GroupedBatch, list[int], list[ColumnBatch] | None] | None = None
+        self._reducers_fed = 0
         self._bucket_arrivals = {p: 0 for p in range(self.num_reducers)}
+        self._bucket_records = {p: 0 for p in range(self.num_reducers)}
         # Pipelined mode: simulated time at which each partition's
         # fetcher-side incremental merge of already-arrived buckets
         # finishes (a per-reduce-node work-conserving chain).
@@ -588,8 +595,8 @@ class _JobState:
 
     def _map_execute(self, attempt: dict, ctx: TaskContext) -> None:
         output = ctx.collect()
-        buckets, counts = self._partition(output)
-        bucket_bytes = [bucket.nbytes_wire() for bucket in buckets]
+        batch, pids, counts = self._partition(output)
+        bucket_bytes = batch.bucket_nbytes(pids, counts)
         # Without a combiner the buckets are exactly the raw output
         # re-partitioned, so one sizing pass covers both totals.
         raw_bytes = (
@@ -601,20 +608,24 @@ class _JobState:
             attempt,
             sum(bucket_bytes) / disk,
             lambda: self._map_finish(
-                attempt, buckets, bucket_bytes, len(output), raw_bytes,
-                int(counts.sum()),
+                attempt, batch, pids, counts.tolist(), bucket_bytes,
+                len(output), raw_bytes,
             ),
         )
 
-    def _partition(self, batch: ColumnBatch) -> tuple[list[ColumnBatch], np.ndarray]:
-        """Partition (and combine) one map task's output into one bucket
-        per reducer, returned with the buckets' record counts: one
-        partition id per record — the batched
-        ``stable_hash``, or the job's own ``partitioner`` per key — then
-        either a bucket scatter via one stable argsort, so emission
-        order survives inside each bucket, or, with a combiner, one
-        grouping by (partition id, key) and one combiner call over all
-        the buckets' groups."""
+    def _partition(
+        self, batch: ColumnBatch
+    ) -> tuple[ColumnBatch, np.ndarray, np.ndarray]:
+        """Partition (and combine) one map task's output: the records
+        that travel, each one's partition id, and the record count per
+        partition.  The ids are the batched ``stable_hash``, or the
+        job's own ``partitioner`` per key.  Without a combiner the
+        output travels as emitted; with one, it is grouped by
+        (partition id, key) and the combiner runs once over all the
+        partitions' groups, leaving one record per group, partition
+        after partition.  Ids come back in the narrowest unsigned type
+        that holds them (uint8 up to 256 reducers), which the reduce-side
+        grouping's stable argsort sorts by radix."""
         if self.spec.partitioner is hash_partitioner:
             # With a combiner and several reducers the grouping hashes
             # the keys itself, once per distinct key where it can.
@@ -635,21 +646,16 @@ class _JobState:
                         f"range({self.num_reducers})"
                     )
                 pids[i] = p
+        id_type = np.min_scalar_type(self.num_reducers - 1)
         if self.spec.combiner is None:
             assert pids is not None
-            sorted_batch = batch.take(np.argsort(pids, kind="stable"))
             counts = np.bincount(pids, minlength=self.num_reducers)
-        else:
-            # One record per group, bucket after bucket: a bucket's
-            # share of the combined batch is its number of groups.
-            grouped, counts = group_buckets(batch, pids, self.num_reducers)
-            sorted_batch = self.spec.run_combiner(grouped)
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        empty = sorted_batch.slice(0, 0)  # one object for every empty bucket
-        buckets = [empty] * self.num_reducers
-        for p in np.flatnonzero(counts).tolist():
-            buckets[p] = sorted_batch.slice(bounds[p], bounds[p + 1])
-        return buckets, counts
+            return batch, pids.astype(id_type), counts
+        # One record per group, partition after partition: a
+        # partition's share of the combined batch is its number of groups.
+        grouped, counts = group_buckets(batch, pids, self.num_reducers)
+        pids = np.repeat(np.arange(self.num_reducers, dtype=id_type), counts)
+        return self.spec.run_combiner(grouped), pids, counts
 
     def _map_attempt_failed(self, attempt: dict) -> None:
         split_index = attempt["split"]
@@ -666,11 +672,12 @@ class _JobState:
     def _map_finish(
         self,
         attempt: dict,
-        buckets: list[ColumnBatch],
+        output: ColumnBatch,
+        pids: np.ndarray,
+        counts: list[int],
         bucket_bytes: list[int],
         raw_records: int,
         raw_bytes: int,
-        combined_records: int,
     ) -> None:
         split_index = attempt["split"]
         node_id = attempt["node"]
@@ -685,7 +692,8 @@ class _JobState:
         self.counters.add("map_output_records", raw_records)
         self.map_output_bytes_raw += raw_bytes
         self.counters.add("map_output_bytes", raw_bytes)
-        self.counters.add("combine_output_records", combined_records)
+        self.counters.add("combine_output_records", sum(counts))
+        self._map_outputs[split_index] = (output, pids)
         self.runner.map_scheduler.release(node_id, app_id=self.job_index)
         self._maybe_speculate()
         # One bulk call for the whole fan-out: the map wave's shuffle
@@ -696,7 +704,7 @@ class _JobState:
             requests.append((
                 node_id, self.reduce_node[p], bucket_bytes[p],
                 TrafficCategory.SHUFFLE,
-                self._make_bucket_arrival(p, split_index, buckets[p]),
+                self._make_bucket_arrival(p, counts[p]),
             ))
         self.cluster.transfer_batch(requests)
 
@@ -733,18 +741,18 @@ class _JobState:
                 )
 
     def _make_bucket_arrival(
-        self, partition: int, split_index: int, recs: ColumnBatch
+        self, partition: int, records: int
     ) -> Callable[..., None]:
         def on_arrival(_flow: Any = None) -> None:
-            self._buckets[partition].append((split_index, recs))
             self._bucket_arrivals[partition] += 1
+            self._bucket_records[partition] += records
             if self.pipeline:
                 # Merge the bucket as it lands (fetcher-side merge
                 # thread): the chain is work-conserving per partition,
                 # so the final task only pays whatever merge tail is
                 # still outstanding when its slot frees.
                 node = self.reduce_node[partition]
-                merge = self.spec.costs.reduce_merge_compute(len(recs))
+                merge = self.spec.costs.reduce_merge_compute(records)
                 ready = max(self._merge_ready[partition], self.cluster.now)
                 self._merge_ready[partition] = (
                     ready + self.cluster.compute_time(node, merge)
@@ -772,13 +780,7 @@ class _JobState:
         self._reduce_waiting.remove(partition)
         node = self.reduce_node[partition]
         self._reduce_started[partition] = True
-        # Canonical merge order: by map index, like the sorted runs of
-        # a merge sort — arrival timing must not leak into float
-        # summation order, or barrier and pipelined models would drift
-        # apart in the last ulp.
-        stored = sorted(self._buckets[partition], key=lambda item: item[0])
-        pieces = [recs for _split_index, recs in stored]
-        num_records = sum(len(piece) for piece in pieces)
+        num_records = self._bucket_records[partition]
         if self.pipeline:
             # The merge already ran incrementally as buckets arrived;
             # pay only its unfinished tail plus the reduce function.
@@ -791,19 +793,50 @@ class _JobState:
             compute += self.spec.costs.task_overhead_seconds
             delay = self.cluster.compute_time(node, compute)
         self.cluster.sim.schedule(
-            delay, lambda: self._reduce_execute(partition, node, pieces)
+            delay, lambda: self._reduce_execute(partition, node)
         )
 
-    def _reduce_execute(
-        self, partition: int, node_id: int, pieces: list[ColumnBatch]
-    ) -> None:
+    def _reduce_input(self, partition: int) -> GroupedBatch:
+        """The partition's groups, cut from one grouping of every map
+        output by (partition, key), built by the job's first reduce task.
+
+        Canonical merge order: the outputs are concatenated by map
+        index, like the sorted runs of a merge sort — arrival timing
+        must not leak into float summation order, or barrier and
+        pipelined models would drift apart in the last ulp.  Inside a
+        partition ``group_buckets`` yields ``group_by_key`` over the
+        partition's records in that order: the groups, group order and
+        value order of grouping the partition's buckets concatenated by
+        map index on their own.  Where the map outputs disagree on
+        column kinds, each partition gets the kinds its own buckets
+        concatenate to.
+        """
+        if self._shuffle is None:
+            outputs, pids = zip(
+                *(self._map_outputs.pop(m) for m in range(self.num_maps))
+            )
+            kinds = bucket_kinds(outputs, pids, self.num_reducers)
+            merged = concat_batches(outputs)
+            del outputs
+            grouped, groups = group_buckets(
+                merged, np.concatenate(pids), self.num_reducers
+            )
+            bounds = np.concatenate(([0], np.cumsum(groups))).tolist()
+            self._shuffle = (grouped, bounds, kinds)
+        grouped, bounds, kinds = self._shuffle
+        part = grouped.groups(bounds[partition], bounds[partition + 1])
+        if kinds is not None:
+            part = part.as_kinds(kinds[partition])
+        self._reducers_fed += 1
+        if self._reducers_fed == self.num_reducers:
+            self._shuffle = None
+        return part
+
+    def _reduce_execute(self, partition: int, node_id: int) -> None:
         ctx = TaskContext(model=self.model)
-        # Merge-sort of the arrived buckets: one concatenate plus one
-        # group-by over the partition's records.
-        merged = concat_batches(pieces)
-        self.spec.run_reducer(ctx, group_batch(merged))
+        self.spec.run_reducer(ctx, self._reduce_input(partition))
         output = self._reduce_outputs[partition] = ctx.collect()
-        self.counters.add("reduce_input_records", len(merged))
+        self.counters.add("reduce_input_records", self._bucket_records[partition])
         self.counters.add("reduce_output_records", len(output))
         nbytes = output.nbytes_wire()
         self.output_bytes += nbytes

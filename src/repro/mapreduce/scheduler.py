@@ -157,10 +157,14 @@ class ResourceManager:
         timestamp's serialization point; from root context (no event
         executing) a fitting node is granted synchronously.
         """
-        if not any(resource.fits_in(cap) for cap in self._capacity.values()):
-            raise ValueError(
-                f"request {resource} exceeds every node's capacity"
-            )
+        profile = self._profiles.get(resource)
+        if profile is None:
+            # Capacities are fixed, so a profile checked once fits for good.
+            if not any(resource.fits_in(cap) for cap in self._capacity.values()):
+                raise ValueError(
+                    f"request {resource} exceeds every node's capacity"
+                )
+            profile = self._profiles[resource] = len(self._profiles)
         self._queue.append(
             ContainerRequest(
                 resource=resource,
@@ -168,7 +172,7 @@ class ResourceManager:
                 preferred_racks=frozenset(self._rack[n] for n in preferred),
                 callback=callback,
                 app_id=app_id,
-                profile=self._profiles.setdefault(resource, len(self._profiles)),
+                profile=profile,
             )
         )
         self._flush()

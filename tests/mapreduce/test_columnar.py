@@ -400,6 +400,64 @@ class TestSizing:
         )
         assert total == batch.nbytes_wire()
 
+    # Every column kind: typed scalars and text, arrays, flat and nested
+    # tuples, object columns; empty ranges and empty batches included.
+    _sized_rows = st.one_of(
+        any_rows,
+        st.lists(
+            st.tuples(int64_ints, st.builds(np.full, st.just(3), finite_floats)),
+            max_size=12,
+        ),
+        st.lists(
+            st.tuples(
+                st.tuples(ascii_text, st.tuples(int64_ints, st.booleans())),
+                st.tuples(finite_floats, ascii_text),
+            ),
+            max_size=12,
+        ),
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(_sized_rows, st.data())
+    def test_row_sizes_sum_to_every_ranges_wire_size(self, rows, data):
+        batch = ColumnBatch.from_rows(rows)
+        lo = data.draw(st.integers(0, len(rows)))
+        hi = data.draw(st.integers(lo, len(rows)))
+
+        def range_sum(sizes):
+            # A fixed-width column answers with one int, no per-row array.
+            if isinstance(sizes, int):
+                return sizes * (hi - lo)
+            assert sizes.dtype == np.int64 and len(sizes) == len(rows)
+            return int(sizes[lo:hi].sum())
+
+        def fixed_width(column):
+            if isinstance(column, TupleColumn):
+                return all(map(fixed_width, column.slots))
+            return isinstance(column, (ScalarColumn, ArrayColumn))
+
+        for column in (batch.keys, batch.values):
+            assert isinstance(column.row_nbytes(), int) == fixed_width(column)
+            assert range_sum(column.row_nbytes()) == column.slice(lo, hi).nbytes_wire()
+        assert (
+            range_sum(batch.row_nbytes())
+            == batch.slice(lo, hi).nbytes_wire()
+            == sizeof_records(rows[lo:hi])
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sized_rows, st.integers(1, 6), st.data())
+    def test_bucket_sizes_are_the_buckets_wire_sizes(self, rows, n, data):
+        batch = ColumnBatch.from_rows(rows)
+        ids = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=len(rows), max_size=len(rows))),
+            dtype=np.uint8,
+        )
+        counts = np.bincount(ids, minlength=n)
+        assert batch.bucket_nbytes(ids, counts) == [
+            batch.take(np.flatnonzero(ids == p)).nbytes_wire() for p in range(n)
+        ]
+
 
 # -- concat / slice / take ---------------------------------------------------
 
@@ -513,6 +571,24 @@ def _declining_batch_combiner(_grouped):
     return None
 
 
+def _partition_buckets(state, batch):
+    """Drive the partition step, check the shape of what it returns —
+    one batch, one id per record in the narrowest unsigned type, the
+    counts those ids make; with a combiner, partition after partition —
+    and cut the batch into per-reducer buckets in batch order.  Returns
+    the buckets, the counts and the wire size per bucket the runner
+    ships."""
+    n = state.num_reducers
+    out, pids, counts = state._partition(batch)
+    assert type(out) is ColumnBatch and len(pids) == len(out)
+    assert pids.dtype == np.min_scalar_type(n - 1)
+    assert counts.tolist() == np.bincount(pids, minlength=n).tolist()
+    if state.spec.combiner is not None:
+        assert bool((np.diff(pids.astype(np.int64)) >= 0).all())
+    buckets = [out.take(np.flatnonzero(pids == p)) for p in range(n)]
+    return buckets, counts, out.bucket_nbytes(pids, counts)
+
+
 _SHARED_NAN = float("nan")
 # {no combiner, scalar, batch, batch declining} x {default, custom}.
 _PARTITION_MATRIX = [
@@ -535,9 +611,10 @@ class TestPartitionStep:
     )
     def test_custom_partitioner_buckets_match_per_row_calls(self, rows, n):
         state = _job_state(num_reducers=n, partitioner=_reversed_hash_partitioner)
-        buckets, counts = state._partition(ColumnBatch.from_rows(rows))
+        buckets, counts, sizes = _partition_buckets(state, ColumnBatch.from_rows(rows))
         assert len(buckets) == n
         assert counts.tolist() == [len(b) for b in buckets]
+        assert sizes == [b.nbytes_wire() for b in buckets]
         for p, bucket in enumerate(buckets):
             assert type(bucket) is ColumnBatch
             # Emission order survives inside each bucket.
@@ -551,7 +628,7 @@ class TestPartitionStep:
     )
     def test_scalar_combined_buckets_size_like_their_rows(self, rows, n):
         state = _job_state(num_reducers=n, combiner=_sum_combiner)
-        buckets, counts = state._partition(ColumnBatch.from_rows(rows))
+        buckets, counts, sizes = _partition_buckets(state, ColumnBatch.from_rows(rows))
         combined = 0
         for p, bucket in enumerate(buckets):
             assert type(bucket) is ColumnBatch
@@ -562,7 +639,7 @@ class TestPartitionStep:
                 )
             ]
             _assert_same_rows(bucket.to_rows(), expected)
-            assert bucket.nbytes_wire() == sizeof_records(expected)
+            assert bucket.nbytes_wire() == sizes[p] == sizeof_records(expected)
             combined += len(expected)
         assert sum(len(b) for b in buckets) == combined == int(counts.sum())
 
@@ -586,9 +663,10 @@ class TestPartitionStep:
                 with pytest.raises(TypeError):
                     state._partition(batch)
                 continue
-            buckets, counts = state._partition(batch)
+            buckets, counts, sizes = _partition_buckets(state, batch)
             assert len(buckets) == n
             assert counts.tolist() == [len(b) for b in expected]
+            assert sizes == [b.nbytes_wire() for b in expected]
             for bucket, reference in zip(buckets, expected):
                 assert type(bucket) is ColumnBatch
                 _assert_same_rows(bucket.to_rows(), reference.to_rows())

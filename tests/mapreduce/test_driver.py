@@ -24,6 +24,16 @@ from repro.mapreduce.runner import JobRunner
 # halfway toward that mean.  Converges geometrically to the data mean.
 
 
+# Stand-ins for every callable JobSpec field (never called), at module
+# level so a spec holding them could cross a process boundary.
+def _stub_mapper(ctx, records): ...
+def _stub_reducer(ctx, grouped): ...
+def _stub_combiner(key, values): ...
+def _stub_batch_combiner(grouped): ...
+def _stub_partitioner(key, n): return hash_partitioner(key, n)
+def _stub_map_cost(num_records, nbytes, ctx): return 1.0
+
+
 def make_env(values=None, num_splits=4, pipeline=None):
     cluster = Cluster(num_nodes=4, nodes_per_rack=4)
     dfs = DistributedFileSystem(cluster)
@@ -160,21 +170,17 @@ class TestOptimizedBaseline:
     def test_strip_keeps_every_other_jobspec_field(self):
         # One distinct non-default value per field, so a field the strip
         # forgot would come back as its default.
-        def mapper(ctx, records): ...
-        def reducer(ctx, grouped): ...
-        def combiner(key, values): ...
-        def batch_combiner(grouped): ...
-        def partitioner(key, n): return hash_partitioner(key, n)
-        def map_cost(num_records, nbytes, ctx): return 1.0
-
         spec = JobSpec(
-            name="every-field", batch_mapper=mapper, batch_reducer=reducer,
-            combiner=combiner, batch_combiner=batch_combiner, num_reducers=7,
-            partitioner=partitioner,
+            name="every-field", batch_mapper=_stub_mapper,
+            batch_reducer=_stub_reducer, combiner=_stub_combiner,
+            batch_combiner=_stub_batch_combiner, num_reducers=7,
+            partitioner=_stub_partitioner,
             costs=CostHints(job_overhead_seconds=5.0, task_overhead_seconds=2.0),
-            output_category="merge", output_replication=2, map_cost=map_cost,
+            output_category="merge", output_replication=2, map_cost=_stub_map_cost,
         )
-        record_at_a_time = JobSpec(name="rows", mapper=mapper, reducer=reducer)
+        record_at_a_time = JobSpec(
+            name="rows", mapper=_stub_mapper, reducer=_stub_reducer
+        )
         for original in (spec, record_at_a_time):
             stripped = _strip_overheads(original)
             for field in dataclasses.fields(JobSpec):

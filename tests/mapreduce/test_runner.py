@@ -9,7 +9,7 @@ from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset, stable_hash
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import JobRunner, _JobState
 
 
 def word_mapper(ctx, key, value):
@@ -98,7 +98,7 @@ class TestOneDataPlane:
     def test_every_stage_holds_batches(self, combiner, monkeypatch):
         # The job's own functions are all record-at-a-time and emit
         # scalars; what the runner moves between them is spied on.
-        seen = {"reduce_in": [], "collected": []}
+        seen = {"reduce_in": [], "collected": [], "partitioned": [], "cut": []}
 
         def spy(cls, method, key, pick):
             original = getattr(cls, method)
@@ -112,18 +112,20 @@ class TestOneDataPlane:
 
         spy(JobSpec, "run_reducer", "reduce_in", lambda args, out: args[1])
         spy(TaskContext, "collect", "collected", lambda args, out: out)
+        spy(_JobState, "_partition", "partitioned", lambda args, out: out[0])
+        spy(_JobState, "_reduce_input", "cut", lambda args, out: out)
         _c, runner, dataset = make_env()
         handle = runner.submit(word_spec(combiner=combiner), dataset)
         runner.cluster.run()
-        buckets = [
-            type(bucket)
-            for pieces in handle._state._buckets.values()
-            for _split, bucket in pieces
-        ]
-        assert len(buckets) == 4 * len(dataset.splits)  # the empty ones too
+        # One batch per map task travels, not one per (map, reducer);
+        # every reducer's groups are a cut of one job-wide grouping,
+        # and both are dropped once the last reducer has its groups.
+        assert len(seen["partitioned"]) == len(dataset.splits)
         assert {type(s.records) for s in dataset.splits} == {ColumnBatch}
-        assert set(seen["collected"]) == set(buckets) == {ColumnBatch}
-        assert seen["reduce_in"] == [GroupedBatch] * 4
+        assert set(seen["collected"]) == set(seen["partitioned"]) == {ColumnBatch}
+        assert seen["cut"] == seen["reduce_in"] == [GroupedBatch] * 4
+        assert handle._state._map_outputs == {}
+        assert handle._state._shuffle is None
         assert sorted(handle.result().output) == [
             (f"word{i}", 30) for i in range(10)
         ]

@@ -58,6 +58,27 @@ class TestBasics:
         with pytest.raises(ValueError, match="exceeds every node's capacity"):
             sched.request(lambda n: None)
 
+    def test_request_validation_is_per_profile_and_against_capacity(self):
+        # The fit check is cached per distinct profile: an oversized
+        # profile fails every time and never becomes a profile, and a
+        # fitting one keeps queueing while no node has it free.
+        cluster = Cluster(num_nodes=2, nodes_per_rack=2)
+        rm = ResourceManager(
+            cluster, {0: Resource(1024, 2), 1: Resource(2048, 1)}
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds every node's capacity"):
+                rm.request(Resource(2048, 2), lambda c: None)
+        assert rm._profiles == {} and rm._queue == []
+        granted = []
+        for _ in range(4):
+            rm.request(Resource(1024, 1), granted.append)
+        assert sorted(c.node_id for c in granted) == [0, 1]
+        assert list(rm._profiles) == [Resource(1024, 1)]
+        assert len(rm._queue) == 2
+        rm.release(granted[0])
+        assert len(granted) == 3 and len(rm._queue) == 1
+
 
 class TestLocality:
     def test_prefers_local_node(self):
