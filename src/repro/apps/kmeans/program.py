@@ -33,6 +33,7 @@ from repro.mapreduce.columnar import (
     TupleColumn,
     build_column,
     columnize,
+    group_sums,
     int_column,
     stack_rows,
 )
@@ -47,25 +48,10 @@ from repro.util.rng import SeedLike, as_generator
 def _sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per-group sums of the ``(vector, count)`` values that
     :meth:`KMeansProgram.batch_map` and :meth:`~KMeansProgram.combine`
-    produce: a float matrix column and an int count column.
-
-    Each group's vector sum is ``np.add.reduce`` over a *contiguous*
-    slice of the sorted value matrix — bit-identical to
-    ``np.add.reduce(np.stack(values))`` over the group's value list.
-    """
+    produce: a float matrix column and an int count column, each summed
+    by :func:`group_sums`' left-to-right fold."""
     vecs, cnts = grouped.sorted_values.slots
-    data = vecs.data
-    counts = cnts.values
-    num_groups = len(grouped)
-    totals = np.empty((num_groups, data.shape[1]), dtype=np.float64)
-    csums = np.empty(num_groups, dtype=np.int64)
-    starts = grouped.starts.tolist()
-    ends = grouped.ends.tolist()
-    for g in range(num_groups):
-        s, e = starts[g], ends[g]
-        totals[g] = np.add.reduce(data[s:e], axis=0)
-        csums[g] = counts[s:e].sum()
-    return totals, csums
+    return group_sums(grouped, vecs.data), group_sums(grouped, cnts.values)
 
 
 class KMeansProgram(PICProgram):
@@ -135,8 +121,12 @@ class KMeansProgram(PICProgram):
         )
 
     def combine(self, key: Any, values: list[Any]) -> Any:
-        """Sum (vector, count) pairs locally before the shuffle."""
-        total = np.add.reduce(np.stack([vec for vec, _n in values]), axis=0)
+        """Sum (vector, count) pairs locally before the shuffle: the
+        vectors left to right from +0.0, as :func:`group_sums` folds a
+        group (``np.add.reduce`` over a stack would sum a one-column
+        stack pairwise)."""
+        vecs = [vec for vec, _n in values]
+        total = sum(vecs, np.zeros(np.shape(vecs[0])))
         count = sum(n for _vec, n in values)
         return (total, count)
 

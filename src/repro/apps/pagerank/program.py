@@ -23,7 +23,9 @@ and folds those scores into the destination ranks.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.mapreduce.columnar import (
     TupleColumn,
     emit_first_values,
     float_column,
+    group_sums,
     int_column,
     stack_rows,
 )
@@ -131,8 +134,9 @@ class PageRankProgram(PICProgram):
             return JobSpec(
                 name=f"{self.name}{suffix}",
                 batch_mapper=self._map_aggregate,
-                reducer=self._reduce_aggregate,
+                batch_reducer=self._reduce_aggregate,
                 combiner=self._combine_sum,
+                batch_combiner=self._combine_sums,
                 num_reducers=self.num_reducers,
                 costs=self.costs,
             )
@@ -168,11 +172,24 @@ class PageRankProgram(PICProgram):
         ctx.emit_batch(ColumnBatch(int_column(keys), float_column(values)))
 
     def _combine_sum(self, key: Any, values: list[float]) -> float:
-        return float(sum(values))
+        # 0.0 + x1 + x2 + ..., left to right, as group_sums folds a group
+        # (a float ``sum`` is compensated from Python 3.12 on).
+        return reduce(add, values, 0.0)
 
-    def _reduce_aggregate(self, ctx: TaskContext, key: Any, values: list[Any]) -> None:
-        rank = (1.0 - self.damping) + self.damping * float(sum(values))
-        ctx.emit((PR, key), rank)
+    def _combine_sums(self, grouped: GroupedBatch) -> ColumnBatch:
+        # _combine_sum over every group.
+        sums = group_sums(grouped, stack_rows(grouped.sorted_values))
+        return ColumnBatch(grouped.unique_keys(), float_column(sums))
+
+    def _reduce_aggregate(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        # ((PR, v), (1 - c) + c * sum of v's incoming scores) per vertex,
+        # in the column kinds ``from_rows`` gives those records.
+        if not len(grouped):
+            return  # a partition no vertex hashed to
+        sums = group_sums(grouped, stack_rows(grouped.sorted_values))
+        ranks = (1.0 - self.damping) + self.damping * sums
+        vertices = stack_rows(grouped.unique_keys())
+        ctx.emit_batch(ColumnBatch(_rank_keys(vertices), float_column(ranks)))
 
     def _map_propagate(self, ctx: TaskContext, records: ColumnBatch) -> None:
         # ((EDGE, v, t), rank(v) / outdeg(v)) per out-link, as one batch:

@@ -30,6 +30,9 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
   keys, nested tuples, float NaNs).  It is the one-bucket case of
   :func:`group_buckets`, which groups a map output by (reduce
   partition, key) — ``group_by_key`` bucket by bucket, in one pass.
+* **Summing** — :func:`group_sums` gives each group's rows summed the
+  way a Python ``sum`` over its value list adds them: left to right,
+  from +0.0 (one ``bincount`` for floats, ``reduceat`` for ints).
 * **Sizing** — ``nbytes_wire`` computes, per column, exactly the sum of
   :func:`repro.util.sizing.sizeof_record` over the materialized rows;
   ``row_nbytes`` is each row's share, so shuffle buckets are sized
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -344,7 +347,9 @@ class ArrayColumn(Column):
         return list(self.data)
 
     def take(self, idx: np.ndarray) -> "ArrayColumn":
-        return ArrayColumn(self.data[idx])
+        # ``np.take`` gathers whole rows; ``data[idx]`` is the same bytes,
+        # 3-4x slower on narrow rows.
+        return ArrayColumn(np.take(self.data, idx, axis=0))
 
     def slice(self, start: int, stop: int) -> "ArrayColumn":
         return ArrayColumn(self.data[start:stop])
@@ -495,20 +500,57 @@ def build_column(values: Sequence[Any]) -> Column:
             ):
                 return StringColumn(np.array(values))
         elif t is np.ndarray:
-            shape = values[0].shape
-            if shape and all(
-                len(set(map(attrgetter(layout), values))) == 1
-                for layout in ("dtype", "shape")
-            ):
-                return ArrayColumn(
-                    np.concatenate(values).reshape(len(values), *shape)
-                )
+            column = _array_column(values)
+            if column is not None:
+                return column
         elif t is tuple and len(set(map(len, values))) == 1:
             return TupleColumn(
                 tuple(build_column(slot) for slot in zip(*values)),
                 length=len(values),
             )
     return ObjectColumn(list(values))
+
+
+# Rows per ``b"".join`` when numeric array rows are copied into a column:
+# a join holds one ``bytes`` object per row until it returns, so joining a
+# whole ingest at once would hold them all.
+_JOIN_ROWS = 4096
+
+_tobytes = methodcaller("tobytes")
+
+
+def _array_column(values: Sequence[np.ndarray]) -> ArrayColumn | None:
+    """``values`` stacked into an :class:`ArrayColumn` when every row has
+    the dtype and the (non-empty) shape of the first, else ``None``.
+
+    1-D rows compare ``ndim`` and ``len`` (ints) instead of a shape
+    tuple per row.  Numeric rows are copied into one preallocated array
+    by a chunked ``b"".join`` of each row's ``tobytes()`` — C order
+    whatever the row's strides.  Not the rows themselves: a join takes
+    their buffers, and numpy keeps the description of every buffer an
+    array exported until that array dies — ≈ 56 B on each of the
+    caller's rows for as long as the caller holds them (DESIGN.md §10).
+    Object, structured, text and byte-swapped rows go through
+    ``np.concatenate``."""
+    first = values[0]
+    if first.ndim == 1 and set(map(attrgetter("ndim"), values)) == {1}:
+        if len(set(map(len, values))) != 1:
+            return None
+    elif not first.shape or len(set(map(attrgetter("shape"), values))) != 1:
+        return None
+    if len(set(map(attrgetter("dtype"), values))) != 1:
+        return None
+    n, shape = len(values), first.shape
+    if first.dtype.kind not in "biufc" or not first.dtype.isnative:
+        # np.concatenate also gives byte-swapped rows the native order.
+        return ArrayColumn(np.concatenate(values).reshape(n, *shape))
+    data = np.empty((n, *shape), dtype=first.dtype)
+    flat = data.reshape(-1).view(np.uint8)
+    for lo in range(0, n, _JOIN_ROWS):
+        joined = b"".join(map(_tobytes, values[lo : lo + _JOIN_ROWS]))
+        at = lo * first.nbytes
+        flat[at : at + len(joined)] = np.frombuffer(joined, dtype=np.uint8)
+    return ArrayColumn(data)
 
 
 def int_column(values: np.ndarray) -> ScalarColumn:
@@ -809,6 +851,33 @@ class GroupedBatch:
         bounds = zip(self.starts.tolist(), self.ends.tolist())
         for key, (start, end) in zip(self.unique_keys().rows(), bounds):
             yield key, values[start:end]
+
+
+def group_sums(grouped: GroupedBatch, values: np.ndarray) -> np.ndarray:
+    """Per-group sums of ``values``, an array holding one row per row of
+    ``grouped.sorted_values``: row ``g`` of the result is
+    ``0.0 + x₁ + x₂ + …`` over group ``g``'s rows in their within-group
+    order — the left-to-right fold of a Python ``sum`` over the group's
+    value list — element by element, for rows of any shape.
+
+    float64: one ``np.bincount`` over the flattened rows, bin = group ×
+    row width + element; it adds each weight into its bin in input order,
+    from +0.0.  int64: ``np.add.reduceat`` over the group starts (integer
+    addition is exact in any order).  No other dtype is summed."""
+    num_groups = len(grouped)
+    if values.dtype == np.int64:
+        if not num_groups:
+            return np.zeros((0, *values.shape[1:]), dtype=np.int64)
+        return np.add.reduceat(values, grouped.starts, axis=0)
+    if values.dtype != np.float64:
+        raise TypeError(f"group_sums sums float64 or int64, not {values.dtype}")
+    row_shape = values.shape[1:]
+    width = math.prod(row_shape)
+    first_bins = np.repeat(np.arange(num_groups) * width, grouped.ends - grouped.starts)
+    bins = (first_bins[:, None] + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=num_groups * width)
+    # No bins at all (no rows, or zero-width rows) count in intp.
+    return sums.astype(np.float64, copy=False).reshape(num_groups, *row_shape)
 
 
 def group_batch(batch: ColumnBatch) -> GroupedBatch:

@@ -1,10 +1,14 @@
-"""PageRank's two mappers as scalar loops.
+"""PageRank's two mappers and its aggregate reducer as scalar loops.
 
-These are ``PageRankProgram._map_aggregate`` and ``_map_propagate`` as
-they were while each walked its split's ragged adjacency lists through a
-dict model and emitted one record per call, leaving the columnization to
-the task context.  They define what the batch emitters must produce:
-the same records in the same order, in columns of the same kinds.
+The mappers are ``PageRankProgram._map_aggregate`` and
+``_map_propagate`` as they were while each walked its split's ragged
+adjacency lists through a dict model and emitted one record per call,
+leaving the columnization to the task context.  They define what the
+batch emitters must produce: the same records in the same order, in
+columns of the same kinds.  The reducer is ``_reduce_aggregate`` as it
+was before it summed every group at once; its sum is written out as the
+left-to-right fold from ``0.0`` that ``float(sum(values))`` computed on
+the Python versions it ran on (newer ones compensate a float ``sum``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,15 @@ def reference_map_aggregate(
         emit(v, 0.0)  # keep sink-only vertices alive
         for t in outs:
             emit(t, model[(EDGE, v, t)])
+
+
+def reference_reduce_aggregate(
+    damping: float, ctx: TaskContext, key: Any, values: list[float]
+) -> None:
+    total = 0.0
+    for value in values:
+        total += value
+    ctx.emit((PR, key), (1.0 - damping) + damping * total)
 
 
 def reference_map_propagate(

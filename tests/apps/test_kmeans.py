@@ -13,8 +13,9 @@ from repro.apps.kmeans import (
     match_centroids,
 )
 from repro.apps.kmeans.serial import assign_points, init_centroids, update_centroids
-from repro.mapreduce.columnar import columnize
+from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch, stack_rows
 from repro.mapreduce.job import TaskContext
+from tests.apps.reference_kmeans import reference_sum_groups
 
 
 class TestDatagen:
@@ -161,6 +162,80 @@ class TestProgram:
 
     def test_model_mode_is_broadcast(self):
         assert self.make().model_mode == "broadcast"
+
+
+def _grouped_partials(seed: int, dim: int, num_rows: int, num_keys: int):
+    """Grouped ``(centroid, (vector, count))`` records, as a combiner or
+    reducer receives them: vectors whose elements span 1e-12 … 1e12 in
+    both signs; from two elements on one column is all ``-0.0``, from
+    three on another all ``+0.0``."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(num_rows, dim)) * 10.0 ** rng.integers(
+        -12, 13, size=(num_rows, dim)
+    )
+    if dim >= 2:
+        vectors[:, 0] = -0.0
+    if dim >= 3:
+        vectors[:, 1] = 0.0
+    rows = [
+        (int(key), (vector, int(count)))
+        for key, vector, count in zip(
+            rng.integers(num_keys, size=num_rows),
+            vectors,
+            rng.integers(0, 5, size=num_rows),
+        )
+    ]
+    return group_batch(ColumnBatch.from_rows(rows))
+
+
+def _bits(array):
+    return np.asarray(array, dtype=np.float64).tobytes()
+
+
+class TestSums:
+    """``combine_batch`` and ``batch_reduce`` sum every group with
+    ``group_sums``: the loop they replaced where it folded left to right
+    (vectors of two or more elements), and the scalar ``combine`` for
+    every dimension, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 60),
+           st.integers(1, 8))
+    def test_batch_forms_equal_the_loop_they_replaced(self, seed, dim, rows, keys):
+        grouped = _grouped_partials(seed, dim, rows, keys)
+        prog = KMeansProgram(k=keys, dim=dim)
+        totals, csums = reference_sum_groups(grouped)
+
+        combined = prog.combine_batch(grouped)
+        assert combined.keys.rows() == grouped.unique_keys().rows()
+        vecs, cnts = combined.values.slots
+        assert _bits(vecs.data) == _bits(totals)
+        assert cnts.values.tolist() == csums.tolist()
+
+        ctx = TaskContext()
+        prog.batch_reduce(ctx, grouped)
+        keep = csums > 0
+        out = ctx.collect()
+        assert out.keys.rows() == np.asarray(grouped.unique_keys().rows())[keep].tolist()
+        assert _bits(stack_rows(out.values)) == _bits(totals[keep] / csums[keep, None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 60),
+           st.integers(1, 8))
+    def test_batch_combine_equals_the_scalar_combine(self, seed, dim, rows, keys):
+        grouped = _grouped_partials(seed, dim, rows, keys)
+        prog = KMeansProgram(k=keys, dim=dim)
+        combined = prog.combine_batch(grouped).to_rows()
+        expected = [(key, prog.combine(key, values)) for key, values in grouped]
+        assert [key for key, _v in combined] == [key for key, _v in expected]
+        for (_k, (total, count)), (_e, (etotal, ecount)) in zip(combined, expected):
+            assert _bits(total) == _bits(etotal)
+            assert count == ecount and type(count) is type(ecount) is int
+
+    def test_scalar_combine_folds_from_positive_zero(self):
+        prog = KMeansProgram(k=1, dim=1)
+        total, count = prog.combine(0, [(np.array([-0.0]), 1), (np.array([-0.0]), 2)])
+        assert _bits(total) == _bits([0.0]) and count == 3
 
 
 class TestQuality:

@@ -1,5 +1,8 @@
 """Tests for the PageRank application."""
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,12 +16,18 @@ from repro.mapreduce.columnar import (
     StringColumn,
     TupleColumn,
     columnize,
+    group_batch,
 )
+from repro.cluster.cluster import Cluster
+from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.job import TaskContext
+from repro.mapreduce.records import DistributedDataset
+from repro.mapreduce.runner import JobRunner
 from repro.pic.model import as_model
 from tests.apps.reference_pagerank import (
     reference_map_aggregate,
     reference_map_propagate,
+    reference_reduce_aggregate,
 )
 
 
@@ -299,3 +308,62 @@ class TestBatchEmittersAgainstScalarLoops:
         model = {(PR, 0): 0.5, (PR, 2): 1.5, (EDGE, 0, 2): 9.0}
         for m in (model, as_model(model)):
             assert prog.rank_vector(m, 3).tolist() == [0.5, 0.0, 1.5]
+
+
+def _run_job(spec, records, model, pipeline):
+    cluster = Cluster(num_nodes=4, nodes_per_rack=2)
+    dfs = DistributedFileSystem(cluster)
+    dataset = DistributedDataset.materialize(dfs, "/graph", records, 3)
+    runner = JobRunner(cluster, dfs, pipeline=pipeline)
+    return runner.run(spec, dataset, model=model, model_bytes=1024)
+
+
+class TestAggregateJobAgainstScalarReducer:
+    """The aggregate job — ``_combine_sums`` and the batch
+    ``_reduce_aggregate`` — gives what the scalar reducer gave, through
+    whole jobs: same records (ranks bit for bit), same column kinds, same
+    bytes, counters and simulated finish time."""
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["barrier", "pipelined"])
+    @pytest.mark.parametrize("combiner", [True, False], ids=["combiner", "no-combiner"])
+    @pytest.mark.parametrize("name", sorted(_GRAPHS))
+    def test_whole_job(self, name, combiner, pipeline):
+        records = _GRAPHS[name]
+        prog = PageRankProgram(num_reducers=3)
+        model = prog.initial_model(records)
+        # Scores a third of a unit apart in the last bits, so a sum
+        # taken in another order would round differently.
+        model = {k: v / 3.0 * (1.0 + 1e-3 * (k[1] % 7)) for k, v in model.items()}
+        spec = prog.job_spec(suffix="-aggregate")
+        assert spec.reducer is None and spec.batch_reducer is not None
+        scalar = replace(
+            spec,
+            batch_reducer=None,
+            reducer=partial(reference_reduce_aggregate, prog.damping),
+            batch_combiner=None,
+        )
+        if not combiner:
+            spec = replace(spec, combiner=None, batch_combiner=None)
+            scalar = replace(scalar, combiner=None)
+        got = _run_job(spec, records, model, pipeline)
+        expected = _run_job(scalar, records, model, pipeline)
+        _assert_same_batch(got.output, expected.output)
+        assert [v.hex() for _k, v in got.output] == [v.hex() for _k, v in expected.output]
+        assert got.counters.as_dict() == expected.counters.as_dict()
+        assert got.shuffle_bytes == expected.shuffle_bytes
+        assert got.output_bytes == expected.output_bytes
+        assert got.finished_at == expected.finished_at
+
+    def test_batch_combiner_equals_the_scalar_combiner(self):
+        records = _GRAPHS["web"]
+        prog = PageRankProgram()
+        model = {k: v / 3.0 for k, v in prog.initial_model(records).items()}
+        ctx = TaskContext(model=model)
+        prog._map_aggregate(ctx, columnize(records))
+        grouped = group_batch(ctx.collect())
+        combined = prog._combine_sums(grouped)
+        expected = ColumnBatch.from_rows(
+            [(key, prog._combine_sum(key, values)) for key, values in grouped]
+        )
+        _assert_same_batch(combined, expected)
+        assert [v.hex() for _k, v in combined] == [v.hex() for _k, v in expected]

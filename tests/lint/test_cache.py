@@ -78,16 +78,22 @@ def tree(tmp_path):
 
 
 class TestWarmRuns:
-    def test_warm_run_parses_nothing_and_is_faster(self, tree, tmp_path):
+    def test_warm_run_parses_and_evaluates_nothing(self, tree, tmp_path):
+        # The work not done, not the clock: a timing assertion here fails
+        # now and then on a loaded box.  The speed-up itself is measured
+        # by the lint_corpus ledger workload.
         cache = tmp_path / "cache.json"
         cold = run_lint([tree], cache_path=cache)
         assert cold.stats["files_parsed"] == N_FILES + 1
         assert cold.stats["cache_hits"] == 0
+        assert not cold.stats["project_replayed"]
+        assert cold.stats["functions_evaluated"] > 0
 
         warm = run_lint([tree], cache_path=cache)
         assert warm.stats["files_parsed"] == 0
         assert warm.stats["cache_hits"] == N_FILES + 1
-        assert warm.stats["elapsed_s"] < cold.stats["elapsed_s"]
+        assert warm.stats["project_replayed"]
+        assert warm.stats["functions_evaluated"] == 0
 
     def test_warm_run_reports_identical_findings(self, tree, tmp_path):
         cache = tmp_path / "cache.json"

@@ -11,6 +11,7 @@ included — is held to it.
 """
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.columnar import (
+    _JOIN_ROWS,
     ArrayColumn,
     ColumnBatch,
     GroupedBatch,
@@ -33,6 +35,8 @@ from repro.mapreduce.columnar import (
     emit_first_values,
     group_batch,
     group_buckets,
+    group_sums,
+    int_column,
     singleton_groups,
     stack_rows,
 )
@@ -78,13 +82,15 @@ any_rows = st.lists(st.tuples(any_keys, plain_values), min_size=0, max_size=24)
 
 
 def _same(a, b):
-    """Same type and value, NaN matching NaN, tuples slot for slot."""
+    """Same type and value, NaN matching NaN (in float arrays too),
+    tuples slot for slot."""
     if type(a) is not type(b):
         return False
     if isinstance(a, tuple):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
+        nan_aware = a.dtype.kind in "fc" and a.dtype == b.dtype
+        return np.array_equal(a, b, equal_nan=nan_aware)
     return a == b or (a != a and b != b)
 
 
@@ -248,6 +254,25 @@ _KIND_EDGES = {
     "0-d-arrays": [np.array(1.0), np.array(2.0)],
     "zero-length-vectors": [np.zeros(0), np.zeros(0)],
     "strided-views": [np.zeros(3)[::2], np.ones(4)[::2]],
+    "strided-and-contiguous": [np.arange(3.0), np.arange(6.0)[::2]],
+    "fortran-order-matrices": [
+        np.arange(6.0).reshape(3, 2).T, np.arange(6.0, 12.0).reshape(3, 2).T
+    ],
+    "ndim-mismatch": [np.zeros(3), np.zeros((1, 3))],
+    "ndim-mismatch-matrix-first": [np.zeros((1, 3)), np.zeros(3)],
+    "length-mismatch-after-equal": [np.zeros(3), np.ones(3), np.ones(2)],
+    "structured-rows": [
+        np.zeros(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+        np.ones(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+    ],
+    "byte-swapped": [np.arange(3, dtype=">f8"), np.arange(3, 6, dtype=">f8")],
+    "byte-order-mismatch": [np.zeros(3, dtype=">f8"), np.zeros(3, dtype="<f8")],
+    "zero-width-matrices": [np.zeros((2, 0)), np.ones((2, 0))],
+    "bool-vectors": [np.array([True, False]), np.array([False, True])],
+    "uint8-vectors": [np.arange(4, dtype=np.uint8), np.arange(4, 8, dtype=np.uint8)],
+    "complex-vectors": [np.array([1 + 2j, -0.0j]), np.array([3j, 4.0])],
+    "text-vectors": [np.array(["ab", "c"]), np.array(["d", "ef"])],
+    "nan-and-negative-zero": [np.array([np.nan, -0.0]), np.array([np.inf, 0.0])],
     "ndarray-subclass": [
         np.zeros(3).view(_Subclassed), np.ones(3).view(_Subclassed)
     ],
@@ -276,6 +301,9 @@ class TestKindSelection:
         col, reference = build_column(values), reference_build_column(values)
         assert _kind(col) == _kind(reference)
         assert len(col) == len(values)
+        if isinstance(col, ArrayColumn) and col.data.dtype.kind in "biufc":
+            assert col.data.tobytes() == reference.data.tobytes()
+            assert col.data.flags.writeable
         for got, expected in zip(col.rows(), values):
             assert _same(got, expected)
         assert col.nbytes_wire() == reference.nbytes_wire()
@@ -297,6 +325,34 @@ class TestKindSelection:
         col = build_column(sources)
         col.data[0, 0] = 7.0
         assert sources[0][0] == 0.0
+
+    @pytest.mark.parametrize("odd_row", [None, 0, _JOIN_ROWS, 2 * _JOIN_ROWS + 2])
+    def test_more_rows_than_one_join_chunk(self, odd_row):
+        # Rows beyond the first chunk land at their own offsets; a
+        # non-contiguous row (a strided view) anywhere among them,
+        # the last chunk included, is copied like any other.
+        base = np.random.default_rng(0).normal(size=(2 * _JOIN_ROWS + 3, 3))
+        rows = list(base)
+        if odd_row is not None:
+            rows[odd_row] = np.repeat(base[odd_row], 2)[::2]
+            assert not rows[odd_row].flags.c_contiguous
+        self._assert_matches_reference(rows)
+        assert build_column(rows).data.tobytes() == base.tobytes()
+
+    def test_ingest_leaves_no_buffer_state_on_its_rows(self):
+        # Exporting an array's buffer makes numpy keep its description
+        # until the array dies; ingest copies through tobytes(), so the
+        # caller's rows hold nothing more afterwards.
+        build_column(list(np.ones((10, 3))))  # warm-up, on other rows
+        rows = list(np.random.default_rng(1).normal(size=(3000, 3)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            column = build_column(rows)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < column.data.nbytes + 4096
 
 
 # -- ingest boundary ---------------------------------------------------------
@@ -368,6 +424,149 @@ class TestGrouping:
         ctx = TaskContext()
         emit_first_values(ctx, group_batch(ColumnBatch.from_rows(rows)))
         assert ctx.output == [(k, vs[0]) for k, vs in group_by_key(rows)]
+
+
+# -- per-group sums ----------------------------------------------------------
+
+
+def _fold(rows, row_shape):
+    """The oracle: ``0.0 + x1 + x2 + ...`` element by element, in Python
+    floats, over a group's rows in order."""
+    width = math.prod(row_shape)
+    sums = [0.0] * width
+    for row in rows:
+        for j, x in enumerate(np.asarray(row, dtype=np.float64).reshape(width).tolist()):
+            sums[j] = sums[j] + x
+    return sums
+
+
+def _groups_of(sizes):
+    """A grouping with groups of the given sizes (its keys are the
+    group numbers; ``group_sums`` reads only the boundaries)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    keys = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return GroupedBatch(int_column(keys), int_column(keys), starts)
+
+
+# Values that make an addition order show: signed zeros, NaN, both
+# infinities (inf + -inf is NaN), and magnitudes from 1e-300 to 1e300.
+_awkward_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(
+        lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)
+    ),
+)
+
+
+class TestGroupSums:
+    """``group_sums`` is, byte for byte, the left-to-right fold from
+    +0.0 of each group's rows, for float64 rows of any shape; int64 sums
+    are exact."""
+
+    @staticmethod
+    def _assert_folds(grouped, values):
+        got = group_sums(grouped, values)
+        row_shape = values.shape[1:]
+        assert got.shape == (len(grouped), *row_shape) and got.dtype == np.float64
+        expected = [
+            _fold(values[s:e], row_shape)
+            for s, e in zip(grouped.starts.tolist(), grouped.ends.tolist())
+        ]
+        expected = np.array(expected, dtype=np.float64).reshape(got.shape)
+        # Byte for byte, signed zeros included; a NaN only as a NaN —
+        # which of two NaN operands' payloads an addition returns is up
+        # to the machine instruction, not to the order of the fold.
+        nan = np.isnan(expected)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=0, max_size=8),
+        st.sampled_from([(), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (2, 3)]),
+        st.data(),
+    )
+    @example([1], (1,), None)
+    @example([4, 1, 1], (3,), None)
+    def test_float_sums_are_the_left_to_right_fold(self, sizes, row_shape, data):
+        n = sum(sizes)
+        count = n * math.prod(row_shape)
+        flat = (
+            np.full(count, -0.0) if data is None
+            else np.array(data.draw(st.lists(_awkward_floats, min_size=count, max_size=count)))
+        )
+        self._assert_folds(_groups_of(sizes), flat.reshape(n, *row_shape))
+
+    def test_negative_zero_groups_sum_to_positive_zero(self):
+        values = np.full((5, 2), -0.0)
+        got = group_sums(_groups_of([2, 3]), values)
+        assert got.tobytes() == np.zeros((2, 2)).tobytes()
+
+    def test_infinities_of_both_signs_sum_to_nan(self):
+        # Column 1 overflows only when added left to right.
+        values = np.array([[np.inf, 1e308], [-np.inf, 1e308], [1.0, -1e308]])
+        got = group_sums(_groups_of([3]), values)
+        assert np.isnan(got[0, 0]) and got[0, 1] == np.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_rows, st.integers(1, 4), st.data())
+    def test_groups_of_a_grouping_and_of_its_cuts(self, rows, width, data):
+        # The groups of a real grouping, and contiguous runs of them cut
+        # by GroupedBatch.groups(first, stop): each sums its own rows.
+        keys = [k for k, _v in rows]
+        values = np.array(
+            data.draw(st.lists(_awkward_floats, min_size=len(rows) * width,
+                               max_size=len(rows) * width)),
+            dtype=np.float64,
+        ).reshape(len(rows), width)
+        batch = ColumnBatch(build_column(keys), ArrayColumn(values))
+        grouped = group_batch(batch)
+        self._assert_folds(grouped, stack_rows(grouped.sorted_values).reshape(-1, width))
+        first = data.draw(st.integers(0, len(grouped)))
+        stop = data.draw(st.integers(first, len(grouped)))
+        cut = grouped.groups(first, stop)
+        if len(cut):
+            self._assert_folds(cut, cut.sorted_values.data)
+            assert group_sums(cut, cut.sorted_values.data).tobytes() == (
+                group_sums(grouped, grouped.sorted_values.data)[first:stop].tobytes()
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=0, max_size=8),
+        st.sampled_from([(), (2,)]),
+        st.data(),
+    )
+    def test_int_sums_are_exact(self, sizes, row_shape, data):
+        n = sum(sizes)
+        values = np.array(
+            data.draw(st.lists(st.integers(-(2**40), 2**40),
+                               min_size=n * math.prod(row_shape),
+                               max_size=n * math.prod(row_shape))),
+            dtype=np.int64,
+        ).reshape(n, *row_shape)
+        grouped = _groups_of(sizes)
+        got = group_sums(grouped, values)
+        assert got.dtype == np.int64 and got.shape == (len(sizes), *row_shape)
+        bounds = zip(grouped.starts.tolist(), grouped.ends.tolist())
+        expected = [values[s:e].tolist() for s, e in bounds]
+        assert got.tolist() == [
+            sum(rows) if not row_shape else [sum(col) for col in zip(*rows)]
+            for rows in expected
+        ]
+
+    def test_the_empty_grouping(self):
+        empty = _groups_of([])
+        assert group_sums(empty, np.zeros((0, 3))).shape == (0, 3)
+        assert group_sums(empty, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert group_sums(empty, np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint64, bool, object])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(TypeError, match="float64 or int64"):
+            group_sums(_groups_of([2]), np.zeros(2, dtype=dtype))
 
 
 # -- wire sizing -------------------------------------------------------------
