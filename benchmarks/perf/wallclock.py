@@ -216,8 +216,8 @@ def bench_shuffle_accounting_job(cfg) -> Callable[[], None]:
         spec = JobSpec(
             # unique name per repeat: job output paths must not collide
             name=f"perf-shuffle-{next(waves)}",
-            batch_mapper=_perf_mapper,
-            batch_reducer=_perf_reducer,
+            mapper=_perf_mapper,
+            reducer=_perf_reducer,
             num_reducers=4,
         )
         runner = JobRunner(cluster, dfs, executor=SerialExecutor())

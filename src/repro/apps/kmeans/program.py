@@ -47,7 +47,7 @@ from repro.util.rng import SeedLike, as_generator
 
 def _sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray]:
     """Per-group sums of the ``(vector, count)`` values that
-    :meth:`KMeansProgram.batch_map` and :meth:`~KMeansProgram.combine`
+    :meth:`KMeansProgram.batch_map` and :meth:`~KMeansProgram.combine_batch`
     produce: a float matrix column and an int count column, each summed
     by :func:`group_sums`' left-to-right fold."""
     vecs, cnts = grouped.sorted_values.slots
@@ -120,18 +120,10 @@ class KMeansProgram(PICProgram):
             )
         )
 
-    def combine(self, key: Any, values: list[Any]) -> Any:
-        """Sum (vector, count) pairs locally before the shuffle: the
-        vectors left to right from +0.0, as :func:`group_sums` folds a
-        group (``np.add.reduce`` over a stack would sum a one-column
-        stack pairwise)."""
-        vecs = [vec for vec, _n in values]
-        total = sum(vecs, np.zeros(np.shape(vecs[0])))
-        count = sum(n for _vec, n in values)
-        return (total, count)
-
     def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch:
-        """Vectorized :meth:`combine` over all the groups of a map output."""
+        """Sum (vector, count) pairs locally before the shuffle, over all
+        the groups of a map output: each group's vectors left to right
+        from +0.0 (:func:`group_sums`), its counts exactly."""
         totals, csums = _sum_groups(grouped)
         return ColumnBatch(
             grouped.unique_keys(),

@@ -23,9 +23,7 @@ and folds those scores into the destination ranks.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import Any, Sequence
 
 import numpy as np
@@ -133,18 +131,17 @@ class PageRankProgram(PICProgram):
         if suffix == "-aggregate":
             return JobSpec(
                 name=f"{self.name}{suffix}",
-                batch_mapper=self._map_aggregate,
-                batch_reducer=self._reduce_aggregate,
-                combiner=self._combine_sum,
-                batch_combiner=self._combine_sums,
+                mapper=self._map_aggregate,
+                reducer=self._reduce_aggregate,
+                combiner=self._combine_sums,
                 num_reducers=self.num_reducers,
                 costs=self.costs,
             )
         if suffix == "-propagate":
             return JobSpec(
                 name=f"{self.name}{suffix}",
-                batch_mapper=self._map_propagate,
-                batch_reducer=self._reduce_identity,
+                mapper=self._map_propagate,
+                reducer=self._reduce_identity,
                 num_reducers=self.num_reducers,
                 costs=self.costs,
             )
@@ -171,13 +168,8 @@ class PageRankProgram(PICProgram):
         values[is_link] = stack_rows(scores)
         ctx.emit_batch(ColumnBatch(int_column(keys), float_column(values)))
 
-    def _combine_sum(self, key: Any, values: list[float]) -> float:
-        # 0.0 + x1 + x2 + ..., left to right, as group_sums folds a group
-        # (a float ``sum`` is compensated from Python 3.12 on).
-        return reduce(add, values, 0.0)
-
     def _combine_sums(self, grouped: GroupedBatch) -> ColumnBatch:
-        # _combine_sum over every group.
+        # 0.0 + x1 + x2 + ... per group, left to right (group_sums).
         sums = group_sums(grouped, stack_rows(grouped.sorted_values))
         return ColumnBatch(grouped.unique_keys(), float_column(sums))
 

@@ -93,7 +93,7 @@ def _nested_function_names(module: LintModule) -> frozenset[str]:
 
 #: Callbacks that execute inside a (possibly out-of-process) task.
 TASK_SIDE_CALLBACKS = frozenset(
-    {"map", "batch_map", "reduce", "batch_reduce", "combine", "merge_element"}
+    {"map", "batch_map", "reduce", "batch_reduce", "combine", "combine_batch", "merge_element"}
 )
 #: Callbacks that run in the driver but must still be I/O-free: they are
 #: re-invoked on replay and their effects are not part of any metric.

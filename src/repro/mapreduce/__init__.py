@@ -2,7 +2,10 @@
 
 Mappers, combiners and reducers are **real Python functions executed on
 real records** — model quality, iteration counts and byte volumes are
-genuine.  Only *time* is simulated: compute from per-record cost hints
+genuine.  A job's three functions take whole batches (a split's
+``ColumnBatch``, a partition's ``GroupedBatch``); record-at-a-time
+hooks belong to :class:`repro.pic.PICProgram`, whose batch methods loop
+over them.  Only *time* is simulated: compute from per-record cost hints
 scaled by node CPU speed, and data movement from the flow-level network
 model (input reads, all-to-all shuffle, replicated output writes).
 
@@ -14,8 +17,8 @@ The package mirrors Hadoop 0.20-era structure:
   travels in between a split and a reducer's output;
 * :mod:`repro.mapreduce.costs` — calibrated per-record/per-byte compute
   cost hints;
-* :mod:`repro.mapreduce.job` — job specification (mapper / combiner /
-  reducer / partitioner), contexts, counters, and results;
+* :mod:`repro.mapreduce.job` — job specification (batch mapper /
+  combiner / reducer, partitioner), contexts, counters, and results;
 * :mod:`repro.mapreduce.scheduler` — the locality-aware container
   allocator and the slot view of it the runner schedules maps through;
 * :mod:`repro.mapreduce.runner` — the engine that executes one job on

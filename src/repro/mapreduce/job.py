@@ -5,29 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.cluster.metrics import TrafficCategory
 from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, concat_batches
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.records import hash_partitioner
 
 # Signatures (all emission goes through the context):
-#   mapper(ctx, key, value)                 — record-at-a-time
-#   batch_mapper(ctx, records)              — whole split, a ColumnBatch
-#                                             (vectorizable)
-#   combiner(key, values) -> value          — associative local reduction
-#   batch_combiner(grouped) -> ColumnBatch  — combiner over a whole
-#                                             GroupedBatch: one record per
-#                                             group, in group order (or None
-#                                             to defer to the scalar combiner)
-#   reducer(ctx, key, values)               — record-at-a-time
-#   batch_reducer(ctx, grouped)             — all groups of one partition,
-#                                             a GroupedBatch
-Mapper = Callable[["TaskContext", Any, Any], None]
-BatchMapper = Callable[["TaskContext", ColumnBatch], None]
-Combiner = Callable[[Any, list[Any]], Any]
-BatchCombiner = Callable[[GroupedBatch], ColumnBatch | None]
-Reducer = Callable[["TaskContext", Any, list[Any]], None]
-BatchReducer = Callable[["TaskContext", GroupedBatch], None]
+#   mapper(ctx, records)               — a whole split, a ColumnBatch
+#   combiner(grouped) -> ColumnBatch   — associative local reduction over a
+#                                        whole GroupedBatch: one record per
+#                                        group, in group order
+#   reducer(ctx, grouped)              — all groups of one partition, a
+#                                        GroupedBatch
+Mapper = Callable[["TaskContext", ColumnBatch], None]
+Combiner = Callable[[GroupedBatch], ColumnBatch]
+Reducer = Callable[["TaskContext", GroupedBatch], None]
 
 
 class TaskContext:
@@ -106,29 +97,21 @@ class Counters:
 
 @dataclass
 class JobSpec:
-    """One MapReduce job.
-
-    Exactly one of ``mapper`` / ``batch_mapper`` must be given, and
-    exactly one of ``reducer`` / ``batch_reducer``.  ``combiner`` is
-    optional and, as in Hadoop, must be associative and idempotent with
-    respect to the reducer's semantics.
+    """One MapReduce job: a batch mapper, an optional batch combiner and
+    a batch reducer.  The combiner, as in Hadoop, must be associative
+    and idempotent with respect to the reducer's semantics.  (The
+    record-at-a-time ``map``/``combine``/``reduce`` of the paper's
+    Figure 4 are :class:`~repro.pic.api.PICProgram` hooks, looped over
+    by its batch methods.)
     """
 
     name: str
-    mapper: Mapper | None = None
-    batch_mapper: BatchMapper | None = None
-    reducer: Reducer | None = None
-    batch_reducer: BatchReducer | None = None
+    mapper: Mapper
+    reducer: Reducer
     combiner: Combiner | None = None
-    # Optional vectorized form of ``combiner``: takes a GroupedBatch and
-    # returns a combined ColumnBatch, or None to defer to ``combiner``
-    # per group.  Must agree with ``combiner`` bit-for-bit.
-    batch_combiner: BatchCombiner | None = None
     num_reducers: int = 1
     partitioner: Callable[[Any, int], int] = hash_partitioner
     costs: CostHints = field(default_factory=CostHints)
-    output_category: str = TrafficCategory.MODEL_UPDATE
-    output_replication: int = 3
     # Optional override for a map task's compute time:
     # map_cost(num_records, split_nbytes, ctx) -> seconds at reference CPU.
     # PIC's best-effort jobs use this to charge the in-mapper local
@@ -136,72 +119,30 @@ class JobSpec:
     map_cost: Callable[[int, int, TaskContext], float] | None = None
 
     def __post_init__(self) -> None:
-        if (self.mapper is None) == (self.batch_mapper is None):
-            raise ValueError(
-                f"job {self.name!r}: specify exactly one of mapper/batch_mapper"
-            )
-        if (self.reducer is None) == (self.batch_reducer is None):
-            raise ValueError(
-                f"job {self.name!r}: specify exactly one of reducer/batch_reducer"
-            )
-        if self.batch_combiner is not None and self.combiner is None:
-            raise ValueError(
-                f"job {self.name!r}: batch_combiner requires a scalar "
-                "combiner (it runs whenever batch_combiner returns None)"
-            )
         if self.num_reducers <= 0:
             raise ValueError(
                 f"job {self.name!r}: num_reducers must be positive, got {self.num_reducers}"
             )
-        if self.output_replication < 1:
-            raise ValueError(
-                f"job {self.name!r}: output_replication must be >= 1"
-            )
-
-    def run_mapper(self, ctx: TaskContext, records: ColumnBatch) -> None:
-        """Invoke whichever mapper form the job defines."""
-        if self.batch_mapper is not None:
-            self.batch_mapper(ctx, records)
-        else:
-            assert self.mapper is not None
-            for key, value in records:
-                self.mapper(ctx, key, value)
 
     def run_combiner(self, grouped: GroupedBatch) -> ColumnBatch:
         """Combine groups into exactly one record per group, in group
-        order: the batch combiner when the job provides one (and it
-        accepts the layout), else the scalar combiner per group —
-        identical results either way.  ``grouped`` may span several
-        reduce partitions (a whole map output grouped by (partition,
-        key)): the caller cuts the result by group counts, so a batch
-        combiner that drops or adds records is an error, not a smaller
-        job.  No groups combine to no records, whatever the column
-        kinds, so a batch combiner only ever sees its own layout."""
+        order.  ``grouped`` may span several reduce partitions (a whole
+        map output grouped by (partition, key)): the caller cuts the
+        result by group counts, so a combiner that drops or adds records
+        is an error, not a smaller job.  No groups combine to no
+        records, whatever the column kinds, so a combiner only ever sees
+        its own layout."""
         if not len(grouped):
             return ColumnBatch(grouped.sorted_keys, grouped.sorted_values)
-        if self.batch_combiner is not None:
-            combined = self.batch_combiner(grouped)
-            if combined is not None:
-                if len(combined) != len(grouped):
-                    raise ValueError(
-                        f"job {self.name!r}: batch_combiner returned "
-                        f"{len(combined)} records for {len(grouped)} groups; "
-                        "expected exactly one per group"
-                    )
-                return combined
         assert self.combiner is not None
-        return ColumnBatch.from_rows(
-            [(key, self.combiner(key, values)) for key, values in grouped]
-        )
-
-    def run_reducer(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
-        """Invoke whichever reducer form the job defines."""
-        if self.batch_reducer is not None:
-            self.batch_reducer(ctx, grouped)
-        else:
-            assert self.reducer is not None
-            for key, values in grouped:
-                self.reducer(ctx, key, values)
+        combined = self.combiner(grouped)
+        if len(combined) != len(grouped):
+            raise ValueError(
+                f"job {self.name!r}: combiner returned {len(combined)} "
+                f"records for {len(grouped)} groups; expected exactly one "
+                "per group"
+            )
+        return combined
 
 
 @dataclass

@@ -15,8 +15,8 @@ Task lifecycle (all on the simulated clock):
 * **reduce task** — wait until every map's bucket for this partition has
   arrived and a reduce slot on its node frees; charge merge-sort +
   reduce compute; run the *real* reducer over the partition's groups;
-  write the output to the DFS with the job's replication
-  (``model_update`` traffic by default).
+  write the output to the DFS, three replicas (``model_update``
+  traffic).
 
 On the host a map output stays one batch, each record tagged with its
 partition; the first reduce task groups every map output by (partition,
@@ -53,6 +53,10 @@ from repro.mapreduce.scheduler import SlotScheduler
 # repro.parallel.tasks, which needs this package — importing the
 # executor module directly keeps the cycle open at one end.
 from repro.parallel.executor import TaskExecutor, get_executor
+
+#: Replicas of every reduce output file, Hadoop's default (the namenode
+#: caps it at the cluster's node count).
+OUTPUT_REPLICATION = 3
 
 
 class JobRunner:
@@ -578,7 +582,7 @@ class _JobState:
             ctx.emit_batch(output)
             ctx.stats.update(stats)
         else:
-            self.spec.run_mapper(ctx, split.records)
+            self.spec.mapper(ctx, split.records)
         if ctx.stats:
             self._job_map_stats[split_index] = dict(ctx.stats)
         if self.spec.map_cost is not None:
@@ -834,7 +838,7 @@ class _JobState:
 
     def _reduce_execute(self, partition: int, node_id: int) -> None:
         ctx = TaskContext(model=self.model)
-        self.spec.run_reducer(ctx, self._reduce_input(partition))
+        self.spec.reducer(ctx, self._reduce_input(partition))
         output = self._reduce_outputs[partition] = ctx.collect()
         self.counters.add("reduce_input_records", self._bucket_records[partition])
         self.counters.add("reduce_output_records", len(output))
@@ -845,9 +849,9 @@ class _JobState:
             path,
             nbytes,
             writer_node=node_id,
-            category=self.spec.output_category,
+            category=TrafficCategory.MODEL_UPDATE,
             on_complete=lambda meta: self._reduce_finish(partition, node_id, meta),
-            replication=self.spec.output_replication,
+            replication=OUTPUT_REPLICATION,
         )
 
     def _reduce_finish(self, partition: int, node_id: int, meta: FileMeta) -> None:

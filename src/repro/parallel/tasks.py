@@ -38,5 +38,5 @@ def run_map_task(
     """
     spec, model, split_index, records = payload
     ctx = TaskContext(model=model, split_index=split_index)
-    spec.run_mapper(ctx, records)
+    spec.mapper(ctx, records)
     return ctx.collect(), dict(ctx.stats)

@@ -89,27 +89,27 @@ class PICProgram(abc.ABC):
             self.reduce(ctx, key, values)
 
     def combine(self, key: Any, values: list[Any]) -> Any:
-        """Optional combiner; override to enable one.
+        """Optional record-at-a-time combiner; override it (or
+        :meth:`combine_batch`) to enable one.
 
         Must be associative and compatible with the reducer (it sees
-        combined values).  The job uses a combiner iff this method is
-        overridden.
+        combined values).
         """
         raise NotImplementedError("no combiner defined")
 
-    def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch | None:
-        """Optional vectorized combiner over a whole map output.
+    def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch:
+        """Combiner over a whole map output (override to vectorize).
 
         Receives a :class:`~repro.mapreduce.columnar.GroupedBatch` — the
         groups of every reduce partition, so one key may head several —
-        and returns a combined :class:`~repro.mapreduce.columnar.ColumnBatch`
-        (exactly one row per group, in group order), or ``None`` to
-        defer to the scalar :meth:`combine` for that batch.  Must agree with
-        :meth:`combine` bit for bit; only used when ``combine`` is also
-        overridden, and never called with zero groups (an empty batch
-        does not carry the job's column kinds).
+        and returns a combined :class:`~repro.mapreduce.columnar.ColumnBatch`:
+        exactly one row per group, in group order.  Never called with
+        zero groups (an empty batch does not carry the job's column
+        kinds).  Default: :meth:`combine` per group.
         """
-        raise NotImplementedError("no batch combiner defined")
+        return ColumnBatch.from_rows(
+            [(key, self.combine(key, values)) for key, values in grouped]
+        )
 
     def build_model(self, model: Mapping[Any, Any], output: Records) -> KeyedModel:
         """Fold one job's reduce output — a :class:`ColumnBatch` (a row
@@ -162,7 +162,7 @@ class PICProgram(abc.ABC):
         compute = 0.0
         for spec in self.jobs(current, iteration):
             ctx = TaskContext(model=current)
-            spec.run_mapper(ctx, records)
+            spec.mapper(ctx, records)
             # In memory there is no record pipeline: no deserialization,
             # sort, spill, or shuffle — just the computation itself.
             compute += spec.costs.inmemory_compute(len(records))
@@ -171,7 +171,7 @@ class PICProgram(abc.ABC):
                 # A reducer sees combined values as one-element groups.
                 grouped = singleton_groups(spec.run_combiner(grouped))
             rctx = TaskContext(model=current)
-            spec.run_reducer(rctx, grouped)
+            spec.reducer(rctx, grouped)
             current = self.build_model(current, rctx.collect())
         return current, compute
 
@@ -214,21 +214,18 @@ class PICProgram(abc.ABC):
         return [self.job_spec(suffix="")]
 
     def job_spec(self, suffix: str = "") -> JobSpec:
-        """Build a :class:`JobSpec` from this program's map/reduce."""
-        has_combiner = type(self).combine is not PICProgram.combine
-        has_batch_combiner = has_combiner and (
-            type(self).combine_batch is not PICProgram.combine_batch
+        """Build a :class:`JobSpec` from this program's batch map/reduce,
+        with :meth:`combine_batch` as the combiner when ``combine`` or
+        ``combine_batch`` is overridden."""
+        has_combiner = (
+            type(self).combine is not PICProgram.combine
+            or type(self).combine_batch is not PICProgram.combine_batch
         )
-        uses_batch_map = type(self).batch_map is not PICProgram.batch_map
-        uses_batch_reduce = type(self).batch_reduce is not PICProgram.batch_reduce
         return JobSpec(
             name=f"{self.name}{suffix}",
-            mapper=None if uses_batch_map else self.map,
-            batch_mapper=self.batch_map if uses_batch_map else None,
-            reducer=None if uses_batch_reduce else self.reduce,
-            batch_reducer=self.batch_reduce if uses_batch_reduce else None,
-            combiner=self.combine if has_combiner else None,
-            batch_combiner=self.combine_batch if has_batch_combiner else None,
+            mapper=self.batch_map,
+            reducer=self.batch_reduce,
+            combiner=self.combine_batch if has_combiner else None,
             num_reducers=self.num_reducers,
             costs=self.costs,
         )

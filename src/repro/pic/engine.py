@@ -389,8 +389,6 @@ class BestEffortEngine:
         common = dict(
             name=f"{program.name}-be{be_iter}",
             costs=costs,
-            output_category=TrafficCategory.MODEL_UPDATE,
-            output_replication=min(3, self.cluster.num_nodes),
             map_cost=be_map_cost,
         )
 
@@ -405,15 +403,16 @@ class BestEffortEngine:
                 ):
                     ctx.emit(key, value)
 
-            def be_reducer(ctx: TaskContext, key: Any, values: list[Any]) -> None:
-                ctx.emit(key, program.merge_element(key, values))
+            def be_reducer(ctx: TaskContext, grouped: GroupedBatch) -> None:
+                for key, values in grouped:
+                    ctx.emit(key, program.merge_element(key, values))
 
             # The closures capture `program`/`solved`, so the job
             # cannot go to a pool; that is intended (the engine's own
             # runner is serial) — the real solves already ran through
             # the executor in _solve_subproblems().
             return JobSpec(
-                batch_mapper=be_mapper,  # pic: noqa: PIC101
+                mapper=be_mapper,  # pic: noqa: PIC101
                 reducer=be_reducer,  # pic: noqa: PIC101
                 num_reducers=program.num_reducers,
                 **common,
@@ -438,9 +437,8 @@ class BestEffortEngine:
         # Same intended serial fallback as above: the merge work is tiny
         # and the heavy solves are precomputed via _solve_subproblems().
         return JobSpec(
-            batch_mapper=be_mapper_central,  # pic: noqa: PIC101
-            batch_reducer=be_reducer_central,  # pic: noqa: PIC101
+            mapper=be_mapper_central,  # pic: noqa: PIC101
+            reducer=be_reducer_central,  # pic: noqa: PIC101
             num_reducers=1,
-            partitioner=lambda key, n: 0,  # pic: noqa: PIC101
             **common,
         )

@@ -1,15 +1,21 @@
-"""K-means' per-group sums as a Python loop over the groups.
+"""K-means' per-group sums as Python loops over the groups.
 
-This is ``repro.apps.kmeans.program._sum_groups`` as it was before the
-sums became one ``group_sums`` call: ``np.add.reduce`` over each group's
-contiguous slice of the sorted value matrix.  For vectors of two or more
-elements that reduction adds the rows one after the other, so it defines
-what the kernel must return for them; a one-element vector is reduced
-pairwise, which is why the vectorized forms answer to the scalar
-``combine`` there instead.
+``reference_sum_groups`` is ``repro.apps.kmeans.program._sum_groups`` as
+it was before the sums became one ``group_sums`` call: ``np.add.reduce``
+over each group's contiguous slice of the sorted value matrix.  For
+vectors of two or more elements that reduction adds the rows one after
+the other, so it defines what the kernel must return for them; a
+one-element vector is reduced pairwise, which is why the vectorized
+forms answer to ``reference_combine`` there instead.
+
+``reference_combine`` is ``KMeansProgram.combine``, the record-at-a-time
+combiner the program had beside ``combine_batch``: one group's
+``(vector, count)`` pairs summed, the vectors left to right from +0.0.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -30,3 +36,10 @@ def reference_sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray]
         totals[g] = np.add.reduce(data[s:e], axis=0)
         csums[g] = counts[s:e].sum()
     return totals, csums
+
+
+def reference_combine(key: Any, values: list[Any]) -> tuple[np.ndarray, int]:
+    vecs = [vec for vec, _n in values]
+    total = sum(vecs, np.zeros(np.shape(vecs[0])))
+    count = sum(n for _vec, n in values)
+    return (total, count)

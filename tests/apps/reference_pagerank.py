@@ -1,4 +1,5 @@
-"""PageRank's two mappers and its aggregate reducer as scalar loops.
+"""PageRank's two mappers, its aggregate combiner and its aggregate
+reducer as scalar loops.
 
 The mappers are ``PageRankProgram._map_aggregate`` and
 ``_map_propagate`` as they were while each walked its split's ragged
@@ -9,10 +10,14 @@ columns of the same kinds.  The reducer is ``_reduce_aggregate`` as it
 was before it summed every group at once; its sum is written out as the
 left-to-right fold from ``0.0`` that ``float(sum(values))`` computed on
 the Python versions it ran on (newer ones compensate a float ``sum``).
+The combiner is ``_combine_sum``, the per-group form the program kept
+beside ``_combine_sums``: the same fold, one group at a time.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Any, Mapping
 
 from repro.apps.pagerank.program import EDGE, PR
@@ -28,6 +33,10 @@ def reference_map_aggregate(
         emit(v, 0.0)  # keep sink-only vertices alive
         for t in outs:
             emit(t, model[(EDGE, v, t)])
+
+
+def reference_combine_sum(key: Any, values: list[float]) -> float:
+    return reduce(add, values, 0.0)
 
 
 def reference_reduce_aggregate(

@@ -15,7 +15,7 @@ from repro.apps.kmeans import (
 from repro.apps.kmeans.serial import assign_points, init_centroids, update_centroids
 from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch, stack_rows
 from repro.mapreduce.job import TaskContext
-from tests.apps.reference_kmeans import reference_sum_groups
+from tests.apps.reference_kmeans import reference_combine, reference_sum_groups
 
 
 class TestDatagen:
@@ -132,9 +132,13 @@ class TestProgram:
 
     def test_combiner_sums(self):
         prog = self.make(dim=2)
-        combined = prog.combine(0, [(np.array([1.0, 1.0]), 1), (np.array([2.0, 0.0]), 2)])
-        assert np.allclose(combined[0], [3.0, 1.0])
-        assert combined[1] == 3
+        grouped = group_batch(ColumnBatch.from_rows(
+            [(0, (np.array([1.0, 1.0]), 1)), (0, (np.array([2.0, 0.0]), 2))]
+        ))
+        [(key, (total, count))] = prog.job_spec().combiner(grouped).to_rows()
+        assert key == 0
+        assert np.allclose(total, [3.0, 1.0])
+        assert count == 3
 
     def test_empty_cluster_keeps_centroid(self):
         prog = self.make()
@@ -195,8 +199,9 @@ def _bits(array):
 class TestSums:
     """``combine_batch`` and ``batch_reduce`` sum every group with
     ``group_sums``: the loop they replaced where it folded left to right
-    (vectors of two or more elements), and the scalar ``combine`` for
-    every dimension, bit for bit."""
+    (vectors of two or more elements), and the scalar combine the
+    program used to carry (``reference_combine``) for every dimension,
+    bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 60),
@@ -226,15 +231,21 @@ class TestSums:
         grouped = _grouped_partials(seed, dim, rows, keys)
         prog = KMeansProgram(k=keys, dim=dim)
         combined = prog.combine_batch(grouped).to_rows()
-        expected = [(key, prog.combine(key, values)) for key, values in grouped]
+        expected = [(key, reference_combine(key, values)) for key, values in grouped]
         assert [key for key, _v in combined] == [key for key, _v in expected]
         for (_k, (total, count)), (_e, (etotal, ecount)) in zip(combined, expected):
             assert _bits(total) == _bits(etotal)
             assert count == ecount and type(count) is type(ecount) is int
 
     def test_scalar_combine_folds_from_positive_zero(self):
-        prog = KMeansProgram(k=1, dim=1)
-        total, count = prog.combine(0, [(np.array([-0.0]), 1), (np.array([-0.0]), 2)])
+        # Both folds start at +0.0, so -0.0 + -0.0 comes out +0.0.
+        values = [(np.array([-0.0]), 1), (np.array([-0.0]), 2)]
+        total, count = reference_combine(0, values)
+        assert _bits(total) == _bits([0.0]) and count == 3
+        grouped = group_batch(ColumnBatch.from_rows([(0, v) for v in values]))
+        [(_key, (total, count))] = KMeansProgram(k=1, dim=1).combine_batch(
+            grouped
+        ).to_rows()
         assert _bits(total) == _bits([0.0]) and count == 3
 
 

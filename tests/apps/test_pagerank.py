@@ -25,10 +25,12 @@ from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.pic.model import as_model
 from tests.apps.reference_pagerank import (
+    reference_combine_sum,
     reference_map_aggregate,
     reference_map_propagate,
     reference_reduce_aggregate,
 )
+from tests.mapreduce.per_group import GroupCombiner, GroupReducer
 
 
 class TestDatagen:
@@ -320,9 +322,9 @@ def _run_job(spec, records, model, pipeline):
 
 class TestAggregateJobAgainstScalarReducer:
     """The aggregate job — ``_combine_sums`` and the batch
-    ``_reduce_aggregate`` — gives what the scalar reducer gave, through
-    whole jobs: same records (ranks bit for bit), same column kinds, same
-    bytes, counters and simulated finish time."""
+    ``_reduce_aggregate`` — gives what the scalar combiner and reducer
+    gave, through whole jobs: same records (ranks bit for bit), same
+    column kinds, same bytes, counters and simulated finish time."""
 
     @pytest.mark.parametrize("pipeline", [False, True], ids=["barrier", "pipelined"])
     @pytest.mark.parametrize("combiner", [True, False], ids=["combiner", "no-combiner"])
@@ -335,15 +337,15 @@ class TestAggregateJobAgainstScalarReducer:
         # taken in another order would round differently.
         model = {k: v / 3.0 * (1.0 + 1e-3 * (k[1] % 7)) for k, v in model.items()}
         spec = prog.job_spec(suffix="-aggregate")
-        assert spec.reducer is None and spec.batch_reducer is not None
+        assert spec.reducer == prog._reduce_aggregate
+        assert spec.combiner == prog._combine_sums
         scalar = replace(
             spec,
-            batch_reducer=None,
-            reducer=partial(reference_reduce_aggregate, prog.damping),
-            batch_combiner=None,
+            reducer=GroupReducer(partial(reference_reduce_aggregate, prog.damping)),
+            combiner=GroupCombiner(reference_combine_sum),
         )
         if not combiner:
-            spec = replace(spec, combiner=None, batch_combiner=None)
+            spec = replace(spec, combiner=None)
             scalar = replace(scalar, combiner=None)
         got = _run_job(spec, records, model, pipeline)
         expected = _run_job(scalar, records, model, pipeline)
@@ -363,7 +365,7 @@ class TestAggregateJobAgainstScalarReducer:
         grouped = group_batch(ctx.collect())
         combined = prog._combine_sums(grouped)
         expected = ColumnBatch.from_rows(
-            [(key, prog._combine_sum(key, values)) for key, values in grouped]
+            [(key, reference_combine_sum(key, values)) for key, values in grouped]
         )
         _assert_same_batch(combined, expected)
         assert [v.hex() for _k, v in combined] == [v.hex() for _k, v in expected]

@@ -28,6 +28,12 @@ APP_PROGRAMS = {
 }
 
 
+#: Where the runner calls a job's mapper and its reducer.
+MAP_DISPATCH = "repro.mapreduce.runner::_JobState._map_compute_phase"
+REDUCE_DISPATCH = "repro.mapreduce.runner::_JobState._reduce_execute"
+BE_JOB_SPEC = "repro.pic.engine::BestEffortEngine._be_job_spec.<locals>"
+
+
 @pytest.fixture(scope="module")
 def analysis():
     irs = []
@@ -74,7 +80,7 @@ class TestEngineCallbackResolution:
         assert "repro.apps.neuralnet.program::NeuralNetProgram.partition" not in callees
 
     def test_mapper_dispatch_reaches_every_apps_batch_map(self, analysis):
-        callees = _callees(analysis, "repro.mapreduce.job::JobSpec.run_mapper")
+        callees = _callees(analysis, MAP_DISPATCH)
         expected = {f"{cls.rsplit('.', 1)[0]}::{cls.rsplit('.', 1)[1]}.batch_map"
                     for cls in APP_PROGRAMS}
         assert expected <= callees
@@ -82,9 +88,33 @@ class TestEngineCallbackResolution:
     def test_mapper_dispatch_includes_pagerank_internal_phases(self, analysis):
         # PageRank's batch_map forwards to per-phase helpers; the
         # constructor-kwarg binding layer must surface them too.
-        callees = _callees(analysis, "repro.mapreduce.job::JobSpec.run_mapper")
+        callees = _callees(analysis, MAP_DISPATCH)
         assert "repro.apps.pagerank.program::PageRankProgram._map_aggregate" in callees
         assert "repro.apps.pagerank.program::PageRankProgram._map_propagate" in callees
+
+    def test_mapper_dispatch_includes_best_effort_closures(self, analysis):
+        callees = _callees(analysis, MAP_DISPATCH)
+        assert {f"{BE_JOB_SPEC}.be_mapper", f"{BE_JOB_SPEC}.be_mapper_central"} <= callees
+
+    def test_reducer_dispatch_reaches_every_batch_reduce(self, analysis):
+        # Neural-net and PageRank inherit batch_reduce (the former loops
+        # its reduce() through it, the latter passes per-phase reducers).
+        callees = _callees(analysis, REDUCE_DISPATCH)
+        assert {
+            "repro.apps.kmeans.program::KMeansProgram.batch_reduce",
+            "repro.apps.linsolve.program::LinearSolverProgram.batch_reduce",
+            "repro.apps.smoothing.program::ImageSmoothingProgram.batch_reduce",
+            "repro.pic.api::PICProgram.batch_reduce",
+        } <= callees
+
+    def test_reducer_dispatch_includes_pagerank_phases_and_be_closures(self, analysis):
+        callees = _callees(analysis, REDUCE_DISPATCH)
+        assert {
+            "repro.apps.pagerank.program::PageRankProgram._reduce_aggregate",
+            "repro.apps.pagerank.program::PageRankProgram._reduce_identity",
+            f"{BE_JOB_SPEC}.be_reducer",
+            f"{BE_JOB_SPEC}.be_reducer_central",
+        } <= callees
 
     def test_method_candidates_for_merge(self, analysis):
         candidates = set(

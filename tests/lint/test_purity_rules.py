@@ -169,6 +169,25 @@ class TestCallbackPurity:
             """
         ) == ["PIC102"]
 
+    def test_print_in_combine_batch_flagged(self):
+        # combine_batch is the combiner the runtime calls, in the map task.
+        assert program_rules(
+            """
+            def combine_batch(self, grouped):
+                print(len(grouped))
+                return grouped.unique_keys()
+            """
+        ) == ["PIC102"]
+
+    def test_self_mutation_in_combine_batch_flagged(self):
+        assert program_rules(
+            """
+            def combine_batch(self, grouped):
+                self.groups_seen = len(grouped)
+                return grouped.unique_keys()
+            """
+        ) == ["PIC102"]
+
     def test_self_mutation_in_driver_side_callback_is_fine(self):
         # partition() runs in the driver; stashing owned keys on self is
         # the documented partition->merge coupling pattern.  (The return

@@ -1,7 +1,8 @@
 """One k-means iteration as a MapReduce job with a combiner, for the
 failure-path tests: the real ``KMeansProgram`` job (vectorized mapper,
-``combine`` + ``combine_batch``, four reducers), compute-heavy enough
-that a crippled node makes a map straggler."""
+``combine_batch`` — or the per-group reference loop, whose output is an
+object column — four reducers), compute-heavy enough that a crippled
+node makes a map straggler."""
 
 from __future__ import annotations
 
@@ -16,16 +17,19 @@ from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobResult
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
+from tests.apps.reference_kmeans import reference_combine
+from tests.mapreduce.per_group import GroupCombiner
 
 K = 6
 COUNTERS = ("map_input_records", "map_output_records", "combine_output_records")
 
 
 def run_kmeans_job(
-    cluster: Cluster, pipeline: bool, batch_combiner: bool = True, **run_kw
+    cluster: Cluster, pipeline: bool, vectorized: bool = True, **run_kw
 ) -> JobResult:
-    """Run the job on a fresh DFS over ``cluster``; ``run_kw`` goes to
-    ``JobRunner.run`` (``failures=``, ``speculative=``)."""
+    """Run the job on a fresh DFS over ``cluster``, combining with the
+    program's ``combine_batch`` (``vectorized``) or the reference loop;
+    ``run_kw`` goes to ``JobRunner.run`` (``failures=``, ``speculative=``)."""
     points = np.random.default_rng(5).normal(size=(400, 2))
     dfs = DistributedFileSystem(cluster)
     dataset = DistributedDataset.materialize(
@@ -39,8 +43,8 @@ def run_kmeans_job(
             task_overhead_seconds=0.05,
         ),
     )
-    if not batch_combiner:
-        spec = replace(spec, batch_combiner=None)
+    if not vectorized:
+        spec = replace(spec, combiner=GroupCombiner(reference_combine))
     model = {c: points[c] for c in range(K)}
     runner = JobRunner(cluster, dfs, pipeline=pipeline)
     return runner.run(spec, dataset, model=model, model_bytes=K * 16, **run_kw)

@@ -49,6 +49,7 @@ from repro.mapreduce.records import (
 )
 from repro.mapreduce.runner import JobRunner, _JobState
 from repro.util.sizing import sizeof_record, sizeof_records
+from tests.mapreduce.per_group import GroupCombiner
 from tests.mapreduce.reference_columns import reference_build_column
 from tests.mapreduce.reference_partition import reference_partition
 
@@ -717,11 +718,11 @@ class TestBatchAlgebra:
 # -- the runner's partition step ---------------------------------------------
 
 
-def _unused_mapper(ctx, key, value):
+def _unused_mapper(ctx, records):
     raise AssertionError("the partition step runs no mapper")
 
 
-def _unused_reducer(ctx, key, values):
+def _unused_reducer(ctx, grouped):
     raise AssertionError("the partition step runs no reducer")
 
 
@@ -766,10 +767,6 @@ def _tuple_batch_combiner(grouped):
     )
 
 
-def _declining_batch_combiner(_grouped):
-    return None
-
-
 def _partition_buckets(state, batch):
     """Drive the partition step, check the shape of what it returns —
     one batch, one id per record in the narrowest unsigned type, the
@@ -789,15 +786,14 @@ def _partition_buckets(state, batch):
 
 
 _SHARED_NAN = float("nan")
-# {no combiner, scalar, batch, batch declining} x {default, custom}.
+# {no combiner, per group, batch} x {default, custom}.
 _PARTITION_MATRIX = [
     dict(partitioner=partitioner, **combiners)
     for partitioner in (hash_partitioner, _repr_partitioner)
     for combiners in (
         {},
-        {"combiner": _tuple_combiner},
-        {"combiner": _tuple_combiner, "batch_combiner": _tuple_batch_combiner},
-        {"combiner": _tuple_combiner, "batch_combiner": _declining_batch_combiner},
+        {"combiner": GroupCombiner(_tuple_combiner)},
+        {"combiner": _tuple_batch_combiner},
     )
 ]
 
@@ -826,7 +822,7 @@ class TestPartitionStep:
         st.integers(1, 5),
     )
     def test_scalar_combined_buckets_size_like_their_rows(self, rows, n):
-        state = _job_state(num_reducers=n, combiner=_sum_combiner)
+        state = _job_state(num_reducers=n, combiner=GroupCombiner(_sum_combiner))
         buckets, counts, sizes = _partition_buckets(state, ColumnBatch.from_rows(rows))
         combined = 0
         for p, bucket in enumerate(buckets):

@@ -28,8 +28,7 @@ from repro.mapreduce.runner import JobRunner
 # level so a spec holding them could cross a process boundary.
 def _stub_mapper(ctx, records): ...
 def _stub_reducer(ctx, grouped): ...
-def _stub_combiner(key, values): ...
-def _stub_batch_combiner(grouped): ...
+def _stub_combiner(grouped): ...
 def _stub_partitioner(key, n): return hash_partitioner(key, n)
 def _stub_map_cost(num_records, nbytes, ctx): return 1.0
 
@@ -45,14 +44,16 @@ def make_env(values=None, num_splits=4, pipeline=None):
 
 
 def mean_job(model) -> JobSpec:
-    def mapper(ctx, key, value):
-        ctx.emit(0, (value, 1))
+    def mapper(ctx, records):
+        for _key, value in records:
+            ctx.emit(0, (value, 1))
 
-    def reducer(ctx, key, values):
-        total = sum(v for v, _n in values)
-        count = sum(n for _v, n in values)
-        target = total / count
-        ctx.emit("mean", (ctx.model["mean"] + target) / 2.0)
+    def reducer(ctx, grouped):
+        for _key, values in grouped:
+            total = sum(v for v, _n in values)
+            count = sum(n for _v, n in values)
+            target = total / count
+            ctx.emit("mean", (ctx.model["mean"] + target) / 2.0)
 
     return JobSpec(name="mean", mapper=mapper, reducer=reducer, num_reducers=1)
 
@@ -171,32 +172,25 @@ class TestOptimizedBaseline:
         # One distinct non-default value per field, so a field the strip
         # forgot would come back as its default.
         spec = JobSpec(
-            name="every-field", batch_mapper=_stub_mapper,
-            batch_reducer=_stub_reducer, combiner=_stub_combiner,
-            batch_combiner=_stub_batch_combiner, num_reducers=7,
+            name="every-field", mapper=_stub_mapper, reducer=_stub_reducer,
+            combiner=_stub_combiner, num_reducers=7,
             partitioner=_stub_partitioner,
             costs=CostHints(job_overhead_seconds=5.0, task_overhead_seconds=2.0),
-            output_category="merge", output_replication=2, map_cost=_stub_map_cost,
+            map_cost=_stub_map_cost,
         )
-        record_at_a_time = JobSpec(
-            name="rows", mapper=_stub_mapper, reducer=_stub_reducer
-        )
-        for original in (spec, record_at_a_time):
-            stripped = _strip_overheads(original)
-            for field in dataclasses.fields(JobSpec):
-                if field.name == "costs":
-                    assert stripped.costs == original.costs.without_overheads()
-                else:
-                    assert getattr(stripped, field.name) is getattr(
-                        original, field.name
-                    ), field.name
-        set_somewhere = {
+        stripped = _strip_overheads(spec)
+        for field in dataclasses.fields(JobSpec):
+            if field.name == "costs":
+                assert stripped.costs == spec.costs.without_overheads()
+            else:
+                assert getattr(stripped, field.name) is getattr(
+                    spec, field.name
+                ), field.name
+        set_fields = {
             f.name for f in dataclasses.fields(JobSpec)
-            if any(
-                getattr(s, f.name) != f.default for s in (spec, record_at_a_time)
-            )
+            if getattr(spec, f.name) != f.default
         }
-        assert set_somewhere == {f.name for f in dataclasses.fields(JobSpec)}
+        assert set_fields == {f.name for f in dataclasses.fields(JobSpec)}
 
     def test_strip_returns_the_spec_itself_when_nothing_to_strip(self):
         spec = JobSpec(
@@ -290,11 +284,13 @@ class TestChainedJobs:
     def test_two_jobs_per_iteration(self):
         # First job computes the mean; second adds 1 to it.
         def jobs(model, it):
-            def bump_mapper(ctx, key, value):
-                ctx.emit(0, 0)
+            def bump_mapper(ctx, records):
+                for _record in records:
+                    ctx.emit(0, 0)
 
-            def bump_reducer(ctx, key, values):
-                ctx.emit("mean", ctx.model["mean"] + 1.0)
+            def bump_reducer(ctx, grouped):
+                for _group in grouped:
+                    ctx.emit("mean", ctx.model["mean"] + 1.0)
 
             return [
                 mean_job(model),

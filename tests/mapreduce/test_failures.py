@@ -22,13 +22,15 @@ def make_env(runner_cls=JobRunner, num_nodes=4, num_splits=4):
 
 
 def mean_spec() -> JobSpec:
-    def mapper(ctx, k, v):
-        ctx.emit(0, (v, 1))
+    def mapper(ctx, records):
+        for _k, v in records:
+            ctx.emit(0, (v, 1))
 
-    def reducer(ctx, key, values):
-        total = sum(v for v, _n in values)
-        count = sum(n for _v, n in values)
-        ctx.emit("mean", total / count)
+    def reducer(ctx, grouped):
+        for _key, values in grouped:
+            total = sum(v for v, _n in values)
+            count = sum(n for _v, n in values)
+            ctx.emit("mean", total / count)
 
     return JobSpec(name="mean", mapper=mapper, reducer=reducer, num_reducers=1)
 
@@ -81,12 +83,12 @@ class TestCombinerJobRetry:
     """A retried map task's combined buckets are counted and shuffled
     once, in barrier and pipelined mode alike."""
 
-    @pytest.mark.parametrize("batch_combiner", [True, False])
+    @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("pipeline", [False, True])
-    def test_combined_buckets_counted_once(self, pipeline, batch_combiner):
+    def test_combined_buckets_counted_once(self, pipeline, vectorized):
         def run(**run_kw):
             cluster = Cluster(num_nodes=4, nodes_per_rack=4)
-            return run_kmeans_job(cluster, pipeline, batch_combiner, **run_kw)
+            return run_kmeans_job(cluster, pipeline, vectorized, **run_kw)
 
         clean = run()
         flaky = run(failures={0: 1})

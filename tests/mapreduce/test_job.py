@@ -1,37 +1,37 @@
 """Tests for job specification and task contexts."""
 
+import dataclasses
+
 import pytest
 
 from repro.mapreduce.columnar import ColumnBatch, group_batch
 from repro.mapreduce.job import Counters, JobSpec, TaskContext
+from tests.mapreduce.per_group import GroupCombiner
 
 
-def noop_mapper(ctx, k, v):
-    ctx.emit(k, v)
+def noop_mapper(ctx, records):
+    ctx.emit_batch(records)
 
 
-def noop_reducer(ctx, k, values):
-    ctx.emit(k, values[0])
+def noop_reducer(ctx, grouped):
+    for key, values in grouped:
+        ctx.emit(key, values[0])
 
 
-def sum_combiner(k, values):
-    return sum(values)
+def sum_combiner(grouped):
+    return ColumnBatch.from_rows([(key, sum(values)) for key, values in grouped])
 
 
-def declining_batch_combiner(grouped):
-    return None
-
-
-def fixed_batch_combiner(grouped):
-    # Recognisably not the scalar combiner's output: one ("z", 0) per group.
+def fixed_combiner(grouped):
+    # Recognisably not a sum: one ("z", 0) per group.
     return ColumnBatch.from_rows([("z", 0)] * len(grouped))
 
 
-def short_batch_combiner(grouped):
+def short_combiner(grouped):
     return ColumnBatch.from_rows([(0, 99)])
 
 
-def layout_bound_batch_combiner(grouped):
+def layout_bound_combiner(grouped):
     # Like k-means' combine_batch: written for the job's own columns.
     return ColumnBatch(grouped.unique_keys(), grouped.sorted_values.slots[0])
 
@@ -87,90 +87,68 @@ class TestCounters:
 
 
 class TestJobSpecValidation:
+    # One field per role: a job without one, or with a second form of
+    # it, does not construct.
     def test_requires_exactly_one_mapper(self):
-        with pytest.raises(ValueError, match="mapper"):
+        with pytest.raises(TypeError, match="mapper"):
             JobSpec(name="j", reducer=noop_reducer)
-        with pytest.raises(ValueError, match="mapper"):
+        with pytest.raises(TypeError, match="batch_mapper"):
             JobSpec(
-                name="j",
-                mapper=noop_mapper,
-                batch_mapper=lambda ctx, recs: None,
+                name="j", mapper=noop_mapper, batch_mapper=noop_mapper,
                 reducer=noop_reducer,
             )
 
     def test_requires_exactly_one_reducer(self):
-        with pytest.raises(ValueError, match="reducer"):
+        with pytest.raises(TypeError, match="reducer"):
             JobSpec(name="j", mapper=noop_mapper)
+        with pytest.raises(TypeError, match="batch_reducer"):
+            JobSpec(
+                name="j", mapper=noop_mapper, reducer=noop_reducer,
+                batch_reducer=noop_reducer,
+            )
+
+    def test_one_callable_per_role(self):
+        # A batch mapper, an optional batch combiner, a batch reducer:
+        # the record-at-a-time forms are PICProgram hooks, not fields.
+        assert [f.name for f in dataclasses.fields(JobSpec)] == [
+            "name", "mapper", "reducer", "combiner", "num_reducers",
+            "partitioner", "costs", "map_cost",
+        ]
 
     def test_zero_reducers_rejected(self):
         with pytest.raises(ValueError, match="num_reducers"):
             JobSpec(name="j", mapper=noop_mapper, reducer=noop_reducer, num_reducers=0)
 
-    def test_zero_replication_rejected(self):
-        with pytest.raises(ValueError, match="replication"):
-            JobSpec(
-                name="j", mapper=noop_mapper, reducer=noop_reducer,
-                output_replication=0,
-            )
-
 
 class TestRunHelpers:
-    def test_run_mapper_record_at_a_time(self):
-        spec = JobSpec(name="j", mapper=noop_mapper, reducer=noop_reducer)
-        ctx = TaskContext()
-        spec.run_mapper(ctx, ColumnBatch.from_rows([("a", 1), ("b", 2)]))
-        assert ctx.output == [("a", 1), ("b", 2)]
-
-    def test_run_mapper_batch(self):
-        def batch(ctx, records):
-            ctx.emit("n", len(records))
-
-        spec = JobSpec(name="j", batch_mapper=batch, reducer=noop_reducer)
-        ctx = TaskContext()
-        spec.run_mapper(ctx, ColumnBatch.from_rows([("a", 1), ("b", 2)]))
-        assert ctx.output == [("n", 2)]
-
-    def test_run_reducer_record_at_a_time(self):
-        spec = JobSpec(name="j", mapper=noop_mapper, reducer=noop_reducer)
-        ctx = TaskContext()
-        spec.run_reducer(ctx, group_batch(ColumnBatch.from_rows([("a", 1), ("a", 2)])))
-        assert ctx.output == [("a", 1)]
-
-    def test_run_reducer_batch(self):
-        def batch(ctx, grouped):
-            ctx.emit("groups", len(grouped))
-
-        spec = JobSpec(name="j", mapper=noop_mapper, batch_reducer=batch)
-        ctx = TaskContext()
-        spec.run_reducer(ctx, group_batch(ColumnBatch.from_rows([("a", 1), ("b", 2)])))
-        assert ctx.output == [("groups", 2)]
-
     def test_run_combiner_scalar_and_batch_forms_agree(self):
+        # A per-group combine and a batch one give the same batch; what
+        # the combiner returns is what the job gets.
         grouped = group_batch(ColumnBatch.from_rows([("a", 1), ("b", 2), ("a", 3)]))
-        scalar = JobSpec(
+        per_group = JobSpec(
+            name="j", mapper=noop_mapper, reducer=noop_reducer,
+            combiner=GroupCombiner(lambda _key, values: sum(values)),
+        )
+        combined = per_group.run_combiner(grouped)
+        assert type(combined) is ColumnBatch
+        assert combined.to_rows() == [("a", 4), ("b", 2)]
+        batch = JobSpec(
             name="j", mapper=noop_mapper, reducer=noop_reducer,
             combiner=sum_combiner,
         )
-        combined = scalar.run_combiner(grouped)
-        assert type(combined) is ColumnBatch
-        assert combined.to_rows() == [("a", 4), ("b", 2)]
-        declined = JobSpec(
+        assert batch.run_combiner(grouped).to_rows() == combined.to_rows()
+        fixed = JobSpec(
             name="j", mapper=noop_mapper, reducer=noop_reducer,
-            combiner=sum_combiner, batch_combiner=declining_batch_combiner,
+            combiner=fixed_combiner,
         )
-        assert declined.run_combiner(grouped).to_rows() == combined.to_rows()
-        vectorized = JobSpec(
-            name="j", mapper=noop_mapper, reducer=noop_reducer,
-            combiner=sum_combiner, batch_combiner=fixed_batch_combiner,
-        )
-        assert vectorized.run_combiner(grouped).to_rows() == [("z", 0), ("z", 0)]
+        assert fixed.run_combiner(grouped).to_rows() == [("z", 0), ("z", 0)]
 
     def test_run_combiner_rejects_a_batch_combiner_that_drops_groups(self):
         # The runner cuts the combined batch by groups per bucket; one
         # record for three groups used to reduce 1 record, silently.
         spec = JobSpec(
             name="short", mapper=noop_mapper, reducer=noop_reducer,
-            combiner=sum_combiner, batch_combiner=short_batch_combiner,
+            combiner=short_combiner,
         )
         grouped = group_batch(ColumnBatch.from_rows([(0, 1), (1, 2), (2, 3)]))
         with pytest.raises(ValueError, match=r"'short'.*1 records for 3 groups"):
@@ -178,10 +156,10 @@ class TestRunHelpers:
 
     def test_run_combiner_of_no_groups_skips_the_batch_combiner(self):
         # An empty batch has object columns whatever the job emits, so a
-        # batch combiner written for its own layout must not see it.
+        # combiner written for its own layout must not see it.
         spec = JobSpec(
             name="j", mapper=noop_mapper, reducer=noop_reducer,
-            combiner=sum_combiner, batch_combiner=layout_bound_batch_combiner,
+            combiner=layout_bound_combiner,
         )
         combined = spec.run_combiner(group_batch(ColumnBatch.from_rows([])))
         assert type(combined) is ColumnBatch

@@ -12,20 +12,34 @@ from repro.mapreduce.records import DistributedDataset, stable_hash
 from repro.mapreduce.runner import JobRunner, _JobState
 
 
-def word_mapper(ctx, key, value):
-    ctx.emit(value, 1)
+def word_mapper(ctx, records):
+    for _key, word in records:
+        ctx.emit(word, 1)
 
 
-def sum_reducer(ctx, key, values):
-    ctx.emit(key, sum(values))
+def sum_reducer(ctx, grouped):
+    for key, values in grouped:
+        ctx.emit(key, sum(values))
 
 
-def identity_mapper(ctx, key, value):
-    ctx.emit(key, value)
+def identity_mapper(ctx, records):
+    ctx.emit_batch(records)
 
 
-def sum_combiner(key, values):
-    return sum(values)
+def sum_combiner(grouped):
+    return ColumnBatch.from_rows([(key, sum(values)) for key, values in grouped])
+
+
+class ReduceInputSpy:
+    """``sum_reducer`` that records the type of every reducer input (a
+    module-level class, so a job holding it still pickles)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, ctx, grouped):
+        self.seen.append(type(grouped))
+        sum_reducer(ctx, grouped)
 
 
 def make_env(num_nodes=6, num_splits=6, num_words=10, num_records=300):
@@ -54,9 +68,7 @@ class TestCorrectness:
         _c, runner, dataset = make_env()
         plain = runner.run(word_spec(), dataset)
         _c2, runner2, dataset2 = make_env()
-        combined = runner2.run(
-            word_spec(combiner=lambda k, vs: sum(vs)), dataset2
-        )
+        combined = runner2.run(word_spec(combiner=sum_combiner), dataset2)
         assert sorted(plain.output) == sorted(combined.output)
 
     def test_single_reducer(self):
@@ -78,13 +90,13 @@ class TestCorrectness:
         assert a.duration == pytest.approx(b.duration)
 
     def test_batch_mapper_equivalent(self):
+        # One emitted batch per split counts as the per-record emits.
         def batch(ctx, records):
-            for _k, v in records:
-                ctx.emit(v, 1)
+            ctx.emit_batch(ColumnBatch.from_rows([(w, 1) for _k, w in records]))
 
         _c, runner, dataset = make_env()
         result = runner.run(
-            JobSpec(name="b", batch_mapper=batch, reducer=sum_reducer, num_reducers=4),
+            JobSpec(name="b", mapper=batch, reducer=sum_reducer, num_reducers=4),
             dataset,
         )
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
@@ -96,9 +108,10 @@ class TestOneDataPlane:
 
     @pytest.mark.parametrize("combiner", [None, sum_combiner])
     def test_every_stage_holds_batches(self, combiner, monkeypatch):
-        # The job's own functions are all record-at-a-time and emit
-        # scalars; what the runner moves between them is spied on.
-        seen = {"reduce_in": [], "collected": [], "partitioned": [], "cut": []}
+        # The job's own functions emit scalars; what the runner moves
+        # between them is spied on.
+        reducer = ReduceInputSpy()
+        seen = {"reduce_in": reducer.seen, "collected": [], "partitioned": [], "cut": []}
 
         def spy(cls, method, key, pick):
             original = getattr(cls, method)
@@ -110,12 +123,13 @@ class TestOneDataPlane:
 
             monkeypatch.setattr(cls, method, wrapper)
 
-        spy(JobSpec, "run_reducer", "reduce_in", lambda args, out: args[1])
         spy(TaskContext, "collect", "collected", lambda args, out: out)
         spy(_JobState, "_partition", "partitioned", lambda args, out: out[0])
         spy(_JobState, "_reduce_input", "cut", lambda args, out: out)
         _c, runner, dataset = make_env()
-        handle = runner.submit(word_spec(combiner=combiner), dataset)
+        handle = runner.submit(
+            word_spec(reducer=reducer, combiner=combiner), dataset
+        )
         runner.cluster.run()
         # One batch per map task travels, not one per (map, reducer);
         # every reducer's groups are a cut of one job-wide grouping,
@@ -138,20 +152,13 @@ class TestOneCombinerCallPerMapAttempt:
         # to run once per non-empty bucket.
         calls = []
 
-        def counting_batch_combiner(grouped):
+        def counting_combiner(grouped):
             calls.append(len(grouped))
-            return ColumnBatch.from_rows(
-                [(key, sum(values)) for key, values in grouped]
-            )
+            return sum_combiner(grouped)
 
         _c, runner, dataset = make_env(num_splits=1, num_words=40)
         result = runner.run(
-            word_spec(
-                num_reducers=16,
-                combiner=sum_combiner,
-                batch_combiner=counting_batch_combiner,
-            ),
-            dataset,
+            word_spec(num_reducers=16, combiner=counting_combiner), dataset
         )
         assert calls == [40]
         assert result.counters.get("combine_output_records") == 40
@@ -206,7 +213,7 @@ class TestAccounting:
         _c, runner, dataset = make_env()
         plain = runner.run(word_spec(), dataset)
         _c2, runner2, dataset2 = make_env()
-        combined = runner2.run(word_spec(combiner=lambda k, vs: sum(vs)), dataset2)
+        combined = runner2.run(word_spec(combiner=sum_combiner), dataset2)
         assert combined.shuffle_bytes < plain.shuffle_bytes
         assert combined.map_output_bytes_raw == plain.map_output_bytes_raw
 
@@ -289,7 +296,7 @@ class TestDynamicCosts:
 
         _c, runner, dataset = make_env(num_splits=3)
         spec = JobSpec(
-            name="s", batch_mapper=stats_mapper, reducer=sum_reducer, num_reducers=1
+            name="s", mapper=stats_mapper, reducer=sum_reducer, num_reducers=1
         )
         result = runner.run(spec, dataset)
         assert set(result.map_stats) == {0, 1, 2}

@@ -37,6 +37,7 @@ from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset, hash_partitioner
 from repro.mapreduce.runner import JobRunner, _JobState
+from tests.mapreduce.per_group import GroupCombiner
 from tests.mapreduce.reference_shuffle import reference_reduce_inputs
 
 # -- the job's functions (module level: they may cross a process boundary) --
@@ -46,8 +47,9 @@ def _pass_through(ctx, records):
     ctx.emit_batch(records)
 
 
-def _count_reducer(ctx, key, values):
-    ctx.emit(key, len(values))
+def _count_reducer(ctx, grouped):
+    for key, values in grouped:
+        ctx.emit(key, len(values))
 
 
 def _tuple_combiner(_key, values):
@@ -79,10 +81,12 @@ def _int_or_not_partitioner(key, n):
 _PARTITIONERS = [
     hash_partitioner, _repr_partitioner, _first_partitioner, _int_or_not_partitioner,
 ]
+# No combiner, a per-group one (an object column from its rows) and one
+# that builds its value column itself.
 _COMBINERS = [
     {},
-    {"combiner": _tuple_combiner},
-    {"combiner": _tuple_combiner, "batch_combiner": _tuple_batch_combiner},
+    {"combiner": GroupCombiner(_tuple_combiner)},
+    {"combiner": _tuple_batch_combiner},
 ]
 
 # -- strategies ----------------------------------------------------------------
@@ -158,14 +162,14 @@ def _run(partitions, spec, pipeline=False, failures=None, speculative=False):
     outputs = []
     for split in dataset.splits:
         ctx = TaskContext(split_index=split.index)
-        spec.run_mapper(ctx, split.records)
+        spec.mapper(ctx, split.records)
         outputs.append(ctx.collect())
     return cut, outputs, result.counters
 
 
 def _spec(num_reducers, partitioner=hash_partitioner, **combiners):
     return JobSpec(
-        name="shuffle", batch_mapper=_pass_through, reducer=_count_reducer,
+        name="shuffle", mapper=_pass_through, reducer=_count_reducer,
         num_reducers=num_reducers, partitioner=partitioner,
         # Compute-heavy maps: the slow node's tasks straggle.
         costs=CostHints(map_seconds_per_record=2e-3, task_overhead_seconds=0.05),
@@ -283,7 +287,7 @@ class TestReduceInputMatchesPerPartitionReference:
     def test_speculative_twins_and_failed_attempts_feed_one_output_per_map(self):
         partitions = [[(i % 3, float(i)) for i in range(40 * s, 40 * s + 40)]
                       for s in range(4)]
-        spec = _spec(2, combiner=_tuple_combiner)
+        spec = _spec(2, combiner=GroupCombiner(_tuple_combiner))
         cut, outputs, counters = _run(
             partitions, spec, failures={1: 1}, speculative=True
         )

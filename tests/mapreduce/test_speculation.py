@@ -34,11 +34,13 @@ def make_env(cluster, runner_cls=JobRunner, num_splits=4):
 def sum_spec() -> JobSpec:
     from repro.mapreduce.costs import CostHints
 
-    def mapper(ctx, k, v):
-        ctx.emit(0, v)
+    def mapper(ctx, records):
+        for _k, v in records:
+            ctx.emit(0, v)
 
-    def reducer(ctx, key, values):
-        ctx.emit("sum", sum(values))
+    def reducer(ctx, grouped):
+        for _key, values in grouped:
+            ctx.emit("sum", sum(values))
 
     # Compute-heavy maps so the slow node is a genuine map straggler
     # (reduce tasks are placed on node 0, which stays fast).
@@ -134,12 +136,12 @@ class TestSpeculativeCombinerJob:
     """A killed twin's combined buckets are neither counted nor
     shuffled, in barrier and pipelined mode alike."""
 
-    @pytest.mark.parametrize("batch_combiner", [True, False])
+    @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("pipeline", [False, True])
-    def test_combined_buckets_counted_once(self, pipeline, batch_combiner):
-        plain = run_kmeans_job(heterogeneous_cluster(), pipeline, batch_combiner)
+    def test_combined_buckets_counted_once(self, pipeline, vectorized):
+        plain = run_kmeans_job(heterogeneous_cluster(), pipeline, vectorized)
         backed_up = run_kmeans_job(
-            heterogeneous_cluster(), pipeline, batch_combiner, speculative=True
+            heterogeneous_cluster(), pipeline, vectorized, speculative=True
         )
         assert backed_up.counters.get("speculative_attempts") >= 1
         assert backed_up.counters.get("speculative_losses") >= 1

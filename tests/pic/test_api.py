@@ -2,10 +2,34 @@
 
 import pytest
 
-from repro.mapreduce.columnar import columnize
+from repro.cluster.cluster import Cluster
+from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch
 from repro.mapreduce.job import JobSpec, TaskContext
+from repro.mapreduce.records import DistributedDataset
+from repro.mapreduce.runner import JobRunner
 from repro.pic.api import PICProgram
 from tests.pic.toy import MeanProgram
+
+
+class BatchCombineOnly(MeanProgram):
+    """A combiner written only as ``combine_batch``: no scalar twin."""
+
+    combine = PICProgram.combine
+
+    def combine_batch(self, grouped):
+        return ColumnBatch.from_rows([
+            (key, (sum(v for v, _n in values), sum(n for _v, n in values)))
+            for key, values in grouped
+        ])
+
+
+def run_one_job(prog):
+    cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+    dfs = DistributedFileSystem(cluster)
+    records = [(i, float(i)) for i in range(40)]
+    dataset = DistributedDataset.materialize(dfs, "/in", records, 4)
+    return JobRunner(cluster, dfs).run(prog.job_spec(), dataset, model={"mean": 0.0})
 
 
 class TestJobSpecDerivation:
@@ -28,9 +52,28 @@ class TestJobSpecDerivation:
                 for k, v in records:
                     self.map(ctx, k, v)
 
-        spec = Batch().job_spec()
-        assert spec.batch_mapper is not None
-        assert spec.mapper is None
+        prog = Batch()
+        spec = prog.job_spec()
+        assert spec.mapper == prog.batch_map
+        assert spec.reducer == prog.batch_reduce
+
+    def test_a_combine_batch_alone_enables_the_combiner(self):
+        prog = BatchCombineOnly()
+        assert prog.job_spec().combiner == prog.combine_batch
+        result = run_one_job(prog)
+        counters = result.counters
+        assert counters.get("combine_output_records") < counters.get("map_output_records")
+        assert result.output.to_rows() == run_one_job(MeanProgram()).output.to_rows()
+
+    def test_default_combine_batch_is_combine_per_group(self):
+        prog = MeanProgram()
+        grouped = group_batch(ColumnBatch.from_rows(
+            [(i % 3, (float(i), 1)) for i in range(10)] + [("x", (2.5, 4))]
+        ))
+        assert prog.job_spec().combiner == prog.combine_batch
+        assert prog.combine_batch(grouped).to_rows() == [
+            (key, prog.combine(key, values)) for key, values in grouped
+        ]
 
     def test_default_jobs_single(self):
         assert len(MeanProgram().jobs({"mean": 0.0}, 0)) == 1

@@ -111,13 +111,18 @@ def word_env(runner_cls, cluster=None):
     return cluster, runner_cls(cluster, dfs), dataset
 
 
+def word_mapper(ctx, records):
+    for _k, word in records:
+        ctx.emit(word, 1)
+
+
+def sum_reducer(ctx, grouped):
+    for key, values in grouped:
+        ctx.emit(key, sum(values))
+
+
 def word_spec():
-    return JobSpec(
-        name="wc",
-        mapper=lambda ctx, k, v: ctx.emit(v, 1),
-        reducer=lambda ctx, k, vs: ctx.emit(k, sum(vs)),
-        num_reducers=4,
-    )
+    return JobSpec(name="wc", mapper=word_mapper, reducer=sum_reducer, num_reducers=4)
 
 
 class TestYarnJobRunner:
