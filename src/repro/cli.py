@@ -13,7 +13,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.presets import large_cluster, medium_cluster, small_cluster
-from repro.harness.compare import ComparisonResult
+from repro.harness.compare import ComparisonResult, compare_ic_pic
 from repro.util.formatting import human_bytes, human_time, render_table
 
 CLUSTERS: dict[str, Callable[[], Cluster]] = {
@@ -82,26 +81,14 @@ def _report(result: ComparisonResult, quality_rows: list[list[str]] | None = Non
     return out
 
 
-def _run(workload, speculative: bool, workers: int | None = None) -> ComparisonResult:
-    import copy
-
-    from repro.mapreduce.columnar import columnize
-    from repro.pic.runner import PICRunner, run_ic_baseline
-
-    records = columnize(workload.records)  # one ingest for both runs
-    ic_cluster = workload.cluster_factory()
-    ic = run_ic_baseline(
-        ic_cluster, workload.program, records,
-        initial_model=copy.deepcopy(workload.initial_model),
-        max_iterations=1000, speculative=speculative, workers=workers,
+def _run(args, program, records, initial_model) -> ComparisonResult:
+    """IC vs PIC for one subcommand's program, under its common flags."""
+    return compare_ic_pic(
+        CLUSTERS[args.cluster], program, records, initial_model,
+        args.partitions, max_iterations=1000, be_max_iterations=100,
+        workers=args.workers, speculative=args.speculative,
+        pipeline=None if args.pipeline is None else args.pipeline == "on",
     )
-    pic_cluster = workload.cluster_factory()
-    pic = PICRunner(
-        pic_cluster, workload.program, num_partitions=workload.num_partitions,
-        seed=3, be_max_iterations=100, max_iterations=1000,
-        speculative=speculative, workers=workers,
-    ).run(records, initial_model=copy.deepcopy(workload.initial_model))
-    return ComparisonResult(ic=ic, ic_traffic=ic_cluster.meter.snapshot(), pic=pic)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -109,20 +96,14 @@ def _run(workload, speculative: bool, workers: int | None = None) -> ComparisonR
 def cmd_kmeans(args) -> str:
     """Run K-means clustering IC-vs-PIC and render the comparison."""
     from repro.apps.kmeans import KMeansProgram, gaussian_mixture, jagota_index
-    from repro.harness.workloads import Workload
 
     records, _ = gaussian_mixture(
         args.points, args.clusters, dim=args.dim,
         separation=args.separation, seed=args.seed,
     )
     program = KMeansProgram(k=args.clusters, dim=args.dim, threshold=args.threshold)
-    workload = Workload(
-        name="cli-kmeans", cluster_factory=CLUSTERS[args.cluster],
-        program=program, records=records,
-        initial_model=program.initial_model(records, seed=args.seed + 1),
-        num_partitions=args.partitions,
-    )
-    result = _run(workload, args.speculative, args.workers)
+    initial_model = program.initial_model(records, seed=args.seed + 1)
+    result = _run(args, program, records, initial_model)
     points = np.stack([v for _k, v in records])
     quality = [[
         "Jagota index",
@@ -135,19 +116,12 @@ def cmd_kmeans(args) -> str:
 def cmd_pagerank(args) -> str:
     """Run PageRank IC-vs-PIC and render the comparison."""
     from repro.apps.pagerank import PageRankProgram, local_web_graph, nutch_pagerank
-    from repro.harness.workloads import Workload
 
     records = local_web_graph(
         args.vertices, avg_out_degree=args.degree, seed=args.seed
     )
     program = PageRankProgram(partition_mode=args.partition_mode)
-    workload = Workload(
-        name="cli-pagerank", cluster_factory=CLUSTERS[args.cluster],
-        program=program, records=records,
-        initial_model=program.initial_model(records),
-        num_partitions=args.partitions,
-    )
-    result = _run(workload, args.speculative, args.workers)
+    result = _run(args, program, records, program.initial_model(records))
     reference = nutch_pagerank(records)
     ranks = program.rank_vector(result.pic.model, args.vertices)
     rel_l1 = float(np.abs(ranks - reference).sum() / reference.sum())
@@ -158,7 +132,6 @@ def cmd_linsolve(args) -> str:
     """Run the linear solver IC-vs-PIC and render the comparison."""
     from repro.apps.linsolve import LinearSolverProgram, diagonally_dominant_system
     from repro.apps.linsolve.datagen import system_records
-    from repro.harness.workloads import Workload
 
     A, b, x_star = diagonally_dominant_system(
         args.variables, bandwidth=args.bandwidth,
@@ -166,13 +139,7 @@ def cmd_linsolve(args) -> str:
     )
     records = system_records(A, b)
     program = LinearSolverProgram(threshold=args.threshold)
-    workload = Workload(
-        name="cli-linsolve", cluster_factory=CLUSTERS[args.cluster],
-        program=program, records=records,
-        initial_model=program.initial_model(records),
-        num_partitions=args.partitions,
-    )
-    result = _run(workload, args.speculative, args.workers)
+    result = _run(args, program, records, program.initial_model(records))
     err_ic = np.linalg.norm(
         program.solution_vector(result.ic.model, args.variables) - x_star
     )
@@ -185,7 +152,6 @@ def cmd_linsolve(args) -> str:
 def cmd_neuralnet(args) -> str:
     """Run NN training IC-vs-PIC and render the comparison."""
     from repro.apps.neuralnet import MLP, NeuralNetProgram, ocr_dataset
-    from repro.harness.workloads import Workload
 
     records, X, y = ocr_dataset(args.samples, seed=args.seed)
     split = int(args.samples * 20 / 21)
@@ -193,13 +159,8 @@ def cmd_neuralnet(args) -> str:
     program = NeuralNetProgram(
         MLP(64, args.hidden, 10), validation=(Xv, yv)
     )
-    workload = Workload(
-        name="cli-neuralnet", cluster_factory=CLUSTERS[args.cluster],
-        program=program, records=train,
-        initial_model=program.initial_model(train, seed=args.seed + 2),
-        num_partitions=args.partitions,
-    )
-    result = _run(workload, args.speculative, args.workers)
+    initial_model = program.initial_model(train, seed=args.seed + 2)
+    result = _run(args, program, train, initial_model)
     quality = [[
         "validation error",
         f"{program.validation_error(result.ic.model, Xv, yv):.4f}",
@@ -212,18 +173,11 @@ def cmd_smoothing(args) -> str:
     """Run image smoothing IC-vs-PIC and render the comparison."""
     from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
     from repro.apps.smoothing.datagen import image_records
-    from repro.harness.workloads import Workload
 
     img = synthetic_image(args.side, args.side, seed=args.seed)
     records = image_records(img)
     program = ImageSmoothingProgram(args.side, args.side)
-    workload = Workload(
-        name="cli-smoothing", cluster_factory=CLUSTERS[args.cluster],
-        program=program, records=records,
-        initial_model=program.initial_model(records),
-        num_partitions=args.partitions,
-    )
-    result = _run(workload, args.speculative, args.workers)
+    result = _run(args, program, records, program.initial_model(records))
     return _report(result)
 
 
@@ -279,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "pipeline", None) is not None:
-        from repro.mapreduce.pipeline import PIPELINE_ENV_VAR
-
-        os.environ[PIPELINE_ENV_VAR] = "1" if args.pipeline == "on" else "0"
     print(args.func(args))
     return 0
 

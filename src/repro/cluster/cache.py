@@ -3,8 +3,8 @@
 Iterative frameworks of the Spark/HaLoop era keep loop-invariant
 inputs resident in executor memory so only the first iteration pays
 the scan.  This module models that residency on the simulated cluster:
-each node gets a byte budget (a fraction of its ``NodeSpec.ram_bytes``,
-the in-memory-ratio knob), entries are inserted when data is first
+each node gets a byte budget (the fixed fraction ``DEFAULT_CACHE_RATIO``
+of its ``NodeSpec.ram_bytes``), entries are inserted when data is first
 materialized on the node, later lookups hit for free, and when the
 budget runs out the least-recently-used *unpinned* entry is evicted.
 
@@ -25,7 +25,6 @@ engine and driver report.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -33,26 +32,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
 
-CACHE_RATIO_ENV_VAR = "PIC_CACHE_RATIO"
-
 #: Fraction of each node's RAM available for loop-invariant caching.
 #: Half mirrors the default executor-memory split of the era's engines.
 DEFAULT_CACHE_RATIO = 0.5
 
 #: A cache entry's identity: (dataset path, split index).
 CacheKey = tuple[str, int]
-
-
-def cache_ratio() -> float:
-    """The in-memory-ratio knob (``PIC_CACHE_RATIO``, clamped to [0, 1])."""
-    raw = os.environ.get(CACHE_RATIO_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_CACHE_RATIO
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_CACHE_RATIO
-    return min(max(value, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -134,13 +119,11 @@ class NodeMemoryCache:
         self.evictions = 0
 
     @classmethod
-    def from_cluster(
-        cls, cluster: "Cluster", ratio: float | None = None
-    ) -> "NodeMemoryCache":
-        """Budget each node ``ram_bytes * ratio`` (the in-memory knob)."""
-        if ratio is None:
-            ratio = cache_ratio()
-        return cls([int(n.spec.ram_bytes * ratio) for n in cluster.nodes])
+    def from_cluster(cls, cluster: "Cluster") -> "NodeMemoryCache":
+        """Budget each node ``ram_bytes * DEFAULT_CACHE_RATIO``."""
+        return cls(
+            [int(n.spec.ram_bytes * DEFAULT_CACHE_RATIO) for n in cluster.nodes]
+        )
 
     # -- queries -------------------------------------------------------
 

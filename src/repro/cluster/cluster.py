@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.cluster.events import Simulation
+from repro.cluster.events import Event, Simulation
 from repro.cluster.flows import Flow, FlowNetwork, FlowRequest
 from repro.cluster.metrics import TrafficMeter
 from repro.cluster.topology import Node, NodeSpec, Topology
@@ -75,6 +75,29 @@ class Cluster:
     ) -> Flow:
         """Start a flow; completion is delivered on the simulated clock."""
         return self.network.start_flow(src, dst, nbytes, category, on_complete)
+
+    def move(
+        self,
+        src: int,
+        dst: int,
+        nbytes: float,
+        category: str,
+        on_complete: Callable[..., Any],
+    ) -> Event | None:
+        """Charge moving ``nbytes`` of stored data from ``src`` to ``dst``.
+
+        On one node it is disk time at ``dst``'s bandwidth and counts
+        toward ``category`` but not the fabric; the timer's
+        :class:`Event` is returned so the caller can cancel it.  Between
+        two nodes it is a :meth:`transfer` and returns None.
+        """
+        if src == dst:
+            disk = self.topology.nodes[dst].spec.disk_bandwidth
+            event = self.sim.schedule(nbytes / disk, on_complete)
+            self.meter.record(category, nbytes, crosses_core=False, on_fabric=False)
+            return event
+        self.transfer(src, dst, nbytes, category, on_complete)
+        return None
 
     def transfer_batch(self, requests: Iterable[FlowRequest]) -> list[Flow]:
         """Start many flows in one call (a shuffle wave, a scatter).

@@ -238,6 +238,15 @@ class Topology:
         self._check_node(dst)
         return self.nodes[src].rack_id != self.nodes[dst].rack_id
 
+    def closest(self, candidates: tuple[int, ...], node_id: int) -> int:
+        """HDFS's replica rule: ``node_id`` itself when it holds a copy,
+        else the lowest id on its rack, else the lowest id."""
+        if node_id in candidates:
+            return node_id
+        rack = self.nodes[node_id].rack_id
+        same_rack = [c for c in candidates if self.nodes[c].rack_id == rack]
+        return min(same_rack or candidates)
+
     def rack_members(self, rack_id: int) -> list[Node]:
         """Nodes located in ``rack_id``."""
         if not 0 <= rack_id < self.num_racks:

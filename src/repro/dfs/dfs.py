@@ -1,13 +1,15 @@
-"""Data plane of the simulated DFS: replication pipelines and reads.
+"""Data plane of the simulated DFS: replication pipelines.
 
 A write of one block charges a *pipeline*: writer → replica₂ → replica₃.
 In steady state a pipeline moves each byte over every hop, so the fabric
 cost of a write is ``nbytes × (replicas − 1)`` transfers plus the local
-disk write on every replica.  Reads fetch each block from the closest
-replica; a local replica costs only disk time.
+disk write on the writer.  Every copy is one :meth:`Cluster.move`.
 
-All operations complete via callbacks on the simulated clock, so the
-MapReduce layer can sequence task work after its I/O without blocking.
+Readers pick a replica with :meth:`Topology.closest` and charge it with
+the same :meth:`Cluster.move`; the file system itself only places and
+writes.  All operations complete via callbacks on the simulated clock,
+so the MapReduce layer can sequence task work after its I/O without
+blocking.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ class DistributedFileSystem:
             seed=seed,
         )
 
-    # -- writes ----------------------------------------------------------
-
     def write(
         self,
         path: str,
@@ -56,108 +56,20 @@ class DistributedFileSystem:
         last block has landed.
         """
         meta = self.namenode.create(path, nbytes, writer_node, replication=replication)
-        pending = {"count": 0, "write_done": False}
+        # Per block: the writer's local copy (its first replica), then
+        # one hop along the pipeline to each further replica.
+        moves = [
+            (src, dst, block.nbytes)
+            for block in meta.blocks
+            for src, dst in zip(block.replicas[:1] + block.replicas, block.replicas)
+        ]
+        pending = {"count": len(moves)}
 
         def block_part_done(_flow=None) -> None:
             pending["count"] -= 1
-            if pending["count"] == 0 and pending["write_done"] and on_complete:
+            if pending["count"] == 0 and on_complete:
                 on_complete(meta)
 
-        for block in meta.blocks:
-            # Local disk write on the first replica (the writer itself).
-            # Counts toward the category total (a replica was written)
-            # but not toward fabric traffic.
-            pending["count"] += 1
-            disk_time = block.nbytes / self._disk_bw(block.replicas[0])
-            self.cluster.sim.schedule(disk_time, block_part_done)
-            self.cluster.meter.record(
-                category, block.nbytes, crosses_core=False, on_fabric=False
-            )
-            # Pipeline hops to the remaining replicas.
-            for src, dst in zip(block.replicas, block.replicas[1:]):
-                pending["count"] += 1
-                self.cluster.transfer(src, dst, block.nbytes, category, block_part_done)
-        pending["write_done"] = True
-        if pending["count"] == 0 and on_complete:
-            # Zero-byte file: still signal completion on the sim clock.
-            self.cluster.sim.schedule(0.0, lambda: on_complete(meta))
+        for src, dst, block_bytes in moves:
+            self.cluster.move(src, dst, block_bytes, category, block_part_done)
         return meta
-
-    def overwrite(
-        self,
-        path: str,
-        nbytes: int,
-        writer_node: int,
-        category: str = TrafficCategory.DFS_WRITE,
-        on_complete: Callable[[FileMeta], None] | None = None,
-    ) -> FileMeta:
-        """Replace ``path`` if it exists (models HDFS delete + create)."""
-        if self.namenode.exists(path):
-            self.namenode.delete(path)
-        return self.write(path, nbytes, writer_node, category, on_complete)
-
-    # -- reads -----------------------------------------------------------
-
-    def read(
-        self,
-        path: str,
-        reader_node: int,
-        category: str = TrafficCategory.DFS_READ,
-        on_complete: Callable[[FileMeta], None] | None = None,
-    ) -> FileMeta:
-        """Fetch all blocks of ``path`` to ``reader_node``."""
-        meta = self.namenode.lookup(path)
-        return self._read_blocks(meta, meta.blocks, reader_node, category, on_complete)
-
-    def read_block(
-        self,
-        path: str,
-        block_index: int,
-        reader_node: int,
-        category: str = TrafficCategory.DFS_READ,
-        on_complete: Callable[[FileMeta], None] | None = None,
-    ) -> FileMeta:
-        """Fetch a single block (what a map task does with its split)."""
-        meta = self.namenode.lookup(path)
-        if not 0 <= block_index < len(meta.blocks):
-            raise IndexError(
-                f"{path} has {len(meta.blocks)} blocks, no index {block_index}"
-            )
-        block = meta.blocks[block_index]
-        return self._read_blocks(meta, [block], reader_node, category, on_complete)
-
-    def _read_blocks(self, meta, blocks, reader_node, category, on_complete):
-        pending = {"count": 0, "all_started": False}
-
-        def part_done(_flow=None) -> None:
-            pending["count"] -= 1
-            if pending["count"] == 0 and pending["all_started"] and on_complete:
-                on_complete(meta)
-
-        for block in blocks:
-            replica = self.namenode.closest_replica(block, reader_node)
-            pending["count"] += 1
-            if replica == reader_node:
-                disk_time = block.nbytes / self._disk_bw(replica)
-                self.cluster.sim.schedule(disk_time, part_done)
-                # Local read: counts toward the category but not the fabric.
-                self.cluster.meter.record(
-                    category, block.nbytes, crosses_core=False, on_fabric=False
-                )
-            else:
-                self.cluster.transfer(
-                    replica, reader_node, block.nbytes, category, part_done
-                )
-        pending["all_started"] = True
-        if pending["count"] == 0 and on_complete:
-            self.cluster.sim.schedule(0.0, lambda: on_complete(meta))
-        return meta
-
-    # -- queries ----------------------------------------------------------
-
-    def block_locations(self, path: str) -> list[tuple[int, ...]]:
-        """Replica node tuples per block — the scheduler's locality input."""
-        return [b.replicas for b in self.namenode.lookup(path).blocks]
-
-    def _disk_bw(self, node_id: int) -> float:
-        return self.cluster.topology.nodes[node_id].spec.disk_bandwidth

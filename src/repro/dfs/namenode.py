@@ -71,7 +71,6 @@ class Namenode:
         self.topology = topology
         self.replication = min(replication, topology.num_nodes)
         self.block_size = block_size
-        self.rng = as_generator(seed)
         # Placement is a pure function of (seed, path): each create()
         # derives a per-file stream instead of drawing from one shared
         # cursor, so which of two same-timestamp writes registers first
@@ -84,9 +83,6 @@ class Namenode:
             )
         self._files: dict[str, FileMeta] = {}
         self._next_block_id = 0
-        self.stored_bytes_per_node: dict[int, float] = {
-            n.node_id: 0.0 for n in topology.nodes
-        }
 
     # -- metadata operations -------------------------------------------
 
@@ -99,18 +95,6 @@ class Namenode:
         if path not in self._files:
             raise FileNotFoundError(f"no such DFS file: {path}")
         return self._files[path]
-
-    def listing(self) -> list[str]:
-        """All registered paths, sorted."""
-        return sorted(self._files)
-
-    def delete(self, path: str) -> None:
-        """Remove ``path`` and reclaim its replicas' accounting."""
-        meta = self.lookup(path)
-        for block in meta.blocks:
-            for node in block.replicas:
-                self.stored_bytes_per_node[node] -= block.nbytes
-        del self._files[path]
 
     # -- allocation -----------------------------------------------------
 
@@ -147,8 +131,6 @@ class Namenode:
             )
             self._next_block_id += 1
             meta.blocks.append(block)
-            for node in replicas:
-                self.stored_bytes_per_node[node] += chunk
             remaining -= chunk
             if remaining <= 0:
                 break
@@ -156,15 +138,8 @@ class Namenode:
         return meta
 
     def _place_replicas(
-        self,
-        writer_node: int,
-        replication: int | None = None,
-        rng: np.random.Generator | None = None,
+        self, writer_node: int, replication: int, rng: np.random.Generator
     ) -> tuple[int, ...]:
-        if replication is None:
-            replication = self.replication
-        if rng is None:
-            rng = self.rng
         topo = self.topology
         placed = [writer_node]
         if replication >= 2:
@@ -195,18 +170,3 @@ class Namenode:
                 break
             placed.append(int(rng.choice(pool)))
         return tuple(placed)
-
-    # -- replica selection for reads -------------------------------------
-
-    def closest_replica(self, block: BlockMeta, reader_node: int) -> int:
-        """Local replica if any, else same-rack, else any (deterministic)."""
-        if reader_node in block.replicas:
-            return reader_node
-        reader_rack = self.topology.nodes[reader_node].rack_id
-        same_rack = [
-            r for r in block.replicas
-            if self.topology.nodes[r].rack_id == reader_rack
-        ]
-        if same_rack:
-            return min(same_rack)
-        return min(block.replicas)

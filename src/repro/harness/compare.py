@@ -54,13 +54,16 @@ def compare_ic_pic(
     max_iterations: int = 200,
     be_max_iterations: int = 30,
     workers: int | None = None,
+    speculative: bool = False,
+    pipeline: bool | None = None,
 ) -> ComparisonResult:
     """Run IC then PIC from the *same* initial model on fresh clusters.
 
     ``workers`` sets host-side execution parallelism (``PIC_WORKERS``
     when None); it changes wall-clock only — simulated results are
-    bit-identical for any worker count.  ``records`` is columnized
-    once; both runs read the same batch.
+    bit-identical for any worker count.  ``speculative`` and
+    ``pipeline`` (``PIC_PIPELINE`` when None) go to both runs.
+    ``records`` is columnized once; both runs read the same batch.
     """
     batch = columnize(records)
     ic_cluster = cluster_factory()
@@ -70,7 +73,9 @@ def compare_ic_pic(
         batch,
         initial_model=copy.deepcopy(initial_model),
         max_iterations=max_iterations,
+        speculative=speculative,
         workers=workers,
+        pipeline=pipeline,
     )
     pic_cluster = cluster_factory()
     runner = PICRunner(
@@ -80,7 +85,9 @@ def compare_ic_pic(
         seed=seed,
         be_max_iterations=be_max_iterations,
         max_iterations=max_iterations,
+        speculative=speculative,
         workers=workers,
+        pipeline=pipeline,
     )
     pic = runner.run(batch, initial_model=copy.deepcopy(initial_model))
     return ComparisonResult(

@@ -145,9 +145,11 @@ _METH_SHALLOW = frozenset({"copy", "tolist", "most_common"})
 #: ``_arm_component_timer`` is the per-component completion-timer
 #: registrar: its callback fires from the event loop when the soonest
 #: flow in one component finishes, so it is a continuation like any
-#: ``transfer`` callback.
+#: ``transfer`` callback.  ``move``'s callback ends a flow or a disk
+#: timer: a continuation either way.
 _FLOW_POSITIONAL = {
     "transfer": 4,
+    "move": 4,
     "start_flow": 4,
     "on_ready": 1,
     "_arm_component_timer": 2,

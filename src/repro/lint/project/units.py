@@ -108,6 +108,7 @@ SINKS: dict[str, tuple[int, str, str]] = {
     "run_until": (0, "time", SIM_S),
     "start_flow": (2, "nbytes", SIM_B),
     "transfer": (2, "nbytes", SIM_B),
+    "move": (2, "nbytes", SIM_B),
     "record": (1, "nbytes", SIM_B),
 }
 

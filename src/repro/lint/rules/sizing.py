@@ -37,7 +37,7 @@ class GetsizeofRule(Rule):
 
 
 #: Calls whose byte-count parameter is positional: name -> arg index.
-_BYTE_POSITIONAL = {"start_flow": 2, "transfer": 2, "transfer_time": 2}
+_BYTE_POSITIONAL = {"start_flow": 2, "transfer": 2, "move": 2, "transfer_time": 2}
 #: Keyword names that always carry serialized byte counts.
 _BYTE_KWARGS = frozenset({"nbytes", "size_bytes"})
 #: Constructors whose ``size`` keyword is a byte count.

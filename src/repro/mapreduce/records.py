@@ -170,9 +170,7 @@ class DistributedDataset:
             meta = dfs.namenode.create(
                 f"{path}/part-{split.index:05d}", split.nbytes, node, replication=1
             )
-            dataset._block_locations.append(
-                meta.blocks[0].replicas if meta.blocks else (node,)
-            )
+            dataset._block_locations.append(meta.blocks[0].replicas)
         return dataset
 
     def _register_blocks(self) -> None:
@@ -189,7 +187,7 @@ class DistributedDataset:
             meta = namenode.create(
                 f"{self.path}/part-{split.index:05d}", split.nbytes, writer
             )
-            self._block_locations.append(meta.blocks[0].replicas if meta.blocks else ())
+            self._block_locations.append(meta.blocks[0].replicas)
 
     def locations(self, split_index: int) -> tuple[int, ...]:
         """Nodes holding the block backing ``split_index``."""

@@ -4,8 +4,10 @@ Task lifecycle (all on the simulated clock):
 
 * **map task** — wait for a map slot (locality-aware); fetch the model
   once per node per job (``model_read`` traffic); read the input split
-  from the closest replica (``input`` traffic, free when the driver has
-  cached invariant input à la Twister/HaLoop); charge mapper compute;
+  (``input`` traffic, free when the driver has cached invariant input à
+  la Twister/HaLoop) — every read takes the replica
+  :meth:`Topology.closest` picks and is charged by :meth:`Cluster.move`,
+  disk time when local, a flow when remote; charge mapper compute;
   run the *real* mapper; partition the output, applying the combiner
   once over its (reduce-partition, key) groups; charge the local
   spill; release the slot; start the shuffle flows.
@@ -504,10 +506,8 @@ class _JobState:
                 # Whole model once per node per job (distributed cache).
                 if node_id not in self._model_on_node:
                     self._model_on_node.add(node_id)
-                    src = self._closest_model_replica(node_id)
-                    pending["count"] += 1
-                    self.cluster.transfer(
-                        src, node_id, self.model_bytes,
+                    self._read(
+                        attempt, pending, self.model_locations, self.model_bytes,
                         TrafficCategory.MODEL_READ, part_done,
                     )
             else:
@@ -515,20 +515,10 @@ class _JobState:
                 total_records = max(self.dataset.num_records, 1)
                 share = self.model_bytes * len(split.records) / total_records
                 if share > 0:
-                    src = self._closest_model_replica(node_id)
-                    pending["count"] += 1
-                    if src == node_id:
-                        disk = self.cluster.nodes[node_id].spec.disk_bandwidth
-                        self._schedule_attempt(attempt, share / disk, part_done)
-                        self.cluster.meter.record(
-                            TrafficCategory.MODEL_READ, share,
-                            crosses_core=False, on_fabric=False,
-                        )
-                    else:
-                        self.cluster.transfer(
-                            src, node_id, share,
-                            TrafficCategory.MODEL_READ, part_done,
-                        )
+                    self._read(
+                        attempt, pending, self.model_locations, share,
+                        TrafficCategory.MODEL_READ, part_done,
+                    )
         # Input split read from the closest replica.  With the node
         # cache (pipelined mode) a split resident from an earlier read
         # is served from memory — free, like ``input_cached``, but
@@ -537,22 +527,32 @@ class _JobState:
             cache = self.runner.cache
             key = (self.dataset.path, split_index)
             if cache is None or not cache.lookup(node_id, key):
-                replicas = self.dataset.locations(split_index)
-                src = self._closest_of(replicas, node_id)
-                pending["count"] += 1
-                if src == node_id:
-                    disk = self.cluster.nodes[node_id].spec.disk_bandwidth
-                    self._schedule_attempt(attempt, split.nbytes / disk, part_done)
-                    self.cluster.meter.record(
-                        TrafficCategory.INPUT, split.nbytes,
-                        crosses_core=False, on_fabric=False,
-                    )
-                else:
-                    self.cluster.transfer(
-                        src, node_id, split.nbytes, TrafficCategory.INPUT, part_done
-                    )
+                self._read(
+                    attempt, pending, self.dataset.locations(split_index),
+                    split.nbytes, TrafficCategory.INPUT, part_done,
+                )
                 if cache is not None:
                     cache.put(node_id, key, split.nbytes)
+
+    def _read(
+        self,
+        attempt: dict,
+        pending: dict[str, int],
+        replicas: tuple[int, ...],
+        nbytes: float,
+        category: str,
+        part_done: Callable[..., None],
+    ) -> None:
+        """Read ``nbytes`` to the attempt's node from the closest of
+        ``replicas``.  A local read's disk timer belongs to the attempt,
+        so killing the attempt cancels it; a remote read completes on
+        the fabric and its continuation no-ops."""
+        node_id = attempt["node"]
+        src = self.cluster.topology.closest(replicas, node_id)
+        pending["count"] += 1
+        event = self.cluster.move(src, node_id, nbytes, category, part_done)
+        if event is not None:
+            attempt["events"].append(event)
 
     def _map_compute_phase(self, attempt: dict) -> None:
         split_index = attempt["split"]
@@ -858,27 +858,12 @@ class _JobState:
         replicas: set[int] = set()
         for block in meta.blocks:
             replicas.update(block.replicas)
-        if not meta.blocks:
-            replicas.add(node_id)
         self._output_files[partition] = tuple(sorted(replicas))
         self.runner.release_reduce(node_id, app_id=self.job_index)
         self._reduces_done += 1
         if self._reduces_done == self.num_reducers:
             self._done = True
             self.finished_at = self.cluster.now
-
-    def _closest_model_replica(self, node_id: int) -> int:
-        return self._closest_of(self.model_locations, node_id)
-
-    def _closest_of(self, candidates: tuple[int, ...], node_id: int) -> int:
-        if node_id in candidates:
-            return node_id
-        topo = self.cluster.topology
-        rack = topo.nodes[node_id].rack_id
-        same_rack = [c for c in candidates if topo.nodes[c].rack_id == rack]
-        if same_rack:
-            return min(same_rack)
-        return min(candidates)
 
     # -- results ------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.events import Event
 from repro.cluster.topology import NodeSpec
 
 
@@ -48,3 +49,34 @@ class TestFacade:
         a.transfer(0, 1, 10, "t")
         a.run()
         assert b.meter.grand_total() == 0
+
+
+class TestMove:
+    def test_local_move_is_disk_time_off_the_fabric(self):
+        c = Cluster(num_nodes=4, nodes_per_rack=2, node_spec=NodeSpec(disk_bandwidth=50e6))
+        done = []
+        event = c.move(1, 1, 1e6, "input", lambda: done.append(c.now))
+        assert isinstance(event, Event)
+        assert c.network.active_flows == []
+        c.run()
+        assert done == [1e6 / 50e6]
+        assert c.meter.total("input") == 1e6
+        assert c.meter.fabric("input") == 0
+
+    def test_cancelling_a_local_move_stops_its_callback(self):
+        c = Cluster(num_nodes=2)
+        done = []
+        event = c.move(0, 0, 1000, "input", lambda: done.append(1))
+        event.cancel()
+        c.run()
+        assert done == []
+        assert c.meter.total("input") == 1000
+
+    def test_remote_move_is_a_flow(self):
+        c = Cluster(num_nodes=4, nodes_per_rack=2)
+        done = []
+        assert c.move(0, 3, 1000, "input", done.append) is None
+        c.run()
+        assert len(done) == 1 and done[0].dst == 3
+        assert c.meter.fabric("input") == 1000
+        assert c.meter.bisection("input") == 1000

@@ -4,7 +4,8 @@ The load-bearing property: byte accounting never drifts.  For every
 node, ``pinned + unpinned_resident + reserved_nonresident + free ==
 capacity`` with every term non-negative, across any interleaving of
 put / pin / release / lookup — and a pinned entry survives any amount
-of eviction pressure.
+of eviction pressure.  A node's capacity is the fixed fraction
+``DEFAULT_CACHE_RATIO`` of its RAM.
 """
 
 import pytest
@@ -14,7 +15,6 @@ from repro.cluster.cache import (
     DEFAULT_CACHE_RATIO,
     CacheStats,
     NodeMemoryCache,
-    cache_ratio,
 )
 
 
@@ -125,26 +125,13 @@ class TestNodeMemoryCache:
 
 
 class TestCacheRatio:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PIC_CACHE_RATIO", raising=False)
-        assert cache_ratio() == DEFAULT_CACHE_RATIO
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [("0.25", 0.25), ("1.5", 1.0), ("-3", 0.0), ("junk", DEFAULT_CACHE_RATIO)],
-    )
-    def test_parse_and_clamp(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("PIC_CACHE_RATIO", raw)
-        assert cache_ratio() == expected
-
-    def test_from_cluster_budgets(self, monkeypatch):
+    def test_from_cluster_budgets(self):
         from repro.cluster.cluster import Cluster
 
-        monkeypatch.delenv("PIC_CACHE_RATIO", raising=False)
         cluster = Cluster(num_nodes=2, nodes_per_rack=2)
-        cache = NodeMemoryCache.from_cluster(cluster, ratio=0.25)
+        cache = NodeMemoryCache.from_cluster(cluster)
         assert cache.capacities == [
-            int(n.spec.ram_bytes * 0.25) for n in cluster.nodes
+            int(n.spec.ram_bytes * DEFAULT_CACHE_RATIO) for n in cluster.nodes
         ]
 
 

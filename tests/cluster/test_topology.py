@@ -1,5 +1,7 @@
 """Tests for nodes, racks and the two-tier link graph."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.topology import GIGABIT, NodeSpec, Topology
@@ -108,3 +110,27 @@ class TestPaths:
     def test_rack_members_out_of_range(self):
         with pytest.raises(ValueError):
             make(8, 4).rack_members(5)
+
+
+def closest_replica_rule(topo, candidates, reader):
+    """The replica rule as the namenode and the job runner each wrote it."""
+    if reader in candidates:
+        return reader
+    reader_rack = topo.nodes[reader].rack_id
+    same_rack = [r for r in candidates if topo.nodes[r].rack_id == reader_rack]
+    if same_rack:
+        return min(same_rack)
+    return min(candidates)
+
+
+class TestClosest:
+    def test_every_subset_and_reader_matches_the_replica_rule(self):
+        topo = make(8, 4)
+        for size in range(1, 9):
+            for subset in itertools.combinations(range(8), size):
+                for candidates in (subset, subset[::-1]):
+                    for reader in range(8):
+                        assert topo.closest(candidates, reader) == (
+                            closest_replica_rule(topo, candidates, reader)
+                        ), (candidates, reader)
+

@@ -1,6 +1,4 @@
-"""Tests for the DFS data plane (pipelines and reads)."""
-
-import pytest
+"""Tests for the DFS data plane (pipelines) and reads of its files."""
 
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
@@ -48,19 +46,21 @@ class TestWrite:
         cluster.run()
         assert cluster.now > 0
 
-    def test_overwrite_replaces(self):
-        cluster, dfs = make()
-        dfs.write("/f", 100, writer_node=0)
-        cluster.run()
-        dfs.overwrite("/f", 200, writer_node=1)
-        cluster.run()
-        assert dfs.namenode.lookup("/f").nbytes == 200
 
-    def test_overwrite_creates_when_missing(self):
-        cluster, dfs = make()
-        dfs.overwrite("/f", 100, writer_node=0)
-        cluster.run()
-        assert dfs.namenode.exists("/f")
+def read(cluster, dfs, path, reader_node, category="dfs_read", on_complete=None):
+    """Read every block of ``path`` the way the job runner reads a split:
+    the replica ``Topology.closest`` picks, charged by ``Cluster.move``."""
+    blocks = dfs.namenode.lookup(path).blocks
+    done = []
+
+    def part_done(_flow=None):
+        done.append(1)
+        if len(done) == len(blocks) and on_complete:
+            on_complete(path)
+
+    for block in blocks:
+        src = cluster.topology.closest(block.replicas, reader_node)
+        cluster.move(src, reader_node, block.nbytes, category, part_done)
 
 
 class TestRead:
@@ -69,7 +69,7 @@ class TestRead:
         dfs.write("/f", 1000, writer_node=2)
         cluster.run()
         snap = cluster.meter.snapshot()
-        dfs.read("/f", reader_node=2, category="dfs_read")
+        read(cluster, dfs, "/f", reader_node=2)
         cluster.run()
         delta = cluster.meter.diff(snap)
         assert delta["dfs_read"]["total_bytes"] == 1000
@@ -79,7 +79,7 @@ class TestRead:
         cluster, dfs = make(num_nodes=8, nodes_per_rack=4, replication=1)
         dfs.write("/f", 1000, writer_node=0)
         cluster.run()
-        dfs.read("/f", reader_node=5, category="dfs_read")
+        read(cluster, dfs, "/f", reader_node=5)
         cluster.run()
         assert cluster.meter.fabric("dfs_read") == 1000
 
@@ -88,30 +88,20 @@ class TestRead:
         dfs.write("/f", 500, writer_node=0)
         cluster.run()
         done = []
-        dfs.read("/f", reader_node=1, on_complete=lambda m: done.append(m))
+        read(cluster, dfs, "/f", reader_node=1, on_complete=done.append)
         cluster.run()
-        assert len(done) == 1
+        assert done == ["/f"]
 
     def test_read_block_single(self):
         cluster, dfs = make(block_size=100)
         dfs.write("/f", 250, writer_node=0)
         cluster.run()
         snap = cluster.meter.snapshot()
-        dfs.read_block("/f", 2, reader_node=0, category="dfs_read")
+        block = dfs.namenode.lookup("/f").blocks[2]
+        src = cluster.topology.closest(block.replicas, 0)
+        cluster.move(src, 0, block.nbytes, "dfs_read", lambda *_: None)
         cluster.run()
         assert cluster.meter.diff(snap)["dfs_read"]["total_bytes"] == 50
-
-    def test_read_block_out_of_range(self):
-        cluster, dfs = make()
-        dfs.write("/f", 100, writer_node=0)
-        cluster.run()
-        with pytest.raises(IndexError):
-            dfs.read_block("/f", 5, reader_node=0)
-
-    def test_read_missing_raises(self):
-        cluster, dfs = make()
-        with pytest.raises(FileNotFoundError):
-            dfs.read("/nope", reader_node=0)
 
 
 class TestBlockLocations:
@@ -119,6 +109,6 @@ class TestBlockLocations:
         cluster, dfs = make(block_size=100)
         dfs.write("/f", 250, writer_node=0)
         cluster.run()
-        locs = dfs.block_locations("/f")
+        locs = [block.replicas for block in dfs.namenode.lookup("/f").blocks]
         assert len(locs) == 3
         assert all(len(replicas) == 3 for replicas in locs)

@@ -49,19 +49,6 @@ class TestCreate:
         with pytest.raises(FileNotFoundError):
             make_namenode().lookup("/nope")
 
-    def test_delete_reclaims_accounting(self):
-        nn = make_namenode()
-        nn.create("/f", 1000, writer_node=0)
-        nn.delete("/f")
-        assert not nn.exists("/f")
-        assert all(v == 0 for v in nn.stored_bytes_per_node.values())
-
-    def test_listing_sorted(self):
-        nn = make_namenode()
-        nn.create("/b", 1, writer_node=0)
-        nn.create("/a", 1, writer_node=0)
-        assert nn.listing() == ["/a", "/b"]
-
 
 class TestPlacement:
     def test_first_replica_on_writer(self):
@@ -118,18 +105,20 @@ class TestPlacement:
 
 
 class TestClosestReplica:
+    """A block's replica set through the reader's rule, Topology.closest."""
+
     def test_local_wins(self):
         nn = make_namenode()
         block = BlockMeta(block_id=0, nbytes=1, replicas=(1, 5, 6))
-        assert nn.closest_replica(block, 5) == 5
+        assert nn.topology.closest(block.replicas, 5) == 5
 
     def test_rack_local_beats_remote(self):
         nn = make_namenode()  # racks: 0-3, 4-7
         block = BlockMeta(block_id=0, nbytes=1, replicas=(1, 6))
-        assert nn.closest_replica(block, 2) == 1
-        assert nn.closest_replica(block, 7) == 6
+        assert nn.topology.closest(block.replicas, 2) == 1
+        assert nn.topology.closest(block.replicas, 7) == 6
 
     def test_remote_fallback_deterministic(self):
         nn = make_namenode(num_nodes=12, nodes_per_rack=4)
         block = BlockMeta(block_id=0, nbytes=1, replicas=(9, 8))
-        assert nn.closest_replica(block, 0) == 8
+        assert nn.topology.closest(block.replicas, 0) == 8

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -61,3 +63,21 @@ class TestExecution:
             "neuralnet", "--samples", "2100", "--partitions", "6",
         ]) == 0
         assert "validation error" in capsys.readouterr().out
+
+    def test_pipeline_flag_does_not_outlive_its_run(self, capsys, monkeypatch):
+        # ``--pipeline on`` is an argument to that run alone: a later
+        # run in the same process without the flag is a barrier run
+        # again, and the process environment is left as found.
+        monkeypatch.delenv("PIC_PIPELINE", raising=False)
+        environ = dict(os.environ)
+        argv = ["smoothing", "--side", "48", "--partitions", "4"]
+
+        def report(*flags):
+            assert main(argv + list(flags)) == 0
+            return capsys.readouterr().out
+
+        barrier = report("--pipeline", "off")
+        pipelined = report("--pipeline", "on")
+        assert pipelined != barrier
+        assert report() == barrier
+        assert dict(os.environ) == environ

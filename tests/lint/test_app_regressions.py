@@ -36,6 +36,14 @@ def project_rules(source: str) -> list[str]:
     )
 
 
+# The runner's input-split read: one call into its read helper.
+_INPUT_READ = (
+    "self._read(\n"
+    "                    attempt, pending, self.dataset.locations(split_index),\n"
+    "                    split.nbytes, TrafficCategory.INPUT, part_done,\n"
+    "                )"
+)
+
 # The worker-side rebuild of the frozen shared-memory hand-off.
 _GUARDED_COPY = (
     "    shm = _attach(name)\n"
@@ -112,16 +120,24 @@ class TestSeededRegressions:
 
     def test_runner_skipping_the_simulated_read_is_caught(self):
         # Deliver the input-read completion synchronously instead of
-        # through the flow network: zero simulated cost, wrong clock.
+        # through the simulated read: zero simulated cost, wrong clock.
+        source = mutated(REPO / "src/repro/mapreduce/runner.py", _INPUT_READ, "part_done(None)")
+        assert "PIC401" in project_rules(source)
+
+    def test_wall_clock_read_size_is_caught(self):
+        # A host timestamp passed as the input read's byte count: the
+        # read helper hands it on to Cluster.move's simulated bytes.
         source = mutated(
             REPO / "src/repro/mapreduce/runner.py",
-            "                    self.cluster.transfer(\n"
-            "                        src, node_id, split.nbytes, "
-            "TrafficCategory.INPUT, part_done\n"
-            "                    )",
-            "                    part_done(None)",
+            _INPUT_READ,
+            "import time\n"
+            "                self._read(\n"
+            "                    attempt, pending, self.dataset.locations(split_index),\n"
+            "                    time.perf_counter(),  # pic: noqa: PIC001\n"
+            "                    TrafficCategory.INPUT, part_done,\n"
+            "                )",
         )
-        assert "PIC401" in project_rules(source)
+        assert "PIC602" in project_rules(source)
 
     def test_runner_handler_draining_sim_queue_is_caught(self):
         # An event handler reaching into the simulator's private queue
