@@ -47,7 +47,5 @@ def gaussian_mixture(
     centers = rng.uniform(-side / 2, side / 2, size=(num_clusters, dim))
     labels = rng.integers(0, num_clusters, size=num_points)
     points = centers[labels] + rng.normal(0.0, spread, size=(num_points, dim))
-    records: list[tuple[int, np.ndarray]] = [
-        (int(i), points[i]) for i in range(num_points)
-    ]
-    return records, centers
+    # Iterating the array yields its row views in one C-level pass.
+    return list(zip(range(num_points), points)), centers

@@ -5,12 +5,16 @@
 * :func:`match_centroids` / :func:`centroid_displacement` — optimal
   correspondence between two centroid sets and the resulting distance,
   the Figure 12(b) error measure against the sequential reference.
+
+``scipy.optimize`` is imported inside :func:`match_centroids`, its one
+caller: most runs never match centroids, and scipy would otherwise be
+the heaviest import of every process that loads this package
+(``tests/integration/test_cold_start.py`` pins that it is not).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.apps.kmeans.serial import assign_points
 
@@ -42,6 +46,8 @@ def match_centroids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Needed because two K-means runs label clusters arbitrarily
     (Section III-C's "correspondence of elements" problem).
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:

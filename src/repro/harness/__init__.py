@@ -8,6 +8,5 @@ rows/series the paper reports.
 """
 
 from repro.harness.compare import ComparisonResult, compare_ic_pic
-from repro.harness import workloads
 
-__all__ = ["ComparisonResult", "compare_ic_pic", "workloads"]
+__all__ = ["ComparisonResult", "compare_ic_pic"]

@@ -11,6 +11,10 @@ forms answer to ``reference_combine`` there instead.
 ``reference_combine`` is ``KMeansProgram.combine``, the record-at-a-time
 combiner the program had beside ``combine_batch``: one group's
 ``(vector, count)`` pairs summed, the vectors left to right from +0.0.
+
+``reference_gaussian_mixture`` is ``gaussian_mixture`` as it was before
+its records were zipped from the point array: the same draws, then one
+``points[i]`` index per record.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.mapreduce.columnar import GroupedBatch
+from repro.util.rng import as_generator
 
 
 def reference_sum_groups(grouped: GroupedBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -43,3 +48,20 @@ def reference_combine(key: Any, values: list[Any]) -> tuple[np.ndarray, int]:
     total = sum(vecs, np.zeros(np.shape(vecs[0])))
     count = sum(n for _vec, n in values)
     return (total, count)
+
+
+def reference_gaussian_mixture(
+    num_points: int,
+    num_clusters: int,
+    dim: int = 3,
+    separation: float = 10.0,
+    spread: float = 1.0,
+    seed: int = 0,
+) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    rng = as_generator(seed)
+    side = separation * spread * num_clusters ** (1.0 / dim)
+    centers = rng.uniform(-side / 2, side / 2, size=(num_clusters, dim))
+    labels = rng.integers(0, num_clusters, size=num_points)
+    points = centers[labels] + rng.normal(0.0, spread, size=(num_points, dim))
+    records = [(int(i), points[i]) for i in range(num_points)]
+    return records, centers

@@ -15,7 +15,11 @@ from repro.apps.kmeans import (
 from repro.apps.kmeans.serial import assign_points, init_centroids, update_centroids
 from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch, stack_rows
 from repro.mapreduce.job import TaskContext
-from tests.apps.reference_kmeans import reference_combine, reference_sum_groups
+from tests.apps.reference_kmeans import (
+    reference_combine,
+    reference_gaussian_mixture,
+    reference_sum_groups,
+)
 
 
 class TestDatagen:
@@ -24,6 +28,21 @@ class TestDatagen:
         assert len(records) == 100
         assert centers.shape == (5, 3)
         assert records[0][1].shape == (3,)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_records_match_the_indexed_rows(self, seed):
+        # The records are zipped from the point array rather than
+        # indexed row by row: same int keys, same values, and every
+        # value still a row view of the one point array.
+        records, centers = gaussian_mixture(500, 4, dim=3, seed=seed)
+        expected, expected_centers = reference_gaussian_mixture(500, 4, dim=3, seed=seed)
+        assert np.array_equal(centers, expected_centers)
+        assert [k for k, _v in records] == [k for k, _v in expected]
+        assert all(type(k) is int for k, _v in records)
+        assert all(np.array_equal(v, w) for (_k, v), (_j, w) in zip(records, expected))
+        base = records[0][1].base
+        assert isinstance(base, np.ndarray) and base.shape == (500, 3)
+        assert all(v.base is base for _k, v in records)
 
     def test_deterministic(self):
         a, _ = gaussian_mixture(50, 3, seed=7)

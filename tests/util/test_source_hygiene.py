@@ -29,6 +29,10 @@ checks that bit-rot fastest during refactors are scripted here with
   ``disallow_incomplete_defs``) — every ``def`` under the packages
   pyproject.toml puts under strict mypy annotates each parameter but
   ``self``/``cls``, and its return.
+* **declared dependencies** — the third-party top-level modules imported
+  anywhere under ``src/repro`` (at module level or inside a function)
+  are exactly ``[project].dependencies`` of pyproject.toml: nothing the
+  package imports goes undeclared, nothing declared goes unused.
 """
 
 from __future__ import annotations
@@ -252,6 +256,21 @@ def incomplete_defs(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def third_party_imports(tree: ast.Module) -> set[str]:
+    """Top-level modules of every absolute import in ``tree`` that are
+    neither standard library nor first party, wherever the import sits."""
+    modules: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            modules.append(node.module)
+    return {
+        top for top in (module.split(".")[0] for module in modules)
+        if top not in sys.stdlib_module_names and top not in FIRST_PARTY
+    }
+
+
 def _offenders(
     check: Callable[[str], list[tuple[int, str]]], modules: list[Path]
 ) -> list[str]:
@@ -286,6 +305,19 @@ def test_private_module_names_are_mentioned_somewhere_else() -> None:
         if mentions[name] == 1
     ]
     assert not unused, "private names nothing refers to: " + "; ".join(unused)
+
+
+def test_declared_dependencies_are_imported() -> None:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
+        for requirement in project["dependencies"]
+    }
+    imported: set[str] = set()
+    for path in MODULES:
+        imported |= third_party_imports(ast.parse(path.read_text()))
+    assert imported == declared
 
 
 @pytest.mark.parametrize(
@@ -353,6 +385,14 @@ class TestTheCheckItself:
         assert [line for line, _what in misordered_imports(clean)] == [17]
         messy = "import numpy\nimport os\n\nimport ast\nfrom repro.b import x\nimport repro.a\n"
         assert [line for line, _what in misordered_imports(messy)] == [2, 4, 5, 6]
+
+    def test_third_party_imports_at_any_depth(self) -> None:
+        tree = ast.parse(
+            "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+            "from repro.a import b\nfrom . import c\n"
+            "def f():\n    from scipy.optimize import linear_sum_assignment\n"
+        )
+        assert third_party_imports(tree) == {"numpy", "scipy"}
 
     def test_unannotated_parameters_and_returns(self) -> None:
         found = incomplete_defs(
