@@ -292,26 +292,6 @@ class Simulation:
         """Run all events scheduled at or before ``time``, then set the clock."""
         if time < self._now:
             raise ValueError(f"cannot run backwards to t={time} from t={self._now}")
-        # Always re-read self._queue: a callback may cancel enough events
-        # to trigger _compact(), which rebinds the heap.  Iterating a
-        # stale local binding would drop events the callback scheduled
-        # (they land on the new heap) and re-skip compacted dead ones.
-        while self._queue:
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                self._dead -= 1
-                continue
-            if event.time > time:
-                break
-            heapq.heappop(self._queue)
-            self._now = event.time
-            self._processed += 1
-            event.owner = None
-            prev_parent = self._parent
-            self._parent = event.seq
-            try:
-                event.callback()
-            finally:
-                self._parent = prev_parent
+        while (t := self.peek_time()) is not None and t <= time:
+            self.step()
         self._now = time

@@ -205,26 +205,10 @@ class _Evaluator(Walker):
         super().__init__(analysis, fid)
         self.summary = Summary()
         self._owns_substrate = self.modkey in self.graph.substrate_modules
-        params = self.fn["params"]
-        for p in params:
+        for p in self.fn["params"]:
             self.env[p] = AVal(frozenset({("p", p, 0)}), frozenset({("p", p, 1)}))
-            cfq = self.graph.resolve_class(self.fn["param_types"].get(p))
-            if cfq:
-                self.tenv[p] = cfq
-        if self.cls is not None and (params[:1] == ["self"] or "self" not in params):
-            # A method's own ``self``, or the free ``self`` of a def or
-            # lambda nested in one: method refs resolve through it.
-            self.tenv["self"] = self.cls
 
     # -- op hooks ------------------------------------------------------
-
-    def bind(self, name: str, desc: list, value: AVal) -> None:
-        self.env[name] = value
-        cfq = self.static_type(desc)
-        if cfq is not None:
-            self.tenv[name] = cfq
-        else:
-            self.tenv.pop(name, None)
 
     def mutate(
         self, target: list, value: list | None, stored: AVal, how: str, line: int, col: int
@@ -237,22 +221,7 @@ class _Evaluator(Walker):
             self.summary.ret_sites.setdefault(atom, [line, col])
 
     def with_item(self, var: str, value: AVal) -> None:
-        self.env[var] = FRESH
-        self.tenv.pop(var, None)
-
-    def static_type(self, desc: list) -> str | None:
-        kind = desc[0]
-        if kind == "name":
-            return self.tenv.get(desc[1])
-        if kind == "attr":
-            base_t = self.static_type(desc[1])
-            if base_t is not None:
-                return self.graph.attr_type(base_t, desc[2])
-            return None
-        if kind == "call":
-            dotted = callee_dotted(desc[1], self.aliases)
-            return self.graph.resolve_class(dotted) if dotted else None
-        return None
+        super().with_item(var, FRESH)
 
     # -- mutation recording --------------------------------------------
 
@@ -299,7 +268,7 @@ class _Evaluator(Walker):
         # Type-based: the receiver's static class is a substrate class.
         recv_desc = target[1] if target[0] in ("elem", "slice") else target
         if recv_desc[0] == "attr":
-            recv_type = self.static_type(recv_desc[1])
+            recv_type = self.type_of(recv_desc[1])
         else:
             recv_type = None
         typed = self.graph.is_substrate_class(recv_type)
@@ -323,7 +292,7 @@ class _Evaluator(Walker):
             elif atom[0] in ("p", "pa"):
                 ids.update(_collapse1({atom}))
         # A method reference on a known class is a function ref.
-        base_t = self.static_type(desc[1])
+        base_t = self.type_of(desc[1])
         if base_t is not None:
             for fid in self.graph.method_candidates(base_t, desc[2]):
                 ids.add(("fn", fid))
@@ -343,8 +312,6 @@ class _Evaluator(Walker):
         return AVal(_EMPTY, held)
 
     def comp_bind(self, names: list[str], value: AVal) -> AVal:
-        for name in names:
-            self.tenv.pop(name, None)
         return super().comp_bind(names, _element(value))
 
     def bin(self, desc: list, left: AVal, right: AVal) -> AVal:
@@ -369,12 +336,7 @@ class _Evaluator(Walker):
                 result = result | self._apply_summary(fid, func, args, kwargs, line, col)
             return result
 
-        # Class constructor?
-        dotted = callee_dotted(func, self.aliases)
-        cfq = self.graph.resolve_class(dotted) if dotted else None
-        if cfq is None and func[0] == "ref":
-            local = f"{self.modkey}.{func[1]}"
-            cfq = local if local in self.graph.classes else None
+        cfq = self.ctor_class(func)
         if cfq is not None:
             self._record_ctor_bindings(cfq, kwargs)
             ctor = self.graph.inherited_method(cfq, "__init__")
@@ -382,7 +344,9 @@ class _Evaluator(Walker):
                 self._apply_summary(ctor, ["ref", "__init__"], [FRESH] + args, kwargs, line, col)
             return _holding(args + list(kwargs.values()))
 
-        return self._external_call(func, tail, dotted, args, line, col)
+        return self._external_call(
+            func, tail, callee_dotted(func, self.aliases), args, line, col
+        )
 
     def _resolve_callees(self, func: list, tail: str | None) -> list[str]:
         """Project functions this call may invoke directly."""
@@ -405,7 +369,7 @@ class _Evaluator(Walker):
             fid = self.graph.resolve_function(dotted) if dotted else None
             if fid is not None:
                 return [fid]
-            base_t = self.static_type(base_desc)
+            base_t = self.type_of(base_desc)
             if base_t is not None:
                 out.extend(self.graph.method_candidates(base_t, attr))
                 out.extend(

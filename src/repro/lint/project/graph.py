@@ -270,12 +270,29 @@ class ProjectGraph:
                 out.append(sub_fid)
         return out
 
+    def resolve_type(self, raw: str | None, modkey: str | None) -> str | None:
+        """Resolve an annotation string seen in ``modkey`` to a class
+        fq-name.  Unresolvable class-looking names (imports outside the
+        linted set) are kept raw: they still make stable location keys.
+        """
+        if not raw:
+            return None
+        resolved = self.resolve_class(raw)
+        if resolved is None and modkey:
+            resolved = self.resolve_class(f"{modkey}.{raw}")
+        if resolved is not None:
+            return resolved
+        tail = raw.rpartition(".")[2]
+        return raw if tail[:1].isupper() else None
+
     def attr_type(self, cfq: str, attr: str) -> str | None:
-        """Resolved class of ``self.<attr>`` inside ``cfq`` methods."""
+        """Class of ``self.<attr>`` inside ``cfq`` methods, resolved in
+        the module of the class that declares it."""
         for cls in self.ancestors(cfq):
-            raw = self.classes[cls][2]["attr_types"].get(attr)
+            modkey, _cname, info = self.classes[cls]
+            raw = info["attr_types"].get(attr)
             if raw is not None:
-                return self.resolve_class(raw) or raw
+                return self.resolve_type(raw, modkey)
         return None
 
     def is_substrate_class(self, cfq: str | None) -> bool:

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.lint.project.analysis import MUTATOR_METHODS
 from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.ir import base_tail_name, root_name, strip_subscripts
-from repro.lint.project.walker import TaintWalker, call_tail
+from repro.lint.project.walker import TaintSummary, TaintWalker, call_tail
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -113,10 +113,12 @@ _EMPTY: Taint = frozenset()
 _RACY_KINDS = frozenset({"store", "mutcall"})
 
 
-class FnEffects:
-    """One function's interference-relevant facts."""
+class FnEffects(TaintSummary):
+    """One function's interference-relevant facts; the taint summary
+    is PIC704's order taint."""
 
     def __init__(self) -> None:
+        super().__init__()
         #: [(loc, kind, line, col)] — loc is (owner_class_fq, leaf);
         #: kind in {"store", "keyed", "const", "aug", "mutcall"}.
         self.writes: list[tuple[tuple[str, str], str, int, int]] = []
@@ -126,19 +128,6 @@ class FnEffects:
         self.cross_job: list[tuple[int, int, str]] = []
         #: aggregate-leaf write candidates: (line, col, owner, leaf).
         self.aggregate: list[tuple[int, int, str | None, str]] = []
-        #: PIC704 return/parameter order-taint summary.
-        self.ret_taint: Taint = _EMPTY
-        self.param_sinks: dict[str, frozenset[str]] = {}
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(map(str, self.ret_taint))),
-            tuple(
-                sorted(
-                    (p, tuple(sorted(s))) for p, s in self.param_sinks.items()
-                )
-            ),
-        )
 
 
 class InterferenceAnalysis:
@@ -189,31 +178,6 @@ class InterferenceAnalysis:
         for cfq in sorted(out):
             out |= self.graph.descendants(cfq)
         return frozenset(out)
-
-    def resolve_type(self, raw: str | None, modkey: str | None) -> str | None:
-        """Resolve an annotation string seen in ``modkey`` to a class
-        fq-name.  Unresolvable class-looking names (imports outside the
-        linted set) are kept raw: they still make stable location keys.
-        """
-        if not raw:
-            return None
-        resolved = self.graph.resolve_class(raw)
-        if resolved is None and modkey:
-            resolved = self.graph.resolve_class(f"{modkey}.{raw}")
-        if resolved is not None:
-            return resolved
-        tail = raw.rpartition(".")[2]
-        return raw if tail[:1].isupper() else None
-
-    def attr_type(self, cfq: str, attr: str) -> str | None:
-        """Like ``graph.attr_type`` but resolving through the declaring
-        class's own module aliases."""
-        for cls in self.graph.ancestors(cfq):
-            entry = self.graph.classes[cls]
-            raw = entry[2]["attr_types"].get(attr)
-            if raw is not None:
-                return self.resolve_type(raw, entry[0])
-        return None
 
     def _same_family(self, a: str | None, b: str | None) -> bool:
         """Do classes ``a`` and ``b`` share an inheritance chain?"""
@@ -347,42 +311,28 @@ class InterferenceAnalysis:
 class _InterferenceWalker(TaintWalker):
     """Order taint (PIC704) plus write/read effect recording."""
 
-    RET = "ret_taint"
-
     def __init__(self, an: InterferenceAnalysis, fid: str) -> None:
         super().__init__(an, fid, FnEffects())
-        #: locals freshly constructed here — their writes are private.
+        #: locals bound to a project constructor call here — their
+        #: writes are private.
         self.fresh: set[str] = set()
         #: modules that define a class own its aggregates (helper
         #: functions are the implementation, not intruders).
         self._module_classes = {
             f"{self.modkey}.{c}" for c in self.graph.modules[self.modkey]["classes"]
         }
-        #: ``tenv``: params, self, tracked ctor binds.
-        for p in self.fn["params"]:
-            cfq = an.resolve_type(self.fn["param_types"].get(p), self.modkey)
-            if cfq:
-                self.tenv[p] = cfq
-        if self.cls is not None:
-            self.tenv.setdefault("self", self.cls)
 
     # -- op hooks ------------------------------------------------------
 
     def bind(self, name: str, desc: list, value: Taint) -> None:
-        self.env[name] = value
-        cfq = self._ctor_class(desc)
-        if cfq is not None:
-            self.tenv[name] = cfq
+        super().bind(name, desc, value)
+        if desc[0] == "call" and name in self.tenv:
             self.fresh.add(name)
         else:
-            self._forget_type(name)
+            self.fresh.discard(name)
 
     def kill(self, name: str) -> None:
-        self.env.pop(name, None)
-        self._forget_type(name)
-
-    def _forget_type(self, name: str) -> None:
-        self.tenv.pop(name, None)
+        super().kill(name)
         self.fresh.discard(name)
 
     # -- writes ---------------------------------------------------------
@@ -451,46 +401,6 @@ class _InterferenceWalker(TaintWalker):
         if root == "self" and self.an._same_family(recv_type, self.cls):
             return True
         return False
-
-    # -- static types ----------------------------------------------------
-
-    def type_of(self, desc: list) -> str | None:
-        kind = desc[0]
-        if kind == "name":
-            return self.tenv.get(desc[1])
-        if kind == "attr":
-            base_t = self.type_of(desc[1])
-            if base_t is None:
-                return None
-            return self.an.attr_type(base_t, desc[2])
-        if kind == "call":
-            return self._ctor_class(desc)
-        if kind == "walrus":
-            return self.type_of(desc[2])
-        return None
-
-    def _ctor_class(self, desc: list) -> str | None:
-        if desc[0] != "call":
-            return None
-        func = desc[1]
-        dotted: str | None = None
-        if func[0] == "ref":
-            dotted = func[1]
-        elif func[0] == "meth":
-            # Module-qualified constructor (pkg.mod.Class(...)).
-            parts = [func[2]]
-            node = func[1]
-            while node[0] == "attr":
-                parts.append(node[2])
-                node = node[1]
-            if node[0] == "name":
-                parts.append(node[1])
-                dotted = ".".join(reversed(parts))
-        if dotted is None:
-            return None
-        return self.graph.resolve_class(
-            dotted
-        ) or self.graph.resolve_class(f"{self.modkey}.{dotted}")
 
     # -- descriptor hooks (order taint + reads) --------------------------
 

@@ -77,10 +77,11 @@ def build_module_ir(
     }
 
 
-def callee_dotted(func: Desc, aliases: dict[str, str]) -> str | None:
+def callee_dotted(func: Desc, aliases: dict[str, str] | None) -> str | None:
     """Canonical dotted name of a call's ``f`` descriptor through the
     module's import ``aliases``: a bare ``ref`` falls back to its own
-    name, a method chain not rooted at an import gives None."""
+    name, a method chain not rooted at an import gives None.  With
+    ``aliases`` None, every name stands as written."""
     parts: list[str] = []
     node = func
     if node[0] == "meth":
@@ -90,10 +91,10 @@ def callee_dotted(func: Desc, aliases: dict[str, str]) -> str | None:
             parts.append(node[2])
             node = node[1]
     elif node[0] == "ref":
-        return aliases.get(node[1], node[1])
+        return node[1] if aliases is None else aliases.get(node[1], node[1])
     if node[0] != "name":
         return None
-    head = aliases.get(node[1])
+    head = node[1] if aliases is None else aliases.get(node[1])
     if head is None:
         return None
     parts.append(head)

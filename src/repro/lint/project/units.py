@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import SUBSTRATE_NAMES
 from repro.lint.project.ir import callee_dotted, strip_subscripts
-from repro.lint.project.walker import TaintWalker, call_tail
+from repro.lint.project.walker import TaintSummary, TaintWalker, call_tail
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -117,21 +117,6 @@ Units = frozenset  # of unit tags and ("param", name) markers
 _EMPTY: Units = frozenset()
 
 
-class UnitSummary:
-    """Units a function's return may carry; params feeding sim sinks."""
-
-    def __init__(self) -> None:
-        self.ret: Units = _EMPTY
-        #: param name -> sink units it (transitively) flows into.
-        self.param_sinks: dict[str, frozenset[str]] = {}
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(map(str, self.ret))),
-            tuple(sorted((p, tuple(sorted(u))) for p, u in self.param_sinks.items())),
-        )
-
-
 class UnitAnalysis:
     """Converged unit summaries plus the findings they imply."""
 
@@ -142,7 +127,9 @@ class UnitAnalysis:
         self.graph = project.graph
         self.callsites = project.callsites
         self.fix = Fixpoint()
-        self.summaries: dict[str, UnitSummary] = self.fix.summaries
+        #: fid -> units its return may carry, and the simulated-sink
+        #: units each parameter (transitively) flows into.
+        self.summaries: dict[str, TaintSummary] = self.fix.summaries
         self.findings: list[tuple[str, str, int, int, str]] = self.fix.solve(
             sorted(self.graph.function_ir),
             lambda fid: _UnitWalker(self, fid).run(),
@@ -166,7 +153,7 @@ class _UnitWalker(TaintWalker):
     """The unit domain: seeds, arithmetic checks and simulated sinks."""
 
     def __init__(self, an: UnitAnalysis, fid: str) -> None:
-        super().__init__(an, fid, UnitSummary())
+        super().__init__(an, fid, TaintSummary())
 
     # -- hooks ---------------------------------------------------------
 

@@ -11,9 +11,13 @@ functions.  What is the same in every pass lives here, once:
 * :class:`Walker` — the structural walk over the IR-v2 op and
   descriptor kinds, one hook per kind where the domains differ;
   sub-expressions are evaluated in source order, operands before the
-  hook that combines them (recorded sites are first-site-wins);
+  hook that combines them (recorded sites are first-site-wins).  It
+  also keeps the one static type environment (``tenv``, read through
+  :meth:`Walker.type_of`) that tells the typed passes what class a
+  receiver is;
 * :class:`TaintWalker` — the marker-set domain with ``("param",
-  name)`` polymorphism, instantiated for unit and for order taint.
+  name)`` polymorphism over a :class:`TaintSummary`, instantiated for
+  unit and for order taint.
 
 The path-sensitive typestate pass forks and joins environments, which
 is a different traversal: it builds on :class:`Evaluation` only.
@@ -22,6 +26,8 @@ is a different traversal: it builds on :class:`Evaluation` only.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable
+
+from repro.lint.project.ir import callee_dotted
 
 if TYPE_CHECKING:
     from repro.lint.project.graph import ProjectGraph
@@ -99,8 +105,18 @@ class Walker(Evaluation):
         super().__init__(an, fid)
         #: local name -> abstract value.
         self.env: dict[str, Any] = {}
-        #: local name -> class, for the domains that track static types.
+        #: local name -> static class: annotated parameters, ``self``,
+        #: and every bind whose value :meth:`type_of` can type.
         self.tenv: dict[str, str] = {}
+        for p, raw in self.fn["param_types"].items():
+            cfq = self.graph.resolve_type(raw, self.modkey)
+            if cfq:
+                self.tenv[p] = cfq
+        params = self.fn["params"]
+        if self.cls is not None and (params[:1] == ["self"] or "self" not in params):
+            # A method's own ``self``, or the free ``self`` of a def or
+            # lambda nested in one: method refs resolve through it.
+            self.tenv["self"] = self.cls
         self.summary: Any = None
 
     def run(self) -> Any:
@@ -151,6 +167,11 @@ class Walker(Evaluation):
 
     def bind(self, name: str, desc: list, value: Any) -> None:
         self.env[name] = value
+        cfq = self.type_of(desc)
+        if cfq is not None:
+            self.tenv[name] = cfq
+        else:
+            self.tenv.pop(name, None)
 
     def mutate(
         self, target: list, value: list | None, stored: Any, how: str, line: int, col: int
@@ -163,9 +184,38 @@ class Walker(Evaluation):
 
     def kill(self, name: str) -> None:
         self.env.pop(name, None)
+        self.tenv.pop(name, None)
 
     def with_item(self, var: str, value: Any) -> None:
         self.env[var] = value
+        self.tenv.pop(var, None)
+
+    # -- static types --------------------------------------------------
+
+    def type_of(self, desc: list) -> str | None:
+        """The class ``desc`` evaluates to, when it is known statically."""
+        kind = desc[0]
+        if kind == "name":
+            return self.tenv.get(desc[1])
+        if kind == "attr":
+            base_t = self.type_of(desc[1])
+            return self.graph.attr_type(base_t, desc[2]) if base_t else None
+        if kind == "call":
+            return self.ctor_class(desc[1])
+        if kind == "walrus":
+            return self.type_of(desc[2])
+        return None
+
+    def ctor_class(self, func: list) -> str | None:
+        """The project class a call of ``func`` constructs, if any: the
+        callee's dotted name through the import aliases, else the name
+        as written, qualified by this module (``Outer.Inner()``)."""
+        cfq = self.graph.resolve_class(callee_dotted(func, self.aliases))
+        if cfq is None:
+            local = callee_dotted(func, None)
+            if local is not None:
+                cfq = self.graph.resolve_class(f"{self.modkey}.{local}")
+        return cfq
 
     # -- descriptors ---------------------------------------------------
 
@@ -235,6 +285,7 @@ class Walker(Evaluation):
         ``value``; returns what iterating contributes to the result."""
         for name in names:
             self.env[name] = value
+            self.tenv.pop(name, None)
         return self.bottom
 
     def bin(self, desc: list, left: Any, right: Any) -> Any:
@@ -253,27 +304,36 @@ class Walker(Evaluation):
         return self.bottom
 
 
-class TaintWalker(Walker):
-    """Marker sets with parameter polymorphism.
+class TaintSummary:
+    """One function's taint facts: the markers its return may carry
+    (``ret``) and the sinks each parameter may reach (``param_sinks``)."""
 
-    The summary (``self.summary``) holds the markers the function may
-    return under the attribute :attr:`RET` and, in ``param_sinks``, the
-    sinks each parameter may reach; :meth:`through_callees` replays both
-    at a resolved call site.
-    """
+    def __init__(self) -> None:
+        self.ret: frozenset = frozenset()
+        self.param_sinks: dict[str, frozenset[str]] = {}
+
+    def key(self) -> tuple:
+        return (
+            tuple(sorted(map(str, self.ret))),
+            tuple(sorted((p, tuple(sorted(s))) for p, s in self.param_sinks.items())),
+        )
+
+
+class TaintWalker(Walker):
+    """Marker sets with parameter polymorphism over a
+    :class:`TaintSummary`, which :meth:`through_callees` replays at a
+    resolved call site."""
 
     bottom: frozenset = frozenset()
-    #: Summary attribute holding the returned markers.
-    RET = "ret"
 
-    def __init__(self, an: Any, fid: str, summary: Any) -> None:
+    def __init__(self, an: Any, fid: str, summary: TaintSummary) -> None:
         super().__init__(an, fid)
         self.summary = summary
         for p in self.fn["params"]:
             self.env[p] = frozenset({("param", p)})
 
     def ret(self, value: frozenset, line: int, col: int) -> None:
-        setattr(self.summary, self.RET, getattr(self.summary, self.RET) | value)
+        self.summary.ret = self.summary.ret | value
 
     def reach(self, value: frozenset, sinks: Iterable[str]) -> None:
         """Every parameter ``value`` may stand for reaches ``sinks``."""
@@ -302,7 +362,7 @@ class TaintWalker(Walker):
             for pname, sinks in sorted(summary.param_sinks.items()):
                 if bound.get(pname):
                     self.passed_to_sinks(callee, bound[pname], sinks, line, col)
-            for marker in getattr(summary, self.RET):
+            for marker in summary.ret:
                 if isinstance(marker, str):
                     out.add(marker)
                 else:

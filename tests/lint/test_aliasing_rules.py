@@ -110,6 +110,25 @@ class TestMergeMutation:
         """
         assert rules(src) == ["PIC302"]
 
+    def test_merge_mutating_through_same_module_helper_flagged(self):
+        # The helper is a local bound to a constructor of a class in
+        # the same module: its method still resolves, so the partial
+        # model it clobbers is the merge's own parameter.
+        src = """
+        from repro.pic.api import PICProgram
+
+        class Stitcher:
+            def clobber(self, models):
+                models[0]["x"] = 1
+                return models[0]
+
+        class P(PICProgram):
+            def merge(self, models):
+                helper = Stitcher()
+                return helper.clobber(models)
+        """
+        assert findings(src) == [("PIC302", 12)]
+
     def test_near_miss_merge_into_fresh_dict_silent(self):
         src = """
         from repro.pic.api import PICProgram

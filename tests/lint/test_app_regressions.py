@@ -7,11 +7,13 @@ by re-linting each real source file with a one-line seeded bug.
 """
 
 import tarfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.lint import lint_source
+from repro.lint.baseline import finding_fingerprint, load_baseline
 from repro.lint.engine import run_lint
 from tests.lint.real_tree import REPO, real_tree_files
 
@@ -85,6 +87,18 @@ class TestRealTreeIsClean:
         offenders = [f for f in run.findings if f.rule[3] in "34567"]
         assert offenders == []
         assert run.errors == []
+
+    def test_fixture_findings_equal_the_tests_baseline(self, monkeypatch):
+        # CI gates ``tests examples`` on *new* findings only, so a
+        # linter change that stops reporting a deliberate fixture would
+        # pass it in silence.  Pin the counts both ways, linting from
+        # the repository root as CI spells the paths (fingerprints hash
+        # the path).  The baseline only shrinks.
+        monkeypatch.chdir(REPO)
+        run = run_lint(["tests", "examples"])
+        assert run.errors == []
+        found = Counter(finding_fingerprint(f) for f in run.findings)
+        assert dict(found) == load_baseline(REPO / ".piclint-tests-baseline.json")
 
 
 class TestSeededRegressions:

@@ -50,6 +50,30 @@ class TestCrossJobWrite:
             """
         ) == ["PIC701"]
 
+    def test_sibling_read_from_an_attribute_is_typed(self):
+        # The receiver is a local copied out of an annotated attribute,
+        # not a constructor call: its class still comes from the
+        # attribute's declaration.
+        assert rules_found(
+            """
+            class _JobState:
+                def __init__(self, app_id: int) -> None:
+                    self.app_id = app_id
+                    self.bucket_arrivals = 0
+
+            class Runner:
+                def __init__(self, sibling: _JobState) -> None:
+                    self.sibling = sibling
+
+                def submit(self, sim) -> None:
+                    sim.schedule(1.0, self._on_map_done)
+
+                def _on_map_done(self) -> None:
+                    sibling = self.sibling
+                    sibling.bucket_arrivals = sibling.bucket_arrivals + 1
+            """
+        ) == ["PIC701"]
+
     def test_job_scope_detected_by_class_name_tail(self):
         # No app_id attr: the _JobState name shape alone marks the
         # class job-scoped.
