@@ -49,7 +49,7 @@ def main() -> None:
         rows, title="ResourceManager view of the cluster"))
 
     engine = BestEffortEngine(
-        cluster, program, num_partitions=24, seed=3, runner=runner, dfs=dfs
+        cluster, program, num_partitions=24, seed=3, runner=runner
     )
     result = engine.run(records, model0)
     print(f"\nPIC best-effort phase on YARN containers: "

@@ -77,7 +77,9 @@ class IterationTrace:
     model: Any = field(default=None, compare=False, repr=False)
     #: What the loop's criterion said after this iteration.
     verdict: Verdict | None = None
-    job_results: list[JobResult] = field(default_factory=list)
+    #: The iteration's jobs (a best-effort round's one job).  A result's
+    #: output is a batch with no value ``==``, so they stay out of it.
+    job_results: list[JobResult] = field(default_factory=list, compare=False, repr=False)
     #: Per-partition local iteration counts of a best-effort round.
     local_iterations: list[int] = field(default_factory=list)
 

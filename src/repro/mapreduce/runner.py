@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class JobRunner:
     job across a process pool, and the simulated tasks replay those
     outputs at their scheduled times — same records, same counters,
     same simulated clock, less wall-clock.  Unpicklable job specs
-    (e.g. closure-based best-effort jobs) silently keep the in-process
-    path.
+    (closures over local state) silently keep the in-process path.
     """
 
     def __init__(
@@ -123,6 +122,7 @@ class JobRunner:
         failures: dict[int, int] | None = None,
         speculative: bool = False,
         model_gate: SplitGate | None = None,
+        split_models: Sequence[Any] | None = None,
     ) -> JobResult:
         """Execute ``spec`` over ``dataset`` and return measured results.
 
@@ -160,10 +160,15 @@ class JobRunner:
         split's outstanding prerequisite flows — e.g. the engine's
         sub-model scatter — instead of the caller draining the event
         queue before submitting the job.
+
+        ``split_models`` gives each map task a model of its own: task
+        ``i`` sees ``split_models[i]`` as ``ctx.model`` instead of
+        ``model`` (PIC's best-effort rounds, one sub-model per
+        sub-problem).  Its distribution is the caller's to charge.
         """
         handle = self.submit(
             spec, dataset, model, model_bytes, model_locations, input_cached,
-            model_mode, failures, speculative, model_gate,
+            model_mode, failures, speculative, model_gate, split_models,
         )
         self.cluster.run()
         return handle.result()
@@ -182,6 +187,7 @@ class JobRunner:
         failures: dict[int, int] | None = None,
         speculative: bool = False,
         model_gate: SplitGate | None = None,
+        split_models: Sequence[Any] | None = None,
     ) -> "JobHandle":
         """Launch a job without draining the event queue.
 
@@ -204,7 +210,8 @@ class JobRunner:
             model = as_model(model)
         state = _JobState(self, spec, dataset, model, model_bytes,
                           model_locations, input_cached, next(self._job_seq),
-                          model_mode, failures or {}, speculative, model_gate)
+                          model_mode, failures or {}, speculative, model_gate,
+                          split_models)
         state.launch()
         return JobHandle(state)
 
@@ -343,6 +350,7 @@ class _JobState:
         failures: dict[int, int] | None = None,
         speculative: bool = False,
         model_gate: SplitGate | None = None,
+        split_models: Sequence[Any] | None = None,
     ) -> None:
         self.runner = runner
         self.cluster = runner.cluster
@@ -351,6 +359,7 @@ class _JobState:
         self.spec = spec
         self.dataset = dataset
         self.model = model
+        self.split_models = split_models
         self.model_bytes = model_bytes
         self.model_locations = tuple(model_locations) or (0,)
         self.input_cached = input_cached
@@ -428,10 +437,15 @@ class _JobState:
         from repro.parallel.tasks import run_map_task
 
         payloads = [
-            (self.spec, self.model, split.index, split.records)
+            (self.spec, self._task_model(split.index), split.index, split.records)
             for split in self.dataset.splits
         ]
         return self.runner.executor.map_or_none(run_map_task, payloads)
+
+    def _task_model(self, split_index: int) -> Any:
+        """The model map task ``split_index`` sees."""
+        models = self.split_models
+        return self.model if models is None else models[split_index]
 
     def _start_maps(self) -> None:
         for split in self.dataset.splits:
@@ -576,7 +590,7 @@ class _JobState:
         # its compute *charge* is scheduled afterwards so dynamic costs
         # can depend on what the task actually did (ctx.stats).
         split = self.dataset.splits[split_index]
-        ctx = TaskContext(model=self.model, split_index=split_index)
+        ctx = TaskContext(model=self._task_model(split_index), split_index=split_index)
         if self._premapped is not None:
             output, stats = self._premapped[split_index]
             ctx.emit_batch(output)

@@ -12,8 +12,8 @@ Backend selection:
 
 * ``get_executor()`` reads the ``PIC_WORKERS`` environment variable
   (CLI ``--workers`` overrides it); ``1``/unset means serial.
-* Unpicklable work (closure-based job specs, exotic models) falls back
-  to in-process execution automatically — parallelism is an
+* Unpicklable work (job specs closing over local state, exotic models)
+  falls back to in-process execution automatically — parallelism is an
   optimization, never a requirement.
 
 Pools are shared per worker count across executor instances (engines

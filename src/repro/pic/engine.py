@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
-from repro.cluster.cache import CachePin, NodeMemoryCache
+from repro.cluster.cache import CachePin
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem
@@ -47,7 +47,6 @@ from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
-from repro.parallel import SerialExecutor, TaskExecutor, get_executor, solve_subproblem
 from repro.pic.api import PICProgram
 from repro.pic.model import KeyedModel, as_model
 from repro.util.rng import SeedLike
@@ -92,8 +91,73 @@ class BestEffortResult:
         return [s.max_local_iterations for s in self.stats]
 
 
+def best_effort_dfs(cluster: Cluster) -> DistributedFileSystem:
+    """The DFS a best-effort phase co-locates its partitions on and
+    writes its merged models to, unless its runner brings one."""
+    return DistributedFileSystem(cluster, replication=min(3, cluster.num_nodes), seed=23)
+
+
+def solved_compute_seconds(num_records: int, nbytes: int, ctx: TaskContext) -> float:
+    """A best-effort map task's compute charge: what its local
+    iterations cost, as its solve reported in ``ctx.stats``."""
+    return ctx.stats.get("compute_seconds", 0.0)
+
+
+@dataclass(frozen=True)
+class BestEffortRound:
+    """The tasks of one best-effort round's job.
+
+    Map task ``i`` sees sub-problem ``i``'s model as ``ctx.model`` and
+    solves the sub-problem to local convergence in memory; the reduce
+    merges the partial models — centrally (``map_central`` /
+    ``reduce_central``) or element by element (``map_owned`` /
+    ``reduce_elements``).  Module-level and frozen, so a round's job can
+    cross a process boundary like any other.
+    """
+
+    program: PICProgram
+
+    def _solve(self, ctx: TaskContext, records: ColumnBatch) -> Any:
+        model, iterations, compute = self.program.solve_in_memory(records, ctx.model)
+        ctx.stats.update(local_iterations=iterations, compute_seconds=compute)
+        return model
+
+    def map_central(self, ctx: TaskContext, records: ColumnBatch) -> None:
+        """Emit the whole partial model under one key, tagged with its
+        split so the reducer merges the partials in split order."""
+        solved = self._solve(ctx, records)
+        ctx.emit(0, (ctx.split_index, self.program.model_records(solved)))
+
+    def reduce_central(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """Rebuild every partial model and apply the programmer's merge()."""
+        program = self.program
+        partials: list[tuple[int, list[tuple[Any, Any]]]] = []
+        for _key, values in grouped:
+            partials.extend(values)
+        partials.sort(key=lambda pv: pv[0])
+        models = [program.model_from_records(recs) for _i, recs in partials]
+        for key, value in program.model_records(program.merge(models)):
+            ctx.emit(key, value)
+
+    def map_owned(self, ctx: TaskContext, records: ColumnBatch) -> None:
+        """Emit the partial model's *owned* entries, one per element."""
+        solved = self._solve(ctx, records)
+        for key, value in self.program.owned_model_records(solved, ctx.split_index):
+            ctx.emit(key, value)
+
+    def reduce_elements(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """Apply merge_element to each model element's partial values."""
+        for key, values in grouped:
+            ctx.emit(key, self.program.merge_element(key, values))
+
+
 class BestEffortEngine:
-    """Runs the best-effort phase of a :class:`PICProgram` on a cluster."""
+    """Runs the best-effort phase of a :class:`PICProgram` on a cluster.
+
+    ``runner`` (default: a fresh :class:`JobRunner` on
+    :func:`best_effort_dfs`) runs every round's job and settles the
+    DFS, host executor, pipelined mode and node cache the phase uses.
+    """
 
     def __init__(
         self,
@@ -104,12 +168,8 @@ class BestEffortEngine:
         be_max_iterations: int = 20,
         optimized_baseline: bool = True,
         runner: JobRunner | None = None,
-        dfs: DistributedFileSystem | None = None,
         distributed_merge: bool = False,
         speculative: bool = False,
-        executor: TaskExecutor | None = None,
-        pipeline: bool | None = None,
-        cache: NodeMemoryCache | None = None,
     ) -> None:
         if num_partitions < 1:
             raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
@@ -128,29 +188,13 @@ class BestEffortEngine:
         self.seed = seed
         self.be_max_iterations = be_max_iterations
         self.optimized_baseline = optimized_baseline
-        self.dfs = dfs or DistributedFileSystem(
-            cluster, replication=min(3, cluster.num_nodes), seed=23
-        )
-        self.executor = executor or get_executor()
-        # Pipelined mode (``PIC_PIPELINE`` when None): model scatter
-        # and first-iteration co-location overlap the job's map wave
-        # through a SplitGate, and loop-invariant splits are pinned in
-        # simulated node memory across best-effort iterations.  An
-        # explicitly supplied runner wins — engine and runner must
-        # agree on one mode and share one cache, or pinned splits
-        # would never be the ones looked up.
-        if runner is None:
-            # Serial on purpose: a round's real work already went through
-            # self.executor in _solve_subproblems(), and the job's mappers
-            # are closures that replay those results — a pool could only
-            # probe the closure, fail, and run the wave in-process anyway.
-            runner = JobRunner(
-                cluster, self.dfs, executor=SerialExecutor(),
-                pipeline=pipeline, cache=cache,
-            )
-        self.runner = runner
-        self.pipeline = runner.pipeline
-        self.cache = runner.cache
+        # In pipelined mode the model scatter and first-round co-location
+        # overlap the job's map wave through a SplitGate, and the
+        # loop-invariant splits are pinned in the runner's node cache —
+        # the one its map tasks look them up in.
+        self.runner = runner or JobRunner(cluster, best_effort_dfs(cluster))
+        self.pipeline = self.runner.pipeline
+        self.cache = self.runner.cache
         self._dataset_seq = 0
 
     def home_node(self, subproblem_index: int) -> int:
@@ -204,18 +248,22 @@ class BestEffortEngine:
             if not pipeline:
                 cluster.run()
 
-            solved = self._solve_subproblems(dataset, sub_models)
             result = self.runner.run(
-                self._be_job_spec(be_iter, solved),
+                self._be_job_spec(be_iter),
                 dataset,
                 model_locations=model_locations,
                 input_cached=input_cached(optimized, pipeline, be_iter),
                 speculative=self.speculative,
                 model_gate=gate,
+                split_models=sub_models,
             )
             model_locations = result.output_locations
             return self.program.model_from_records(result.output), {
-                "local_iterations": [iterations for _m, iterations, _c in solved],
+                "job_results": [result],
+                "local_iterations": [
+                    result.map_stats[i]["local_iterations"]
+                    for i in range(self.num_partitions)
+                ],
             }
 
         try:
@@ -324,7 +372,7 @@ class BestEffortEngine:
         ])
         self._dataset_seq += 1
         return DistributedDataset.from_partitions(
-            self.dfs,
+            self.runner.dfs,
             f"/pic/{self.program.name}/partitions-{self._dataset_seq}",
             [sub.records for sub in subs],
             placements=[sub.home_node for sub in subs],
@@ -350,95 +398,27 @@ class BestEffortEngine:
                 pins.append(pin)
         return pins
 
-    def _solve_subproblems(
-        self, dataset: DistributedDataset, sub_models: list[Any]
-    ) -> list[tuple[Any, int, float]]:
-        """Solve every sub-problem's local IC loop for this round.
-
-        The solves are independent (the paper's whole point), so they
-        run through the executor — concurrently under ``PIC_WORKERS>1``,
-        in-process otherwise — before the simulated job starts.  The map
-        tasks then replay the precomputed results at their scheduled
-        simulated times, so parallel and serial runs are bit-identical.
-        """
-        payloads = [
-            (self.program, dataset.splits[i].records, sub_models[i], None)
-            for i in range(self.num_partitions)
-        ]
-        return self.executor.map(solve_subproblem, payloads)
-
-    def _be_job_spec(
-        self, be_iter: int, solved: Sequence[tuple[Any, int, float]] = ()
-    ) -> JobSpec:
-        """The round's job: map task ``i`` replays ``solved[i]``, the
-        sub-problem's ``(model, local iterations, compute seconds)``."""
+    def _be_job_spec(self, be_iter: int) -> JobSpec:
+        """The round's job: map task ``i`` solves sub-problem ``i``, the
+        reduce merges (see :class:`BestEffortRound`)."""
         program = self.program
-
-        def solve(ctx: TaskContext, records: ColumnBatch) -> Any:
-            assert ctx.split_index is not None
-            model, iterations, compute = solved[ctx.split_index]
-            ctx.stats.update(local_iterations=iterations, compute_seconds=compute)
-            return model
-
-        def be_map_cost(num_records: int, nbytes: int, ctx: TaskContext) -> float:
-            return ctx.stats.get("compute_seconds", 0.0)
-
+        tasks = BestEffortRound(program)
         costs = program.costs
         if strips_overheads(self.optimized_baseline, self.pipeline, be_iter):
             costs = costs.without_overheads()
-        common = dict(
-            name=f"{program.name}-be{be_iter}",
-            costs=costs,
-            map_cost=be_map_cost,
-        )
-
+        name = f"{program.name}-be{be_iter}"
         if self.distributed_merge:
             # Section III-C: the merge runs as a normal MapReduce job —
             # tasks emit their *owned* model entries per element and
             # reducers apply merge_element with full parallelism.
-            def be_mapper(ctx: TaskContext, records: ColumnBatch) -> None:
-                solved = solve(ctx, records)
-                for key, value in program.owned_model_records(
-                    solved, ctx.split_index
-                ):
-                    ctx.emit(key, value)
-
-            def be_reducer(ctx: TaskContext, grouped: GroupedBatch) -> None:
-                for key, values in grouped:
-                    ctx.emit(key, program.merge_element(key, values))
-
-            # The closures capture `program`/`solved`, so the job
-            # cannot go to a pool; that is intended (the engine's own
-            # runner is serial) — the real solves already ran through
-            # the executor in _solve_subproblems().
             return JobSpec(
-                mapper=be_mapper,  # pic: noqa: PIC101
-                reducer=be_reducer,  # pic: noqa: PIC101
-                num_reducers=program.num_reducers,
-                **common,
+                name=name, mapper=tasks.map_owned, reducer=tasks.reduce_elements,
+                num_reducers=program.num_reducers, costs=costs,
+                map_cost=solved_compute_seconds,
             )
-
         # Centralized merge: one reducer reconstructs every partial
         # model and applies the programmer's merge().
-        def be_mapper_central(ctx: TaskContext, records: ColumnBatch) -> None:
-            solved = solve(ctx, records)
-            ctx.emit(0, (ctx.split_index, program.model_records(solved)))
-
-        def be_reducer_central(ctx: TaskContext, grouped: GroupedBatch) -> None:
-            partials: list[tuple[int, list[tuple[Any, Any]]]] = []
-            for _key, values in grouped:
-                partials.extend(values)
-            partials.sort(key=lambda pv: pv[0])
-            models = [program.model_from_records(recs) for _i, recs in partials]
-            merged = program.merge(models)
-            for key, value in program.model_records(merged):
-                ctx.emit(key, value)
-
-        # Same intended serial fallback as above: the merge work is tiny
-        # and the heavy solves are precomputed via _solve_subproblems().
         return JobSpec(
-            mapper=be_mapper_central,  # pic: noqa: PIC101
-            reducer=be_reducer_central,  # pic: noqa: PIC101
-            num_reducers=1,
-            **common,
+            name=name, mapper=tasks.map_central, reducer=tasks.reduce_central,
+            num_reducers=1, costs=costs, map_cost=solved_compute_seconds,
         )

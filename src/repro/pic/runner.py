@@ -20,7 +20,7 @@ from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
 from repro.parallel import get_executor
 from repro.pic.api import PICProgram
-from repro.pic.engine import BestEffortEngine, BestEffortResult
+from repro.pic.engine import BestEffortEngine, BestEffortResult, best_effort_dfs
 from repro.pic.model import as_model
 from repro.util.rng import SeedLike
 
@@ -132,11 +132,12 @@ class PICRunner:
             seed=self.seed,
             be_max_iterations=self.be_max_iterations,
             optimized_baseline=self.optimized_baseline,
+            runner=JobRunner(
+                cluster, best_effort_dfs(cluster), executor=self.executor,
+                pipeline=runner.pipeline, cache=cache,
+            ),
             distributed_merge=self.distributed_merge,
             speculative=self.speculative,
-            executor=self.executor,
-            pipeline=runner.pipeline,
-            cache=cache,
         )
         be = engine.run(records, initial_model)
         be_phase = bracket.close(

@@ -31,7 +31,8 @@ APP_PROGRAMS = {
 #: Where the runner calls a job's mapper and its reducer.
 MAP_DISPATCH = "repro.mapreduce.runner::_JobState._map_compute_phase"
 REDUCE_DISPATCH = "repro.mapreduce.runner::_JobState._reduce_execute"
-BE_JOB_SPEC = "repro.pic.engine::BestEffortEngine._be_job_spec.<locals>"
+#: Whose methods are a best-effort round's mappers and reducers.
+BE_ROUND = "repro.pic.engine::BestEffortRound"
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ class TestEngineCallbackResolution:
 
     def test_mapper_dispatch_includes_best_effort_closures(self, analysis):
         callees = _callees(analysis, MAP_DISPATCH)
-        assert {f"{BE_JOB_SPEC}.be_mapper", f"{BE_JOB_SPEC}.be_mapper_central"} <= callees
+        assert {f"{BE_ROUND}.map_owned", f"{BE_ROUND}.map_central"} <= callees
 
     def test_reducer_dispatch_reaches_every_batch_reduce(self, analysis):
         # Neural-net and PageRank inherit batch_reduce (the former loops
@@ -112,8 +113,8 @@ class TestEngineCallbackResolution:
         assert {
             "repro.apps.pagerank.program::PageRankProgram._reduce_aggregate",
             "repro.apps.pagerank.program::PageRankProgram._reduce_identity",
-            f"{BE_JOB_SPEC}.be_reducer",
-            f"{BE_JOB_SPEC}.be_reducer_central",
+            f"{BE_ROUND}.reduce_elements",
+            f"{BE_ROUND}.reduce_central",
         } <= callees
 
     def test_method_candidates_for_merge(self, analysis):

@@ -135,6 +135,10 @@ def _assert_same_run(serial_run, parallel_run):
     assert serial.best_effort.be_iterations == parallel.best_effort.be_iterations
     for s_stat, p_stat in zip(serial.best_effort.stats, parallel.best_effort.stats):
         assert s_stat == p_stat  # dataclass equality: every field, exactly
+        # ... but a round's JobResult holds a batch, which has no value
+        # ``==``, so the trace leaves it out: compare it field by field.
+        (s_job,), (p_job,) = s_stat.job_results, p_stat.job_results
+        _assert_same_job(s_job, p_job)
 
     assert serial_meter == parallel_meter
 
@@ -143,3 +147,16 @@ def _assert_same_run(serial_run, parallel_run):
         assert s_trace.duration == p_trace.duration
         assert s_trace.shuffle_bytes == p_trace.shuffle_bytes
         assert s_trace.model_update_bytes == p_trace.model_update_bytes
+
+
+def _assert_same_job(serial, parallel):
+    assert serial.job_name == parallel.job_name
+    assert serial.started_at == parallel.started_at
+    assert serial.finished_at == parallel.finished_at
+    assert serial.counters.as_dict() == parallel.counters.as_dict()
+    assert serial.map_output_bytes_raw == parallel.map_output_bytes_raw
+    assert serial.shuffle_bytes == parallel.shuffle_bytes
+    assert serial.output_bytes == parallel.output_bytes
+    assert serial.output_locations == parallel.output_locations
+    assert serial.map_stats == parallel.map_stats
+    assert _deep_equal(serial.output.to_rows(), parallel.output.to_rows())

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.pic.engine import BestEffortEngine
+from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.runner import JobRunner
+from repro.parallel import ProcessPoolTaskExecutor, SerialExecutor, get_executor, run_map_task
+from repro.pic.engine import BestEffortEngine, best_effort_dfs
+from tests.mapreduce.test_speculation import heterogeneous_cluster
 from tests.pic.toy import MeanProgram
 
 
@@ -11,9 +15,12 @@ def make_cluster(num_nodes=4):
     return Cluster(num_nodes=num_nodes, nodes_per_rack=num_nodes)
 
 
-def make_engine(num_partitions=4, be_max_iterations=20, threshold=1e-6, **kw):
+def make_engine(num_partitions=4, be_max_iterations=20, threshold=1e-6,
+                executor=None, **kw):
     cluster = make_cluster()
     prog = MeanProgram(threshold=threshold)
+    if executor is not None:
+        kw["runner"] = JobRunner(cluster, best_effort_dfs(cluster), executor=executor)
     engine = BestEffortEngine(
         cluster, prog, num_partitions=num_partitions,
         be_max_iterations=be_max_iterations, **kw
@@ -161,17 +168,10 @@ class TestDeterminism:
         assert r1.total_time == pytest.approx(r2.total_time)
         assert r1.local_iterations_by_round == r2.local_iterations_by_round
 
-    def test_pool_sees_the_solves_but_never_the_replay_job(self):
-        """A best-effort job's mappers are closures replaying the solves
-        the engine already sent through its executor, so the engine's own
-        job runner must not offer them to the pool (it would export every
-        split to shared memory only to fail on the closure)."""
-        from repro.parallel import (
-            ProcessPoolTaskExecutor,
-            SerialExecutor,
-            run_map_task,
-            solve_subproblem,
-        )
+    def test_pool_runs_each_round_as_one_map_wave(self):
+        """A round's job is an ordinary picklable job: a pool runner sends
+        its map tasks (the sub-problem solves) through ``run_map_task``,
+        once per round, and the run equals a serial runner's bit for bit."""
 
         class SpyPool(ProcessPoolTaskExecutor):
             def __init__(self):
@@ -179,17 +179,67 @@ class TestDeterminism:
                 self.calls = []
 
             def map_or_none(self, fn, payloads):
-                self.calls.append(fn)
-                return super().map_or_none(fn, payloads)
+                results = super().map_or_none(fn, payloads)
+                self.calls.append((fn, results is not None))
+                return results
 
         spy = SpyPool()
         c_serial, _p, serial = make_engine(executor=SerialExecutor())
         c_pool, _p, pooled = make_engine(executor=spy)
         r_serial = serial.run(RECORDS, {"mean": 0.0})
         r_pool = pooled.run(RECORDS, {"mean": 0.0})
-        assert run_map_task not in spy.calls
-        assert spy.calls == [solve_subproblem] * r_pool.be_iterations
+        assert spy.calls == [(run_map_task, True)] * r_pool.be_iterations
         assert r_pool.model == r_serial.model
         assert r_pool.stats == r_serial.stats
         assert r_pool.total_time == r_serial.total_time
         assert c_pool.meter.snapshot() == c_serial.meter.snapshot()
+
+
+class TestRoundJobs:
+    def test_each_round_records_its_job(self):
+        _c, _p, engine = make_engine()
+        result = engine.run(RECORDS, {"mean": 0.0})
+        for be_iter, stat in enumerate(result.stats):
+            (job,) = stat.job_results
+            assert job.job_name == f"mean-be{be_iter}"
+            assert stat.local_iterations == [
+                job.map_stats[i]["local_iterations"] for i in range(4)
+            ]
+
+    def test_speculative_round_pool_matches_serial(self):
+        """A backup twin re-solves its sub-problem in-process on a serial
+        runner and replays the pool's solve on a parallel one; both must
+        give the same run."""
+        records = [(i, float(i)) for i in range(400)]
+
+        def run(executor):
+            cluster = heterogeneous_cluster()
+            engine = BestEffortEngine(
+                cluster, MeanProgram(threshold=1e-6), 4, speculative=True,
+                runner=JobRunner(cluster, best_effort_dfs(cluster), executor=executor),
+            )
+            return cluster, engine.run(records, {"mean": 0.0})
+
+        c_serial, serial = run(SerialExecutor())
+        c_pool, pooled = run(get_executor(2))
+        assert pooled.model == serial.model
+        assert pooled.stats == serial.stats
+        assert pooled.total_time == serial.total_time
+        assert c_pool.meter.snapshot() == c_serial.meter.snapshot()
+        losses = [
+            stat.job_results[0].counters.get("speculative_losses")
+            for stat in serial.stats
+        ]
+        assert max(losses) > 0
+
+    def test_partitions_go_to_the_runners_dfs(self):
+        """The co-located partitions and the rounds' outputs share one
+        DFS: the runner's."""
+        cluster = make_cluster()
+        dfs = DistributedFileSystem(cluster)
+        engine = BestEffortEngine(
+            cluster, MeanProgram(), 4, runner=JobRunner(cluster, dfs)
+        )
+        engine.run(RECORDS, {"mean": 0.0})
+        for i in range(4):
+            assert dfs.namenode.exists(f"/pic/mean/partitions-1/part-{i:05d}")

@@ -180,7 +180,7 @@ class TestPICOnYarn:
 
         engine = BestEffortEngine(
             cluster, MeanProgram(), num_partitions=4,
-            runner=YarnJobRunner(cluster, dfs), dfs=dfs,
+            runner=YarnJobRunner(cluster, dfs),
         )
         result = engine.run(records, {"mean": 0.0})
         assert result.model["mean"] == pytest.approx(19.5, abs=1e-3)
@@ -196,7 +196,7 @@ class TestPICOnYarn:
 
         engine = BestEffortEngine(
             cluster, MeanProgram(), num_partitions=4,
-            runner=YarnJobRunner(cluster, dfs), dfs=dfs,
+            runner=YarnJobRunner(cluster, dfs),
         )
         yarn_be = engine.run(records, {"mean": 0.0})
         assert yarn_be.model["mean"] == pytest.approx(
