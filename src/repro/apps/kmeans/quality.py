@@ -6,10 +6,9 @@
   correspondence between two centroid sets and the resulting distance,
   the Figure 12(b) error measure against the sequential reference.
 
-``scipy.optimize`` is imported inside :func:`match_centroids`, its one
-caller: most runs never match centroids, and scipy would otherwise be
-the heaviest import of every process that loads this package
-(``tests/integration/test_cold_start.py`` pins that it is not).
+The correspondence is an exact minimum-cost assignment solved here in
+NumPy (:func:`_min_cost_assignment`), so matching k centroids costs
+O(k³) arithmetic and no import beyond numpy.
 """
 
 from __future__ import annotations
@@ -40,21 +39,69 @@ def jagota_index(points: np.ndarray, centroids: np.ndarray) -> float:
     return total
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost perfect matching of the
+    square, finite matrix ``cost``.
+
+    Shortest augmenting paths with row and column potentials (the O(k³)
+    Hungarian method): each row in turn grows a Dijkstra tree over the
+    reduced costs until it reaches a free column, then flips the path.
+    Index 0 is a virtual column that roots every tree, so the arrays
+    are 1-based; ``row_of[j]`` is the row holding column ``j`` (0: free).
+    """
+    k = len(cost)
+    padded = np.zeros((k + 1, k + 1))
+    padded[1:, 1:] = cost
+    u = np.zeros(k + 1)  # row potentials
+    v = np.zeros(k + 1)  # column potentials
+    row_of = np.zeros(k + 1, dtype=np.intp)
+    prev = np.zeros(k + 1, dtype=np.intp)  # previous column on the path
+    for row in range(1, k + 1):
+        row_of[0] = row
+        col = 0
+        dist = np.full(k + 1, np.inf)
+        done = np.zeros(k + 1, dtype=bool)
+        while row_of[col]:
+            done[col] = True
+            i = row_of[col]
+            reduced = padded[i] - u[i] - v
+            closer = ~done & (reduced < dist)
+            dist[closer] = reduced[closer]
+            prev[closer] = col
+            col = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while col:
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    cols = np.empty(k, dtype=np.intp)
+    cols[row_of[1:] - 1] = np.arange(k)
+    return cols
+
+
 def match_centroids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Permutation π minimising Σ‖a_i − b_{π(i)}‖ (Hungarian algorithm).
+    """Permutation π minimising Σ‖a_i − b_{π(i)}‖ (exact assignment).
 
     Needed because two K-means runs label clusters arbitrarily
-    (Section III-C's "correspondence of elements" problem).
+    (Section III-C's "correspondence of elements" problem).  Raises
+    ``ValueError`` for sets of different shapes, sets that are not 2-D,
+    and entries (or distances) that are not finite.
     """
-    from scipy.optimize import linear_sum_assignment
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"centroid sets differ in shape: {a.shape} vs {b.shape}")
-    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    _rows, cols = linear_sum_assignment(cost)
-    return cols
+    if a.ndim != 2:
+        raise ValueError(f"centroid sets must be 2-D (k, dim), got shape {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("centroid sets must be finite (found NaN or inf)")
+    with np.errstate(over="ignore"):  # reported below, by name
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    if not np.isfinite(cost).all():
+        raise ValueError("centroid distances overflow to inf")
+    return _min_cost_assignment(cost)
 
 
 def centroid_displacement(a: np.ndarray, b: np.ndarray) -> float:

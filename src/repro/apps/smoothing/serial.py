@@ -73,10 +73,23 @@ def jacobi_smooth(
 
 
 def smooth_reference(f: np.ndarray, lam: float = 2.0, tol: float = 1e-10) -> np.ndarray:
-    """Golden solution of (I + λL) u = f via conjugate gradients."""
-    from scipy.sparse.linalg import LinearOperator, cg
+    """Golden solution of (I + λL) u = f via conjugate gradients.
 
+    ``I + λL`` is symmetric positive definite for λ > 0, so plain CG from
+    u = 0 converges: it stops once the residual falls below ``tol``·‖f‖
+    and raises ``RuntimeError`` if 20,000 iterations do not get there.  A
+    non-2-D or non-finite image, or a non-positive ``lam`` or ``tol``,
+    raises ``ValueError`` before iterating.
+    """
     f = np.asarray(f, dtype=float)
+    if f.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("image must be finite (found NaN or inf)")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     h, w = f.shape
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -84,8 +97,22 @@ def smooth_reference(f: np.ndarray, lam: float = 2.0, tol: float = 1e-10) -> np.
         total, count = _neighbor_sum(u)
         return (u + lam * (count * u - total)).ravel()
 
-    op = LinearOperator((h * w, h * w), matvec=matvec)
-    solution, info = cg(op, f.ravel(), rtol=tol, maxiter=20_000)
-    if info != 0:
-        raise RuntimeError(f"CG did not converge (info={info})")
-    return solution.reshape(h, w)
+    b = f.ravel()
+    stop = tol * float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    if stop == 0.0:  # f = 0, which u = 0 solves exactly
+        return x.reshape(h, w)
+    r = b.copy()
+    p = np.zeros_like(b)
+    rho_prev = np.inf  # so the first direction is r itself
+    for _ in range(20_000):
+        if np.linalg.norm(r) < stop:
+            return x.reshape(h, w)
+        rho = np.dot(r, r)
+        p = p * (rho / rho_prev) + r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise RuntimeError("CG did not converge in 20000 iterations")
