@@ -18,9 +18,9 @@ from repro.lint.model import Finding
 from repro.lint.module import LintModule, bare_name, tail_name
 from repro.lint.rules import Rule
 
-#: Executor-like receivers for ``.map``/``.map_or_none``/``.submit``.
+#: Executor-like receivers for ``.map``/``.submit``.
 _EXECUTOR_RECEIVER = re.compile(r"executor|pool", re.IGNORECASE)
-_EXECUTOR_METHODS = frozenset({"map", "map_or_none", "submit"})
+_EXECUTOR_METHODS = frozenset({"map", "submit"})
 
 
 class TaskSpecPicklabilityRule(Rule):

@@ -116,6 +116,9 @@ class JobSpec:
     # map_cost(num_records, split_nbytes, ctx) -> seconds at reference CPU.
     # PIC's best-effort jobs use this to charge the in-mapper local
     # iterations the task actually performed (reported via ctx.stats).
+    # The ctx it gets carries only the task's model, split_index and the
+    # stats its mapper left: the output was collected when the job was
+    # submitted, so ctx.collect() and ctx.output_count read empty.
     map_cost: Callable[[int, int, TaskContext], float] | None = None
 
     def __post_init__(self) -> None:

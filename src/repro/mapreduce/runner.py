@@ -1,5 +1,16 @@
 """The MapReduce job runner: executes one job on the DES cluster.
 
+A job computes once, then simulates.  At submit the runner does the
+job's host work in full: every map task goes through the executor to
+:func:`repro.parallel.tasks.run_map_task` (run the *real* mapper, then
+partition the output, applying the combiner once over its
+(reduce-partition, key) groups), after which the job's one grouping of
+every map output by (partition, key) feeds the *real* reducers, in
+partition order.  Retries and backup tasks change only *when* a task's
+work lands, never what it computes, so the simulation only prices it —
+from the per-split record counts, byte sizes and ``stats`` the tasks
+recorded.
+
 Task lifecycle (all on the simulated clock):
 
 * **map task** — wait for a map slot (locality-aware); fetch the model
@@ -8,21 +19,15 @@ Task lifecycle (all on the simulated clock):
   la Twister/HaLoop) — every read takes the replica
   :meth:`Topology.closest` picks and is charged by :meth:`Cluster.move`,
   disk time when local, a flow when remote; charge mapper compute;
-  run the *real* mapper; partition the output, applying the combiner
-  once over its (reduce-partition, key) groups; charge the local
-  spill; release the slot; start the shuffle flows.
+  charge the local spill of its (combined) output; release the slot;
+  start the shuffle flows.
 * **shuffle** — one flow per (map task, reduce partition) from the map
   node to the partition's reduce node, overlapped with remaining maps,
   exactly the all-to-all pattern that stresses the bisection.
 * **reduce task** — wait until every map's bucket for this partition has
   arrived and a reduce slot on its node frees; charge merge-sort +
-  reduce compute; run the *real* reducer over the partition's groups;
-  write the output to the DFS, three replicas (``model_update``
-  traffic).
-
-On the host a map output stays one batch, each record tagged with its
-partition; the first reduce task groups every map output by (partition,
-key) in one pass and each reducer takes its partition's run of groups.
+  reduce compute; write the reducer's output to the DFS, three replicas
+  (``model_update`` traffic).
 
 Byte volumes are measured from the actual records; Hadoop-style counters
 record them for the benchmark harness.
@@ -42,14 +47,13 @@ from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
 from repro.mapreduce.columnar import (
     ColumnBatch,
-    GroupedBatch,
     bucket_kinds,
     concat_batches,
     group_buckets,
 )
 from repro.mapreduce.job import Counters, JobResult, JobSpec, TaskContext
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
-from repro.mapreduce.records import DistributedDataset, hash_partitioner
+from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.scheduler import SlotScheduler
 # Leaf-module import: repro.parallel's package __init__ pulls in
 # repro.parallel.tasks, which needs this package — importing the
@@ -65,11 +69,10 @@ class JobRunner:
     """Runs MapReduce jobs on one cluster; slots persist across jobs.
 
     ``executor`` controls where the *host* computes map-task outputs:
-    a parallel executor precomputes every (independent) map task of a
-    job across a process pool, and the simulated tasks replay those
-    outputs at their scheduled times — same records, same counters,
-    same simulated clock, less wall-clock.  Unpicklable job specs
-    (closures over local state) silently keep the in-process path.
+    every (independent) map task of a job goes through its ``map`` at
+    submit, across a process pool when it has one — same records, same
+    counters, same simulated clock, less wall-clock.  Unpicklable job
+    specs (closures over local state) run in-process at submit.
     """
 
     def __init__(
@@ -109,6 +112,9 @@ class JobRunner:
         self._reduce_resolve_pending = False
         self._reduce_resolving = False
         self._job_seq = itertools.count()
+        # Set while submit_many runs: submit parks each computed job
+        # here, and the batch launches once every job's host work ran.
+        self._held: list[_JobState] | None = None
 
     def run(
         self,
@@ -191,28 +197,23 @@ class JobRunner:
     ) -> "JobHandle":
         """Launch a job without draining the event queue.
 
-        The job starts competing for slots and fabric bandwidth as soon
-        as the simulation runs; call :meth:`JobHandle.result` after the
-        cluster quiesces.  Concurrent submissions interleave fairly:
-        each carries its job index as the scheduler ``app_id``, so slot
-        grants go to the least-granted job first.
+        The job's host work — every map task, the shuffle's grouping and
+        every reducer — runs here, so a mapper, partitioner, combiner or
+        reducer that fails raises from this call with nothing put on the
+        simulated clock.  The job starts competing for slots and fabric
+        bandwidth as soon as the simulation runs; call
+        :meth:`JobHandle.result` after the cluster quiesces.  Concurrent
+        submissions interleave fairly: each carries its job index as the
+        scheduler ``app_id``, so slot grants go to the least-granted job
+        first.
         """
-        if model_mode not in ("broadcast", "partitioned"):
-            raise ValueError(
-                f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
-            )
-        if isinstance(model, Mapping):
-            # Tasks read a key/value model as a table, columnized once per
-            # job.  Imported here: repro.pic's package __init__ imports
-            # the engine, which needs this module.
-            from repro.pic.model import as_model
-
-            model = as_model(model)
         state = _JobState(self, spec, dataset, model, model_bytes,
-                          model_locations, input_cached, next(self._job_seq),
-                          model_mode, failures or {}, speculative, model_gate,
-                          split_models)
-        state.launch()
+                          model_locations, input_cached, model_mode, failures,
+                          speculative, model_gate, split_models)
+        if self._held is None:
+            state.launch(next(self._job_seq))
+        else:
+            self._held.append(state)
         return JobHandle(state)
 
     def submit_many(
@@ -223,16 +224,25 @@ class JobRunner:
         Each submission is ``(spec, dataset)`` or
         ``(spec, dataset, kwargs)`` with :meth:`submit` keyword
         arguments.  All jobs share the simulation clock, the flow
-        network, and the slot/container schedulers.
+        network, and the slot/container schedulers.  Every submission's
+        host work runs before any of them launches, so a job that fails
+        leaves none of the batch on the clock.
         """
+        held: list[_JobState] = []
         handles = []
-        for submission in submissions:
-            if len(submission) == 2:
-                spec, dataset = submission  # type: ignore[misc]
-                kwargs: dict[str, Any] = {}
-            else:
-                spec, dataset, kwargs = submission  # type: ignore[misc]
-            handles.append(self.submit(spec, dataset, **kwargs))
+        self._held = held
+        try:
+            for submission in submissions:
+                if len(submission) == 2:
+                    spec, dataset = submission  # type: ignore[misc]
+                    kwargs: dict[str, Any] = {}
+                else:
+                    spec, dataset, kwargs = submission  # type: ignore[misc]
+                handles.append(self.submit(spec, dataset, **kwargs))
+        finally:
+            self._held = None
+        for state in held:
+            state.launch(next(self._job_seq))
         return handles
 
     def run_many(
@@ -334,7 +344,8 @@ class JobHandle:
 
 
 class _JobState:
-    """All mutable state for one job execution."""
+    """One job: its host work, done at construction, and the mutable
+    state of its simulation."""
 
     def __init__(
         self,
@@ -345,13 +356,23 @@ class _JobState:
         model_bytes: int,
         model_locations: tuple[int, ...],
         input_cached: bool,
-        job_index: int,
-        model_mode: str = "broadcast",
-        failures: dict[int, int] | None = None,
-        speculative: bool = False,
-        model_gate: SplitGate | None = None,
-        split_models: Sequence[Any] | None = None,
+        model_mode: str,
+        failures: dict[int, int] | None,
+        speculative: bool,
+        model_gate: SplitGate | None,
+        split_models: Sequence[Any] | None,
     ) -> None:
+        if model_mode not in ("broadcast", "partitioned"):
+            raise ValueError(
+                f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
+            )
+        if isinstance(model, Mapping):
+            # Tasks read a key/value model as a table, columnized once per
+            # job.  Imported here: repro.pic's package __init__ imports
+            # the engine, which needs this module.
+            from repro.pic.model import as_model
+
+            model = as_model(model)
         self.runner = runner
         self.cluster = runner.cluster
         self.pipeline = runner.pipeline
@@ -363,7 +384,7 @@ class _JobState:
         self.model_bytes = model_bytes
         self.model_locations = tuple(model_locations) or (0,)
         self.input_cached = input_cached
-        self.job_index = job_index
+        self.job_index = -1  # assigned at launch
         self.model_mode = model_mode
         self.failures = dict(failures or {})
         self.speculative = speculative
@@ -383,15 +404,6 @@ class _JobState:
             p % self.cluster.num_nodes for p in range(self.num_reducers)
         ]
         self._model_on_node: set[int] = set(self.model_locations)
-        # split index -> (output, partition id per record) of each
-        # finished map, until the first reduce task groups them all
-        # (:meth:`_reduce_input`).
-        self._map_outputs: dict[int, tuple[ColumnBatch, np.ndarray]] = {}
-        # That grouping, its group bounds per partition, and each
-        # partition's own column kinds where they can differ; dropped
-        # once every reducer has taken its groups.
-        self._shuffle: tuple[GroupedBatch, list[int], list[ColumnBatch] | None] | None = None
-        self._reducers_fed = 0
         self._bucket_arrivals = {p: 0 for p in range(self.num_reducers)}
         self._bucket_records = {p: 0 for p in range(self.num_reducers)}
         # Pipelined mode: simulated time at which each partition's
@@ -402,7 +414,6 @@ class _JobState:
         self._reduces_done = 0
         self._reduce_started = [False] * self.num_reducers
         self._reduce_waiting: list[int] = []
-        self._reduce_outputs: dict[int, ColumnBatch] = {}
         # Keyed by partition, not appended in completion order: which
         # reduce finishes first is same-timestamp tie order, and the
         # next iteration's model placement must not depend on it.
@@ -410,37 +421,64 @@ class _JobState:
         self.map_output_bytes_raw = 0
         self.shuffle_bytes = 0
         self.output_bytes = 0
-        self._job_map_stats: dict[int, dict[str, float]] = {}
-        self._premapped: list[tuple[ColumnBatch, dict]] | None = None
         self._done = False
+        self._compute()
+
+    # -- host work -------------------------------------------------------
+
+    def _compute(self) -> None:
+        """Run the job's real computation, all of it, now: every map task
+        through the executor (one job's map tasks are independent, so a
+        pool runs them concurrently), keeping each split's charge for the
+        simulation; then one grouping of every map output by (partition,
+        key), each reducer taking its partition's run of groups, in
+        partition order.  Only the reduce outputs are kept.
+
+        Canonical merge order: the outputs are concatenated by map
+        index, so neither arrival timing nor the executor leaks into
+        float summation order; inside a partition that is grouping its
+        buckets concatenated by map index on their own.  Where the map
+        outputs disagree on column kinds, each partition gets the kinds
+        its own buckets concatenate to.
+        """
+        # Imported here: repro.parallel's package __init__ imports its
+        # task functions, which need this package.
+        from repro.parallel.tasks import map_task
+
+        outputs, pids, self._charges = zip(*self.runner.executor.map(map_task, [
+            (self.spec, self._task_model(split.index), split.index, split.records)
+            for split in self.dataset.splits
+        ]))
+        self._job_map_stats = {
+            i: charge.stats for i, charge in enumerate(self._charges) if charge.stats
+        }
+        kinds = bucket_kinds(outputs, pids, self.num_reducers)
+        # Each map output is dropped once merged: the job holds one copy
+        # of its shuffle at a time, and none once the reducers ran.
+        merged = concat_batches(outputs)
+        del outputs
+        grouped, groups = group_buckets(
+            merged, np.concatenate(pids), self.num_reducers
+        )
+        del merged, pids
+        bounds = np.concatenate(([0], np.cumsum(groups))).tolist()
+        self._reduce_outputs: list[ColumnBatch] = []
+        for p in range(self.num_reducers):
+            part = grouped.groups(bounds[p], bounds[p + 1])
+            if kinds is not None:
+                part = part.as_kinds(kinds[p])
+            ctx = TaskContext(model=self.model)
+            self.spec.reducer(ctx, part)
+            self._reduce_outputs.append(ctx.collect())
 
     # -- launch ----------------------------------------------------------
 
-    def launch(self) -> None:
-        """Kick off the job after its startup overhead."""
-        self._premapped = self._precompute_maps()
+    def launch(self, job_index: int) -> None:
+        """Kick off the job, as job ``job_index``, after its startup
+        overhead."""
+        self.job_index = job_index
         overhead = self.spec.costs.job_overhead_seconds
         self.cluster.sim.schedule(overhead, self._start_maps)
-
-    def _precompute_maps(self) -> list[tuple[ColumnBatch, dict]] | None:
-        """Run every map task's real computation through the executor.
-
-        Map tasks of one job are independent, so with a parallel
-        executor they all run concurrently *now* (host wall-clock) and
-        :meth:`_map_compute_phase` replays the recorded output at each
-        task's simulated compute time.  Returns ``None`` — keeping the
-        lazy in-process path — when the executor is serial or the job's
-        callables/model cannot cross a process boundary.
-        """
-        if not self.runner.executor.is_parallel:
-            return None
-        from repro.parallel.tasks import run_map_task
-
-        payloads = [
-            (self.spec, self._task_model(split.index), split.index, split.records)
-            for split in self.dataset.splits
-        ]
-        return self.runner.executor.map_or_none(run_map_task, payloads)
 
     def _task_model(self, split_index: int) -> Any:
         """The model map task ``split_index`` sees."""
@@ -586,94 +624,31 @@ class _JobState:
                 attempt, delay, lambda: self._map_attempt_failed(attempt)
             )
             return
-        # The real mapper runs here (instantaneous in simulated time);
-        # its compute *charge* is scheduled afterwards so dynamic costs
-        # can depend on what the task actually did (ctx.stats).
+        # Charge what the task did at submit; dynamic costs depend on
+        # its ``stats`` (e.g. a best-effort solve's local iterations).
         split = self.dataset.splits[split_index]
-        ctx = TaskContext(model=self._task_model(split_index), split_index=split_index)
-        if self._premapped is not None:
-            output, stats = self._premapped[split_index]
-            ctx.emit_batch(output)
-            ctx.stats.update(stats)
-        else:
-            self.spec.mapper(ctx, split.records)
-        if ctx.stats:
-            self._job_map_stats[split_index] = dict(ctx.stats)
+        charge = self._charges[split_index]
         if self.spec.map_cost is not None:
+            ctx = TaskContext(model=self._task_model(split_index), split_index=split_index)
+            ctx.stats.update(charge.stats)
             compute = self.spec.map_cost(len(split.records), split.nbytes, ctx)
         else:
             compute = self.spec.costs.map_compute(len(split.records), split.nbytes)
             # Map-side sort/serialize of the raw output (pre-combine),
             # as Hadoop's collect/spill path charges per record.
-            compute += self.spec.costs.sort_seconds_per_record * ctx.output_count
+            compute += self.spec.costs.sort_seconds_per_record * charge.raw_records
         delay = self.cluster.compute_time(node_id, compute)
-        self._schedule_attempt(
-            attempt, delay, lambda: self._map_execute(attempt, ctx)
-        )
+        self._schedule_attempt(attempt, delay, lambda: self._map_spill(attempt))
 
-    def _map_execute(self, attempt: dict, ctx: TaskContext) -> None:
-        output = ctx.collect()
-        batch, pids, counts = self._partition(output)
-        bucket_bytes = batch.bucket_nbytes(pids, counts)
-        # Without a combiner the buckets are exactly the raw output
-        # re-partitioned, so one sizing pass covers both totals.
-        raw_bytes = (
-            sum(bucket_bytes) if self.spec.combiner is None else output.nbytes_wire()
-        )
-        # Spill the (combined) map output to local disk before serving it.
+    def _map_spill(self, attempt: dict) -> None:
+        """Spill the (combined) map output to local disk before serving it."""
+        charge = self._charges[attempt["split"]]
         disk = self.cluster.nodes[attempt["node"]].spec.disk_bandwidth
         self._schedule_attempt(
             attempt,
-            sum(bucket_bytes) / disk,
-            lambda: self._map_finish(
-                attempt, batch, pids, counts.tolist(), bucket_bytes,
-                len(output), raw_bytes,
-            ),
+            sum(charge.bucket_bytes) / disk,
+            lambda: self._map_finish(attempt),
         )
-
-    def _partition(
-        self, batch: ColumnBatch
-    ) -> tuple[ColumnBatch, np.ndarray, np.ndarray]:
-        """Partition (and combine) one map task's output: the records
-        that travel, each one's partition id, and the record count per
-        partition.  The ids are the batched ``stable_hash``, or the
-        job's own ``partitioner`` per key.  Without a combiner the
-        output travels as emitted; with one, it is grouped by
-        (partition id, key) and the combiner runs once over all the
-        partitions' groups, leaving one record per group, partition
-        after partition.  Ids come back in the narrowest unsigned type
-        that holds them (uint8 up to 256 reducers), which the reduce-side
-        grouping's stable argsort sorts by radix."""
-        if self.spec.partitioner is hash_partitioner:
-            # With a combiner and several reducers the grouping hashes
-            # the keys itself, once per distinct key where it can.
-            pids = (
-                batch.partition_ids(self.num_reducers)
-                if self.spec.combiner is None or self.num_reducers == 1
-                else None
-            )
-        else:
-            pids = np.empty(len(batch), dtype=np.int64)
-            for i, key in enumerate(batch.keys.rows()):
-                p = self.spec.partitioner(key, self.num_reducers)
-                # An id no reducer owns would silently drop the record.
-                if not isinstance(p, (int, np.integer)) or not 0 <= p < self.num_reducers:
-                    raise ValueError(
-                        f"job {self.spec.name!r}: partitioner returned {p!r} "
-                        f"for key {key!r}; expected an integer in "
-                        f"range({self.num_reducers})"
-                    )
-                pids[i] = p
-        id_type = np.min_scalar_type(self.num_reducers - 1)
-        if self.spec.combiner is None:
-            assert pids is not None
-            counts = np.bincount(pids, minlength=self.num_reducers)
-            return batch, pids.astype(id_type), counts
-        # One record per group, partition after partition: a
-        # partition's share of the combined batch is its number of groups.
-        grouped, counts = group_buckets(batch, pids, self.num_reducers)
-        pids = np.repeat(np.arange(self.num_reducers, dtype=id_type), counts)
-        return self.spec.run_combiner(grouped), pids, counts
 
     def _map_attempt_failed(self, attempt: dict) -> None:
         split_index = attempt["split"]
@@ -687,16 +662,7 @@ class _JobState:
             app_id=self.job_index,
         )
 
-    def _map_finish(
-        self,
-        attempt: dict,
-        output: ColumnBatch,
-        pids: np.ndarray,
-        counts: list[int],
-        bucket_bytes: list[int],
-        raw_records: int,
-        raw_bytes: int,
-    ) -> None:
+    def _map_finish(self, attempt: dict) -> None:
         split_index = attempt["split"]
         node_id = attempt["node"]
         self._running_maps[split_index].remove(attempt)
@@ -706,23 +672,23 @@ class _JobState:
         for twin in list(self._running_maps.get(split_index, [])):
             self._kill_attempt(twin)
         split = self.dataset.splits[split_index]
+        charge = self._charges[split_index]
         self.counters.add("map_input_records", len(split.records))
-        self.counters.add("map_output_records", raw_records)
-        self.map_output_bytes_raw += raw_bytes
-        self.counters.add("map_output_bytes", raw_bytes)
-        self.counters.add("combine_output_records", sum(counts))
-        self._map_outputs[split_index] = (output, pids)
+        self.counters.add("map_output_records", charge.raw_records)
+        self.map_output_bytes_raw += charge.raw_bytes
+        self.counters.add("map_output_bytes", charge.raw_bytes)
+        self.counters.add("combine_output_records", sum(charge.counts))
         self.runner.map_scheduler.release(node_id, app_id=self.job_index)
         self._maybe_speculate()
         # One bulk call for the whole fan-out: the map wave's shuffle
         # triggers a single rate recompute instead of one per partition.
         requests = []
         for p in range(self.num_reducers):
-            self.shuffle_bytes += bucket_bytes[p]
+            self.shuffle_bytes += charge.bucket_bytes[p]
             requests.append((
-                node_id, self.reduce_node[p], bucket_bytes[p],
+                node_id, self.reduce_node[p], charge.bucket_bytes[p],
                 TrafficCategory.SHUFFLE,
-                self._make_bucket_arrival(p, counts[p]),
+                self._make_bucket_arrival(p, charge.counts[p]),
             ))
         self.cluster.transfer_batch(requests)
 
@@ -814,46 +780,8 @@ class _JobState:
             delay, lambda: self._reduce_execute(partition, node)
         )
 
-    def _reduce_input(self, partition: int) -> GroupedBatch:
-        """The partition's groups, cut from one grouping of every map
-        output by (partition, key), built by the job's first reduce task.
-
-        Canonical merge order: the outputs are concatenated by map
-        index, like the sorted runs of a merge sort — arrival timing
-        must not leak into float summation order, or barrier and
-        pipelined models would drift apart in the last ulp.  Inside a
-        partition ``group_buckets`` yields ``group_by_key`` over the
-        partition's records in that order: the groups, group order and
-        value order of grouping the partition's buckets concatenated by
-        map index on their own.  Where the map outputs disagree on
-        column kinds, each partition gets the kinds its own buckets
-        concatenate to.
-        """
-        if self._shuffle is None:
-            outputs, pids = zip(
-                *(self._map_outputs.pop(m) for m in range(self.num_maps))
-            )
-            kinds = bucket_kinds(outputs, pids, self.num_reducers)
-            merged = concat_batches(outputs)
-            del outputs
-            grouped, groups = group_buckets(
-                merged, np.concatenate(pids), self.num_reducers
-            )
-            bounds = np.concatenate(([0], np.cumsum(groups))).tolist()
-            self._shuffle = (grouped, bounds, kinds)
-        grouped, bounds, kinds = self._shuffle
-        part = grouped.groups(bounds[partition], bounds[partition + 1])
-        if kinds is not None:
-            part = part.as_kinds(kinds[partition])
-        self._reducers_fed += 1
-        if self._reducers_fed == self.num_reducers:
-            self._shuffle = None
-        return part
-
     def _reduce_execute(self, partition: int, node_id: int) -> None:
-        ctx = TaskContext(model=self.model)
-        self.spec.reducer(ctx, self._reduce_input(partition))
-        output = self._reduce_outputs[partition] = ctx.collect()
+        output = self._reduce_outputs[partition]
         self.counters.add("reduce_input_records", self._bucket_records[partition])
         self.counters.add("reduce_output_records", len(output))
         nbytes = output.nbytes_wire()
@@ -889,9 +817,7 @@ class _JobState:
                 f"{self._maps_done}/{self.num_maps} maps, "
                 f"{self._reduces_done}/{self.num_reducers} reduces done"
             )
-        output = concat_batches(
-            [self._reduce_outputs[p] for p in range(self.num_reducers)]
-        )
+        output = concat_batches(self._reduce_outputs)
         self.counters.add("shuffle_bytes", self.shuffle_bytes)
         self.counters.add("output_bytes", self.output_bytes)
         assert self.finished_at is not None

@@ -12,9 +12,10 @@ Backend selection:
 
 * ``get_executor()`` reads the ``PIC_WORKERS`` environment variable
   (CLI ``--workers`` overrides it); ``1``/unset means serial.
-* Unpicklable work (job specs closing over local state, exotic models)
-  falls back to in-process execution automatically — parallelism is an
-  optimization, never a requirement.
+* Unpicklable work (job specs closing over local state, exotic models),
+  a single payload, and a pool that dies all fall back to in-process
+  execution automatically — parallelism is an optimization, never a
+  requirement, so callers just call :meth:`TaskExecutor.map`.
 
 Pools are shared per worker count across executor instances (engines
 and job runners are created per experiment; respawning interpreters for
@@ -66,28 +67,11 @@ class TaskExecutor:
 
     workers: int = 1
 
-    @property
-    def is_parallel(self) -> bool:
-        """True when this executor can use more than one process."""
-        return self.workers > 1
-
     def map(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any]:
         """Apply ``fn`` to each payload, returning results in order."""
         return [fn(p) for p in payloads]
-
-    def map_or_none(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any] | None:
-        """Like :meth:`map`, but ``None`` when parallelism is unavailable.
-
-        Callers with a cheaper lazy path (e.g. the job runner, which
-        otherwise computes each map task at its simulated start time)
-        use this to skip eager computation unless it actually buys
-        concurrency.
-        """
-        return None
 
 
 class SerialExecutor(TaskExecutor):
@@ -114,24 +98,17 @@ class ProcessPoolTaskExecutor(TaskExecutor):
     def map(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any]:
-        results = self.map_or_none(fn, payloads)
-        return super().map(fn, payloads) if results is None else results
-
-    def map_or_none(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any] | None:
         payloads = list(payloads)
-        if len(payloads) < 2 or not self._picklable(fn, payloads[0]):
-            return None
-        try:
-            pool = _shared_pool(self.workers)
-            chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
-            return list(pool.map(fn, payloads, chunksize=chunksize))
-        except _FALLBACK_ERRORS:
-            return None
-        except BrokenExecutor:
-            _discard_pool(self.workers)
-            return None
+        if len(payloads) >= 2 and self._picklable(fn, payloads[0]):
+            try:
+                pool = _shared_pool(self.workers)
+                chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
+                return list(pool.map(fn, payloads, chunksize=chunksize))
+            except _FALLBACK_ERRORS:
+                pass
+            except BrokenExecutor:
+                _discard_pool(self.workers)
+        return super().map(fn, payloads)
 
     @staticmethod
     def _picklable(fn: Callable[[Any], Any], probe: Any) -> bool:

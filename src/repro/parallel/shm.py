@@ -1,7 +1,7 @@
 """Import shim for the perf ledger: the shared-memory hand-off is gone.
 
-The pool's one transport is pickle (``executor.map_or_none``; DESIGN.md
-§10 has the pricing).  ``benchmarks/perf/ledger/probes.py`` still
+The pool's one transport is pickle (``ProcessPoolTaskExecutor.map``;
+DESIGN.md §10 has the pricing).  ``benchmarks/perf/ledger/probes.py`` still
 imports these two names and may not be edited outside a re-freeze, so
 they stay as no-ops — kept for the ledger's import, deleted by the
 re-freeze PR (ROADMAP item 1), imported by nothing else.

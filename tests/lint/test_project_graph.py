@@ -28,9 +28,10 @@ APP_PROGRAMS = {
 }
 
 
-#: Where the runner calls a job's mapper and its reducer.
-MAP_DISPATCH = "repro.mapreduce.runner::_JobState._map_compute_phase"
-REDUCE_DISPATCH = "repro.mapreduce.runner::_JobState._reduce_execute"
+#: Where a job's mapper and its reducer are called: the map-task
+#: function and the job's up-front computation.
+MAP_DISPATCH = "repro.parallel.tasks::run_map_task"
+REDUCE_DISPATCH = "repro.mapreduce.runner::_JobState._compute"
 #: Whose methods are a best-effort round's mappers and reducers.
 BE_ROUND = "repro.pic.engine::BestEffortRound"
 

@@ -1,6 +1,7 @@
 """Per-bucket reference implementation of the map-side partition step.
 
-This is the implementation ``_JobState._partition`` had before it grouped
+This is the implementation the partition step (today
+``repro.parallel.tasks.partition_output``) had before it grouped
 a whole map output by (partition id, key) in one pass: scatter the
 records into one bucket per reducer with a stable argsort, then — for a
 job with a combiner — ``group_batch`` and ``run_combiner`` once per

@@ -47,7 +47,7 @@ from repro.mapreduce.records import (
     hash_partitioner,
     stable_hash,
 )
-from repro.mapreduce.runner import JobRunner, _JobState
+from repro.parallel.tasks import partition_output
 from repro.util.sizing import sizeof_record, sizeof_records
 from tests.mapreduce.per_group import GroupCombiner
 from tests.mapreduce.reference_columns import reference_build_column
@@ -715,7 +715,7 @@ class TestBatchAlgebra:
         assert batch.slice(2, 6).to_rows() == rows[2:6]
 
 
-# -- the runner's partition step ---------------------------------------------
+# -- a map task's partition step ---------------------------------------------
 
 
 def _unused_mapper(ctx, records):
@@ -730,18 +730,14 @@ def _sum_combiner(_key, values):
     return sum(values)  # may leave int64: an object column
 
 
-def _job_state(**spec_kw) -> _JobState:
-    """A job's state object, for driving its partition step directly."""
-    cluster = Cluster(num_nodes=2, nodes_per_rack=2)
-    dfs = DistributedFileSystem(cluster)
-    dataset = DistributedDataset.materialize(dfs, "/in", [(0, 0)], 1)
-    spec = JobSpec(
+def _job_spec(**spec_kw) -> JobSpec:
+    """A job spec, for driving its map tasks' partition step directly."""
+    return JobSpec(
         name="partition-step",
         mapper=_unused_mapper,
         reducer=_unused_reducer,
         **spec_kw,
     )
-    return _JobState(JobRunner(cluster, dfs), spec, dataset, None, 0, (0,), False, 0)
 
 
 def _reversed_hash_partitioner(key, n):
@@ -767,19 +763,19 @@ def _tuple_batch_combiner(grouped):
     )
 
 
-def _partition_buckets(state, batch):
+def _partition_buckets(spec, batch):
     """Drive the partition step, check the shape of what it returns —
     one batch, one id per record in the narrowest unsigned type, the
     counts those ids make; with a combiner, partition after partition —
     and cut the batch into per-reducer buckets in batch order.  Returns
     the buckets, the counts and the wire size per bucket the runner
     ships."""
-    n = state.num_reducers
-    out, pids, counts = state._partition(batch)
+    n = spec.num_reducers
+    out, pids, counts = partition_output(spec, batch)
     assert type(out) is ColumnBatch and len(pids) == len(out)
     assert pids.dtype == np.min_scalar_type(n - 1)
     assert counts.tolist() == np.bincount(pids, minlength=n).tolist()
-    if state.spec.combiner is not None:
+    if spec.combiner is not None:
         assert bool((np.diff(pids.astype(np.int64)) >= 0).all())
     buckets = [out.take(np.flatnonzero(pids == p)) for p in range(n)]
     return buckets, counts, out.bucket_nbytes(pids, counts)
@@ -805,8 +801,8 @@ class TestPartitionStep:
         st.integers(1, 5),
     )
     def test_custom_partitioner_buckets_match_per_row_calls(self, rows, n):
-        state = _job_state(num_reducers=n, partitioner=_reversed_hash_partitioner)
-        buckets, counts, sizes = _partition_buckets(state, ColumnBatch.from_rows(rows))
+        spec = _job_spec(num_reducers=n, partitioner=_reversed_hash_partitioner)
+        buckets, counts, sizes = _partition_buckets(spec, ColumnBatch.from_rows(rows))
         assert len(buckets) == n
         assert counts.tolist() == [len(b) for b in buckets]
         assert sizes == [b.nbytes_wire() for b in buckets]
@@ -822,8 +818,8 @@ class TestPartitionStep:
         st.integers(1, 5),
     )
     def test_scalar_combined_buckets_size_like_their_rows(self, rows, n):
-        state = _job_state(num_reducers=n, combiner=GroupCombiner(_sum_combiner))
-        buckets, counts, sizes = _partition_buckets(state, ColumnBatch.from_rows(rows))
+        spec = _job_spec(num_reducers=n, combiner=GroupCombiner(_sum_combiner))
+        buckets, counts, sizes = _partition_buckets(spec, ColumnBatch.from_rows(rows))
         combined = 0
         for p, bucket in enumerate(buckets):
             assert type(bucket) is ColumnBatch
@@ -851,14 +847,14 @@ class TestPartitionStep:
     def test_buckets_match_the_per_bucket_reference(self, rows, n):
         batch = ColumnBatch.from_rows(rows)
         for spec_kw in _PARTITION_MATRIX:
-            state = _job_state(num_reducers=n, **spec_kw)
+            spec = _job_spec(num_reducers=n, **spec_kw)
             try:
-                expected = reference_partition(state.spec, batch)
+                expected = reference_partition(spec, batch)
             except TypeError:  # a key stable_hash refuses (None)
                 with pytest.raises(TypeError):
-                    state._partition(batch)
+                    partition_output(spec, batch)
                 continue
-            buckets, counts, sizes = _partition_buckets(state, batch)
+            buckets, counts, sizes = _partition_buckets(spec, batch)
             assert len(buckets) == n
             assert counts.tolist() == [len(b) for b in expected]
             assert sizes == [b.nbytes_wire() for b in expected]

@@ -9,7 +9,8 @@ from repro.mapreduce.columnar import ColumnBatch, GroupedBatch
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset, stable_hash
-from repro.mapreduce.runner import JobRunner, _JobState
+from repro.mapreduce.runner import JobRunner
+from repro.parallel import SerialExecutor, tasks
 
 
 def word_mapper(ctx, records):
@@ -102,6 +103,20 @@ class TestCorrectness:
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
 
 
+def _held_objects(state):
+    """Every object a job's state holds in its attributes, through lists,
+    tuples and dicts."""
+    held, stack = [], list(vars(state).values())
+    while stack:
+        obj = stack.pop()
+        held.append(obj)
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return held
+
+
 class TestOneDataPlane:
     """Records travel in ``ColumnBatch``/``GroupedBatch`` from split to
     reduce output, whatever shape the job's functions emit."""
@@ -109,40 +124,169 @@ class TestOneDataPlane:
     @pytest.mark.parametrize("combiner", [None, sum_combiner])
     def test_every_stage_holds_batches(self, combiner, monkeypatch):
         # The job's own functions emit scalars; what the runner moves
-        # between them is spied on.
+        # between them is spied on: what each map task returns and what
+        # each reducer receives.  The serial executor keeps the spies in
+        # this process.
         reducer = ReduceInputSpy()
-        seen = {"reduce_in": reducer.seen, "collected": [], "partitioned": [], "cut": []}
+        seen = {"collected": [], "partitioned": []}
+        collect = TaskContext.collect
+        run_map_task = tasks.run_map_task
 
-        def spy(cls, method, key, pick):
-            original = getattr(cls, method)
+        def collect_spy(ctx):
+            out = collect(ctx)
+            seen["collected"].append(type(out))
+            return out
 
-            def wrapper(self, *args):
-                out = original(self, *args)
-                seen[key].append(type(pick(args, out)))
-                return out
+        def task_spy(*args):
+            out = run_map_task(*args)
+            seen["partitioned"].append(out[0])
+            return out
 
-            monkeypatch.setattr(cls, method, wrapper)
-
-        spy(TaskContext, "collect", "collected", lambda args, out: out)
-        spy(_JobState, "_partition", "partitioned", lambda args, out: out[0])
-        spy(_JobState, "_reduce_input", "cut", lambda args, out: out)
-        _c, runner, dataset = make_env()
+        monkeypatch.setattr(TaskContext, "collect", collect_spy)
+        monkeypatch.setattr(tasks, "run_map_task", task_spy)
+        cluster, _runner, dataset = make_env()
+        runner = JobRunner(cluster, dataset.dfs, executor=SerialExecutor())
         handle = runner.submit(
             word_spec(reducer=reducer, combiner=combiner), dataset
         )
         runner.cluster.run()
         # One batch per map task travels, not one per (map, reducer);
-        # every reducer's groups are a cut of one job-wide grouping,
-        # and both are dropped once the last reducer has its groups.
+        # every reducer's groups are a cut of one job-wide grouping, and
+        # a finished job holds no map output, only its reduce outputs.
         assert len(seen["partitioned"]) == len(dataset.splits)
         assert {type(s.records) for s in dataset.splits} == {ColumnBatch}
-        assert set(seen["collected"]) == set(seen["partitioned"]) == {ColumnBatch}
-        assert seen["cut"] == seen["reduce_in"] == [GroupedBatch] * 4
-        assert handle._state._map_outputs == {}
-        assert handle._state._shuffle is None
+        assert set(seen["collected"]) == {ColumnBatch}
+        assert {type(b) for b in seen["partitioned"]} == {ColumnBatch}
+        assert reducer.seen == [GroupedBatch] * 4
+        held = _held_objects(handle._state)
+        assert not any(h is b for h in held for b in seen["partitioned"])
         assert sorted(handle.result().output) == [
             (f"word{i}", 30) for i in range(10)
         ]
+
+
+#: Calls of ``counting_mapper``/``counting_reducer`` in this process.
+HOST_CALLS = {"map": 0, "reduce": 0}
+
+
+def counting_mapper(ctx, records):
+    HOST_CALLS["map"] += 1
+    word_mapper(ctx, records)
+
+
+def counting_reducer(ctx, grouped):
+    HOST_CALLS["reduce"] += 1
+    sum_reducer(ctx, grouped)
+
+
+class TestHostWorkRunsOnce:
+    # Per mode, the simulated finish and event count of the runner that
+    # ran the mapper in every attempt (11 calls for these 8 splits).
+    @pytest.mark.parametrize("pipeline, finished_at, events", [
+        (False, 3.5506503359999995, 106),
+        (True, 3.5505283989999987, 104),
+    ])
+    def test_retries_and_backups_do_not_rerun_the_mapper(
+        self, pipeline, finished_at, events, monkeypatch
+    ):
+        """A job computes once, then simulates: two failed attempts and
+        the speculative twins of a slow node's tasks change when a
+        task's work lands, never how often the host does it, nor the
+        simulated time and counters."""
+        monkeypatch.setitem(HOST_CALLS, "map", 0)
+        monkeypatch.setitem(HOST_CALLS, "reduce", 0)
+        specs = [NodeSpec(cpu_speed=0.125 if i == 3 else 1.0) for i in range(4)]
+        cluster = Cluster(
+            num_nodes=4, nodes_per_rack=4, node_spec=NodeSpec(), node_specs=specs
+        )
+        dfs = DistributedFileSystem(cluster)
+        records = [(i, f"word{i % 12}") for i in range(800)]
+        dataset = DistributedDataset.materialize(dfs, "/in", records, 8)
+        spec = word_spec(
+            mapper=counting_mapper, reducer=counting_reducer, num_reducers=3,
+            costs=CostHints(map_seconds_per_record=2e-3, task_overhead_seconds=0.05),
+        )
+        # Serial, so the counts are this process's.
+        runner = JobRunner(cluster, dfs, executor=SerialExecutor(), pipeline=pipeline)
+        result = runner.run(spec, dataset, failures={0: 2}, speculative=True)
+        assert HOST_CALLS == {"map": 8, "reduce": 3}
+        assert result.finished_at == finished_at
+        # A PIC_SANITIZE seed permutes same-time ties, which moves the
+        # event count but never the simulated time or counters.
+        if cluster.sim.tie_seed is None:
+            assert cluster.sim.events_processed == events
+        assert result.counters.as_dict() == {
+            "failed_map_attempts": 2.0, "map_input_records": 800.0,
+            "map_output_records": 800.0, "map_output_bytes": 12132.0,
+            "combine_output_records": 800.0, "speculative_attempts": 7.0,
+            "speculative_losses": 5.0, "reduce_input_records": 800.0,
+            "reduce_output_records": 12.0, "shuffle_bytes": 12132.0,
+            "output_bytes": 182.0,
+        }
+        assert dict(result.output.to_rows()) == {
+            f"word{i}": 67 if i < 8 else 66 for i in range(12)
+        }
+
+
+def out_of_range_partitioner(key, n):
+    return n
+
+
+def row_dropping_combiner(grouped):
+    return sum_combiner(grouped).slice(0, 1)
+
+
+class BadSplitError(Exception):
+    pass
+
+
+def raising_mapper(ctx, records):
+    if ctx.split_index == 2:
+        raise BadSplitError("split 2 is unreadable")
+    word_mapper(ctx, records)
+
+
+class TestBadJobFailsAtSubmit:
+    """A job's host work runs at submit, so bad job input raises there,
+    before anything is on the simulated clock (not partway through
+    ``cluster.run()``)."""
+
+    BAD = {
+        "partitioner": (dict(partitioner=out_of_range_partitioner), ValueError,
+                        "partitioner returned 4"),
+        "combiner": (dict(combiner=row_dropping_combiner), ValueError,
+                     "expected exactly one per group"),
+        "mapper": (dict(mapper=raising_mapper), BadSplitError, "unreadable"),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_raises_before_any_simulated_event(self, entry, bad):
+        kw, error, match = self.BAD[bad]
+        cluster, runner, dataset = make_env()
+        with pytest.raises(error, match=match):
+            getattr(runner, entry)(word_spec(**kw), dataset)
+        assert cluster.sim.events_processed == 0
+        assert cluster.now == 0.0
+
+    def test_submit_many_launches_none_of_a_failing_batch(self):
+        cluster, runner, dataset = make_env()
+        records = [(i, f"word{i % 5}") for i in range(150)]
+        dataset_b = DistributedDataset.materialize(runner.dfs, "/in-b", records, 3)
+        with pytest.raises(BadSplitError):
+            runner.submit_many([
+                (word_spec(), dataset),
+                (word_spec(name="bad", mapper=raising_mapper), dataset_b),
+            ])
+        # The good job computed, but never launched: nothing to run.
+        cluster.run()
+        assert cluster.sim.events_processed == 0
+        # The runner is intact: the same good job runs as job 0 would.
+        _c2, fresh, dataset2 = make_env()
+        expected = fresh.run(word_spec(), dataset2)
+        result = runner.run(word_spec(), dataset)
+        assert result.output.to_rows() == expected.output.to_rows()
+        assert result.finished_at == expected.finished_at
 
 
 class TestOneCombinerCallPerMapAttempt:

@@ -15,7 +15,6 @@ partitioners, injected failures and speculative twins.
 
 import math
 import zlib
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +35,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset, hash_partitioner
-from repro.mapreduce.runner import JobRunner, _JobState
+from repro.mapreduce.runner import JobRunner
 from tests.mapreduce.per_group import GroupCombiner
 from tests.mapreduce.reference_shuffle import reference_reduce_inputs
 
@@ -50,6 +49,16 @@ def _pass_through(ctx, records):
 def _count_reducer(ctx, grouped):
     for key, values in grouped:
         ctx.emit(key, len(values))
+
+
+#: Each reducer's input, call by call: a job runs its reducers in
+#: partition order, in the submitting process.
+_RECEIVED: list[GroupedBatch] = []
+
+
+def _recording_reducer(ctx, grouped):
+    _RECEIVED.append(grouped)
+    _count_reducer(ctx, grouped)
 
 
 def _tuple_combiner(_key, values):
@@ -138,8 +147,8 @@ def _map_inputs(draw):
 
 def _run(partitions, spec, pipeline=False, failures=None, speculative=False):
     """Run ``spec`` with one split per row list on a cluster with one slow
-    node; return each reducer's input as the runner cut it, the map
-    outputs in map-index order, and the job's counters."""
+    node; return each reducer's input as its reducer received it, the
+    map outputs in map-index order, and the job's counters."""
     specs = [NodeSpec(cpu_speed=0.125 if i == 2 else 1.0) for i in range(4)]
     cluster = Cluster(
         num_nodes=4, nodes_per_rack=4, node_spec=NodeSpec(), node_specs=specs
@@ -148,17 +157,11 @@ def _run(partitions, spec, pipeline=False, failures=None, speculative=False):
     dataset = DistributedDataset.from_partitions(
         dfs, "/in", partitions, [i % 4 for i in range(len(partitions))]
     )
-    cut: dict[int, GroupedBatch] = {}
-    reduce_input = _JobState._reduce_input
-
-    def spy(state, partition):
-        grouped = cut[partition] = reduce_input(state, partition)
-        return grouped
-
-    with mock.patch.object(_JobState, "_reduce_input", spy):
-        result = JobRunner(cluster, dfs, pipeline=pipeline).run(
-            spec, dataset, failures=failures, speculative=speculative
-        )
+    del _RECEIVED[:]
+    result = JobRunner(cluster, dfs, pipeline=pipeline).run(
+        spec, dataset, failures=failures, speculative=speculative
+    )
+    cut = dict(enumerate(_RECEIVED))
     outputs = []
     for split in dataset.splits:
         ctx = TaskContext(split_index=split.index)
@@ -169,7 +172,7 @@ def _run(partitions, spec, pipeline=False, failures=None, speculative=False):
 
 def _spec(num_reducers, partitioner=hash_partitioner, **combiners):
     return JobSpec(
-        name="shuffle", mapper=_pass_through, reducer=_count_reducer,
+        name="shuffle", mapper=_pass_through, reducer=_recording_reducer,
         num_reducers=num_reducers, partitioner=partitioner,
         # Compute-heavy maps: the slow node's tasks straggle.
         costs=CostHints(map_seconds_per_record=2e-3, task_overhead_seconds=0.05),

@@ -1,5 +1,6 @@
 """Unit tests for the host-side task executors."""
 
+import multiprocessing
 import os
 import pickle
 
@@ -42,8 +43,15 @@ def _raise_at_five(x):
     return x
 
 
-def _die(x):
-    os._exit(1)
+def _die_in_a_worker(x):
+    """Kills the pool worker that runs it; in the parent, squares."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return x * x
+
+
+def _pid(_x):
+    return os.getpid()
 
 
 def _rows_of(payload):
@@ -124,7 +132,6 @@ class TestGetExecutor:
         ex = get_executor(3)
         assert isinstance(ex, ProcessPoolTaskExecutor)
         assert ex.workers == 3
-        assert ex.is_parallel
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("PIC_WORKERS", raising=False)
@@ -135,13 +142,19 @@ class TestSerialExecutor:
     def test_map_preserves_order(self):
         assert SerialExecutor().map(_square, [3, 1, 2]) == [9, 1, 4]
 
-    def test_map_or_none_declines(self):
-        assert SerialExecutor().map_or_none(_square, [1, 2]) is None
+    def test_map_runs_in_this_process(self):
+        captured = []
+
+        def closure(x):
+            captured.append(x)
+            return -x
+
+        assert SerialExecutor().map(closure, [1, 2]) == [-1, -2]
+        assert captured == [1, 2]
+        assert SerialExecutor().map(_pid, [0, 1]) == [os.getpid()] * 2
 
     def test_not_parallel(self):
-        ex = SerialExecutor()
-        assert not ex.is_parallel
-        assert ex.workers == 1
+        assert SerialExecutor().workers == 1
 
 
 class TestProcessPoolExecutor:
@@ -150,8 +163,8 @@ class TestProcessPoolExecutor:
         parallel = ProcessPoolTaskExecutor(2).map(_square, payloads)
         assert parallel == SerialExecutor().map(_square, payloads)
 
-    def test_map_or_none_returns_ordered_results(self):
-        results = ProcessPoolTaskExecutor(2).map_or_none(
+    def test_map_returns_ordered_results(self):
+        results = ProcessPoolTaskExecutor(2).map(
             _first_element, [(i, "x") for i in range(10)]
         )
         assert results == list(range(10))
@@ -164,18 +177,17 @@ class TestProcessPoolExecutor:
             return -x
 
         ex = ProcessPoolTaskExecutor(2)
-        assert ex.map_or_none(closure, [1, 2, 3]) is None
         assert ex.map(closure, [1, 2, 3]) == [-1, -2, -3]
         assert captured == [1, 2, 3]  # ran in this process
 
     def test_unpicklable_payload_falls_back(self):
         payloads = [lambda: 1, lambda: 2]
         ex = ProcessPoolTaskExecutor(2)
-        assert ex.map_or_none(_first_element, [(p,) for p in payloads]) is None
+        assert ex.map(_first_element, [(p,) for p in payloads]) == payloads
 
     def test_single_payload_stays_in_process(self):
         # One task gains nothing from a pool round-trip.
-        assert ProcessPoolTaskExecutor(2).map_or_none(_square, [5]) is None
+        assert ProcessPoolTaskExecutor(2).map(_pid, [5]) == [os.getpid()]
 
     def test_base_class_contract(self):
         assert isinstance(ProcessPoolTaskExecutor(2), TaskExecutor)
@@ -191,7 +203,6 @@ class TestChunkedDispatch:
         payloads = [(i, "x") for i in range(n)]
         expected = SerialExecutor().map(_first_element, payloads)
         ex = ProcessPoolTaskExecutor(workers)
-        assert ex.map_or_none(_first_element, payloads) == expected
         assert ex.map(_first_element, payloads) == expected
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -212,7 +223,7 @@ class TestChunkedDispatch:
         shared = _Shared()
         del _SHARED_PICKLES[:]
         payloads = [(i, shared) for i in range(64)]
-        assert ex.map_or_none(_first_element, payloads) == list(range(64))
+        assert ex.map(_first_element, payloads) == list(range(64))
         assert 1 <= len(submitted) <= 4 * workers
         assert len(_SHARED_PICKLES) == len(submitted)
 
@@ -220,25 +231,26 @@ class TestChunkedDispatch:
         payloads = [(i,) for i in range(16)]
         payloads[5] = (lambda: 5,)  # second item of the third chunk
         ex = ProcessPoolTaskExecutor(2)
-        assert ex.map_or_none(len, payloads) is None
         assert ex.map(len, payloads) == [1] * 16
 
     def test_unpicklable_result_mid_chunk_falls_back(self):
         ex = ProcessPoolTaskExecutor(2)
-        assert ex.map_or_none(_lambda_at_five, list(range(16))) is None
         results = ex.map(_lambda_at_five, list(range(16)))
         assert results[5]() == 5
         assert results[:5] + results[6:] == [0, 1, 2, 3, 4] + list(range(6, 16))
 
     def test_task_exception_still_propagates(self):
         with pytest.raises(ValueError, match="task five failed"):
-            ProcessPoolTaskExecutor(2).map_or_none(_raise_at_five, list(range(16)))
+            ProcessPoolTaskExecutor(2).map(_raise_at_five, list(range(16)))
 
     def test_broken_pool_is_discarded(self):
+        # The wave is recomputed in this process, the dead pool dropped
+        # and the next wave forks a fresh one.
         ex = ProcessPoolTaskExecutor(2)
-        assert ex.map_or_none(_die, list(range(16))) is None
+        assert ex.map(_die_in_a_worker, list(range(16))) == [x * x for x in range(16)]
         assert 2 not in executor_mod._POOLS
-        assert ex.map_or_none(_square, [1, 2, 3]) == [1, 4, 9]  # fresh pool
+        assert ex.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert 2 in executor_mod._POOLS
 
 
 class TestBatchPayloads:
@@ -258,7 +270,7 @@ class TestBatchPayloads:
             assert type(batch.values) is kind
             payloads.append((index, _VIEW_OF[view](batch)))
         assert (len(pickle.dumps(payloads[0])) >= 64 * 1024) == (rows > 4)
-        results = get_executor(2).map_or_none(_rows_of, payloads)
+        results = get_executor(2).map(_rows_of, payloads)
         assert results == SerialExecutor().map(_rows_of, payloads)
 
     def test_task_exception_mid_map_propagates(self):

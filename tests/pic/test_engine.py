@@ -5,7 +5,13 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.runner import JobRunner
-from repro.parallel import ProcessPoolTaskExecutor, SerialExecutor, get_executor, run_map_task
+from repro.parallel import (
+    ProcessPoolTaskExecutor,
+    SerialExecutor,
+    TaskExecutor,
+    get_executor,
+    map_task,
+)
 from repro.pic.engine import BestEffortEngine, best_effort_dfs
 from tests.mapreduce.test_speculation import heterogeneous_cluster
 from tests.pic.toy import MeanProgram
@@ -170,25 +176,34 @@ class TestDeterminism:
 
     def test_pool_runs_each_round_as_one_map_wave(self):
         """A round's job is an ordinary picklable job: a pool runner sends
-        its map tasks (the sub-problem solves) through ``run_map_task``,
-        once per round, and the run equals a serial runner's bit for bit."""
+        its map tasks (the sub-problem solves) through ``map_task``, once
+        per round, in pool workers, and the run equals a serial runner's
+        bit for bit."""
 
-        class SpyPool(ProcessPoolTaskExecutor):
+        class InProcess(TaskExecutor):
+            # ProcessPoolTaskExecutor.map reaches the next ``map`` in the
+            # MRO only when it falls back in-process.
+            def map(self, fn, payloads):
+                self.fallbacks.append(fn)
+                return super().map(fn, payloads)
+
+        class SpyPool(ProcessPoolTaskExecutor, InProcess):
             def __init__(self):
                 super().__init__(2)
                 self.calls = []
+                self.fallbacks = []
 
-            def map_or_none(self, fn, payloads):
-                results = super().map_or_none(fn, payloads)
-                self.calls.append((fn, results is not None))
-                return results
+            def map(self, fn, payloads):
+                self.calls.append(fn)
+                return super().map(fn, payloads)
 
         spy = SpyPool()
         c_serial, _p, serial = make_engine(executor=SerialExecutor())
         c_pool, _p, pooled = make_engine(executor=spy)
         r_serial = serial.run(RECORDS, {"mean": 0.0})
         r_pool = pooled.run(RECORDS, {"mean": 0.0})
-        assert spy.calls == [(run_map_task, True)] * r_pool.be_iterations
+        assert spy.calls == [map_task] * r_pool.be_iterations
+        assert spy.fallbacks == []
         assert r_pool.model == r_serial.model
         assert r_pool.stats == r_serial.stats
         assert r_pool.total_time == r_serial.total_time
