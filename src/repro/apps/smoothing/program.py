@@ -81,6 +81,9 @@ class ImageSmoothingProgram(PICProgram):
             reduce_seconds_per_record=1e-6 + 1e-9 * width,
         )
         self._owned_keys: list[set[int]] = []
+        # The stencil's W/E neighbour count: one at either edge, else two.
+        self._edge_count = np.full(width, 2.0)
+        self._edge_count[[0, -1]] = 1.0
 
     # -- conventional IC pieces -----------------------------------------
 
@@ -93,47 +96,42 @@ class ImageSmoothingProgram(PICProgram):
     def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """One 5-point stencil sweep over this split's rows.
 
-        The sweep runs as whole-band matrix operations: every per-row
-        addition of the old scalar loop becomes the same addition on a
-        (rows, width) matrix (masked rows for missing up/down
-        neighbours), so the emitted pixels are bit-identical.
+        The sweep runs as whole-band matrix operations on rows gathered
+        by position from the model's value array — the band's own rows,
+        then its up and down neighbours where the model holds them —
+        and every per-pixel addition of the old scalar loop is the same
+        addition on a (rows, width) matrix in the same order (W, E, N,
+        S onto zeros), so the emitted pixels are bit-identical.
         """
-        if not len(records):
+        n = len(records)
+        if not n:
             return
         model = as_model(ctx.model)
-        lam = self.lam
-        ids = [int(key) for key in records.keys.rows()]
+        image = stack_rows(model.value_column)
+        ids = np.fromiter(map(int, records.keys.rows()), dtype=np.int64, count=n)
         if isinstance(records.values, ArrayColumn):
             f = records.values.data
         else:
             f = np.stack(
                 [np.asarray(row, dtype=float) for row in records.values.rows()]
             )
-        n = len(ids)
-        u = stack_rows(model.lookup(records.keys))
-        count = np.full((n, self.width), 2.0)  # E/W neighbours (minus edges)
-        count[:, 0] -= 1.0
-        count[:, -1] -= 1.0
+        u = image.take(model.positions(records.keys), axis=0)
         total = np.zeros((n, self.width))
         total[:, 1:] += u[:, :-1]
         total[:, :-1] += u[:, 1:]
-        ups = [model.get(i - 1) for i in ids]
-        has_up = np.array([row is not None for row in ups], dtype=bool)
-        if has_up.any():
-            total[has_up] += np.stack([row for row in ups if row is not None])
-            count[has_up] += 1.0
-        downs = [model.get(i + 1) for i in ids]
-        has_down = np.array([row is not None for row in downs], dtype=bool)
-        if has_down.any():
-            total[has_down] += np.stack([row for row in downs if row is not None])
-            count[has_down] += 1.0
-        new_rows = (f + lam * total) / (1.0 + lam * count)
-        ctx.emit_batch(
-            ColumnBatch(
-                int_column(np.asarray(ids, dtype=np.int64)),
-                ArrayColumn(new_rows),
-            )
-        )
+        neighbours = np.zeros(n)
+        for step in (-1, 1):  # the row above, then the row below
+            rows = model.positions(int_column(ids + step), missing=-1)
+            held = rows >= 0
+            if held.all():  # most bands: no mask to gather through
+                total += image.take(rows, axis=0)
+            else:
+                total[held] += image.take(rows[held], axis=0)
+            neighbours += held
+        # Small integers: exact whatever order they are added in.
+        count = self._edge_count + neighbours[:, None]
+        new_rows = (f + self.lam * total) / (1.0 + self.lam * count)
+        ctx.emit_batch(ColumnBatch(int_column(ids), ArrayColumn(new_rows)))
 
     def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
         """Identity reduce: one updated row per key."""

@@ -6,10 +6,11 @@ sub-problems (Section III-C).  The loop carries a model as a
 :class:`KeyedModel`: a key column in :func:`model_to_records` order
 beside a value column, the same structure-of-arrays form the records
 travel in.  To user code it is a read-only ``Mapping``; to the loop it
-is two columns — a reduce output folds into it with one scatter
-(:meth:`KeyedModel.updated`) and its wire size is a closed form over
-the value column plus a key size computed once for as long as the key
-set stays the same.  Plain dicts are welcome wherever a model enters
+is two columns — a batch of keys reads their rows with one probe
+(:meth:`KeyedModel.positions`), a reduce output folds into it with one
+scatter (:meth:`KeyedModel.updated`) and its wire size is a closed form
+over the value column plus a key size computed once for as long as the
+key set stays the same.  Plain dicts are welcome wherever a model enters
 the library; :func:`as_model` is the one place they become tables.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import ItemsView, KeysView, Mapping, ValuesView
+from itertools import repeat
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -27,22 +29,27 @@ from repro.mapreduce.columnar import (
     ColumnBatch,
     ObjectColumn,
     ScalarColumn,
+    StringColumn,
+    TupleColumn,
     build_column,
 )
 
 
 class _Keys:
-    """A key column and what depends on it alone — its wire size and the
-    key → row index — computed on first use and shared by every table
-    over this column: a loop whose key set is fixed sizes and indexes
-    its keys once, not once per iteration."""
+    """A key column and what depends on it alone — its wire size, the
+    key → row index and the remembered positions of typed query columns
+    — computed on first use and shared by every table over this column:
+    a loop whose key set is fixed sizes and indexes its keys once, and
+    looks up a repeating query once, not once per iteration."""
 
-    __slots__ = ("column", "_nbytes", "_index")
+    __slots__ = ("column", "_nbytes", "_index", "_memo", "_memo_rows")
 
     def __init__(self, column: Column) -> None:
         self.column = column
         self._nbytes: int | None = None
         self._index: dict[Any, int] | None = None
+        self._memo: dict[tuple[Any, ...], np.ndarray] = {}
+        self._memo_rows = 0
 
     def nbytes_wire(self) -> int:
         if self._nbytes is None:
@@ -54,6 +61,63 @@ class _Keys:
             rows = self.column.rows()
             self._index = dict(zip(rows, range(len(rows))))
         return self._index
+
+    def positions(self, keys: Column, missing: int | None = None) -> np.ndarray:
+        """The row of each of ``keys``, probed key by key."""
+        rows = keys.rows()
+        index = self.index()
+        if missing is None:
+            return np.fromiter(map(index.__getitem__, rows), dtype=np.int64, count=len(rows))
+        return np.fromiter(
+            map(index.get, rows, repeat(missing)), dtype=np.int64, count=len(rows)
+        )
+
+    def remembered_positions(self, keys: Column) -> np.ndarray:
+        """:meth:`positions` of ``keys``, remembered by content when the
+        column is typed: an equal query — a new column object holding the
+        same keys — returns the same read-only array without a probe.
+        The memo holds at most ``max(4 * len(column), 256)`` position
+        rows; an entry that would pass that empties it first, and a query
+        longer than the bound alone is not kept."""
+        signature = _signature(keys)
+        if signature is None:
+            return self.positions(keys)
+        hit = self._memo.get(signature)
+        if hit is None:
+            hit = self.positions(keys)
+            hit.flags.writeable = False
+            bound = max(4 * len(self.column), 256)
+            if len(hit) <= bound:
+                if self._memo_rows + len(hit) > bound:
+                    self._memo.clear()
+                    self._memo_rows = 0
+                self._memo[signature] = hit
+                self._memo_rows += len(hit)
+        return hit
+
+
+def _signature(keys: Column) -> tuple[Any, ...] | None:
+    """The content of a typed key column (scalar, string, or a flat tuple
+    of them) as one hashable value: equal exactly when the columns hold
+    the same keys in the same order.  ``None`` for any other column — and
+    for an array of Python objects, whose bytes are addresses, not keys."""
+    if isinstance(keys, TupleColumn):
+        slots = tuple(map(_flat_signature, keys.slots))
+        return None if None in slots else ("tuple", len(keys), slots)
+    return _flat_signature(keys)
+
+
+def _flat_signature(keys: Column) -> tuple[str, str, bytes] | None:
+    if isinstance(keys, ScalarColumn):
+        kind = keys.kind
+    elif isinstance(keys, StringColumn):
+        kind = "str"
+    else:
+        return None
+    values = keys.values
+    if values.dtype.kind not in "biufU":
+        return None
+    return (kind, values.dtype.str, values.tobytes())
 
 
 class KeyedModel(Mapping[Any, Any]):
@@ -96,34 +160,37 @@ class KeyedModel(Mapping[Any, Any]):
         """Serialized size; equals ``sizeof_records(model_to_records(self))``."""
         return self._keys.nbytes_wire() + self.value_column.nbytes_wire()
 
-    def _positions(self, keys: Column) -> np.ndarray:
-        """The row of each of ``keys``; ``KeyError`` for one not held."""
-        rows = keys.rows()
-        return np.fromiter(
-            map(self._keys.index().__getitem__, rows), dtype=np.int64, count=len(rows)
-        )
+    def positions(self, keys: Column, missing: int | None = None) -> np.ndarray:
+        """The value-column row of each of ``keys``, in their order:
+        ``KeyError`` names the first key the model does not hold, unless
+        ``missing`` is given — then an absent key reads as that row
+        number.  Every call probes the index afresh, which for a handful
+        of keys is the cheapest read there is."""
+        return self._keys.positions(keys, missing)
 
     def lookup(self, keys: Column) -> Column:
         """The values under ``keys``, in their order, as one column: the
         batch form of ``[model[k] for k in keys.rows()]`` (``KeyError``
         names the first key the model does not hold).  Asked for its own
         key column — what the models of one loop share — it answers with
-        its value column, no copy."""
+        its value column, no copy; asked a typed query it has answered
+        before, it gathers at the positions it remembered."""
         if keys is self._keys.column:
             return self.value_column
-        return self.value_column.take(self._positions(keys))
+        return self.value_column.take(self._keys.remembered_positions(keys))
 
     def updated(self, batch: ColumnBatch) -> "KeyedModel":
         """This model with ``batch``'s records upserted (a later record
         of one key wins, as in a dict).  When every key is already
         present the result shares this model's key column object — and
-        so its size and index — and its value column is a copy with the
-        new values scattered in; a new key, or values of another kind
-        than the column holds, rebuilds through rows."""
+        so its size, index and remembered positions — and its value
+        column is a copy with the new values scattered in; a new key, or
+        values of another kind than the column holds, rebuilds through
+        rows."""
         if not len(batch):
             return self
         try:
-            positions = self._positions(batch.keys)
+            positions = self._keys.remembered_positions(batch.keys)
         except KeyError:
             merged = dict(self._dict())
             merged.update(batch.to_rows())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.smoothing import (
     ImageSmoothingProgram,
@@ -11,7 +13,16 @@ from repro.apps.smoothing import (
 )
 from repro.apps.smoothing.datagen import image_records
 from repro.apps.smoothing.serial import jacobi_smooth_step
-from repro.mapreduce.columnar import columnize
+from repro.mapreduce.columnar import (
+    ArrayColumn,
+    ColumnBatch,
+    ObjectColumn,
+    columnize,
+    int_column,
+)
+from repro.mapreduce.job import TaskContext
+from repro.pic.model import KeyedModel
+from tests.apps.reference_smoothing import reference_batch_map
 
 
 class TestDatagen:
@@ -185,3 +196,71 @@ class TestProgram:
     def test_tiny_image_rejected(self):
         with pytest.raises(ValueError):
             ImageSmoothingProgram(1, 16)
+
+
+# -- the stencil against the key-by-key reads it replaced --------------------
+
+
+@st.composite
+def _stencil_cases(draw):
+    """An image, a split's row ids and a model holding at least them."""
+    height = draw(st.integers(2, 9))
+    width = draw(st.integers(2, 17))
+    # Pixels whose sums round, beside a -0.0, an inf and a NaN.
+    pixels = st.floats(-100.0, 100.0) | st.sampled_from([-0.0, np.inf, np.nan])
+    image = draw(arrays(np.float64, (height, width), elements=pixels))
+    current = draw(arrays(np.float64, (height, width), elements=pixels))
+    rows = list(range(height))
+    lo = draw(st.integers(0, height - 1))
+    hi = draw(st.integers(lo + 1, height))
+    band = rows[lo:hi]
+    ids = draw(
+        st.one_of(
+            st.just(band),  # a contiguous band
+            st.lists(st.sampled_from(band), min_size=1, unique=True).map(sorted),
+            st.sampled_from(rows).map(lambda i: [i]),  # a single row
+            st.just(sorted({0, height - 1})),  # the first and last rows
+            st.permutations(rows).flatmap(  # unsorted
+                lambda order: st.integers(1, height).map(lambda k: order[:k])
+            ),
+        )
+    )
+    # The split's rows, a one-row halo around them, then any other rows.
+    halo = {j for i in ids for j in (i - 1, i, i + 1) if 0 <= j < height}
+    held = sorted(halo | set(draw(st.lists(st.sampled_from(rows)))))
+    if draw(st.booleans()):
+        held = sorted(ids)  # no halo at all
+    return image, current, ids, held
+
+
+class TestStencilAgainstReference:
+    @given(_stencil_cases(), st.booleans(), st.booleans(), st.booleans())
+    def test_bit_identical_to_the_key_by_key_stencil(
+        self, case, array_values, keyed, array_model
+    ):
+        image, current, ids, held = case
+        height, width = image.shape
+        prog = ImageSmoothingProgram(height, width, lam=1.7)
+        f_rows = [image[i] for i in ids]
+        values = ArrayColumn(np.stack(f_rows)) if array_values else ObjectColumn(f_rows)
+        records = ColumnBatch(int_column(np.asarray(ids, dtype=np.int64)), values)
+        model = {i: current[i].copy() for i in held}
+        if keyed:
+            model_values = (
+                ArrayColumn(np.stack([model[i] for i in held]))
+                if array_model
+                else ObjectColumn([model[i] for i in held])
+            )
+            model = KeyedModel(int_column(np.asarray(held, dtype=np.int64)), model_values)
+        got, expected = TaskContext(model=model), TaskContext(model=model)
+        prog.batch_map(got, records)
+        reference_batch_map(prog.lam, width, expected, records)
+        got, expected = got.collect(), expected.collect()
+        assert got.keys.rows() == expected.keys.rows() == ids
+        assert got.values.data.tobytes() == expected.values.data.tobytes()
+
+    def test_a_missing_own_row_is_a_key_error(self):
+        prog = ImageSmoothingProgram(4, 3)
+        records = ColumnBatch(int_column(np.array([2])), ArrayColumn(np.zeros((1, 3))))
+        with pytest.raises(KeyError):
+            prog.batch_map(TaskContext(model={1: np.zeros(3)}), records)

@@ -2,6 +2,7 @@
 dict model of ``reference_model.py`` is the oracle."""
 
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from repro.apps.pagerank import PageRankProgram, local_web_graph
 from repro.mapreduce import columnar
-from repro.mapreduce.columnar import ColumnBatch
+from repro.mapreduce.columnar import ColumnBatch, int_column
+from repro.pic import model as model_module
 from repro.pic.model import (
     KeyedModel,
     as_model,
@@ -123,6 +125,24 @@ _models = st.one_of(
 )
 
 
+# Keys equal across types: a query may ask for 1 as 1.0 or True.
+_equal_keys = st.sampled_from([0, 1, 0.0, 1.0, False, True])
+_output_keys = st.one_of(_keys, _equal_keys)
+
+
+def _same_key_of_another_type(key):
+    """``key``, or a key of another type equal to it (1 → 1.0, True)."""
+    if type(key) is int and key in (0, 1):
+        return st.sampled_from([key, float(key), bool(key)])
+    return st.just(key)
+
+
+def _query(keys):
+    """The key column ``from_rows`` builds: typed (one arity, one type)
+    or an object column (mixed arities, mixed types)."""
+    return ColumnBatch.from_rows([(k, 0) for k in keys]).keys
+
+
 def _same_value(a, b):
     return type(a) is type(b) and (
         np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
@@ -144,29 +164,55 @@ class TestTableAgainstDict:
         assert table.nbytes_wire() == reference_model_nbytes(model)
         assert table.nbytes_wire() == sizeof_records(model_to_records(model))
 
-    @given(_models, st.lists(st.tuples(_keys, _values), max_size=12))
+    @given(_models, st.lists(st.tuples(_output_keys, _values), max_size=12))
     def test_updated_is_the_dict_upsert(self, model, output):
         # ``output`` brings keys the model has and keys it lacks, repeats
-        # keys, and changes value kinds (a float becomes a vector).
+        # keys, and changes value kinds (a float becomes a vector).  It
+        # is asked twice, as two equal batches: cold, then through the
+        # positions the first answer left behind.
         expected = reference_build_model(model, output)
-        table = as_model(model).updated(ColumnBatch.from_rows(output))
-        _assert_same_records(
-            table.batch().to_rows(), reference_model_to_records(expected)
-        )
-        assert table.nbytes_wire() == reference_model_nbytes(expected)
+        table = as_model(model)
+        for _pass in ("cold", "warm"):
+            derived = table.updated(ColumnBatch.from_rows(output))
+            _assert_same_records(
+                derived.batch().to_rows(), reference_model_to_records(expected)
+            )
+            assert derived.nbytes_wire() == reference_model_nbytes(expected)
 
     @given(_models, st.data())
     def test_updated_with_known_keys_shares_the_key_column(self, model, data):
         table = as_model(model)
-        keys = data.draw(st.lists(st.sampled_from(sorted(model, key=repr)), max_size=8)
-                         if model else st.just([]))
-        output = [(k, data.draw(_values)) for k in keys]
-        derived = table.updated(ColumnBatch.from_rows(output))
-        assert derived.key_column is table.key_column
-        _assert_same_records(
-            derived.batch().to_rows(),
-            reference_model_to_records(reference_build_model(model, output)),
+        keys = data.draw(
+            st.lists(
+                st.sampled_from(sorted(model, key=repr)).flatmap(_same_key_of_another_type),
+                max_size=8,
+            )
+            if model else st.just([])
         )
+        output = [(k, data.draw(_values)) for k in keys]
+        expected = reference_model_to_records(reference_build_model(model, output))
+        for _pass in ("cold", "warm"):
+            derived = table.updated(ColumnBatch.from_rows(output))
+            assert derived.key_column is table.key_column
+            _assert_same_records(derived.batch().to_rows(), expected)
+
+    @given(_models, st.data())
+    def test_lookup_is_the_dict_getitem(self, model, data):
+        table = as_model(model)
+        keys = data.draw(
+            st.lists(
+                st.sampled_from(sorted(model, key=repr)).flatmap(_same_key_of_another_type),
+                max_size=10,
+            )
+            if model else st.just([])
+        )
+        expected = [(k, model[k]) for k in keys]
+        for _pass in ("cold", "warm"):
+            got = table.lookup(_query(keys)).rows()
+            _assert_same_records(list(zip(keys, got)), expected)
+            assert table.positions(_query(keys)).tolist() == [
+                list(table).index(k) for k in keys
+            ]
 
     def test_value_kind_change_float_to_vector(self):
         table = as_model({0: 1.0, 1: 2.0})
@@ -265,13 +311,99 @@ class TestLazyState:
 
     def test_pickle_and_deepcopy_carry_the_columns_only(self):
         table = self._pagerank_table()
+        cold = pickle.dumps(KeyedModel(table.key_column, table.value_column))
         table.nbytes_wire(), table.updated(table.batch()), table[next(iter(table))]
+        table.lookup(_query([("pr", v) for v in range(5)]))
         assert table._view is not None and table._keys._index is not None
+        assert table._keys._memo
         for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
             assert clone._view is None
             assert clone.value_column is not table.value_column
             assert clone == table
         unpickled = pickle.loads(pickle.dumps(table))
         assert unpickled._keys._index is None and unpickled._keys._nbytes is None
+        assert not unpickled._keys._memo
+        assert len(pickle.dumps(table)) == len(cold)
         small = pickle.dumps(as_model({0: 1.0}))
         assert b"_view" not in small and b"_index" not in small
+        assert b"_memo" not in small
+
+
+class TestPositions:
+    """The batched read by position, and the memo behind ``lookup`` and
+    ``updated``: at most ``max(4 * len(key column), 256)`` position rows
+    per key side (DESIGN.md §17)."""
+
+    @staticmethod
+    def _counting_probes(monkeypatch):
+        calls = []
+        real = model_module._Keys.positions
+
+        def counting(self, keys, missing=None):
+            calls.append(len(keys))
+            return real(self, keys, missing)
+
+        monkeypatch.setattr(model_module._Keys, "positions", counting)
+        return calls
+
+    def test_a_key_error_names_the_first_absent_key(self):
+        table = as_model({0: 1.0, 1: 2.0, 2: 3.0})
+        keys = int_column(np.array([2, 7, 9, 0]))
+        for read in (table.positions, table.lookup):
+            with pytest.raises(KeyError) as raised:
+                read(keys)
+            assert raised.value.args == (7,)
+
+    def test_missing_fills_absent_keys(self):
+        table = as_model({("pr", v): float(v) for v in range(4)})
+        keys = _query([("pr", 3), ("pr", 8), ("pr", 0), ("e", 1)])
+        assert table.positions(keys, missing=-1).tolist() == [3, -1, 0, -1]
+        assert table.positions(keys, missing=99).tolist() == [3, 99, 0, 99]
+
+    def test_an_equal_query_hits_the_memo(self, monkeypatch):
+        table = as_model({("pr", v): float(v) for v in range(8)})
+        calls = self._counting_probes(monkeypatch)
+        first = table._keys.remembered_positions(_query([("pr", 5), ("pr", 2)]))
+        again = _query([("pr", 5), ("pr", 2)])  # a new object, equal content
+        second = table._keys.remembered_positions(again)
+        assert calls == [2]  # one probe for both
+        assert second is first and not second.flags.writeable
+        assert np.array_equal(second, table.positions(again))
+        assert table.lookup(again).rows() == [5.0, 2.0]
+        assert calls == [2, 2]  # the fresh probe above, not the lookup
+
+    def test_untyped_queries_are_probed_every_time(self, monkeypatch):
+        table = as_model({("pr", 1): 0.5, ("e", 1, 2): 0.25, 3: 1.0})
+        calls = self._counting_probes(monkeypatch)
+        for _ in range(3):
+            assert table.lookup(_query([("e", 1, 2), 3])).rows() == [0.25, 1.0]
+        assert calls == [2, 2, 2] and not table._keys._memo
+
+    def test_a_new_key_gives_a_fresh_key_side(self):
+        table = as_model({0: 1.0, 1: 2.0})
+        assert table.lookup(int_column(np.array([1, 0]))).rows() == [2.0, 1.0]
+        assert table._keys._memo
+        derived = table.updated(ColumnBatch.from_rows([(-1, 5.0)]))
+        assert derived._keys is not table._keys and not derived._keys._memo
+        # -1 sorts first, so every old position moved by one row.
+        assert derived.lookup(int_column(np.array([1, 0]))).rows() == [2.0, 1.0]
+        assert derived.positions(int_column(np.array([1, 0]))).tolist() == [2, 1]
+
+    @pytest.mark.parametrize("size, width", [(10, 4), (200, 37)])
+    def test_distinct_queries_keep_the_memo_within_its_bound(self, size, width):
+        table = as_model({v: float(v) for v in range(size)})
+        keys = table._keys
+        bound = max(4 * size, 256)
+        queries = itertools.islice(itertools.product(range(size), repeat=width), 10_000)
+        for query in queries:
+            values = np.array(query)
+            assert table.lookup(int_column(values)).rows() == values.astype(float).tolist()
+            held = sum(map(len, keys._memo.values()))
+            assert held == keys._memo_rows <= bound
+        assert keys._memo  # it was in use, not merely empty
+
+    def test_a_query_longer_than_the_bound_is_not_kept(self):
+        table = as_model({v: float(v) for v in range(10)})
+        long = int_column(np.arange(300) % 10)
+        assert table.lookup(long).rows() == [float(v % 10) for v in range(300)]
+        assert not table._keys._memo and table._keys._memo_rows == 0
