@@ -932,8 +932,11 @@ class FlowNetwork:
     def _arm_component_timer(
         self, comp: _Component, horizon: float, on_fire: Callable[[], None]
     ) -> None:
-        """Schedule ``on_fire`` as ``comp``'s completion continuation."""
-        comp.timer = self.sim.schedule(horizon, on_fire)
+        """Schedule ``on_fire`` as ``comp``'s completion continuation, one
+        ulp ahead at the least: ``now + horizon`` can round to ``now``,
+        where the timer would drain nothing and re-arm for ever."""
+        at = max(self.sim.now + horizon, math.nextafter(self.sim.now, math.inf))
+        comp.timer = self.sim.schedule_at(at, on_fire)
 
     def _on_component_completion(self, root: int, epoch: int) -> None:
         comp = self._comp.get(root)

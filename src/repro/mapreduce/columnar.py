@@ -654,11 +654,15 @@ class ColumnBatch:
         return sums.astype(np.int64).tolist()
 
     def partition_ids(self, num_partitions: int) -> np.ndarray:
-        """``stable_hash(key) % num_partitions`` for every row, batched."""
+        """``stable_hash(key) % num_partitions`` for every row, batched.  With
+        one partition, keys are hashed only where ``stable_hash`` may refuse one."""
         if num_partitions <= 0:
             raise ValueError(
                 f"num_partitions must be positive, got {num_partitions}"
             )
+        slots = self.keys.slots if isinstance(self.keys, TupleColumn) else (self.keys,)
+        if num_partitions == 1 and all(isinstance(s, (ScalarColumn, StringColumn)) for s in slots):
+            return np.zeros(len(self), dtype=np.int64)
         hashes = self.keys.stable_hashes().astype(np.int64)
         return hashes % num_partitions
 
@@ -893,13 +897,13 @@ def group_buckets(
     """Group a batch by (bucket id, key), and count each bucket's groups.
 
     ``bucket_ids`` assigns every record one of ``num_buckets`` buckets;
-    ``None`` hash-partitions, ``stable_hash(key) % num_buckets`` (with
-    one bucket, nothing is hashed).  The groups come bucket by bucket;
-    inside a bucket they are the groups, group order and within-group
-    value order of ``group_by_key`` over the bucket's rows in batch
-    order — what scattering the batch into buckets and grouping each on
-    its own yields, in one pass.  Equal keys in different buckets stay
-    different groups.
+    ``None`` hash-partitions, ``stable_hash(key) % num_buckets``; one
+    bucket reads no ids and hashes nothing.  The groups come bucket by
+    bucket; inside a bucket they are the groups, group order and
+    within-group value order of ``group_by_key`` over the bucket's rows
+    in batch order — what scattering the batch into buckets and grouping
+    each on its own yields, in one pass.  Equal keys in different
+    buckets stay different groups.
 
     Typed key columns take one stable argsort by key and one by bucket
     over it; when the grouping hashes and equal keys hash alike, it
@@ -911,6 +915,8 @@ def group_buckets(
     groups_per_bucket: np.ndarray
     n = len(batch)
     order = batch.keys.sort_order()
+    if num_buckets == 1:
+        bucket_ids = None
     if bucket_ids is None and num_buckets > 1 and (
         order is None
         # Floats hash over repr(): 0.0 == -0.0, but the two hash apart.

@@ -8,9 +8,12 @@ a forward+backward pass for the neural network, ...).  Costs are
 expressed at the reference CPU (the small cluster's E5520 = speed 1.0)
 and scaled by each node's ``cpu_speed``.
 
-Defaults approximate Hadoop-era Java record processing; the exact
-constants shift absolute runtimes, not who wins — both IC and PIC
-execute the same mapper/reducer records.
+Defaults approximate Hadoop-era Java record processing.  The in-memory
+ratio, calibrated from the paper's own 3x speedup, decides K-means' and
+the linear solver's Figure 9 bars (compute-bound IC baselines: at ratio
+1.0 they fall from 3.29x to 0.65x and 3.51x to 0.57x).  IC and PIC run
+the same mapper/reducer records, every job and local iteration through
+``compute_job``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, concat_batches
 from repro.mapreduce.costs import CostHints
@@ -113,13 +113,11 @@ class JobSpec:
     partitioner: Callable[[Any, int], int] = hash_partitioner
     costs: CostHints = field(default_factory=CostHints)
     # Optional override for a map task's compute time:
-    # map_cost(num_records, split_nbytes, ctx) -> seconds at reference CPU.
-    # PIC's best-effort jobs use this to charge the in-mapper local
-    # iterations the task actually performed (reported via ctx.stats).
-    # The ctx it gets carries only the task's model, split_index and the
-    # stats its mapper left: the output was collected when the job was
-    # submitted, so ctx.collect() and ctx.output_count read empty.
-    map_cost: Callable[[int, int, TaskContext], float] | None = None
+    # map_cost(num_records, split_nbytes, stats) -> seconds at reference
+    # CPU, ``stats`` being the ``ctx.stats`` the task's mapper left when
+    # compute_job ran it.  PIC's best-effort jobs use this to charge the
+    # in-mapper local iterations the task actually performed.
+    map_cost: Callable[[int, int, dict[str, float]], float] | None = None
 
     def __post_init__(self) -> None:
         if self.num_reducers <= 0:
@@ -146,6 +144,28 @@ class JobSpec:
                 "per group"
             )
         return combined
+
+
+class MapCharge(NamedTuple):
+    """What the simulation charges for one map task's output."""
+
+    #: Records per reduce partition, and each partition's wire size:
+    #: what each shuffle flow carries.
+    counts: list[int]
+    bucket_bytes: list[int]
+    #: The mapper's output before the combiner: records and wire size.
+    raw_records: int
+    raw_bytes: int
+    #: The task's ``ctx.stats``.
+    stats: dict[str, float]
+
+
+class ComputedJob(NamedTuple):
+    """A job's host computation: each reducer's output, in partition
+    order, and each split's map charge, in split order."""
+
+    outputs: list[ColumnBatch]
+    charges: list[MapCharge]
 
 
 @dataclass

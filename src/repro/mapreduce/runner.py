@@ -1,15 +1,11 @@
 """The MapReduce job runner: executes one job on the DES cluster.
 
 A job computes once, then simulates.  At submit the runner does the
-job's host work in full: every map task goes through the executor to
-:func:`repro.parallel.tasks.run_map_task` (run the *real* mapper, then
-partition the output, applying the combiner once over its
-(reduce-partition, key) groups), after which the job's one grouping of
-every map output by (partition, key) feeds the *real* reducers, in
-partition order.  Retries and backup tasks change only *when* a task's
-work lands, never what it computes, so the simulation only prices it —
-from the per-split record counts, byte sizes and ``stats`` the tasks
-recorded.
+job's host work in full — the *real* mappers, combiners and reducers —
+through :func:`repro.parallel.tasks.compute_job`.  Retries and backup
+tasks change only *when* a task's work lands, never what it computes,
+so the simulation only prices it — from the per-split record counts,
+byte sizes and ``stats`` the tasks recorded.
 
 Task lifecycle (all on the simulated clock):
 
@@ -39,19 +35,12 @@ import itertools
 from collections.abc import Mapping
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
-from repro.mapreduce.columnar import (
-    ColumnBatch,
-    bucket_kinds,
-    concat_batches,
-    group_buckets,
-)
-from repro.mapreduce.job import Counters, JobResult, JobSpec, TaskContext
+from repro.mapreduce.columnar import concat_batches
+from repro.mapreduce.job import ComputedJob, Counters, JobResult, JobSpec
 from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.scheduler import SlotScheduler
@@ -207,9 +196,24 @@ class JobRunner:
         scheduler ``app_id``, so slot grants go to the least-granted job
         first.
         """
-        state = _JobState(self, spec, dataset, model, model_bytes,
+        if model_mode not in ("broadcast", "partitioned"):
+            raise ValueError(
+                f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
+            )
+        # Imported here: repro.parallel and repro.pic import this module back.
+        from repro.parallel.tasks import compute_job
+
+        if isinstance(model, Mapping):
+            from repro.pic.model import as_model  # tasks read it as a table
+
+            model = as_model(model)
+        job = compute_job(
+            spec, model, [split.records for split in dataset.splits],
+            spec.num_reducers, self.executor, split_models,
+        )
+        state = _JobState(self, spec, dataset, job, model_bytes,
                           model_locations, input_cached, model_mode, failures,
-                          speculative, model_gate, split_models)
+                          speculative, model_gate)
         if self._held is None:
             state.launch(next(self._job_seq))
         else:
@@ -344,15 +348,15 @@ class JobHandle:
 
 
 class _JobState:
-    """One job: its host work, done at construction, and the mutable
-    state of its simulation."""
+    """The simulation of one job whose host work is already done: it
+    prices the computed job's charges and delivers its outputs."""
 
     def __init__(
         self,
         runner: JobRunner,
         spec: JobSpec,
         dataset: DistributedDataset,
-        model: Any,
+        job: ComputedJob,
         model_bytes: int,
         model_locations: tuple[int, ...],
         input_cached: bool,
@@ -360,27 +364,14 @@ class _JobState:
         failures: dict[int, int] | None,
         speculative: bool,
         model_gate: SplitGate | None,
-        split_models: Sequence[Any] | None,
     ) -> None:
-        if model_mode not in ("broadcast", "partitioned"):
-            raise ValueError(
-                f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
-            )
-        if isinstance(model, Mapping):
-            # Tasks read a key/value model as a table, columnized once per
-            # job.  Imported here: repro.pic's package __init__ imports
-            # the engine, which needs this module.
-            from repro.pic.model import as_model
-
-            model = as_model(model)
         self.runner = runner
         self.cluster = runner.cluster
         self.pipeline = runner.pipeline
         self.model_gate = model_gate
         self.spec = spec
         self.dataset = dataset
-        self.model = model
-        self.split_models = split_models
+        self._job = job
         self.model_bytes = model_bytes
         self.model_locations = tuple(model_locations) or (0,)
         self.input_cached = input_cached
@@ -422,54 +413,6 @@ class _JobState:
         self.shuffle_bytes = 0
         self.output_bytes = 0
         self._done = False
-        self._compute()
-
-    # -- host work -------------------------------------------------------
-
-    def _compute(self) -> None:
-        """Run the job's real computation, all of it, now: every map task
-        through the executor (one job's map tasks are independent, so a
-        pool runs them concurrently), keeping each split's charge for the
-        simulation; then one grouping of every map output by (partition,
-        key), each reducer taking its partition's run of groups, in
-        partition order.  Only the reduce outputs are kept.
-
-        Canonical merge order: the outputs are concatenated by map
-        index, so neither arrival timing nor the executor leaks into
-        float summation order; inside a partition that is grouping its
-        buckets concatenated by map index on their own.  Where the map
-        outputs disagree on column kinds, each partition gets the kinds
-        its own buckets concatenate to.
-        """
-        # Imported here: repro.parallel's package __init__ imports its
-        # task functions, which need this package.
-        from repro.parallel.tasks import map_task
-
-        outputs, pids, self._charges = zip(*self.runner.executor.map(map_task, [
-            (self.spec, self._task_model(split.index), split.index, split.records)
-            for split in self.dataset.splits
-        ]))
-        self._job_map_stats = {
-            i: charge.stats for i, charge in enumerate(self._charges) if charge.stats
-        }
-        kinds = bucket_kinds(outputs, pids, self.num_reducers)
-        # Each map output is dropped once merged: the job holds one copy
-        # of its shuffle at a time, and none once the reducers ran.
-        merged = concat_batches(outputs)
-        del outputs
-        grouped, groups = group_buckets(
-            merged, np.concatenate(pids), self.num_reducers
-        )
-        del merged, pids
-        bounds = np.concatenate(([0], np.cumsum(groups))).tolist()
-        self._reduce_outputs: list[ColumnBatch] = []
-        for p in range(self.num_reducers):
-            part = grouped.groups(bounds[p], bounds[p + 1])
-            if kinds is not None:
-                part = part.as_kinds(kinds[p])
-            ctx = TaskContext(model=self.model)
-            self.spec.reducer(ctx, part)
-            self._reduce_outputs.append(ctx.collect())
 
     # -- launch ----------------------------------------------------------
 
@@ -479,11 +422,6 @@ class _JobState:
         self.job_index = job_index
         overhead = self.spec.costs.job_overhead_seconds
         self.cluster.sim.schedule(overhead, self._start_maps)
-
-    def _task_model(self, split_index: int) -> Any:
-        """The model map task ``split_index`` sees."""
-        models = self.split_models
-        return self.model if models is None else models[split_index]
 
     def _start_maps(self) -> None:
         for split in self.dataset.splits:
@@ -609,13 +547,13 @@ class _JobState:
     def _map_compute_phase(self, attempt: dict) -> None:
         split_index = attempt["split"]
         node_id = attempt["node"]
+        split = self.dataset.splits[split_index]
         # Injected fault: the attempt dies halfway through its compute;
         # its work is discarded, the slot is freed and the task is
         # rescheduled from scratch (Hadoop's retry semantics).
         tries = self._map_attempts.get(split_index, 0)
         self._map_attempts[split_index] = tries + 1
         if tries < self.failures.get(split_index, 0):
-            split = self.dataset.splits[split_index]
             wasted = 0.5 * self.spec.costs.map_compute(
                 len(split.records), split.nbytes
             )
@@ -626,12 +564,9 @@ class _JobState:
             return
         # Charge what the task did at submit; dynamic costs depend on
         # its ``stats`` (e.g. a best-effort solve's local iterations).
-        split = self.dataset.splits[split_index]
-        charge = self._charges[split_index]
+        charge = self._job.charges[split_index]
         if self.spec.map_cost is not None:
-            ctx = TaskContext(model=self._task_model(split_index), split_index=split_index)
-            ctx.stats.update(charge.stats)
-            compute = self.spec.map_cost(len(split.records), split.nbytes, ctx)
+            compute = self.spec.map_cost(len(split.records), split.nbytes, charge.stats)
         else:
             compute = self.spec.costs.map_compute(len(split.records), split.nbytes)
             # Map-side sort/serialize of the raw output (pre-combine),
@@ -642,7 +577,7 @@ class _JobState:
 
     def _map_spill(self, attempt: dict) -> None:
         """Spill the (combined) map output to local disk before serving it."""
-        charge = self._charges[attempt["split"]]
+        charge = self._job.charges[attempt["split"]]
         disk = self.cluster.nodes[attempt["node"]].spec.disk_bandwidth
         self._schedule_attempt(
             attempt,
@@ -672,7 +607,7 @@ class _JobState:
         for twin in list(self._running_maps.get(split_index, [])):
             self._kill_attempt(twin)
         split = self.dataset.splits[split_index]
-        charge = self._charges[split_index]
+        charge = self._job.charges[split_index]
         self.counters.add("map_input_records", len(split.records))
         self.counters.add("map_output_records", charge.raw_records)
         self.map_output_bytes_raw += charge.raw_bytes
@@ -781,7 +716,7 @@ class _JobState:
         )
 
     def _reduce_execute(self, partition: int, node_id: int) -> None:
-        output = self._reduce_outputs[partition]
+        output = self._job.outputs[partition]
         self.counters.add("reduce_input_records", self._bucket_records[partition])
         self.counters.add("reduce_output_records", len(output))
         nbytes = output.nbytes_wire()
@@ -817,7 +752,7 @@ class _JobState:
                 f"{self._maps_done}/{self.num_maps} maps, "
                 f"{self._reduces_done}/{self.num_reducers} reduces done"
             )
-        output = concat_batches(self._reduce_outputs)
+        output = concat_batches(self._job.outputs)
         self.counters.add("shuffle_bytes", self.shuffle_bytes)
         self.counters.add("output_bytes", self.output_bytes)
         assert self.finished_at is not None
@@ -843,5 +778,7 @@ class _JobState:
                 if self._output_files
                 else (0,)
             ),
-            map_stats=self._job_map_stats,
+            map_stats={
+                i: charge.stats for i, charge in enumerate(self._job.charges) if charge.stats
+            },
         )

@@ -1,41 +1,79 @@
-"""Module-level task functions shipped to worker processes.
+"""A job's host computation, and the task functions it ships to workers.
 
-Every function here is pure: it reads its arguments, computes, and
-returns a picklable result.  Keeping them at module level (not closures
-or bound methods of runner state) is what makes them importable from a
-freshly spawned/forked worker.  The job runner sends every map task of
-a job through :func:`map_task` at submit, whatever the executor; a
-serial executor simply runs them in-process.
+:func:`compute_job` is the one computation of every job — a cluster
+job's at :meth:`JobRunner.submit`, and a best-effort local iteration's
+(one split, one reducer, in-process) — so both apply one key rule and
+one combiner rule.  Task functions are pure and module-level: a freshly
+spawned or forked worker can import them, and a serial executor simply
+runs them in-process.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.mapreduce.columnar import ColumnBatch, group_buckets
-from repro.mapreduce.job import JobSpec, TaskContext
+from repro.mapreduce.columnar import (
+    ColumnBatch,
+    bucket_kinds,
+    concat_batches,
+    group_buckets,
+    singleton_groups,
+)
+from repro.mapreduce.job import ComputedJob, JobSpec, MapCharge, TaskContext
 from repro.mapreduce.records import hash_partitioner
-
-
-class MapCharge(NamedTuple):
-    """What the simulation charges for one map task's output."""
-
-    #: Records per reduce partition, and each partition's wire size:
-    #: what each shuffle flow carries.
-    counts: list[int]
-    bucket_bytes: list[int]
-    #: The mapper's output before the combiner: records and wire size.
-    raw_records: int
-    raw_bytes: int
-    #: The task's ``ctx.stats``.
-    stats: dict[str, float]
+from repro.parallel.executor import TaskExecutor
 
 
 #: One map task's result: the records that travel (combined, when the
 #: job has a combiner), each one's reduce partition, and its charge.
 MapOutput = tuple[ColumnBatch, np.ndarray, MapCharge]
+
+
+def compute_job(
+    spec: JobSpec,
+    model: Any,
+    splits: Sequence[ColumnBatch],
+    num_reducers: int,
+    executor: TaskExecutor,
+    split_models: Sequence[Any] | None = None,
+) -> ComputedJob:
+    """Run a job's real computation, all of it, now: map task ``i`` over
+    ``splits[i]`` through ``executor``, seeing ``split_models[i]`` (or
+    ``model``) as ``ctx.model``; one grouping of every map output by
+    (partition, key), concatenated by map index, so neither arrival
+    timing nor the executor leaks into float summation order; then each
+    of ``num_reducers`` reducers over its partition's groups, in the
+    kinds its own buckets concatenate to.  A lone map output with a
+    combiner is grouped already: its records are one-value groups."""
+    outputs, pids, charges = zip(*executor.map(map_task, [
+        (spec, model if split_models is None else split_models[i], i, records,
+         num_reducers)
+        for i, records in enumerate(splits)
+    ]))
+    kinds = None
+    if len(outputs) == 1:
+        merged, ids = outputs[0], pids[0]
+    else:
+        kinds = bucket_kinds(outputs, pids, num_reducers)
+        merged, ids = concat_batches(outputs), np.concatenate(pids)
+    del outputs, pids  # one copy of the shuffle at a time, none after the reduces
+    if len(charges) == 1 and spec.combiner is not None:
+        grouped, groups = singleton_groups(merged), charges[0].counts
+    else:
+        grouped, groups = group_buckets(merged, ids, num_reducers)
+    del merged, ids
+    parts = [grouped]
+    if num_reducers > 1:
+        bounds = np.concatenate(([0], np.cumsum(groups))).tolist()
+        parts = [grouped.groups(bounds[p], bounds[p + 1]) for p in range(num_reducers)]
+    reduce_outputs = []
+    for p, part in enumerate(parts):
+        ctx = TaskContext(model=model)
+        spec.reducer(ctx, part if kinds is None else part.as_kinds(kinds[p]))
+        reduce_outputs.append(ctx.collect())
+    return ComputedJob(reduce_outputs, list(charges))
 
 
 def solve_subproblem(
@@ -52,7 +90,7 @@ def solve_subproblem(
 
 
 def run_map_task(
-    spec: JobSpec, model: Any, split_index: int, records: ColumnBatch
+    spec: JobSpec, model: Any, split_index: int, records: ColumnBatch, num_reducers: int
 ) -> MapOutput:
     """Run one map task's real computation: the mapper against a fresh
     context, then the partition (and combine) step over its output
@@ -60,7 +98,7 @@ def run_map_task(
     ctx = TaskContext(model=model, split_index=split_index)
     spec.mapper(ctx, records)
     output = ctx.collect()
-    batch, pids, counts = partition_output(spec, output)
+    batch, pids, counts = partition_output(spec, output, num_reducers)
     bucket_bytes = batch.bucket_nbytes(pids, counts)
     # Without a combiner the buckets are exactly the raw output
     # re-partitioned, so one sizing pass covers both totals.
@@ -71,25 +109,25 @@ def run_map_task(
     return batch, pids, charge
 
 
-def map_task(payload: tuple[JobSpec, Any, int, ColumnBatch]) -> MapOutput:
-    """:func:`run_map_task` over one ``(spec, model, split_index,
-    records)`` payload — the executor passes each task one argument."""
+def map_task(payload: tuple[JobSpec, Any, int, ColumnBatch, int]) -> MapOutput:
+    """:func:`run_map_task` over one payload of its arguments — the
+    executor passes each task one argument."""
     return run_map_task(*payload)
 
 
 def partition_output(
-    spec: JobSpec, batch: ColumnBatch
+    spec: JobSpec, batch: ColumnBatch, num_reducers: int
 ) -> tuple[ColumnBatch, np.ndarray, np.ndarray]:
-    """Partition (and combine) one map task's output: the records that
-    travel, each one's partition id, and the record count per partition.
-    The ids are the batched ``stable_hash``, or the job's own
-    ``partitioner`` per key.  Without a combiner the output travels as
-    emitted; with one, it is grouped by (partition id, key) and the
-    combiner runs once over all the partitions' groups, leaving one
-    record per group, partition after partition.  Ids come back in the
-    narrowest unsigned type that holds them (uint8 up to 256 reducers),
-    which the reduce-side grouping's stable argsort sorts by radix."""
-    num_reducers = spec.num_reducers
+    """Partition (and combine) one map task's output over ``num_reducers``
+    partitions: the records that travel, each one's partition id, and
+    the record count per partition.  The ids are the batched
+    ``stable_hash``, or the job's own ``partitioner`` per key.  Without a
+    combiner the output travels as emitted; with one, it is grouped by
+    (partition id, key) and the combiner runs once over all the
+    partitions' groups, leaving one record per group, partition after
+    partition.  Ids come back in the narrowest unsigned type that holds
+    them (uint8 up to 256 reducers), which the reduce-side grouping's
+    stable argsort sorts by radix."""
     if spec.partitioner is hash_partitioner:
         # With a combiner and several reducers the grouping hashes the
         # keys itself, once per distinct key where it can.

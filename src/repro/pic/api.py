@@ -13,17 +13,12 @@ import abc
 from collections.abc import Mapping
 from typing import Any, Iterable
 
-from repro.mapreduce.columnar import (
-    ColumnBatch,
-    GroupedBatch,
-    Records,
-    columnize,
-    group_batch,
-    singleton_groups,
-)
+from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, Records, columnize
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.driver import Verdict, iterate
 from repro.mapreduce.job import JobSpec, TaskContext
+from repro.parallel.executor import SerialExecutor
+from repro.parallel.tasks import compute_job
 from repro.pic.mergers import average_merge
 from repro.pic.model import (
     KeyedModel,
@@ -154,25 +149,20 @@ class PICProgram(abc.ABC):
         """Run one IC iteration serially in memory.
 
         This is how a PIC best-effort map task executes the *original*
-        computation on its sub-problem without any MapReduce machinery.
-        Returns ``(next_model, compute_seconds)`` where the compute cost
-        is what the equivalent map+sort+reduce work would have charged.
+        computation on its sub-problem: each job runs through
+        :func:`~repro.parallel.tasks.compute_job` over one split and one
+        reducer, in-process.  Returns ``(next_model, compute_seconds)``
+        where the compute cost is what the equivalent map+sort+reduce
+        work would have charged.
         """
         current = as_model(model)
         compute = 0.0
         for spec in self.jobs(current, iteration):
-            ctx = TaskContext(model=current)
-            spec.mapper(ctx, records)
+            job = compute_job(spec, current, [records], 1, SerialExecutor())
             # In memory there is no record pipeline: no deserialization,
             # sort, spill, or shuffle — just the computation itself.
             compute += spec.costs.inmemory_compute(len(records))
-            grouped = group_batch(ctx.collect())
-            if spec.combiner is not None:
-                # A reducer sees combined values as one-element groups.
-                grouped = singleton_groups(spec.run_combiner(grouped))
-            rctx = TaskContext(model=current)
-            spec.reducer(rctx, grouped)
-            current = self.build_model(current, rctx.collect())
+            current = self.build_model(current, job.outputs[0])
         return current, compute
 
     def solve_in_memory(

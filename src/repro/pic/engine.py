@@ -97,10 +97,10 @@ def best_effort_dfs(cluster: Cluster) -> DistributedFileSystem:
     return DistributedFileSystem(cluster, replication=min(3, cluster.num_nodes), seed=23)
 
 
-def solved_compute_seconds(num_records: int, nbytes: int, ctx: TaskContext) -> float:
+def solved_compute_seconds(num_records: int, nbytes: int, stats: dict[str, float]) -> float:
     """A best-effort map task's compute charge: what its local
     iterations cost, as its solve reported in ``ctx.stats``."""
-    return ctx.stats.get("compute_seconds", 0.0)
+    return stats.get("compute_seconds", 0.0)
 
 
 @dataclass(frozen=True)

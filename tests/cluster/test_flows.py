@@ -316,3 +316,38 @@ class TestScaleAwareCompletionEpsilon:
         assert done["at"] == pytest.approx(2.5e10 / GIGABIT)
         # One completion horizon, not a tail of epsilon-chasing events.
         assert c.sim.events_processed <= 12
+
+
+class TestLargeClockProgress:
+    """A completion horizon below half an ulp of the clock rounds
+    ``now + horizon`` back to ``now``: armed there, the timer fires with
+    no time elapsed, drains nothing and re-arms at the same instant for
+    ever.  Every batch must drain in a few events per flow, whatever the
+    clock reads when it starts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offset=st.floats(min_value=0.0, max_value=1e7),
+        bandwidth=st.floats(min_value=1e6, max_value=1e13),
+        flows=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.floats(min_value=1.0, max_value=1e10),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_batch_drains_at_any_clock(self, offset, bandwidth, flows):
+        c = make_cluster(edge_bandwidth=bandwidth)
+        c.sim.schedule_at(offset, lambda: None)
+        c.run()
+        before = c.sim.events_processed
+        done = []
+        c.transfer_batch(
+            [(src, dst, nbytes, "t", done.append) for src, dst, nbytes in flows]
+        )
+        c.run(max_events=4 * len(flows) + 4)
+        assert len(done) == len(flows)
+        assert c.sim.events_processed - before <= 4 * len(flows) + 4

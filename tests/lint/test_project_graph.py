@@ -29,9 +29,9 @@ APP_PROGRAMS = {
 
 
 #: Where a job's mapper and its reducer are called: the map-task
-#: function and the job's up-front computation.
+#: function and the job's computation.
 MAP_DISPATCH = "repro.parallel.tasks::run_map_task"
-REDUCE_DISPATCH = "repro.mapreduce.runner::_JobState._compute"
+REDUCE_DISPATCH = "repro.parallel.tasks::compute_job"
 #: Whose methods are a best-effort round's mappers and reducers.
 BE_ROUND = "repro.pic.engine::BestEffortRound"
 

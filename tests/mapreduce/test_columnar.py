@@ -771,7 +771,7 @@ def _partition_buckets(spec, batch):
     the buckets, the counts and the wire size per bucket the runner
     ships."""
     n = spec.num_reducers
-    out, pids, counts = partition_output(spec, batch)
+    out, pids, counts = partition_output(spec, batch, n)
     assert type(out) is ColumnBatch and len(pids) == len(out)
     assert pids.dtype == np.min_scalar_type(n - 1)
     assert counts.tolist() == np.bincount(pids, minlength=n).tolist()
@@ -852,7 +852,7 @@ class TestPartitionStep:
                 expected = reference_partition(spec, batch)
             except TypeError:  # a key stable_hash refuses (None)
                 with pytest.raises(TypeError):
-                    partition_output(spec, batch)
+                    partition_output(spec, batch, spec.num_reducers)
                 continue
             buckets, counts, sizes = _partition_buckets(spec, batch)
             assert len(buckets) == n

@@ -11,6 +11,7 @@ from repro.mapreduce.job import JobSpec, TaskContext
 from repro.mapreduce.records import DistributedDataset, stable_hash
 from repro.mapreduce.runner import JobRunner
 from repro.parallel import SerialExecutor, tasks
+from repro.parallel.tasks import compute_job
 
 
 def word_mapper(ctx, records):
@@ -396,6 +397,42 @@ class TestAccounting:
         assert 1 <= len(result.output_locations) <= 3
         for node in result.output_locations:
             assert 0 <= node < cluster.num_nodes
+
+
+class TestShuffleConservation:
+    """Every byte a job's map tasks put in their buckets crosses the
+    fabric exactly once, whatever retries, backups or pipelining do to
+    *when* it travels: the meter's ``shuffle`` total, the jobs'
+    ``shuffle_bytes`` and the computed jobs' bucket sizes agree."""
+
+    @staticmethod
+    def _bucket_bytes(spec, dataset):
+        job = compute_job(
+            spec, None, [split.records for split in dataset.splits],
+            spec.num_reducers, SerialExecutor(),
+        )
+        return sum(sum(charge.bucket_bytes) for charge in job.charges)
+
+    @pytest.mark.parametrize("kwargs, pipeline", [
+        ({}, False),
+        ({"failures": {0: 1, 3: 2}, "speculative": True}, False),
+        ({}, True),
+    ], ids=["plain", "failures-speculative", "pipelined"])
+    def test_one_job(self, kwargs, pipeline):
+        cluster, runner, dataset = make_env()
+        runner = JobRunner(cluster, runner.dfs, pipeline=pipeline)
+        result = runner.run(word_spec(), dataset, **kwargs)
+        assert cluster.meter.total("shuffle") == result.shuffle_bytes
+        assert result.shuffle_bytes == self._bucket_bytes(word_spec(), dataset)
+
+    def test_two_jobs_through_run_many(self):
+        cluster, runner, dataset = make_env()
+        specs = [word_spec(name="plain"), word_spec(name="combined", combiner=sum_combiner)]
+        results = runner.run_many([(spec, dataset) for spec in specs])
+        total = sum(result.shuffle_bytes for result in results)
+        assert cluster.meter.total("shuffle") == total
+        for spec, result in zip(specs, results):
+            assert result.shuffle_bytes == self._bucket_bytes(spec, dataset)
 
 
 class TestModelDistribution:
