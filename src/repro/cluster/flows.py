@@ -180,13 +180,6 @@ class Flow:
             return float(self._net._remaining[row])
         return self._remaining
 
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        if self._row >= 0:
-            self._net._remaining[self._row] = value
-        else:
-            self._remaining = value
-
     @property
     def rate(self) -> float:
         """Current max-min fair rate in bytes per second."""
@@ -330,15 +323,9 @@ class FlowNetwork:
 
         ``on_complete`` fires (via the simulation) when the last byte
         lands.  Byte accounting happens immediately: the transfer is
-        committed once started.
+        committed once started.  A batch of one: see :meth:`start_flows`.
         """
-        flow = self._begin(src, dst, nbytes, category, on_complete)
-        # Batch rate recomputation: many flows typically start at the
-        # same instant (a map task fanning out its shuffle); one
-        # recompute after the batch is both faster and equivalent.
-        if flow._row >= 0 and self._recompute_event is None:
-            self._recompute_event = self.sim.schedule(0.0, self._do_recompute)
-        return flow
+        return self.start_flows(((src, dst, nbytes, category, on_complete),))[0]
 
     def start_flows(self, requests: Iterable[FlowRequest]) -> list[Flow]:
         """Begin a batch of transfers in one call.
@@ -349,59 +336,61 @@ class FlowNetwork:
         once per request — this exists so a map wave's shuffle fan-out
         (or a PIC scatter) crosses the network API once per wave, not
         once per flow, and shares a single rate recompute.
+
+        The whole batch is validated before any of it starts: a negative
+        or non-finite byte count, or an unknown node, raises and leaves
+        the network, the meter and the event queue untouched.
         """
-        flows: list[Flow] = []
-        schedule = self.sim.schedule
+        requests = list(requests)
+        routes = self.topology._routes
+        route_of = self.topology.route
+        batch_routes: list[Route] = []
         for req in requests:
-            on_complete = req[4] if len(req) > 4 else None
-            flow = self._begin(req[0], req[1], req[2], req[3], on_complete)
-            if flow._row >= 0 and self._recompute_event is None:
-                self._recompute_event = schedule(0.0, self._do_recompute)
+            nbytes = req[2]
+            if nbytes < 0:
+                raise ValueError(f"cannot transfer a negative byte count: {nbytes}")
+            if not math.isfinite(nbytes):
+                raise ValueError(f"cannot transfer a non-finite byte count: {nbytes}")
+            route = routes.get((req[0], req[1]))
+            batch_routes.append(
+                route if route is not None else route_of(req[0], req[1])
+            )
+
+        sim = self.sim
+        now = sim.now
+        schedule_at = sim.schedule_at
+        record = self.meter.record
+        ids = self._ids
+        attach = self._attach
+        finish = self._finish
+        flows: list[Flow] = []
+        for req, route in zip(requests, batch_routes):
+            nbytes = req[2]
+            links = route.links
+            record(
+                req[3], nbytes, crosses_core=route.crosses_core, on_fabric=bool(links)
+            )
+            for link in links:
+                link.bytes_carried += nbytes
+            flow = Flow(
+                next(ids), req[0], req[1], float(nbytes), links, req[3],
+                req[4] if len(req) > 4 else None, now, self,
+            )
             flows.append(flow)
+            if links and nbytes > _REMAINING_EPS:
+                attach(flow, route)
+                # Many flows typically start at the same instant (a map
+                # task fanning out its shuffle); one recompute after the
+                # batch is both faster and equivalent.
+                if self._recompute_event is None:
+                    self._recompute_event = sim.schedule(0.0, self._do_recompute)
+            else:
+                # Intra-node: a local copy that never contends with the
+                # fabric.  A (near-)empty fabric flow lands at once.  The
+                # default argument binds this flow, not the loop's last.
+                delay = 0.0 if links else nbytes / LOCAL_COPY_BANDWIDTH
+                schedule_at(now + delay, lambda flow=flow: finish(flow))
         return flows
-
-    def _begin(
-        self,
-        src: int,
-        dst: int,
-        nbytes: float,
-        category: str,
-        on_complete: Callable[[Flow], None] | None,
-    ) -> Flow:
-        if nbytes < 0:
-            raise ValueError(f"cannot transfer a negative byte count: {nbytes}")
-        if not math.isfinite(nbytes):
-            raise ValueError(f"cannot transfer a non-finite byte count: {nbytes}")
-        route = self.topology.route(src, dst)
-        links = route.links
-        self.meter.record(
-            category, nbytes, crosses_core=route.crosses_core, on_fabric=bool(links)
-        )
-        for link in links:
-            link.bytes_carried += nbytes
-
-        flow = Flow(
-            flow_id=next(self._ids),
-            src=src,
-            dst=dst,
-            size=float(nbytes),
-            links=links,
-            category=category,
-            on_complete=on_complete,
-            started_at=self.sim.now,
-            net=self,
-        )
-        if not links:
-            # Intra-node: costs a local copy, never contends with the fabric.
-            delay = nbytes / LOCAL_COPY_BANDWIDTH
-            self.sim.schedule(delay, lambda: self._finish(flow))
-            return flow
-        if nbytes <= _REMAINING_EPS:
-            self.sim.schedule(0.0, lambda: self._finish(flow))
-            return flow
-
-        self._attach(flow, route)
-        return flow
 
     def _do_recompute(self) -> None:
         """Advance + refill + re-plan every dirty component.
@@ -989,7 +978,8 @@ class FlowNetwork:
             self._finish(flow)
 
     def _finish(self, flow: Flow) -> None:
-        flow.remaining = 0.0
+        # A finishing flow holds no row (detached, or never attached).
+        flow._remaining = 0.0
         flow.completed_at = self.sim.now
         if flow.on_complete is not None:
             flow.on_complete(flow)

@@ -287,6 +287,101 @@ class TestBatchedRecompute:
         assert finish["b"] == pytest.approx(3.0)
 
 
+class TestBatchStart:
+    """``start_flows`` is one start path: a batch is the same as one
+    call per request, and a bad request starts none of its batch."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 3, -5.0, "t"), (0, 3, float("nan"), "t"), (0, 99, 10.0, "t")],
+        ids=["negative", "nan", "unknown-node"],
+    )
+    def test_bad_request_mid_batch_starts_nothing(self, bad):
+        def outcome(c):
+            c.run()
+            carried = [link.bytes_carried for link in c.topology.links]
+            return c.meter.snapshot(), carried, c.now, c.sim.events_processed
+
+        c = make_cluster()
+        c.transfer(0, 5, 1000.0, "t")
+        net, sim = c.network, c.sim
+        meter_before = c.meter.snapshot()
+        carried_before = [link.bytes_carried for link in c.topology.links]
+        queue_before = list(sim._queue)
+        rows_before = net._n
+        batch = [
+            (0, 1, 100.0, "t"),  # fabric
+            (2, 2, 50.0, "t"),  # intra-node
+            (1, 6, 0.0, "t"),  # zero-byte
+            bad,
+            (3, 4, 10.0, "t"),
+        ]
+        with pytest.raises(ValueError):
+            c.network.start_flows(batch)
+        assert c.meter.snapshot() == meter_before
+        assert [link.bytes_carried for link in c.topology.links] == carried_before
+        assert sim._queue == queue_before
+        assert net._n == rows_before
+        # No flow id was spent on the rejected batch.
+        assert c.transfer(0, 1, 10.0, "t").flow_id == 1
+        # The run is the one a cluster that never saw the batch makes.
+        control = make_cluster()
+        control.transfer(0, 5, 1000.0, "t")
+        control.transfer(0, 1, 10.0, "t")
+        assert outcome(c) == outcome(control)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.sampled_from([0.0, 1e-7, 1.0, 4096.0, 1e6, 3e8]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_batch_equals_one_call_per_request(self, specs, at):
+        """Mixed zero-byte, intra-node and fabric requests, started at
+        ``at`` from inside a callback: ids, completion times and order,
+        meter totals and link bytes all match per-request starts, and
+        every ``on_complete`` receives its own flow."""
+
+        def run(batched):
+            c = make_cluster()
+            c.transfer(0, 5, 2e8, "t")  # a flow already in progress
+            got = []
+            started = []
+
+            def done(i):
+                return lambda flow: got.append((i, flow, c.now))
+
+            requests = [
+                (src, dst, nbytes, "shuffle" if i % 2 else "model", done(i))
+                for i, (src, dst, nbytes) in enumerate(specs)
+            ]
+
+            def start():
+                if batched:
+                    started.extend(c.network.start_flows(requests))
+                else:
+                    started.extend(c.network.start_flow(*req) for req in requests)
+
+            c.sim.schedule(at, start)
+            c.run()
+            for i, flow, _ in got:
+                assert flow is started[i]
+            trace = [(i, flow.flow_id, now) for i, flow, now in got]
+            carried = [link.bytes_carried for link in c.topology.links]
+            return trace, c.meter.snapshot(), carried, c.sim.events_processed
+
+        batched = run(True)
+        assert len(batched[0]) == len(specs)
+        assert batched == run(False)
+
+
 class TestScaleAwareCompletionEpsilon:
     """The completion threshold must scale with flow size: one ULP of a
     multi-GB byte count exceeds the absolute epsilon, so a fixed
