@@ -173,22 +173,6 @@ _EXAMPLES = [
         """,
     ),
     Example(
-        "PIC304",
-        """
-        class P(PICProgram):
-            def batch_map(self, ctx, records):
-                records.values.fill(0)
-                ctx.emit_batch(records)
-        """,
-        """
-        class P(PICProgram):
-            def batch_map(self, ctx, records):
-                scaled = records.values.copy()
-                scaled.fill(0)
-                ctx.emit_batch(scaled)
-        """,
-    ),
-    Example(
         "PIC401",
         """
         class Runner:

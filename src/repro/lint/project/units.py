@@ -1,9 +1,9 @@
-"""Quantity-unit taint analysis (PIC601–PIC602).
+"""Quantity-unit taint analysis (PIC202, PIC601–PIC602).
 
 The simulator's credibility rests on never mixing *simulated*
 quantities with *host* quantities.  This pass seeds unit qualifiers at
 known sources, propagates them through binds, arithmetic, containers
-and project-function returns, and flags two violations:
+and project-function returns, and flags three violations:
 
 * **PIC601 — cross-unit arithmetic/comparison**: adding, subtracting
   or ordering two values whose units conflict (``sim_seconds`` vs
@@ -15,6 +15,11 @@ and project-function returns, and flags two violations:
   argument (``sim.schedule(delay)``, ``cluster.transfer(...,
   nbytes, ...)``, ``meter.record(...)``) — the classic bug being a
   ``time.perf_counter()`` difference fed into a simulated metric.
+* **PIC202 — a record count as a byte count**: a value whose only
+  concrete unit is ``count`` reaches a simulated-bytes argument — the
+  ``sim_b`` entries of :data:`SINKS`, any ``nbytes=``/``size_bytes=``
+  keyword, ``Flow(size=...)``.  ``len()`` counts records or
+  characters and ``sys.getsizeof`` CPython headers, never wire bytes.
 
 Sources
 -------
@@ -27,12 +32,12 @@ unit            seeded from
                 receiver, ``transfer_time(...)``
 ``sim_b``       ``sizeof_records/sizeof_record/sizeof_value``,
                 ``nbytes_wire`` calls and attributes, ``.nbytes``
-``count``       ``len(...)``
+``count``       ``len(...)``, ``sys.getsizeof(...)``
 =============== =======================================================
 
 ``count`` + ``sim_b`` is deliberately *not* a conflict (byte totals
-are legitimately built from ``len(encoded)``); the per-file PIC202
-rule owns the raw ``len``-as-flow-size case.  Interprocedurally, each
+are legitimately built from ``len(encoded)``): only a value that is a
+count and nothing else is a wrong byte count.  Interprocedurally, each
 function's summary carries the units its return value may hold (with
 parameter-polymorphic pass-through) and which parameters flow into
 simulated sinks, iterated to a fixpoint over the call graph.
@@ -90,6 +95,8 @@ _SIM_B_CALLS = frozenset(
 )
 _SIM_B_ATTRS = frozenset({"nbytes", "nbytes_wire"})
 _COUNT_CALLS = frozenset({"len"})
+#: Dotted calls returning a size that is no wire size: ``count`` too.
+_COUNT_DOTTED = frozenset({"sys.getsizeof"})
 
 #: External calls whose result carries their first argument's units.
 _PROPAGATORS = frozenset(
@@ -110,7 +117,12 @@ SINKS: dict[str, tuple[int, str, str]] = {
     "transfer": (2, "nbytes", SIM_B),
     "move": (2, "nbytes", SIM_B),
     "record": (1, "nbytes", SIM_B),
+    "transfer_time": (2, "nbytes", SIM_B),
 }
+#: Keywords that are simulated bytes on any call, and the constructors
+#: whose ``size`` keyword is.
+_BYTE_KWARGS = frozenset({"nbytes", "size_bytes"})
+_BYTE_SIZE_CTORS = frozenset({"Flow"})
 
 Units = frozenset  # of unit tags and ("param", name) markers
 
@@ -214,7 +226,7 @@ class _UnitWalker(TaintWalker):
             return frozenset({SIM_B})
         if func[0] == "meth" and tail in _SIM_S_METHODS:
             return frozenset({SIM_S})
-        if func[0] == "ref" and tail in _COUNT_CALLS:
+        if (func[0] == "ref" and tail in _COUNT_CALLS) or dotted in _COUNT_DOTTED:
             return frozenset({COUNT})
 
         # Project callees: substitute the return summary.
@@ -235,7 +247,7 @@ class _UnitWalker(TaintWalker):
         self, callee: dict, value: Units, sinks: frozenset, line: int, col: int
     ) -> None:
         for unit in sorted(sinks):
-            self._check_sink_value(value, unit, callee["name"], line, col, via=True)
+            self._check_sink_value(value, unit, callee["name"], None, line, col, via=True)
 
     # -- checks --------------------------------------------------------
 
@@ -272,33 +284,50 @@ class _UnitWalker(TaintWalker):
         line: int,
         col: int,
     ) -> None:
-        if func[0] != "meth" or tail not in SINKS:
-            return
-        index, kw_name, expected = SINKS[tail]
-        units = args[index] if len(args) > index else kwargs.get(kw_name, _EMPTY)
-        if units:
-            self._check_sink_value(units, expected, tail, line, col)
-        # Record the sink for parameter-polymorphic callers.
-        self.reach(units, {expected})
+        # keyword (None: positional) -> (units passed, unit expected)
+        passed: dict[str | None, tuple[Units, str]] = {}
+        if func[0] == "meth" and tail in SINKS:
+            index, kw_name, expected = SINKS[tail]
+            if len(args) > index:
+                passed[None] = (args[index], expected)
+            elif kw_name in kwargs:
+                passed[kw_name] = (kwargs[kw_name], expected)
+        byte_kwargs = _BYTE_KWARGS | ({"size"} if tail in _BYTE_SIZE_CTORS else set())
+        for kw in sorted(byte_kwargs & kwargs.keys()):
+            passed[kw] = (kwargs[kw], SIM_B)
+        for kw, (units, expected) in passed.items():
+            self._check_sink_value(units, expected, str(tail), kw, line, col)
+            # Record the sink for parameter-polymorphic callers.
+            self.reach(units, {expected})
 
     def _check_sink_value(
         self,
         units: Units,
         expected: str,
         sink: str,
+        kw: str | None,
         line: int,
         col: int,
         via: bool = False,
     ) -> None:
-        # Only conflicting units are this rule's business: ``len()``
-        # pieces flowing into a byte sink belong to PIC202.
-        wrong = sorted(
-            u for u in _concrete(units) if frozenset({u, expected}) in CONFLICTS
-        )
-        if not wrong:
+        concrete = _concrete(units)
+        wrong = sorted(u for u in concrete if frozenset({u, expected}) in CONFLICTS)
+        counted = expected == SIM_B and concrete == {COUNT}
+        if not (wrong or counted):
             return
         # Propagate param sinks transitively.
         self.reach(units, {expected})
+        if counted:
+            where = f"{sink}({kw}=...)" if kw else f"byte argument of {sink}()"
+            self.report(
+                "PIC202",
+                line,
+                col,
+                f"raw len()/getsizeof used for the {where}: that counts records or "
+                "characters, not serialized bytes. Use repro.util.sizing."
+                "sizeof_records()/sizeof_value() or the cached .nbytes.",
+            )
+            return
         through = f"via {sink}()" if via else f"passed to {sink}()"
         self.report(
             "PIC602",

@@ -88,7 +88,6 @@ def all_rules() -> list[Rule]:
     from repro.lint.rules import concurrency, lifecycle, units
     from repro.lint.rules.aliasing import (
         CallbackRecordMutationRule,
-        ColumnViewRule,
         MergeMutationRule,
         PartitionAliasingRule,
     )
@@ -102,7 +101,7 @@ def all_rules() -> list[Rule]:
         ReentrantHandlerMutationRule,
         TrafficBypassRule,
     )
-    from repro.lint.rules.sizing import GetsizeofRule, RawLenByteCountRule
+    from repro.lint.rules.sizing import GetsizeofRule
 
     rules: list[Rule] = [
         WallClockRule(),
@@ -111,11 +110,9 @@ def all_rules() -> list[Rule]:
         TaskSpecPicklabilityRule(),
         CallbackPurityRule(),
         GetsizeofRule(),
-        RawLenByteCountRule(),
         PartitionAliasingRule(),
         MergeMutationRule(),
         CallbackRecordMutationRule(),
-        ColumnViewRule(),
         TrafficBypassRule(),
         ReentrantHandlerMutationRule(),
         *lifecycle.RULES,

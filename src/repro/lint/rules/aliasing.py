@@ -8,6 +8,11 @@ records they received by reference (the simulator shares record lists
 between "nodes" for speed — a mutation is invisible communication that
 a real cluster would not deliver).
 
+A column a batch callback writes in place (``records.values.fill(0)``)
+is such a mutation too, and PIC303 reports it; at run time the write
+itself raises, because every typed column handed to a callback is
+read-only (:func:`repro.mapreduce.columnar.read_only`).
+
 These rules read the converged alias/mutation summaries from
 :mod:`repro.lint.project.analysis`; they see through local helper
 functions, defensive-copy rebinds, and the library's default
@@ -146,11 +151,6 @@ class CallbackRecordMutationRule(ProjectRule):
                 )
                 seen: set[str] = set()
                 for atom, (line, col, via) in sorted(summary.mutations.items()):
-                    if (
-                        atom[0] == "pa"
-                        and atom[2] in ColumnViewRule._COLUMN_ATTRS
-                    ):
-                        continue  # column writes are PIC304's, with a better message
                     if atom[1] in data and atom[1] not in seen:
                         seen.add(atom[1])
                         yield project_finding(
@@ -181,97 +181,3 @@ class CallbackRecordMutationRule(ProjectRule):
                             "emit updates and fold them in build_model() "
                             "instead.",
                         )
-
-
-class ColumnViewRule(ProjectRule):
-    """PIC304: ColumnBatch column views escape or are written in place.
-
-    Columnar splits share their backing numpy arrays aggressively:
-    ``slice``/``take`` return views where possible, and ``batch_map``
-    hands callbacks the split's columns directly.  That is safe only as
-    long as the columns are treated as immutable.  Two ways to break it:
-
-    * ``partition()`` returns a *column attribute* of the shared
-      records/model (``records.keys``, ``batch.values``...) — the
-      sub-problems now share backing arrays, which is invisible
-      cross-partition communication (PIC301 only catches the container
-      itself escaping, not its columns);
-    * a batch callback writes a column of its input batch in place
-      (``records.values.fill(...)``, ``grouped.sorted_keys.sort()``) —
-      the same arrays back other splits and the DFS copy of the data.
-
-    Emitting a read-only view (k-means emits the input point matrix
-    untouched) is fine and stays silent: the rule fires on attribute
-    *escape from partition* and attribute *mutation*, not on emits.
-    """
-
-    rule_id = "PIC304"
-    summary = "ColumnBatch column views escape partition() or are mutated by callbacks"
-
-    #: batch callback name -> index of the batch-bearing parameter
-    _BATCH_CALLBACKS = {"batch_map": 2, "batch_reduce": 2, "combine_batch": 1}
-    #: attributes that are (or hold) numpy-backed columns
-    _COLUMN_ATTRS = frozenset(
-        {"keys", "values", "data", "slots", "sorted_keys", "sorted_values", "starts"}
-    )
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        for cfq in project.graph.program_classes():
-            yield from self._partition_escapes(project, cfq)
-            yield from self._callback_mutations(project, cfq)
-
-    def _partition_escapes(
-        self, project: ProjectAnalysis, cfq: str
-    ) -> Iterator[Finding]:
-        found = _method(project, cfq, "partition")
-        if found is None:
-            return
-        fid, fn, summary = found
-        escaped = summary.ret.ids | summary.ret.contents
-        for param in _data_params(fn, (1, 2)):
-            for atom in sorted(a for a in escaped if a[0] == "pa"):
-                if atom[1] != param or atom[2] not in self._COLUMN_ATTRS:
-                    continue
-                line, col = summary.ret_sites.get(atom, [fn["line"], 0])
-                yield project_finding(
-                    project,
-                    self.rule_id,
-                    fid,
-                    line,
-                    col,
-                    f"partition() returns '{param}.{atom[2]}' — a column "
-                    "view into the shared batch; sub-problems sharing "
-                    "backing arrays is invisible cross-partition "
-                    "communication. Rebuild the column (copy the array, "
-                    "ColumnBatch.from_rows) so each sub-problem owns its "
-                    "data.",
-                )
-
-    def _callback_mutations(
-        self, project: ProjectAnalysis, cfq: str
-    ) -> Iterator[Finding]:
-        for mname, index in sorted(self._BATCH_CALLBACKS.items()):
-            found = _method(project, cfq, mname)
-            if found is None:
-                continue
-            fid, fn, summary = found
-            data = set(_data_params(fn, (index,)))
-            for atom, (line, col, _via) in sorted(summary.mutations.items()):
-                if (
-                    atom[0] == "pa"
-                    and atom[1] in data
-                    and atom[2] in self._COLUMN_ATTRS
-                ):
-                    yield project_finding(
-                        project,
-                        self.rule_id,
-                        fid,
-                        line,
-                        col,
-                        f"{mname}() writes the '{atom[2]}' column of "
-                        f"'{atom[1]}' in place; columns are numpy views "
-                        "shared with other splits and the DFS copy — write "
-                        "into a fresh array (column data .copy()) and emit "
-                        "that instead.",
-                    )
-                    break  # one finding per callback is enough

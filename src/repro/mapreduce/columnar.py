@@ -37,6 +37,13 @@ every kind; the scalar functions of :mod:`repro.mapreduce.records` and
   :func:`repro.util.sizing.sizeof_record` over the materialized rows;
   ``row_nbytes`` is each row's share, so shuffle buckets are sized
   without being cut out of their batch.
+
+Batches share their arrays: splits are views of the ingested batch,
+groupings views of one sort, a model's value rows views of its column.
+So whatever a callback is handed is **read-only** (:func:`read_only`):
+an ingested batch, a map task's split, every :class:`GroupedBatch`, a
+model's columns.  A write into one raises ``ValueError`` at the write,
+instead of leaking into other sub-problems as invisible traffic.
 """
 
 from __future__ import annotations
@@ -327,7 +334,7 @@ class ArrayColumn(Column):
 
     ``data`` has shape ``(n, *row_shape)``; ``row`` returns a view, so
     materialized rows share storage with the column (read-only use only
-    — pic-lint's PIC304 guards the escape hatches).
+    — :func:`read_only` enforces it wherever a callback is handed one).
     """
 
     __slots__ = ("data",)
@@ -465,6 +472,21 @@ class ObjectColumn(Column):
         return np.fromiter(
             map(sizeof_value, self.values), dtype=np.int64, count=len(self.values)
         )
+
+
+def read_only(*columns: Column) -> None:
+    """Clear ``writeable`` on the arrays of ``columns``: a scalar or
+    string column's values, an array column's data, a tuple column's
+    slots (an object column holds no array of its own).  Views taken
+    from them afterwards are read-only too; the arrays they view into
+    are not touched."""
+    for column in columns:
+        if isinstance(column, (ScalarColumn, StringColumn)):
+            column.values.flags.writeable = False
+        elif isinstance(column, ArrayColumn):
+            column.data.flags.writeable = False
+        elif isinstance(column, TupleColumn):
+            read_only(*column.slots)
 
 
 # -- column construction -----------------------------------------------------
@@ -672,11 +694,12 @@ Records = ColumnBatch | Sequence[tuple[Any, Any]]
 
 
 def columnize(records: Records) -> ColumnBatch:
-    """``records`` as a :class:`ColumnBatch`: row lists are converted,
-    batches pass through.  Called once at each ingest boundary."""
-    if isinstance(records, ColumnBatch):
-        return records
-    return ColumnBatch.from_rows(records)
+    """``records`` as a read-only :class:`ColumnBatch`: row lists are
+    converted, batches pass through — read-only from then on.  Called
+    once at each ingest boundary."""
+    batch = records if isinstance(records, ColumnBatch) else ColumnBatch.from_rows(records)
+    read_only(batch.keys, batch.values)
+    return batch
 
 
 def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
@@ -805,7 +828,9 @@ class GroupedBatch:
     Built from a key-sorted batch plus group boundaries.  Scalar
     consumers iterate it exactly like ``group_by_key``'s output;
     vectorized consumers read ``sorted_values`` / ``starts`` / ``ends``
-    and never materialize per-row Python objects.
+    and never materialize per-row Python objects.  Combiners and
+    reducers are handed it as it is, so its columns and boundaries are
+    made read-only here.
     """
 
     __slots__ = ("sorted_keys", "sorted_values", "starts", "ends")
@@ -813,10 +838,13 @@ class GroupedBatch:
     def __init__(
         self, sorted_keys: Column, sorted_values: Column, starts: np.ndarray
     ) -> None:
+        read_only(sorted_keys, sorted_values)
+        starts.flags.writeable = False
         self.sorted_keys = sorted_keys
         self.sorted_values = sorted_values
         self.starts = starts
         self.ends = np.append(starts[1:], len(sorted_keys))
+        self.ends.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.starts)

@@ -200,6 +200,7 @@ class JobRunner:
             raise ValueError(
                 f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
             )
+        _check_split_arguments(spec, len(dataset.splits), failures, split_models)
         # Imported here: repro.parallel and repro.pic import this module back.
         from repro.parallel.tasks import compute_job
 
@@ -329,6 +330,34 @@ class JobRunner:
                         progressed = True
         finally:
             self._reduce_resolving = False
+
+
+def _check_split_arguments(
+    spec: JobSpec,
+    num_splits: int,
+    failures: dict[int, int] | None,
+    split_models: Sequence[Any] | None,
+) -> None:
+    """``failures`` names only splits the job has, each with a whole,
+    non-negative attempt count, and ``split_models`` holds one model per
+    split: anything else is a ``ValueError`` naming the entry, not a
+    fault that silently never fires or a crash in the map wave."""
+    for index, count in (failures or {}).items():
+        if not (isinstance(index, int) and 0 <= index < num_splits):
+            raise ValueError(
+                f"job {spec.name!r}: failures names split {index!r}, but the "
+                f"job has {num_splits} splits (0 to {num_splits - 1})"
+            )
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(
+                f"job {spec.name!r}: failures[{index}] = {count!r}; expected "
+                "a non-negative number of failed attempts"
+            )
+    if split_models is not None and len(split_models) != num_splits:
+        raise ValueError(
+            f"job {spec.name!r}: {len(split_models)} split_models for "
+            f"{num_splits} splits; expected one model per split"
+        )
 
 
 class JobHandle:

@@ -19,6 +19,7 @@ from repro.mapreduce.columnar import (
     bucket_kinds,
     concat_batches,
     group_buckets,
+    read_only,
     singleton_groups,
 )
 from repro.mapreduce.job import ComputedJob, JobSpec, MapCharge, TaskContext
@@ -93,8 +94,10 @@ def run_map_task(
     spec: JobSpec, model: Any, split_index: int, records: ColumnBatch, num_reducers: int
 ) -> MapOutput:
     """Run one map task's real computation: the mapper against a fresh
-    context, then the partition (and combine) step over its output
-    (:func:`partition_output`)."""
+    context over its read-only split — made so here, in the process that
+    runs it, as a pickled split arrives writable — then the partition
+    (and combine) step over its output (:func:`partition_output`)."""
+    read_only(records.keys, records.values)
     ctx = TaskContext(model=model, split_index=split_index)
     spec.mapper(ctx, records)
     output = ctx.collect()

@@ -32,6 +32,7 @@ from repro.mapreduce.columnar import (
     StringColumn,
     TupleColumn,
     build_column,
+    read_only,
 )
 
 
@@ -130,7 +131,9 @@ class KeyedModel(Mapping[Any, Any]):
     view built on first use; never written to — :meth:`updated` derives
     the next model and drops this one's view, so a superseded model
     kept in a trace holds its two columns and nothing else.  Pickling
-    and ``deepcopy`` carry the columns only.
+    and ``deepcopy`` carry the columns only.  Both columns are made
+    read-only here — on unpickling too — so a callback writing into a
+    model's values (``model[k] += ...`` on an array value) raises.
     """
 
     __slots__ = ("_keys", "value_column", "_view")
@@ -142,6 +145,7 @@ class KeyedModel(Mapping[Any, Any]):
                 f"key column has {len(self._keys.column)} rows, "
                 f"value column {len(values)}"
             )
+        read_only(self._keys.column, values)
         self.value_column = values
         self._view: dict[Any, Any] | None = None
 

@@ -1,14 +1,27 @@
-"""PIC304: ColumnBatch column views escaping or mutated in place.
+"""Column writes: PIC303 statically, read-only columns at run time.
 
-Seeded bugs must be flagged; the near-misses are exactly the idioms the
-real apps use (k-means emits a read-only view of the input point
-matrix; smoothing rebuilds fresh arrays before emitting) and must stay
-silent.
+A batch callback writing a column of its input in place is callback
+record mutation, which PIC303 reports.  A sub-problem holding views of
+the shared input is no finding at all: the input batch is read-only, so
+every view ``partition()`` can return of it is too, and a write through
+one raises ``ValueError`` at the write.  The near-misses are exactly the
+idioms the real apps use (k-means emits a read-only view of the input
+point matrix; smoothing rebuilds fresh arrays before emitting) and must
+stay silent.
 """
 
 import textwrap
+import traceback
 
+import pytest
+
+from repro.cluster.cluster import Cluster
 from repro.lint import lint_source
+from repro.mapreduce.columnar import ColumnBatch, columnize
+from repro.pic.engine import BestEffortEngine
+from tests.pic.toy import MeanProgram
+
+RECORDS = [(i, float(i)) for i in range(12)]
 
 
 def findings(source):
@@ -23,44 +36,54 @@ def rules(source):
     return [rule for rule, _line in findings(source)]
 
 
+class _ViewsOfTheInput(MeanProgram):
+    """Every sub-problem gets views of the shared input's columns."""
+
+    def partition(self, records, model, num_partitions, seed=0):
+        return [
+            (ColumnBatch(records.keys, records.values), dict(model))
+            for _ in range(num_partitions)
+        ]
+
+
+class _ScalesItsRecords(_ViewsOfTheInput):
+    def batch_map(self, ctx, records):
+        records.values.values *= 0.5  # pic: noqa: PIC303 — the write the guard stops
+        super().batch_map(ctx, records)
+
+
+def _run_best_effort(program):
+    cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+    engine = BestEffortEngine(cluster, program, num_partitions=2, be_max_iterations=2)
+    return engine.run(RECORDS, {"mean": 0.0})
+
+
 class TestPartitionColumnEscape:
     def test_partition_returning_column_views_flagged(self):
-        src = """
-        from repro.mapreduce.columnar import ColumnBatch
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def partition(self, records, model, n):
-                return [(ColumnBatch(records.keys, records.values), dict(model))]
-        """
-        assert rules(src) == ["PIC304", "PIC304"]  # keys and values both leak
+        # Keys and values both come back as views of the ingested
+        # batch, read-only like it: a sub-problem writing one raises.
+        batch = columnize(RECORDS)
+        [(sub, _model)] = _ViewsOfTheInput().partition(batch, {"mean": 0.0}, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            sub.keys.values[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            sub.values.values[0] = 7.0
 
     def test_partition_returning_one_column_flagged_once(self):
-        src = """
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def partition(self, records, model, n):
-                return [(records.values, dict(model)) for _ in range(n)]
-        """
-        assert rules(src) == ["PIC304"]
+        # The sub-problems share the input's arrays; the first write
+        # through any of them stops the run.
+        with pytest.raises(ValueError, match="read-only"):
+            _run_best_effort(_ScalesItsRecords())
 
     def test_finding_anchored_at_return_site(self):
-        src = """
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def partition(self, records, n):
-                parts = [records.keys]
-                return parts
-        """
-        [(rule, line)] = findings(src)
-        assert rule == "PIC304"
-        assert line == 7  # the return statement
+        # The guard raises at the offending write, not at partition().
+        with pytest.raises(ValueError) as raised:
+            _run_best_effort(_ScalesItsRecords())
+        last = traceback.extract_tb(raised.tb)[-1]
+        assert last.name == "batch_map"
+        assert last.line.startswith("records.values.values *= 0.5")
 
     def test_near_miss_non_column_attribute_silent(self):
-        # Escaping arbitrary attributes is not this rule's business;
-        # only the numpy-backed column slots of a batch are dangerous.
         src = """
         from repro.pic.api import PICProgram
 
@@ -84,6 +107,8 @@ class TestPartitionColumnEscape:
                 ]
         """
         assert rules(src) == []
+        # Views that are only read run as before.
+        assert _run_best_effort(_ViewsOfTheInput()).be_iterations >= 1
 
 
 class TestCallbackColumnMutation:
@@ -95,7 +120,7 @@ class TestCallbackColumnMutation:
             def batch_map(self, ctx, records):
                 records.values.fill(0.0)
         """
-        assert rules(src) == ["PIC304"]
+        assert findings(src) == [("PIC303", 6)]
 
     def test_batch_reduce_sorting_grouped_keys_flagged(self):
         src = """
@@ -105,7 +130,7 @@ class TestCallbackColumnMutation:
             def batch_reduce(self, ctx, grouped):
                 grouped.sorted_keys.sort()
         """
-        assert rules(src) == ["PIC304"]
+        assert findings(src) == [("PIC303", 6)]
 
     def test_combine_batch_mutating_starts_flagged(self):
         src = """
@@ -116,7 +141,7 @@ class TestCallbackColumnMutation:
                 grouped.starts.fill(0)
                 return None
         """
-        assert rules(src) == ["PIC304"]
+        assert findings(src) == [("PIC303", 6)]
 
     def test_near_miss_emitting_read_only_view_silent(self):
         # The k-means idiom: emit a batch aliasing the *unmodified*
@@ -149,7 +174,7 @@ class TestCallbackColumnMutation:
 
     def test_combine_batch_record_mutation_also_pic303(self):
         # clear() on the grouped object itself is generic record
-        # mutation (PIC303), not a column write.
+        # mutation (PIC303) too.
         src = """
         from repro.pic.api import PICProgram
 

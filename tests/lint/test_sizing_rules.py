@@ -1,4 +1,8 @@
-"""PIC201/PIC202: byte-accounting rules."""
+"""PIC201/PIC202: byte-accounting rules.
+
+PIC201 is a per-file rule; PIC202 is a sink of the unit-taint pass (a
+value that is a record count and nothing else reaching a byte argument).
+"""
 
 import textwrap
 
@@ -113,5 +117,80 @@ class TestRawLenByteCount:
             """
             def build(items):
                 return Batch(size=len(items))
+            """
+        ) == []
+
+    # The unit-taint pass carries the count across bindings, helpers
+    # and call sites, where a check of the argument's own call cannot.
+
+    def test_len_bound_to_a_name_flagged(self):
+        assert rules_found(
+            """
+            def ship(sim, records):
+                n = len(records)
+                sim.transfer("a", "b", nbytes=n)
+            """
+        ) == ["PIC202"]
+
+    def test_len_returned_by_a_helper_flagged(self):
+        assert rules_found(
+            """
+            def payload_size(records):
+                return len(records)
+
+            def ship(net, records):
+                net.start_flow("a", "b", payload_size(records))
+            """
+        ) == ["PIC202"]
+
+    def test_len_passed_to_a_forwarding_helper_flagged(self):
+        # send() hands its size to a byte sink; the caller passing a
+        # record count is flagged at its call.
+        assert rules_found(
+            """
+            def send(cluster, size):
+                cluster.transfer("a", "b", size, "shuffle")
+
+            def ship(cluster, records):
+                send(cluster, len(records))
+            """
+        ) == ["PIC202"]
+
+    def test_getsizeof_bound_to_a_name_flagged(self):
+        findings = rules_found(
+            """
+            import sys
+
+            def ship(meter, payload):
+                size = sys.getsizeof(payload)
+                meter.record("shuffle", size)
+            """
+        )
+        assert sorted(findings) == ["PIC201", "PIC202"]
+
+    def test_len_as_transfer_time_bytes_flagged(self):
+        assert rules_found(
+            """
+            def eta(cluster, records):
+                return cluster.transfer_time(0, 1, len(records))
+            """
+        ) == ["PIC202"]
+
+    def test_len_plus_bytes_is_fine(self):
+        # A byte total built from len(encoded) pieces is bytes.
+        assert rules_found(
+            """
+            def ship(sim, key, split):
+                size = len(key.encode("utf-8")) + split.nbytes
+                sim.transfer("a", "b", nbytes=size)
+            """
+        ) == []
+
+    def test_len_scaled_to_bytes_is_fine(self):
+        # count x bytes-per-record: the product commits to no unit.
+        assert rules_found(
+            """
+            def ship(sim, records):
+                sim.transfer("a", "b", nbytes=len(records) * 16)
             """
         ) == []

@@ -87,8 +87,8 @@ class TestUnitMix:
         ) == []
 
     def test_len_plus_nbytes_is_clean(self):
-        # Byte totals legitimately include len(encoded) pieces; the raw
-        # len-as-flow-size case belongs to PIC202.
+        # Byte totals legitimately include len(encoded) pieces; a count
+        # alone at a byte sink is PIC202, which this pass reports too.
         assert rules_found(
             """
             def wire_total(key, value):
@@ -182,7 +182,8 @@ class TestSimSinkTaint:
         ) == []
 
     def test_len_into_record_is_not_this_rules_business(self):
-        # Count-vs-bytes at a byte sink is PIC202's finding, not PIC602.
+        # A count alone at a byte sink is PIC202 (test_sizing_rules.py),
+        # not PIC602.
         assert rules_found(
             """
             def ship(sim, records):

@@ -64,6 +64,36 @@ class TestTaskRetry:
         runner.run(mean_spec(), dataset, failures={0: 2, 1: 2, 2: 2, 3: 2})
         assert runner.map_scheduler.free_slots() == runner.map_scheduler.total_slots
 
+    @pytest.mark.parametrize(
+        ("failures", "names"),
+        [
+            ({99: 3, 1: -2}, "names split 99"),
+            ({-1: 1}, "names split -1"),
+            ({4: 1}, "names split 4"),
+            ({1: -2}, r"failures\[1\] = -2"),
+            ({1: 1.5}, r"failures\[1\] = 1.5"),
+        ],
+    )
+    def test_bad_failures_rejected_at_submit(self, failures, names):
+        cluster, runner, dataset = make_env(self.runner_cls)
+        mapped = []
+
+        def mapper(ctx, records):
+            mapped.append(len(records))
+
+        # The spy runs in this process on purpose: it records the calls.
+        spec = JobSpec(name="spy", mapper=mapper, reducer=mean_spec().reducer)  # pic: noqa: PIC101
+        with pytest.raises(ValueError, match=names):
+            runner.submit(spec, dataset, failures=failures)
+        assert mapped == []  # rejected before any map task ran
+        assert cluster.now == 0.0
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_split_models_must_match_the_splits(self, count):
+        _c, runner, dataset = make_env(self.runner_cls)
+        with pytest.raises(ValueError, match=f"{count} split_models for 4 splits"):
+            runner.submit(mean_spec(), dataset, split_models=[{}] * count)
+
     def test_many_failures_still_complete(self):
         _c, runner, dataset = make_env(self.runner_cls)
         result = runner.run(

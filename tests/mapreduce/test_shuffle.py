@@ -259,6 +259,8 @@ class TestReduceInputMatchesPerPartitionReference:
         self, partitions, n, partitioner, combiners, pipeline, failures, speculative
     ):
         spec = _spec(n, _PARTITIONERS[partitioner], **_COMBINERS[combiners])
+        # A failure for a split the job lacks is rejected at submit.
+        failures = {i: k for i, k in failures.items() if i < len(partitions)}
         cut, outputs, _counters = _run(
             partitions, spec, pipeline, failures, speculative
         )
