@@ -19,6 +19,12 @@ their governing ratios:
 * the **traffic** panel runs on the 64-node cluster at scaled size —
   byte volumes are measured, and the orders-of-magnitude collapse does
   not depend on the ratio above.
+
+As in Table II, IC's "intermediate data" is ``map_output_bytes_raw``:
+the mappers' output *before* K-means' combiner, which never reaches the
+fabric, while PIC's is the bytes its best-effort rounds shuffle.  The
+"on-fabric shuffle" row reads both sides the same way: IC's
+``JobResult.shuffle_bytes`` (after the combiner) against PIC's.
 """
 
 from benchmarks.conftest import cached, run_once
@@ -84,14 +90,16 @@ def test_fig02_traffic(benchmark, report):
     ic_intermediate = sum(
         jr.map_output_bytes_raw for t in ic.traces for jr in t.job_results
     )
+    ic_shuffle = sum(jr.shuffle_bytes for t in ic.traces for jr in t.job_results)
     ic_models = result.ic_traffic.get("model_update", {}).get("total_bytes", 0)
     pic_be_shuffle = pic.phases[0].shuffle_bytes
     pic_models = pic.model_update_bytes
     table = render_table(
         ["volume", "IC total", "PIC (best-effort phase)"],
         [
-            ["intermediate data", human_bytes(ic_intermediate),
+            ["intermediate data (IC pre-combiner)", human_bytes(ic_intermediate),
              human_bytes(pic_be_shuffle)],
+            ["on-fabric shuffle", human_bytes(ic_shuffle), human_bytes(pic_be_shuffle)],
             ["model updates", human_bytes(ic_models), human_bytes(pic_models)],
         ],
         title=(

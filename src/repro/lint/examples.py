@@ -138,25 +138,6 @@ _EXAMPLES = [
         """,
     ),
     Example(
-        "PIC302",
-        """
-        class P(PICProgram):
-            def merge(self, models):
-                base = models[0]
-                for other in models[1:]:
-                    base.update(other)
-                return base
-        """,
-        """
-        class P(PICProgram):
-            def merge(self, models):
-                base = dict(models[0])
-                for other in models[1:]:
-                    base.update(other)
-                return base
-        """,
-    ),
-    Example(
         "PIC303",
         """
         class P(PICProgram):

@@ -26,8 +26,12 @@ Sources
 =============== =======================================================
 unit            seeded from
 =============== =======================================================
-``wall_s``      ``time.time/perf_counter/monotonic/process_time`` (and
-                ``_ns`` variants), ``timeit.default_timer``
+``wall_s``      every host-clock read PIC001 reports
+                (``determinism.WALL_CLOCK_CALLS``: ``time.time/
+                perf_counter/monotonic/process_time`` and ``_ns``
+                variants, ``timeit.default_timer``,
+                ``datetime.datetime.now/utcnow/today``,
+                ``datetime.date.today``)
 ``sim_s``       ``.now``/``peek_time()`` on a simulation/cluster
                 receiver, ``transfer_time(...)``
 ``sim_b``       ``sizeof_records/sizeof_record/sizeof_value``,
@@ -51,6 +55,7 @@ from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import SUBSTRATE_NAMES
 from repro.lint.project.ir import callee_dotted, strip_subscripts
 from repro.lint.project.walker import TaintSummary, TaintWalker, call_tail
+from repro.lint.rules.determinism import WALL_CLOCK_CALLS
 
 if TYPE_CHECKING:
     from repro.lint.project.analysis import ProjectAnalysis
@@ -78,13 +83,6 @@ CONFLICTS = frozenset(
     }
 )
 
-_WALL_CALLS = frozenset(
-    {
-        "time.time", "time.time_ns", "time.perf_counter",
-        "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-        "time.process_time", "time.process_time_ns", "timeit.default_timer",
-    }
-)
 #: Method tails returning simulated seconds on any receiver.
 _SIM_S_METHODS = frozenset({"transfer_time", "peek_time"})
 #: Attributes that are simulated clocks, on simulation-ish receivers.
@@ -218,7 +216,7 @@ class _UnitWalker(TaintWalker):
         self._check_sinks(func, tail, args, kwargs, line, col)
 
         # Seeds.
-        if dotted in _WALL_CALLS:
+        if dotted in WALL_CLOCK_CALLS:
             return frozenset({WALL_S})
         if tail in _SIM_B_CALLS or (
             dotted is not None and dotted.rpartition(".")[2] in _SIM_B_CALLS
@@ -297,8 +295,6 @@ class _UnitWalker(TaintWalker):
             passed[kw] = (kwargs[kw], SIM_B)
         for kw, (units, expected) in passed.items():
             self._check_sink_value(units, expected, str(tail), kw, line, col)
-            # Record the sink for parameter-polymorphic callers.
-            self.reach(units, {expected})
 
     def _check_sink_value(
         self,
@@ -310,13 +306,14 @@ class _UnitWalker(TaintWalker):
         col: int,
         via: bool = False,
     ) -> None:
+        # Record the sink for parameter-polymorphic callers, whatever
+        # this value carries: a helper that only forwards is a sink too.
+        self.reach(units, {expected})
         concrete = _concrete(units)
         wrong = sorted(u for u in concrete if frozenset({u, expected}) in CONFLICTS)
         counted = expected == SIM_B and concrete == {COUNT}
         if not (wrong or counted):
             return
-        # Propagate param sinks transitively.
-        self.reach(units, {expected})
         if counted:
             where = f"{sink}({kw}=...)" if kw else f"byte argument of {sink}()"
             self.report(

@@ -88,7 +88,6 @@ def all_rules() -> list[Rule]:
     from repro.lint.rules import concurrency, lifecycle, units
     from repro.lint.rules.aliasing import (
         CallbackRecordMutationRule,
-        MergeMutationRule,
         PartitionAliasingRule,
     )
     from repro.lint.rules.determinism import (
@@ -111,7 +110,6 @@ def all_rules() -> list[Rule]:
         CallbackPurityRule(),
         GetsizeofRule(),
         PartitionAliasingRule(),
-        MergeMutationRule(),
         CallbackRecordMutationRule(),
         TrafficBypassRule(),
         ReentrantHandlerMutationRule(),

@@ -2,21 +2,23 @@
 
 PIC's best-effort phase is only correct if sub-problems are
 *independent*: ``partition()`` must hand each sub-problem data and
-model objects it owns, ``merge()`` must not scribble on the partial
-models it is combining, and map/reduce callbacks must not mutate
+model objects it owns, and map/reduce callbacks must not mutate
 records they received by reference (the simulator shares record lists
 between "nodes" for speed — a mutation is invisible communication that
 a real cluster would not deliver).
 
 A column a batch callback writes in place (``records.values.fill(0)``)
 is such a mutation too, and PIC303 reports it; at run time the write
-itself raises, because every typed column handed to a callback is
-read-only (:func:`repro.mapreduce.columnar.read_only`).
+itself raises, because every array handed to a callback is read-only
+(:func:`repro.mapreduce.columnar.read_only`).  That guard alone covers
+``merge()``: the partial models it combines are ``KeyedModel`` objects,
+which have no setters and whose arrays are read-only, so a merge
+writing into one raises at the write.
 
 These rules read the converged alias/mutation summaries from
 :mod:`repro.lint.project.analysis`; they see through local helper
 functions, defensive-copy rebinds, and the library's default
-``partition``/``merge`` implementations.
+``partition`` implementations.
 """
 
 from __future__ import annotations
@@ -75,49 +77,6 @@ class PartitionAliasingRule(ProjectRule):
                         "must own its data and model — deep-copy or rebuild "
                         "(see repro.pic.partitioners.replicate_model).",
                     )
-
-
-class MergeMutationRule(ProjectRule):
-    """PIC302: ``merge``/``merge_element`` mutate partial models."""
-
-    rule_id = "PIC302"
-    summary = "merge()/merge_element() mutates the partial models it combines"
-
-    _METHODS = (("merge", (1,)), ("merge_element", (2,)))
-
-    def check_project(self, project: ProjectAnalysis) -> Iterator[Finding]:
-        for cfq in project.graph.program_classes():
-            for mname, indices in self._METHODS:
-                found = _method(project, cfq, mname)
-                if found is None:
-                    continue
-                fid, fn, summary = found
-                for param in _data_params(fn, indices):
-                    for atom, (line, col, via) in sorted(
-                        summary.mutations.items()
-                    ):
-                        if atom[1] != param or atom[0] not in ("p", "pa"):
-                            continue
-                        how = (
-                            "mutates" if via == "direct" else f"mutates (via {via})"
-                        )
-                        what = (
-                            f"the '{param}' argument"
-                            if atom == ("p", param, 0)
-                            else f"a partial model inside '{param}'"
-                        )
-                        yield project_finding(
-                            project,
-                            self.rule_id,
-                            fid,
-                            line,
-                            col,
-                            f"{mname}() {how} {what} in place; best-effort "
-                            "rounds reuse the partial models, so merge must "
-                            "build a fresh result (dict(models[0]), "
-                            "concat_merge, average_merge...).",
-                        )
-                        break  # one finding per data param is enough
 
 
 class CallbackRecordMutationRule(ProjectRule):

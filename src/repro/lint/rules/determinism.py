@@ -17,9 +17,11 @@ from repro.lint.model import Finding
 from repro.lint.module import LintModule, bare_name
 from repro.lint.rules import Rule
 
-#: Canonical names of host-clock reads.  Simulated components take time
-#: from ``Simulation.now``; host-timing harnesses (the wall-clock perf
-#: suite) are the deliberate exception and carry ``# pic: noqa: PIC001``.
+#: Canonical names of host-clock reads: PIC001 reports them, and the
+#: unit-taint pass (:mod:`repro.lint.project.units`) seeds them as
+#: wall-clock seconds.  Simulated components take time from
+#: ``Simulation.now``; host-timing harnesses (the wall-clock perf suite)
+#: are the deliberate exception and carry ``# pic: noqa: PIC001``.
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -30,6 +32,7 @@ WALL_CLOCK_CALLS = frozenset(
         "time.monotonic_ns",
         "time.process_time",
         "time.process_time_ns",
+        "timeit.default_timer",
         "datetime.datetime.now",
         "datetime.datetime.utcnow",
         "datetime.datetime.today",

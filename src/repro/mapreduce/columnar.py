@@ -42,8 +42,9 @@ Batches share their arrays: splits are views of the ingested batch,
 groupings views of one sort, a model's value rows views of its column.
 So whatever a callback is handed is **read-only** (:func:`read_only`):
 an ingested batch, a map task's split, every :class:`GroupedBatch`, a
-model's columns.  A write into one raises ``ValueError`` at the write,
-instead of leaking into other sub-problems as invisible traffic.
+model's columns, and every ndarray an object column of values holds.  A
+write into one raises ``ValueError`` at the write, instead of leaking
+into other sub-problems as invisible traffic.
 """
 
 from __future__ import annotations
@@ -474,19 +475,31 @@ class ObjectColumn(Column):
         )
 
 
-def read_only(*columns: Column) -> None:
-    """Clear ``writeable`` on the arrays of ``columns``: a scalar or
-    string column's values, an array column's data, a tuple column's
-    slots (an object column holds no array of its own).  Views taken
-    from them afterwards are read-only too; the arrays they view into
-    are not touched."""
-    for column in columns:
-        if isinstance(column, (ScalarColumn, StringColumn)):
-            column.values.flags.writeable = False
-        elif isinstance(column, ArrayColumn):
-            column.data.flags.writeable = False
-        elif isinstance(column, TupleColumn):
-            read_only(*column.slots)
+def read_only(keys: Column, values: Column) -> None:
+    """Clear ``writeable`` on every array a batch of ``keys`` and
+    ``values`` holds: a scalar or string column's values, an array
+    column's data, a tuple column's slots and, on the values side, each
+    ndarray an object column holds, frozen in place.  A key is hashable
+    and an ndarray is not, so object key columns are not scanned; nor
+    are the tuples, lists or dicts an object column holds (PageRank's
+    adjacency tuples would triple the cost).  Views taken afterwards are
+    read-only too; the arrays they view into are not touched."""
+    _freeze(keys, held=False)
+    _freeze(values, held=True)
+
+
+def _freeze(column: Column, held: bool) -> None:
+    if isinstance(column, (ScalarColumn, StringColumn)):
+        column.values.flags.writeable = False
+    elif isinstance(column, ArrayColumn):
+        column.data.flags.writeable = False
+    elif isinstance(column, TupleColumn):
+        for slot in column.slots:
+            _freeze(slot, held)
+    elif held and isinstance(column, ObjectColumn):
+        for value in column.values:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 # -- column construction -----------------------------------------------------

@@ -32,13 +32,11 @@ from typing import Any, Callable, Sequence
 
 WORKERS_ENV_VAR = "PIC_WORKERS"
 
-# Pickling a payload can fail with more than PicklingError: closures
-# raise AttributeError ("Can't pickle local object"), locks and
-# generators raise TypeError.  Any of them means "run it in-process".
+# Pickling the function, a payload or a result can fail with more than
+# PicklingError: closures raise AttributeError ("Can't pickle local
+# object"), locks and generators raise TypeError.  The pool's map raises
+# whichever it met, and any of them means "run it in-process".
 _FALLBACK_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
-
-# Picklability verdicts per function identity (see ``_picklable``).
-_PROBE_CACHE: dict[tuple[int, str, str], bool] = {}
 
 # Contiguous chunks per worker in one pool map (``multiprocessing.Pool.map``'s
 # rule): a wave costs O(workers) round trips, yet uneven tasks still balance.
@@ -99,7 +97,7 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> list[Any]:
         payloads = list(payloads)
-        if len(payloads) >= 2 and self._picklable(fn, payloads[0]):
+        if len(payloads) >= 2:
             try:
                 pool = _shared_pool(self.workers)
                 chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
@@ -109,34 +107,6 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             except BrokenExecutor:
                 _discard_pool(self.workers)
         return super().map(fn, payloads)
-
-    @staticmethod
-    def _picklable(fn: Callable[[Any], Any], probe: Any) -> bool:
-        """Can ``(fn, probe)`` cross a process boundary?
-
-        The verdict for ``fn`` is cached per function identity: the same
-        job/program callables are probed once per process, not once per
-        map wave.  The payload probe only runs on a cache miss — a
-        later payload that cannot pickle surfaces at ``pool.map`` and
-        falls back in-process there, so skipping it is safe.  A failure
-        caused by the payload alone is deliberately *not* cached: the
-        function may well work with the next job's payloads.
-        """
-        key = (id(fn), getattr(fn, "__module__", ""), getattr(fn, "__qualname__", ""))
-        cached = _PROBE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        try:
-            pickle.dumps(fn)
-        except _FALLBACK_ERRORS:
-            _PROBE_CACHE[key] = False
-            return False
-        try:
-            pickle.dumps(probe)
-        except _FALLBACK_ERRORS:
-            return False
-        _PROBE_CACHE[key] = True
-        return True
 
 
 def get_executor(workers: int | None = None) -> TaskExecutor:

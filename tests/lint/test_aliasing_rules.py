@@ -1,13 +1,20 @@
-"""PIC301/PIC302/PIC303: cross-partition aliasing and callback mutation.
+"""PIC301/PIC303: cross-partition aliasing and callback mutation.
 
 Every rule gets at least one seeded-bug fixture that must be flagged
 and one near-miss that must stay silent — the near-misses are the
-defensive-copy idioms the real apps use.
+defensive-copy idioms the real apps use.  A merge() writing into the
+partial models it combines is stopped at run time instead: the same
+writes, run through a best-effort round.
 """
 
 import textwrap
 
+import pytest
+
+from repro.cluster.cluster import Cluster
 from repro.lint import lint_source
+from repro.pic.engine import BestEffortEngine
+from tests.pic.toy import MeanProgram
 
 
 def findings(source):
@@ -85,72 +92,84 @@ class TestPartitionAliasing:
         assert rules(src) == []
 
 
-class TestMergeMutation:
-    def test_merge_updating_partial_in_place_flagged(self):
-        src = """
-        from repro.pic.api import PICProgram
+class _MergeUpdatesAPartial(MeanProgram):
+    def merge(self, models):
+        merged = models[0]
+        for m in models[1:]:
+            merged.update(m)
+        return merged
 
-        class P(PICProgram):
-            def merge(self, models):
-                merged = models[0]
-                for m in models[1:]:
-                    merged.update(m)
-                return merged
-        """
-        assert rules(src) == ["PIC302"]
+
+class _SortsItsValues(MeanProgram):
+    def merge_element(self, key, values):
+        values.sort()
+        return values[0]
+
+
+class _Stitcher:
+    def clobber(self, models):
+        models[0]["mean"] = 1.0
+        return models[0]
+
+
+class _ClobbersThroughAHelper(MeanProgram):
+    def merge(self, models):
+        helper = _Stitcher()
+        return helper.clobber(models)
+
+
+class _MergesIntoAFreshDict(MeanProgram):
+    def merge(self, models):
+        merged = dict(models[0])
+        for m in models[1:]:
+            merged.update(m)
+        return merged
+
+
+class _SortsACopy(MeanProgram):
+    def merge_element(self, key, values):
+        return sorted(values)[0]
+
+
+def _run_best_effort(program, distributed_merge=False):
+    cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+    engine = BestEffortEngine(
+        cluster,
+        program,
+        num_partitions=4,
+        be_max_iterations=2,
+        distributed_merge=distributed_merge,
+    )
+    return engine.run([(i, float(i)) for i in range(40)], {"mean": 0.0})
+
+
+class TestMergeMutation:
+    """merge() is handed the partial models as ``KeyedModel`` objects:
+    no setters, read-only arrays, so a write into one raises at the
+    write.  merge_element()'s value list is the reducer's own, built per
+    key: sorting it in place reaches nothing else."""
+
+    def test_merge_updating_partial_in_place_flagged(self):
+        with pytest.raises(AttributeError, match="update"):
+            _run_best_effort(_MergeUpdatesAPartial())
 
     def test_merge_element_sorting_values_in_place_flagged(self):
-        src = """
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def merge_element(self, key, values):
-                values.sort()
-                return values[0]
-        """
-        assert rules(src) == ["PIC302"]
+        in_place = _run_best_effort(_SortsItsValues(), distributed_merge=True)
+        copied = _run_best_effort(_SortsACopy(), distributed_merge=True)
+        assert in_place.model == copied.model
 
     def test_merge_mutating_through_same_module_helper_flagged(self):
-        # The helper is a local bound to a constructor of a class in
-        # the same module: its method still resolves, so the partial
-        # model it clobbers is the merge's own parameter.
-        src = """
-        from repro.pic.api import PICProgram
-
-        class Stitcher:
-            def clobber(self, models):
-                models[0]["x"] = 1
-                return models[0]
-
-        class P(PICProgram):
-            def merge(self, models):
-                helper = Stitcher()
-                return helper.clobber(models)
-        """
-        assert findings(src) == [("PIC302", 12)]
+        # The helper's write is the merge's own: it raises in the helper.
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            _run_best_effort(_ClobbersThroughAHelper())
 
     def test_near_miss_merge_into_fresh_dict_silent(self):
-        src = """
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def merge(self, models):
-                merged = dict(models[0])
-                for m in models[1:]:
-                    merged.update(m)
-                return merged
-        """
-        assert rules(src) == []
+        result = _run_best_effort(_MergesIntoAFreshDict())
+        assert set(result.model) == {"mean"}
 
     def test_near_miss_sorted_copy_silent(self):
-        src = """
-        from repro.pic.api import PICProgram
-
-        class P(PICProgram):
-            def merge_element(self, key, values):
-                return sorted(values)[0]
-        """
-        assert rules(src) == []
+        result = _run_best_effort(_SortsACopy(), distributed_merge=True)
+        assert set(result.model) == {"mean"}
 
 
 class TestCallbackRecordMutation:

@@ -3,7 +3,8 @@
 The shipped apps and the mapreduce runner are clean under the
 whole-program rules (the committed baseline is empty).  These tests pin
 that, and then prove the rules would catch the most likely regressions
-by re-linting each real source file with a one-line seeded bug.
+by re-linting each real source file with a one-line seeded bug — or, for
+a write the read-only guard stops, by running the same write.
 """
 
 import tarfile
@@ -12,12 +13,25 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.smoothing.program import ImageSmoothingProgram
+from repro.harness.workloads import smoothing_medium
 from repro.lint import lint_source
 from repro.lint.baseline import finding_fingerprint, load_baseline
 from repro.lint.engine import run_lint
+from repro.pic.engine import BestEffortEngine
 from tests.lint.real_tree import REPO, real_tree_files
 
 CORPUS = REPO / "benchmarks/perf/ledger/corpus/src-repro-8464be0.tar.gz"
+
+
+class _SmoothingMergingIntoAPartial(ImageSmoothingProgram):
+    """Smoothing's merge with its one write redirected into ``models[0]``."""
+
+    def merge(self, models):
+        for owned, model in zip(self._owned_keys, models):
+            for key in owned:
+                models[0][key] = model[key]
+        return models[0]
 
 
 def seeded(source: str, old: str, new: str) -> str:
@@ -113,13 +127,20 @@ class TestSeededRegressions:
         assert "PIC301" in project_rules(source)
 
     def test_smoothing_merge_writing_into_a_partial_is_caught(self):
-        # Accumulate into models[0] instead of a fresh dict.
-        source = mutated(
+        # Accumulate into models[0] instead of a fresh dict (the anchor
+        # check keeps the subclass's merge in step with the real one):
+        # caught at run time, since the partial models have no setters.
+        mutated(
             REPO / "src/repro/apps/smoothing/program.py",
             "                merged[key] = model[key]",
             "                models[0][key] = model[key]",
         )
-        assert "PIC302" in project_rules(source)
+        w = smoothing_medium(side=16, num_partitions=4)
+        program = _SmoothingMergingIntoAPartial(16, 16)
+        cluster = w.cluster_factory()
+        engine = BestEffortEngine(cluster, program, w.num_partitions, be_max_iterations=1)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            engine.run(w.records, w.initial_model)
 
     def test_kmeans_batch_map_writing_ctx_model_is_caught(self):
         # Task-side centroid update would silently diverge from the

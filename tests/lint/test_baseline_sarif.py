@@ -73,9 +73,9 @@ class TestBaselineCli:
         bad.write_text(
             "from repro.pic.api import PICProgram\n\n\n"
             "class P(PICProgram):\n"
-            "    def merge_element(self, key, values):\n"
-            "        values.sort()\n"
-            "        return values[0]\n",
+            "    def map(self, ctx, key, value):\n"
+            "        value[\"seen\"] = True\n"
+            "        ctx.emit(key, value)\n",
             encoding="utf-8",
         )
         baseline = tmp_path / "baseline.json"
@@ -90,18 +90,17 @@ class TestBaselineCli:
         bad.write_text(
             "from repro.pic.api import PICProgram\n\n\n"
             "class P(PICProgram):\n"
-            "    def merge_element(self, key, values):\n"
-            "        values.sort()\n"
-            "        return values[0]\n",
+            "    def map(self, ctx, key, value):\n"
+            "        value[\"seen\"] = True\n"
+            "        ctx.emit(key, value)\n",
             encoding="utf-8",
         )
         baseline = tmp_path / "baseline.json"
         assert main([str(bad), "--no-cache", "--write-baseline", str(baseline)]) == 0
         bad.write_text(
             bad.read_text()
-            + "\n    def merge(self, models):\n"
-            + "        models[0].update(models[1])\n"
-            + "        return models[0]\n",
+            + "\n    def batch_map(self, ctx, records):\n"
+            + "        records.clear()\n",
             encoding="utf-8",
         )
         assert main([str(bad), "--no-cache", "--baseline", str(baseline)]) == 1
@@ -113,7 +112,7 @@ class TestSarif:
         assert log["version"] == SARIF_VERSION
         (run,) = log["runs"]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"PIC001", "PIC301", "PIC302", "PIC303", "PIC401", "PIC402"} <= rule_ids
+        assert {"PIC001", "PIC301", "PIC303", "PIC401", "PIC402"} <= rule_ids
         (result,) = run["results"]
         assert result["ruleId"] == "PIC301"
         loc = result["locations"][0]["physicalLocation"]

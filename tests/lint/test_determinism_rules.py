@@ -49,6 +49,16 @@ class TestWallClock:
             """
         ) == ["PIC001"]
 
+    def test_timeit_default_timer_flagged(self):
+        assert rules_found(
+            """
+            import timeit
+
+            def stamp():
+                return timeit.default_timer()
+            """
+        ) == ["PIC001"]
+
     def test_event_clock_is_fine(self):
         assert rules_found(
             """

@@ -156,6 +156,22 @@ class TestRawLenByteCount:
             """
         ) == ["PIC202"]
 
+    def test_len_forwarded_through_two_helpers_flagged(self):
+        # relay2() only forwards to send(), which hands the size to a
+        # byte sink: both helpers' parameters reach it.
+        assert rules_found(
+            """
+            def send(cluster, size):
+                cluster.transfer("a", "b", size, "shuffle")
+
+            def relay2(cluster, size):
+                send(cluster, size)
+
+            def ship(cluster, records):
+                relay2(cluster, len(records))
+            """
+        ) == ["PIC202"]
+
     def test_getsizeof_bound_to_a_name_flagged(self):
         findings = rules_found(
             """

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.lint import lint_source
 
 
@@ -159,6 +161,44 @@ class TestSimSinkTaint:
             def go(sim, cb):
                 w = time.perf_counter()  # noqa: PIC001
                 fire(sim, w, cb)
+            """
+        ) == ["PIC602"]
+
+    def test_param_forwarded_through_two_helpers_taints_callers(self):
+        # relay() forwards its delay to fire(), which forwards it to
+        # sim.schedule: relay's parameter reaches the sink too.
+        assert rules_found(
+            """
+            import time
+
+            def fire(sim, d, cb):
+                sim.schedule(d, cb)
+
+            def relay(sim, d, cb):
+                fire(sim, d, cb)
+
+            def go(sim, cb):
+                relay(sim, time.perf_counter(), cb)  # noqa: PIC001
+            """
+        ) == ["PIC602"]
+
+    @pytest.mark.parametrize(
+        "imports, call",
+        [
+            pytest.param("import datetime", "datetime.datetime.now()", id="now"),
+            pytest.param("import datetime", "datetime.datetime.utcnow()", id="utcnow"),
+            pytest.param("from datetime import datetime", "datetime.today()", id="today"),
+            pytest.param("from datetime import date", "date.today()", id="date.today"),
+        ],
+    )
+    def test_every_host_clock_read_is_wall_clock(self, imports, call):
+        # The pass seeds wall-clock seconds from the table PIC001 reads.
+        assert rules_found(
+            f"""
+            {imports}
+
+            def go(sim, cb):
+                sim.schedule({call}, cb)  # noqa: PIC001
             """
         ) == ["PIC602"]
 

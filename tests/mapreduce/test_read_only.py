@@ -3,9 +3,10 @@
 Splits are views of the ingested batch, groupings views of one sort and
 a model's array values views of its column, so a write into any of them
 would reach other tasks and sub-problems.  ``read_only`` clears
-``writeable`` on every typed column a callback is handed; the write then
-raises ``ValueError`` at the offending line — in this process, and in a
-pool worker, where a pickled split arrives writable.
+``writeable`` on every array a callback is handed — a typed column's and
+each ndarray an object column of values holds; the write then raises
+``ValueError`` at the offending line — in this process, and in a pool
+worker, where a pickled split arrives writable.
 """
 
 import pickle
@@ -91,7 +92,8 @@ class TestReadOnlyHelper:
         string = StringColumn(np.array(["a", "b", "c", "d"]))
         array = ArrayColumn(np.zeros((4, 2)))
         nested = TupleColumn((float_column(np.ones(4)), TupleColumn((int_column(np.arange(4)),))))
-        read_only(scalar, string, array, nested)
+        read_only(scalar, string)
+        read_only(array, nested)
         for arr in (
             scalar.values,
             string.values,
@@ -104,14 +106,23 @@ class TestReadOnlyHelper:
             array.row(1)[0] = 1.0
 
     def test_object_columns_pass_untouched(self):
-        column = ObjectColumn([np.zeros(2), "x"])
-        read_only(column)
-        assert column.values[0].flags.writeable
+        # Values side: every ndarray an object column holds is frozen in
+        # place; any other object passes untouched.  Keys side: not
+        # scanned (a key is hashable, an ndarray is not).
+        held, other = np.zeros(2), [1.0]
+        values = ObjectColumn([held, other, (1, 2), "x"])
+        read_only(ObjectColumn([1, 2, 3, 4]), values)
+        assert not held.flags.writeable
+        other[0] = 2.0
+        assert values.values == [held, [2.0], (1, 2), "x"]
+        key_side = ObjectColumn([np.zeros(2)])
+        read_only(key_side, float_column(np.zeros(1)))
+        assert key_side.values[0].flags.writeable
 
     def test_views_inherit_but_the_base_stays_writable(self):
         base = np.arange(8, dtype=np.float64)
         view = ScalarColumn("float", base[2:6])
-        read_only(view)
+        read_only(int_column(np.arange(4)), view)
         assert not view.slice(0, 2).values.flags.writeable
         base[3] = 99.0  # the caller's own array is not frozen
         assert view.values[1] == 99.0
@@ -189,6 +200,15 @@ class TestModelColumns:
         model = pickle.loads(pickle.dumps(as_model({1: 1.0, 2: 2.0})))
         assert isinstance(model, KeyedModel)
         assert not model.value_column.values.flags.writeable
+
+    def test_object_held_arrays_frozen_again_on_unpickling(self):
+        # Tensors of different shapes make an object value column; a
+        # pickled copy arrives writable and is frozen again.
+        model = as_model({"W1": np.zeros((2, 3)), "b1": np.zeros(3)})
+        assert isinstance(model.value_column, ObjectColumn)
+        for copy in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError, match="read-only"):
+                copy["W1"][0, 0] = 1.0
 
     def test_updates_write_a_copy(self):
         model = as_model({1: 1.0, 2: 2.0})

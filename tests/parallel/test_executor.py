@@ -185,6 +185,26 @@ class TestProcessPoolExecutor:
         ex = ProcessPoolTaskExecutor(2)
         assert ex.map(_first_element, [(p,) for p in payloads]) == payloads
 
+    def test_unpicklable_fn_falls_back_on_every_wave(self):
+        captured = []
+
+        def closure(x):
+            captured.append(x)
+            return -x
+
+        ex = ProcessPoolTaskExecutor(2)
+        assert ex.map(closure, [1, 2]) == [-1, -2]
+        assert ex.map(closure, [3, 4]) == [-3, -4]
+        assert captured == [1, 2, 3, 4]
+
+    def test_pool_still_used_after_a_payload_failure(self):
+        # A wave whose payload cannot pickle condemns neither the
+        # function nor the pool: the next wave runs in the workers.
+        ex = ProcessPoolTaskExecutor(2)
+        assert ex.map(_first_element, [(lambda: 1,), (2,)])[1] == 2
+        assert os.getpid() not in ex.map(_pid, list(range(8)))
+        assert ex.map(_square, [2, 3]) == [4, 9]
+
     def test_single_payload_stays_in_process(self):
         # One task gains nothing from a pool round-trip.
         assert ProcessPoolTaskExecutor(2).map(_pid, [5]) == [os.getpid()]
@@ -210,7 +230,7 @@ class TestChunkedDispatch:
         # A count, not a timing: 64 payloads sharing one object cost at
         # most 4*workers pickles of it and 4*workers pool submissions.
         ex = ProcessPoolTaskExecutor(workers)
-        ex.map(_first_element, [(0,), (1,)])  # warm the probe cache
+        ex.map(_first_element, [(0,), (1,)])  # start the pool
         pool = executor_mod._shared_pool(workers)
         submitted = []
         real_submit = pool.submit
@@ -278,76 +298,3 @@ class TestBatchPayloads:
         payloads = [(i, batch.slice(i, len(batch))) for i in range(8)]
         with pytest.raises(ValueError, match="batch task two failed"):
             get_executor(2).map(_raise_on_batch_two, payloads)
-
-
-class TestProbeCache:
-    """The picklability probe runs once per function, not once per wave."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        saved = dict(executor_mod._PROBE_CACHE)
-        executor_mod._PROBE_CACHE.clear()
-        yield
-        executor_mod._PROBE_CACHE.clear()
-        executor_mod._PROBE_CACHE.update(saved)
-
-    @pytest.fixture
-    def dumps_calls(self, monkeypatch):
-        calls = []
-        real_dumps = pickle.dumps
-
-        def counting_dumps(obj, *args, **kwargs):
-            calls.append(obj)
-            return real_dumps(obj, *args, **kwargs)
-
-        monkeypatch.setattr(pickle, "dumps", counting_dumps)
-        return calls
-
-    def test_picklable_verdict_probed_once(self, dumps_calls):
-        probe = ProcessPoolTaskExecutor._picklable
-        assert probe(_square, (1, "x"))
-        assert len(dumps_calls) == 2  # fn + payload probe
-        assert probe(_square, (2, "y"))
-        assert len(dumps_calls) == 2  # cache hit: no new pickling
-
-    def test_unpicklable_fn_cached_false(self, dumps_calls):
-        def closure(x):
-            return x
-
-        probe = ProcessPoolTaskExecutor._picklable
-        assert not probe(closure, (1,))
-        assert len(dumps_calls) == 1  # fn failed; payload never probed
-        assert not probe(closure, (2,))
-        assert len(dumps_calls) == 1  # negative verdict cached too
-
-    def test_distinct_closures_probed_independently(self, dumps_calls):
-        def make(n):
-            def closure(x):
-                return x + n
-
-            return closure
-
-        probe = ProcessPoolTaskExecutor._picklable
-        assert not probe(make(1), (1,))
-        assert not probe(make(2), (1,))
-        assert len(dumps_calls) == 2  # two identities, two probes
-
-    def test_payload_failure_is_not_cached_against_fn(self, dumps_calls):
-        probe = ProcessPoolTaskExecutor._picklable
-        assert not probe(_square, (lambda: 1,))  # payload unpicklable
-        # The function must not be condemned: a picklable payload from
-        # the next job still goes to the pool.
-        assert probe(_square, (1,))
-        assert ProcessPoolTaskExecutor(2).map(_square, [2, 3]) == [4, 9]
-
-    def test_cached_fallback_still_runs_in_process(self):
-        captured = []
-
-        def closure(x):
-            captured.append(x)
-            return -x
-
-        ex = ProcessPoolTaskExecutor(2)
-        assert ex.map(closure, [1, 2]) == [-1, -2]
-        assert ex.map(closure, [3, 4]) == [-3, -4]  # cached False path
-        assert captured == [1, 2, 3, 4]
