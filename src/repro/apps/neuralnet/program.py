@@ -9,10 +9,12 @@ neural-network training:
   from the current model, and emits one ``(param_name, (weights·n, n))``
   record per parameter tensor;
 * **combine/reduce** — the per-split weights are count-weighted-averaged
-  into the next model;
+  into the next model, every group of a call at once;
 * **converged** — the validation error stopped improving (the paper
   itself evaluates NN training by "applying the model to a validation
-  data set", Section VI-A), or the epoch cap was reached.
+  data set", Section VI-A), or the epoch cap was reached.  Each model's
+  validation error is computed once: the model a check scores last is
+  the next check's ``previous``.
 
 PIC realisation: random data partitioning with a model copy per
 sub-problem; local iterations are local SGD epochs to local convergence;
@@ -37,13 +39,16 @@ from repro.apps.neuralnet.mlp import (
 from repro.mapreduce.columnar import (
     ArrayColumn,
     ColumnBatch,
+    GroupedBatch,
     ScalarColumn,
     TupleColumn,
+    build_column,
 )
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
 from repro.pic.convergence import Verdict, fixed_iterations, max_change_below
+from repro.pic.model import KeyedModel
 from repro.util.rng import SeedLike
 
 
@@ -53,6 +58,9 @@ class NeuralNetProgram(PICProgram):
     The model is the parameter dict of :mod:`repro.apps.neuralnet.mlp`.
     Input records: ``(sample_id, (feature_vector, label))``.
     """
+
+    #: The last read-only model scored, and its validation error.
+    _scored: tuple[KeyedModel, float] | None = None
 
     def __init__(
         self,
@@ -96,6 +104,13 @@ class NeuralNetProgram(PICProgram):
             map_seconds_per_record=2e-6 + 2e-9 * flops,
             reduce_seconds_per_record=1e-6,
         )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The remembered score stays behind: a pickled program (a pool
+        # payload) is the same bytes before and after a solve.
+        state = self.__dict__.copy()
+        state.pop("_scored", None)
+        return state
 
     # -- conventional IC pieces -----------------------------------------
 
@@ -143,23 +158,22 @@ class NeuralNetProgram(PICProgram):
         for key in PARAM_KEYS:
             ctx.emit(key, (trained[key] * n, n))
 
-    def combine(self, key: Any, values: list[Any]) -> Any:
-        """Sum weighted weights locally before the shuffle."""
-        total = None
-        count = 0
-        for weights, n in values:
-            total = weights.copy() if total is None else total + weights
-            count += n
-        return (total, count)
+    def combine_batch(self, grouped: GroupedBatch) -> ColumnBatch:
+        """Sum weighted weights locally before the shuffle: one
+        ``(total, count)`` record per group, in group order, its value
+        columns built as ``ColumnBatch.from_rows`` builds them."""
+        totals, counts = _fold_groups(grouped)
+        values = TupleColumn(
+            (build_column(totals), build_column(counts)), length=len(totals)
+        )
+        return ColumnBatch(grouped.unique_keys(), values)
 
-    def reduce(self, ctx: TaskContext, key: Any, values: list[Any]) -> None:
-        """Count-weighted average of the per-split weights."""
-        total = None
-        count = 0
-        for weights, n in values:
-            total = weights.copy() if total is None else total + weights
-            count += n
-        ctx.emit(key, total / max(count, 1))
+    def batch_reduce(self, ctx: TaskContext, grouped: GroupedBatch) -> None:
+        """Count-weighted average of each group's weights, emitted as one
+        batch (a value column as ``from_rows`` builds it)."""
+        totals, counts = _fold_groups(grouped)
+        averages = [total / max(count, 1) for total, count in zip(totals, counts)]
+        ctx.emit_batch(ColumnBatch(grouped.unique_keys(), build_column(averages)))
 
     def converged(self, previous: Any, current: Any, iteration: int) -> Verdict:
         """Stop when validation error stops improving meaningfully."""
@@ -171,10 +185,22 @@ class NeuralNetProgram(PICProgram):
 
     def _improvement(self, previous: Any, current: Any) -> float:
         """Drop in validation error from ``previous`` to ``current``."""
+        return self._held_out_error(previous) - self._held_out_error(current)
+
+    def _held_out_error(self, model: Any) -> float:
+        """``model``'s error on the validation set, computed once per
+        read-only model: the last :class:`KeyedModel` scored is held (by
+        reference) with its error, and the loop hands it back as the next
+        check's ``previous``.  A plain dict may change under the same
+        identity, so it is scored every time."""
+        scored = self._scored
+        if scored is not None and scored[0] is model:
+            return scored[1]
         Xv, yv = self.validation
-        return misclassification(previous, Xv, yv) - misclassification(
-            current, Xv, yv
-        )
+        error = misclassification(model, Xv, yv)
+        if isinstance(model, KeyedModel):
+            self._scored = (model, error)
+        return error
 
     # -- PIC extras --------------------------------------------------------
     # partition: library default (random data + model copies).
@@ -196,3 +222,19 @@ class NeuralNetProgram(PICProgram):
     ) -> float:
         """Misclassified fraction on held-out data (Figure 12(a))."""
         return misclassification(model, X, y)
+
+
+def _fold_groups(grouped: GroupedBatch) -> tuple[list[np.ndarray], list[int]]:
+    """Each group's weight total and record count, in group order: the
+    first tensor copied, then ``total + weights`` value after value,
+    counts summed as ints."""
+    rows = grouped.sorted_values.rows()
+    totals, counts = [], []
+    for start, end in zip(grouped.starts.tolist(), grouped.ends.tolist()):
+        group = rows[start:end]
+        total = group[0][0].copy()
+        for weights, _n in group[1:]:
+            total = total + weights
+        totals.append(total)
+        counts.append(sum(n for _weights, n in group))
+    return totals, counts

@@ -616,7 +616,7 @@ def stack_rows(column: Column) -> np.ndarray:
 class ColumnBatch:
     """A batch of ``(key, value)`` records in structure-of-arrays form."""
 
-    __slots__ = ("keys", "values")
+    __slots__ = ("keys", "values", "_frozen")
 
     def __init__(self, keys: Column, values: Column) -> None:
         if len(keys) != len(values):
@@ -625,6 +625,21 @@ class ColumnBatch:
             )
         self.keys = keys
         self.values = values
+        self._frozen = False
+
+    def __reduce__(self) -> tuple[Any, tuple[Column, Column]]:
+        # The read-only mark stays behind: a batch's arrays arrive
+        # writable from a pickle, so its copy must be frozen again.
+        return (ColumnBatch, (self.keys, self.values))
+
+    def freeze(self) -> "ColumnBatch":
+        """Make the batch read-only (:func:`read_only`) and mark it so:
+        a marked batch is not scanned again — a loop-invariant split
+        holds the same frozen objects every iteration.  Returns the batch."""
+        if not self._frozen:
+            read_only(self.keys, self.values)
+            self._frozen = True
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[Any, Any]]) -> "ColumnBatch":
@@ -708,11 +723,10 @@ Records = ColumnBatch | Sequence[tuple[Any, Any]]
 
 def columnize(records: Records) -> ColumnBatch:
     """``records`` as a read-only :class:`ColumnBatch`: row lists are
-    converted, batches pass through — read-only from then on.  Called
-    once at each ingest boundary."""
+    converted, batches pass through — read-only from then on
+    (:meth:`ColumnBatch.freeze`).  Called once at each ingest boundary."""
     batch = records if isinstance(records, ColumnBatch) else ColumnBatch.from_rows(records)
-    read_only(batch.keys, batch.values)
-    return batch
+    return batch.freeze()
 
 
 def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:

@@ -15,7 +15,9 @@ Backend selection:
 * Unpicklable work (job specs closing over local state, exotic models),
   a single payload, and a pool that dies all fall back to in-process
   execution automatically — parallelism is an optimization, never a
-  requirement, so callers just call :meth:`TaskExecutor.map`.
+  requirement, so callers just call :meth:`TaskExecutor.map`.  An
+  exception a task raises itself is not a fallback: it is re-raised at
+  once, chained to the worker's traceback.
 
 Pools are shared per worker count across executor instances (engines
 and job runners are created per experiment; respawning interpreters for
@@ -28,6 +30,7 @@ import atexit
 import os
 import pickle
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from functools import partial
 from typing import Any, Callable, Sequence
 
 WORKERS_ENV_VAR = "PIC_WORKERS"
@@ -35,12 +38,26 @@ WORKERS_ENV_VAR = "PIC_WORKERS"
 # Pickling the function, a payload or a result can fail with more than
 # PicklingError: closures raise AttributeError ("Can't pickle local
 # object"), locks and generators raise TypeError.  The pool's map raises
-# whichever it met, and any of them means "run it in-process".
+# whichever it met, and any of them means "run it in-process".  A task's
+# own exception crosses as a _TaskFailed, so it is never one of these.
 _FALLBACK_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
 # Contiguous chunks per worker in one pool map (``multiprocessing.Pool.map``'s
 # rule): a wave costs O(workers) round trips, yet uneven tasks still balance.
 _CHUNKS_PER_WORKER = 4
+
+
+class _TaskFailed(Exception):
+    """A task's own exception (``args[0]``), raised in a pool worker and
+    carried back as this type, apart from the pool's pickling errors."""
+
+
+def _run_task(fn: Callable[[Any], Any], payload: Any) -> Any:
+    """``fn(payload)`` in a pool worker, its exception wrapped."""
+    try:
+        return fn(payload)
+    except Exception as exc:
+        raise _TaskFailed(exc) from exc
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -87,7 +104,9 @@ class ProcessPoolTaskExecutor(TaskExecutor):
     Results come back in payload order.  If the function, a payload, or
     a result cannot cross the process boundary — or the pool dies — the
     whole batch is (re)computed in-process; ``fn`` being pure makes the
-    retry safe.
+    retry safe.  An exception ``fn`` raises in a worker is re-raised
+    here as it is, its ``__cause__`` the worker's traceback, and nothing
+    is recomputed.
     """
 
     def __init__(self, workers: int) -> None:
@@ -101,7 +120,9 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             try:
                 pool = _shared_pool(self.workers)
                 chunksize = -(-len(payloads) // (self.workers * _CHUNKS_PER_WORKER))
-                return list(pool.map(fn, payloads, chunksize=chunksize))
+                return list(pool.map(partial(_run_task, fn), payloads, chunksize=chunksize))
+            except _TaskFailed as failed:
+                raise failed.args[0] from failed.__cause__
             except _FALLBACK_ERRORS:
                 pass
             except BrokenExecutor:

@@ -3,9 +3,13 @@
 :func:`compute_job` is the one computation of every job — a cluster
 job's at :meth:`JobRunner.submit`, and a best-effort local iteration's
 (one split, one reducer, in-process) — so both apply one key rule and
-one combiner rule.  Task functions are pure and module-level: a freshly
-spawned or forked worker can import them, and a serial executor simply
-runs them in-process.
+one combiner rule.  A local iteration computes only what the next model
+needs: its lone map task runs here, without an executor, and sizes
+nothing — no :class:`MapCharge`, so no bucket or raw-output byte counts
+— since no simulation charges an in-memory iteration for its output.
+Task functions are pure and module-level: a freshly spawned or forked
+worker can import them, and a serial executor simply runs them
+in-process.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from repro.mapreduce.columnar import (
     bucket_kinds,
     concat_batches,
     group_buckets,
-    read_only,
     singleton_groups,
 )
 from repro.mapreduce.job import ComputedJob, JobSpec, MapCharge, TaskContext
@@ -28,8 +31,9 @@ from repro.parallel.executor import TaskExecutor
 
 
 #: One map task's result: the records that travel (combined, when the
-#: job has a combiner), each one's reduce partition, and its charge.
-MapOutput = tuple[ColumnBatch, np.ndarray, MapCharge]
+#: job has a combiner), each one's reduce partition, and its charge —
+#: ``None`` when the task was not sized.
+MapOutput = tuple[ColumnBatch, np.ndarray, MapCharge | None]
 
 
 def compute_job(
@@ -37,7 +41,7 @@ def compute_job(
     model: Any,
     splits: Sequence[ColumnBatch],
     num_reducers: int,
-    executor: TaskExecutor,
+    executor: TaskExecutor | None,
     split_models: Sequence[Any] | None = None,
 ) -> ComputedJob:
     """Run a job's real computation, all of it, now: map task ``i`` over
@@ -47,12 +51,23 @@ def compute_job(
     timing nor the executor leaks into float summation order; then each
     of ``num_reducers`` reducers over its partition's groups, in the
     kinds its own buckets concatenate to.  A lone map output with a
-    combiner is grouped already: its records are one-value groups."""
-    outputs, pids, charges = zip(*executor.map(map_task, [
+    combiner is grouped already: its records are one-value groups.
+
+    No ``executor`` means no simulation will charge the job (a
+    best-effort local iteration): its map tasks run here, in this
+    process, sizing nothing, and ``charges`` comes back empty."""
+    payloads = [
         (spec, model if split_models is None else split_models[i], i, records,
          num_reducers)
         for i, records in enumerate(splits)
-    ]))
+    ]
+    results: list[Any]
+    if executor is None:
+        results = [run_map_task(*payload, sized=False) for payload in payloads]
+    else:
+        results = executor.map(map_task, payloads)
+    outputs, pids, charges = zip(*results)
+    del results
     kinds = None
     if len(outputs) == 1:
         merged, ids = outputs[0], pids[0]
@@ -61,7 +76,7 @@ def compute_job(
         merged, ids = concat_batches(outputs), np.concatenate(pids)
     del outputs, pids  # one copy of the shuffle at a time, none after the reduces
     if len(charges) == 1 and spec.combiner is not None:
-        grouped, groups = singleton_groups(merged), charges[0].counts
+        grouped, groups = singleton_groups(merged), np.bincount(ids, minlength=num_reducers)
     else:
         grouped, groups = group_buckets(merged, ids, num_reducers)
     del merged, ids
@@ -74,7 +89,7 @@ def compute_job(
         ctx = TaskContext(model=model)
         spec.reducer(ctx, part if kinds is None else part.as_kinds(kinds[p]))
         reduce_outputs.append(ctx.collect())
-    return ComputedJob(reduce_outputs, list(charges))
+    return ComputedJob(reduce_outputs, [c for c in charges if c is not None])
 
 
 def solve_subproblem(
@@ -91,17 +106,26 @@ def solve_subproblem(
 
 
 def run_map_task(
-    spec: JobSpec, model: Any, split_index: int, records: ColumnBatch, num_reducers: int
+    spec: JobSpec,
+    model: Any,
+    split_index: int,
+    records: ColumnBatch,
+    num_reducers: int,
+    sized: bool = True,
 ) -> MapOutput:
     """Run one map task's real computation: the mapper against a fresh
     context over its read-only split — made so here, in the process that
-    runs it, as a pickled split arrives writable — then the partition
-    (and combine) step over its output (:func:`partition_output`)."""
-    read_only(records.keys, records.values)
+    runs it, as a pickled split arrives writable (a split frozen before
+    is not scanned again) — then the partition (and combine) step over
+    its output (:func:`partition_output`), and, when ``sized``, the
+    output's :class:`MapCharge`."""
+    records.freeze()
     ctx = TaskContext(model=model, split_index=split_index)
     spec.mapper(ctx, records)
     output = ctx.collect()
     batch, pids, counts = partition_output(spec, output, num_reducers)
+    if not sized:
+        return batch, pids, None
     bucket_bytes = batch.bucket_nbytes(pids, counts)
     # Without a combiner the buckets are exactly the raw output
     # re-partitioned, so one sizing pass covers both totals.

@@ -17,7 +17,6 @@ from repro.mapreduce.columnar import ColumnBatch, GroupedBatch, Records, columni
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.driver import Verdict, iterate
 from repro.mapreduce.job import JobSpec, TaskContext
-from repro.parallel.executor import SerialExecutor
 from repro.parallel.tasks import compute_job
 from repro.pic.mergers import average_merge
 from repro.pic.model import (
@@ -151,14 +150,14 @@ class PICProgram(abc.ABC):
         This is how a PIC best-effort map task executes the *original*
         computation on its sub-problem: each job runs through
         :func:`~repro.parallel.tasks.compute_job` over one split and one
-        reducer, in-process.  Returns ``(next_model, compute_seconds)``
-        where the compute cost is what the equivalent map+sort+reduce
-        work would have charged.
+        reducer, in-process and unsized — nothing simulates it.  Returns
+        ``(next_model, compute_seconds)`` where the compute cost is what
+        the equivalent map+sort+reduce work would have charged.
         """
         current = as_model(model)
         compute = 0.0
         for spec in self.jobs(current, iteration):
-            job = compute_job(spec, current, [records], 1, SerialExecutor())
+            job = compute_job(spec, current, [records], 1, None)
             # In memory there is no record pipeline: no deserialization,
             # sort, spill, or shuffle — just the computation itself.
             compute += spec.costs.inmemory_compute(len(records))

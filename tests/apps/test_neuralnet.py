@@ -12,7 +12,7 @@ from repro.apps.neuralnet import (
     ocr_dataset,
 )
 from repro.apps.neuralnet.mlp import PARAM_KEYS, misclassification
-from repro.mapreduce.columnar import columnize
+from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch
 from repro.mapreduce.job import TaskContext
 
 
@@ -153,7 +153,9 @@ class TestProgram:
         prog = make_program()
         w_a, w_b = np.ones((2, 2)), np.full((2, 2), 3.0)
         ctx = TaskContext()
-        prog.reduce(ctx, "W1", [(w_a * 10, 10), (w_b * 30, 30)])
+        prog.batch_reduce(ctx, group_batch(ColumnBatch.from_rows(
+            [("W1", (w_a * 10, 10)), ("W1", (w_b * 30, 30))]
+        )))
         key, averaged = ctx.output[0]
         assert np.allclose(averaged, (10 * 1 + 30 * 3) / 40)
 

@@ -99,12 +99,12 @@ class TestEngineCallbackResolution:
         assert {f"{BE_ROUND}.map_owned", f"{BE_ROUND}.map_central"} <= callees
 
     def test_reducer_dispatch_reaches_every_batch_reduce(self, analysis):
-        # Neural-net and PageRank inherit batch_reduce (the former loops
-        # its reduce() through it, the latter passes per-phase reducers).
+        # PageRank inherits batch_reduce (it passes per-phase reducers).
         callees = _callees(analysis, REDUCE_DISPATCH)
         assert {
             "repro.apps.kmeans.program::KMeansProgram.batch_reduce",
             "repro.apps.linsolve.program::LinearSolverProgram.batch_reduce",
+            "repro.apps.neuralnet.program::NeuralNetProgram.batch_reduce",
             "repro.apps.smoothing.program::ImageSmoothingProgram.batch_reduce",
             "repro.pic.api::PICProgram.batch_reduce",
         } <= callees

@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.mapreduce import columnar
 from repro.mapreduce.columnar import (
     ArrayColumn,
     ColumnBatch,
@@ -146,6 +147,51 @@ class TestReadOnlyHelper:
             assert not arr.flags.writeable
         part = grouped.groups(1, 3)
         assert not part.sorted_values.values.flags.writeable
+
+
+class TestFrozenOnce:
+    """A batch frozen once is marked and not scanned again; the mark
+    never crosses a pickle, whose copy arrives writable."""
+
+    @staticmethod
+    def _scanned(monkeypatch):
+        """The value column of every ``read_only`` call (groupings too)."""
+        scanned = []
+        real = columnar.read_only
+
+        def spy(keys, values):
+            scanned.append(values)
+            real(keys, values)
+
+        monkeypatch.setattr(columnar, "read_only", spy)
+        return scanned
+
+    def test_a_frozen_split_is_not_scanned_again(self, monkeypatch):
+        scanned = self._scanned(monkeypatch)
+        split = columnize(_fresh_splits(1)[0])
+        for _ in range(3):
+            compute_job(_spec(), None, [split], 2, SerialExecutor())
+        assert sum(values is split.values for values in scanned) == 1
+
+    def test_a_task_marks_the_split_it_froze(self, monkeypatch):
+        scanned = self._scanned(monkeypatch)
+        split = _fresh_splits(1)[0]
+        for _ in range(3):
+            compute_job(_spec(), None, [split], 2, SerialExecutor())
+        assert sum(values is split.values for values in scanned) == 1
+        assert not split.values.values.flags.writeable
+
+    def test_the_mark_does_not_travel(self):
+        copy = pickle.loads(pickle.dumps(columnize(_fresh_splits(1)[0])))
+        assert copy.values.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            compute_job(_spec(mapper=_map_writes_split), None, [copy], 2, SerialExecutor())
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_a_frozen_split_is_frozen_again_in_a_worker(self, executor):
+        splits = [columnize(s) for s in _fresh_splits(4)]
+        with pytest.raises(ValueError, match="read-only"):
+            compute_job(_spec(mapper=_map_writes_split), None, splits, 2, executor)
 
 
 class TestCallbackWritesRaise:

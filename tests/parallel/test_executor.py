@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import pickle
+from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def _raise_at_five(x):
     if x == 5:
         raise ValueError("task five failed")
     return x
+
+
+# Parent-side: the payloads of ``_type_error_at_three`` that ran in the
+# process whose pid they carry.
+_RAN_IN_PARENT = []
+
+
+def _type_error_at_three(payload):
+    """Raises a genuine ``TypeError`` at task 3; notes where it ran."""
+    index, parent_pid = payload
+    if os.getpid() == parent_pid:
+        _RAN_IN_PARENT.append(index)
+    if index == 3:
+        raise TypeError("task three failed")
+    return index
 
 
 def _die_in_a_worker(x):
@@ -262,6 +278,18 @@ class TestChunkedDispatch:
     def test_task_exception_still_propagates(self):
         with pytest.raises(ValueError, match="task five failed"):
             ProcessPoolTaskExecutor(2).map(_raise_at_five, list(range(16)))
+
+    def test_task_type_error_is_not_a_pickling_failure(self):
+        # A TypeError the task raises itself is its own error, not the
+        # pool's pickling error: it comes back at once, chained to the
+        # worker's traceback, and no payload is recomputed here.
+        del _RAN_IN_PARENT[:]
+        payloads = [(i, os.getpid()) for i in range(16)]
+        with pytest.raises(TypeError, match="task three failed") as raised:
+            ProcessPoolTaskExecutor(2).map(_type_error_at_three, payloads)
+        assert isinstance(raised.value.__cause__, _RemoteTraceback)
+        assert "task three failed" in str(raised.value.__cause__)
+        assert _RAN_IN_PARENT == []
 
     def test_broken_pool_is_discarded(self):
         # The wave is recomputed in this process, the dead pool dropped
