@@ -16,8 +16,9 @@ Two operations reserve space:
   byte totals comparable to barrier-mode runs;
 * :meth:`NodeMemoryCache.pin` reserves the entry and protects it from
   eviction until the returned :class:`CachePin` is released.  Pins are
-  owned handles (``pic-lint`` tracks their lifecycle like open files):
-  release exactly once, on every path.
+  owned handles: release exactly once, on every path (a second release
+  raises; ``tests/pic/test_cache_pins.py`` checks that no pin outlives
+  the best-effort phase).
 
 Counters (hits/misses/evictions) feed the per-iteration stats the
 engine and driver report.

@@ -193,65 +193,6 @@ _EXAMPLES = [
         """,
     ),
     Example(
-        "PIC501",
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def export(payload):
-            shm = SharedMemory(create=True, size=len(payload))
-            shm.buf[: len(payload)] = payload
-            return shm.name
-        """,
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def export(payload):
-            shm = SharedMemory(create=True, size=len(payload))
-            try:
-                shm.buf[: len(payload)] = payload
-                return bytes(shm.buf[: len(payload)])
-            finally:
-                shm.close()
-                shm.unlink()
-        """,
-    ),
-    Example(
-        "PIC502",
-        """
-        def read_all(path):
-            fh = open(path)
-            try:
-                data = fh.read()
-                fh.close()
-            finally:
-                fh.close()
-            return data
-        """,
-        """
-        def read_all(path):
-            fh = open(path)
-            try:
-                data = fh.read()
-            finally:
-                fh.close()
-            return data
-        """,
-    ),
-    Example(
-        "PIC503",
-        """
-        def read_all(path):
-            fh = open(path)
-            fh.close()
-            return fh.read()
-        """,
-        """
-        def read_all(path):
-            with open(path) as fh:
-                return fh.read()
-        """,
-    ),
-    Example(
         "PIC601",
         """
         import time
@@ -281,115 +222,6 @@ _EXAMPLES = [
         def reschedule(sim, cluster, cb):
             eta = cluster.transfer_time("a", "b", 4096)
             sim.schedule(eta, cb)
-        """,
-    ),
-    Example(
-        "PIC701",
-        """
-        class _JobState:
-            def __init__(self, app_id: int) -> None:
-                self.app_id = app_id
-                self.bucket_arrivals = 0
-
-        class Runner:
-            def submit(self, sim, sibling: _JobState) -> None:
-                sim.schedule(1.0, lambda: self._on_map_done(sibling))
-
-            def _on_map_done(self, sibling: _JobState) -> None:
-                sibling.bucket_arrivals = sibling.bucket_arrivals + 1
-        """,
-        """
-        class _JobState:
-            def __init__(self, sim, app_id: int) -> None:
-                self.app_id = app_id
-                self.bucket_arrivals = 0
-                sim.schedule(1.0, self._on_map_done)
-
-            def _on_map_done(self) -> None:
-                self.bucket_arrivals = self.bucket_arrivals + 1
-        """,
-    ),
-    Example(
-        "PIC702",
-        """
-        from repro.metrics import ShuffleStats
-
-        class Tracker:
-            def __init__(self, stats: ShuffleStats) -> None:
-                self.stats = stats
-                self.ticks = 0.0
-
-            def start(self, sim) -> None:
-                sim.schedule(1.0, lambda: self.on_map_done())
-                sim.schedule(1.0, lambda: self.on_reduce_done())
-
-            def on_map_done(self) -> None:
-                self.stats.last_finished = self.ticks
-
-            def on_reduce_done(self) -> None:
-                self.stats.last_finished = self.ticks
-        """,
-        """
-        from repro.metrics import ShuffleStats
-
-        class Tracker:
-            def __init__(self, stats: ShuffleStats) -> None:
-                self.stats = stats
-                self.ticks = 0.0
-
-            def start(self, sim) -> None:
-                sim.schedule(1.0, lambda: self.on_map_done())
-                sim.schedule(1.0, lambda: self.on_reduce_done())
-
-            def on_map_done(self) -> None:
-                self.stats.by_phase["map"] = self.ticks
-
-            def on_reduce_done(self) -> None:
-                self.stats.by_phase["reduce"] = self.ticks
-        """,
-    ),
-    Example(
-        "PIC703",
-        """
-        from repro.mapreduce.scheduler import SlotScheduler
-
-        class App:
-            def __init__(self, sched: SlotScheduler) -> None:
-                self.sched = sched
-
-            def start(self, sim) -> None:
-                sim.schedule(1.0, lambda: self.on_done(3))
-
-            def on_done(self, node: int) -> None:
-                self.sched._held[node, 0] = []
-        """,
-        """
-        from repro.mapreduce.scheduler import SlotScheduler
-
-        class App:
-            def __init__(self, sched: SlotScheduler) -> None:
-                self.sched = sched
-
-            def start(self, sim) -> None:
-                sim.schedule(1.0, lambda: self.on_done(3))
-
-            def on_done(self, node: int) -> None:
-                self.sched.release(node)
-        """,
-    ),
-    Example(
-        "PIC704",
-        """
-        class Driver:
-            def kick(self, sim, handlers) -> None:
-                pending = set(handlers)
-                sim.schedule_batch(1.0, list(pending))
-        """,
-        """
-        class Driver:
-            def kick(self, sim, handlers) -> None:
-                pending = set(handlers)
-                sim.schedule_batch(1.0, sorted(pending))
         """,
     ),
 ]

@@ -14,8 +14,11 @@ files) and subclass closures.
 
 :mod:`repro.lint.project.analysis` runs an intraprocedural alias /
 escape / mutation abstract interpretation per function and propagates
-the resulting summaries over the call graph to a fixpoint.  Project
+the resulting summaries over the call graph to a fixpoint; the alias
 rules (PIC3xx/PIC4xx) read only the converged summaries.
+:mod:`repro.lint.project.units` runs the quantity-unit taint pass
+(PIC202, PIC6xx) over the same call graph.  Both walk each function
+with one :class:`~repro.lint.project.walker.Walker`.
 """
 
 from repro.lint.project.analysis import ProjectAnalysis

@@ -548,49 +548,32 @@ class ProjectAnalysis:
         self.summaries: dict[str, Summary] = self.fix.summaries
         #: (class, ctor keyword) -> functions bound there, as of last round.
         self._bound: dict[tuple[str, str], set] = {}
-        self._typestate: Any = None
         self._units: Any = None
-        self._interference: Any = None
         self.fix.run(
             sorted(self.graph.function_ir),
             lambda fid: _Evaluator(self, fid).run(),
             self.MAX_ROUNDS,
             self._rebind,
         )
-        #: (caller fid, line, col) -> callee fids, for the later passes.
+        #: (caller fid, line, col) -> callee fids, for the unit-taint pass.
         self.callsites: dict[tuple[str, int, int], list[str]] = {}
         for fid in sorted(self.summaries):
             for callee, line, col in self.summaries[fid].direct_calls:
                 self.callsites.setdefault((fid, line, col), []).append(callee)
 
     def functions_evaluated(self) -> int:
-        """Fixpoint evaluations so far, over every family that has run."""
-        ran = (self, self._typestate, self._units, self._interference)
-        return sum(an.fix.evaluations for an in ran if an is not None)
-
-    def typestate(self) -> Any:
-        """Lazily-run resource-lifecycle analysis (PIC5xx rules)."""
-        if self._typestate is None:
-            from repro.lint.project.typestate import TypestateAnalysis
-
-            self._typestate = TypestateAnalysis(self)
-        return self._typestate
+        """Fixpoint evaluations so far: the alias pass, plus the unit
+        pass once it has run."""
+        units = self._units.fix.evaluations if self._units is not None else 0
+        return self.fix.evaluations + units
 
     def unit_taint(self) -> Any:
-        """Lazily-run quantity-unit taint analysis (PIC6xx rules)."""
+        """Lazily-run quantity-unit taint analysis (PIC202, PIC6xx rules)."""
         if self._units is None:
             from repro.lint.project.units import UnitAnalysis
 
             self._units = UnitAnalysis(self)
         return self._units
-
-    def interference(self) -> Any:
-        """Lazily-run concurrency-interference analysis (PIC7xx rules)."""
-        if self._interference is None:
-            from repro.lint.project.interference import InterferenceAnalysis
-
-            self._interference = InterferenceAnalysis(self)
-        return self._interference
 
     def bound_callbacks(self, cfq: str, attr: str) -> list[str]:
         """Functions bound to ``cfq(attr=...)`` at any constructor site."""
@@ -620,19 +603,13 @@ class ProjectAnalysis:
             out.update(summary.flow_fns)
         return out
 
-    def handler_seeds(self) -> set:
-        out: set = set()
-        for summary in self.summaries.values():
-            out.update(summary.handler_fns)
-        return out | self.flow_continuations()
-
     def handler_reachable(self) -> set:
-        """Functions that may execute during simulated event dispatch."""
-        return self.reachable_from(self.handler_seeds())
-
-    def reachable_from(self, seeds: Iterable[str]) -> set:
-        """``seeds`` and everything they reach over resolved calls."""
-        reached = set(seeds)
+        """Functions that may execute during simulated event dispatch:
+        every registered handler and flow continuation, and everything
+        they reach over resolved calls."""
+        reached = self.flow_continuations()
+        for summary in self.summaries.values():
+            reached.update(summary.handler_fns)
         frontier = sorted(reached)
         while frontier:
             fid = frontier.pop()

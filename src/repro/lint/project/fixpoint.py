@@ -1,4 +1,4 @@
-"""The fixpoint driver shared by the four interprocedural passes.
+"""The fixpoint driver shared by the two interprocedural passes.
 
 A pass evaluates one function at a time from that function's IR plus
 what it reads of the evolving state: callee summaries (:meth:`read`)
@@ -25,7 +25,7 @@ class Fixpoint:
     def __init__(self) -> None:
         #: fid -> latest summary; rules read this.
         self.summaries: dict[str, Any] = {}
-        #: fid -> findings of its latest evaluation (an ``Evaluation``
+        #: fid -> findings of its latest evaluation (a ``Walker``
         #: registers its list here when it starts).
         self.found: dict[str, list] = {}
         #: evaluations run (the plain sweep runs rounds x functions).

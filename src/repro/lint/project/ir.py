@@ -1,10 +1,11 @@
 """Lowering: one module's AST → a serializable dataflow IR.
 
-The IR is deliberately tiny.  Each function becomes a list of *ops*
-(source order; loop bodies are inlined and both branches of an ``if``
-are kept visible — the alias analysis is a may-analysis, while the
-typestate analysis walks the block structure) over nested *descriptors*
-describing where a value came from:
+The IR is deliberately tiny.  Each function becomes one linear list of
+*ops* in source order over nested *descriptors* describing where a
+value came from.  Every block is inlined — a loop's body, both arms of
+an ``if``, every part of a ``try`` — because the passes are
+may-analyses that walk a function once, flow-insensitively over its
+control structure (DESIGN.md §9.1):
 
 ========================  =============================================
 descriptor                meaning
@@ -27,18 +28,13 @@ descriptor                meaning
                           ``["meth", base, attr]`` or ``["desc", d]``
 ========================  =============================================
 
-Linear ops: ``["bind", name, d, line]`` (a tuple target is one bind
-per name, each of an ``elem`` of the value), ``["eval", d, line]``,
-``["mutate", target_d, value_d|None, kind, line, col]`` (kind
-``store``/``del``/``aug:<Op>``), ``["ret", d, line, col]``, ``["defl",
-name, fid, line]``, ``["kill", name]`` and ``["raise", d|None, line]``.
-
-Block ops carry nested op lists so path-sensitive analyses see
-control structure and exception edges (schema v2):
-
-* ``["if", test_d, body, orelse, line]``
-* ``["with", [[ctx_d, var|None], ...], body, line]``
-* ``["try", body, [[name|None, handler], ...], orelse, final, line]``
+Ops: ``["bind", name, d, line]`` (a tuple target is one bind per
+name, each of an ``elem`` of the value), ``["eval", d, line]`` (an
+expression statement, a loop or ``if`` test, an assertion, a raised
+exception), ``["mutate", target_d, value_d|None, kind, line, col]``
+(kind ``store``/``del``/``aug:<Op>``), ``["ret", d, line, col]``,
+``["defl", name, fid, line]``, ``["kill", name]`` and ``["with", ctx_d,
+var|None, line]`` (one per ``with`` item, before the body's ops).
 
 Everything is plain lists/dicts/strings so the incremental cache can
 round-trip a module's IR through JSON without touching the AST again.
@@ -52,9 +48,9 @@ from typing import Any, Sequence
 from repro.lint.module import LintModule, import_aliases
 
 #: Bump when the IR shape changes: invalidates every cache entry.
-#: v2: exception-edge block ops (try/with/if), raise ops, operator
-#: names on bin/cmp descriptors (typestate + unit-taint analyses).
-IR_SCHEMA_VERSION = 2
+#: v2: operator names on bin/cmp descriptors (unit-taint analysis).
+#: v3: one linear op list, ``if``/``with``/``try`` inlined.
+IR_SCHEMA_VERSION = 3
 
 Desc = list  # nested ["kind", ...] lists; JSON-serializable
 Op = list
@@ -114,15 +110,6 @@ def root_name(desc: Desc) -> str | None:
     while desc[0] in ("elem", "slice", "attr"):
         desc = desc[1]
     return desc[1] if desc[0] == "name" else None
-
-
-def base_tail_name(base: Desc) -> str | None:
-    """The nearest name in a receiver chain (``runner`` in
-    ``self.runner._queue``)."""
-    node = strip_subscripts(base)
-    if node[0] == "attr":
-        return node[2]
-    return node[1] if node[0] == "name" else None
 
 
 def attr_chain(desc: Desc) -> tuple[list[str], str] | None:
@@ -353,44 +340,27 @@ class _FunctionLowering:
             self.stmts(node.body)
             self.stmts(node.orelse)
         elif isinstance(node, ast.If):
-            self.ops.append(
-                [
-                    "if",
-                    self.conv(node.test),
-                    self.block(node.body),
-                    self.block(node.orelse),
-                    node.lineno,
-                ]
-            )
+            self.ops.append(["eval", self.conv(node.test), node.lineno])
+            self.stmts(node.body)
+            self.stmts(node.orelse)
         elif isinstance(node, (ast.With, ast.AsyncWith)):
-            items: list[list] = []
             for item in node.items:
                 var: str | None = None
                 if isinstance(item.optional_vars, ast.Name):
                     var = item.optional_vars.id
                 elif item.optional_vars is not None:
-                    # Tuple/attribute targets: keep the v1 binding, no var.
+                    # Tuple/attribute targets bind nothing known.
                     self.assign_target(item.optional_vars, ["const"], node.lineno)
-                items.append([self.conv(item.context_expr), var])
-            self.ops.append(["with", items, self.block(node.body), node.lineno])
+                self.ops.append(["with", self.conv(item.context_expr), var, node.lineno])
+            self.stmts(node.body)
         elif isinstance(node, ast.Try):
-            handlers: list[list] = []
+            self.stmts(node.body)
             for handler in node.handlers:
-                hops: list[Op] = []
                 if handler.name:
-                    hops.append(["bind", handler.name, ["const"], handler.lineno])
-                hops.extend(self.block(handler.body))
-                handlers.append([handler.name, hops])
-            self.ops.append(
-                [
-                    "try",
-                    self.block(node.body),
-                    handlers,
-                    self.block(node.orelse),
-                    self.block(node.finalbody),
-                    node.lineno,
-                ]
-            )
+                    self.ops.append(["bind", handler.name, ["const"], handler.lineno])
+                self.stmts(handler.body)
+            self.stmts(node.orelse)
+            self.stmts(node.finalbody)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fid = self.mod._lower_function(
                 node, qual=f"{self.qual}.<locals>.{node.name}", class_name=self.class_name
@@ -415,21 +385,11 @@ class _FunctionLowering:
                         ]
                     )
         elif isinstance(node, ast.Raise):
-            exc = self.conv(node.exc) if node.exc is not None else None
-            self.ops.append(["raise", exc, node.lineno])
+            if node.exc is not None:
+                self.ops.append(["eval", self.conv(node.exc), node.lineno])
         elif isinstance(node, ast.Assert):
             self.ops.append(["eval", self.conv(node.test), node.lineno])
         # Import/Global/Nonlocal/Pass/Break/Continue: no dataflow.
-
-    def block(self, body: Sequence[ast.stmt]) -> list[Op]:
-        """Lower ``body`` into its own op list (for block ops)."""
-        saved = self.ops
-        self.ops = []
-        try:
-            self.stmts(body)
-            return self.ops
-        finally:
-            self.ops = saved
 
     def assign_target(self, target: ast.expr, value: Desc, line: int) -> None:
         if isinstance(target, ast.Name):

@@ -49,12 +49,12 @@ simulated sinks, iterated to a fixpoint over the call graph.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.lint.project.fixpoint import Fixpoint
 from repro.lint.project.graph import SUBSTRATE_NAMES
 from repro.lint.project.ir import callee_dotted, strip_subscripts
-from repro.lint.project.walker import TaintSummary, TaintWalker, call_tail
+from repro.lint.project.walker import Walker, call_tail
 from repro.lint.rules.determinism import WALL_CLOCK_CALLS
 
 if TYPE_CHECKING:
@@ -127,6 +127,22 @@ Units = frozenset  # of unit tags and ("param", name) markers
 _EMPTY: Units = frozenset()
 
 
+class UnitSummary:
+    """One function's unit facts: the units its return may carry
+    (``ret``) and the sink units each parameter may reach
+    (``param_sinks``)."""
+
+    def __init__(self) -> None:
+        self.ret: Units = _EMPTY
+        self.param_sinks: dict[str, frozenset[str]] = {}
+
+    def key(self) -> tuple:
+        return (
+            tuple(sorted(map(str, self.ret))),
+            tuple(sorted((p, tuple(sorted(s))) for p, s in self.param_sinks.items())),
+        )
+
+
 class UnitAnalysis:
     """Converged unit summaries plus the findings they imply."""
 
@@ -139,7 +155,7 @@ class UnitAnalysis:
         self.fix = Fixpoint()
         #: fid -> units its return may carry, and the simulated-sink
         #: units each parameter (transitively) flows into.
-        self.summaries: dict[str, TaintSummary] = self.fix.summaries
+        self.summaries: dict[str, UnitSummary] = self.fix.summaries
         self.findings: list[tuple[str, str, int, int, str]] = self.fix.solve(
             sorted(self.graph.function_ir),
             lambda fid: _UnitWalker(self, fid).run(),
@@ -159,13 +175,24 @@ def _conflict(a: Units, b: Units) -> tuple[str, str] | None:
     return None
 
 
-class _UnitWalker(TaintWalker):
-    """The unit domain: seeds, arithmetic checks and simulated sinks."""
+class _UnitWalker(Walker):
+    """The unit domain: seeds, arithmetic checks and simulated sinks,
+    with ``("param", name)`` markers for parameter polymorphism over a
+    :class:`UnitSummary`, which :meth:`through_callees` replays at a
+    resolved call site."""
+
+    bottom: Units = _EMPTY
 
     def __init__(self, an: UnitAnalysis, fid: str) -> None:
-        super().__init__(an, fid, TaintSummary())
+        super().__init__(an, fid)
+        self.summary = UnitSummary()
+        for p in self.fn["params"]:
+            self.env[p] = frozenset({("param", p)})
 
     # -- hooks ---------------------------------------------------------
+
+    def ret(self, value: Units, line: int, col: int) -> None:
+        self.summary.ret = self.summary.ret | value
 
     def mutate(
         self, target: list, value: list | None, stored: Units, how: str, line: int, col: int
@@ -241,11 +268,45 @@ class _UnitWalker(TaintWalker):
             return units
         return _EMPTY
 
-    def passed_to_sinks(
-        self, callee: dict, value: Units, sinks: frozenset, line: int, col: int
-    ) -> None:
-        for unit in sorted(sinks):
-            self._check_sink_value(value, unit, callee["name"], None, line, col, via=True)
+    # -- parameter polymorphism ----------------------------------------
+
+    def reach(self, value: Units, sinks: Iterable[str]) -> None:
+        """Every parameter ``value`` may stand for reaches ``sinks``."""
+        for p in sorted(m[1] for m in value if isinstance(m, tuple)):  # pic: noqa: PIC003 (sorted)
+            done = self.summary.param_sinks.get(p, frozenset())
+            self.summary.param_sinks[p] = done | frozenset(sinks)
+
+    def through_callees(
+        self, desc: list, args: list[Units], kwargs: dict[str, Units]
+    ) -> Units | None:
+        """What the project functions this call site resolves to may
+        return for these arguments, after each argument a callee
+        forwards to a sink has been checked against it (and has
+        :meth:`reach`ed it, for our own parameters).  None when the site
+        resolves to no project function."""
+        _, func, _args, _kwargs, line, col = desc
+        callees = self.an.callsites.get((self.fid, line, col))
+        if not callees:
+            return None
+        out: set = set()
+        for fid in callees:
+            callee = self.graph.function_ir.get(fid)
+            summary = self.an.fix.read(fid)
+            if callee is None or summary is None:
+                continue
+            bound = self.bind_args(callee, func, args, kwargs)
+            for pname, sinks in sorted(summary.param_sinks.items()):
+                if bound.get(pname):
+                    for unit in sorted(sinks):
+                        self._check_sink_value(
+                            bound[pname], unit, callee["name"], None, line, col, via=True
+                        )
+            for marker in summary.ret:
+                if isinstance(marker, str):
+                    out.add(marker)
+                else:
+                    out |= bound.get(marker[1], self.bottom)
+        return frozenset(out)
 
     # -- checks --------------------------------------------------------
 

@@ -2,25 +2,16 @@
 
 A pass evaluates a function by walking its IR once with an abstract
 *domain*: a bottom value, a join (``|``) and a handful of transfer
-functions.  What is the same in every pass lives here, once:
-
-* :class:`Evaluation` — the prologue (function IR, module key, import
-  aliases, enclosing class), the callee argument binder and the
-  de-duplicating ``report`` whose list the :class:`Fixpoint` keeps as
-  the function's *latest* findings;
-* :class:`Walker` — the structural walk over the IR-v2 op and
-  descriptor kinds, one hook per kind where the domains differ;
-  sub-expressions are evaluated in source order, operands before the
-  hook that combines them (recorded sites are first-site-wins).  It
-  also keeps the one static type environment (``tenv``, read through
-  :meth:`Walker.type_of`) that tells the typed passes what class a
-  receiver is;
-* :class:`TaintWalker` — the marker-set domain with ``("param",
-  name)`` polymorphism over a :class:`TaintSummary`, instantiated for
-  unit and for order taint.
-
-The path-sensitive typestate pass forks and joins environments, which
-is a different traversal: it builds on :class:`Evaluation` only.
+functions.  What is the same in every pass lives in :class:`Walker`,
+once: the prologue (function IR, module key, import aliases, enclosing
+class), the callee argument binder, the de-duplicating ``report``
+whose list the :class:`Fixpoint` keeps as the function's *latest*
+findings, and the walk over the linear IR op and descriptor kinds, one
+hook per kind where the domains differ.  Sub-expressions are evaluated
+in source order, operands before the hook that combines them (recorded
+sites are first-site-wins).  It also keeps the one static type
+environment (``tenv``, read through :meth:`Walker.type_of`) that tells
+the passes what class a receiver is.
 """
 
 from __future__ import annotations
@@ -41,9 +32,10 @@ def call_tail(func: list) -> str | None:
     return func[1] if func[0] == "ref" else None
 
 
-class Evaluation:
+class Walker:
     """One evaluation of function ``fid`` on behalf of the pass ``an``
-    (anything with a ``graph`` and a ``fix``)."""
+    (anything with a ``graph`` and a ``fix``): a single source-order
+    walk of its op list over one ``env``."""
 
     #: What stands for "nothing known" in the pass's domain.
     bottom: Any = None
@@ -66,6 +58,21 @@ class Evaluation:
         self.findings: list[tuple[str, str, int, int, str]] = []
         an.fix.found[fid] = self.findings
         self._reported: set[tuple] = set()
+        #: local name -> abstract value.
+        self.env: dict[str, Any] = {}
+        #: local name -> static class: annotated parameters, ``self``,
+        #: and every bind whose value :meth:`type_of` can type.
+        self.tenv: dict[str, str] = {}
+        for p, raw in self.fn["param_types"].items():
+            cfq = self.graph.resolve_type(raw, self.modkey)
+            if cfq:
+                self.tenv[p] = cfq
+        params = self.fn["params"]
+        if self.cls is not None and (params[:1] == ["self"] or "self" not in params):
+            # A method's own ``self``, or the free ``self`` of a def or
+            # lambda nested in one: method refs resolve through it.
+            self.tenv["self"] = self.cls
+        self.summary: Any = None
 
     def report(self, rule: str, line: int, col: int, message: str) -> None:
         key = (rule, line, col, message)
@@ -96,38 +103,12 @@ class Evaluation:
         """The value bound to a method callee's ``self``."""
         return self.bottom
 
-
-class Walker(Evaluation):
-    """The flow-insensitive-over-blocks walk: both arms of an ``if`` and
-    every part of a ``try`` execute, in source order, over one ``env``."""
-
-    def __init__(self, an: Any, fid: str) -> None:
-        super().__init__(an, fid)
-        #: local name -> abstract value.
-        self.env: dict[str, Any] = {}
-        #: local name -> static class: annotated parameters, ``self``,
-        #: and every bind whose value :meth:`type_of` can type.
-        self.tenv: dict[str, str] = {}
-        for p, raw in self.fn["param_types"].items():
-            cfq = self.graph.resolve_type(raw, self.modkey)
-            if cfq:
-                self.tenv[p] = cfq
-        params = self.fn["params"]
-        if self.cls is not None and (params[:1] == ["self"] or "self" not in params):
-            # A method's own ``self``, or the free ``self`` of a def or
-            # lambda nested in one: method refs resolve through it.
-            self.tenv["self"] = self.cls
-        self.summary: Any = None
-
     def run(self) -> Any:
-        self.walk(self.fn["ops"])
+        for op in self.fn["ops"]:
+            self.op(op)
         return self.summary
 
     # -- ops -----------------------------------------------------------
-
-    def walk(self, ops: Iterable[list]) -> None:
-        for op in ops:
-            self.op(op)
 
     def op(self, op: list) -> None:
         kind = op[0]
@@ -145,25 +126,10 @@ class Walker(Evaluation):
             self.env[op[1]] = self.fnref(op[2])
         elif kind == "kill":
             self.kill(op[1])
-        elif kind == "raise":
-            if op[1] is not None:
-                self.eval(op[1])
-        elif kind == "if":
-            self.eval(op[1])
-            self.walk(op[2])
-            self.walk(op[3])
         elif kind == "with":
-            for ctx, var in op[1]:
-                value = self.eval(ctx)
-                if var is not None:
-                    self.with_item(var, value)
-            self.walk(op[2])
-        elif kind == "try":
-            self.walk(op[1])
-            for _name, handler_ops in op[2]:
-                self.walk(handler_ops)
-            self.walk(op[3])
-            self.walk(op[4])
+            value = self.eval(op[1])
+            if op[2] is not None:
+                self.with_item(op[2], value)
 
     def bind(self, name: str, desc: list, value: Any) -> None:
         self.env[name] = value
@@ -302,76 +268,3 @@ class Walker(Evaluation):
         """A call whose arguments (in order, then keywords) evaluated to
         ``args``/``kwargs``; the callee expression is the domain's."""
         return self.bottom
-
-
-class TaintSummary:
-    """One function's taint facts: the markers its return may carry
-    (``ret``) and the sinks each parameter may reach (``param_sinks``)."""
-
-    def __init__(self) -> None:
-        self.ret: frozenset = frozenset()
-        self.param_sinks: dict[str, frozenset[str]] = {}
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(map(str, self.ret))),
-            tuple(sorted((p, tuple(sorted(s))) for p, s in self.param_sinks.items())),
-        )
-
-
-class TaintWalker(Walker):
-    """Marker sets with parameter polymorphism over a
-    :class:`TaintSummary`, which :meth:`through_callees` replays at a
-    resolved call site."""
-
-    bottom: frozenset = frozenset()
-
-    def __init__(self, an: Any, fid: str, summary: TaintSummary) -> None:
-        super().__init__(an, fid)
-        self.summary = summary
-        for p in self.fn["params"]:
-            self.env[p] = frozenset({("param", p)})
-
-    def ret(self, value: frozenset, line: int, col: int) -> None:
-        self.summary.ret = self.summary.ret | value
-
-    def reach(self, value: frozenset, sinks: Iterable[str]) -> None:
-        """Every parameter ``value`` may stand for reaches ``sinks``."""
-        for p in sorted(m[1] for m in value if isinstance(m, tuple)):  # pic: noqa: PIC003 (sorted)
-            done = self.summary.param_sinks.get(p, frozenset())
-            self.summary.param_sinks[p] = done | frozenset(sinks)
-
-    def through_callees(
-        self, desc: list, args: list, kwargs: dict[str, frozenset]
-    ) -> frozenset | None:
-        """What the project functions this call site resolves to may
-        return for these arguments, after :meth:`passed_to_sinks` has
-        seen each argument a callee forwards to a sink.  None when the
-        site resolves to no project function."""
-        _, func, _args, _kwargs, line, col = desc
-        callees = self.an.callsites.get((self.fid, line, col))
-        if not callees:
-            return None
-        out: set = set()
-        for fid in callees:
-            callee = self.graph.function_ir.get(fid)
-            summary = self.an.fix.read(fid)
-            if callee is None or summary is None:
-                continue
-            bound = self.bind_args(callee, func, args, kwargs)
-            for pname, sinks in sorted(summary.param_sinks.items()):
-                if bound.get(pname):
-                    self.passed_to_sinks(callee, bound[pname], sinks, line, col)
-            for marker in summary.ret:
-                if isinstance(marker, str):
-                    out.add(marker)
-                else:
-                    out |= bound.get(marker[1], self.bottom)
-        return frozenset(out)
-
-    def passed_to_sinks(
-        self, callee: dict, value: frozenset, sinks: frozenset, line: int, col: int
-    ) -> None:
-        """``value`` is passed for a parameter ``callee`` hands on to
-        ``sinks``: check it, and :meth:`reach` for our own parameters."""
-        raise NotImplementedError

@@ -7,9 +7,11 @@ Each rule family maps to one simulator invariant (see DESIGN.md §7/§9):
 * ``PIC2xx`` — bytes-conserving flow accounting;
 * ``PIC3xx`` — cross-partition aliasing (whole-program);
 * ``PIC4xx`` — simulation integrity (whole-program);
-* ``PIC5xx`` — resource lifecycle typestate (whole-program);
-* ``PIC6xx`` — quantity-unit taint (whole-program);
-* ``PIC7xx`` — concurrency interference (whole-program).
+* ``PIC6xx`` — quantity-unit taint (whole-program).
+
+Schedule interference has a run-time guard instead of a rule family:
+``PIC_SANITIZE`` replays every simulation with permuted same-time ties
+and fails on any divergence (DESIGN.md §14).
 
 Per-file rules subclass :class:`Rule` and see one :class:`LintModule`
 at a time.  Whole-program rules subclass :class:`ProjectRule` and see
@@ -64,28 +66,10 @@ def project_finding(
     return Finding(project.graph.fid_path[fid], line, col + 1, rule_id, message)
 
 
-class FamilyRule(ProjectRule):
-    """``rule_id``'s share of the ``(rule, fid, line, col, message)``
-    findings one family analysis (typestate, units, interference) holds."""
-
-    def __init__(self, rule_id: str, summary: str, doc: str, family: str) -> None:
-        self.rule_id = rule_id
-        self.summary = summary
-        #: First line of ``--explain``, as a rule class's docstring is.
-        self.__doc__ = doc
-        #: The :class:`ProjectAnalysis` method that runs the family's pass.
-        self.family = family
-
-    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        for rule, fid, line, col, message in getattr(project, self.family)().findings:
-            if rule == self.rule_id:
-                yield project_finding(project, rule, fid, line, col, message)
-
-
 def all_rules() -> list[Rule]:
     """Every shipped rule, in ID order (the per-file and alias-reading
-    rules as fresh instances, the family rules as their table rows)."""
-    from repro.lint.rules import concurrency, lifecycle, units
+    rules as fresh instances, the unit-taint rules as their table rows)."""
+    from repro.lint.rules import units
     from repro.lint.rules.aliasing import (
         CallbackRecordMutationRule,
         PartitionAliasingRule,
@@ -113,9 +97,7 @@ def all_rules() -> list[Rule]:
         CallbackRecordMutationRule(),
         TrafficBypassRule(),
         ReentrantHandlerMutationRule(),
-        *lifecycle.RULES,
         *units.RULES,
-        *concurrency.RULES,
     ]
     return sorted(rules, key=lambda r: r.rule_id)
 
@@ -127,9 +109,7 @@ FAMILIES = {
     "PIC2": "bytes-conserving flow accounting",
     "PIC3": "cross-partition aliasing",
     "PIC4": "simulation integrity",
-    "PIC5": "resource lifecycle typestate",
     "PIC6": "quantity-unit taint",
-    "PIC7": "concurrency interference",
 }
 
 

@@ -23,27 +23,46 @@ converged taint facts from :mod:`repro.lint.project.units`:
 
 from __future__ import annotations
 
-from repro.lint.rules import FamilyRule
+from typing import TYPE_CHECKING, Iterator
 
-#: One row per rule: id, ``--list-rules`` summary, ``--explain`` doc line,
-#: and the ``ProjectAnalysis`` method that runs the family's pass.
+from repro.lint.model import Finding
+from repro.lint.rules import ProjectRule, project_finding
+
+if TYPE_CHECKING:
+    from repro.lint.project.analysis import ProjectAnalysis
+
+
+class UnitTaintRule(ProjectRule):
+    """``rule_id``'s share of the ``(rule, fid, line, col, message)``
+    findings the unit-taint pass holds."""
+
+    def __init__(self, rule_id: str, summary: str, doc: str) -> None:
+        self.rule_id = rule_id
+        self.summary = summary
+        #: First line of ``--explain``, as a rule class's docstring is.
+        self.__doc__ = doc
+
+    def check_project(self, project: "ProjectAnalysis") -> Iterator[Finding]:
+        for rule, fid, line, col, message in project.unit_taint().findings:
+            if rule == self.rule_id:
+                yield project_finding(project, rule, fid, line, col, message)
+
+
+#: One row per rule: id, ``--list-rules`` summary and ``--explain`` doc line.
 RULES = (
-    FamilyRule(
+    UnitTaintRule(
         "PIC202",
         "len()/getsizeof passed as a flow byte count; use sizeof_records/.nbytes",
         "PIC202: ``len()`` where a serialized byte count is required.",
-        "unit_taint",
     ),
-    FamilyRule(
+    UnitTaintRule(
         "PIC601",
         "adds/subtracts/compares quantities with conflicting units",
         "PIC601: arithmetic/comparison across conflicting units.",
-        "unit_taint",
     ),
-    FamilyRule(
+    UnitTaintRule(
         "PIC602",
         "wall-clock or mis-united quantity flows into a simulated metric",
         "PIC602: mis-united value reaches a simulated-time/bytes sink.",
-        "unit_taint",
     ),
 )

@@ -12,20 +12,11 @@ from repro.lint.rules import all_rules
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 SARIF_VERSION = "2.1.0"
 
-#: Families whose findings are correctness-critical, not stylistic:
-#: resource-lifecycle bugs (PIC5xx) crash or leak at runtime, and
-#: concurrency interference (PIC7xx) silently changes results with the
-#: schedule.  Everything else ships as a warning.
-ERROR_FAMILIES = frozenset({"PIC5", "PIC7"})
-
-#: GitHub code-scanning ``security-severity`` scores per family level
-#: (>= 7.0 renders "high", 4.0–6.9 "medium").
-_SEVERITY_SCORE = {"error": "7.5", "warning": "5.0"}
-
-
-def severity_level(rule_id: str) -> str:
-    """SARIF ``level`` for a rule: family-consistent error/warning."""
-    return "error" if rule_id[:4] in ERROR_FAMILIES else "warning"
+#: SARIF ``level`` of every rule: a finding is a warning to act on, and
+#: its GitHub code-scanning ``security-severity`` (4.0–6.9 renders
+#: "medium").
+_LEVEL = "warning"
+_SEVERITY_SCORE = "5.0"
 
 
 def _uri(path: str) -> str:
@@ -36,22 +27,21 @@ def to_sarif(findings: Sequence[Finding], errors: Sequence[str]) -> dict:
     """The full SARIF log object for one run."""
     rules = []
     for rule in all_rules():
-        level = severity_level(rule.rule_id)
         rules.append(
             {
                 "id": rule.rule_id,
                 "shortDescription": {"text": rule.summary},
-                "defaultConfiguration": {"level": level},
+                "defaultConfiguration": {"level": _LEVEL},
                 "properties": {
-                    "problem.severity": level,
-                    "security-severity": _SEVERITY_SCORE[level],
+                    "problem.severity": _LEVEL,
+                    "security-severity": _SEVERITY_SCORE,
                 },
             }
         )
     results = [
         {
             "ruleId": f.rule,
-            "level": severity_level(f.rule),
+            "level": _LEVEL,
             "message": {"text": f.message},
             "locations": [
                 {

@@ -22,7 +22,7 @@ Simulation.schedule_serialized` pass per timestamp performs the
 matching over the complete state.  Which of two same-instant events (a
 release and a request, say) happens to run first therefore cannot
 change any assignment — the invariant the ``PIC_SANITIZE`` schedule
-sanitizer checks and the PIC703 lint rule guards statically.  Calls
+sanitizer checks at run time.  Calls
 from outside any event (driver/submission code, unit tests) are served
 synchronously; root-context program order is part of the canonical
 order.

@@ -4,6 +4,11 @@ EXPERIMENTS.md promises bit-for-bit reproducibility; these tests pin it
 for a representative slice of each application.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.apps.kmeans import KMeansProgram, gaussian_mixture
@@ -11,6 +16,8 @@ from repro.apps.pagerank import PageRankProgram, local_web_graph
 from repro.cluster.presets import small_cluster
 from repro.harness import compare_ic_pic
 from repro.pic.runner import PICRunner
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def kmeans_setup():
@@ -69,3 +76,24 @@ class TestDeterminism:
             return cluster.sim.events_processed
 
         assert run() == run()
+
+    def test_hash_order_never_becomes_schedule_order(self):
+        """The 16-job concurrent run digests the same under two string
+        hash seeds: no set or dict iteration order reaches the
+        schedule (the run-time side of PIC003's per-file check)."""
+
+        def digest(hash_seed: str) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "tests.integration.test_sanitizer"],
+                capture_output=True, text=True, cwd=REPO, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip()
+
+        first = digest("1")
+        assert len(first) == 16
+        assert digest("2") == first

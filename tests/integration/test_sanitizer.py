@@ -12,12 +12,12 @@ Two halves:
 * Equivalence — the five reference apps (both pipeline modes) and a
   16-job concurrent ``run_many`` produce identical summaries across
   the unsanitized run and three seeds.
-* Sensitivity — toy simulations with exactly the PIC701/PIC702 bug
-  shapes (a handler writing a sibling's state; two co-schedulable
-  handlers last-write-winning an unkeyed field) *do* diverge across
-  seeds, while their keyed/serialized fixes stay stable.  This is what
-  makes the lint family falsifiable: the sanitizer independently
-  catches what PIC701/702 flag statically.
+* Sensitivity — toy simulations with the two interference shapes (a
+  handler writing a sibling job's state; two co-schedulable handlers
+  last-write-winning an unkeyed field) *do* diverge across seeds, while
+  their keyed/serialized fixes stay stable.  This is what makes the
+  sanitizer a guard rather than a smoke test: it is the one check of
+  this bug class, and it fails on the shapes it exists to catch.
 
 The seed is read once, when a ``Simulation`` is constructed, so the
 env var is toggled around each cluster build — no subprocesses needed.
@@ -129,7 +129,7 @@ class TestConcurrentRunManyEquivalence:
             )
 
 
-# -- sensitivity: the sanitizer catches what PIC701/702 flag -------------
+# -- sensitivity: the sanitizer catches the interference shapes ----------
 
 # Enough seeds that a permutation-sensitive bug flips at least once.
 PROBE_SEEDS = range(1, 11)
@@ -138,7 +138,7 @@ PROBE_SEEDS = range(1, 11)
 def _two_handler_race(seed, fix: str):
     """Two handlers fired from different parents at the same instant.
 
-    ``fix=None`` reproduces the PIC702 fixture: both last-write-win one
+    ``fix=None`` is the tie-order race: both last-write-win one
     unkeyed field.  ``fix='keyed'`` writes per-handler keys;
     ``fix='serialized'`` funnels both through one serialization point
     that applies a canonical (min) arbitration.
@@ -175,7 +175,7 @@ def _two_handler_race(seed, fix: str):
 
 
 def _cross_job_write(seed, keyed: bool):
-    """The PIC701 fixture shape: each job's completion handler stamps
+    """The cross-job write: each job's completion handler stamps
     its own state *and* its sibling's, so a job's surviving stamp is
     whichever handler ran last at the shared instant.  The keyed fix
     gives each writer its own slot, making the writes commutative."""
@@ -201,7 +201,7 @@ def _cross_job_write(seed, keyed: bool):
 
 class TestSanitizerCatchesInterference:
     def test_unkeyed_shared_store_is_seed_dependent(self):
-        # The PIC702 shape: some seed must order the pair each way.
+        # The tie-order race: some seed must order the pair each way.
         outcomes = {_two_handler_race(s, fix=None)["last"] for s in PROBE_SEEDS}
         assert outcomes == {"a", "b"}
 
@@ -225,7 +225,7 @@ class TestSanitizerCatchesInterference:
         assert results == {"a"}
 
     def test_cross_job_write_is_seed_dependent(self):
-        # The PIC701 shape: which sibling's field survives varies.
+        # The cross-job write: which sibling's field survives varies.
         outcomes = {
             tuple(r[0] for r in _cross_job_write(s, keyed=False))
             for s in PROBE_SEEDS

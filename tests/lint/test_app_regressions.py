@@ -7,7 +7,6 @@ by re-linting each real source file with a one-line seeded bug — or, for
 a write the read-only guard stops, by running the same write.
 """
 
-import tarfile
 from collections import Counter
 from pathlib import Path
 
@@ -20,8 +19,6 @@ from repro.lint.baseline import finding_fingerprint, load_baseline
 from repro.lint.engine import run_lint
 from repro.pic.engine import BestEffortEngine
 from tests.lint.real_tree import REPO, real_tree_files
-
-CORPUS = REPO / "benchmarks/perf/ledger/corpus/src-repro-8464be0.tar.gz"
 
 
 class _SmoothingMergingIntoAPartial(ImageSmoothingProgram):
@@ -48,7 +45,7 @@ def project_rules(source: str) -> list[str]:
     # "<memory>" path yields an anonymous module, which weakens
     # intra-module annotation resolution for the interprocedural rules.
     return sorted(
-        {f.rule for f in lint_source(source, path="app.py") if f.rule[3] in "34567"}
+        {f.rule for f in lint_source(source, path="app.py") if f.rule[3] in "346"}
     )
 
 
@@ -60,45 +57,12 @@ _INPUT_READ = (
     "                )"
 )
 
-# The worker-side rebuild of the frozen shared-memory hand-off.
-_GUARDED_COPY = (
-    "    shm = _attach(name)\n"
-    "    try:\n"
-    "        buffers = [\n"
-    "            bytearray(shm.buf[offset : offset + size])\n"
-    "            for offset, size in segments\n"
-    "        ]\n"
-    "    finally:\n"
-    "        shm.close()"
-)
-_RELEASE_ONCE = "        _release_block(shm)\n        raise"
-_RELEASE_TWICE = "        _release_block(shm)\n" + _RELEASE_ONCE
-
-
-@pytest.fixture(scope="module")
-def frozen_shm() -> str:
-    """``repro/parallel/shm.py`` as the ledger's corpus froze it.
-
-    The live tree no longer holds a ``SharedMemory`` block anywhere (the
-    pool's one transport is pickle), so the lifecycle rules keep their
-    real-code regression on the last copy that did.  The corpus seeds a
-    doubled release into it; that is undone here, and each test below
-    seeds one defect into the clean text.
-    """
-    with tarfile.open(CORPUS) as tar:
-        member = tar.extractfile("repro/parallel/shm.py")
-        assert member is not None
-        source = member.read().decode("utf-8")
-    source = seeded(source, _RELEASE_TWICE, _RELEASE_ONCE)
-    assert not {"PIC501", "PIC502", "PIC503"} & set(project_rules(source))
-    return source
-
 
 class TestRealTreeIsClean:
     @pytest.mark.parametrize("subtree", ["src", "benchmarks", "examples"])
     def test_no_whole_program_findings(self, subtree):
         run = run_lint(real_tree_files(subtree))
-        offenders = [f for f in run.findings if f.rule[3] in "34567"]
+        offenders = [f for f in run.findings if f.rule[3] in "346"]
         assert offenders == []
         assert run.errors == []
 
@@ -187,41 +151,6 @@ class TestSeededRegressions:
         )
         assert "PIC402" in project_rules(source)
 
-    def test_shm_rebuild_without_close_guard_is_caught(self, frozen_shm):
-        # Dropping the try/finally around the worker-side copy leaks
-        # the mapping whenever a segment copy raises.
-        source = seeded(
-            frozen_shm,
-            _GUARDED_COPY,
-            "    shm = _attach(name)\n"
-            "    buffers = [\n"
-            "        bytearray(shm.buf[offset : offset + size])\n"
-            "        for offset, size in segments\n"
-            "    ]\n"
-            "    shm.close()",
-        )
-        assert "PIC501" in project_rules(source)
-
-    def test_double_cleanup_on_error_path_is_caught(self, frozen_shm):
-        # Releasing the block twice in export_batch's error path: the
-        # second close/unlink pair is certainly redundant.
-        source = seeded(frozen_shm, _RELEASE_ONCE, _RELEASE_TWICE)
-        assert "PIC502" in project_rules(source)
-
-    def test_reading_the_mapping_after_close_is_caught(self, frozen_shm):
-        # Closing before the copy reads freed shared memory.
-        source = seeded(
-            frozen_shm,
-            _GUARDED_COPY,
-            "    shm = _attach(name)\n"
-            "    shm.close()\n"
-            "    buffers = [\n"
-            "        bytearray(shm.buf[offset : offset + size])\n"
-            "        for offset, size in segments\n"
-            "    ]",
-        )
-        assert "PIC503" in project_rules(source)
-
     def test_wall_clock_iteration_timing_is_caught(self):
         # Timing a run with the host clock but reporting it against
         # the simulated clock mixes the two time bases.
@@ -245,68 +174,3 @@ class TestSeededRegressions:
             "        self.cluster.sim.schedule(overhead, self._start_maps)",
         )
         assert "PIC602" in project_rules(source)
-
-    def test_runner_handler_writing_a_sibling_job_is_caught(self):
-        # A completion handler mirroring its progress into a *peer*
-        # job's state: whichever job's handler runs last at the shared
-        # timestamp wins, so the peer's view depends on tie order.
-        source = mutated(
-            REPO / "src/repro/mapreduce/runner.py",
-            "    def _kill_attempt(self, attempt: dict) -> None:",
-            '    def _mirror_peer(self, peer: "_JobState") -> None:\n'
-            "        peer._maps_done = self._maps_done\n"
-            "\n"
-            "    def _kill_attempt(self, attempt: dict) -> None:",
-        )
-        source = source.replace(
-            "        self._maps_done += 1",
-            "        self._maps_done += 1\n"
-            "        self._mirror_peer(self)",
-            1,
-        )
-        assert "PIC701" in project_rules(source)
-
-    def test_runner_unkeyed_cluster_scratch_field_is_caught(self):
-        # Two independently scheduled handler paths (the serialized
-        # reduce resolve and the reduce-finish chain) last-write-win a
-        # shared scalar on the cluster: classic tie-order interference.
-        source = mutated(
-            REPO / "src/repro/mapreduce/runner.py",
-            "    def _resolve_reduce_point(self) -> None:\n"
-            "        self._reduce_resolve_pending = False",
-            "    def _resolve_reduce_point(self) -> None:\n"
-            "        self.cluster.last_actor = self._reduce_resolve_pending\n"
-            "        self._reduce_resolve_pending = False",
-        )
-        source = source.replace(
-            "        self._reduce_capacity[node_id] += 1",
-            "        self.cluster.last_actor = node_id\n"
-            "        self._reduce_capacity[node_id] += 1",
-            1,
-        )
-        assert "PIC702" in project_rules(source)
-
-    def test_runner_poking_scheduler_free_list_is_caught(self):
-        # Handing a map slot back by emptying the scheduler's table of
-        # held containers skips the allocator's release and its
-        # serialization point — the slot is never free again and queued
-        # requests on that node never get served.
-        source = mutated(
-            REPO / "src/repro/mapreduce/runner.py",
-            "                self.runner.map_scheduler.release(node_id, "
-            "app_id=self.job_index)",
-            "                self.runner.map_scheduler._held[node_id, "
-            "self.job_index] = []",
-        )
-        assert "PIC703" in project_rules(source)
-
-    def test_runner_shuffling_transfers_from_a_set_is_caught(self):
-        # Collecting the map wave's shuffle requests in a set hands
-        # transfer_batch an interpreter-hash-ordered iterable.
-        source = mutated(
-            REPO / "src/repro/mapreduce/runner.py",
-            "        requests = []",
-            "        requests = set()",
-        )
-        source = source.replace("requests.append((", "requests.add((", 1)
-        assert "PIC704" in project_rules(source)

@@ -10,6 +10,7 @@ from repro.lint.baseline import (
 )
 from repro.lint.cli import main
 from repro.lint.model import Finding
+from repro.lint.rules import all_rules
 from repro.lint.sarif import SARIF_VERSION, to_sarif
 
 
@@ -123,31 +124,19 @@ class TestSarif:
         )
 
     def test_severity_mapping_is_family_consistent(self):
-        # PIC5xx (lifecycle) and PIC7xx (interference) are correctness
-        # errors; everything else ships as a warning.
-        log = to_sarif(
-            [
-                _finding(rule="PIC001"),
-                _finding(rule="PIC501"),
-                _finding(rule="PIC702"),
-            ],
-            [],
-        )
+        # Every rule ships one level, warning, with its medium
+        # code-scanning score: no family is an error.
+        log = to_sarif([_finding(rule="PIC001"), _finding(rule="PIC601")], [])
         (run,) = log["runs"]
-        levels = {r["ruleId"]: r["level"] for r in run["results"]}
-        assert levels == {
-            "PIC001": "warning",
-            "PIC501": "error",
-            "PIC702": "error",
-        }
-        for rule in run["tool"]["driver"]["rules"]:
-            level = rule["defaultConfiguration"]["level"]
-            expected = "error" if rule["id"][:4] in ("PIC5", "PIC7") else "warning"
-            assert level == expected, rule["id"]
-            props = rule["properties"]
-            assert props["problem.severity"] == level
-            score = float(props["security-severity"])
-            assert (score >= 7.0) == (level == "error")
+        assert [r["level"] for r in run["results"]] == ["warning", "warning"]
+        rules = run["tool"]["driver"]["rules"]
+        assert [r["id"] for r in rules] == [r.rule_id for r in all_rules()]
+        for rule in rules:
+            assert rule["defaultConfiguration"]["level"] == "warning", rule["id"]
+            assert rule["properties"] == {
+                "problem.severity": "warning",
+                "security-severity": "5.0",
+            }
 
     def test_errors_become_tool_notifications(self):
         log = to_sarif([], ["src/bad.py: syntax error: invalid syntax (line 1)"])

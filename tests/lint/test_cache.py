@@ -46,16 +46,19 @@ class Stage{i}:
 '''
 
 
-LEAKY = (
-    "def read_all(path):\n"
-    "    fh = open(path)\n"
+MIXED = (
+    "import time\n"
+    "\n"
+    "\n"
+    "def lag(sim):\n"
+    "    started = time.perf_counter()  # pic: noqa: PIC001\n"
     "    try:\n"
-    "        return fh.read()\n"
+    "        return sim.now - started\n"
     "    except ValueError:\n"
     "        return None\n"
 )
-#: PIC501 is reported where the handle is returned past, not acquired.
-LEAK_LINE = 4
+#: PIC601 is reported at the subtraction, not where the host clock is read.
+MIXED_LINE = 7
 
 
 def edit_unrelated_file(tree):
@@ -147,7 +150,7 @@ class TestInvalidation:
         assert cache_salt(["PIC301", "PIC001"]) == cache_salt(["PIC001", "PIC301"])
 
     def test_salt_depends_on_ir_schema_version(self, monkeypatch):
-        # An IR schema bump (like v1 -> v2 for exception edges) must
+        # An IR schema bump (like v2 -> v3 for the flattened blocks) must
         # invalidate caches written under the old shape.
         current = cache_salt(["PIC001"])
         monkeypatch.setattr(cache_mod, "IR_SCHEMA_VERSION", 1_000_000)
@@ -163,8 +166,8 @@ class TestInvalidation:
         current = cache_salt(["PIC001"])
         assert current == cache_salt(["PIC001"])
         sources = sorted(copy.rglob("*.py"))
-        assert {"analysis.py", "typestate.py", "units.py", "interference.py",
-                "determinism.py", "engine.py"} <= {p.name for p in sources}
+        assert {"analysis.py", "walker.py", "units.py", "determinism.py",
+                "engine.py"} <= {p.name for p in sources}
         for source in sources:
             original = source.read_bytes()
             source.write_bytes(original + b"#")
@@ -181,58 +184,53 @@ class TestInvalidation:
         run_lint([tree], cache_path=cache)
         from repro.lint.rules import all_rules
 
-        subset = [r for r in all_rules() if r.rule_id != "PIC501"]
+        subset = [r for r in all_rules() if r.rule_id != "PIC601"]
         rerun = run_lint([tree], rules=subset, cache_path=cache)
         assert rerun.stats["cache_hits"] == 0
 
     def test_project_findings_reproduce_from_cached_ir(self, tree, tmp_path):
-        # The v2 IR (structured try/with/if blocks) must round-trip
+        # The IR (a try block inlined into the op list) must round-trip
         # through the JSON cache: with another file edited the analysis
-        # re-runs, the leaky file is not re-parsed, and its IR from the
-        # cache still produces the whole-program typestate finding.
+        # re-runs, the mixing file is not re-parsed, and its IR from the
+        # cache still produces the whole-program unit-taint finding.
         cache = tmp_path / "cache.json"
-        leaky = tree / "mod_leak.py"
-        leaky.write_text(LEAKY, encoding="utf-8")
+        mixed = tree / "mod_mixed.py"
+        mixed.write_text(MIXED, encoding="utf-8")
         cold = run_lint([tree], cache_path=cache)
-        cold_rules = sorted(f.rule for f in cold.findings if f.path == str(leaky))
-        assert "PIC501" in cold_rules
+        cold_rules = sorted(f.rule for f in cold.findings if f.path == str(mixed))
+        assert "PIC601" in cold_rules
 
         edit_unrelated_file(tree)
         warm = run_lint([tree], cache_path=cache)
         assert warm.stats["files_parsed"] == 1
         assert not warm.stats["project_replayed"]
-        warm_rules = sorted(f.rule for f in warm.findings if f.path == str(leaky))
+        warm_rules = sorted(f.rule for f in warm.findings if f.path == str(mixed))
         assert warm_rules == cold_rules
 
-    def test_interference_findings_reproduce_from_cached_ir(self, tree, tmp_path):
-        # PIC7xx runs from converged IR: the racy file is not re-parsed
-        # yet the re-run analysis still reports the cross-job write.
+    def test_handler_findings_reproduce_from_cached_ir(self, tree, tmp_path):
+        # Handler reachability runs from converged IR: the file whose
+        # scheduled lambda reaches a private simulator write is not
+        # re-parsed, yet the re-run analysis still reports the write.
         cache = tmp_path / "cache.json"
-        racy = tree / "mod_racy.py"
-        racy.write_text(
-            "class _JobState:\n"
-            "    def __init__(self, app_id: int) -> None:\n"
-            "        self.app_id = app_id\n"
-            "        self.arrivals = 0\n"
-            "\n"
-            "\n"
+        poking = tree / "mod_poke.py"
+        poking.write_text(
             "class Runner:\n"
-            "    def submit(self, sim, sibling: _JobState) -> None:\n"
-            "        sim.schedule(1.0, lambda: self._poke(sibling))\n"
+            "    def submit(self, sim) -> None:\n"
+            "        sim.schedule(1.0, lambda: self._poke(sim))\n"
             "\n"
-            "    def _poke(self, sibling: _JobState) -> None:\n"
-            "        sibling.arrivals = sibling.arrivals + 1\n",
+            "    def _poke(self, sim) -> None:\n"
+            "        sim._pending = []\n",
             encoding="utf-8",
         )
         cold = run_lint([tree], cache_path=cache)
-        cold_rules = sorted(f.rule for f in cold.findings if f.path == str(racy))
-        assert "PIC701" in cold_rules
+        cold_rules = sorted(f.rule for f in cold.findings if f.path == str(poking))
+        assert "PIC402" in cold_rules
 
         edit_unrelated_file(tree)
         warm = run_lint([tree], cache_path=cache)
         assert warm.stats["files_parsed"] == 1
         assert not warm.stats["project_replayed"]
-        warm_rules = sorted(f.rule for f in warm.findings if f.path == str(racy))
+        warm_rules = sorted(f.rule for f in warm.findings if f.path == str(poking))
         assert warm_rules == cold_rules
 
     def test_corrupt_cache_file_is_ignored(self, tree, tmp_path):
@@ -263,24 +261,24 @@ class TestProjectReplay:
         return built
 
     @pytest.fixture()
-    def leaky(self, tree):
-        path = tree / "mod_leak.py"
-        path.write_text(LEAKY, encoding="utf-8")
+    def mixed(self, tree):
+        path = tree / "mod_mixed.py"
+        path.write_text(MIXED, encoding="utf-8")
         return path
 
     @staticmethod
-    def leaks(run):
-        return [(f.path, f.line) for f in run.findings if f.rule == "PIC501"]
+    def mixes(run):
+        return [(f.path, f.line) for f in run.findings if f.rule == "PIC601"]
 
     def test_unchanged_tree_replays_without_analysing(
-        self, tree, leaky, tmp_path, analyses
+        self, tree, mixed, tmp_path, analyses
     ):
         cache = tmp_path / "cache.json"
         cold = run_lint([tree], cache_path=cache)
         assert len(analyses) == 1
         assert not cold.stats["project_replayed"]
-        assert cold.stats["functions_evaluated"] >= 4 * (3 * N_FILES + 1)
-        assert self.leaks(cold) == [(str(leaky), LEAK_LINE)]
+        assert cold.stats["functions_evaluated"] >= 2 * (3 * N_FILES + 1)
+        assert self.mixes(cold) == [(str(mixed), MIXED_LINE)]
 
         warm = run_lint([tree], cache_path=cache)
         assert len(analyses) == 1
@@ -303,13 +301,13 @@ class TestProjectReplay:
         self, tree, tmp_path, analyses
     ):
         cache = tmp_path / "cache.json"
-        assert self.leaks(run_lint([tree], cache_path=cache)) == []
+        assert self.mixes(run_lint([tree], cache_path=cache)) == []
         target = tree / "mod_007.py"
-        target.write_text(LEAKY + target.read_text(), encoding="utf-8")
+        target.write_text(MIXED + target.read_text(), encoding="utf-8")
         rerun = run_lint([tree], cache_path=cache)
         assert len(analyses) == 2
         assert rerun.stats["files_parsed"] == 1
-        assert self.leaks(rerun) == [(str(target), LEAK_LINE)]
+        assert self.mixes(rerun) == [(str(target), MIXED_LINE)]
         # ... and that tree, unchanged, now replays the new findings.
         assert run_lint([tree], cache_path=cache).findings == rerun.findings
         assert len(analyses) == 2
@@ -319,42 +317,42 @@ class TestProjectReplay:
     ):
         cache = tmp_path / "cache.json"
         run_lint([tree], cache_path=cache)
-        added = tree / "mod_leak.py"
-        added.write_text(LEAKY, encoding="utf-8")
-        with_leak = run_lint([tree], cache_path=cache)
+        added = tree / "mod_mixed.py"
+        added.write_text(MIXED, encoding="utf-8")
+        with_mix = run_lint([tree], cache_path=cache)
         assert len(analyses) == 2
-        assert self.leaks(with_leak) == [(str(added), LEAK_LINE)]
+        assert self.mixes(with_mix) == [(str(added), MIXED_LINE)]
         added.unlink()
         without = run_lint([tree], cache_path=cache)
         assert len(analyses) == 3
         assert without.stats["files_parsed"] == 0
-        assert self.leaks(without) == []
+        assert self.mixes(without) == []
 
     def test_noqa_added_on_a_project_finding_suppresses_it(
-        self, tree, leaky, tmp_path
+        self, tree, mixed, tmp_path
     ):
         cache = tmp_path / "cache.json"
-        assert self.leaks(run_lint([tree], cache_path=cache))
-        leaky.write_text(
-            LEAKY.replace("fh.read()\n", "fh.read()  # pic: noqa: PIC501\n"),
+        assert self.mixes(run_lint([tree], cache_path=cache))
+        mixed.write_text(
+            MIXED.replace("- started\n", "- started  # pic: noqa: PIC601\n"),
             encoding="utf-8",
         )
-        assert self.leaks(run_lint([tree], cache_path=cache)) == []
-        assert self.leaks(run_lint([tree], cache_path=cache)) == []
+        assert self.mixes(run_lint([tree], cache_path=cache)) == []
+        assert self.mixes(run_lint([tree], cache_path=cache)) == []
 
     def test_rule_subset_never_replays_a_full_runs_findings(
-        self, tree, leaky, tmp_path, analyses
+        self, tree, mixed, tmp_path, analyses
     ):
         from repro.lint.rules import all_rules
 
         cache = tmp_path / "cache.json"
         full = run_lint([tree], cache_path=cache)
-        assert self.leaks(full)
-        subset = [r for r in all_rules() if r.rule_id != "PIC501"]
+        assert self.mixes(full)
+        subset = [r for r in all_rules() if r.rule_id != "PIC601"]
         partial = run_lint([tree], rules=subset, cache_path=cache)
         assert len(analyses) == 2
         assert not partial.stats["project_replayed"]
-        assert self.leaks(partial) == []
+        assert self.mixes(partial) == []
         # The subset's cache in turn never serves the full rule set.
         again = run_lint([tree], cache_path=cache)
         assert len(analyses) == 3

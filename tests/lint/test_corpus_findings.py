@@ -7,7 +7,9 @@ finding of every file is pinned in full — rule, column and message —
 against ``corpus_findings.json``, generated by the linter as it was
 before the passes shared one walker, less the seeded merge write
 (``smoothing/program.py:215``), which no static rule reports any more:
-the read-only model guard stops it at run time.  Pinned too is what the
+the read-only model guard stops it at run time; and less the seeded
+double ``close`` (``parallel/shm.py:173``, a module the live tree no
+longer has), whose rule went with the resource-lifecycle pass.  Pinned too is what the
 analysis costs: the fixpoint's evaluation count, and that nothing walks
 a function beyond those evaluations.
 """
@@ -20,7 +22,7 @@ from unittest import mock
 import pytest
 
 from repro.lint.engine import iter_python_files, run_lint
-from repro.lint.project.walker import Evaluation
+from repro.lint.project.walker import Walker
 
 HERE = Path(__file__).resolve().parent
 TARBALL = HERE.parents[1] / "benchmarks/perf/ledger/corpus/src-repro-8464be0.tar.gz"
@@ -36,7 +38,7 @@ def corpus_run(tmp_path_factory):
     files = iter_python_files([root / "repro"])
     assert len(files) == 74
     with mock.patch.object(
-        Evaluation, "__init__", autospec=True, side_effect=Evaluation.__init__
+        Walker, "__init__", autospec=True, side_effect=Walker.__init__
     ) as walks:
         run = run_lint(files)
     return root, run, walks.call_count
@@ -55,21 +57,19 @@ def test_findings_equal_the_golden_list(corpus_run):
         ("PIC301", "repro/apps/linsolve/program.py", 174, 9),
         ("PIC601", "repro/mapreduce/driver.py", 176, 30),
         ("PIC402", "repro/mapreduce/runner.py", 539, 9),
-        ("PIC502", "repro/parallel/shm.py", 173, 9),
     ]
 
 
 def test_fixpoint_cost_is_unchanged(corpus_run):
     _root, run, _walks = corpus_run
-    # alias 936 + typestate 779 + units 818 + interference 820.  Units
-    # went 815 -> 818 when a forwarding helper's parameter became a sink
-    # whatever its caller passes: more summaries change, so the fixpoint
-    # evaluates three more times.
-    assert run.stats["functions_evaluated"] == 3353
+    # alias 936 + units 818.  Units went 815 -> 818 when a forwarding
+    # helper's parameter became a sink whatever its caller passes: more
+    # summaries change, so the fixpoint evaluates three more times.
+    assert run.stats["functions_evaluated"] == 1754
 
 
 def test_every_walk_is_a_fixpoint_evaluation(corpus_run):
-    # Findings come from each function's last evaluation: no family
+    # Findings come from each function's last evaluation: no pass
     # walks the tree once more to collect them.
     _root, run, walks = corpus_run
     assert walks == run.stats["functions_evaluated"]

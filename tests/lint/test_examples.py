@@ -27,10 +27,10 @@ class TestCorpus:
 
 class TestExplain:
     def test_explain_renders_all_sections(self):
-        text = explain("PIC501")
+        text = explain("PIC601")
         assert text is not None
-        assert "PIC501" in text
-        assert "family: resource lifecycle typestate" in text
+        assert "PIC601" in text
+        assert "family: quantity-unit taint" in text
         assert "bad (fires):" in text
         assert "good (silent):" in text
 

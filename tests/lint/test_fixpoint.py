@@ -3,8 +3,8 @@
 ``reference_fixpoint.sweep`` re-evaluates every function every round;
 ``Fixpoint.run`` skips a function none of whose reads changed.  Both
 must leave the same summaries — every field, not only ``key()`` — for
-every function in all four families, at the natural fixpoint and at
-every round cap, and so the same findings.
+every function in both passes (alias and unit taint), at the natural
+fixpoint and at every round cap, and so the same findings.
 """
 
 from contextlib import ExitStack
@@ -24,14 +24,12 @@ from repro.lint.project.graph import (
     module_name_for_path,
     module_name_for_virtual_path,
 )
-from repro.lint.project.interference import InterferenceAnalysis
 from repro.lint.project.ir import build_module_ir
-from repro.lint.project.typestate import TypestateAnalysis
 from repro.lint.project.units import UnitAnalysis
 from tests.lint.reference_fixpoint import sweep
 
 REPO = Path(__file__).resolve().parents[2]
-PASSES = (ProjectAnalysis, TypestateAnalysis, UnitAnalysis, InterferenceAnalysis)
+PASSES = (ProjectAnalysis, UnitAnalysis)
 
 
 def lower_tree(*roots: Path) -> list[dict]:
@@ -50,24 +48,17 @@ def lower_sources(sources: dict[str, str]) -> list[dict]:
 
 
 def analyse(irs: list[dict]) -> tuple[dict, list, int]:
-    """(every summary of every family, every family finding, evaluations)."""
+    """(every summary of both passes, the unit pass's findings, evaluations)."""
     project = ProjectAnalysis(irs)
-    families = {
+    passes = {
         "alias": project.summaries,
-        "typestate": project.typestate().summaries,
         "units": project.unit_taint().summaries,
-        "interference": project.interference().effects,
     }
     state = {
         name: {fid: (summary.key(), vars(summary)) for fid, summary in table.items()}
-        for name, table in families.items()
+        for name, table in passes.items()
     }
-    findings = [
-        project.typestate().findings,
-        project.unit_taint().findings,
-        project.interference().findings,
-    ]
-    return state, findings, project.functions_evaluated()
+    return state, project.unit_taint().findings, project.functions_evaluated()
 
 
 def assert_driver_equals_sweep(irs: list[dict]) -> tuple[int, int]:
@@ -75,10 +66,10 @@ def assert_driver_equals_sweep(irs: list[dict]) -> tuple[int, int]:
     state, findings, evaluated = analyse(irs)
     with mock.patch.object(Fixpoint, "run", sweep):
         ref_state, ref_findings, ref_evaluated = analyse(irs)
-    for family, table in ref_state.items():
-        assert state[family].keys() == table.keys(), family
+    for name, table in ref_state.items():
+        assert state[name].keys() == table.keys(), name
         for fid, expected in table.items():
-            assert state[family][fid] == expected, (family, fid)
+            assert state[name][fid] == expected, (name, fid)
     assert findings == ref_findings
     assert evaluated <= ref_evaluated
     return evaluated, ref_evaluated
@@ -101,9 +92,9 @@ class TestRealTrees:
     def test_src_repro_identical_with_fewer_evaluations(self, src_irs):
         evaluated, swept = assert_driver_equals_sweep(src_irs)
         functions = sum(len(ir["functions"]) for ir in src_irs)
-        # One evaluation per function per family is the floor; the sweep
+        # One evaluation per function per pass is the floor; the sweep
         # pays for every function in every round.
-        assert 4 * functions <= evaluated < swept / 2
+        assert 2 * functions <= evaluated < swept / 2
 
     @pytest.mark.parametrize("cap", [1, 2, 4])
     def test_every_round_cap_is_identical(self, src_irs, cap):
@@ -182,11 +173,11 @@ BOX = (
 )
 
 #: Statement templates; ``{j}`` is a drawn callee index.  Between them
-#: they feed every summary field of every family: parameter mutation and
-#: aliasing returns, acquire/release/escape, unit sources and sinks,
-#: order taint and its sinks, handler registration, function references
-#: and constructor-bound callbacks (lambdas: the alias pass tracks
-#: closures and method references, not bare module-level names).
+#: they feed every summary field of both passes: parameter mutation and
+#: aliasing returns, unit sources and sinks, handler registration,
+#: function references and constructor-bound callbacks (lambdas: the
+#: alias pass tracks closures and method references, not bare
+#: module-level names).
 STATEMENTS = (
     "a.append(b)",
     "x = f{j}(a, b)",

@@ -4,7 +4,7 @@ from repro.lint.module import LintModule
 from repro.lint.project.analysis import ProjectAnalysis
 from repro.lint.project.graph import module_name_for_virtual_path
 from repro.lint.project.ir import build_module_ir
-from repro.lint.project.walker import Evaluation, call_tail
+from repro.lint.project.walker import Walker, call_tail
 
 SOURCE = (
     "class Box:\n"
@@ -17,7 +17,7 @@ SOURCE = (
 )
 
 
-class Receiver(Evaluation):
+class Receiver(Walker):
     """Binds a method's ``self`` to the call form it was reached by."""
 
     def receiver(self, func):
@@ -51,8 +51,8 @@ class TestBindArgs:
             }
 
     def test_self_defaults_to_the_domain_bottom(self):
-        ev, method, _function = evaluation(Evaluation)
-        assert ev.bind_args(method, METH, [], {}) == {"self": Evaluation.bottom}
+        ev, method, _function = evaluation(Walker)
+        assert ev.bind_args(method, METH, [], {}) == {"self": Walker.bottom}
 
     def test_keywords_bind_by_name_and_unknown_ones_bind_nothing(self):
         ev, method, function = evaluation()
@@ -79,7 +79,7 @@ class TestEvaluation:
         module = LintModule("pkg/app.py", SOURCE)
         ir = build_module_ir(module, *module_name_for_virtual_path("pkg/app.py"))
         project = ProjectAnalysis([ir])
-        assert Evaluation(project, "pkg.app::Box.put").cls == "pkg.app.Box"
+        assert Walker(project, "pkg.app::Box.put").cls == "pkg.app.Box"
 
     def test_report_keeps_the_first_of_identical_findings(self):
         ev, _method, _function = evaluation()
