@@ -6,6 +6,9 @@ everything a bench needs to reproduce one paper datapoint.  Sizes are
 scaled from the paper's (Section 2 of DESIGN.md documents the mapping);
 the structural knobs (cluster separation, graph locality, diagonal
 dominance, noise) carry the properties the paper's claims rest on.
+
+Each factory imports its application itself, so importing this module
+loads no application and building one workload loads only its own.
 """
 
 from __future__ import annotations
@@ -13,13 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.apps.kmeans import KMeansProgram, gaussian_mixture
-from repro.apps.linsolve import LinearSolverProgram, diagonally_dominant_system
-from repro.apps.linsolve.datagen import system_records
-from repro.apps.neuralnet import MLP, NeuralNetProgram, ocr_dataset
-from repro.apps.pagerank import PageRankProgram, local_web_graph
-from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
-from repro.apps.smoothing.datagen import image_records
 from repro.cluster.cluster import Cluster
 from repro.cluster.presets import large_cluster, medium_cluster, small_cluster
 from repro.pic.api import PICProgram
@@ -50,6 +46,8 @@ def kmeans_small(
     seed: int = 1,
 ) -> Workload:
     """K-means on the 6-node cluster (Figure 9's first group)."""
+    from repro.apps.kmeans import KMeansProgram, gaussian_mixture
+
     records, centers = gaussian_mixture(
         num_points, k, dim=3, separation=separation, seed=seed
     )
@@ -75,6 +73,8 @@ def kmeans_fig2(seed: int = 1) -> Workload:
     regime where local iterations collapse after the first round — the
     property the paper's scale gave it for free (see EXPERIMENTS.md for
     the runtime-panel scaling discussion)."""
+    from repro.apps.kmeans import KMeansProgram, gaussian_mixture
+
     records, centers = gaussian_mixture(640_000, 10, dim=3, separation=6.0, seed=seed)
     program = KMeansProgram(k=10, dim=3, threshold=0.1)
     model0 = program.initial_model(records, seed=seed + 1)
@@ -96,6 +96,8 @@ def kmeans_table1_sizes() -> list[int]:
 
 def kmeans_table1(num_points: int, seed: int = 1) -> Workload:
     """One Table I row (iteration counts vs dataset size)."""
+    from repro.apps.kmeans import KMeansProgram, gaussian_mixture
+
     records, _ = gaussian_mixture(num_points, 10, dim=3, separation=6.0, seed=seed)
     program = KMeansProgram(k=10, dim=3, threshold=0.1)
     model0 = program.initial_model(records, seed=seed + 1)
@@ -111,6 +113,8 @@ def kmeans_table1(num_points: int, seed: int = 1) -> Workload:
 
 def kmeans_table3(dataset: int, seed: int = 1) -> Workload:
     """Table III's two datasets: well-separated vs overlapping mixtures."""
+    from repro.apps.kmeans import KMeansProgram, gaussian_mixture
+
     separation = {1: 6.0, 2: 3.5}[dataset]
     records, _ = gaussian_mixture(
         100_000, 15, dim=3, separation=separation, seed=seed + dataset
@@ -135,6 +139,8 @@ def pagerank_small(
 ) -> Workload:
     """PageRank on the 6-node cluster; the paper splits its web graph
     into 18 partitions of ~100k vertices — we keep the 18."""
+    from repro.apps.pagerank import PageRankProgram, local_web_graph
+
     records = local_web_graph(num_vertices, avg_out_degree=8.0, seed=seed)
     program = PageRankProgram()
     model0 = program.initial_model(records)
@@ -160,6 +166,9 @@ def linsolve_small(
 ) -> Workload:
     """The paper's own problem size: 100 variables, weakly diagonally
     dominant."""
+    from repro.apps.linsolve import LinearSolverProgram, diagonally_dominant_system
+    from repro.apps.linsolve.datagen import system_records
+
     A, b, x_star = diagonally_dominant_system(
         n, bandwidth=bandwidth, dominance=dominance, seed=seed
     )
@@ -185,6 +194,8 @@ def neuralnet_medium(
 ) -> Workload:
     """NN training on the 64-node cluster; the paper used ~210k OCR
     vectors — we keep the 10:1 train/validation structure at 1/10 scale."""
+    from repro.apps.neuralnet import MLP, NeuralNetProgram, ocr_dataset
+
     records, X, y = ocr_dataset(num_samples, seed=seed)
     split = int(num_samples * 20 / 21)
     train = records[:split]
@@ -209,6 +220,9 @@ def smoothing_medium(
     side: int = 512, num_partitions: int = 64, seed: int = 13
 ) -> Workload:
     """Image smoothing on the 64-node cluster (paper: 40-Mpixel image)."""
+    from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
+    from repro.apps.smoothing.datagen import image_records
+
     img = synthetic_image(side, side, seed=seed)
     records = image_records(img)
     program = ImageSmoothingProgram(side, side)
@@ -226,6 +240,9 @@ def smoothing_medium(
 
 def smoothing_large(num_nodes: int, side: int = 1024, seed: int = 13) -> Workload:
     """Figure 11's strong-scaling points: fixed image, growing cluster."""
+    from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
+    from repro.apps.smoothing.datagen import image_records
+
     img = synthetic_image(side, side, seed=seed)
     records = image_records(img)
     program = ImageSmoothingProgram(side, side)

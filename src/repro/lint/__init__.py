@@ -24,7 +24,18 @@ line with ``# pic: noqa`` or ``# pic: noqa: PIC001``.
 
 from repro.lint.engine import lint_file, lint_source
 from repro.lint.model import Finding, LintParseError
-from repro.lint.rules import all_rules, rules_by_id
+
+
+def __getattr__(name: str) -> object:
+    # The rule registry loads on first use, as the engine loads the
+    # rules and the analysis on the first lint: importing the package
+    # compiles neither.
+    if name in {"all_rules", "rules_by_id"}:
+        from repro.lint import rules
+
+        return getattr(rules, name)
+    raise AttributeError(f"module 'repro.lint' has no attribute {name!r}")
+
 
 __all__ = [
     "Finding",

@@ -7,6 +7,12 @@ analysis runs from the IRs — never the ASTs — and is skipped too when
 the cache holds the findings of a run over exactly these files with
 exactly these contents: a warm re-lint of an unchanged tree replays
 them, and only ``# pic: noqa`` filtering and sorting are redone.
+
+Importing this module loads nothing of the linter but its finding
+records: the cache, the parser, the noqa map, the IR, the project
+analysis and the rules are imported by the first lint that needs them,
+so a process that imports the engine and never lints compiles none of
+them.
 """
 
 from __future__ import annotations
@@ -14,26 +20,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.lint.cache import (
-    LintCache,
-    cache_salt,
-    content_hash,
-    findings_from_entry,
-    suppressions_from_entry,
-    tree_key,
-)
 from repro.lint.model import Finding, LintParseError
-from repro.lint.module import LintModule
-from repro.lint.noqa import filter_findings
-from repro.lint.project.analysis import ProjectAnalysis
-from repro.lint.project.graph import (
-    module_name_for_path,
-    module_name_for_virtual_path,
-)
-from repro.lint.project.ir import build_module_ir
-from repro.lint.rules import ProjectRule, Rule, all_rules
+
+if TYPE_CHECKING:
+    from repro.lint.rules import Rule
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv", ".eggs", "build", "dist"})
 
@@ -85,6 +77,8 @@ class _Lint:
     (or the cache) has for each file, :meth:`finish` closes the set."""
 
     def __init__(self, rules: Sequence[Rule] | None) -> None:
+        from repro.lint.rules import ProjectRule, all_rules
+
         active = list(rules) if rules is not None else all_rules()
         self.file_rules = [r for r in active if not isinstance(r, ProjectRule)]
         self.project_rules = [r for r in active if isinstance(r, ProjectRule)]
@@ -105,6 +99,9 @@ class _Lint:
     ) -> tuple[dict, list[Finding], Suppressions]:
         """The per-file step — parse, noqa map, IR, per-file rules — as
         :meth:`add` takes it; raises :class:`LintParseError`."""
+        from repro.lint.module import LintModule
+        from repro.lint.project.ir import build_module_ir
+
         if isinstance(source, bytes):
             module = LintModule.from_bytes(path, source)
         else:
@@ -119,6 +116,8 @@ class _Lint:
         they cost."""
         if not self.project_rules or not self.irs:
             return [], 0
+        from repro.lint.project.analysis import ProjectAnalysis
+
         analysis = ProjectAnalysis(self.irs)
         findings: list[Finding] = []
         for rule in self.project_rules:
@@ -127,6 +126,8 @@ class _Lint:
 
     def finish(self, project: Sequence[Finding]) -> list[Finding]:
         """Per-file plus ``project`` findings, noqa-filtered and sorted."""
+        from repro.lint.noqa import filter_findings
+
         kept: list[Finding] = []
         for finding in [*self.findings, *project]:
             kept.extend(
@@ -141,6 +142,16 @@ def run_lint(
     cache_path: str | Path | None = None,
 ) -> LintRun:
     """Lint files/directories with optional incremental caching."""
+    from repro.lint.cache import (
+        LintCache,
+        cache_salt,
+        content_hash,
+        findings_from_entry,
+        suppressions_from_entry,
+        tree_key,
+    )
+    from repro.lint.project.graph import module_name_for_path
+
     started = time.perf_counter()  # pic: noqa: PIC001 — host-side lint timing
     lint = _Lint(rules)
     run = LintRun()
@@ -226,6 +237,8 @@ def lint_sources(
     package for module naming, so multi-file call-graph fixtures do not
     need ``__init__.py`` stubs.
     """
+    from repro.lint.project.graph import module_name_for_virtual_path
+
     lint = _Lint(rules)
     errors: list[str] = []
     for path in sorted(sources):
@@ -250,6 +263,8 @@ def lint_source(
 
 def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
     """Lint one file on disk."""
+    from repro.lint.project.graph import module_name_for_path
+
     p = Path(path)
     try:
         data = p.read_bytes()

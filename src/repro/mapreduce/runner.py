@@ -62,6 +62,11 @@ class JobRunner:
     submit, across a process pool when it has one — same records, same
     counters, same simulated clock, less wall-clock.  Unpicklable job
     specs (closures over local state) run in-process at submit.
+
+    ``cache`` is the simulated node-memory cache pipelined mode serves
+    input splits from (a fresh one when omitted; runners that share one
+    pass it).  Barrier mode reads every split from disk, so a ``cache``
+    with ``pipeline=False`` is refused rather than ignored.
     """
 
     def __init__(
@@ -79,9 +84,14 @@ class JobRunner:
         # arriving buckets incrementally and input splits are served
         # from the simulated node-memory cache across iterations.
         self.pipeline = pipeline_enabled() if pipeline is None else pipeline
+        if cache is not None and not self.pipeline:
+            raise ValueError(
+                "a node-memory cache needs pipelined mode: barrier mode "
+                "(pipeline=False) reads every split from disk"
+            )
         if cache is None and self.pipeline:
             cache = NodeMemoryCache.from_cluster(cluster)
-        self.cache = cache if self.pipeline else None
+        self.cache = cache
         self.map_scheduler = SlotScheduler(cluster, "map")
         self._reduce_capacity = {
             n.node_id: n.spec.reduce_slots for n in cluster.nodes

@@ -155,8 +155,17 @@ class ResourceManager:
 
         Inside a simulation event the grant is deferred to the
         timestamp's serialization point; from root context (no event
-        executing) a fitting node is granted synchronously.
+        executing) a fitting node is granted synchronously.  A
+        ``preferred`` id the cluster lacks is refused before anything
+        is queued.
         """
+        try:
+            preferred_racks = frozenset(self._rack[n] for n in preferred)
+        except KeyError as exc:
+            raise ValueError(
+                f"preferred node {exc.args[0]!r} is not one of the "
+                f"cluster's {len(self._rack)} nodes"
+            ) from None
         profile = self._profiles.get(resource)
         if profile is None:
             # Capacities are fixed, so a profile checked once fits for good.
@@ -169,7 +178,7 @@ class ResourceManager:
             ContainerRequest(
                 resource=resource,
                 preferred=tuple(preferred),
-                preferred_racks=frozenset(self._rack[n] for n in preferred),
+                preferred_racks=preferred_racks,
                 callback=callback,
                 app_id=app_id,
                 profile=profile,

@@ -21,7 +21,9 @@ Backend selection:
 
 Pools are shared per worker count across executor instances (engines
 and job runners are created per experiment; respawning interpreters for
-each would dwarf the savings) and torn down at interpreter exit.
+each would dwarf the savings) and torn down at interpreter exit.  The
+process-pool machinery itself is imported with the first pool, so a
+process that never starts one never loads it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV_VAR = "PIC_WORKERS"
 
@@ -146,6 +151,8 @@ _POOLS: dict[int, ProcessPoolExecutor] = {}
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     pool = _POOLS.get(workers)
     if pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         _POOLS[workers] = pool
     return pool

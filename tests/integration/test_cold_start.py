@@ -9,7 +9,15 @@ here is timed; the cases pin *which* modules a start-up loads:
   exact reference solvers (``match_centroids``, ``smooth_reference``)
   and the ``kmeans``/``smoothing`` commands still give their answers;
 * ``repro.cli`` imports each command's application inside that command,
-  so importing the CLI loads no ``repro.apps`` module.
+  so importing the CLI loads no ``repro.apps`` module;
+* the linter's analysis loads on the first lint: importing ``repro.lint``
+  or its engine loads the engine and the finding records alone;
+* ``repro.harness.workloads`` imports each application in the factory
+  that builds it;
+* the process pool's machinery (``concurrent.futures.process``) loads
+  with the first pool, not with the packages that may start one;
+* so the ledger's workload module, which imports all three, loads none
+  of what they defer until a workload uses it.
 """
 
 from __future__ import annotations
@@ -115,3 +123,80 @@ def test_the_runtime_needs_no_scipy():
 
 def test_importing_the_cli_loads_no_application():
     assert loaded_after("import repro.cli", "repro.apps") == []
+
+
+#: Modules the engine imports on the first lint, not on import.
+LINT_ANALYSIS = (
+    "repro.lint.cache", "repro.lint.module", "repro.lint.noqa",
+    "repro.lint.project", "repro.lint.rules",
+)
+#: Applications the ledger's workload module does not import itself:
+#: each loads when a workload that runs it builds its inputs.
+OTHER_APPS = ("repro.apps.linsolve", "repro.apps.neuralnet", "repro.apps.pagerank")
+POOL = "concurrent.futures.process"
+
+
+def test_the_linter_loads_its_analysis_on_the_first_lint():
+    for module in ("repro.lint", "repro.lint.engine"):
+        loaded = loaded_after(f"import {module}", "repro.lint")
+        assert loaded == ["repro.lint", "repro.lint.engine", "repro.lint.model"]
+    code = (
+        "from repro.lint import all_rules, lint_source, rules_by_id\n"
+        "print(len(all_rules()), sorted(rules_by_id()) == [r.rule_id for r in all_rules()])\n"
+        "print([f.rule for f in lint_source('import time\\nt = time.time()\\n')])\n"
+    )
+    printed, loaded = run_fresh(code, *LINT_ANALYSIS)
+    assert printed == "13 True\n['PIC001']"
+    assert "repro.lint.project.analysis" in loaded
+
+
+def test_a_workload_factory_loads_its_own_application_only():
+    assert loaded_after("import repro.harness.workloads", "repro.apps") == []
+    code = (
+        "from repro.harness.workloads import smoothing_medium\n"
+        "print(len(smoothing_medium(side=16, num_partitions=4).records))\n"
+    )
+    printed, loaded = run_fresh(code, "repro.apps")
+    assert printed == "16"
+    assert loaded and all(
+        m in ("repro.apps", "repro.apps.smoothing") or m.startswith("repro.apps.smoothing.")
+        for m in loaded
+    )
+
+
+def test_importing_the_runtime_loads_no_process_pool():
+    assert loaded_after("import repro.mapreduce, repro.pic, repro.cli", POOL) == []
+    code = (
+        "from repro.parallel import get_executor\n"
+        "print(get_executor(2).map(abs, [-1, -2, -3]))\n"
+    )
+    printed, loaded = run_fresh(code, POOL)
+    assert printed == "[1, 2, 3]"
+    assert loaded == [POOL]
+
+
+def test_the_ledger_loads_what_its_workloads_defer_only_when_used():
+    code = (
+        "import json, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "import benchmarks.perf.ledger.workloads\n"
+        f"deferred = {LINT_ANALYSIS + OTHER_APPS + (POOL,)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if any(m == p or m.startswith(p + '.') for p in deferred))))\n"
+        "from repro.lint.engine import run_lint\n"
+        "from repro.parallel import get_executor\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    source = Path(tmp) / 'clock.py'\n"
+        "    source.write_text('import time\\nt = time.time()\\n')\n"
+        "    cache = Path(tmp) / 'cache.json'\n"
+        "    for _ in range(2):\n"
+        "        run = run_lint([source], cache_path=cache)\n"
+        "        print([(f.line, f.rule) for f in run.findings], run.stats['files_parsed'])\n"
+        "print(get_executor(2).map(abs, [-1, -2, -3]))\n"
+    )
+    printed, _loaded = run_fresh(code)
+    deferred, cold, warm, mapped = printed.splitlines()
+    assert json.loads(deferred) == []
+    assert cold == "[(2, 'PIC001')] 1"
+    assert warm == "[(2, 'PIC001')] 0"
+    assert mapped == "[1, 2, 3]"

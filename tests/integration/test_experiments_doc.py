@@ -46,7 +46,9 @@ def test_results_tables_parse():
 
 
 def test_headline_table_matches_results():
-    cells = dict(re.findall(r"^\| (Fig [^|]+?) \| [^|]+ \| \*\*(.+?)×\*\* \|$", DOC, re.M))
+    cells = dict(
+        re.findall(r"^\| (Fig [^|]+?) \| [^|]+ \| \*\*(.+?)×\*\* \| [^|]+ \|$", DOC, re.M)
+    )
     assert {label: value.split(" / ") for label, value in cells.items()} == {
         "Fig 9 K-means (6 nodes)": [FIG9["K-means"]],
         "Fig 9 PageRank (6 nodes)": [FIG9["PageRank"]],

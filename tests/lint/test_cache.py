@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 import repro.lint.cache as cache_mod
-import repro.lint.engine as engine_mod
+import repro.lint.project.analysis as analysis_mod
 from repro.lint.cache import cache_salt
 from repro.lint.engine import run_lint
 from repro.lint.project.analysis import ProjectAnalysis
@@ -249,7 +249,10 @@ class TestProjectReplay:
 
     @pytest.fixture()
     def analyses(self, monkeypatch):
-        """Spy: one entry per ``ProjectAnalysis`` the engine constructs."""
+        """Spy: one entry per ``ProjectAnalysis`` the engine constructs.
+
+        The engine imports the class from its module at each analysis,
+        so the spy replaces it there."""
         built = []
 
         class Spy(ProjectAnalysis):
@@ -257,7 +260,7 @@ class TestProjectReplay:
                 built.append(self)
                 super().__init__(modules)
 
-        monkeypatch.setattr(engine_mod, "ProjectAnalysis", Spy)
+        monkeypatch.setattr(analysis_mod, "ProjectAnalysis", Spy)
         return built
 
     @pytest.fixture()

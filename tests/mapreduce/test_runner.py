@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.cache import NodeMemoryCache
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import NodeSpec
 from repro.dfs.dfs import DistributedFileSystem
@@ -50,6 +51,17 @@ def make_env(num_nodes=6, num_splits=6, num_words=10, num_records=300):
     records = [(i, f"word{i % num_words}") for i in range(num_records)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
     return cluster, JobRunner(cluster, dfs), dataset
+
+
+class TestConstruction:
+    def test_a_cache_without_pipelined_mode_is_refused(self):
+        cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+        dfs = DistributedFileSystem(cluster)
+        cache = NodeMemoryCache.from_cluster(cluster)
+        with pytest.raises(ValueError, match="pipeline=False"):
+            JobRunner(cluster, dfs, pipeline=False, cache=cache)
+        assert JobRunner(cluster, dfs, pipeline=True, cache=cache).cache is cache
+        assert JobRunner(cluster, dfs, pipeline=False).cache is None
 
 
 def word_spec(**kw) -> JobSpec:

@@ -58,6 +58,17 @@ class TestBasics:
         with pytest.raises(ValueError, match="exceeds every node's capacity"):
             sched.request(lambda n: None)
 
+    def test_unknown_preferred_node_rejected_before_anything_is_queued(self):
+        # Used to surface as a bare KeyError from the rack lookup, after
+        # the request's profile had been registered.
+        _c, sched = make_scheduler(num_nodes=4)
+        with pytest.raises(ValueError, match="preferred node 99 is not one of"):
+            sched.request(lambda n: None, preferred=[1, 99])
+        assert sched.allocator._profiles == {} and sched.allocator._queue == []
+        granted = []
+        sched.request(granted.append, preferred=[3])
+        assert granted == [3]
+
     def test_request_validation_is_per_profile_and_against_capacity(self):
         # The fit check is cached per distinct profile: an oversized
         # profile fails every time and never becomes a profile, and a

@@ -33,6 +33,12 @@ checks that bit-rot fastest during refactors are scripted here with
   anywhere under ``src/repro`` (at module level or inside a function)
   are exactly ``[project].dependencies`` of pyproject.toml: nothing the
   package imports goes undeclared, nothing declared goes unused.
+* **the linter stands apart** — no module outside ``repro/lint`` imports
+  ``repro.lint``, and no ``repro/lint`` module imports the simulator
+  (any other ``repro`` module), at module level or inside a function;
+  the rule examples' source strings are data, not imports.  So a
+  simulator process never loads the linter, and the engine's lazily
+  imported analysis never drags the simulator in.
 """
 
 from __future__ import annotations
@@ -271,6 +277,53 @@ def third_party_imports(tree: ast.Module) -> set[str]:
     }
 
 
+def repro_imports(tree: ast.Module, package: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of a ``repro`` module in ``tree``,
+    wherever it sits; ``from repro import x`` counts as ``repro.x`` and a
+    relative import is resolved against ``package``."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            modules = (
+                [f"{base}.{alias.name}" for alias in node.names]
+                if base == "repro" else [base]
+            )
+        else:
+            continue
+        found += [
+            (node.lineno, module) for module in modules
+            if module == "repro" or module.startswith("repro.")
+        ]
+    return found
+
+
+def _in_linter(module: str) -> bool:
+    return module == "repro.lint" or module.startswith("repro.lint.")
+
+
+def _layering_offenders(inside: bool) -> list[str]:
+    """Imports that cross the linter's boundary from modules inside it
+    (``inside``) or outside it."""
+    found: list[str] = []
+    for path in MODULES:
+        relative = path.relative_to(SRC)
+        if (relative.parts[0] == "lint") != inside:
+            continue
+        package = ".".join(("repro",) + relative.parts[:-1])
+        found += [
+            f"{relative}:{line} imports {module}"
+            for line, module in repro_imports(ast.parse(path.read_text()), package)
+            if _in_linter(module) != inside
+        ]
+    return found
+
+
 def _offenders(
     check: Callable[[str], list[tuple[int, str]]], modules: list[Path]
 ) -> list[str]:
@@ -318,6 +371,14 @@ def test_declared_dependencies_are_imported() -> None:
     for path in MODULES:
         imported |= third_party_imports(ast.parse(path.read_text()))
     assert imported == declared
+
+
+def test_only_the_linter_imports_the_linter() -> None:
+    assert not _layering_offenders(inside=False)
+
+
+def test_the_linter_imports_no_simulator_module() -> None:
+    assert not _layering_offenders(inside=True)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +454,18 @@ class TestTheCheckItself:
             "def f():\n    from scipy.optimize import linear_sum_assignment\n"
         )
         assert third_party_imports(tree) == {"numpy", "scipy"}
+
+    def test_repro_imports_at_any_depth_and_relative(self) -> None:
+        tree = ast.parse(
+            "import os, repro.cluster\nfrom repro import lint\n"
+            "from repro.lint.engine import run_lint\n"
+            "EXAMPLE = 'from repro.pic import api'\n"
+            "def f():\n    from ..pic import api\n    from . import rules\n"
+        )
+        assert repro_imports(tree, "repro.lint") == [
+            (1, "repro.cluster"), (2, "repro.lint"), (3, "repro.lint.engine"),
+            (6, "repro.pic"), (7, "repro.lint"),
+        ]
 
     def test_unannotated_parameters_and_returns(self) -> None:
         found = incomplete_defs(

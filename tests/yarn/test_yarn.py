@@ -157,6 +157,13 @@ class TestYarnJobRunner:
         with pytest.raises(ValueError, match="deadlock"):
             YarnJobRunner(cluster, dfs)  # default reduce profile: 2 GB
 
+    def test_unknown_preferred_node_rejected(self):
+        cluster = make_cluster(num_nodes=4)
+        runner = YarnJobRunner(cluster, DistributedFileSystem(cluster))
+        with pytest.raises(ValueError, match="preferred node 99 is not one of"):
+            runner.map_scheduler.request(lambda n: None, preferred=[99])
+        assert runner.rm._profiles == {} and runner.rm._queue == []
+
     def test_adapter_slot_accounting(self):
         cluster, runner, _ds = word_env(YarnJobRunner)
         total = runner.map_scheduler.total_slots
