@@ -19,7 +19,7 @@ and top-off loops.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -89,15 +89,18 @@ class KMeansProgram(PICProgram):
 
     # -- conventional IC pieces -----------------------------------------
 
-    def initial_model(
-        self, records: Sequence[tuple[Any, Any]], seed: SeedLike = 0
-    ) -> dict[int, np.ndarray]:
-        """Forgy initialisation from the input records."""
+    def initial_model(self, records: Records, seed: SeedLike = 0) -> dict[int, np.ndarray]:
+        """Forgy initialisation from the input records: a batch and its
+        row list give the same centroids for the same seed."""
         rng = as_generator(seed)
         if len(records) < self.k:
             raise ValueError(f"need at least k={self.k} points")
         idx = rng.choice(len(records), size=self.k, replace=False)
-        return {int(c): np.array(records[int(i)][1], dtype=float) for c, i in enumerate(idx)}
+        if isinstance(records, ColumnBatch):
+            picked = [records.values.row(int(i)) for i in idx]
+        else:
+            picked = [records[int(i)][1] for i in idx]
+        return {c: np.array(value, dtype=float) for c, value in enumerate(picked)}
 
     def batch_map(self, ctx: TaskContext, records: ColumnBatch) -> None:
         """Vectorized nearest-centroid assignment for a whole split."""

@@ -28,11 +28,15 @@ def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid index per point, fully vectorized.
 
     Uses the ‖x−c‖² = ‖x‖² − 2x·c + ‖c‖² expansion; the ‖x‖² term is
-    constant per point and dropped from the argmin.
+    constant per point and dropped from the argmin.  The (n, k) product
+    is scaled and shifted in place: ``(cross × −2) + ‖c‖²`` is, bit for
+    bit, ``‖c‖² − 2·cross`` (doubling is exact, and ``a − b`` is
+    ``(−b) + a`` in IEEE 754), so no second (n, k) array is made.
     """
     cross = points @ centroids.T
-    c_norms = np.einsum("ij,ij->i", centroids, centroids)
-    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
+    cross *= -2.0
+    cross += np.einsum("ij,ij->i", centroids, centroids)
+    return np.argmin(cross, axis=1)
 
 
 def update_centroids(

@@ -921,8 +921,10 @@ def group_sums(grouped: GroupedBatch, values: np.ndarray) -> np.ndarray:
 
     float64: one ``np.bincount`` over the flattened rows, bin = group ×
     row width + element; it adds each weight into its bin in input order,
-    from +0.0.  int64: ``np.add.reduceat`` over the group starts (integer
-    addition is exact in any order).  No other dtype is summed."""
+    from +0.0.  The bins are group ``g``'s row of
+    ``arange(groups × width).reshape(groups, width)``, repeated once per
+    row of the group.  int64: ``np.add.reduceat`` over the group starts
+    (integer addition is exact in any order).  No other dtype is summed."""
     num_groups = len(grouped)
     if values.dtype == np.int64:
         if not num_groups:
@@ -932,8 +934,10 @@ def group_sums(grouped: GroupedBatch, values: np.ndarray) -> np.ndarray:
         raise TypeError(f"group_sums sums float64 or int64, not {values.dtype}")
     row_shape = values.shape[1:]
     width = math.prod(row_shape)
-    first_bins = np.repeat(np.arange(num_groups) * width, grouped.ends - grouped.starts)
-    bins = (first_bins[:, None] + np.arange(width)).ravel()
+    bins = np.repeat(
+        np.arange(num_groups * width).reshape(num_groups, width),
+        grouped.ends - grouped.starts, axis=0,
+    ).ravel()
     sums = np.bincount(bins, weights=values.ravel(), minlength=num_groups * width)
     # No bins at all (no rows, or zero-width rows) count in intp.
     return sums.astype(np.float64, copy=False).reshape(num_groups, *row_shape)

@@ -12,6 +12,11 @@ forms answer to ``reference_combine`` there instead.
 combiner the program had beside ``combine_batch``: one group's
 ``(vector, count)`` pairs summed, the vectors left to right from +0.0.
 
+``reference_assign_points`` is ``assign_points`` as it was before its
+distances were scaled and shifted in place: a fresh ``2.0 * cross`` and
+a fresh broadcast subtraction from the centroid norms, then the same
+``np.argmin``.
+
 ``reference_gaussian_mixture`` is ``gaussian_mixture`` as it was before
 its records were zipped from the point array: the same draws, then one
 ``points[i]`` index per record.
@@ -48,6 +53,12 @@ def reference_combine(key: Any, values: list[Any]) -> tuple[np.ndarray, int]:
     total = sum(vecs, np.zeros(np.shape(vecs[0])))
     count = sum(n for _vec, n in values)
     return (total, count)
+
+
+def reference_assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    cross = points @ centroids.T
+    c_norms = np.einsum("ij,ij->i", centroids, centroids)
+    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
 
 
 def reference_gaussian_mixture(

@@ -16,6 +16,7 @@ from repro.apps.kmeans.serial import assign_points, init_centroids, update_centr
 from repro.mapreduce.columnar import ColumnBatch, columnize, group_batch, stack_rows
 from repro.mapreduce.job import TaskContext
 from tests.apps.reference_kmeans import (
+    reference_assign_points,
     reference_combine,
     reference_gaussian_mixture,
     reference_sum_groups,
@@ -103,6 +104,53 @@ class TestSerialLloyd:
             lloyd(np.zeros((10, 2)), 3, initial=np.zeros((2, 2)))
 
 
+# Coordinates that make the distance expression's rounding show: signed
+# zeros, both infinities (inf - inf is NaN) and NaN.
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+class TestAssignPoints:
+    """``assign_points`` returns the indices the fresh-array expression
+    it replaced returns, ties (first wins) and NaNs (first wins) included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 40),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(0, 39),
+        st.sampled_from([0.0, 0.01, 0.2]),
+    )
+    def test_indices_equal_the_reference(self, n, k, dim, seed, grid, copies, special_rate):
+        rng = np.random.default_rng(seed)
+        if grid:  # few distinct distances: many exact ties
+            points = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+            centroids = rng.integers(-3, 4, size=(k, dim)).astype(np.float64)
+        else:
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+            centroids = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4)
+        for _ in range(copies if k > 1 else 0):  # duplicated centroids
+            centroids[rng.integers(k)] = centroids[rng.integers(k)]
+        for values in (points, centroids):
+            mask = rng.random(values.shape) < special_rate
+            values[mask] = rng.choice(_SPECIAL, int(mask.sum()))
+        with np.errstate(all="ignore"):
+            got = assign_points(points, centroids)
+            want = reference_assign_points(points, centroids)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert np.array_equal(got, want)
+
+    def test_ties_and_nans_go_to_the_first(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0]])
+        centroids = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        assert assign_points(points, centroids).tolist() == [0, 0, 0]
+        with np.errstate(invalid="ignore"):
+            nan_second = np.array([[0.0, 0.0], [np.nan, 0.0], [5.0, 5.0]])
+            assert assign_points(points[:2], nan_second).tolist() == [1, 1]
+
+
 class TestProgram:
     def make(self, **kw):
         defaults = dict(k=3, dim=2, threshold=0.05)
@@ -114,6 +162,40 @@ class TestProgram:
         records = [(i, np.array([float(i), 0.0])) for i in range(10)]
         model = prog.initial_model(records, seed=1)
         assert set(model) == {0, 1, 2}
+
+    def test_initial_model_from_a_batch_equals_the_row_list(self):
+        records, _ = gaussian_mixture(50, 3, dim=2, seed=5)
+        prog = self.make()
+        for seed in (0, 1, 7):
+            from_rows = prog.initial_model(records, seed=seed)
+            from_batch = prog.initial_model(ColumnBatch.from_rows(records), seed=seed)
+            assert list(from_batch) == list(from_rows)
+            assert all(
+                _bits(from_batch[c]) == _bits(from_rows[c])
+                and from_batch[c].dtype == np.float64
+                for c in from_rows
+            )
+
+    def test_both_runners_start_from_a_batch(self):
+        from repro.cluster.cluster import Cluster
+        from repro.pic.runner import PICRunner, run_ic_baseline
+
+        records, _ = gaussian_mixture(60, 2, dim=2, separation=8.0, seed=3)
+        prog = self.make(k=2)
+
+        def cluster():
+            return Cluster(num_nodes=4, nodes_per_rack=4)
+
+        ic_rows = run_ic_baseline(cluster(), prog, records, seed=2)
+        ic_batch = run_ic_baseline(cluster(), prog, ColumnBatch.from_rows(records), seed=2)
+        pic_rows = PICRunner(cluster(), prog, num_partitions=2, seed=2).run(records)
+        pic_batch = PICRunner(cluster(), prog, num_partitions=2, seed=2).run(
+            ColumnBatch.from_rows(records)
+        )
+        for from_rows, from_batch in ((ic_rows, ic_batch), (pic_rows, pic_batch)):
+            assert _bits(prog.centroid_array(from_batch.model)) == _bits(
+                prog.centroid_array(from_rows.model)
+            )
 
     def test_batch_map_assigns_nearest(self):
         prog = self.make(k=2)

@@ -40,9 +40,13 @@ _REPORT = (
 def run_fresh(code: str, *prefixes: str) -> tuple[str, list[str]]:
     """Run ``code`` in a fresh interpreter: what it printed, and the
     modules it left loaded under ``prefixes`` (the package itself or any
-    submodule)."""
+    submodule).  The environment holds ``PYTHONPATH`` alone, so no
+    ``PIC_*`` switch leaks in; a caller that writes no bytecode starts a
+    child that writes none either (``-B``), or the child would leave
+    ``__pycache__`` in the tree."""
+    flags = ["-B"] if sys.flags.dont_write_bytecode else []
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\n" + _REPORT, *prefixes],
+        [sys.executable, *flags, "-c", code + "\n" + _REPORT, *prefixes],
         capture_output=True, text=True, cwd=REPO,
         env={"PYTHONPATH": str(REPO / "src")}, timeout=300,
     )
@@ -53,6 +57,11 @@ def run_fresh(code: str, *prefixes: str) -> tuple[str, list[str]]:
 
 def loaded_after(code: str, *prefixes: str) -> list[str]:
     return run_fresh(code, *prefixes)[1]
+
+
+def test_a_fresh_interpreter_writes_bytecode_as_its_caller_does():
+    printed, _loaded = run_fresh("import sys\nprint(sys.flags.dont_write_bytecode)")
+    assert printed == str(sys.flags.dont_write_bytecode)
 
 
 def test_importing_the_packages_loads_no_scipy():

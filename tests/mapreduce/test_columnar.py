@@ -500,6 +500,26 @@ class TestGroupSums:
         )
         self._assert_folds(_groups_of(sizes), flat.reshape(n, *row_shape))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=0, max_size=8),
+        st.sampled_from([(0,), (16, 8)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_zero_width_and_wide_rows_are_the_left_to_right_fold(self, sizes, row_shape, seed):
+        # Too many elements per row to draw one by one: a seeded rng
+        # draws magnitudes from 1e-300 to 1e300 and sprinkles the
+        # awkward values in.
+        n = sum(sizes)
+        rng = np.random.default_rng(seed)
+        shape = (n, *row_shape)
+        with np.errstate(over="ignore"):
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        awkward = rng.random(shape) < 0.1
+        values[awkward] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], int(awkward.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._assert_folds(_groups_of(sizes), values)
+
     def test_negative_zero_groups_sum_to_positive_zero(self):
         values = np.full((5, 2), -0.0)
         got = group_sums(_groups_of([2, 3]), values)

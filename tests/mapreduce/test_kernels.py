@@ -217,8 +217,11 @@ def test_importing_the_data_plane_builds_no_crc_table():
         "columnar.crc32_rows(__import__('numpy').zeros((1, 2), dtype='uint8'))\n"
         "assert columnar._CRC_Q is not None\n"
     )
+    # -B when this process writes no bytecode: the bare env drops
+    # PYTHONDONTWRITEBYTECODE, and the child would fill src with caches.
+    flags = ["-B"] if sys.flags.dont_write_bytecode else []
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO / "src")}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.mapreduce.columnar import ArrayColumn
 from repro.pic.convergence import (
     Verdict,
     either,
@@ -10,6 +12,8 @@ from repro.pic.convergence import (
     kv_model_max_change,
     max_change_below,
 )
+from repro.pic.model import as_model
+from tests.pic.reference_convergence import reference_kv_model_max_change
 
 
 class TestKvModelMaxChange:
@@ -37,6 +41,74 @@ class TestKvModelMaxChange:
     def test_identical_models_zero(self):
         m = {0: np.ones(4), 1: 2.0}
         assert kv_model_max_change(m, m) == 0.0
+
+
+def _same_bits(got, want):
+    if np.isnan(want):
+        return np.isnan(got)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestArrayPath:
+    """Two float64 array models of one shape take the subtraction and
+    per-row ``dot`` path; it equals the per-element loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 3)]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1, 150, 300]),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_equals_the_per_element_loop(self, k, shape, seed, scale, nan_rate, inf_rate):
+        # ``scale`` up to 1e300 makes squares overflow to inf; NaN rows
+        # come from NaN elements and from inf - inf.
+        rng = np.random.default_rng(seed)
+        before = rng.normal(size=(k, *shape)) * 10.0 ** rng.integers(-scale, scale + 1, (k, *shape))
+        with np.errstate(over="ignore"):
+            after = before + rng.normal(size=before.shape) * 10.0 ** rng.integers(
+                -scale, scale + 1, before.shape
+            )
+        for values in (before, after):
+            values[rng.random(values.shape) < nan_rate * 0.3] = np.nan
+            infs = rng.random(values.shape) < inf_rate * 0.3
+            values[infs] = rng.choice([np.inf, -np.inf], int(infs.sum()))
+            values[rng.random(k) < nan_rate] = np.nan  # whole NaN rows
+        keys = rng.permutation(k).tolist()  # the lookup gathers, too
+        previous = {key: before[i] for i, key in enumerate(keys)}
+        current = {key: after[key] for key in range(k)}
+        assert isinstance(as_model(current).value_column, ArrayColumn)
+        with np.errstate(all="ignore"):
+            got = kv_model_max_change(previous, current)
+            want = reference_kv_model_max_change(previous, current)
+        assert type(got) is float and _same_bits(got, want)
+
+    def test_a_nan_norm_never_wins(self):
+        prev = {0: np.zeros(2), 1: np.zeros(2)}
+        assert kv_model_max_change(prev, {0: np.full(2, np.nan), 1: np.zeros(2)}) == 0.0
+        cur = {0: np.array([np.nan, 0.0]), 1: np.array([3.0, 4.0])}
+        assert kv_model_max_change(prev, cur) == 5.0
+
+    def test_overflow_is_infinite(self):
+        prev = {0: np.zeros(3)}
+        with np.errstate(over="ignore"):
+            assert kv_model_max_change(prev, {0: np.array([1e200, 0.0, 0.0])}) == np.inf
+
+    @pytest.mark.parametrize(
+        "previous, current",
+        [
+            ({0: np.array([1, 2]), 1: np.array([0, 0])},
+             {0: np.array([4, 6]), 1: np.array([1, 1])}),
+            ({0: np.zeros(2), 1: 1.5}, {0: np.ones(2), 1: 4.0}),
+            ({0: np.zeros(2, dtype=np.float32)}, {0: np.ones(2, dtype=np.float32)}),
+            ({0: np.zeros(2), 1: np.zeros(2)}, {0: np.ones(2), 1: np.ones(3)}),
+        ],
+    )
+    def test_other_model_kinds_keep_the_loop(self, previous, current):
+        got = kv_model_max_change(previous, current)
+        assert _same_bits(got, reference_kv_model_max_change(previous, current))
 
 
 class TestMaxChangeBelow:
