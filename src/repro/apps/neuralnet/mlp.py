@@ -29,16 +29,6 @@ class MLP:
         if min(self.input_dim, self.hidden_dim, self.num_classes) < 1:
             raise ValueError("all layer sizes must be >= 1")
 
-    @property
-    def num_params(self) -> int:
-        """Total scalar parameter count of the network."""
-        return (
-            self.input_dim * self.hidden_dim
-            + self.hidden_dim
-            + self.hidden_dim * self.num_classes
-            + self.num_classes
-        )
-
 
 def init_params(shape: MLP, seed: SeedLike = 0) -> dict[str, np.ndarray]:
     """Xavier-style initialisation."""

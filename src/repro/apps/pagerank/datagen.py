@@ -65,17 +65,3 @@ def local_web_graph(
         records.append((v, tuple(out)))
     return records
 
-
-def cross_edge_fraction(
-    records: list[tuple[int, tuple[int, ...]]], assignment: dict[int, int]
-) -> float:
-    """Fraction of edges whose endpoints fall in different partitions."""
-    total = 0
-    cross = 0
-    for v, outs in records:
-        pv = assignment[v]
-        for t in outs:
-            total += 1
-            if assignment[t] != pv:
-                cross += 1
-    return cross / total if total else 0.0

@@ -110,19 +110,6 @@ class TrafficMeter:
             for cat, t in self._totals.items()
         }
 
-    def absorb(self, other: "TrafficMeter") -> None:
-        """Fold another meter's totals into this one.
-
-        Used when a PIC sub-problem runs on a sandboxed sub-cluster: its
-        (purely local) traffic still belongs in the experiment's ledger.
-        """
-        for cat, theirs in other._totals.items():
-            mine = self._totals.setdefault(cat, _CategoryTotals())
-            mine.total_bytes += theirs.total_bytes
-            mine.fabric_bytes += theirs.fabric_bytes
-            mine.core_bytes += theirs.core_bytes
-            mine.transfers += theirs.transfers
-
     def diff(self, earlier: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
         """Per-category deltas since an earlier :meth:`snapshot`."""
         current = self.snapshot()

@@ -31,8 +31,9 @@ order.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.cluster import Cluster
 
@@ -65,6 +66,13 @@ class Resource:
 NODE_LOCAL, RACK_LOCAL, OFF_RACK = range(3)
 
 
+def _units(memory_mb: int, vcores: int, need: Resource) -> int:
+    """How many ``need``-sized containers ``(memory_mb, vcores)`` holds."""
+    return min(
+        memory_mb // max(need.memory_mb, 1), vcores // max(need.vcores, 1)
+    )
+
+
 @dataclass(frozen=True)
 class Container:
     """A granted allocation on one node."""
@@ -76,7 +84,7 @@ class Container:
     locality: int = NODE_LOCAL
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ContainerRequest:
     """A pending container ask with its locality preferences."""
 
@@ -87,6 +95,109 @@ class ContainerRequest:
     app_id: int = 0
     #: Index of ``resource`` among the allocator's distinct profiles.
     profile: int = 0
+    #: Arrival order across the allocator: FIFO among equals.
+    seq: int = 0
+    #: Cleared on grant; the queue indexes drop granted asks lazily.
+    waiting: bool = True
+
+
+class _Profile:
+    """One distinct request shape and where it fits right now."""
+
+    __slots__ = (
+        "memory_mb", "vcores", "per_mb", "per_vc", "fitting", "racks", "units"
+    )
+
+    def __init__(self, need: Resource) -> None:
+        self.memory_mb = need.memory_mb
+        self.vcores = need.vcores
+        #: ``_units``' divisors.
+        self.per_mb = max(need.memory_mb, 1)
+        self.per_vc = max(need.vcores, 1)
+        #: Nodes with room for one ``need`` now (dicts: ordered iteration).
+        self.fitting: dict[int, None] = {}
+        #: The same nodes by rack; a rack with none is absent.
+        self.racks: dict[int, dict[int, None]] = {}
+        #: ``need``-sized containers the free capacity holds, cluster-wide.
+        self.units = 0
+
+
+class _AppQueue:
+    """One application's waiting asks of one profile: FIFO, plus the
+    same asks filed under each preferred node and its rack (twice when
+    two preferred nodes share one).  Granted asks stay in these deques
+    until they reach a head."""
+
+    __slots__ = ("app_id", "profile", "fifo", "by_node", "by_rack", "waiting")
+
+    def __init__(self, app_id: int, profile: int) -> None:
+        self.app_id = app_id
+        self.profile = profile
+        self.fifo: deque[ContainerRequest] = deque()
+        self.by_node: dict[int, deque[ContainerRequest]] = {}
+        self.by_rack: dict[int, deque[ContainerRequest]] = {}
+        self.waiting = 0
+
+    def push(self, req: ContainerRequest, rack_of: Mapping[int, int]) -> None:
+        self.fifo.append(req)
+        by_node, by_rack = self.by_node, self.by_rack
+        for node in req.preferred:
+            by_node.setdefault(node, deque()).append(req)
+            by_rack.setdefault(rack_of[node], deque()).append(req)
+        self.waiting += 1
+
+
+def _head(reqs: deque[ContainerRequest]) -> ContainerRequest | None:
+    """The earliest waiting ask in ``reqs``, dropping granted ones."""
+    while reqs:
+        req = reqs[0]
+        if req.waiting:
+            return req
+        reqs.popleft()
+    return None
+
+
+def _earliest(
+    index: dict[int, deque[ContainerRequest]], where: Mapping[int, object]
+) -> ContainerRequest | None:
+    """The earliest waiting ask filed under a key ``where`` holds."""
+    if len(index) > len(where):
+        keys = [key for key in where if key in index]
+    else:
+        keys = [key for key in index if key in where]
+    best = None
+    for key in keys:
+        req = _head(index[key])
+        if req is None:
+            del index[key]
+        elif best is None or req.seq < best.seq:
+            best = req
+    return best
+
+
+def _first_preferring(
+    queue: _AppQueue, where: Mapping[int, object], racks: bool
+) -> ContainerRequest | None:
+    """The earliest ask of ``queue`` preferring a node (or, with
+    ``racks``, a rack) that ``where`` holds.
+
+    The FIFO is scanned from its head for as many asks as the index
+    lookup would cost; past that the index answers.  Either way the
+    cost is bounded by the cluster, not the queue.
+    """
+    index = queue.by_rack if racks else queue.by_node
+    budget = min(len(where), len(index))
+    keys = where.keys()
+    _head(queue.fifo)
+    for req in queue.fifo:
+        if req.waiting and not keys.isdisjoint(
+            req.preferred_racks if racks else req.preferred
+        ):
+            return req
+        budget -= 1
+        if budget <= 0:
+            return _earliest(index, where)
+    return None
 
 
 class ResourceManager:
@@ -101,6 +212,7 @@ class ResourceManager:
         self, cluster: Cluster, capacities: Mapping[int, Resource] | None = None
     ) -> None:
         self.cluster = cluster
+        self._rack = {n.node_id: n.rack_id for n in cluster.nodes}
         if capacities is None:
             capacities = {
                 node.node_id: Resource(
@@ -111,14 +223,28 @@ class ResourceManager:
                 )
                 for node in cluster.nodes
             }
-        self._capacity = dict(capacities)
-        self._available = dict(capacities)
-        self._rack = {n.node_id: n.rack_id for n in cluster.nodes}
-        self._queue: list[ContainerRequest] = []
+        for node_id in capacities:
+            if node_id not in self._rack:
+                raise ValueError(
+                    f"capacities name node {node_id!r}, which is not one "
+                    f"of the cluster's {len(self._rack)} nodes"
+                )
+        for node_id in self._rack:
+            if node_id not in capacities:
+                raise ValueError(f"capacities give none for node {node_id}")
+        self._capacity = {n: capacities[n] for n in self._rack}
+        # Free capacity as plain ints, one entry per node.
+        self._free_mb = {n: cap.memory_mb for n, cap in self._capacity.items()}
+        self._free_vc = {n: cap.vcores for n, cap in self._capacity.items()}
         # Distinct request profiles seen -> first-seen position, which
-        # each queued request carries.
+        # each queued request carries and which indexes _shapes.
         self._profiles: dict[Resource, int] = {}
+        self._shapes: list[_Profile] = []
+        # Waiting asks per (app, profile); a queue leaves when it empties.
+        self._queues: dict[tuple[int, int], _AppQueue] = {}
+        self._queued = 0
         self._ids = itertools.count()
+        self._seqs = itertools.count()
         self.containers_granted = 0
         # Containers held per application, for least-granted
         # interleaving of concurrent apps.
@@ -136,11 +262,22 @@ class ResourceManager:
 
     def available(self, node_id: int) -> Resource:
         """Currently unallocated resources on ``node_id``."""
-        return self._available[node_id]
+        return Resource(self._free_mb[node_id], self._free_vc[node_id])
 
     def outstanding(self, app_id: int) -> int:
         """Containers currently held by ``app_id``."""
         return self._outstanding.get(app_id, 0)
+
+    def free_units(self, resource: Resource) -> int:
+        """How many ``resource``-sized containers the free capacity
+        holds now, cluster-wide (per node, what both dimensions allow)."""
+        profile = self._profiles.get(resource)
+        if profile is not None:
+            return self._shapes[profile].units
+        return sum(
+            _units(self._free_mb[n], self._free_vc[n], resource)
+            for n in self._capacity
+        )
 
     # -- allocation ---------------------------------------------------------
 
@@ -159,8 +296,9 @@ class ResourceManager:
         ``preferred`` id the cluster lacks is refused before anything
         is queued.
         """
+        preferred = tuple(preferred)
         try:
-            preferred_racks = frozenset(self._rack[n] for n in preferred)
+            racks = frozenset(map(self._rack.__getitem__, preferred))
         except KeyError as exc:
             raise ValueError(
                 f"preferred node {exc.args[0]!r} is not one of the "
@@ -168,45 +306,88 @@ class ResourceManager:
             ) from None
         profile = self._profiles.get(resource)
         if profile is None:
-            # Capacities are fixed, so a profile checked once fits for good.
-            if not any(resource.fits_in(cap) for cap in self._capacity.values()):
-                raise ValueError(
-                    f"request {resource} exceeds every node's capacity"
-                )
-            profile = self._profiles[resource] = len(self._profiles)
-        self._queue.append(
-            ContainerRequest(
-                resource=resource,
-                preferred=tuple(preferred),
-                preferred_racks=preferred_racks,
-                callback=callback,
-                app_id=app_id,
-                profile=profile,
-            )
+            profile = self._add_profile(resource)
+        req = ContainerRequest(
+            resource=resource,
+            preferred=preferred,
+            preferred_racks=racks,
+            callback=callback,
+            app_id=app_id,
+            profile=profile,
+            seq=next(self._seqs),
         )
+        key = (app_id, profile)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = _AppQueue(app_id, profile)
+        queue.push(req, self._rack)
+        self._queued += 1
         self._flush()
 
     def try_allocate_on(
         self, node_id: int, resource: Resource, app_id: int = 0
     ) -> Container | None:
         """Non-queuing allocation pinned to one node (reduce placement)."""
-        if not resource.fits_in(self._available[node_id]):
+        if (
+            resource.memory_mb > self._free_mb[node_id]
+            or resource.vcores > self._free_vc[node_id]
+        ):
             return None
         return self._allocate(node_id, resource, app_id, NODE_LOCAL)
 
     def release(self, container: Container) -> None:
         """Return a container's resources; queued requests are served
         at the timestamp's serialization point."""
-        new_avail = self._available[container.node_id] + container.resource
-        if not new_avail.fits_in(self._capacity[container.node_id]):
-            raise RuntimeError(
-                f"container over-release on node {container.node_id}"
-            )
-        self._available[container.node_id] = new_avail
+        node_id, resource = container.node_id, container.resource
+        capacity = self._capacity[node_id]
+        memory_mb = self._free_mb[node_id] + resource.memory_mb
+        vcores = self._free_vc[node_id] + resource.vcores
+        if memory_mb > capacity.memory_mb or vcores > capacity.vcores:
+            raise RuntimeError(f"container over-release on node {node_id}")
+        self._set_free(node_id, memory_mb, vcores)
         self._outstanding[container.app_id] -= 1
         self._flush()
 
     # -- internals -----------------------------------------------------------
+
+    def _add_profile(self, resource: Resource) -> int:
+        """Register a request shape, refusing one no node can ever hold."""
+        # Capacities are fixed, so a profile checked once fits for good.
+        if not any(resource.fits_in(cap) for cap in self._capacity.values()):
+            raise ValueError(f"request {resource} exceeds every node's capacity")
+        shape = _Profile(resource)
+        for node_id in self._capacity:
+            memory_mb, vcores = self._free_mb[node_id], self._free_vc[node_id]
+            shape.units += _units(memory_mb, vcores, resource)
+            if shape.memory_mb <= memory_mb and shape.vcores <= vcores:
+                shape.fitting[node_id] = None
+                shape.racks.setdefault(self._rack[node_id], {})[node_id] = None
+        self._shapes.append(shape)
+        profile = self._profiles[resource] = len(self._profiles)
+        return profile
+
+    def _set_free(self, node_id: int, memory_mb: int, vcores: int) -> None:
+        """Set ``node_id``'s free capacity and every profile's view of it."""
+        old_mb, old_vc = self._free_mb[node_id], self._free_vc[node_id]
+        self._free_mb[node_id] = memory_mb
+        self._free_vc[node_id] = vcores
+        rack = self._rack[node_id]
+        for shape in self._shapes:
+            per_mb, per_vc = shape.per_mb, shape.per_vc
+            shape.units += min(memory_mb // per_mb, vcores // per_vc) - min(
+                old_mb // per_mb, old_vc // per_vc
+            )
+            fitting = shape.fitting
+            if shape.memory_mb <= memory_mb and shape.vcores <= vcores:
+                if node_id not in fitting:
+                    fitting[node_id] = None
+                    shape.racks.setdefault(rack, {})[node_id] = None
+            elif node_id in fitting:
+                del fitting[node_id]
+                in_rack = shape.racks[rack]
+                del in_rack[node_id]
+                if not in_rack:
+                    del shape.racks[rack]
 
     def _flush(self) -> None:
         """Serve now (root context) or at the serialization point."""
@@ -234,69 +415,86 @@ class ResourceManager:
         """
         self._serving = True
         try:
-            while self._queue:
+            while self._queued:
                 grant = self._next_grant()
                 if grant is None:
                     break
-                req, fitting = grant
-                node_id, locality = self._pick_node(req, fitting)
-                self._queue.remove(req)
+                req, node_id, locality = grant
+                req.waiting = False
+                self._queued -= 1
+                key = (req.app_id, req.profile)
+                queue = self._queues[key]
+                queue.waiting -= 1
+                if not queue.waiting:
+                    del self._queues[key]
                 req.callback(
                     self._allocate(node_id, req.resource, req.app_id, locality)
                 )
         finally:
             self._serving = False
 
-    def _next_grant(self) -> tuple[ContainerRequest, list[int]] | None:
-        """The queued request to serve next with the nodes it fits on
-        now, or None when nothing fits.
+    def _next_grant(self) -> tuple[ContainerRequest, int, int] | None:
+        """The queued request to serve next, the node it gets and its
+        locality tier, or None when nothing fits.
 
-        The fitting nodes are computed once per distinct profile, so a
-        pass costs O(profiles × nodes + queue), not O(queue × nodes).
+        Each (app, profile) queue offers its earliest ask of the best
+        tier — a FIFO head it can serve at once, else an index lookup
+        over the fitting nodes (racks) it prefers — so a grant costs
+        O(queues × min(fitting nodes, preferred nodes)): bounded by the
+        cluster, O(queues) when heads are servable, and never a scan
+        of the whole queue.
         """
-        fitting: list[list[int]] = []
-        for need in self._profiles:
-            mb, vc = need.memory_mb, need.vcores
-            fitting.append([
-                n for n, avail in self._available.items()
-                if mb <= avail.memory_mb and vc <= avail.vcores
+        shapes = self._shapes
+        live = [q for q in self._queues.values() if shapes[q.profile].fitting]
+        if not live:
+            return None
+        outstanding = self._outstanding
+        for tier in (NODE_LOCAL, RACK_LOCAL, OFF_RACK):
+            best = None
+            best_key = (0, 0)
+            for queue in live:
+                shape = shapes[queue.profile]
+                if tier == NODE_LOCAL:
+                    req = _first_preferring(queue, shape.fitting, False)
+                elif tier == RACK_LOCAL:
+                    req = _first_preferring(queue, shape.racks, True)
+                else:
+                    req = _head(queue.fifo)
+                if req is not None:
+                    # Least-granted app first; FIFO among equals.
+                    key = (outstanding.get(req.app_id, 0), req.seq)
+                    if best is None or key < best_key:
+                        best, best_key = req, key
+            if best is not None:
+                return best, self._pick_node(best, tier), tier
+        return None
+
+    def _pick_node(self, req: ContainerRequest, tier: int) -> int:
+        """Roomiest fitting node of ``tier`` for ``req``."""
+        shape = self._shapes[req.profile]
+        fitting = shape.fitting
+        if tier == NODE_LOCAL:
+            return self._roomiest([n for n in req.preferred if n in fitting])
+        if tier == RACK_LOCAL:
+            rack = self._rack
+            return self._roomiest([
+                m for n in req.preferred for m in shape.racks.get(rack[n], ())
             ])
-        if not any(fitting):
-            return None
-        nodes = [frozenset(fit) for fit in fitting]
-        live = [r for r in self._queue if nodes[r.profile]]
-        pool = [r for r in live if not nodes[r.profile].isdisjoint(r.preferred)]
-        if not pool:
-            racks = [frozenset(map(self._rack.__getitem__, fit)) for fit in fitting]
-            pool = [
-                r for r in live if not racks[r.profile].isdisjoint(r.preferred_racks)
-            ] or live
-        if not pool:
-            return None
-        # min() keeps the first of equals: FIFO among equally-granted apps.
-        best = min(pool, key=lambda r: self._outstanding.get(r.app_id, 0))
-        return best, fitting[best.profile]
+        return self._roomiest(fitting)
 
-    def _pick_node(
-        self, req: ContainerRequest, fitting: list[int]
-    ) -> tuple[int, int]:
-        """Roomiest fitting node in the best tier: local > rack > any."""
-        local = [n for n in req.preferred if n in fitting]
-        if local:
-            return self._roomiest(local), NODE_LOCAL
-        rack_local = [n for n in fitting if self._rack[n] in req.preferred_racks]
-        if rack_local:
-            return self._roomiest(rack_local), RACK_LOCAL
-        return self._roomiest(fitting), OFF_RACK
-
-    def _roomiest(self, nodes: list[int]) -> int:
+    def _roomiest(self, nodes: Iterable[int]) -> int:
         """Most available memory first; node id breaks ties."""
-        return min(nodes, key=lambda n: (-self._available[n].memory_mb, n))
+        free = self._free_mb
+        return min(nodes, key=lambda n: (-free[n], n))
 
     def _allocate(
         self, node_id: int, resource: Resource, app_id: int, locality: int
     ) -> Container:
-        self._available[node_id] = self._available[node_id] - resource
+        self._set_free(
+            node_id,
+            self._free_mb[node_id] - resource.memory_mb,
+            self._free_vc[node_id] - resource.vcores,
+        )
         self.containers_granted += 1
         self._outstanding[app_id] = self._outstanding.get(app_id, 0) + 1
         return Container(next(self._ids), node_id, resource, app_id, locality)
@@ -337,10 +535,7 @@ class SlotScheduler:
         self.assignments_remote = 0
 
     def _slots_in(self, resource: Resource) -> int:
-        return min(
-            resource.memory_mb // max(self.profile.memory_mb, 1),
-            resource.vcores // max(self.profile.vcores, 1),
-        )
+        return _units(resource.memory_mb, resource.vcores, self.profile)
 
     @property
     def total_slots(self) -> int:
@@ -351,10 +546,11 @@ class SlotScheduler:
         )
 
     def free_slots(self, node_id: int | None = None) -> int:
-        """Free slots on ``node_id``, or cluster-wide when omitted."""
+        """Free slots on ``node_id``, or cluster-wide when omitted (a
+        count the allocator keeps up to date)."""
         if node_id is not None:
             return self._slots_in(self.allocator.available(node_id))
-        return sum(self.free_slots(n.node_id) for n in self.cluster.nodes)
+        return self.allocator.free_units(self.profile)
 
     def request(
         self,

@@ -58,22 +58,3 @@ def replicate_model(model: Any, num_partitions: int) -> list[Any]:
     _check_num_partitions(num_partitions)
     return [copy.deepcopy(model) for _ in range(num_partitions)]
 
-
-def split_model_by_key(
-    model: dict[Any, Any],
-    assignment: dict[Any, int],
-    num_partitions: int,
-) -> list[dict[Any, Any]]:
-    """Split a KV model into disjoint parts by a key→partition map.
-
-    Used when the partition function divides the model itself (the
-    PageRank pattern), rather than copying it.
-    """
-    _check_num_partitions(num_partitions)
-    parts: list[dict[Any, Any]] = [{} for _ in range(num_partitions)]
-    for key, value in model.items():
-        p = assignment[key]
-        if not 0 <= p < num_partitions:
-            raise ValueError(f"model key {key!r} assigned to invalid partition {p}")
-        parts[p][key] = value
-    return parts

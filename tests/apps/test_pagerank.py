@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRankProgram, local_web_graph, nutch_pagerank
-from repro.apps.pagerank.datagen import cross_edge_fraction
 from repro.apps.pagerank.program import EDGE, PR
 from repro.mapreduce.columnar import (
     Column,
@@ -31,6 +30,13 @@ from tests.apps.reference_pagerank import (
     reference_reduce_aggregate,
 )
 from tests.mapreduce.per_group import GroupCombiner, GroupReducer
+
+
+def cross_edge_fraction(records, assignment):
+    """Fraction of edges whose endpoints fall in different partitions."""
+    edges = [(v, t) for v, outs in records for t in outs]
+    cross = sum(assignment[v] != assignment[t] for v, t in edges)
+    return cross / len(edges) if edges else 0.0
 
 
 class TestDatagen:

@@ -3,12 +3,11 @@
 ``reference_events.py`` keeps the old queue verbatim: ``Event`` objects
 ordered by a Python ``__lt__`` and a ``run`` that calls ``step`` once per
 event.  Both simulations are driven by the same generated stream —
-``schedule``, ``schedule_at``, ``schedule_serialized`` and
-``schedule_batch`` from the root and from inside callbacks, strided
-cancels that compact the heap mid-run, ``run_until`` and the
-``max_events`` guard — and must execute the same events in the same
-``(time, seq)`` order with the same counters, with no tie seed and under
-two seeds.
+``schedule``, ``schedule_at`` and ``schedule_serialized`` from the
+root and from inside callbacks, strided cancels that compact the heap
+mid-run, ``run_until`` and the ``max_events`` guard — and must
+execute the same events in the same ``(time, seq)`` order with the
+same counters, with no tie seed and under two seeds.
 """
 
 import pytest
@@ -22,7 +21,7 @@ from tests.cluster import reference_events
 # the sanitizer's tie key and the sequence number decide the order.
 DELAY_VALUES = [0.0, 0.5, 1.0, 2.5]
 DELAYS = st.sampled_from(DELAY_VALUES)
-KINDS = ["schedule", "at", "serialized", "batch", "cancel", "cancel"]
+KINDS = ["schedule", "at", "serialized", "cancel", "cancel"]
 OPS = st.tuples(st.sampled_from(KINDS), DELAYS, st.integers(0, 400))
 # Stop creating events past this many, so callback chains end.
 CAP = 300
@@ -36,13 +35,13 @@ def drive(module, seed, burst, roots, reactions, until, max_events):
     created = []
     trace = []
 
-    def fire(label, part):
-        trace.append((sim.now, created[label].seq, part))
+    def fire(label):
+        trace.append((sim.now, created[label].seq))
         for op in reactions[label % len(reactions)]:
             apply(op)
 
-    def callback(label, part=0):
-        return lambda: fire(label, part)
+    def callback(label):
+        return lambda: fire(label)
 
     def apply(op):
         kind, delay, n = op
@@ -60,11 +59,8 @@ def drive(module, seed, burst, roots, reactions, until, max_events):
             event = sim.schedule(delay, callback(label))
         elif kind == "at":
             event = sim.schedule_at(sim.now + delay, callback(label))
-        elif kind == "serialized":
-            event = sim.schedule_serialized(callback(label))
         else:
-            parts = [callback(label, part) for part in range(1 + n % 3)]
-            event = sim.schedule_batch(delay, parts)
+            event = sim.schedule_serialized(callback(label))
         created.append(event)
 
     for i in range(burst):

@@ -297,7 +297,7 @@ class TestCancellationChurn:
 
 class TestSanitizedTies:
     """PIC_SANITIZE permutes only causally unrelated same-timestamp
-    ties; program order, submission order and batch order survive."""
+    ties; program order and submission order survive."""
 
     SEEDS = range(1, 21)
 
@@ -383,16 +383,6 @@ class TestSanitizedTies:
             sim.run()
             assert order == ["normal", "late"], f"seed {seed}"
 
-    def test_batch_internal_order_is_preserved_under_seeds(self):
-        for seed in self.SEEDS:
-            sim = Simulation(tie_seed=seed)
-            order = []
-            sim.schedule(1.0, lambda: sim.schedule_batch(
-                1.0, [lambda n=n: order.append(n) for n in range(5)]
-            ))
-            sim.run()
-            assert order == [0, 1, 2, 3, 4], f"seed {seed}"
-
     def test_in_callback_reflects_dispatch_context(self):
         sim = Simulation()
         states = []
@@ -437,35 +427,6 @@ class TestSanitizedTies:
         assert sorted(base) == sorted(seeded)
         assert seeded_sim.events_processed == base_sim.events_processed
         assert [t for t, _ in seeded] == [t for t, _ in base]
-
-
-class TestBatchScheduling:
-    def test_batch_runs_callbacks_in_order(self):
-        sim = Simulation()
-        order = []
-        sim.schedule_batch(1.0, [lambda n=n: order.append(n) for n in range(5)])
-        sim.run()
-        assert order == [0, 1, 2, 3, 4]
-        # One heap entry, one processed event for the whole burst.
-        assert sim.events_processed == 1
-
-    def test_batch_interleaves_with_singleton_events(self):
-        sim = Simulation()
-        order = []
-        sim.schedule(0.5, lambda: order.append("early"))
-        sim.schedule_batch(1.0, [lambda: order.append("a"),
-                                 lambda: order.append("b")])
-        sim.schedule(1.0, lambda: order.append("late"))
-        sim.run()
-        assert order == ["early", "a", "b", "late"]
-
-    def test_batch_can_be_cancelled(self):
-        sim = Simulation()
-        order = []
-        event = sim.schedule_batch(1.0, [lambda: order.append("a")])
-        event.cancel()
-        sim.run()
-        assert order == []
 
 
 class TestRunControl:

@@ -77,27 +77,6 @@ class TestSnapshotDiff:
         assert snap["x"]["total_bytes"] == 1
 
 
-class TestAbsorb:
-    def test_absorb_adds_all_fields(self):
-        a = TrafficMeter()
-        b = TrafficMeter()
-        a.record("x", 10, crosses_core=True)
-        b.record("x", 5, crosses_core=False)
-        b.record("y", 2, crosses_core=False, on_fabric=False)
-        a.absorb(b)
-        assert a.total("x") == 15
-        assert a.bisection("x") == 10
-        assert a.total("y") == 2
-        assert a.fabric("y") == 0
-
-    def test_absorb_empty_is_noop(self):
-        a = TrafficMeter()
-        a.record("x", 1, crosses_core=False)
-        before = a.snapshot()
-        a.absorb(TrafficMeter())
-        assert a.snapshot() == before
-
-
 class TestCategories:
     def test_canonical_names_unique(self):
         assert len(set(TrafficCategory.ALL)) == len(TrafficCategory.ALL)

@@ -64,10 +64,26 @@ class TestBasics:
         _c, sched = make_scheduler(num_nodes=4)
         with pytest.raises(ValueError, match="preferred node 99 is not one of"):
             sched.request(lambda n: None, preferred=[1, 99])
-        assert sched.allocator._profiles == {} and sched.allocator._queue == []
+        assert sched.allocator._profiles == {} and sched.allocator._queued == 0
         granted = []
         sched.request(granted.append, preferred=[3])
         assert granted == [3]
+
+    def test_capacity_for_a_node_the_cluster_lacks_rejected(self):
+        # Used to be accepted, then fail the first request with a bare
+        # KeyError from the rack lookup.
+        cluster = Cluster(num_nodes=4, nodes_per_rack=2)
+        with pytest.raises(ValueError, match="capacities name node 99, which"):
+            ResourceManager(cluster, {99: Resource(4, 4)})
+        full = {n: Resource(4, 4) for n in range(4)}
+        with pytest.raises(ValueError, match="capacities name node 4, which"):
+            ResourceManager(cluster, {**full, 4: Resource(4, 4)})
+
+    def test_cluster_node_missing_from_capacities_rejected(self):
+        # Used to surface as KeyError: 3 from try_allocate_on(3, ...).
+        cluster = Cluster(num_nodes=4, nodes_per_rack=2)
+        with pytest.raises(ValueError, match="capacities give none for node 3"):
+            ResourceManager(cluster, {n: Resource(4, 4) for n in range(3)})
 
     def test_request_validation_is_per_profile_and_against_capacity(self):
         # The fit check is cached per distinct profile: an oversized
@@ -80,15 +96,15 @@ class TestBasics:
         for _ in range(2):
             with pytest.raises(ValueError, match="exceeds every node's capacity"):
                 rm.request(Resource(2048, 2), lambda c: None)
-        assert rm._profiles == {} and rm._queue == []
+        assert rm._profiles == {} and rm._queued == 0
         granted = []
         for _ in range(4):
             rm.request(Resource(1024, 1), granted.append)
         assert sorted(c.node_id for c in granted) == [0, 1]
         assert list(rm._profiles) == [Resource(1024, 1)]
-        assert len(rm._queue) == 2
+        assert rm._queued == 2
         rm.release(granted[0])
-        assert len(granted) == 3 and len(rm._queue) == 1
+        assert len(granted) == 3 and rm._queued == 1
 
 
 class TestLocality:

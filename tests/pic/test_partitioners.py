@@ -9,7 +9,6 @@ from repro.pic.partitioners import (
     hash_partition,
     random_partition,
     replicate_model,
-    split_model_by_key,
 )
 
 records_strategy = st.lists(
@@ -96,30 +95,3 @@ class TestReplicateModel:
 
     def test_count(self):
         assert len(replicate_model({}, 4)) == 4
-
-
-class TestSplitModelByKey:
-    def test_disjoint_split(self):
-        model = {0: "a", 1: "b", 2: "c"}
-        parts = split_model_by_key(model, {0: 0, 1: 1, 2: 0}, 2)
-        assert parts == [{0: "a", 2: "c"}, {1: "b"}]
-
-    def test_invalid_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            split_model_by_key({0: "a"}, {0: 5}, 2)
-
-    @given(
-        st.dictionaries(st.integers(0, 50), st.integers(), min_size=1, max_size=30),
-        st.integers(1, 5),
-        st.integers(0, 9),
-    )
-    def test_split_is_exact_cover(self, model, p, seed):
-        rng = np.random.default_rng(seed)
-        assignment = {k: int(rng.integers(0, p)) for k in model}
-        parts = split_model_by_key(model, assignment, p)
-        rebuilt = {}
-        for part in parts:
-            for k, v in part.items():
-                assert k not in rebuilt
-                rebuilt[k] = v
-        assert rebuilt == model

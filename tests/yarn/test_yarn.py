@@ -162,7 +162,7 @@ class TestYarnJobRunner:
         runner = YarnJobRunner(cluster, DistributedFileSystem(cluster))
         with pytest.raises(ValueError, match="preferred node 99 is not one of"):
             runner.map_scheduler.request(lambda n: None, preferred=[99])
-        assert runner.rm._profiles == {} and runner.rm._queue == []
+        assert runner.rm._profiles == {} and runner.rm._queued == 0
 
     def test_adapter_slot_accounting(self):
         cluster, runner, _ds = word_env(YarnJobRunner)
