@@ -48,7 +48,10 @@ Regression checking is *calibration-normalized*: every run also times a
 fixed pure-Python loop and compares ``bench / calibration`` ratios, so
 a faster or slower host does not masquerade as a code change.  A bench
 regresses when its normalized time exceeds the baseline's by more than
-``--tolerance`` (default 0.25, i.e. 25%).
+``--tolerance`` (default 0.25, i.e. 25%) twice running: a bench flagged
+once is re-timed once, after a fresh calibration, and fails only if the
+second reading is over the bound too (one best-of-5 reading on a shared
+host strays past 25% now and then).
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -589,10 +593,26 @@ def run_suite(mode: str) -> dict[str, Any]:
     }
 
 
+def retime(mode: str, name: str) -> tuple[float, float]:
+    """A second reading of bench ``name``: ``(bench seconds, calibration
+    seconds)``, each timed afresh as :func:`run_suite` times them."""
+    cfg = SIZES[mode]
+    calibration = _time_best_of(_calibration, cfg["repeats"])
+    fn = BENCHES[name](cfg)
+    fn()  # warm-up, as in run_suite
+    print(f"  {name:30s} re-timed (flagged once)", file=sys.stderr)
+    return _time_best_of(fn, cfg["repeats"]), calibration
+
+
 def check_against(
-    current: dict[str, Any], baseline: dict[str, Any], tolerance: float
+    current: dict[str, Any],
+    baseline: dict[str, Any],
+    tolerance: float,
+    retime: Callable[[str], tuple[float, float]] | None = None,
 ) -> list[str]:
-    """Return regression messages (empty when the gate passes)."""
+    """Return regression messages (empty when the gate passes).  A bench
+    over the bound is read again through ``retime`` (when given) and
+    fails only if that reading is over the bound as well."""
     failures: list[str] = []
     if current["meta"]["mode"] != baseline["meta"].get("mode"):
         return [
@@ -604,11 +624,16 @@ def check_against(
     for name, base_seconds in baseline["benches"].items():
         if name in TRAJECTORY_ONLY or name not in current["benches"]:
             continue
-        now_norm = current["benches"][name] / cal_now
         base_norm = base_seconds / cal_base
-        if now_norm > base_norm * (1.0 + tolerance):
+        bound = base_norm * (1.0 + tolerance)
+        readings = [current["benches"][name] / cal_now]
+        if readings[0] > bound and retime is not None:
+            seconds, calibration = retime(name)
+            readings.append(seconds / calibration)
+        if min(readings) > bound:
+            shown = " and ".join(f"{r:.2f}x" for r in readings)
             failures.append(
-                f"{name}: {now_norm:.2f}x calibration vs baseline "
+                f"{name}: {shown} calibration vs baseline "
                 f"{base_norm:.2f}x (> {tolerance:.0%} regression)"
             )
     return failures
@@ -645,7 +670,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         with open(args.check) as fh:
             baseline = json.load(fh)
-        failures = check_against(current, baseline, args.tolerance)
+        failures = check_against(
+            current, baseline, args.tolerance, partial(retime, args.mode)
+        )
         if failures:
             print("PERF REGRESSION:", file=sys.stderr)
             for line in failures:

@@ -43,6 +43,9 @@ class LinearSolverProgram(PICProgram):
     ``(row, (col_indices, values, b_i))`` with the diagonal included.
     """
 
+    #: A row's update reads only its own row and the model.
+    record_wise_map = True
+
     def __init__(
         self,
         threshold: float = 1e-6,

@@ -48,6 +48,9 @@ class ImageSmoothingProgram(PICProgram):
     ``(row_index, f_row)`` — the *original* image rows (data term).
     """
 
+    #: A row's sweep reads only its own input row and the model.
+    record_wise_map = True
+
     def __init__(
         self,
         height: int,

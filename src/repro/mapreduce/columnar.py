@@ -794,6 +794,12 @@ def _kind(column: Column) -> tuple[Any, ...]:
     return ("object",)
 
 
+def kinds_agree(batches: Sequence[ColumnBatch]) -> bool:
+    """Whether the non-empty batches agree on their column kinds, so that
+    their concatenation has each one's kinds (:func:`concat_batches`)."""
+    return len({(_kind(b.keys), _kind(b.values)) for b in batches if len(b)}) <= 1
+
+
 def bucket_kinds(
     batches: Sequence[ColumnBatch],
     bucket_ids: Sequence[np.ndarray],
@@ -808,8 +814,7 @@ def bucket_kinds(
     batches agree on their kinds: every non-empty bucket then has the
     kinds their concatenation has.
     """
-    kinds = {(_kind(b.keys), _kind(b.values)) for b in batches if len(b)}
-    if len(kinds) <= 1:
+    if kinds_agree(batches):
         return None
     empty = [b.slice(0, 0) for b in batches]
     fed = [np.bincount(ids, minlength=num_buckets) > 0 for ids in bucket_ids]

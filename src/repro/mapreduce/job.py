@@ -118,11 +118,24 @@ class JobSpec:
     # compute_job ran it.  PIC's best-effort jobs use this to charge the
     # in-mapper local iterations the task actually performed.
     map_cost: Callable[[int, int, dict[str, float]], float] | None = None
+    # A record-wise mapper emits exactly one record per input record, in
+    # input order, each depending only on its own record and ctx.model,
+    # and reads no ctx.split_index and writes no ctx.stats.  A run of
+    # splits that agree on their column kinds is then mapped in one call
+    # (compute_job), each split's charge cut from the one output; so that
+    # reducers see the kinds they would split by split, the output's
+    # kinds must follow from the input's alone, as they do for a mapper
+    # that emits typed columns.  Such a job has no combiner.
+    record_wise: bool = False
 
     def __post_init__(self) -> None:
         if self.num_reducers <= 0:
             raise ValueError(
                 f"job {self.name!r}: num_reducers must be positive, got {self.num_reducers}"
+            )
+        if self.record_wise and self.combiner is not None:
+            raise ValueError(
+                f"job {self.name!r}: a record-wise job has no combiner"
             )
 
     def run_combiner(self, grouped: GroupedBatch) -> ColumnBatch:

@@ -352,13 +352,16 @@ def _check_split_arguments(
     non-negative attempt count, and ``split_models`` holds one model per
     split: anything else is a ``ValueError`` naming the entry, not a
     fault that silently never fires or a crash in the map wave."""
+    # bool is an int subclass, so True would pass as split or count 1.
     for index, count in (failures or {}).items():
-        if not (isinstance(index, int) and 0 <= index < num_splits):
+        if isinstance(index, bool) or not (
+            isinstance(index, int) and 0 <= index < num_splits
+        ):
             raise ValueError(
                 f"job {spec.name!r}: failures names split {index!r}, but the "
                 f"job has {num_splits} splits (0 to {num_splits - 1})"
             )
-        if not isinstance(count, int) or count < 0:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(
                 f"job {spec.name!r}: failures[{index}] = {count!r}; expected "
                 "a non-negative number of failed attempts"

@@ -23,6 +23,7 @@ from repro.mapreduce.columnar import (
     bucket_kinds,
     concat_batches,
     group_buckets,
+    kinds_agree,
     singleton_groups,
 )
 from repro.mapreduce.job import ComputedJob, JobSpec, MapCharge, TaskContext
@@ -31,9 +32,9 @@ from repro.parallel.executor import TaskExecutor
 
 
 #: One map task's result: the records that travel (combined, when the
-#: job has a combiner), each one's reduce partition, and its charge —
-#: ``None`` when the task was not sized.
-MapOutput = tuple[ColumnBatch, np.ndarray, MapCharge | None]
+#: job has a combiner), each one's reduce partition, and the charge of
+#: each split the task mapped — none when the task was not sized.
+MapOutput = tuple[ColumnBatch, np.ndarray, list[MapCharge]]
 
 
 def compute_job(
@@ -44,8 +45,9 @@ def compute_job(
     executor: TaskExecutor | None,
     split_models: Sequence[Any] | None = None,
 ) -> ComputedJob:
-    """Run a job's real computation, all of it, now: map task ``i`` over
-    ``splits[i]`` through ``executor``, seeing ``split_models[i]`` (or
+    """Run a job's real computation, all of it, now: the map tasks
+    through ``executor``, each over a group of consecutive splits
+    (:func:`map_groups`), split ``i`` seeing ``split_models[i]`` (or
     ``model``) as ``ctx.model``; one grouping of every map output by
     (partition, key), concatenated by map index, so neither arrival
     timing nor the executor leaks into float summation order; then each
@@ -57,9 +59,9 @@ def compute_job(
     best-effort local iteration): its map tasks run here, in this
     process, sizing nothing, and ``charges`` comes back empty."""
     payloads = [
-        (spec, model if split_models is None else split_models[i], i, records,
-         num_reducers)
-        for i, records in enumerate(splits)
+        (spec, model if split_models is None else split_models[first], first,
+         splits[first:stop], num_reducers)
+        for first, stop in map_groups(spec, splits, executor, split_models)
     ]
     results: list[Any]
     if executor is None:
@@ -89,7 +91,29 @@ def compute_job(
         ctx = TaskContext(model=model)
         spec.reducer(ctx, part if kinds is None else part.as_kinds(kinds[p]))
         reduce_outputs.append(ctx.collect())
-    return ComputedJob(reduce_outputs, [c for c in charges if c is not None])
+    return ComputedJob(reduce_outputs, [c for group in charges for c in group])
+
+
+def map_groups(
+    spec: JobSpec,
+    splits: Sequence[ColumnBatch],
+    executor: TaskExecutor | None,
+    split_models: Sequence[Any] | None = None,
+) -> list[tuple[int, int]]:
+    """Each map task's splits, as ``(first, stop)`` bounds in split order.
+
+    A record-wise job whose splits share one model and agree on their
+    column kinds maps them in as few calls as the executor has workers
+    — one call when serial — each over near-equal runs of consecutive
+    splits: its mapper sees every record exactly as it would in its own
+    split's call.  Every other job maps each split on its own."""
+    n = len(splits)
+    if (not spec.record_wise or split_models is not None or n < 2
+            or not kinds_agree(splits)):
+        return [(i, i + 1) for i in range(n)]
+    tasks = min(n, 1 if executor is None else executor.workers)
+    bounds = [round(g * n / tasks) for g in range(tasks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def solve_subproblem(
@@ -108,35 +132,70 @@ def solve_subproblem(
 def run_map_task(
     spec: JobSpec,
     model: Any,
-    split_index: int,
-    records: ColumnBatch,
+    first_split: int,
+    splits: Sequence[ColumnBatch],
     num_reducers: int,
     sized: bool = True,
 ) -> MapOutput:
-    """Run one map task's real computation: the mapper against a fresh
-    context over its read-only split — made so here, in the process that
-    runs it, as a pickled split arrives writable (a split frozen before
-    is not scanned again) — then the partition (and combine) step over
-    its output (:func:`partition_output`), and, when ``sized``, the
-    output's :class:`MapCharge`."""
+    """Run one map task's real computation over splits ``first_split``
+    onward: one mapper call against a fresh context over their records,
+    read-only — made so here, in the process that runs it, as a pickled
+    split arrives writable (a split frozen before is not scanned again)
+    — then the partition (and combine) step over its output
+    (:func:`partition_output`), and, when ``sized``, each split's
+    :class:`MapCharge`.
+
+    Only a record-wise job maps several splits at once (:func:`map_groups`).
+    Its mapper sees them concatenated and no ``split_index``, and must
+    keep its contract: exactly one record out per record in, no
+    ``ctx.stats``.  Split ``s``'s records are then the output's next
+    ``len(s)``, and its charge is cut from one count and one sizing
+    pass over the bucket id ``s × num_reducers + partition``."""
+    records = splits[0] if len(splits) == 1 else concat_batches(splits)
     records.freeze()
-    ctx = TaskContext(model=model, split_index=split_index)
+    ctx = TaskContext(
+        model=model, split_index=None if spec.record_wise else first_split
+    )
     spec.mapper(ctx, records)
     output = ctx.collect()
+    if spec.record_wise and len(output) != len(records):
+        raise ValueError(
+            f"job {spec.name!r}: record-wise mapper emitted {len(output)} "
+            f"records for {len(records)} input records; expected exactly one each"
+        )
+    if spec.record_wise and ctx.stats:
+        raise ValueError(
+            f"job {spec.name!r}: record-wise mapper wrote ctx.stats "
+            f"{sorted(ctx.stats)}; a record-wise map task keeps no stats"
+        )
     batch, pids, counts = partition_output(spec, output, num_reducers)
     if not sized:
-        return batch, pids, None
-    bucket_bytes = batch.bucket_nbytes(pids, counts)
-    # Without a combiner the buckets are exactly the raw output
-    # re-partitioned, so one sizing pass covers both totals.
-    raw_bytes = sum(bucket_bytes) if spec.combiner is None else output.nbytes_wire()
-    charge = MapCharge(
-        counts.tolist(), bucket_bytes, len(output), raw_bytes, dict(ctx.stats)
-    )
-    return batch, pids, charge
+        return batch, pids, []
+    buckets = pids
+    if len(splits) > 1:
+        offsets = np.arange(0, len(splits) * num_reducers, num_reducers)
+        buckets = np.repeat(offsets, [len(s) for s in splits]) + pids
+        counts = np.bincount(buckets, minlength=len(offsets) * num_reducers)
+    bucket_bytes = batch.bucket_nbytes(buckets, counts)
+    charges: list[MapCharge] = []
+    for lo in range(0, len(counts), num_reducers):
+        split_counts = counts[lo : lo + num_reducers].tolist()
+        split_bytes = bucket_bytes[lo : lo + num_reducers]
+        if spec.combiner is None:
+            # The buckets are exactly the raw output re-partitioned, so
+            # one sizing pass covers both totals.
+            raw_records, raw_bytes = sum(split_counts), sum(split_bytes)
+        else:
+            raw_records, raw_bytes = len(output), output.nbytes_wire()
+        charges.append(MapCharge(
+            split_counts, split_bytes, raw_records, raw_bytes, dict(ctx.stats)
+        ))
+    return batch, pids, charges
 
 
-def map_task(payload: tuple[JobSpec, Any, int, ColumnBatch, int]) -> MapOutput:
+def map_task(
+    payload: tuple[JobSpec, Any, int, Sequence[ColumnBatch], int],
+) -> MapOutput:
     """:func:`run_map_task` over one payload of its arguments — the
     executor passes each task one argument."""
     return run_map_task(*payload)

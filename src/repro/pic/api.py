@@ -56,6 +56,13 @@ class PICProgram(abc.ABC):
     #: node, distributed-cache pattern) or "partitioned" (each task only
     #: fetches its input's share, chained-job pattern).
     model_mode: str = "broadcast"
+    #: Whether ``batch_map`` is record-wise: exactly one record out per
+    #: record in, in input order, each depending only on its own record
+    #: and ``ctx.model``, with no ``ctx.split_index`` read and no
+    #: ``ctx.stats`` written.  A record-wise job's map wave then runs its
+    #: mapper once per executor worker, not once per split
+    #: (:attr:`JobSpec.record_wise`); it has no combiner.
+    record_wise_map: bool = False
 
     # ------------------------------------------------------------------
     # Conventional IC interface (required for any MapReduce realisation)
@@ -217,6 +224,7 @@ class PICProgram(abc.ABC):
             combiner=self.combine_batch if has_combiner else None,
             num_reducers=self.num_reducers,
             costs=self.costs,
+            record_wise=self.record_wise_map,
         )
 
     # ------------------------------------------------------------------

@@ -47,6 +47,44 @@ def test_check_flags_regression(tiny_mode):
     assert "sizing_homogeneous" in failures[0]
 
 
+def test_flagged_bench_passes_when_its_retime_is_clean(tiny_mode):
+    doc = wallclock.run_suite(tiny_mode)
+    slower = json.loads(json.dumps(doc))
+    slower["benches"]["sizing_homogeneous"] *= 10
+    asked = []
+
+    def retime(name):
+        asked.append(name)
+        return doc["benches"][name], doc["meta"]["calibration_seconds"]
+
+    assert wallclock.check_against(slower, doc, 0.25, retime) == []
+    assert asked == ["sizing_homogeneous"]  # only the flagged bench, once
+
+
+def test_bench_over_the_bound_twice_fails_with_both_readings(tiny_mode):
+    doc = wallclock.run_suite(tiny_mode)
+    slower = json.loads(json.dumps(doc))
+    slower["benches"]["sizing_homogeneous"] *= 10
+    cal = doc["meta"]["calibration_seconds"]
+
+    def retime(name):
+        return doc["benches"][name] * 4, cal
+
+    (failure,) = wallclock.check_against(slower, doc, 0.25, retime)
+    first = slower["benches"]["sizing_homogeneous"] / cal
+    second = doc["benches"]["sizing_homogeneous"] * 4 / cal
+    base = doc["benches"]["sizing_homogeneous"] / cal
+    assert failure == (
+        f"sizing_homogeneous: {first:.2f}x and {second:.2f}x calibration "
+        f"vs baseline {base:.2f}x (> 25% regression)"
+    )
+
+
+def test_retime_reads_one_bench_afresh(tiny_mode):
+    seconds, calibration = wallclock.retime(tiny_mode, "sizing_homogeneous")
+    assert seconds > 0 and calibration > 0
+
+
 def test_check_rejects_mode_mismatch(tiny_mode):
     doc = wallclock.run_suite(tiny_mode)
     other = json.loads(json.dumps(doc))

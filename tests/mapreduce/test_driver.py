@@ -170,26 +170,32 @@ class TestOptimizedBaseline:
 
     def test_strip_keeps_every_other_jobspec_field(self):
         # One distinct non-default value per field, so a field the strip
-        # forgot would come back as its default.
-        spec = JobSpec(
+        # forgot would come back as its default.  A record-wise job has
+        # no combiner, so two specs between them set every field.
+        common = dict(
             name="every-field", mapper=_stub_mapper, reducer=_stub_reducer,
-            combiner=_stub_combiner, num_reducers=7,
-            partitioner=_stub_partitioner,
+            num_reducers=7, partitioner=_stub_partitioner,
             costs=CostHints(job_overhead_seconds=5.0, task_overhead_seconds=2.0),
             map_cost=_stub_map_cost,
         )
-        stripped = _strip_overheads(spec)
-        for field in dataclasses.fields(JobSpec):
-            if field.name == "costs":
-                assert stripped.costs == spec.costs.without_overheads()
-            else:
-                assert getattr(stripped, field.name) is getattr(
-                    spec, field.name
-                ), field.name
-        set_fields = {
-            f.name for f in dataclasses.fields(JobSpec)
-            if getattr(spec, f.name) != f.default
-        }
+        specs = [
+            JobSpec(**common, combiner=_stub_combiner),
+            JobSpec(**common, record_wise=True),
+        ]
+        set_fields = set()
+        for spec in specs:
+            stripped = _strip_overheads(spec)
+            for field in dataclasses.fields(JobSpec):
+                if field.name == "costs":
+                    assert stripped.costs == spec.costs.without_overheads()
+                else:
+                    assert getattr(stripped, field.name) is getattr(
+                        spec, field.name
+                    ), field.name
+            set_fields |= {
+                f.name for f in dataclasses.fields(JobSpec)
+                if getattr(spec, f.name) != f.default
+            }
         assert set_fields == {f.name for f in dataclasses.fields(JobSpec)}
 
     def test_strip_returns_the_spec_itself_when_nothing_to_strip(self):

@@ -72,6 +72,10 @@ class TestTaskRetry:
             ({4: 1}, "names split 4"),
             ({1: -2}, r"failures\[1\] = -2"),
             ({1: 1.5}, r"failures\[1\] = 1.5"),
+            # A bool is an int, but neither a split nor a count.
+            ({True: 2}, "names split True"),
+            ({False: 1}, "names split False"),
+            ({1: True}, r"failures\[1\] = True"),
         ],
     )
     def test_bad_failures_rejected_at_submit(self, failures, names):

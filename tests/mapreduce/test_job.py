@@ -112,8 +112,16 @@ class TestJobSpecValidation:
         # the record-at-a-time forms are PICProgram hooks, not fields.
         assert [f.name for f in dataclasses.fields(JobSpec)] == [
             "name", "mapper", "reducer", "combiner", "num_reducers",
-            "partitioner", "costs", "map_cost",
+            "partitioner", "costs", "map_cost", "record_wise",
         ]
+
+    def test_record_wise_job_has_no_combiner(self):
+        with pytest.raises(ValueError, match="'j': a record-wise job has no combiner"):
+            JobSpec(
+                name="j", mapper=noop_mapper, reducer=noop_reducer,
+                combiner=GroupCombiner(lambda _key, values: sum(values)),
+                record_wise=True,
+            )
 
     def test_zero_reducers_rejected(self):
         with pytest.raises(ValueError, match="num_reducers"):
