@@ -1,9 +1,11 @@
-"""Wall-clock performance microbenchmarks (host time, not simulated time).
+"""Wall-clock performance measurement (host time, not simulated time).
 
 Unlike ``benchmarks/test_*`` — which reproduce the paper's *simulated*
-figures — this package times the reproduction's own hot paths on the
-host: partition → solve → merge, shuffle-size accounting, and the
-end-to-end harness.  ``python -m benchmarks.perf.wallclock`` writes
-``BENCH_wallclock.json`` so every future PR has a perf trajectory to
-regress against.
+figures — this package times the reproduction itself on the host.  The
+perf ledger (``python3 benchmarks/perf/ledger/run.py``) is the one
+harness: it times six workloads end to end, checks their simulated
+results against committed references, and on a traced run attributes
+host time to layers.  ``hotspots`` names the functions a ledger workload
+spends its time in; ``wallclock`` holds the two bench factories the
+ledger's layer probes call.
 """

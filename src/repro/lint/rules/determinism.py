@@ -20,8 +20,9 @@ from repro.lint.rules import Rule
 #: Canonical names of host-clock reads: PIC001 reports them, and the
 #: unit-taint pass (:mod:`repro.lint.project.units`) seeds them as
 #: wall-clock seconds.  Simulated components take time from
-#: ``Simulation.now``; host-timing harnesses (the wall-clock perf suite)
-#: are the deliberate exception and carry ``# pic: noqa: PIC001``.
+#: ``Simulation.now``; host-timing harnesses (the perf ledger and the
+#: hotspot sampler) are the deliberate exception and carry
+#: ``# pic: noqa: PIC001``.
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",

@@ -32,6 +32,7 @@ record them for the benchmark harness.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from typing import Any, Callable, Sequence
 
@@ -210,7 +211,9 @@ class JobRunner:
             raise ValueError(
                 f"model_mode must be 'broadcast' or 'partitioned', got {model_mode!r}"
             )
-        _check_split_arguments(spec, len(dataset.splits), failures, split_models)
+        failures = _check_split_arguments(
+            spec, len(dataset.splits), failures, split_models
+        )
         # Imported here: repro.parallel and repro.pic import this module back.
         from repro.parallel.tasks import compute_job
 
@@ -342,35 +345,50 @@ class JobRunner:
             self._reduce_resolving = False
 
 
+def _whole(value: Any) -> int | None:
+    """``value`` as a plain ``int`` if it is an integer (a Python or numpy
+    one) other than a bool, else ``None``.  bool is an int subclass, so
+    ``True`` would otherwise pass as split or count 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _check_split_arguments(
     spec: JobSpec,
     num_splits: int,
     failures: dict[int, int] | None,
     split_models: Sequence[Any] | None,
-) -> None:
+) -> dict[int, int]:
     """``failures`` names only splits the job has, each with a whole,
     non-negative attempt count, and ``split_models`` holds one model per
     split: anything else is a ``ValueError`` naming the entry, not a
-    fault that silently never fires or a crash in the map wave."""
-    # bool is an int subclass, so True would pass as split or count 1.
+    fault that silently never fires or a crash in the map wave.  Returns
+    ``failures`` with plain ``int`` keys and counts."""
+    checked: dict[int, int] = {}
     for index, count in (failures or {}).items():
-        if isinstance(index, bool) or not (
-            isinstance(index, int) and 0 <= index < num_splits
-        ):
+        split = _whole(index)
+        if split is None or not 0 <= split < num_splits:
             raise ValueError(
                 f"job {spec.name!r}: failures names split {index!r}, but the "
                 f"job has {num_splits} splits (0 to {num_splits - 1})"
             )
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        attempts = _whole(count)
+        if attempts is None or attempts < 0:
             raise ValueError(
                 f"job {spec.name!r}: failures[{index}] = {count!r}; expected "
                 "a non-negative number of failed attempts"
             )
+        checked[split] = attempts
     if split_models is not None and len(split_models) != num_splits:
         raise ValueError(
             f"job {spec.name!r}: {len(split_models)} split_models for "
             f"{num_splits} splits; expected one model per split"
         )
+    return checked
 
 
 class JobHandle:
@@ -403,7 +421,7 @@ class _JobState:
         model_locations: tuple[int, ...],
         input_cached: bool,
         model_mode: str,
-        failures: dict[int, int] | None,
+        failures: dict[int, int],
         speculative: bool,
         model_gate: SplitGate | None,
     ) -> None:
@@ -419,7 +437,7 @@ class _JobState:
         self.input_cached = input_cached
         self.job_index = -1  # assigned at launch
         self.model_mode = model_mode
-        self.failures = dict(failures or {})
+        self.failures = failures
         self.speculative = speculative
         self._map_attempts: dict[int, int] = {}
         self._running_maps: dict[int, list[dict]] = {}

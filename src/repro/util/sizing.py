@@ -85,84 +85,11 @@ def sizeof_record(key: Any, value: Any) -> int:
     return sizeof_value(key) + sizeof_value(value)
 
 
-# Below this length the generic path is cheap enough that probing for
-# batch homogeneity costs more than it saves.
-_FAST_PATH_MIN = 16
-
-
-def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
-    """Batched sizing for homogeneous record lists, or ``None``.
-
-    Every app's hot shuffle/partition batches are homogeneous —
-    int/str keys paired with scalar or ndarray values — so one table
-    lookup for the whole batch plus a tight accumulation loop replaces
-    a recursive ``sizeof_value`` call per element.  Types match exactly:
-    a bool among ints (1 byte, not 8), a numpy scalar, any record
-    deviating from the probe types bails out to the reference path;
-    the result is always equal to the per-record sum.
-    """
-    k0, v0 = records[0]
-    kt, vt = type(k0), type(v0)
-    ksize, vsize = _RULES.get(kt), _RULES.get(vt)
-    n = len(records)
-
-    if type(ksize) is int:
-        if type(vsize) is int:
-            for k, v in records:
-                if type(k) is not kt or type(v) is not vt:
-                    return None
-            return (ksize + vsize) * n
-        if vt is np.ndarray:
-            total = 0
-            for k, v in records:
-                if type(k) is not kt or type(v) is not vt:
-                    return None
-                total += v.nbytes
-            return int(total) + (ksize + ARRAY_HEADER) * n
-        if vt is str:
-            total = 0
-            for k, v in records:
-                if type(k) is not kt or type(v) is not vt:
-                    return None
-                total += len(v.encode("utf-8"))
-            return total + (ksize + STR_HEADER) * n
-        return None
-
-    if kt is str:
-        if type(vsize) is int:
-            total = 0
-            for k, v in records:
-                if type(k) is not kt or type(v) is not vt:
-                    return None
-                total += len(k.encode("utf-8"))
-            return total + (STR_HEADER + vsize) * n
-        if vt is np.ndarray:
-            total = 0
-            for k, v in records:
-                if type(k) is not kt or type(v) is not vt:
-                    return None
-                total += len(k.encode("utf-8")) + v.nbytes
-            return int(total) + (STR_HEADER + ARRAY_HEADER) * n
-        return None
-
-    return None
-
-
 def sizeof_records(records: Iterable[tuple[Any, Any]]) -> int:
-    """Total serialized size of an iterable of ``(key, value)`` records.
-
-    Large homogeneous batches (int/str keys with scalar, string, or
-    ndarray values — the dominant shape in all five applications) take
-    a batched fast path that is equal, byte for byte, to the per-record
-    reference sum.
-    """
+    """Total serialized size of an iterable of ``(key, value)`` records."""
     # Columnar batches size themselves per column (duck-typed rather
     # than isinstance to keep this leaf module import-cycle free).
     wire = getattr(records, "nbytes_wire", None)
     if wire is not None:
         return int(wire())
-    if isinstance(records, list) and len(records) >= _FAST_PATH_MIN:
-        fast = _sizeof_records_fast(records)
-        if fast is not None:
-            return fast
     return sum(sizeof_value(k) + sizeof_value(v) for k, v in records)

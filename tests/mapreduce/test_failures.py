@@ -1,5 +1,6 @@
 """Failure injection: Hadoop-style task retry (paper Section VII)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -76,6 +77,10 @@ class TestTaskRetry:
             ({True: 2}, "names split True"),
             ({False: 1}, "names split False"),
             ({1: True}, r"failures\[1\] = True"),
+            # A numpy float is not a whole number, even when integral.
+            ({np.float64(1.0): 1}, r"names split (np\.float64\()?1\.0"),
+            ({1: np.float64(1.0)}, r"failures\[1\] = (np\.float64\()?1\.0"),
+            ({np.int64(4): 1}, r"names split (np\.int64\()?4"),
         ],
     )
     def test_bad_failures_rejected_at_submit(self, failures, names):
@@ -91,6 +96,22 @@ class TestTaskRetry:
             runner.submit(spec, dataset, failures=failures)
         assert mapped == []  # rejected before any map task ran
         assert cluster.now == 0.0
+
+    def test_numpy_integers_name_splits_and_counts(self):
+        _c, runner, dataset = make_env(self.runner_cls)
+        plain = runner.run(mean_spec(), dataset, failures={1: 2})
+        cluster, runner2, dataset2 = make_env(self.runner_cls)
+        handle = runner2.submit(
+            mean_spec(), dataset2, failures={np.int64(1): np.int64(2)}
+        )
+        assert handle._state.failures == {1: 2}
+        assert all(
+            type(n) is int for item in handle._state.failures.items() for n in item
+        )
+        cluster.run()
+        numpy_keyed = handle.result()
+        assert numpy_keyed.counters.get("failed_map_attempts") == 2
+        assert numpy_keyed.duration == plain.duration
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_split_models_must_match_the_splits(self, count):
