@@ -51,9 +51,9 @@ def _add_common(parser: argparse.ArgumentParser, default_partitions: int) -> Non
              "results are identical for any worker count)",
     )
     parser.add_argument(
-        "--pipeline", choices=("on", "off"), default=None,
+        "--pipeline", choices=("on", "off"), default="off",
         help="pipelined shuffle + loop-aware node-memory caching "
-             "(default: $PIC_PIPELINE or off; changes simulated timing "
+             "(default: off; changes simulated timing "
              "— same model, completion time <= barrier mode)",
     )
 
@@ -87,7 +87,7 @@ def _run(args, program, records, initial_model) -> ComparisonResult:
         CLUSTERS[args.cluster], program, records, initial_model,
         args.partitions, max_iterations=1000, be_max_iterations=100,
         workers=args.workers, speculative=args.speculative,
-        pipeline=None if args.pipeline is None else args.pipeline == "on",
+        pipeline=args.pipeline == "on",
     )
 
 

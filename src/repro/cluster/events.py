@@ -257,7 +257,8 @@ class Simulation:
         return False
 
     def run(self, max_events: int | None = None) -> None:
-        """Run until the queue drains (or ``max_events`` events executed).
+        """Run until the queue drains; raise if a live event is still
+        queued after ``max_events`` executed (a livelock guard).
 
         The same pop, bookkeeping and dispatch as :meth:`step`, in one
         loop: the causal parent is restored once when the loop exits
@@ -281,10 +282,11 @@ class Simulation:
                 event.callback()
                 executed += 1
                 if max_events is not None and executed >= max_events:
-                    raise RuntimeError(
-                        f"simulation did not quiesce within {max_events} events; "
-                        "likely an event livelock in a layer above"
-                    )
+                    if len(self._queue) > self._dead:  # a live event is left
+                        raise RuntimeError(
+                            f"simulation did not quiesce within {max_events} "
+                            "events; likely an event livelock in a layer above"
+                        )
         finally:
             self._parent = prev_parent
 

@@ -55,14 +55,14 @@ def compare_ic_pic(
     be_max_iterations: int = 30,
     workers: int | None = None,
     speculative: bool = False,
-    pipeline: bool | None = None,
+    pipeline: bool = False,
 ) -> ComparisonResult:
     """Run IC then PIC from the *same* initial model on fresh clusters.
 
     ``workers`` sets host-side execution parallelism (``PIC_WORKERS``
     when None); it changes wall-clock only — simulated results are
     bit-identical for any worker count.  ``speculative`` and
-    ``pipeline`` (``PIC_PIPELINE`` when None) go to both runs.
+    ``pipeline`` (barrier mode when False) go to both runs.
     ``records`` is columnized once; both runs read the same batch.
     """
     batch = columnize(records)

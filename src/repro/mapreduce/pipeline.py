@@ -1,7 +1,7 @@
-"""Pipelined-execution gate and the split-readiness latch.
+"""Pipelined execution and the split-readiness latch.
 
-``PIC_PIPELINE`` (default **off**) switches the stack from Hadoop-style
-barrier execution to a pipelined schedule:
+A runner built with ``pipeline=True`` (default **off**) swaps
+Hadoop-style barrier execution for a pipelined schedule:
 
 * the engine's model scatter no longer drains the event queue before
   the job starts — each map task waits only on *its own* split's
@@ -13,7 +13,8 @@ barrier execution to a pipelined schedule:
   re-read, and iterations after the first run on warm containers
   (no job/task launch overhead — the Spark/HaLoop executor model).
 
-Unlike ``PIC_WORKERS`` — a wall-clock knob that keeps the simulation
+The mode is an argument of the run that uses it, never ambient state.
+Unlike the worker count — a wall-clock knob that keeps the simulation
 bit-identical — pipelining deliberately *changes* simulated timing: the
 invariants are same final model, same data-plane byte totals,
 completion time no worse than barrier mode.  Pipelined runs therefore
@@ -22,16 +23,7 @@ carry their own frozen reference.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable
-
-PIPELINE_ENV_VAR = "PIC_PIPELINE"
-
-
-def pipeline_enabled() -> bool:
-    """Pipelined execution toggle (``PIC_PIPELINE``, default off)."""
-    raw = os.environ.get(PIPELINE_ENV_VAR, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
 
 
 class SplitGate:

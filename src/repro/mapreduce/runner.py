@@ -42,7 +42,7 @@ from repro.cluster.metrics import TrafficCategory
 from repro.dfs.dfs import DistributedFileSystem, FileMeta
 from repro.mapreduce.columnar import concat_batches
 from repro.mapreduce.job import ComputedJob, Counters, JobResult, JobSpec
-from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
+from repro.mapreduce.pipeline import SplitGate
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.scheduler import SlotScheduler
 # Leaf-module import: repro.parallel's package __init__ pulls in
@@ -75,16 +75,15 @@ class JobRunner:
         cluster: Cluster,
         dfs: DistributedFileSystem,
         executor: TaskExecutor | None = None,
-        pipeline: bool | None = None,
+        pipeline: bool = False,
         cache: NodeMemoryCache | None = None,
     ) -> None:
         self.cluster = cluster
         self.dfs = dfs
         self.executor = executor or get_executor()
-        # Pipelined mode (``PIC_PIPELINE`` when None): reducers merge
-        # arriving buckets incrementally and input splits are served
-        # from the simulated node-memory cache across iterations.
-        self.pipeline = pipeline_enabled() if pipeline is None else pipeline
+        # Pipelined mode (off by default): reducers merge arriving buckets
+        # as they land, and splits come from the node-memory cache.
+        self.pipeline = pipeline
         if cache is not None and not self.pipeline:
             raise ValueError(
                 "a node-memory cache needs pipelined mode: barrier mode "

@@ -29,6 +29,7 @@ process that never starts one never loads it.
 from __future__ import annotations
 
 import atexit
+import operator
 import os
 import pickle
 from concurrent.futures import BrokenExecutor
@@ -66,7 +67,8 @@ def _run_task(fn: Callable[[Any], Any], payload: Any) -> Any:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Resolve a worker count: explicit value, else ``PIC_WORKERS``, else 1."""
+    """Resolve a worker count: explicit value, else ``PIC_WORKERS``, else 1.
+    A bool or a non-integer is refused, not taken as a count."""
     if workers is None:
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
         if not raw:
@@ -77,6 +79,9 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ValueError(
                 f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
             ) from exc
+    elif isinstance(workers, bool) or not hasattr(workers, "__index__"):
+        raise ValueError(f"worker count must be an integer, got {workers!r}")
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers

@@ -86,7 +86,7 @@ class PICRunner:
         distributed_merge: bool = False,
         speculative: bool = False,
         workers: int | None = None,
-        pipeline: bool | None = None,
+        pipeline: bool = False,
     ) -> None:
         self.cluster = cluster
         self.program = program
@@ -100,8 +100,8 @@ class PICRunner:
         # Host-side execution parallelism (``PIC_WORKERS`` when None);
         # affects wall-clock only, never the simulated run.
         self.executor = get_executor(workers)
-        # Pipelined simulated execution (``PIC_PIPELINE`` when None);
-        # changes simulated timing — see repro.mapreduce.pipeline.
+        # Pipelined mode (off by default) changes simulated timing — see
+        # repro.mapreduce.pipeline.
         self.pipeline = pipeline
 
     def run(self, records: Records, initial_model: Any = None) -> PICResult:
@@ -115,9 +115,8 @@ class PICRunner:
         records = columnize(records)
         dfs, dataset = _ingest(cluster, program, records)
 
-        # The top-off runner settles the mode, and its cache spans both
-        # phases: splits the best-effort phase left resident stay warm
-        # for top-off reads of the same data.
+        # One cache spans both phases: splits the best-effort phase left
+        # resident stay warm for top-off reads of the same data.
         runner = JobRunner(
             cluster, dfs, executor=self.executor, pipeline=self.pipeline
         )
@@ -134,7 +133,7 @@ class PICRunner:
             optimized_baseline=self.optimized_baseline,
             runner=JobRunner(
                 cluster, best_effort_dfs(cluster), executor=self.executor,
-                pipeline=runner.pipeline, cache=cache,
+                pipeline=self.pipeline, cache=cache,
             ),
             distributed_merge=self.distributed_merge,
             speculative=self.speculative,
@@ -211,7 +210,7 @@ def run_ic_baseline(
     seed: SeedLike = 0,
     speculative: bool = False,
     workers: int | None = None,
-    pipeline: bool | None = None,
+    pipeline: bool = False,
 ) -> DriverResult:
     """Run the conventional IC implementation (Figure 1(a)) on ``cluster``.
 

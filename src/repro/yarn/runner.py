@@ -24,19 +24,18 @@ REDUCE_PROFILE = Resource(memory_mb=2048, vcores=1)
 
 
 class YarnJobRunner(JobRunner):
-    """JobRunner whose tasks run in RM-granted containers."""
+    """JobRunner whose tasks run in containers of its own RM: a
+    ``MAP_PROFILE`` one per map task, a ``REDUCE_PROFILE`` one per reduce."""
 
     def __init__(
         self,
         cluster: Cluster,
         dfs: DistributedFileSystem,
-        rm: ResourceManager | None = None,
-        map_profile: Resource = MAP_PROFILE,
-        reduce_profile: Resource = REDUCE_PROFILE,
+        pipeline: bool = False,
     ) -> None:
-        super().__init__(cluster, dfs)
-        self.rm = rm if rm is not None else ResourceManager(cluster)
-        for profile, kind in ((map_profile, "map"), (reduce_profile, "reduce")):
+        super().__init__(cluster, dfs, pipeline=pipeline)
+        self.rm = ResourceManager(cluster)
+        for profile, kind in ((MAP_PROFILE, "map"), (REDUCE_PROFILE, "reduce")):
             for node in cluster.nodes:
                 if not profile.fits_in(self.rm.capacity(node.node_id)):
                     raise ValueError(
@@ -45,16 +44,14 @@ class YarnJobRunner(JobRunner):
                         f"{self.rm.capacity(node.node_id)}; tasks pinned "
                         "there would deadlock"
                     )
-        self.map_profile = map_profile
-        self.reduce_profile = reduce_profile
         # Swap the scheduling substrate; everything above is unchanged.
-        self.map_scheduler = SlotScheduler(cluster, "map", self.rm, map_profile)
+        self.map_scheduler = SlotScheduler(cluster, "map", self.rm, MAP_PROFILE)
         self._reduce_containers: dict[tuple[int, int], list[Container]] = {}
 
     def _claim_reduce_slot(self, node_id: int, app_id: int) -> bool:
         """Pin a reduce container on ``node_id`` if it fits now."""
         container = self.rm.try_allocate_on(
-            node_id, self.reduce_profile, app_id=app_id
+            node_id, REDUCE_PROFILE, app_id=app_id
         )
         if container is None:
             return False

@@ -465,6 +465,29 @@ class TestRunControl:
         with pytest.raises(RuntimeError, match="did not quiesce"):
             sim.run(max_events=100)
 
+    def test_max_events_allows_quiescing_on_the_last_event(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(1))
+        sim.run(max_events=1)
+        assert seen == [1] and sim.events_processed == 1
+
+    def test_max_events_ignores_cancelled_leftovers(self):
+        sim = Simulation()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None).cancel()
+        sim.run(max_events=1)
+        assert sim.events_processed == 1
+
+    def test_max_events_still_raises_on_a_live_leftover(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(1))
+        sim.schedule(2.0, lambda: seen.append(2))
+        with pytest.raises(RuntimeError, match="within 1 events"):
+            sim.run(max_events=1)
+        assert seen == [1] and sim.events_processed == 1
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_clock_is_monotone(self, delays):
         sim = Simulation()

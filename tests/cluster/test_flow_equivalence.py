@@ -369,11 +369,13 @@ def test_class_count_straddling_the_dispatch_matches_reference(scenario):
     net.assert_drained()
 
 
-def test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch):
+def test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch, pipeline=False):
     """Three waves of eight whole jobs co-scheduled through ``run_many``
     on one cluster — classes waking and retiring under the DFS, shuffle
     and model traffic of unrelated jobs — keep the class table equal to
-    the rows at every recompute and leave nothing behind."""
+    the rows at every recompute and leave nothing behind.  Barrier mode
+    as collected (a defaulted argument is no fixture); the pipelined
+    twin below passes ``pipeline=True``."""
     import copy
 
     from repro.apps.kmeans import KMeansProgram, gaussian_mixture
@@ -391,7 +393,7 @@ def test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch):
         num_nodes=16, nodes_per_rack=4, oversubscription=4.0
     )
     dfs = DistributedFileSystem(cluster, replication=2, seed=5)
-    runner = JobRunner(cluster, dfs, executor=SerialExecutor())
+    runner = JobRunner(cluster, dfs, executor=SerialExecutor(), pipeline=pipeline)
     datasets = [
         DistributedDataset.materialize(
             dfs, f"/classes/concurrent-{j}", records, num_splits=8
@@ -415,3 +417,7 @@ def test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch):
         cluster.network.assert_drained()
     net = cluster.network
     assert net.few + net.many > 100
+
+
+def test_class_table_holds_and_drains_across_pipelined_concurrent_jobs(monkeypatch):
+    test_class_table_holds_and_drains_across_concurrent_jobs(monkeypatch, pipeline=True)

@@ -1,8 +1,9 @@
 """Frozen-reference summaries for barrier vs pipelined execution.
 
-``PIC_PIPELINE`` deliberately changes *simulated timing* (unlike
-``PIC_WORKERS``, which is wall-clock only), so pipelined
-runs cannot be checked against barrier runs for bit-identity.  Instead
+Pipelined mode (a runner's ``pipeline=True``) deliberately changes
+*simulated timing* (unlike the worker count, which is wall-clock only),
+so pipelined runs cannot be checked against barrier runs for
+bit-identity.  Instead
 each mode gets its own frozen reference: a digest of the final model
 plus the exact simulated clock and traffic ledger, committed to
 ``data/pipeline_references.json``.  The equivalence suite replays every
@@ -80,8 +81,7 @@ def run_app(app: str, pipeline: bool):
     """One full PIC run of ``app`` (4 nodes, 4 partitions, seed 7).
 
     Returns the :class:`~repro.pic.runner.PICResult` and the cluster's
-    traffic snapshot.  ``pipeline`` is passed explicitly so the run is
-    independent of the ambient ``PIC_PIPELINE`` value.
+    traffic snapshot.
     """
     from repro.cluster.cluster import Cluster
     from repro.pic.runner import PICRunner

@@ -30,6 +30,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kmeans", "--cluster", "gigantic"])
 
+    def test_pipeline_defaults_off_and_takes_only_on_or_off(self):
+        assert build_parser().parse_args(["kmeans"]).pipeline == "off"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["kmeans", "--pipeline", "junk"])
+
 
 class TestExecution:
     def test_linsolve_end_to_end(self, capsys):
@@ -64,11 +69,10 @@ class TestExecution:
         ]) == 0
         assert "validation error" in capsys.readouterr().out
 
-    def test_pipeline_flag_does_not_outlive_its_run(self, capsys, monkeypatch):
+    def test_pipeline_flag_does_not_outlive_its_run(self, capsys):
         # ``--pipeline on`` is an argument to that run alone: a later
         # run in the same process without the flag is a barrier run
         # again, and the process environment is left as found.
-        monkeypatch.delenv("PIC_PIPELINE", raising=False)
         environ = dict(os.environ)
         argv = ["smoothing", "--side", "48", "--partitions", "4"]
 

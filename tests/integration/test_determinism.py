@@ -27,12 +27,15 @@ def kmeans_setup():
 
 
 class TestDeterminism:
-    def test_kmeans_full_comparison_reproducible(self):
+    # Each run-level test takes the schedule as a defaulted argument (so
+    # no fixture): barrier as collected, pipelined through its twin below.
+    def test_kmeans_full_comparison_reproducible(self, pipeline=False):
         records, prog, model0 = kmeans_setup()
 
         def run():
             return compare_ic_pic(
-                small_cluster, prog, records, model0, num_partitions=6
+                small_cluster, prog, records, model0, num_partitions=6,
+                pipeline=pipeline,
             )
 
         a, b = run(), run()
@@ -44,14 +47,14 @@ class TestDeterminism:
         assert a.ic_traffic == b.ic_traffic
         assert a.pic.traffic == b.pic.traffic
 
-    def test_pagerank_trace_reproducible(self):
+    def test_pagerank_trace_reproducible(self, pipeline=False):
         records = local_web_graph(1500, seed=5)
         prog = PageRankProgram()
         model0 = prog.initial_model(records)
 
         def run():
             return PICRunner(
-                small_cluster(), prog, num_partitions=6, seed=3
+                small_cluster(), prog, num_partitions=6, seed=3, pipeline=pipeline
             ).run(records, initial_model=dict(model0))
 
         a, b = run(), run()
@@ -63,19 +66,28 @@ class TestDeterminism:
         rb = prog.rank_vector(b.model, 1500)
         assert np.array_equal(ra, rb)
 
-    def test_event_counts_reproducible(self):
+    def test_event_counts_reproducible(self, pipeline=False):
         """Even the simulator's internal event count is stable — no
         hidden iteration-order or hash-seed dependence."""
         records, prog, model0 = kmeans_setup()
 
         def run():
             cluster = small_cluster()
-            PICRunner(cluster, prog, num_partitions=6, seed=3).run(
-                records, initial_model={k: v.copy() for k, v in model0.items()}
-            )
+            PICRunner(
+                cluster, prog, num_partitions=6, seed=3, pipeline=pipeline
+            ).run(records, initial_model={k: v.copy() for k, v in model0.items()})
             return cluster.sim.events_processed
 
         assert run() == run()
+
+    def test_pipelined_kmeans_full_comparison_reproducible(self):
+        self.test_kmeans_full_comparison_reproducible(pipeline=True)
+
+    def test_pipelined_pagerank_trace_reproducible(self):
+        self.test_pagerank_trace_reproducible(pipeline=True)
+
+    def test_pipelined_event_counts_reproducible(self):
+        self.test_event_counts_reproducible(pipeline=True)
 
     def test_hash_order_never_becomes_schedule_order(self):
         """The 16-job concurrent run digests the same under two string

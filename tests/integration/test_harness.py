@@ -60,11 +60,13 @@ class TestWorkloadFactories:
 
 
 class TestCompare:
+    pipeline = False
+
     def test_compare_runs_both_sides(self):
         w = kmeans_small(num_points=3000, k=4, num_partitions=6)
         result = compare_ic_pic(
             w.cluster_factory, w.program, w.records, w.initial_model,
-            w.num_partitions,
+            w.num_partitions, pipeline=self.pipeline,
         )
         assert result.ic.iterations >= 1
         assert result.pic.be_iterations >= 1
@@ -76,7 +78,7 @@ class TestCompare:
         before = {k: v.copy() for k, v in w.initial_model.items()}
         compare_ic_pic(
             w.cluster_factory, w.program, w.records, w.initial_model,
-            w.num_partitions,
+            w.num_partitions, pipeline=self.pipeline,
         )
         for key, value in before.items():
             assert (w.initial_model[key] == value).all()
@@ -85,8 +87,12 @@ class TestCompare:
         w = kmeans_small(num_points=3000, k=4, num_partitions=6)
         result = compare_ic_pic(
             w.cluster_factory, w.program, w.records, w.initial_model,
-            w.num_partitions,
+            w.num_partitions, pipeline=self.pipeline,
         )
         ic_shuffle, pic_shuffle = result.traffic_row("shuffle")
         assert ic_shuffle > 0
         assert pic_shuffle >= 0
+
+
+class TestComparePipelined(TestCompare):
+    pipeline = True

@@ -1,11 +1,11 @@
 """Barrier-vs-pipelined contracts for all five applications.
 
-``PIC_PIPELINE`` is the one knob that may change *simulated* results —
-but only in bounded, provable ways:
+A run's ``pipeline`` argument is the one knob that may change
+*simulated* results — but only in bounded, provable ways:
 
-* **Default off is frozen.**  With the knob off, every app must match
-  the committed barrier reference bit for bit (model digest, simulated
-  clock, full traffic ledger).  A refactor that nudges default-mode
+* **Default off is frozen.**  In barrier mode, the default, every app
+  must match the committed barrier reference bit for bit (model digest,
+  simulated clock, full traffic ledger).  A refactor that nudges default-mode
   timing fails here, not in production figures.
 * **Pipelined is frozen too.**  The pipelined schedule is deterministic;
   it gets its own committed reference.
@@ -15,8 +15,6 @@ but only in bounded, provable ways:
   re-read); completion time no worse than barrier mode, up to float
   associativity in the merge/apply split of reduce compute.
 """
-
-import os
 
 import pytest
 
@@ -33,17 +31,8 @@ from tests.parallel.test_equivalence import APPS, _deep_equal
 TIME_SLACK = 1e-9
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_pipeline(monkeypatch):
-    """run_app passes ``pipeline`` explicitly, but keep the env clean so
-    nothing downstream (e.g. the shm export cache) flips modes."""
-    monkeypatch.delenv("PIC_PIPELINE", raising=False)
-
-
 @pytest.mark.parametrize("app", sorted(APPS))
-def test_default_mode_matches_frozen_reference(app, monkeypatch):
-    monkeypatch.setenv("PIC_PIPELINE", "0")
-    assert "PIC_PIPELINE" in os.environ  # the knob under test is truly off
+def test_default_mode_matches_frozen_reference(app):
     result, meter = run_app(app, pipeline=False)
     assert summarize(result, meter) == load_references()[app]["barrier"]
 

@@ -9,9 +9,9 @@ seconds, traffic bytes and models are bit-identical under every seed.
 
 Two halves:
 
-* Equivalence — the five reference apps (both pipeline modes) and a
-  16-job concurrent ``run_many`` produce identical summaries across
-  the unsanitized run and three seeds.
+* Equivalence — the five reference apps and a 16-job concurrent
+  ``run_many``, each in both pipeline modes, produce identical
+  summaries across the unsanitized run and three seeds.
 * Sensitivity — toy simulations with the two interference shapes (a
   handler writing a sibling job's state; two co-schedulable handlers
   last-write-winning an unkeyed field) *do* diverge across seeds, while
@@ -77,7 +77,7 @@ class TestFiveAppEquivalence:
 class TestConcurrentRunManyEquivalence:
     NUM_JOBS = 16
 
-    def _run(self) -> dict:
+    def _run(self, pipeline: bool = False) -> dict:
         from repro.apps.kmeans import KMeansProgram, gaussian_mixture
         from repro.cluster.cluster import Cluster
         from repro.dfs.dfs import DistributedFileSystem
@@ -90,7 +90,7 @@ class TestConcurrentRunManyEquivalence:
         model0 = program.initial_model(records, seed=2)
         cluster = Cluster(num_nodes=32, nodes_per_rack=8, oversubscription=4.0)
         dfs = DistributedFileSystem(cluster, replication=2, seed=5)
-        runner = JobRunner(cluster, dfs, executor=SerialExecutor())
+        runner = JobRunner(cluster, dfs, executor=SerialExecutor(), pipeline=pipeline)
         results = runner.run_many([
             (
                 program.job_spec(suffix=f"-0-{j}"),
@@ -117,16 +117,21 @@ class TestConcurrentRunManyEquivalence:
             ],
         }
 
-    def test_sixteen_concurrent_jobs_are_bit_identical_across_seeds(self):
+    def test_sixteen_concurrent_jobs_are_bit_identical_across_seeds(
+        self, pipeline=False
+    ):
         summaries = {}
         for seed in SEEDS:
             with sanitize(seed):
-                summaries[seed] = self._run()
+                summaries[seed] = self._run(pipeline)
         base = summaries[None]
         for seed in SEEDS[1:]:
             assert summaries[seed] == base, (
                 f"run_many diverged under PIC_SANITIZE={seed}"
             )
+
+    def test_sixteen_concurrent_pipelined_jobs_are_bit_identical_across_seeds(self):
+        self.test_sixteen_concurrent_jobs_are_bit_identical_across_seeds(pipeline=True)
 
 
 # -- sensitivity: the sanitizer catches the interference shapes ----------

@@ -30,13 +30,14 @@ def make_cluster():
     return Cluster(num_nodes=4, nodes_per_rack=4)
 
 
-def run_ic(app, max_iterations=1000, own_cap=None):
+def run_ic(app, pipeline, max_iterations=1000, own_cap=None):
     program, records, model0 = APPS[app]()
     if own_cap is not None:
         setattr(program, OWN_CAP[app], own_cap)
     return run_ic_baseline(
         make_cluster(), program, records,
         initial_model=copy.deepcopy(model0), max_iterations=max_iterations,
+        pipeline=pipeline,
     )
 
 
@@ -51,8 +52,10 @@ def assert_one_stop(traces):
 
 @pytest.mark.parametrize("app", THRESHOLD_APPS)
 class TestThresholdApps:
+    pipeline = False
+
     def test_ic_run_stops_on_its_threshold(self, app):
-        result = run_ic(app)
+        result = run_ic(app, self.pipeline)
         last = assert_one_stop(result.traces)
         assert last.reason == "threshold"
         assert last.measured < last.threshold
@@ -62,15 +65,15 @@ class TestThresholdApps:
                 assert trace.verdict.measured >= trace.verdict.threshold
 
     def test_loop_cap_below_that_count_stops_on_cap(self, app):
-        needed = run_ic(app).iterations
+        needed = run_ic(app, self.pipeline).iterations
         assert needed >= 2
-        capped = run_ic(app, max_iterations=needed - 1)
+        capped = run_ic(app, self.pipeline, max_iterations=needed - 1)
         assert capped.iterations == needed - 1
         assert assert_one_stop(capped.traces).reason == "cap"
 
     def test_program_cap_below_that_count_stops_on_cap(self, app):
-        needed = run_ic(app).iterations
-        capped = run_ic(app, own_cap=needed - 1)
+        needed = run_ic(app, self.pipeline).iterations
+        capped = run_ic(app, self.pipeline, own_cap=needed - 1)
         assert capped.iterations == needed - 1
         last = assert_one_stop(capped.traces)
         assert last.reason == "cap"
@@ -78,13 +81,19 @@ class TestThresholdApps:
         assert last.measured is None
 
 
+class TestThresholdAppsPipelined(TestThresholdApps):
+    pipeline = True
+
+
 class TestPageRank:
+    pipeline = False
+
     def test_fixed_iteration_criteria_report_cap_and_measure_nothing(self):
         program, records, model0 = APPS["pagerank"]()
-        ic = run_ic("pagerank")
-        pic = PICRunner(make_cluster(), program, num_partitions=4, seed=7).run(
-            records, initial_model=copy.deepcopy(model0)
-        )
+        ic = run_ic("pagerank", self.pipeline)
+        pic = PICRunner(
+            make_cluster(), program, num_partitions=4, seed=7, pipeline=self.pipeline
+        ).run(records, initial_model=copy.deepcopy(model0))
         for traces, limit in (
             (ic.traces, program.iteration_limit),
             (pic.best_effort.stats, program.be_iteration_limit),
@@ -95,13 +104,19 @@ class TestPageRank:
             assert assert_one_stop(traces) == Verdict(True, limit - 1, "cap")
 
 
+class TestPageRankPipelined(TestPageRank):
+    pipeline = True
+
+
 class TestPlainBoolProgram:
+    pipeline = False
+
     RECORDS = [(i, float(i)) for i in range(40)]
 
     def run_ic(self, **kw):
         return run_ic_baseline(
             make_cluster(), MeanProgram(), self.RECORDS,
-            initial_model={"mean": 0.0}, **kw,
+            initial_model={"mean": 0.0}, pipeline=self.pipeline, **kw,
         )
 
     def test_converged_still_returns_a_bool(self):
@@ -119,12 +134,18 @@ class TestPlainBoolProgram:
         assert assert_one_stop(capped.traces).reason == "cap"
 
 
+class TestPlainBoolProgramPipelined(TestPlainBoolProgram):
+    pipeline = True
+
+
+# The two tests below run barrier mode; each has a pipelined twin that
+# calls it with ``pipeline=True`` (a defaulted argument is no fixture).
 @pytest.mark.parametrize("app", sorted(APPS))
-def test_best_effort_rounds_and_topoff_iterations_carry_verdicts(app):
+def test_best_effort_rounds_and_topoff_iterations_carry_verdicts(app, pipeline=False):
     program, records, model0 = APPS[app]()
     pic = PICRunner(
         make_cluster(), program, num_partitions=4, seed=7,
-        be_max_iterations=50, max_iterations=1000,
+        be_max_iterations=50, max_iterations=1000, pipeline=pipeline,
     ).run(records, initial_model=copy.deepcopy(model0))
     be_last = assert_one_stop(pic.best_effort.stats)
     topoff_last = assert_one_stop(pic.topoff.traces)
@@ -134,12 +155,22 @@ def test_best_effort_rounds_and_topoff_iterations_carry_verdicts(app):
     assert [p.verdict for p in pic.phases] == [be_last, topoff_last]
 
 
-def test_best_effort_cap_is_reported_as_cap():
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_pipelined_rounds_and_iterations_carry_verdicts(app):
+    test_best_effort_rounds_and_topoff_iterations_carry_verdicts(app, pipeline=True)
+
+
+def test_best_effort_cap_is_reported_as_cap(pipeline=False):
     program, records, model0 = APPS["linsolve"]()
     pic = PICRunner(
-        make_cluster(), program, num_partitions=4, seed=7, be_max_iterations=2
+        make_cluster(), program, num_partitions=4, seed=7, be_max_iterations=2,
+        pipeline=pipeline,
     ).run(records, initial_model=copy.deepcopy(model0))
     last = assert_one_stop(pic.best_effort.stats)
     assert last.reason == "cap"
     # The round still measured how far the merged model moved.
     assert last.measured >= last.threshold
+
+
+def test_pipelined_best_effort_cap_is_reported_as_cap():
+    test_best_effort_cap_is_reported_as_cap(pipeline=True)

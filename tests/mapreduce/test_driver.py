@@ -33,7 +33,7 @@ def _stub_partitioner(key, n): return hash_partitioner(key, n)
 def _stub_map_cost(num_records, nbytes, ctx): return 1.0
 
 
-def make_env(values=None, num_splits=4, pipeline=None):
+def make_env(values=None, num_splits=4, pipeline=False):
     cluster = Cluster(num_nodes=4, nodes_per_rack=4)
     dfs = DistributedFileSystem(cluster)
     if values is None:
@@ -82,39 +82,47 @@ def make_driver(runner, dataset, **kw):
 
 
 class TestConvergence:
+    pipeline = False
+
     def test_converges_to_data_mean(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         driver = make_driver(runner, dataset)
         result = driver.run({"mean": 0.0})
         assert result.model["mean"] == pytest.approx(19.5, abs=1e-4)
 
     def test_iteration_count_matches_geometric_rate(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset).run({"mean": 0.0})
         # halving each step from ~19.5 to <1e-6 takes ~25 steps
         assert 20 <= result.iterations <= 30
 
     def test_max_iterations_cap(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         driver = make_driver(runner, dataset, max_iterations=3)
         result = driver.run({"mean": 0.0})
         assert result.iterations == 3
 
     def test_zero_max_iterations_rejected(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         with pytest.raises(ValueError):
             make_driver(runner, dataset, max_iterations=0)
 
     def test_empty_job_chain_rejected(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         driver = make_driver(runner, dataset, jobs=lambda m, i: [])
         with pytest.raises(ValueError, match="empty chain"):
             driver.run({"mean": 0.0})
 
 
+class TestConvergencePipelined(TestConvergence):
+    pipeline = True
+
+
 class TestTraces:
+    pipeline = False
+
     def test_per_iteration_traces(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset, max_iterations=5).run({"mean": 0.0})
         assert len(result.traces) == 5
         for trace in result.traces:
@@ -123,16 +131,20 @@ class TestTraces:
             assert trace.model_update_bytes > 0
 
     def test_totals_are_sums(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset, max_iterations=4).run({"mean": 0.0})
         assert result.total_shuffle_bytes == sum(
             t.shuffle_bytes for t in result.traces
         )
 
     def test_total_time_spans_iterations(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset, max_iterations=4).run({"mean": 0.0})
         assert result.total_time == pytest.approx(cluster.now)
+
+
+class TestTracesPipelined(TestTraces):
+    pipeline = True
 
 
 class TestOptimizedBaseline:
@@ -142,15 +154,24 @@ class TestOptimizedBaseline:
         assert cluster.meter.total("input") == pytest.approx(dataset.nbytes)
 
     def test_input_read_every_iteration_when_not(self):
-        # Barrier semantics under test: pin the mode so an ambient
-        # PIC_PIPELINE=1 (whose cache legitimately elides re-reads)
-        # does not change the expected ledger.
+        # Barrier mode has no node cache: every iteration re-reads.
         cluster, runner, dataset = make_env(pipeline=False)
         driver = make_driver(
             runner, dataset, max_iterations=5, optimized_baseline=False
         )
         driver.run({"mean": 0.0})
         assert cluster.meter.total("input") == pytest.approx(5 * dataset.nbytes)
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_pipelined_node_cache_serves_every_reread(self, optimized):
+        # Pipelined mode never takes the input-cached credit; its node
+        # cache elides the re-reads, with or without the baseline's.
+        cluster, runner, dataset = make_env(pipeline=True)
+        driver = make_driver(
+            runner, dataset, max_iterations=5, optimized_baseline=optimized
+        )
+        driver.run({"mean": 0.0})
+        assert cluster.meter.total("input") == pytest.approx(dataset.nbytes)
 
     def test_job_overhead_stripped_when_optimized(self):
         def slow_jobs(model, it):
@@ -255,8 +276,10 @@ class TestIterate:
 
 
 class TestVerdictsOnTraces:
+    pipeline = False
+
     def test_each_trace_carries_its_verdict_end_time_and_model(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset).run({"mean": 0.0})
         verdicts = [t.verdict for t in result.traces]
         assert [v.iteration for v in verdicts] == list(range(result.iterations))
@@ -270,12 +293,12 @@ class TestVerdictsOnTraces:
         assert result.traces[0].model == {"mean": 9.75}
 
     def test_driver_cap_is_reported_as_cap(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = make_driver(runner, dataset, max_iterations=3).run({"mean": 0.0})
         assert result.traces[-1].verdict == Verdict(True, 2, "cap")
 
     def test_bracket_around_a_whole_run_sums_its_iterations(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         bracket = Bracket(cluster, runner.cache)
         result = make_driver(runner, dataset, max_iterations=4).run({"mean": 0.0})
         phase = bracket.close(name="ic")
@@ -286,7 +309,13 @@ class TestVerdictsOnTraces:
         assert phase.end == cluster.now
 
 
+class TestVerdictsOnTracesPipelined(TestVerdictsOnTraces):
+    pipeline = True
+
+
 class TestChainedJobs:
+    pipeline = False
+
     def test_two_jobs_per_iteration(self):
         # First job computes the mean; second adds 1 to it.
         def jobs(model, it):
@@ -304,9 +333,13 @@ class TestChainedJobs:
                         num_reducers=1),
             ]
 
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         driver = make_driver(runner, dataset, jobs=jobs, max_iterations=1)
         result = driver.run({"mean": 0.0})
         # mean job: (0 + 19.5)/2 = 9.75, bump job: +1
         assert result.model["mean"] == pytest.approx(10.75)
         assert len(result.traces[0].job_results) == 2
+
+
+class TestChainedJobsPipelined(TestChainedJobs):
+    pipeline = True

@@ -8,18 +8,18 @@ from repro.dfs.dfs import DistributedFileSystem
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
-from repro.pic.engine import BestEffortEngine
+from repro.pic.engine import BestEffortEngine, best_effort_dfs
 from repro.yarn import YarnJobRunner
 from tests.mapreduce.kmeans_job import assert_same_records_and_bytes, run_kmeans_job
 from tests.pic.toy import MeanProgram
 
 
-def make_env(runner_cls=JobRunner, num_nodes=4, num_splits=4):
+def make_env(runner_cls=JobRunner, pipeline=False, num_nodes=4, num_splits=4):
     cluster = Cluster(num_nodes=num_nodes, nodes_per_rack=num_nodes)
     dfs = DistributedFileSystem(cluster)
     records = [(i, float(i)) for i in range(40)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
-    return cluster, runner_cls(cluster, dfs), dataset
+    return cluster, runner_cls(cluster, dfs, pipeline=pipeline), dataset
 
 
 def mean_spec() -> JobSpec:
@@ -37,31 +37,32 @@ def mean_spec() -> JobSpec:
 
 
 class TestTaskRetry:
-    #: The substrate under test; the YARN subclass below re-runs every
-    #: test here on containers.
+    #: The substrate and schedule under test; the subclasses below re-run
+    #: every test here on containers, pipelined, and both.
     runner_cls = JobRunner
+    pipeline = False
 
     def test_result_unchanged_by_failures(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         clean = runner.run(mean_spec(), dataset)
-        _c2, runner2, dataset2 = make_env(self.runner_cls)
+        _c2, runner2, dataset2 = make_env(self.runner_cls, self.pipeline)
         flaky = runner2.run(mean_spec(), dataset2, failures={0: 1, 2: 2})
         assert clean.output.to_rows() == flaky.output.to_rows()
 
     def test_failures_counted(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         result = runner.run(mean_spec(), dataset, failures={0: 1, 2: 2})
         assert result.counters.get("failed_map_attempts") == 3
 
     def test_failures_cost_time(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         clean = runner.run(mean_spec(), dataset)
-        _c2, runner2, dataset2 = make_env(self.runner_cls)
+        _c2, runner2, dataset2 = make_env(self.runner_cls, self.pipeline)
         flaky = runner2.run(mean_spec(), dataset2, failures={0: 3})
         assert flaky.duration > clean.duration
 
     def test_slots_recovered_after_failures(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         runner.run(mean_spec(), dataset, failures={0: 2, 1: 2, 2: 2, 3: 2})
         assert runner.map_scheduler.free_slots() == runner.map_scheduler.total_slots
 
@@ -84,7 +85,7 @@ class TestTaskRetry:
         ],
     )
     def test_bad_failures_rejected_at_submit(self, failures, names):
-        cluster, runner, dataset = make_env(self.runner_cls)
+        cluster, runner, dataset = make_env(self.runner_cls, self.pipeline)
         mapped = []
 
         def mapper(ctx, records):
@@ -98,9 +99,9 @@ class TestTaskRetry:
         assert cluster.now == 0.0
 
     def test_numpy_integers_name_splits_and_counts(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         plain = runner.run(mean_spec(), dataset, failures={1: 2})
-        cluster, runner2, dataset2 = make_env(self.runner_cls)
+        cluster, runner2, dataset2 = make_env(self.runner_cls, self.pipeline)
         handle = runner2.submit(
             mean_spec(), dataset2, failures={np.int64(1): np.int64(2)}
         )
@@ -115,12 +116,12 @@ class TestTaskRetry:
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_split_models_must_match_the_splits(self, count):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         with pytest.raises(ValueError, match=f"{count} split_models for 4 splits"):
             runner.submit(mean_spec(), dataset, split_models=[{}] * count)
 
     def test_many_failures_still_complete(self):
-        _c, runner, dataset = make_env(self.runner_cls)
+        _c, runner, dataset = make_env(self.runner_cls, self.pipeline)
         result = runner.run(
             mean_spec(), dataset, failures={i: 5 for i in range(4)}
         )
@@ -132,6 +133,14 @@ class TestTaskRetryOnYarn(TestTaskRetry):
     attempt's container goes back to the RM under its app."""
 
     runner_cls = YarnJobRunner
+
+
+class TestTaskRetryPipelined(TestTaskRetry):
+    pipeline = True
+
+
+class TestTaskRetryOnYarnPipelined(TestTaskRetryOnYarn):
+    pipeline = True
 
 
 class TestCombinerJobRetry:
@@ -153,16 +162,20 @@ class TestCombinerJobRetry:
 
 
 class TestBestEffortUnderFailures:
+    pipeline = False
+
+    def engine(self):
+        cluster = Cluster(num_nodes=4, nodes_per_rack=4)
+        runner = JobRunner(cluster, best_effort_dfs(cluster), pipeline=self.pipeline)
+        return BestEffortEngine(cluster, MeanProgram(), num_partitions=4, runner=runner)
+
     def test_engine_result_identical_with_flaky_first_round(self):
         """Section VII: a failed best-effort task is simply restarted by
         the framework; the computed model is unaffected."""
         records = [(i, float(i)) for i in range(40)]
-        cluster = Cluster(num_nodes=4, nodes_per_rack=4)
-        clean_engine = BestEffortEngine(cluster, MeanProgram(), num_partitions=4)
-        clean = clean_engine.run(records, {"mean": 0.0})
+        clean = self.engine().run(records, {"mean": 0.0})
 
-        cluster2 = Cluster(num_nodes=4, nodes_per_rack=4)
-        flaky_engine = BestEffortEngine(cluster2, MeanProgram(), num_partitions=4)
+        flaky_engine = self.engine()
         original_run = flaky_engine.runner.run
         calls = {"n": 0}
 
@@ -176,3 +189,7 @@ class TestBestEffortUnderFailures:
         flaky = flaky_engine.run(records, {"mean": 0.0})
         assert flaky.model == clean.model
         assert flaky.total_time > clean.total_time
+
+
+class TestBestEffortUnderFailuresPipelined(TestBestEffortUnderFailures):
+    pipeline = True

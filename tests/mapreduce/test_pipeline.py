@@ -5,25 +5,7 @@ whose callbacks fire the moment *that split's* prerequisites land,
 instead of parking the whole job behind ``cluster.run()``.
 """
 
-import pytest
-
-from repro.mapreduce.pipeline import SplitGate, pipeline_enabled
-
-
-class TestPipelineEnabled:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("PIC_PIPELINE", raising=False)
-        assert not pipeline_enabled()
-
-    @pytest.mark.parametrize("raw", ["1", "on", "true", "yes", "ON", " Yes "])
-    def test_on_values(self, monkeypatch, raw):
-        monkeypatch.setenv("PIC_PIPELINE", raw)
-        assert pipeline_enabled()
-
-    @pytest.mark.parametrize("raw", ["0", "off", "false", "no", "", "junk"])
-    def test_off_values(self, monkeypatch, raw):
-        monkeypatch.setenv("PIC_PIPELINE", raw)
-        assert not pipeline_enabled()
+from repro.mapreduce.pipeline import SplitGate
 
 
 class TestSplitGate:

@@ -45,12 +45,15 @@ class ReduceInputSpy:
         sum_reducer(ctx, grouped)
 
 
-def make_env(num_nodes=6, num_splits=6, num_words=10, num_records=300):
+# A test class whose jobs run on the simulated clock takes its schedule
+# from ``pipeline``; its ``...Pipelined`` twin runs the same tests with
+# ``pipeline = True``.
+def make_env(num_nodes=6, num_splits=6, num_words=10, num_records=300, pipeline=False):
     cluster = Cluster(num_nodes=num_nodes, nodes_per_rack=num_nodes)
     dfs = DistributedFileSystem(cluster)
     records = [(i, f"word{i % num_words}") for i in range(num_records)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
-    return cluster, JobRunner(cluster, dfs), dataset
+    return cluster, JobRunner(cluster, dfs, pipeline=pipeline), dataset
 
 
 class TestConstruction:
@@ -73,31 +76,33 @@ def word_spec(**kw) -> JobSpec:
 
 
 class TestCorrectness:
+    pipeline = False
+
     def test_word_count_exact(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(), dataset)
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
 
     def test_combiner_preserves_result(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         plain = runner.run(word_spec(), dataset)
-        _c2, runner2, dataset2 = make_env()
+        _c2, runner2, dataset2 = make_env(pipeline=self.pipeline)
         combined = runner2.run(word_spec(combiner=sum_combiner), dataset2)
         assert sorted(plain.output) == sorted(combined.output)
 
     def test_single_reducer(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(num_reducers=1), dataset)
         assert len(result.output) == 10
 
     def test_more_reducers_than_words(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(num_reducers=24), dataset)
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
 
     def test_deterministic_across_runs(self):
-        _c, r1, d1 = make_env()
-        _c2, r2, d2 = make_env()
+        _c, r1, d1 = make_env(pipeline=self.pipeline)
+        _c2, r2, d2 = make_env(pipeline=self.pipeline)
         a = r1.run(word_spec(), d1)
         b = r2.run(word_spec(), d2)
         assert a.output.to_rows() == b.output.to_rows()
@@ -108,12 +113,16 @@ class TestCorrectness:
         def batch(ctx, records):
             ctx.emit_batch(ColumnBatch.from_rows([(w, 1) for _k, w in records]))
 
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(
             JobSpec(name="b", mapper=batch, reducer=sum_reducer, num_reducers=4),
             dataset,
         )
         assert sorted(result.output) == [(f"word{i}", 30) for i in range(10)]
+
+
+class TestCorrectnessPipelined(TestCorrectness):
+    pipeline = True
 
 
 def _held_objects(state):
@@ -133,6 +142,8 @@ def _held_objects(state):
 class TestOneDataPlane:
     """Records travel in ``ColumnBatch``/``GroupedBatch`` from split to
     reduce output, whatever shape the job's functions emit."""
+
+    pipeline = False
 
     @pytest.mark.parametrize("combiner", [None, sum_combiner])
     def test_every_stage_holds_batches(self, combiner, monkeypatch):
@@ -158,7 +169,9 @@ class TestOneDataPlane:
         monkeypatch.setattr(TaskContext, "collect", collect_spy)
         monkeypatch.setattr(tasks, "run_map_task", task_spy)
         cluster, _runner, dataset = make_env()
-        runner = JobRunner(cluster, dataset.dfs, executor=SerialExecutor())
+        runner = JobRunner(
+            cluster, dataset.dfs, executor=SerialExecutor(), pipeline=self.pipeline
+        )
         handle = runner.submit(
             word_spec(reducer=reducer, combiner=combiner), dataset
         )
@@ -176,6 +189,10 @@ class TestOneDataPlane:
         assert sorted(handle.result().output) == [
             (f"word{i}", 30) for i in range(10)
         ]
+
+
+class TestOneDataPlanePipelined(TestOneDataPlane):
+    pipeline = True
 
 
 #: Calls of ``counting_mapper``/``counting_reducer`` in this process.
@@ -264,6 +281,8 @@ class TestBadJobFailsAtSubmit:
     before anything is on the simulated clock (not partway through
     ``cluster.run()``)."""
 
+    pipeline = False
+
     BAD = {
         "partitioner": (dict(partitioner=out_of_range_partitioner), ValueError,
                         "partitioner returned 4"),
@@ -276,14 +295,14 @@ class TestBadJobFailsAtSubmit:
     @pytest.mark.parametrize("entry", ["run", "submit"])
     def test_raises_before_any_simulated_event(self, entry, bad):
         kw, error, match = self.BAD[bad]
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         with pytest.raises(error, match=match):
             getattr(runner, entry)(word_spec(**kw), dataset)
         assert cluster.sim.events_processed == 0
         assert cluster.now == 0.0
 
     def test_submit_many_launches_none_of_a_failing_batch(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         records = [(i, f"word{i % 5}") for i in range(150)]
         dataset_b = DistributedDataset.materialize(runner.dfs, "/in-b", records, 3)
         with pytest.raises(BadSplitError):
@@ -295,14 +314,20 @@ class TestBadJobFailsAtSubmit:
         cluster.run()
         assert cluster.sim.events_processed == 0
         # The runner is intact: the same good job runs as job 0 would.
-        _c2, fresh, dataset2 = make_env()
+        _c2, fresh, dataset2 = make_env(pipeline=self.pipeline)
         expected = fresh.run(word_spec(), dataset2)
         result = runner.run(word_spec(), dataset)
         assert result.output.to_rows() == expected.output.to_rows()
         assert result.finished_at == expected.finished_at
 
 
+class TestBadJobFailsAtSubmitPipelined(TestBadJobFailsAtSubmit):
+    pipeline = True
+
+
 class TestOneCombinerCallPerMapAttempt:
+    pipeline = False
+
     def test_sixteen_reducers_one_map_task_one_call(self):
         # The map output is grouped by (partition, key) once and the
         # combiner sees all sixteen buckets' groups together — it used
@@ -313,7 +338,7 @@ class TestOneCombinerCallPerMapAttempt:
             calls.append(len(grouped))
             return sum_combiner(grouped)
 
-        _c, runner, dataset = make_env(num_splits=1, num_words=40)
+        _c, runner, dataset = make_env(num_splits=1, num_words=40, pipeline=self.pipeline)
         result = runner.run(
             word_spec(num_reducers=16, combiner=counting_combiner), dataset
         )
@@ -324,6 +349,10 @@ class TestOneCombinerCallPerMapAttempt:
         assert dict(result.output.to_rows()) == {
             f"word{i}": 300 // 40 + (i < 300 % 40) for i in range(40)
         }
+
+
+class TestOneCombinerCallPerMapAttemptPipelined(TestOneCombinerCallPerMapAttempt):
+    pipeline = True
 
 
 class TestCustomPartitioner:
@@ -358,8 +387,10 @@ class TestCustomPartitioner:
 
 
 class TestAccounting:
+    pipeline = False
+
     def test_counters(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(), dataset)
         c = result.counters
         assert c.get("map_input_records") == 300
@@ -367,20 +398,20 @@ class TestAccounting:
         assert c.get("reduce_output_records") == 10
 
     def test_combiner_shrinks_shuffle(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         plain = runner.run(word_spec(), dataset)
-        _c2, runner2, dataset2 = make_env()
+        _c2, runner2, dataset2 = make_env(pipeline=self.pipeline)
         combined = runner2.run(word_spec(combiner=sum_combiner), dataset2)
         assert combined.shuffle_bytes < plain.shuffle_bytes
         assert combined.map_output_bytes_raw == plain.map_output_bytes_raw
 
     def test_shuffle_traffic_recorded(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(), dataset)
         assert cluster.meter.total("shuffle") == pytest.approx(result.shuffle_bytes)
 
     def test_output_written_as_model_update(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(), dataset)
         # 3 replicas per output byte (1 local + 2 pipeline hops).
         assert cluster.meter.total("model_update") == pytest.approx(
@@ -388,27 +419,31 @@ class TestAccounting:
         )
 
     def test_input_read_charged_once(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         runner.run(word_spec(), dataset)
         assert cluster.meter.total("input") == pytest.approx(dataset.nbytes)
 
     def test_input_cached_skips_read(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         runner.run(word_spec(), dataset, input_cached=True)
         assert cluster.meter.total("input") == 0
 
     def test_duration_positive_and_overheads_counted(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         slow = word_spec(costs=CostHints(job_overhead_seconds=10.0))
         result = runner.run(slow, dataset)
         assert result.duration >= 10.0
 
     def test_output_locations_are_replica_set(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         result = runner.run(word_spec(), dataset)
         assert 1 <= len(result.output_locations) <= 3
         for node in result.output_locations:
             assert 0 <= node < cluster.num_nodes
+
+
+class TestAccountingPipelined(TestAccounting):
+    pipeline = True
 
 
 class TestShuffleConservation:
@@ -431,14 +466,13 @@ class TestShuffleConservation:
         ({}, True),
     ], ids=["plain", "failures-speculative", "pipelined"])
     def test_one_job(self, kwargs, pipeline):
-        cluster, runner, dataset = make_env()
-        runner = JobRunner(cluster, runner.dfs, pipeline=pipeline)
+        cluster, runner, dataset = make_env(pipeline=pipeline)
         result = runner.run(word_spec(), dataset, **kwargs)
         assert cluster.meter.total("shuffle") == result.shuffle_bytes
         assert result.shuffle_bytes == self._bucket_bytes(word_spec(), dataset)
 
-    def test_two_jobs_through_run_many(self):
-        cluster, runner, dataset = make_env()
+    def test_two_jobs_through_run_many(self, pipeline=False):
+        cluster, runner, dataset = make_env(pipeline=pipeline)
         specs = [word_spec(name="plain"), word_spec(name="combined", combiner=sum_combiner)]
         results = runner.run_many([(spec, dataset) for spec in specs])
         total = sum(result.shuffle_bytes for result in results)
@@ -446,10 +480,17 @@ class TestShuffleConservation:
         for spec, result in zip(specs, results):
             assert result.shuffle_bytes == self._bucket_bytes(spec, dataset)
 
+    def test_two_pipelined_jobs_through_run_many(self):
+        # A defaulted argument is no fixture: pytest collects the test
+        # above in barrier mode only.
+        self.test_two_jobs_through_run_many(pipeline=True)
+
 
 class TestModelDistribution:
+    pipeline = False
+
     def test_broadcast_once_per_node(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         runner.run(
             word_spec(), dataset, model={"m": 1}, model_bytes=1000,
             model_locations=(0,),
@@ -458,7 +499,7 @@ class TestModelDistribution:
         assert cluster.meter.fabric("model_read") == pytest.approx(5000)
 
     def test_partitioned_ships_one_model_total(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         runner.run(
             word_spec(), dataset, model={"m": 1}, model_bytes=1200,
             model_locations=(0,), model_mode="partitioned",
@@ -466,19 +507,25 @@ class TestModelDistribution:
         assert cluster.meter.total("model_read") == pytest.approx(1200)
 
     def test_bad_model_mode_rejected(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         with pytest.raises(ValueError):
             runner.run(word_spec(), dataset, model_mode="telepathy")
 
 
+class TestModelDistributionPipelined(TestModelDistribution):
+    pipeline = True
+
+
 class TestDynamicCosts:
+    pipeline = False
+
     def test_map_cost_override_used(self):
         def expensive(num_records, nbytes, ctx):
             return 100.0
 
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         cheap = runner.run(word_spec(), dataset)
-        _c2, runner2, dataset2 = make_env()
+        _c2, runner2, dataset2 = make_env(pipeline=self.pipeline)
         result = runner2.run(word_spec(map_cost=expensive), dataset2)
         assert result.duration > cheap.duration + 90
 
@@ -487,7 +534,7 @@ class TestDynamicCosts:
             ctx.stats["local_iterations"] = 5
             ctx.emit("k", 1)
 
-        _c, runner, dataset = make_env(num_splits=3)
+        _c, runner, dataset = make_env(num_splits=3, pipeline=self.pipeline)
         spec = JobSpec(
             name="s", mapper=stats_mapper, reducer=sum_reducer, num_reducers=1
         )
@@ -496,9 +543,15 @@ class TestDynamicCosts:
         assert all(v["local_iterations"] == 5 for v in result.map_stats.values())
 
 
+class TestDynamicCostsPipelined(TestDynamicCosts):
+    pipeline = True
+
+
 class TestSlotReuse:
+    pipeline = False
+
     def test_runner_survives_many_jobs(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         for _ in range(5):
             result = runner.run(word_spec(), dataset)
             assert len(result.output) == 10
@@ -511,7 +564,7 @@ class TestSlotReuse:
         dfs = DistributedFileSystem(cluster)
         records = [(i, f"w{i % 20}") for i in range(100)]
         dataset = DistributedDataset.materialize(dfs, "/in", records, 4)
-        runner = JobRunner(cluster, dfs)
+        runner = JobRunner(cluster, dfs, pipeline=self.pipeline)
         result = runner.run(word_spec(num_reducers=8), dataset)
         assert sorted(result.output) == sorted((f"w{i}", 5) for i in range(20))
 
@@ -524,12 +577,18 @@ class TestSlotReuse:
         dfs = DistributedFileSystem(cluster)
         dataset = DistributedDataset.materialize(dfs, "/in", [(0, "w")], 1)
         with pytest.raises(ValueError, match="exceeds every node's capacity"):
-            JobRunner(cluster, dfs).run(word_spec(), dataset)
+            JobRunner(cluster, dfs, pipeline=self.pipeline).run(word_spec(), dataset)
+
+
+class TestSlotReusePipelined(TestSlotReuse):
+    pipeline = True
 
 
 class TestConcurrentSubmission:
+    pipeline = False
+
     def test_submit_many_runs_jobs_concurrently(self):
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         records = [(i, f"word{i % 5}") for i in range(150)]
         dataset_b = DistributedDataset.materialize(
             runner.dfs, "/in-b", records, 3
@@ -550,15 +609,15 @@ class TestConcurrentSubmission:
         assert cluster.now == max(a.finished_at, b.finished_at)
 
     def test_result_before_finish_raises(self):
-        _c, runner, dataset = make_env()
+        _c, runner, dataset = make_env(pipeline=self.pipeline)
         handle = runner.submit(word_spec(), dataset)
         with pytest.raises(RuntimeError, match="did not complete"):
             handle.result()
 
     def test_run_is_submit_plus_drain(self):
         """`run()` and submit+run+result give identical measurements."""
-        _c1, r1, d1 = make_env()
-        _c2, r2, d2 = make_env()
+        _c1, r1, d1 = make_env(pipeline=self.pipeline)
+        _c2, r2, d2 = make_env(pipeline=self.pipeline)
         via_run = r1.run(word_spec(), d1)
         handle = r2.submit(word_spec(), d2)
         r2.cluster.run()
@@ -570,9 +629,9 @@ class TestConcurrentSubmission:
     def test_concurrent_slower_than_solo_but_correct(self):
         """Contention stretches wall-clock (simulated) but never changes
         results: K concurrent copies produce the solo output."""
-        _c, solo_runner, solo_dataset = make_env()
+        _c, solo_runner, solo_dataset = make_env(pipeline=self.pipeline)
         solo = solo_runner.run(word_spec(), solo_dataset)
-        cluster, runner, dataset = make_env()
+        cluster, runner, dataset = make_env(pipeline=self.pipeline)
         datasets = [dataset]
         for j in range(3):
             records = [(i, f"word{i % 10}") for i in range(300)]
@@ -585,3 +644,7 @@ class TestConcurrentSubmission:
         for result in results:
             assert sorted(result.output) == sorted(solo.output)
         assert max(r.finished_at for r in results) >= solo.finished_at
+
+
+class TestConcurrentSubmissionPipelined(TestConcurrentSubmission):
+    pipeline = True

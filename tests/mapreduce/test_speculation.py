@@ -24,11 +24,11 @@ def heterogeneous_cluster(num_nodes=4, slow_node=2, slowdown=8.0):
     )
 
 
-def make_env(cluster, runner_cls=JobRunner, num_splits=4):
+def make_env(cluster, runner_cls=JobRunner, pipeline=False, num_splits=4):
     dfs = DistributedFileSystem(cluster)
     records = [(i, float(i)) for i in range(4000)]
     dataset = DistributedDataset.materialize(dfs, "/in", records, num_splits)
-    return runner_cls(cluster, dfs), dataset
+    return runner_cls(cluster, dfs, pipeline=pipeline), dataset
 
 
 def sum_spec() -> JobSpec:
@@ -72,53 +72,54 @@ class TestHeterogeneousNodes:
 
 
 class TestSpeculativeExecution:
-    #: The substrate under test; the YARN subclass below re-runs every
-    #: test here on containers.
+    #: The substrate and schedule under test; the subclasses below re-run
+    #: every test here on containers, pipelined, and both.
     runner_cls = JobRunner
+    pipeline = False
 
     def test_same_result_with_and_without(self):
-        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         plain = runner_a.run(sum_spec(), dataset_a)
-        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         spec = runner_b.run(sum_spec(), dataset_b, speculative=True)
         assert plain.output.to_rows() == spec.output.to_rows()
 
     def test_backup_beats_straggler(self):
         """With one node 8x slower, a backup on a fast node should cut
         the job's makespan substantially."""
-        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner_a, dataset_a = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         plain = runner_a.run(sum_spec(), dataset_a)
-        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner_b, dataset_b = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         spec = runner_b.run(sum_spec(), dataset_b, speculative=True)
         assert spec.duration < plain.duration * 0.6
         assert spec.counters.get("speculative_attempts") >= 1
 
     def test_no_speculation_on_homogeneous_cluster_harmless(self):
         cluster = Cluster(num_nodes=4, nodes_per_rack=4)
-        runner, dataset = make_env(cluster, self.runner_cls)
+        runner, dataset = make_env(cluster, self.runner_cls, self.pipeline)
         result = runner.run(sum_spec(), dataset, speculative=True)
         assert result.output.to_rows()[0][1] == pytest.approx(sum(range(4000)))
 
     def test_counters_track_losses(self):
-        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         result = runner.run(sum_spec(), dataset, speculative=True)
         attempts = result.counters.get("speculative_attempts")
         losses = result.counters.get("speculative_losses")
         assert losses <= attempts
 
     def test_slots_fully_recovered(self):
-        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         runner.run(sum_spec(), dataset, speculative=True)
         assert runner.map_scheduler.free_slots() == runner.map_scheduler.total_slots
 
     def test_accounting_not_double_counted(self):
-        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         result = runner.run(sum_spec(), dataset, speculative=True)
         assert result.counters.get("map_input_records") == 4000
         assert result.counters.get("map_output_records") == 4000
 
     def test_speculation_with_failures(self):
-        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls)
+        runner, dataset = make_env(heterogeneous_cluster(), self.runner_cls, self.pipeline)
         result = runner.run(
             sum_spec(), dataset, speculative=True, failures={1: 1}
         )
@@ -130,6 +131,14 @@ class TestSpeculativeExecutionOnYarn(TestSpeculativeExecution):
     twin's container goes back to the RM under its app."""
 
     runner_cls = YarnJobRunner
+
+
+class TestSpeculativeExecutionPipelined(TestSpeculativeExecution):
+    pipeline = True
+
+
+class TestSpeculativeExecutionOnYarnPipelined(TestSpeculativeExecutionOnYarn):
+    pipeline = True
 
 
 class TestSpeculativeCombinerJob:

@@ -7,6 +7,8 @@ and ``PIC_WORKERS=4`` (one task per pool work item) or ``PIC_WORKERS=3``
 (chunks of two tasks sharing one unpickled program/spec/model) must
 produce the same merged model, the same per-round ``BEIterationStats``,
 and the same traffic-meter snapshot — bit for bit, not approximately.
+The contract holds on either schedule: the pipelined runs repeat both
+worker counts.
 """
 
 from collections.abc import Mapping
@@ -89,7 +91,9 @@ APPS = {
 }
 
 
-def _run_app(factory, monkeypatch, workers_env: str, num_partitions: int = 4):
+def _run_app(
+    factory, monkeypatch, workers_env: str, num_partitions: int = 4, pipeline=False
+):
     import copy
 
     monkeypatch.setenv("PIC_WORKERS", workers_env)
@@ -102,6 +106,7 @@ def _run_app(factory, monkeypatch, workers_env: str, num_partitions: int = 4):
         seed=7,
         be_max_iterations=3,
         max_iterations=3,
+        pipeline=pipeline,
     )
     result = runner.run(records, initial_model=copy.deepcopy(model0))
     return result, cluster.meter.snapshot()
@@ -122,6 +127,22 @@ def test_chunk_mates_match_serial_bit_for_bit(app, monkeypatch):
     _assert_same_run(
         _run_app(APPS[app], monkeypatch, "1", num_partitions=16),
         _run_app(APPS[app], monkeypatch, "3", num_partitions=16),
+    )
+
+
+@pytest.mark.parametrize(
+    ("workers", "num_partitions"), [("4", 4), ("3", 16)],
+    ids=["four-workers", "three-workers-chunked"],
+)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_pipelined_parallel_matches_serial_bit_for_bit(
+    app, workers, num_partitions, monkeypatch
+):
+    """The pipelined schedule's pool runs: precomputed map outputs and
+    concurrent submission meet its split gates and node cache."""
+    _assert_same_run(
+        _run_app(APPS[app], monkeypatch, "1", num_partitions, pipeline=True),
+        _run_app(APPS[app], monkeypatch, workers, num_partitions, pipeline=True),
     )
 
 

@@ -139,6 +139,19 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match=">= 1"):
             resolve_workers(0)
 
+    def test_numpy_integer_is_a_plain_count(self):
+        count = resolve_workers(np.int64(2))
+        assert count == 2 and type(count) is int
+
+    @pytest.mark.parametrize(
+        ("workers", "named"),
+        [(2.5, "2.5"), (2.0, "2.0"), (True, "True"), (False, "False"),
+         ("3", "'3'"), (np.float64(2.0), r"(np\.float64\()?2\.0")],
+    )
+    def test_non_integer_rejected(self, workers, named):
+        with pytest.raises(ValueError, match=f"must be an integer, got {named}"):
+            resolve_workers(workers)
+
 
 class TestGetExecutor:
     def test_one_worker_is_serial(self):
@@ -152,6 +165,16 @@ class TestGetExecutor:
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("PIC_WORKERS", raising=False)
         assert isinstance(get_executor(), SerialExecutor)
+
+    def test_numpy_integer_count(self):
+        ex = get_executor(np.int64(2))
+        assert isinstance(ex, ProcessPoolTaskExecutor)
+        assert ex.workers == 2 and type(ex.workers) is int
+
+    @pytest.mark.parametrize("workers", [2.5, True, "3"])
+    def test_non_integer_refused_before_any_executor(self, workers):
+        with pytest.raises(ValueError, match="must be an integer"):
+            get_executor(workers)
 
 
 class TestSerialExecutor:

@@ -7,7 +7,8 @@ from repro.apps.kmeans import KMeansProgram, gaussian_mixture
 from repro.apps.smoothing import ImageSmoothingProgram, synthetic_image
 from repro.apps.smoothing.datagen import image_records
 from repro.cluster.cluster import Cluster
-from repro.pic.engine import BestEffortEngine
+from repro.mapreduce.runner import JobRunner
+from repro.pic.engine import BestEffortEngine, best_effort_dfs
 from repro.pic.runner import PICRunner
 from tests.pic.toy import MeanProgram
 
@@ -36,15 +37,22 @@ class TestEngineModes:
         engine = BestEffortEngine(make_cluster(), DistributedMean(), 4)
         assert engine.distributed_merge is False
 
-    def test_distributed_result_matches_centralized(self):
-        central = BestEffortEngine(
-            make_cluster(), DistributedMean(), 4, distributed_merge=False
-        ).run(RECORDS, {"mean": 0.0})
-        distributed = BestEffortEngine(
-            make_cluster(), DistributedMean(), 4, distributed_merge=True
-        ).run(RECORDS, {"mean": 0.0})
+    # The run-level tests take the schedule as a defaulted argument (so
+    # no fixture): barrier as collected, pipelined through their twins.
+    def test_distributed_result_matches_centralized(self, pipeline=False):
+        def run(dist):
+            cluster = make_cluster()
+            runner = JobRunner(cluster, best_effort_dfs(cluster), pipeline=pipeline)
+            return BestEffortEngine(
+                cluster, DistributedMean(), 4, runner=runner, distributed_merge=dist
+            ).run(RECORDS, {"mean": 0.0})
+
+        central, distributed = run(False), run(True)
         assert distributed.model["mean"] == pytest.approx(central.model["mean"])
         assert distributed.be_iterations == central.be_iterations
+
+    def test_pipelined_distributed_result_matches_centralized(self):
+        self.test_distributed_result_matches_centralized(pipeline=True)
 
     def test_distributed_uses_multiple_reducers(self):
         engine = BestEffortEngine(
@@ -59,20 +67,23 @@ class TestEngineModes:
 
 
 class TestApplications:
-    def test_kmeans_distributed_merge_equivalent(self):
+    def test_kmeans_distributed_merge_equivalent(self, pipeline=False):
         records, _ = gaussian_mixture(4000, 4, dim=2, separation=8.0, seed=1)
         prog = KMeansProgram(k=4, dim=2, threshold=0.05)
         model0 = prog.initial_model(records, seed=2)
-        central = PICRunner(
-            make_cluster(), KMeansProgram(k=4, dim=2, threshold=0.05),
-            num_partitions=4, seed=3, distributed_merge=False,
-        ).run(records, initial_model={k: v.copy() for k, v in model0.items()})
-        distributed = PICRunner(
-            make_cluster(), KMeansProgram(k=4, dim=2, threshold=0.05),
-            num_partitions=4, seed=3, distributed_merge=True,
-        ).run(records, initial_model={k: v.copy() for k, v in model0.items()})
+
+        def run(dist):
+            return PICRunner(
+                make_cluster(), KMeansProgram(k=4, dim=2, threshold=0.05),
+                num_partitions=4, seed=3, distributed_merge=dist, pipeline=pipeline,
+            ).run(records, initial_model={k: v.copy() for k, v in model0.items()})
+
+        central, distributed = run(False), run(True)
         for key in model0:
             assert np.allclose(central.model[key], distributed.model[key])
+
+    def test_pipelined_kmeans_distributed_merge_equivalent(self):
+        self.test_kmeans_distributed_merge_equivalent(pipeline=True)
 
     def test_smoothing_ownership_is_exclusive(self):
         img = synthetic_image(16, 16, seed=1)
@@ -86,7 +97,7 @@ class TestApplications:
         # Every row emitted exactly once despite overlap + halo copies.
         assert sorted(all_owned) == list(range(16))
 
-    def test_smoothing_distributed_merge_equivalent(self):
+    def test_smoothing_distributed_merge_equivalent(self, pipeline=False):
         img = synthetic_image(24, 24, seed=1)
         records = image_records(img)
 
@@ -95,13 +106,16 @@ class TestApplications:
             model0 = prog.initial_model(records)
             return PICRunner(
                 make_cluster(), prog, num_partitions=4, seed=3,
-                distributed_merge=dist,
+                distributed_merge=dist, pipeline=pipeline,
             ).run(records, initial_model=model0)
 
         central, distributed = run(False), run(True)
         a = np.stack([central.model[i] for i in range(24)])
         b = np.stack([distributed.model[i] for i in range(24)])
         assert np.allclose(a, b)
+
+    def test_pipelined_smoothing_distributed_merge_equivalent(self):
+        self.test_smoothing_distributed_merge_equivalent(pipeline=True)
 
     def test_merge_element_duplicate_owner_detected(self):
         prog = ImageSmoothingProgram(16, 16)

@@ -22,14 +22,15 @@ def make_cluster(num_nodes=4):
 
 
 def make_engine(num_partitions=4, be_max_iterations=20, threshold=1e-6,
-                executor=None, **kw):
+                executor=None, pipeline=False, **kw):
     cluster = make_cluster()
     prog = MeanProgram(threshold=threshold)
-    if executor is not None:
-        kw["runner"] = JobRunner(cluster, best_effort_dfs(cluster), executor=executor)
+    runner = JobRunner(
+        cluster, best_effort_dfs(cluster), executor=executor, pipeline=pipeline
+    )
     engine = BestEffortEngine(
         cluster, prog, num_partitions=num_partitions,
-        be_max_iterations=be_max_iterations, **kw
+        be_max_iterations=be_max_iterations, runner=runner, **kw
     )
     return cluster, prog, engine
 
@@ -54,15 +55,17 @@ class TestConstruction:
 
 
 class TestExecution:
+    pipeline = False
+
     def test_converges_to_data_mean(self):
-        _c, _p, engine = make_engine()
+        _c, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         # Partition means differ from the global mean, but averaging the
         # local fixed points gives the global mean for equal-size parts.
         assert result.model["mean"] == pytest.approx(19.5, abs=0.05)
 
     def test_be_iteration_stats_recorded(self):
-        _c, _p, engine = make_engine()
+        _c, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         assert result.be_iterations == len(result.stats)
         for s in result.stats:
@@ -71,13 +74,15 @@ class TestExecution:
             assert s.max_local_iterations == max(s.local_iterations)
 
     def test_first_round_does_bulk_of_work(self):
-        _c, _p, engine = make_engine()
+        _c, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         rounds = result.max_local_iterations_by_round
         assert rounds[0] > rounds[-1]
 
     def test_respects_be_cap(self):
-        _c, _p, engine = make_engine(be_max_iterations=2, threshold=1e-12)
+        _c, _p, engine = make_engine(
+            be_max_iterations=2, threshold=1e-12, pipeline=self.pipeline
+        )
         result = engine.run(RECORDS, {"mean": 0.0})
         assert result.be_iterations == 2
 
@@ -88,21 +93,21 @@ class TestExecution:
         BE criterion compares successive merged models), but the answer
         is exactly the serial solve's.
         """
-        _c, prog, engine = make_engine(num_partitions=1)
+        _c, prog, engine = make_engine(num_partitions=1, pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         serial, _iters, _c2 = prog.solve_in_memory(RECORDS, {"mean": 0.0})
         assert result.model["mean"] == pytest.approx(serial["mean"])
         assert result.be_iterations <= 2
 
     def test_model_locations_populated(self):
-        cluster, _p, engine = make_engine()
+        cluster, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         assert result.model_locations
         for node in result.model_locations:
             assert 0 <= node < cluster.num_nodes
 
     def test_more_partitions_than_nodes(self):
-        _c, _p, engine = make_engine(num_partitions=10)
+        _c, _p, engine = make_engine(num_partitions=10, pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         assert result.model["mean"] == pytest.approx(19.5, abs=0.1)
 
@@ -117,9 +122,15 @@ class TestExecution:
             engine.run(RECORDS, {"mean": 0.0})
 
 
+class TestExecutionPipelined(TestExecution):
+    pipeline = True
+
+
 class TestTraffic:
+    pipeline = False
+
     def test_shuffle_is_submodels_only(self):
-        cluster, prog, engine = make_engine()
+        cluster, prog, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         # Each best-effort round shuffles 4 sub-models (~1 entry each,
         # plus record framing); the per-point data never hits the fabric.
@@ -129,7 +140,9 @@ class TestTraffic:
     def test_repartition_charged_once(self):
         from repro.util.sizing import sizeof_records
 
-        cluster, prog, engine = make_engine(be_max_iterations=5, threshold=1e-12)
+        cluster, prog, engine = make_engine(
+            be_max_iterations=5, threshold=1e-12, pipeline=self.pipeline
+        )
         engine.run(RECORDS, {"mean": 0.0})
         repartition = cluster.meter.total("repartition")
         assert repartition > 0
@@ -147,27 +160,33 @@ class TestTraffic:
     def test_colocation_scatter_aggregated_per_node_pair(self):
         # 10 partitions on 4 nodes used to issue 10*(4-1)=30 scatter
         # flows; aggregation bounds them by the n*(n-1) node pairs.
-        cluster, _p, engine = make_engine(num_partitions=10)
+        cluster, _p, engine = make_engine(num_partitions=10, pipeline=self.pipeline)
         engine.run(RECORDS, {"mean": 0.0})
         n = cluster.num_nodes
         assert 0 < cluster.meter.transfers("repartition") <= n * (n - 1)
 
     def test_model_updates_per_round(self):
-        cluster, _p, engine = make_engine()
+        cluster, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         assert cluster.meter.total("model_update") > 0
         assert cluster.meter.transfers("model_update") >= result.be_iterations
 
     def test_clock_advances(self):
-        cluster, _p, engine = make_engine()
+        cluster, _p, engine = make_engine(pipeline=self.pipeline)
         engine.run(RECORDS, {"mean": 0.0})
         assert cluster.now > 0
 
 
+class TestTrafficPipelined(TestTraffic):
+    pipeline = True
+
+
 class TestDeterminism:
+    pipeline = False
+
     def test_identical_runs_identical_results(self):
-        _c1, _p1, e1 = make_engine()
-        _c2, _p2, e2 = make_engine()
+        _c1, _p1, e1 = make_engine(pipeline=self.pipeline)
+        _c2, _p2, e2 = make_engine(pipeline=self.pipeline)
         r1 = e1.run(RECORDS, {"mean": 0.0})
         r2 = e2.run(RECORDS, {"mean": 0.0})
         assert r1.model == r2.model
@@ -198,8 +217,8 @@ class TestDeterminism:
                 return super().map(fn, payloads)
 
         spy = SpyPool()
-        c_serial, _p, serial = make_engine(executor=SerialExecutor())
-        c_pool, _p, pooled = make_engine(executor=spy)
+        c_serial, _p, serial = make_engine(executor=SerialExecutor(), pipeline=self.pipeline)
+        c_pool, _p, pooled = make_engine(executor=spy, pipeline=self.pipeline)
         r_serial = serial.run(RECORDS, {"mean": 0.0})
         r_pool = pooled.run(RECORDS, {"mean": 0.0})
         assert spy.calls == [map_task] * r_pool.be_iterations
@@ -210,9 +229,15 @@ class TestDeterminism:
         assert c_pool.meter.snapshot() == c_serial.meter.snapshot()
 
 
+class TestDeterminismPipelined(TestDeterminism):
+    pipeline = True
+
+
 class TestRoundJobs:
+    pipeline = False
+
     def test_each_round_records_its_job(self):
-        _c, _p, engine = make_engine()
+        _c, _p, engine = make_engine(pipeline=self.pipeline)
         result = engine.run(RECORDS, {"mean": 0.0})
         for be_iter, stat in enumerate(result.stats):
             (job,) = stat.job_results
@@ -231,7 +256,10 @@ class TestRoundJobs:
             cluster = heterogeneous_cluster()
             engine = BestEffortEngine(
                 cluster, MeanProgram(threshold=1e-6), 4, speculative=True,
-                runner=JobRunner(cluster, best_effort_dfs(cluster), executor=executor),
+                runner=JobRunner(
+                    cluster, best_effort_dfs(cluster), executor=executor,
+                    pipeline=self.pipeline,
+                ),
             )
             return cluster, engine.run(records, {"mean": 0.0})
 
@@ -253,8 +281,13 @@ class TestRoundJobs:
         cluster = make_cluster()
         dfs = DistributedFileSystem(cluster)
         engine = BestEffortEngine(
-            cluster, MeanProgram(), 4, runner=JobRunner(cluster, dfs)
+            cluster, MeanProgram(), 4,
+            runner=JobRunner(cluster, dfs, pipeline=self.pipeline),
         )
         engine.run(RECORDS, {"mean": 0.0})
         for i in range(4):
             assert dfs.namenode.exists(f"/pic/mean/partitions-1/part-{i:05d}")
+
+
+class TestRoundJobsPipelined(TestRoundJobs):
+    pipeline = True

@@ -5,9 +5,12 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import NodeSpec
 from repro.dfs.dfs import DistributedFileSystem
+from repro.mapreduce.columnar import ColumnBatch
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.records import DistributedDataset
 from repro.mapreduce.runner import JobRunner
+from repro.parallel import SerialExecutor
+from repro.parallel.tasks import compute_job
 from repro.pic.runner import PICRunner
 from repro.yarn import (
     Resource,
@@ -328,6 +331,61 @@ def test_concurrent_jobs_are_tie_order_independent(monkeypatch):
                 {"model": model, "model_bytes": program.model_bytes(model)},
             )
             for j in range(8)
+        ])
+        return tuple(r.finished_at for r in results)
+
+    base = finish_times(None)
+    for seed in (1, 2, 3, 7, 11, 23, 99):
+        assert finish_times(seed) == base, f"diverged under PIC_SANITIZE={seed}"
+
+
+
+def bucket_mapper(ctx, records):
+    for key, _value in records:
+        ctx.emit(key, 1)
+
+
+def bucket_combiner(grouped):
+    return ColumnBatch.from_rows([(key, sum(values)) for key, values in grouped])
+
+
+def bucket_partitioner(key, num_reducers):
+    return key % num_reducers
+
+
+def test_concurrent_full_bucket_jobs_are_tie_order_independent(monkeypatch):
+    """The contention of the case above — eight jobs of eight reducers
+    on 4 nodes x 3 vcores — with jobs whose every map task fills every
+    reduce bucket: with no empty shuffle segment, no tie order moves a
+    finish time.  (The same jobs with their keys still dealt over 8 of
+    16 reducers, half of every map task's buckets empty, diverge under
+    five of these seven seeds.)"""
+    records = ColumnBatch.from_rows([(i, float(i)) for i in range(600)])
+    spec = JobSpec(
+        name="buckets", mapper=bucket_mapper, reducer=sum_reducer,
+        combiner=bucket_combiner, partitioner=bucket_partitioner, num_reducers=8,
+    )
+
+    def finish_times(seed):
+        if seed is None:
+            monkeypatch.delenv("PIC_SANITIZE", raising=False)
+        else:
+            monkeypatch.setenv("PIC_SANITIZE", str(seed))
+        cluster = make_cluster(num_nodes=4, cores=3)
+        dfs = DistributedFileSystem(cluster)
+        datasets = [
+            DistributedDataset.materialize(dfs, f"/in-{j}", records, 12)
+            for j in range(8)
+        ]
+        # The premise: every map task's every bucket holds a record.
+        charges = compute_job(
+            spec, None, [split.records for split in datasets[0].splits],
+            spec.num_reducers, SerialExecutor(),
+        ).charges
+        assert all(0 not in charge.counts for charge in charges)
+        results = YarnJobRunner(cluster, dfs).run_many([
+            (spec, dataset, {"model": {"m": 1}, "model_bytes": 1024})
+            for dataset in datasets
         ])
         return tuple(r.finished_at for r in results)
 
